@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-json bench-load bench-fleet bench-fountain bench-replay cover figures paperscale fuzz lint lint-json vulncheck verify clean
+.PHONY: all build test race bench bench-fetch bench-json bench-load bench-fleet bench-fountain bench-replay loc cover figures paperscale fuzz lint lint-json vulncheck verify clean
 
 all: build test
 
@@ -48,6 +48,22 @@ verify: lint vulncheck
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# The repo's benchmark (BENCHMARK.json): six fetch workloads, end-to-end
+# metrics plus the per-layer budget. `go run ./bench --help` lists the
+# sweep and A/A flags.
+bench-fetch:
+	go run ./bench
+
+# Non-test Go lines per package, committed so a PR's "net negative" claim
+# is a diff of results/loc.txt rather than a sentence.
+loc:
+	@mkdir -p results
+	@find . -name '*.go' ! -name '*_test.go' | sort | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }' \
+		> results/loc.txt
+	@cat results/loc.txt
 
 # Full-suite statement coverage with a regression floor: the per-package
 # summary and the total land in results/coverage.txt, and the target

@@ -107,7 +107,7 @@ func run(args []string) error {
 		return runFountain(cfg, *jsonPath, *txtPath)
 	}
 
-	selected := gf256.KernelName() // what calibration picked before we override
+	selected := gf256.KernelName() // the process default, restored after the sweep
 	rep := report{
 		GOOS:           runtime.GOOS,
 		GOARCH:         runtime.GOARCH,
@@ -150,9 +150,6 @@ func run(args []string) error {
 			return err
 		}
 		rep.Workers = append(rep.Workers, wc)
-	}
-	if err := gf256.SetKernel("auto"); err != nil {
-		return err
 	}
 
 	var out strings.Builder
@@ -333,7 +330,7 @@ func measureWorkers(workers, m, size int, bench func(func()) float64) (workerCel
 func writeTable(w io.Writer, rep *report) {
 	fmt.Fprintf(w, "erasure kernel benchmark — %s/%s, %d CPU, GOMAXPROCS=%d, gamma=%.1f\n",
 		rep.GOOS, rep.GOARCH, rep.NumCPU, rep.GOMAXPROCS, rep.Gamma)
-	fmt.Fprintf(w, "calibration selected kernel: %s\n\n", rep.SelectedKernel)
+	fmt.Fprintf(w, "default kernel: %s\n\n", rep.SelectedKernel)
 
 	fmt.Fprintf(w, "slice micro-ops (4 KiB payloads, MB/s)\n")
 	fmt.Fprintf(w, "%-8s  %12s  %16s\n", "kernel", "MulAddSlice", "MulAddRows(4)")

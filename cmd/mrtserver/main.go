@@ -25,7 +25,6 @@ import (
 	"mobweb/internal/erasure"
 	"mobweb/internal/framecache"
 	"mobweb/internal/gateway"
-	"mobweb/internal/gf256"
 	"mobweb/internal/obs"
 	"mobweb/internal/planner"
 	"mobweb/internal/search"
@@ -59,7 +58,6 @@ func run(args []string) error {
 	chaosMin := fs.Int("chaos-min", 0, "min bytes a connection may write before a chaos kill (0 = 2048)")
 	chaosMax := fs.Int("chaos-max", 0, "max bytes before a chaos kill (0 = 4x min)")
 	chaosStall := fs.Duration("chaos-stall", 0, "stall a connection this long before severing it")
-	gfKernel := fs.String("gf-kernel", "", "GF(2^8) slice kernel: logexp, table, nibble or auto (default: $MOBWEB_GF_KERNEL or auto-calibrate)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /debug/metrics, /debug/fetches and /debug/vars on this address (e.g. 127.0.0.1:8049)")
 	statsEvery := fs.Duration("stats-every", 0, "log a one-line metrics summary at this interval (0 disables)")
 	replicaName := fs.String("replica-name", "", "replica identity reported in fetch responses and scraped by a shard front")
@@ -75,12 +73,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *gfKernel != "" {
-		if err := gf256.SetKernel(*gfKernel); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("gf256 kernel: %s\n", gf256.KernelName())
 
 	engine := search.NewEngine(textproc.Options{})
 	if !*noCorpus {

@@ -511,31 +511,6 @@ func TestUnitTextAndRender(t *testing.T) {
 	}
 }
 
-func TestMissing(t *testing.T) {
-	doc, scores := paperShapedDoc(t)
-	plan, err := NewPlanWithScores(doc, scores, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcv, err := NewReceiver(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, _ := plan.CookedPayload(3)
-	if err := rcv.Add(3, payload); err != nil {
-		t.Fatal(err)
-	}
-	missing := rcv.Missing()
-	if len(missing) != plan.N()-1 {
-		t.Fatalf("missing %d, want %d", len(missing), plan.N()-1)
-	}
-	for _, seq := range missing {
-		if seq == 3 {
-			t.Error("held packet listed as missing")
-		}
-	}
-}
-
 func TestNewPlanFromSC(t *testing.T) {
 	// End-to-end over a real parsed document: rank paragraphs by QIC and
 	// verify the top segment matches the query-heavy unit.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -176,13 +177,20 @@ func TestFountainPersistRoundtrip(t *testing.T) {
 	}
 	fountainFetch(t, plan, rcv, seed, rand.New(rand.NewSource(5)), 0.25)
 
-	var buf bytes.Buffer
-	if err := rcv.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadReceiver(&buf)
+	// The persistence seam (seed.go): held packets drained by wire seq
+	// refill a fresh receiver of the same layout.
+	loaded, err := NewReceiverFromLayout(rcv.Layout())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, seq := range rcv.HaveList() {
+		payload, ok := rcv.Packet(seq)
+		if !ok {
+			t.Fatalf("held seq %d has no packet", seq)
+		}
+		if err := loaded.Add(seq, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !loaded.Reconstructible() {
 		t.Fatal("loaded receiver lost reconstructibility")
@@ -259,16 +267,12 @@ func TestFountainWeightsConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := plan.FountainLayout(11)
-	var buf bytes.Buffer
-	rcv, err := NewReceiverFromLayout(layout)
+	blob, err := json.Marshal(layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rcv.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadReceiver(&buf)
-	if err != nil {
+	var loaded Layout
+	if err := json.Unmarshal(blob, &loaded); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < plan.Generations(); g++ {
@@ -276,7 +280,7 @@ func TestFountainWeightsConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := loaded.Layout().FountainWeights(g)
+		b, err := loaded.FountainWeights(g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"mobweb/internal/document"
 	"mobweb/internal/erasure"
+	"mobweb/internal/packet"
 )
 
 // SegmentMeta is the serializable description of one plan segment — what
@@ -204,6 +205,80 @@ func (l Layout) CookedOffset(g int) (int, error) {
 		off += l.Shapes[i].N
 	}
 	return off, nil
+}
+
+// SameStream reports (as a nil error) that every packet held or stored
+// under l keeps its meaning under o: the two differ at most in
+// per-generation N. A γ-only change is exactly that — cooked rows are
+// independent of N — while a different body, packet size, generation
+// split or raw count means the document itself changed, a different
+// codec means payloads of another kind, and a different seed another
+// fountain stream whose combinations would decode under the wrong spec.
+func (l Layout) SameStream(o Layout) error {
+	if l.PacketSize != o.PacketSize || l.BodySize != o.BodySize || len(l.Shapes) != len(o.Shapes) {
+		return fmt.Errorf("geometry mismatch: %d×%dB/%d gens vs %d×%dB/%d gens",
+			l.PacketSize, l.BodySize, len(l.Shapes), o.PacketSize, o.BodySize, len(o.Shapes))
+	}
+	if l.Codec != o.Codec {
+		return fmt.Errorf("codec mismatch: %s vs %s", l.Codec, o.Codec)
+	}
+	if l.Seed != o.Seed {
+		return fmt.Errorf("fountain seed %#x != %#x", l.Seed, o.Seed)
+	}
+	for g := range l.Shapes {
+		if l.Shapes[g].M != o.Shapes[g].M {
+			return fmt.Errorf("generation %d raw count %d != %d", g, l.Shapes[g].M, o.Shapes[g].M)
+		}
+	}
+	return nil
+}
+
+// WireSeq maps (generation, generation-local index) to the sequence
+// number the wire, Have lists and receivers key a packet by: the global
+// cooked offset under the fixed-rate codec, the packed (gen, seq) pair
+// under fountain, whose per-generation streams are unbounded. ok=false
+// for an index the layout has no packet at. Persistence layers key by
+// the (generation, local) side because it survives γ-only layout changes
+// that shift global offsets.
+func (l Layout) WireSeq(gen, local int) (seq int, ok bool) {
+	if gen < 0 || gen >= len(l.Shapes) || local < 0 {
+		return 0, false
+	}
+	if l.Codec == erasure.CodecFountain {
+		return packet.PackSeq(gen, local), local <= packet.MaxFountainSeq
+	}
+	off, _ := l.CookedOffset(gen)
+	return off + local, local < l.Shapes[gen].N
+}
+
+// SplitSeq is the inverse of WireSeq: wire sequence number to
+// (generation, generation-local index).
+func (l Layout) SplitSeq(seq int) (gen, local int, ok bool) {
+	if l.Codec == erasure.CodecFountain {
+		gen, local = packet.UnpackSeq(seq)
+		return gen, local, seq >= 0 && gen < len(l.Shapes)
+	}
+	gen, local, err := l.CookedGeneration(seq)
+	return gen, local, err == nil
+}
+
+// ParseFrame parses one wire frame in the layout's frame format without
+// copying: the payload aliases frame. It returns the frame's wire
+// sequence number alongside packet.ErrCorrupt when the CRC fails (the
+// claimed seq, for accounting), and an error for truncated frames or a
+// fountain frame of a different stream seed — sender and receiver then
+// disagree about the fetch, which is not channel noise.
+func (l Layout) ParseFrame(frame []byte) (seq int, payload []byte, err error) {
+	if l.Codec == erasure.CodecFountain {
+		p, err := packet.ParseFountain(frame)
+		seq = packet.PackSeq(p.Gen, p.Seq)
+		if err == nil && p.Seed != l.Seed {
+			err = fmt.Errorf("core: fountain seed %#x, layout has %#x", p.Seed, l.Seed)
+		}
+		return seq, p.Payload, err
+	}
+	p, err := packet.Parse(frame)
+	return p.Seq, p.Payload, err
 }
 
 // IsClear reports whether cooked seq carries a clear-text (systematic)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mobweb/internal/erasure"
-	"mobweb/internal/fountain"
 	"mobweb/internal/obs"
 	"mobweb/internal/packet"
 )
@@ -27,25 +25,20 @@ import (
 // from a single goroutine.
 type Receiver struct {
 	layout Layout
-	coders []*erasure.Coder
-	// fdec holds the per-generation rateless decoders when the layout's
-	// codec is fountain; coders is then unused. Packets are tracked in
-	// intact under packed (gen, seq) keys so Have lists, persistence and
-	// resume stay codec-agnostic.
-	fdec   []*fountain.Decoder
-	intact map[int][]byte // global cooked seq (or packed fountain seq) → payload
-	// perGen counts intact packets per generation for O(1) stall checks.
-	perGen []int
-	// decoded memoizes each generation's decoded raw packets. Once a
-	// generation is reconstructible its decode result is fixed — extra
-	// packets can only re-derive the same raw bytes — so the memo is
-	// never invalidated by Add, only by Reset.
+	// gens holds each generation's codec state, chosen once from the
+	// layout's codec; everything below is codec-agnostic.
+	gens []genDecoder
+	// intact maps wire sequence number (Layout.WireSeq) → payload, so Have
+	// lists, persistence and resume address packets the same way under
+	// every codec.
+	intact map[int][]byte
+	// decoded memoizes each generation's raw packets: the decode result
+	// once one ran, or the symbols SeedDecodedGeneration installed from a
+	// persistent store — which makes the generation reconstructible
+	// whether or not wire packets back it. A reconstructible generation's
+	// raw bytes are fixed — extra packets can only re-derive them — so the
+	// memo is never invalidated by Add, only by Reset.
 	decoded [][][]byte
-	// seeded marks fountain generations installed wholesale from a
-	// persistent store (SeedDecodedGeneration): their raw symbols are in
-	// decoded but no wire packets back them, so reconstructibility is
-	// answered here rather than by the decoder. Nil until first used.
-	seeded []bool
 	// trace, when attached via SetTrace, records decode events into the
 	// owning fetch's timeline.
 	trace *obs.Trace
@@ -65,136 +58,58 @@ func NewReceiverFromLayout(layout Layout) (*Receiver, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Receiver{
+	gens, err := newGenDecoders(layout)
+	if err != nil {
+		return nil, err
+	}
+	return &Receiver{
 		layout:  layout,
+		gens:    gens,
 		intact:  make(map[int][]byte),
-		perGen:  make([]int, len(layout.Shapes)),
 		decoded: make([][][]byte, len(layout.Shapes)),
-	}
-	if layout.Codec == erasure.CodecFountain {
-		r.fdec = make([]*fountain.Decoder, len(layout.Shapes))
-		for i, s := range layout.Shapes {
-			weights, err := layout.FountainWeights(i)
-			if err != nil {
-				return nil, err
-			}
-			dec, err := fountain.NewDecoder(i, layout.Seed, s.M, layout.PacketSize, weights)
-			if err != nil {
-				return nil, fmt.Errorf("generation %d: %w", i, err)
-			}
-			r.fdec[i] = dec
-		}
-		return r, nil
-	}
-	r.coders = make([]*erasure.Coder, len(layout.Shapes))
-	for i, s := range layout.Shapes {
-		coder, err := erasure.Shared(s.M, s.N)
-		if err != nil {
-			return nil, fmt.Errorf("generation %d: %w", i, err)
-		}
-		r.coders[i] = coder
-	}
-	return r, nil
+	}, nil
 }
 
 // Layout returns the receiver's transmission geometry.
 func (r *Receiver) Layout() Layout { return r.layout }
 
-// Add records an intact cooked packet by global sequence number — a
-// packed (gen, seq) pair under the fountain codec. Duplicates are
-// ignored. The payload is copied.
+// Add records an intact cooked packet by wire sequence number
+// (Layout.WireSeq) and feeds it to its generation's decoder. Duplicates
+// are ignored. The payload is copied.
 func (r *Receiver) Add(seq int, payload []byte) error {
 	if len(payload) != r.layout.PacketSize {
 		return fmt.Errorf("core: payload %d bytes, want %d", len(payload), r.layout.PacketSize)
 	}
-	if r.fdec != nil {
-		return r.addFountain(seq, payload)
-	}
-	if seq < 0 || seq >= r.layout.N() {
-		return fmt.Errorf("core: seq %d outside [0, %d)", seq, r.layout.N())
+	g, local, ok := r.layout.SplitSeq(seq)
+	if !ok {
+		return fmt.Errorf("core: seq %d outside the layout", seq)
 	}
 	if _, dup := r.intact[seq]; dup {
 		return nil
 	}
-	g, _, _, err := r.layout.genBounds(seq)
-	if err != nil {
-		return err
-	}
-	r.intact[seq] = append([]byte(nil), payload...)
-	r.perGen[g]++
-	return nil
-}
-
-// addFountain records a rateless packet under its packed seq and feeds
-// the generation's decoder, which recovers source symbols incrementally
-// (peeling) and finishes stalled patterns via the Gaussian fallback.
-func (r *Receiver) addFountain(packed int, payload []byte) error {
-	if packed < 0 {
-		return fmt.Errorf("core: packed fountain seq %d negative", packed)
-	}
-	g, seq := packet.UnpackSeq(packed)
-	if g >= len(r.fdec) {
-		return fmt.Errorf("core: fountain generation %d of %d", g, len(r.fdec))
-	}
-	if _, dup := r.intact[packed]; dup {
-		return nil
-	}
 	own := append([]byte(nil), payload...)
-	r.intact[packed] = own
-	r.perGen[g]++
-	wasDone := r.fdec[g].Complete()
-	if _, err := r.fdec[g].Add(seq, own); err != nil {
-		return err
-	}
-	if !wasDone && r.fdec[g].Complete() {
+	r.intact[seq] = own
+	solved, err := r.gens[g].add(local, own)
+	if solved {
 		r.trace.Record(obs.Event{Type: obs.EventDecode, Gen: g})
 	}
-	return nil
+	return err
 }
 
 // AddFrame parses a wire frame in the layout's codec, verifies its CRC,
-// and records it when intact. It returns the (packed, for fountain)
-// sequence number and whether the packet was intact. Truncated frames
-// return an error. The frame buffer may be reused by the caller: Parse
-// only borrows it, and Add copies the payload.
+// and records it when intact. It returns the wire sequence number and
+// whether the packet was intact. Truncated frames, and fountain frames of
+// another stream, return an error. The frame buffer may be reused by the
+// caller: ParseFrame only borrows it, and Add copies the payload.
 func (r *Receiver) AddFrame(frame []byte) (seq int, intact bool, err error) {
-	if r.fdec != nil {
-		return r.addFountainFrame(frame)
-	}
-	p, err := packet.Parse(frame)
+	seq, payload, err := r.layout.ParseFrame(frame)
 	if errors.Is(err, packet.ErrCorrupt) {
-		return p.Seq, false, nil
+		return seq, false, nil
 	}
-	if err != nil {
-		return 0, false, err
+	if err == nil {
+		err = r.Add(seq, payload)
 	}
-	if err := r.Add(p.Seq, p.Payload); err != nil {
-		return p.Seq, false, err
-	}
-	return p.Seq, true, nil
-}
-
-// addFountainFrame parses a fountain frame. A frame carrying a seed
-// other than the layout's belongs to a different stream — it cannot be
-// decoded under this receiver's spec — and is reported as an error
-// rather than silently dropped, since it means sender and receiver
-// disagree about the fetch.
-func (r *Receiver) addFountainFrame(frame []byte) (seq int, intact bool, err error) {
-	p, err := packet.ParseFountain(frame)
-	packed := packet.PackSeq(p.Gen, p.Seq)
-	if errors.Is(err, packet.ErrCorrupt) {
-		return packed, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	if p.Seed != r.layout.Seed {
-		return packed, false, fmt.Errorf("core: fountain seed %#x, layout has %#x", p.Seed, r.layout.Seed)
-	}
-	if err := r.Add(packed, p.Payload); err != nil {
-		return packed, false, err
-	}
-	return packed, true, nil
+	return seq, err == nil, err
 }
 
 // IntactCount returns the number of distinct intact packets held.
@@ -219,63 +134,24 @@ func (r *Receiver) Held(seq int) bool {
 // whose local cooked index exceeds the new generation's N are dropped.
 func (r *Receiver) Rebase(newLayout Layout) (*Receiver, error) {
 	old := r.layout
-	if old.PacketSize != newLayout.PacketSize || old.BodySize != newLayout.BodySize ||
-		len(old.Shapes) != len(newLayout.Shapes) {
-		return nil, fmt.Errorf("core: rebase geometry mismatch: %d×%dB/%d gens vs %d×%dB/%d gens",
-			old.PacketSize, old.BodySize, len(old.Shapes),
-			newLayout.PacketSize, newLayout.BodySize, len(newLayout.Shapes))
-	}
-	if old.Codec != newLayout.Codec {
-		// Cooked payloads are codec-specific; nothing held under one
-		// codec is a valid packet of the other. The transport starts a
-		// fresh receiver instead.
-		return nil, fmt.Errorf("core: rebase codec mismatch: %s vs %s", old.Codec, newLayout.Codec)
-	}
-	for g := range old.Shapes {
-		if old.Shapes[g].M != newLayout.Shapes[g].M {
-			return nil, fmt.Errorf("core: rebase generation %d raw count %d != %d",
-				g, old.Shapes[g].M, newLayout.Shapes[g].M)
-		}
-	}
-	if old.Codec == erasure.CodecFountain {
-		if old.Seed != newLayout.Seed {
-			// A different seed is a different stream: held combinations
-			// would decode under the wrong spec.
-			return nil, fmt.Errorf("core: rebase fountain seed %#x != %#x", old.Seed, newLayout.Seed)
-		}
-		nr, err := NewReceiverFromLayout(newLayout)
-		if err != nil {
-			return nil, err
-		}
-		nr.trace = r.trace
-		for packed, payload := range r.intact {
-			if err := nr.Add(packed, payload); err != nil {
-				return nil, err
-			}
-		}
-		return nr, nil
+	if err := old.SameStream(newLayout); err != nil {
+		return nil, fmt.Errorf("core: rebase: %w", err)
 	}
 	nr, err := NewReceiverFromLayout(newLayout)
 	if err != nil {
 		return nil, err
 	}
 	nr.trace = r.trace // the rebased receiver keeps feeding the same fetch timeline
-	newCookedOff := make([]int, len(newLayout.Shapes))
-	off := 0
-	for g, s := range newLayout.Shapes {
-		newCookedOff[g] = off
-		off += s.N
-	}
-	for seq, payload := range r.intact {
-		g, _, cookedOff, err := old.genBounds(seq)
-		if err != nil {
-			return nil, err
+	for _, seq := range r.HaveList() {
+		g, local, ok := old.SplitSeq(seq)
+		if !ok {
+			return nil, fmt.Errorf("core: rebase: held seq %d outside the old layout", seq)
 		}
-		local := seq - cookedOff
-		if local >= newLayout.Shapes[g].N {
-			continue
+		nseq, ok := newLayout.WireSeq(g, local)
+		if !ok {
+			continue // beyond the new generation's N
 		}
-		if err := nr.Add(newCookedOff[g]+local, payload); err != nil {
+		if err := nr.Add(nseq, r.intact[seq]); err != nil {
 			return nil, err
 		}
 	}
@@ -286,26 +162,16 @@ func (r *Receiver) Rebase(newLayout Layout) (*Receiver, error) {
 // retransmission rounds (stock HTTP reload).
 func (r *Receiver) Reset() {
 	r.intact = make(map[int][]byte)
-	for i := range r.perGen {
-		r.perGen[i] = 0
-	}
 	for i := range r.decoded {
 		r.decoded[i] = nil
 	}
-	for i := range r.seeded {
-		r.seeded[i] = false
+	// Decoders accumulate state monotonically; a reset means fresh ones.
+	// The layout was validated at construction, so rebuilding cannot fail.
+	gens, err := newGenDecoders(r.layout)
+	if err != nil {
+		panic(fmt.Sprintf("core: reset rebuilt invalid decoders: %v", err))
 	}
-	for i := range r.fdec {
-		// Decoders accumulate state monotonically; a reset means a fresh
-		// decoder. Geometry was validated at construction, so rebuilding
-		// cannot fail.
-		weights, _ := r.layout.FountainWeights(i)
-		dec, err := fountain.NewDecoder(i, r.layout.Seed, r.layout.Shapes[i].M, r.layout.PacketSize, weights)
-		if err != nil {
-			panic(fmt.Sprintf("core: reset rebuilt invalid decoder: %v", err))
-		}
-		r.fdec[i] = dec
-	}
+	r.gens = gens
 }
 
 // decodeGeneration returns generation g's raw packets, decoding on first
@@ -319,80 +185,37 @@ func (r *Receiver) decodeGeneration(g int) ([][]byte, error) {
 		r.trace.Record(obs.Event{Type: obs.EventDecodeMemo, Gen: g})
 		return r.decoded[g], nil
 	}
-	if r.fdec != nil {
-		// The fountain decoder decoded incrementally as packets arrived;
-		// completion was checked by the caller, so collect the symbols.
-		raw := make([][]byte, r.layout.Shapes[g].M)
-		for i := range raw {
-			if raw[i] = r.fdec[g].Symbol(i); raw[i] == nil {
-				return nil, fmt.Errorf("core: generation %d symbol %d unrecovered", g, i)
-			}
-		}
-		r.decoded[g] = raw
-		return raw, nil
-	}
-	raw, err := r.coders[g].Decode(r.generationIntact(g))
+	raw, solved, err := r.gens[g].decode()
 	if err != nil {
 		return nil, err
 	}
-	coreMetrics.decodes.Inc()
-	r.trace.Record(obs.Event{Type: obs.EventDecode, Gen: g})
+	if solved {
+		coreMetrics.decodes.Inc()
+		r.trace.Record(obs.Event{Type: obs.EventDecode, Gen: g})
+	}
 	r.decoded[g] = raw
 	return raw, nil
 }
 
 // GenerationReconstructible reports whether dispersal group g can be
-// decoded: at least M_g intact packets for the fixed-rate code, or a
-// completed rateless decoder (packet count alone does not suffice —
-// random combinations can be linearly dependent).
+// decoded: its decoder is complete (M intact rows of the fixed-rate code,
+// a finished rateless decode), or its raw packets were seeded.
 func (r *Receiver) GenerationReconstructible(g int) bool {
-	if g < 0 || g >= len(r.perGen) {
+	if g < 0 || g >= len(r.gens) {
 		return false
 	}
-	if r.fdec != nil {
-		return r.seededGen(g) || r.fdec[g].Complete()
-	}
-	return r.perGen[g] >= r.layout.Shapes[g].M
+	return r.decoded[g] != nil || r.gens[g].complete()
 }
 
 // Reconstructible reports whether every generation can be decoded — the
 // first termination condition of §4.2.
 func (r *Receiver) Reconstructible() bool {
-	for g := range r.perGen {
+	for g := range r.gens {
 		if !r.GenerationReconstructible(g) {
 			return false
 		}
 	}
 	return true
-}
-
-// generationIntact returns the intact packets belonging to generation g
-// as local-index erasure.Received values.
-func (r *Receiver) generationIntact(g int) []erasure.Received {
-	_, _, cookedOff := r.genOffsets(g)
-	shape := r.layout.Shapes[g]
-	out := make([]erasure.Received, 0, shape.M)
-	for seq, payload := range r.intact {
-		if seq >= cookedOff && seq < cookedOff+shape.N {
-			out = append(out, erasure.Received{Index: seq - cookedOff, Data: payload})
-		}
-	}
-	// Map iteration order must not leak into the decode: Decode prefers
-	// clear rows but fills the remainder with redundant rows in input
-	// order, so an unsorted set varies the chosen row set — and with it
-	// the inversion-cache key and the work profile — run to run.
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
-// genOffsets returns (gen, rawOff, cookedOff) cumulative offsets for
-// generation g.
-func (r *Receiver) genOffsets(g int) (gen, rawOff, cookedOff int) {
-	for i := 0; i < g; i++ {
-		rawOff += r.layout.Shapes[i].M
-		cookedOff += r.layout.Shapes[i].N
-	}
-	return g, rawOff, cookedOff
 }
 
 // Reconstruct decodes all generations and returns the document body in
@@ -421,37 +244,18 @@ func (r *Receiver) Reconstruct() ([]byte, error) {
 }
 
 // rawAvailable computes, per raw packet, whether its bytes are usable:
-// either the packet arrived in clear text, or its whole generation is
-// reconstructible.
+// its whole generation is reconstructible, or the decoder can already
+// read it — a clear-text row arrived, or a fountain symbol peeled before
+// the generation completed.
 func (r *Receiver) rawAvailable() []bool {
 	avail := make([]bool, r.layout.M())
 	rawOff := 0
 	for g, shape := range r.layout.Shapes {
-		switch {
-		case r.fdec != nil && r.seededGen(g):
-			// Store-seeded fountain generation: every symbol restored.
-			for i := 0; i < shape.M; i++ {
-				avail[rawOff+i] = true
-			}
-		case r.fdec != nil:
-			// The peeling decoder recovers symbols before completion;
-			// each recovered symbol's bytes are usable immediately —
-			// this is where UEP pays off, since high-IC symbols peel
-			// first.
-			for i := 0; i < shape.M; i++ {
-				avail[rawOff+i] = r.fdec[g].Recovered(i)
-			}
-		case r.GenerationReconstructible(g):
-			for i := 0; i < shape.M; i++ {
-				avail[rawOff+i] = true
-			}
+		all := r.GenerationReconstructible(g)
+		for i := 0; i < shape.M; i++ {
+			avail[rawOff+i] = all || r.gens[g].symbol(i) != nil
 		}
 		rawOff += shape.M
-	}
-	for seq := range r.intact {
-		if rawIdx := r.layout.clearRawIndex(seq); rawIdx >= 0 {
-			avail[rawIdx] = true
-		}
 	}
 	return avail
 }
@@ -529,29 +333,18 @@ func (r *Receiver) UnitText(seg SegmentMeta) (string, bool) {
 	return string(buf), true
 }
 
-// rawBytes returns raw packet rawIdx's bytes from clear text or a decoded
-// generation — or, under the fountain codec, from the generation
-// decoder's incrementally recovered symbols.
+// rawBytes returns raw packet rawIdx's bytes: straight from the decoder
+// when it can read the symbol without solving, otherwise from the
+// generation's (memoized) decode.
 func (r *Receiver) rawBytes(rawIdx int) ([]byte, bool) {
-	rawOff, cookedOff := 0, 0
+	rawOff := 0
 	for g, shape := range r.layout.Shapes {
 		if rawIdx >= rawOff+shape.M {
 			rawOff += shape.M
-			cookedOff += shape.N
 			continue
 		}
-		if r.fdec != nil {
-			if r.seededGen(g) {
-				return r.decoded[g][rawIdx-rawOff], true
-			}
-			if sym := r.fdec[g].Symbol(rawIdx - rawOff); sym != nil {
-				return sym, true
-			}
-			return nil, false
-		}
-		seq := cookedOff + (rawIdx - rawOff)
-		if payload, ok := r.intact[seq]; ok {
-			return payload, true
+		if sym := r.gens[g].symbol(rawIdx - rawOff); sym != nil {
+			return sym, true
 		}
 		if !r.GenerationReconstructible(g) {
 			return nil, false
@@ -589,26 +382,8 @@ func (r *Receiver) Render() []RenderedUnit {
 	return out
 }
 
-// Missing returns the sequence numbers not yet held intact, which a
-// client reports when requesting a selective retransmission. Under the
-// fountain codec the seq space is unbounded and "missing" is not a
-// meaningful set; it returns nil (clients report Have instead).
-func (r *Receiver) Missing() []int {
-	if r.fdec != nil {
-		return nil
-	}
-	var out []int
-	for seq := 0; seq < r.layout.N(); seq++ {
-		if _, ok := r.intact[seq]; !ok {
-			out = append(out, seq)
-		}
-	}
-	return out
-}
-
 // HaveList returns every held sequence number in ascending order — the
-// resume/retransmission Have list. It works for both codecs: fixed-rate
-// cooked seqs, or packed (gen, seq) fountain pairs.
+// resume/retransmission Have list, in the layout's wire sequence space.
 func (r *Receiver) HaveList() []int {
 	out := make([]int, 0, len(r.intact))
 	for seq := range r.intact {

@@ -4,12 +4,13 @@ import (
 	"testing"
 )
 
-// Regression for a defect the nondet analyzer surfaced: generationIntact
-// ranged over the intact map, so with more packets on hand than the
-// generation needs, WHICH redundant rows fed the decoder depended on map
-// iteration order — varying the inversion-cache key and the decode work
-// profile run to run. The intact set is now sorted by index before it
-// reaches erasure.Decode.
+// Regression for a defect the nondet analyzer surfaced: the rows handed
+// to erasure.Decode once came from ranging over the intact map, so with
+// more packets on hand than the generation needs, WHICH redundant rows
+// fed the decoder depended on map iteration order — varying the
+// inversion-cache key and the decode work profile run to run. The
+// generation decoder now lists held rows by ascending index whatever
+// order they arrived in.
 func TestGenerationIntactDeterministicRowChoice(t *testing.T) {
 	doc, scores := paperShapedDoc(t)
 	plan, err := NewPlanWithScores(doc, scores, Config{MaxGeneration: 16})
@@ -52,7 +53,7 @@ func TestGenerationIntactDeterministicRowChoice(t *testing.T) {
 	b := build(reversed)
 
 	rowsOf := func(r *Receiver) []int {
-		got := r.generationIntact(0)
+		got := r.gens[0].(*vandermondeGen).heldRows()
 		rows := make([]int, len(got))
 		for i, rec := range got {
 			rows[i] = rec.Index
@@ -68,7 +69,7 @@ func TestGenerationIntactDeterministicRowChoice(t *testing.T) {
 			t.Fatalf("row order differs at %d: %v vs %v", i, rowsA, rowsB)
 		}
 		if i > 0 && rowsA[i-1] >= rowsA[i] {
-			t.Fatalf("generationIntact not ascending: %v", rowsA)
+			t.Fatalf("held rows not ascending: %v", rowsA)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"mobweb/internal/erasure"
-)
+import "fmt"
 
 // This file is the receiver's persistence seam: the accessors a
 // packet store needs to drain a receiver's state to disk, and the
@@ -12,9 +8,9 @@ import (
 // after a process restart — so a resumed fetch opens with a Have list
 // instead of refetching bytes the radio already delivered.
 
-// Packet returns the held intact cooked payload for a sequence number
-// (packed (gen, seq) under the fountain codec). The returned slice is
-// the receiver's own storage and must not be modified.
+// Packet returns the held intact cooked payload for a wire sequence
+// number. The returned slice is the receiver's own storage and must not
+// be modified.
 func (r *Receiver) Packet(seq int) ([]byte, bool) {
 	payload, ok := r.intact[seq]
 	return payload, ok
@@ -52,13 +48,13 @@ func (r *Receiver) DoneGenerations() []int {
 // in a previous process life. raw must be exactly the generation's M
 // packets of the layout's packet size.
 //
-// Under the fixed-rate systematic codec the raw packets are the
-// generation's clear-prefix cooked rows verbatim, so they re-enter as
-// held packets too: the Have list then covers them and a server
-// honoring DoneGens or Have sends nothing for this generation. Under
-// the fountain codec the raw symbols correspond to no particular wire
-// packet; the generation is marked seeded-complete instead, and the
-// client's stopgen/DoneGens feedback keeps the transmitter off it.
+// Raw symbols the codec also carries as clear-text rows — the fixed-rate
+// code's systematic prefix — re-enter as held packets too: the Have list
+// then covers them, and a server honoring DoneGens or Have sends nothing
+// for this generation. Under the fountain codec a raw symbol corresponds
+// to no wire packet; the generation is reconstructible through the memo
+// alone, and the client's stopgen/DoneGens feedback keeps the transmitter
+// off it.
 func (r *Receiver) SeedDecodedGeneration(g int, raw [][]byte) error {
 	if g < 0 || g >= len(r.layout.Shapes) {
 		return fmt.Errorf("core: generation %d of %d", g, len(r.layout.Shapes))
@@ -77,27 +73,13 @@ func (r *Receiver) SeedDecodedGeneration(g int, raw [][]byte) error {
 	for i, p := range raw {
 		own[i] = append([]byte(nil), p...)
 	}
-	if r.layout.Codec == erasure.CodecFountain {
-		if r.seeded == nil {
-			r.seeded = make([]bool, len(r.layout.Shapes))
-		}
-		r.decoded[g] = own
-		r.seeded[g] = true
-		return nil
-	}
-	_, _, cookedOff := r.genOffsets(g)
 	for i, p := range own {
-		if err := r.Add(cookedOff+i, p); err != nil {
-			return err
+		if seq, ok := r.layout.WireSeq(g, i); ok && r.layout.IsClear(seq) {
+			if err := r.Add(seq, p); err != nil {
+				return err
+			}
 		}
 	}
 	r.decoded[g] = own
 	return nil
-}
-
-// seededGen reports whether generation g was installed wholesale by
-// SeedDecodedGeneration (fountain only; the fixed-rate path re-enters
-// seeds as ordinary held packets).
-func (r *Receiver) seededGen(g int) bool {
-	return r.seeded != nil && r.seeded[g]
 }

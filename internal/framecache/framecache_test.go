@@ -200,9 +200,11 @@ func TestSingleflightDedup(t *testing.T) {
 			entered.Add(1)
 			frame, err := c.GetOrCook(key("p", 2, 7), func() ([]byte, error) {
 				cooks.Add(1)
-				// Hold the cook open until every worker has at least
-				// reached GetOrCook, so the late arrivals must coalesce
-				// onto this flight rather than hit the finished entry.
+				// Hold the cook open until every worker is about to call
+				// GetOrCook, so most late arrivals coalesce onto this
+				// flight. A worker can bump entered and still lose the
+				// race to the finished entry; it then scores a hit, which
+				// is the same saving counted under another name.
 				for entered.Load() < workers {
 					time.Sleep(time.Millisecond)
 				}
@@ -225,8 +227,8 @@ func TestSingleflightDedup(t *testing.T) {
 		}
 	}
 	s := c.Stats()
-	if s.Cooks != 1 || s.Coalesced == 0 {
-		t.Fatalf("stats = %+v, want 1 cook and some coalesced waiters", s)
+	if s.Cooks != 1 || s.Hits+s.Coalesced != workers-1 {
+		t.Fatalf("stats = %+v, want 1 cook and %d hits+coalesced", s, workers-1)
 	}
 }
 

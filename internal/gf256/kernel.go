@@ -3,8 +3,8 @@ package gf256
 // The slice kernels below are the only GF(2^8) code on the transmission
 // hot path: every byte of every cooked packet flows through MulAddSlice
 // (encode) or MulAddRows (encode and decode), so their cost decides how
-// fast the erasure codec can feed a channel. Three interchangeable
-// implementations are provided, all pure Go:
+// fast the erasure codec can feed a channel. Two interchangeable
+// implementations are provided, both pure Go:
 //
 //   - logexp: the original log/exp-table reference — a branch plus two
 //     dependent table lookups per byte. Kept as the cross-checked oracle
@@ -16,27 +16,16 @@ package gf256
 //     folds up to four source rows into one destination pass, amortizing
 //     the dst read-modify-write that dominates repeated two-operand
 //     calls.
-//   - nibble: split 4-bit tables (mulLo[c][x&15] ^ mulHi[c][x>>4], 8 KiB
-//     total — resident in L1 no matter how many coefficients alternate)
-//     with an inner loop that processes 8 bytes per iteration through
-//     uint64 loads and XORs.
 //
-// One kernel is selected at init by a micro-calibration benchmark over
-// the fused-rows workload (the shape the codec actually runs) and can be
-// pinned with the MOBWEB_GF_KERNEL environment variable or SetKernel.
+// table is the kernel every process runs: it won every cell of the
+// committed kernel matrix (BENCH_erasure.json). SetKernel exists so the
+// cross-kernel fuzzer and cmd/erasurebench can run the reference.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"sync/atomic"
-	"time"
 )
-
-// EnvKernel is the environment variable that pins the slice kernel:
-// "logexp", "table" or "nibble" force that implementation; "auto" (or
-// unset, or any unrecognized value) selects by micro-calibration.
-const EnvKernel = "MOBWEB_GF_KERNEL"
 
 // kernel bundles one implementation of the three slice primitives. All
 // functions may assume equal-length, non-aliasing slices and c >= 2 for
@@ -54,13 +43,10 @@ type kernel struct {
 	mulAddRows func(coeffs []byte, dst []byte, srcs [][]byte)
 }
 
-// mulTables holds the product tables shared by the table and nibble
-// kernels, produced by one deterministic computation like the log/exp
-// tables.
+// mulTables holds the table kernel's product table, produced by one
+// deterministic computation like the log/exp tables.
 type mulTables struct {
 	full [256][256]byte // full[c][x] = c*x (64 KiB)
-	lo   [256][16]byte  // lo[c][x] = c*x for x in [0,16)
-	hi   [256][16]byte  // hi[c][x] = c*(x<<4)
 }
 
 var _mul = genMulTables()
@@ -71,23 +57,19 @@ func genMulTables() *mulTables {
 		for x := 0; x < 256; x++ {
 			t.full[c][x] = Mul(byte(c), byte(x))
 		}
-		for x := 0; x < 16; x++ {
-			t.lo[c][x] = Mul(byte(c), byte(x))
-			t.hi[c][x] = Mul(byte(c), byte(x<<4))
-		}
 	}
 	return t
 }
 
 // kernels lists every implementation, reference first.
-var kernels = []*kernel{kernelLogExp, kernelTable, kernelNibble}
+var kernels = []*kernel{kernelLogExp, kernelTable}
 
 // activeKernel is the selected implementation; reads are one atomic load
 // per slice call, negligible next to the per-byte work.
 var activeKernel atomic.Pointer[kernel]
 
 func init() {
-	activeKernel.Store(chooseKernel(os.Getenv(EnvKernel)))
+	activeKernel.Store(kernelTable)
 }
 
 // KernelName reports the active slice-kernel implementation.
@@ -103,15 +85,11 @@ func KernelNames() []string {
 	return names
 }
 
-// SetKernel pins the slice kernel by name ("logexp", "table", "nibble"),
-// or re-runs calibration for "auto" / "". It is safe to call
-// concurrently with running kernels: in-flight slice operations finish
-// on the previous implementation, which computes identical bytes.
+// SetKernel pins the slice kernel by name ("logexp" or "table"). It is
+// safe to call concurrently with running kernels: in-flight slice
+// operations finish on the previous implementation, which computes
+// identical bytes.
 func SetKernel(name string) error {
-	if name == "" || name == "auto" {
-		activeKernel.Store(calibrate())
-		return nil
-	}
 	for _, k := range kernels {
 		if k.name == name {
 			activeKernel.Store(k)
@@ -119,60 +97,6 @@ func SetKernel(name string) error {
 		}
 	}
 	return fmt.Errorf("gf256: unknown kernel %q (have %v)", name, KernelNames())
-}
-
-// chooseKernel resolves the env knob: a known name pins that kernel,
-// anything else (including unset and "auto") calibrates.
-func chooseKernel(env string) *kernel {
-	for _, k := range kernels {
-		if k.name == env {
-			return k
-		}
-	}
-	return calibrate()
-}
-
-// calibrate times each kernel on the fused-rows workload the codec runs
-// (4 source rows into one destination, 4 KiB payloads) and returns the
-// fastest. The whole benchmark moves ~1.5 MB per kernel, well under a
-// millisecond — cheap enough for process init, long enough to rank the
-// implementations reliably on the hardware at hand.
-//
-//mobweb:nondet-ok kernel choice affects speed, never GF(2^8) results
-func calibrate() *kernel {
-	const (
-		size   = 4096
-		rows   = 4
-		passes = 8
-		trials = 3
-	)
-	dst := make([]byte, size)
-	srcs := make([][]byte, rows)
-	coeffs := make([]byte, rows)
-	for j := range srcs {
-		srcs[j] = make([]byte, size)
-		for i := range srcs[j] {
-			srcs[j][i] = byte(i*(2*j+3) + j + 1)
-		}
-		coeffs[j] = byte(0x53 + 2*j)
-	}
-	best, bestTime := kernels[0], time.Duration(1<<62)
-	for _, k := range kernels {
-		trial := time.Duration(1 << 62)
-		for t := 0; t < trials; t++ {
-			start := time.Now()
-			for p := 0; p < passes; p++ {
-				k.mulAddRows(coeffs, dst, srcs)
-			}
-			if d := time.Since(start); d < trial {
-				trial = d
-			}
-		}
-		if trial < bestTime {
-			best, bestTime = k, trial
-		}
-	}
-	return best
 }
 
 // ---- logexp: the reference kernel ----
@@ -186,7 +110,7 @@ var kernelLogExp = &kernel{
 	},
 }
 
-//mobweb:hot reference kernel; still runs per byte when calibration picks it
+//mobweb:hot reference kernel; runs per byte when SetKernel pins it
 func logExpMulAdd(c byte, dst, src []byte) {
 	logC := int(_tables.log[c])
 	for i, s := range src {
@@ -196,7 +120,7 @@ func logExpMulAdd(c byte, dst, src []byte) {
 	}
 }
 
-//mobweb:hot reference kernel; still runs per byte when calibration picks it
+//mobweb:hot reference kernel; runs per byte when SetKernel pins it
 func logExpMulSlice(c byte, dst, src []byte) {
 	logC := int(_tables.log[c])
 	for i, s := range src {
@@ -210,7 +134,7 @@ func logExpMulSlice(c byte, dst, src []byte) {
 
 // pairwiseRows is the generic row accumulation: one two-operand pass per
 // coefficient, with the degenerate coefficients peeled off.
-//mobweb:hot row accumulation for the logexp and nibble kernels
+//mobweb:hot row accumulation for the logexp kernel
 func pairwiseRows(mulAdd func(byte, []byte, []byte), coeffs []byte, dst []byte, srcs [][]byte) {
 	for j, c := range coeffs {
 		switch c {
@@ -364,63 +288,6 @@ func tableMulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 	}
 	if j < live {
 		tableMulAdd(cc[j], dst, data[j])
-	}
-}
-
-// ---- nibble: split 4-bit tables, 8 bytes per iteration ----
-
-var kernelNibble = &kernel{
-	name:     "nibble",
-	mulAdd:   nibbleMulAdd,
-	mulSlice: nibbleMulSlice,
-	mulAddRows: func(coeffs []byte, dst []byte, srcs [][]byte) {
-		pairwiseRows(nibbleMulAdd, coeffs, dst, srcs)
-	},
-}
-
-// nibbleProduct assembles the products of 8 packed source bytes from the
-// two 16-entry nibble tables. Go's precedence makes s>>k&15 parse as
-// (s>>k)&15.
-//mobweb:hot inner gather of the nibble kernel, called once per 8 bytes
-func nibbleProduct(lo, hi *[16]byte, s uint64) uint64 {
-	return uint64(lo[s&15]^hi[s>>4&15]) |
-		uint64(lo[s>>8&15]^hi[s>>12&15])<<8 |
-		uint64(lo[s>>16&15]^hi[s>>20&15])<<16 |
-		uint64(lo[s>>24&15]^hi[s>>28&15])<<24 |
-		uint64(lo[s>>32&15]^hi[s>>36&15])<<32 |
-		uint64(lo[s>>40&15]^hi[s>>44&15])<<40 |
-		uint64(lo[s>>48&15]^hi[s>>52&15])<<48 |
-		uint64(lo[s>>56&15]^hi[s>>60&15])<<56
-}
-
-//mobweb:hot every byte of every cooked packet flows through here
-func nibbleMulAdd(c byte, dst, src []byte) {
-	lo, hi := &_mul.lo[c], &_mul.hi[c]
-	n := len(src) &^ 7
-	i := 0
-	for ; i < n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		d := binary.LittleEndian.Uint64(dst[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^nibbleProduct(lo, hi, s))
-	}
-	row := &_mul.full[c]
-	for ; i < len(src); i++ {
-		dst[i] ^= row[src[i]]
-	}
-}
-
-//mobweb:hot every byte of every cooked packet flows through here
-func nibbleMulSlice(c byte, dst, src []byte) {
-	lo, hi := &_mul.lo[c], &_mul.hi[c]
-	n := len(src) &^ 7
-	i := 0
-	for ; i < n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], nibbleProduct(lo, hi, s))
-	}
-	row := &_mul.full[c]
-	for ; i < len(src); i++ {
-		dst[i] = row[src[i]]
 	}
 }
 

@@ -32,7 +32,7 @@ func testPattern(n, seed int) []byte {
 
 func TestKernelNames(t *testing.T) {
 	names := KernelNames()
-	want := []string{"logexp", "table", "nibble"}
+	want := []string{"logexp", "table"}
 	if len(names) != len(want) {
 		t.Fatalf("KernelNames() = %v, want %v", names, want)
 	}
@@ -70,31 +70,18 @@ func TestSetKernel(t *testing.T) {
 	if err := SetKernel("no-such-kernel"); err == nil {
 		t.Fatal("SetKernel with an unknown name did not error")
 	}
-	for _, auto := range []string{"auto", ""} {
-		if err := SetKernel(auto); err != nil {
-			t.Fatalf("SetKernel(%q): %v", auto, err)
+	for _, gone := range []string{"auto", "", "nibble"} {
+		if err := SetKernel(gone); err == nil {
+			t.Fatalf("SetKernel(%q) did not error", gone)
 		}
 	}
 }
 
-func TestChooseKernelEnv(t *testing.T) {
-	for _, k := range kernels {
-		if got := chooseKernel(k.name); got != k {
-			t.Errorf("chooseKernel(%q) = %q", k.name, got.name)
-		}
-	}
-	// Unknown and empty values calibrate; the winner must be registered.
-	for _, env := range []string{"", "auto", "bogus"} {
-		got := chooseKernel(env)
-		ok := false
-		for _, k := range kernels {
-			if got == k {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Errorf("chooseKernel(%q) returned unregistered kernel %q", env, got.name)
-		}
+// TestDefaultKernelIsTable pins the constant default: no calibration, no
+// environment knob.
+func TestDefaultKernelIsTable(t *testing.T) {
+	if got := KernelName(); got != "table" {
+		t.Fatalf("default kernel %q, want table", got)
 	}
 }
 
@@ -203,8 +190,7 @@ func TestXorSlice(t *testing.T) {
 	}
 }
 
-// TestMulTablesConsistent pins the product tables to scalar Mul, including
-// the nibble decomposition identity c*x == c*(x&15) ^ c*(x&0xF0).
+// TestMulTablesConsistent pins the product table to scalar Mul.
 func TestMulTablesConsistent(t *testing.T) {
 	for c := 0; c < 256; c++ {
 		for x := 0; x < 256; x++ {
@@ -212,19 +198,6 @@ func TestMulTablesConsistent(t *testing.T) {
 			if got := _mul.full[c][x]; got != want {
 				t.Fatalf("full[%d][%d] = %d, want %d", c, x, got, want)
 			}
-			if got := _mul.lo[c][x&15] ^ _mul.hi[c][x>>4]; got != want {
-				t.Fatalf("lo/hi[%d][%d] = %d, want %d", c, x, got, want)
-			}
 		}
 	}
-}
-
-func TestCalibrateReturnsRegisteredKernel(t *testing.T) {
-	got := calibrate()
-	for _, k := range kernels {
-		if got == k {
-			return
-		}
-	}
-	t.Fatalf("calibrate() returned unregistered kernel %q", got.name)
 }

@@ -14,7 +14,6 @@ import (
 
 	"mobweb/internal/core"
 	"mobweb/internal/obs"
-	"mobweb/internal/packet"
 	"mobweb/internal/transport"
 )
 
@@ -256,30 +255,12 @@ func (f *Front) jitter(connID int64) *rand.Rand {
 	return transport.JitterSource(seed)
 }
 
-// handle runs one client connection's request loop, mirroring the
-// transport server's reader-goroutine pattern so a stop arriving
-// mid-stream aborts the relay promptly.
+// handle runs one client connection's request loop.
 func (f *Front) handle(conn net.Conn, connID int64) {
 	rng := f.jitter(connID)
-	requests := make(chan transport.Request)
 	handlerDone := make(chan struct{})
 	defer close(handlerDone)
-	go func() {
-		defer close(requests)
-		scan := bufio.NewScanner(conn)
-		scan.Buffer(make([]byte, 0, 4096), transport.MaxControlLine)
-		for scan.Scan() {
-			req, err := transport.DecodeRequest(scan.Bytes())
-			if err != nil {
-				return
-			}
-			select {
-			case requests <- req:
-			case <-handlerDone:
-				return
-			}
-		}
-	}()
+	requests := transport.ReadRequests(conn, handlerDone)
 
 	w := bufio.NewWriter(conn)
 	for {
@@ -291,6 +272,10 @@ func (f *Front) handle(conn net.Conn, connID int64) {
 		if !ok {
 			return
 		}
+		if transport.ClassifyControl(req.Op) != transport.NotStreamControl {
+			// Stale feedback from a stream that already ended; ignore.
+			continue
+		}
 		var err error
 		switch req.Op {
 		case "search":
@@ -299,9 +284,6 @@ func (f *Front) handle(conn net.Conn, connID int64) {
 		case "fetch":
 			f.fm.fetches.Inc()
 			err = f.proxyFetch(conn, w, requests, req, rng)
-		case "stop":
-			// A stale stop from a stream that already ended; ignore.
-			continue
 		default:
 			err = writeFlush(w, transport.Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
 		}
@@ -416,17 +398,18 @@ func (f *Front) proxySearch(w *bufio.Writer, req transport.Request) error {
 	return writeFlush(w, resp)
 }
 
-// mergedHave returns the sorted union of the client's Have list and the
-// sequence numbers already relayed intact — the resume state replayed to
-// the next replica on a re-route.
-func mergedHave(have, relayed map[int]bool) []int {
-	out := make([]int, 0, len(have)+len(relayed))
-	for seq := range have {
-		out = append(out, seq)
+// sortedUnion returns the members of a and b in ascending order. The
+// resume state replayed to the next replica on a re-route is built with
+// it: Have is the client's own list plus every sequence number already
+// relayed intact, DoneGens the generations it has reported decoded.
+func sortedUnion(a, b map[int]bool) []int {
+	out := make([]int, 0, len(a)+len(b))
+	for v := range a {
+		out = append(out, v)
 	}
-	for seq := range relayed {
-		if !have[seq] {
-			out = append(out, seq)
+	for v := range b {
+		if !a[v] {
+			out = append(out, v)
 		}
 	}
 	sort.Ints(out)
@@ -457,6 +440,13 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 		have[seq] = true
 	}
 	relayed := make(map[int]bool)
+	// Generations the client reported decoded mid-stream (stopgen): a
+	// re-routed request carries them as DoneGens, since the client will
+	// not repeat feedback it already gave.
+	doneGens := make(map[int]bool, len(req.DoneGens))
+	for _, g := range req.DoneGens {
+		doneGens[g] = true
+	}
 	order := f.ring.Successors(req.Doc, nil)
 
 	var (
@@ -491,7 +481,13 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 			time.Sleep(f.opts.Retry.Backoff(attempt-1, rng))
 		}
 		rreq := req
-		rreq.Have = mergedHave(have, relayed)
+		rreq.Have = sortedUnion(have, relayed)
+		rreq.DoneGens = sortedUnion(doneGens, nil)
+		if headerSent && rreq.Seed == 0 {
+			// Pin the re-routed stream to the fountain seed the client is
+			// already decoding against (zero under the fixed-rate codec).
+			rreq.Seed = layout.Seed
+		}
 		rc, resp, err := f.openStream(idx, rreq)
 		if err != nil {
 			f.mon.ReportFailure(idx)
@@ -552,7 +548,7 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 		}
 		attempt = 0
 
-		done, relayErr := f.relayFrames(clientConn, w, rc, requests, relayed, &stopped, &sent)
+		done, relayErr := f.relayFrames(clientConn, w, rc, requests, layout, relayed, doneGens, &stopped, &sent)
 		rc.close()
 		if done {
 			return finish(nil)
@@ -601,25 +597,33 @@ func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan
 // nil error with done=false means the replica leg failed and the caller
 // should re-route; a non-nil error means the client leg failed and the
 // stream is unsalvageable.
-func (f *Front) relayFrames(clientConn net.Conn, w *bufio.Writer, rc *replicaConn, requests <-chan transport.Request, relayed map[int]bool, stopped *bool, sent *int) (bool, error) {
+func (f *Front) relayFrames(clientConn net.Conn, w *bufio.Writer, rc *replicaConn, requests <-chan transport.Request, layout core.Layout, relayed, doneGens map[int]bool, stopped *bool, sent *int) (bool, error) {
 	var frameBuf []byte
 	for {
-		// A stop request aborts the stream; client-connection closure
+		// Stream feedback is forwarded to the replica, which decides what
+		// it means for this stream's codec; client-connection closure
 		// (reader channel closed) aborts the whole handler.
 		select {
 		case creq, ok := <-requests:
 			if !ok {
 				return false, io.EOF
 			}
-			if creq.Op != "stop" {
+			switch transport.ClassifyControl(creq.Op) {
+			case transport.StopStream:
+				if *stopped {
+					continue
+				}
+				*stopped = true
+			case transport.StopGeneration:
+				doneGens[creq.Gen] = true
+			default:
 				return false, fmt.Errorf("shard: %q request during stream", creq.Op)
 			}
-			if !*stopped {
-				*stopped = true
-				if err := rc.conn.SetWriteDeadline(f.ioDeadline()); err == nil {
-					if transport.WriteJSONLine(rc.w, transport.Request{Op: "stop"}) == nil {
-						rc.w.Flush()
-					}
+			// Best effort: a replica leg that cannot take the feedback is
+			// about to fail its next read, and the re-route replays it.
+			if err := rc.conn.SetWriteDeadline(f.ioDeadline()); err == nil {
+				if transport.WriteJSONLine(rc.w, creq) == nil {
+					rc.w.Flush()
 				}
 			}
 		default:
@@ -654,8 +658,8 @@ func (f *Front) relayFrames(clientConn net.Conn, w *bufio.Writer, rc *replicaCon
 		// Only frames that pass their CRC here count as held by the
 		// client: a frame corrupted on the replica's (emulated) weak
 		// link must stay eligible for retransmission after a re-route.
-		if pkt, perr := packet.Parse(frame); perr == nil {
-			relayed[pkt.Seq] = true
+		if seq, _, perr := layout.ParseFrame(frame); perr == nil {
+			relayed[seq] = true
 		}
 	}
 }

@@ -1,22 +1,32 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
+	"mobweb/internal/erasure"
 	"mobweb/internal/obs"
 	"mobweb/internal/transport"
 )
 
 // frontRecord returns the front's most recent fetch-log record for doc.
+// The front logs a fetch after it has flushed the end-of-stream marker,
+// so the client can be back from Fetch a moment before the record
+// exists: wait until every fetch the front accepted has logged.
 func frontRecord(t *testing.T, fl *testFleet, doc string) obs.FetchRecord {
 	t.Helper()
-	for _, rec := range fl.frontReg.FetchLog().Recent(0) {
+	log := fl.frontReg.FetchLog()
+	waitFor(t, 2*time.Second, func() bool { return log.Total() >= fl.counter("front.fetches") },
+		"front never logged its last fetch")
+	for _, rec := range log.Recent(0) {
 		if rec.Doc == doc {
 			return rec
 		}
@@ -512,5 +522,190 @@ func TestFrontMetricsProbes(t *testing.T) {
 	capPayload, ok := snap.Probes["capability"].(map[string]string)
 	if !ok || capPayload["mode"] == "" {
 		t.Fatalf("capability probe payload = %v", snap.Probes["capability"])
+	}
+}
+
+// TestFountainThroughFront is the regression for the front's three
+// fountain defects: stopgen mid-stream was a protocol violation (a paced
+// multi-generation fetch was cut at the first decoded generation), a
+// stale stopgen between streams drew an "unknown op" line that desynced
+// the next response, and relayed frames were parsed as fixed-rate ones,
+// so a re-route replayed an empty Have list.
+func TestFountainThroughFront(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		killAt int // kill the home replica after this many frames; 0 = never
+	}{
+		{name: "paced multi-generation", killAt: 0},
+		{name: "replica kill mid-stream", killAt: 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fl := startFleet(t, 3, transport.ServerOptions{
+				Defaults:    core.Config{MaxGeneration: 8},
+				PacketDelay: time.Millisecond,
+			}, Options{Retry: transport.RetryPolicy{Seed: 7, BaseDelay: 10 * time.Millisecond}})
+			doc := corpus.DraftName
+			home := fl.home(doc)
+			want := singleServerBody(t, fl.replicas[(home+1)%3], doc)
+
+			client := fl.client(t)
+			client.Retry = transport.NoRetry
+			opts := transport.FetchOptions{Doc: doc, Caching: true, Codec: erasure.CodecFountain}
+			var progress int
+			var killed sync.WaitGroup
+			if tc.killAt > 0 {
+				opts.OnProgress = killAt(tc.killAt, fl.replicas[home], &progress, &killed)
+			}
+			res, err := client.Fetch(opts)
+			killed.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.Body, want) {
+				t.Fatal("fountain body through the front differs from a single-server fetch")
+			}
+			if res.Rounds != 1 || res.Reconnects != 0 {
+				t.Errorf("rounds %d reconnects %d, want 1 and 0", res.Rounds, res.Reconnects)
+			}
+			if res.Codec != erasure.CodecFountain.String() {
+				t.Fatalf("served codec %q, want fountain", res.Codec)
+			}
+			// A second fetch on the same connection proves no stale
+			// feedback was answered with a stray response line.
+			if _, err := client.Fetch(opts); err != nil {
+				t.Fatalf("second fetch on the same connection: %v", err)
+			}
+			if tc.killAt == 0 {
+				return
+			}
+			if got := fl.counter("front.reroutes"); got < 1 {
+				t.Fatalf("front.reroutes = %d, want >= 1", got)
+			}
+			resumedHave := 0
+			for _, r := range fl.replicas {
+				for _, rec := range r.reg.FetchLog().Recent(0) {
+					if rec.Doc == doc && rec.Have > resumedHave {
+						resumedHave = rec.Have
+					}
+				}
+			}
+			if resumedHave == 0 {
+				t.Error("re-routed fountain request carried an empty Have list")
+			}
+		})
+	}
+}
+
+// TestFrontControlOps is transport's control-op table run through the
+// front: the shared classifier must give a proxied stream the same
+// answers as a direct one, during a stream and between streams.
+func TestFrontControlOps(t *testing.T) {
+	fl := startFleet(t, 2, transport.ServerOptions{
+		Defaults:    core.Config{MaxGeneration: 8},
+		PacketDelay: time.Millisecond,
+	}, Options{})
+	for _, tc := range []struct {
+		name   string
+		codec  string
+		during bool
+		op     transport.Request // Op "" closes the connection instead
+		want   string            // ends, continues, closed, ignored, refused
+	}{
+		{"stop during fixed-rate", "vandermonde", true, transport.Request{Op: "stop"}, "ends"},
+		{"stop during fountain", "fountain", true, transport.Request{Op: "stop"}, "ends"},
+		{"stopgen during fountain", "fountain", true, transport.Request{Op: "stopgen", Gen: 0}, "continues"},
+		{"search during fountain", "fountain", true, transport.Request{Op: "search", Query: "x"}, "closed"},
+		{"close during fountain", "fountain", true, transport.Request{}, "closed"},
+		{"stop between", "vandermonde", false, transport.Request{Op: "stop"}, "ignored"},
+		{"stopgen between", "fountain", false, transport.Request{Op: "stopgen", Gen: 1}, "ignored"},
+		{"unknown op between", "vandermonde", false, transport.Request{Op: "bogus"}, "refused"},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", fl.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			r := bufio.NewReader(conn)
+			send := func(req transport.Request) {
+				t.Helper()
+				if err := transport.WriteJSONLine(conn, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			response := func() (resp transport.Response, err error) {
+				line, err := r.ReadBytes('\n')
+				if err == nil {
+					err = json.Unmarshal(line, &resp)
+				}
+				return resp, err
+			}
+			// frames reads up to n frames (n < 0: to the end marker).
+			frames := func(n int) (seen int, ended bool, err error) {
+				for n < 0 || seen < n {
+					frame, err := transport.ReadFrame(r)
+					if err != nil {
+						return seen, false, err
+					}
+					if frame == nil {
+						return seen, true, nil
+					}
+					seen++
+				}
+				return seen, false, nil
+			}
+
+			send(transport.Request{Op: "fetch", Doc: corpus.DraftName, Codec: tc.codec})
+			if resp, err := response(); err != nil || !resp.OK {
+				t.Fatalf("fetch header: %+v, %v", resp, err)
+			}
+			if tc.during {
+				if _, _, err := frames(3); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				send(transport.Request{Op: "stop"})
+				if _, ended, err := frames(-1); err != nil || !ended {
+					t.Fatalf("stream did not end cleanly: %v", err)
+				}
+			}
+			if tc.op.Op == "" {
+				return // the deferred Close is the case; Front.Close must not hang on it
+			}
+			send(tc.op)
+			switch tc.want {
+			case "ends":
+				if _, ended, err := frames(-1); err != nil || !ended {
+					t.Fatalf("stream did not end after %q: %v", tc.op.Op, err)
+				}
+			case "continues":
+				if n, ended, err := frames(20); err != nil || ended {
+					t.Fatalf("stream stopped after %q: %d frames, ended=%v, %v", tc.op.Op, n, ended, err)
+				}
+				send(transport.Request{Op: "stop"})
+				if _, ended, err := frames(-1); err != nil || !ended {
+					t.Fatalf("stream did not end cleanly: %v", err)
+				}
+			case "closed":
+				if _, ended, err := frames(-1); err == nil && ended {
+					t.Fatalf("%q mid-stream was tolerated", tc.op.Op)
+				}
+				return
+			case "refused":
+				if resp, err := response(); err != nil || resp.OK || resp.Error == "" {
+					t.Fatalf("%q between streams: %+v, %v", tc.op.Op, resp, err)
+				}
+			}
+			// The connection is still in step: the next request gets its
+			// own response, not a stray line.
+			send(transport.Request{Op: "search", Query: "mobile web"})
+			if resp, err := response(); err != nil || !resp.OK || len(resp.Hits) == 0 {
+				t.Fatalf("search after %q: %+v, %v", tc.op.Op, resp, err)
+			}
+		})
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"mobweb/internal/erasure"
 	"mobweb/internal/ewma"
 	"mobweb/internal/obs"
-	"mobweb/internal/packet"
 	"mobweb/internal/store"
 )
 
@@ -666,7 +665,7 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 	// The persistent store is the cross-process prefetch: a caching
 	// fetch with no primed receiver resumes from whatever a previous
 	// process life stored — possibly the whole document.
-	if rcv == nil && opts.Caching && c.Store != nil {
+	if rcv == nil && opts.Caching {
 		if seeded, n := c.storeSeed(shape); seeded != nil {
 			rcv = seeded
 			result.StoredPackets = n
@@ -712,7 +711,7 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 			rctx, cancel = context.WithTimeout(ctx, opts.RoundTimeout)
 		}
 		recBefore, corBefore := result.PacketsReceived, result.PacketsCorrupted
-		newRcv, done, err := c.runRound(rctx, opts, gamma, rcv, result, seen, noCaching)
+		newRcv, done, err := c.runRound(rctx, opts, gamma, rcv, result, seen, noCaching, 0)
 		cancel()
 		rcv = newRcv
 		// Drain the round's packets to the store whatever happened next:
@@ -783,10 +782,17 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 // runRound performs one request/stream cycle: send the fetch request
 // (with the Have list when caching), read the layout header, and consume
 // the packet stream until termination or end-of-stream. It returns the
-// (possibly rebuilt) receiver so callers keep it across failures.
-func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64, rcv *core.Receiver, result *FetchResult, seen map[int]bool, noCaching bool) (*core.Receiver, bool, error) {
+// (possibly rebuilt) receiver so callers keep it across failures. A
+// positive budget makes it a prefetch round: flagged as idle-time traffic
+// to the server, and stopped once result.PacketsReceived reaches the
+// budget.
+func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64, rcv *core.Receiver, result *FetchResult, seen map[int]bool, noCaching bool, budget int) (*core.Receiver, bool, error) {
 	defer c.armInterrupt(ctx)()
-	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: gamma}
+	op := "fetch"
+	if budget > 0 {
+		op = "prefetch"
+	}
+	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: gamma, Prefetch: budget > 0}
 	if opts.LOD != 0 {
 		req.LOD = opts.LOD.String()
 	}
@@ -799,18 +805,18 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 	req.Seed = opts.FountainSeed
 	req.Broadcast = opts.Broadcast
 	if rcv != nil && opts.Caching {
-		// HaveList covers both codecs: cooked sequence numbers for the
-		// fixed-rate codec, packed (gen, seq) pairs for fountain — the
-		// same identifiers AddFrame keyed the packets by. DoneGens covers
-		// what Have cannot: a reconstructed generation's unheld parity
-		// rows (or, store-seeded under fountain, all its symbols).
+		// Have lists wire sequence numbers under either codec — the same
+		// identifiers AddFrame keyed the packets by. DoneGens covers what
+		// Have cannot: a reconstructed generation's unheld parity rows
+		// (or, store-seeded under fountain, all its symbols).
 		req.Have = rcv.HaveList()
 		req.DoneGens = rcv.DoneGenerations()
-		if lo := rcv.Layout(); lo.Codec == erasure.CodecFountain && req.Seed == 0 {
-			// Pin the resumed stream to the seed already decoded against,
-			// so held fountain packets stay valid across the resume even
-			// if the serving replica's salt would derive differently.
-			req.Seed = lo.Seed
+		if req.Seed == 0 {
+			// Pin the resumed stream to the fountain seed already decoded
+			// against (zero under the fixed-rate codec), so held packets
+			// stay valid across the resume even if the serving replica's
+			// salt would derive differently.
+			req.Seed = rcv.Layout().Seed
 		}
 	}
 	result.GammaRequests = append(result.GammaRequests, gamma)
@@ -823,7 +829,7 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 		return rcv, false, err
 	}
 	if !resp.OK {
-		return rcv, false, respRefusal(resp, "fetch")
+		return rcv, false, respRefusal(resp, op)
 	}
 	if resp.Layout == nil {
 		return rcv, false, fmt.Errorf("%w: fetch response missing layout", ErrBadResponse)
@@ -835,8 +841,7 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 		result.Capability = resp.Capability
 	}
 	result.Codec = resp.Layout.Codec.String()
-	if lo := rcvLayout(rcv); rcv != nil && (lo.N() != resp.Layout.N() || lo.BodySize != resp.Layout.BodySize ||
-		lo.Codec != resp.Layout.Codec || lo.Seed != resp.Layout.Seed) {
+	if rcv != nil && (rcv.Layout().N() != resp.Layout.N() || rcv.Layout().SameStream(*resp.Layout) != nil) {
 		// The geometry changed. A pure γ change (adaptive redundancy)
 		// keeps every held cooked packet valid — systematic dispersal
 		// rows are independent of N — so rebase onto the new layout;
@@ -861,17 +866,8 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 	} else if noCaching {
 		rcv.Reset()
 	}
-	done, err := c.consumeStream(ctx, rcv, opts, result, seen)
+	done, err := c.consumeStream(ctx, rcv, opts, result, seen, budget)
 	return rcv, done, err
-}
-
-// rcvLayout is the nil-safe layout accessor behind the round loops'
-// geometry comparisons.
-func rcvLayout(rcv *core.Receiver) core.Layout {
-	if rcv == nil {
-		return core.Layout{}
-	}
-	return rcv.Layout()
 }
 
 // alphaEstimator lazily creates the client's channel-quality estimator.
@@ -948,8 +944,7 @@ func (c *Client) Prefetch(opts FetchOptions, budgetPackets int) (PrefetchResult,
 
 // PrefetchContext is Prefetch bounded by a context; like Fetch it
 // reconnects and resumes on mid-stream connection failures.
-func (c *Client) PrefetchContext(ctx context.Context, opts FetchOptions, budgetPackets int) (PrefetchResult, error) {
-	var res PrefetchResult
+func (c *Client) PrefetchContext(ctx context.Context, opts FetchOptions, budgetPackets int) (res PrefetchResult, err error) {
 	if opts.Doc == "" {
 		return res, fmt.Errorf("transport: prefetch needs a document name")
 	}
@@ -964,123 +959,38 @@ func (c *Client) PrefetchContext(ctx context.Context, opts FetchOptions, budgetP
 	// Seed from the persistent store like a caching fetch does: an idle
 	// window must not spend air time on rows a previous process life (or
 	// a foreground skim) already banked.
-	if rcv == nil && c.Store != nil {
-		if seeded, _ := c.storeSeed(shape); seeded != nil {
-			rcv = seeded
-		}
+	if rcv == nil {
+		rcv, _ = c.storeSeed(shape)
 	}
-	// save primes whatever was received — even a partial window on the
-	// error path — for the next Fetch, and drains it to the persistent
-	// store so a kill mid-window costs nothing already received.
-	save := func() {
+	// Whatever was received — even a partial window on the error path —
+	// is primed for the next Fetch, and drained to the persistent store
+	// so a kill mid-window costs nothing already received.
+	defer func() {
 		if rcv != nil {
 			c.primeReceiver(opts.Doc, shape, rcv)
 			res.Intact = rcv.IntactCount()
 			c.persistReceiver(shape, rcv)
 		}
-	}
+	}()
+	// A prefetch window is a caching fetch round with a frame budget in
+	// place of the user's stop conditions: no rendering, no trace, and the
+	// budget is the only early stop besides full reconstruction.
+	opts.Caching = true
+	opts.StopAtIC = 0
+	opts.OnProgress = nil
+	opts.Trace = nil
+	var window FetchResult
 	// Resumes are bounded by the retry budget: each reconnect already
 	// backs off internally, and a prefetch is best-effort work.
 	resumes := c.Retry.withDefaults().MaxAttempts
 	for attempt := 0; ; attempt++ {
-		newRcv, err := c.prefetchRound(ctx, opts, rcv, budgetPackets, &res)
-		rcv = newRcv
-		if err == nil {
-			save()
-			return res, nil
-		}
-		if !isConnError(err) || ctx.Err() != nil || attempt >= resumes {
-			save()
+		rcv, _, err = c.runRound(ctx, opts, opts.Gamma, rcv, &window, nil, false, budgetPackets)
+		res.Received = window.PacketsReceived
+		if err == nil || !isConnError(err) || ctx.Err() != nil || attempt >= resumes {
 			return res, err
 		}
 		if rerr := c.reconnect(ctx); rerr != nil {
-			save()
 			return res, fmt.Errorf("transport: prefetch %s: %w (round failed: %w)", opts.Doc, rerr, err)
-		}
-	}
-}
-
-// prefetchRound streams one prefetch window: Request (with the Have list
-// so resumes and top-ups skip held packets), layout, then frames until
-// the budget is spent, the document is reconstructible, or the stream
-// ends. It returns the (possibly rebuilt) receiver.
-func (c *Client) prefetchRound(ctx context.Context, opts FetchOptions, rcv *core.Receiver, budget int, res *PrefetchResult) (*core.Receiver, error) {
-	defer c.armInterrupt(ctx)()
-	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: opts.Gamma, Prefetch: true}
-	if opts.LOD != 0 {
-		req.LOD = opts.LOD.String()
-	}
-	if opts.Notion != 0 {
-		req.Notion = opts.Notion.String()
-	}
-	if opts.Codec != 0 {
-		req.Codec = opts.Codec.String()
-	}
-	req.Seed = opts.FountainSeed
-	req.Broadcast = opts.Broadcast
-	if rcv != nil {
-		req.Have = rcv.HaveList()
-		req.DoneGens = rcv.DoneGenerations()
-		if lo := rcv.Layout(); lo.Codec == erasure.CodecFountain && req.Seed == 0 {
-			req.Seed = lo.Seed
-		}
-	}
-	if err := c.send(ctx, req); err != nil {
-		return rcv, err
-	}
-	resp, err := c.readResponse(ctx)
-	if err != nil {
-		return rcv, err
-	}
-	if !resp.OK {
-		return rcv, respRefusal(resp, "prefetch")
-	}
-	if resp.Layout == nil {
-		return rcv, fmt.Errorf("%w: fetch response missing layout", ErrBadResponse)
-	}
-	if lo := rcvLayout(rcv); rcv != nil && (lo.N() != resp.Layout.N() || lo.BodySize != resp.Layout.BodySize ||
-		lo.Codec != resp.Layout.Codec || lo.Seed != resp.Layout.Seed) {
-		rebased, rerr := rcv.Rebase(*resp.Layout)
-		if rerr != nil {
-			rcv = nil
-		} else {
-			rcv = rebased
-		}
-	}
-	if rcv == nil {
-		rcv, err = core.NewReceiverFromLayout(*resp.Layout)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	stopped := false
-	var frameBuf []byte // reused across frames; AddFrame copies what it keeps
-	for {
-		if err := c.conn.SetReadDeadline(c.deadline(ctx)); err != nil {
-			return rcv, err
-		}
-		frame, err := ReadFrameInto(c.r, frameBuf)
-		if err != nil {
-			return rcv, err
-		}
-		if frame == nil {
-			return rcv, nil
-		}
-		frameBuf = frame
-		if stopped {
-			continue // draining
-		}
-		res.Received++
-		c.metrics().prefetchFrames.Inc()
-		if _, _, err := rcv.AddFrame(frame); err != nil {
-			return rcv, err
-		}
-		if res.Received >= budget || rcv.Reconstructible() {
-			if err := c.send(ctx, Request{Op: "stop"}); err != nil {
-				return rcv, err
-			}
-			stopped = true
 		}
 	}
 }
@@ -1095,10 +1005,16 @@ func (c *Client) primeReceiver(doc, shape string, rcv *core.Receiver) {
 }
 
 // consumeStream reads frames until termination or end-of-stream. It
-// returns done=true when a §4.2 termination condition fired.
-func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts FetchOptions, result *FetchResult, seen map[int]bool) (bool, error) {
+// returns done=true when a §4.2 termination condition fired, or the
+// prefetch budget (when positive) was spent.
+func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts FetchOptions, result *FetchResult, seen map[int]bool, budget int) (bool, error) {
 	terminatedEarly := false
 	cm := c.metrics()
+	framesIn, framesCorrupt := cm.packetsIn, cm.packetsCorrupt
+	if budget > 0 {
+		// Idle-window traffic is counted apart from foreground fetches.
+		framesIn, framesCorrupt = cm.prefetchFrames, nil
+	}
 	// On a fountain stream the client closes the loop per generation: the
 	// moment one decodes, a stopgen tells the open-loop transmitter to
 	// spend no more air time on it.
@@ -1133,7 +1049,7 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 		}
 		result.PacketsReceived++
 		result.BytesReceived += len(frame)
-		cm.packetsIn.Inc()
+		framesIn.Inc()
 		heldBefore := rcv.IntactCount()
 		seq, intact, err := rcv.AddFrame(frame)
 		if err != nil {
@@ -1141,10 +1057,10 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 		}
 		if !intact {
 			result.PacketsCorrupted++
-			cm.packetsCorrupt.Inc()
+			framesCorrupt.Inc()
 		} else if rcv.IntactCount() == heldBefore {
 			result.RefetchedPackets++
-		} else if g, ok := frameGen(lo, seq); ok && g < len(doneAtStart) && doneAtStart[g] {
+		} else if g, _, ok := lo.SplitSeq(seq); ok && doneAtStart[g] {
 			result.RefetchedPackets++
 		}
 		// Per-frame trace events are guarded rather than relying on the
@@ -1170,16 +1086,18 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 			}
 			opts.OnProgress(prog)
 		}
-		if intact && c.terminated(rcv, opts) {
+		if (intact && c.terminated(rcv, opts)) || (budget > 0 && result.PacketsReceived >= budget) {
 			// Tell the transmitter to stop, then drain to the end
-			// marker so the connection stays usable.
+			// marker so the connection stays usable. The budget is
+			// charged per frame seen, corrupt ones included: they cost
+			// the idle window's air time either way.
 			if err := c.send(ctx, Request{Op: "stop"}); err != nil {
 				return false, err
 			}
 			terminatedEarly = true
 			opts.Trace.Record(obs.Event{Type: obs.EventStop, Round: result.Rounds, Seq: seq})
 		} else if intact && fountainMode {
-			if g, _ := packet.UnpackSeq(seq); !genStopped[g] && rcv.GenerationReconstructible(g) {
+			if g, _, _ := lo.SplitSeq(seq); !genStopped[g] && rcv.GenerationReconstructible(g) {
 				if err := c.send(ctx, Request{Op: "stopgen", Gen: g}); err != nil {
 					return false, err
 				}

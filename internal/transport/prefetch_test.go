@@ -1,12 +1,18 @@
 package transport
 
 import (
+	"bufio"
+	"net"
 	"testing"
+	"time"
 
 	"mobweb/internal/channel"
 	"mobweb/internal/content"
+	"mobweb/internal/core"
 	"mobweb/internal/corpus"
 	"mobweb/internal/document"
+	"mobweb/internal/erasure"
+	"mobweb/internal/planner"
 )
 
 func TestPrefetchThenFetch(t *testing.T) {
@@ -151,5 +157,73 @@ func TestPrefetchWholeDocumentShortCircuits(t *testing.T) {
 	}
 	if res.PacketsReceived != 0 {
 		t.Errorf("fully-prefetched fetch still received %d packets", res.PacketsReceived)
+	}
+}
+
+// TestFountainPrefetchSendsStopgen pins the one wire change of sharing a
+// round between fetch and prefetch: a prefetch on a rateless stream now
+// closes the loop per generation, instead of letting the transmitter
+// spend the idle window's budget on a generation already decoded. The
+// scripted server streams generation 0 only, until the client says
+// something; the first thing it says must be that generation's stopgen.
+func TestFountainPrefetchSendsStopgen(t *testing.T) {
+	srv, err := NewServer(corpusEngine(t), ServerOptions{Defaults: core.Config{MaxGeneration: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved, err := srv.planner.ResolveFrames(planner.Request{Doc: corpus.DraftName})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := resolved.Plan
+	const seed = 9
+	layout := plan.FountainLayout(seed)
+	cliEnd, srvEnd := net.Pipe()
+	defer cliEnd.Close()
+	defer srvEnd.Close()
+
+	first := make(chan Request, 1)
+	go func() {
+		r := bufio.NewReader(srvEnd)
+		if _, err := r.ReadBytes('\n'); err != nil { // the fetch request
+			return
+		}
+		if WriteJSONLine(srvEnd, Response{OK: true, Layout: &layout}) != nil {
+			return
+		}
+		control := make(chan Request, 1)
+		go func() {
+			if line, err := r.ReadBytes('\n'); err == nil {
+				req, _ := DecodeRequest(line)
+				control <- req
+			}
+		}()
+		for seq := 0; ; seq++ {
+			select {
+			case req := <-control:
+				first <- req
+				WriteEndOfStream(srvEnd)
+				return
+			default:
+			}
+			frame, err := plan.FountainFrame(seed, 0, seq)
+			if err != nil || WriteFrame(srvEnd, frame) != nil {
+				return
+			}
+		}
+	}()
+
+	client := NewClient(cliEnd)
+	client.Timeout = 5 * time.Second
+	if _, err := client.Prefetch(FetchOptions{Doc: corpus.DraftName, Codec: erasure.CodecFountain}, 10000); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case req := <-first:
+		if req.Op != "stopgen" || req.Gen != 0 {
+			t.Fatalf("first control request was %+v, want stopgen for generation 0", req)
+		}
+	default:
+		t.Fatal("prefetch returned without sending any control request")
 	}
 }

@@ -226,21 +226,15 @@ func (s *Server) Close() error {
 	return err
 }
 
-// handle runs one connection's request loop. A dedicated reader goroutine
-// feeds control messages through a channel so that a "stop" arriving
-// mid-stream can abort the packet stream promptly. The handlerDone
-// channel keeps the reader from blocking forever on a send after the
-// handler has returned (e.g. a write error mid-stream with a Request
-// already parsed), which would otherwise leak one goroutine per failed
-// connection.
-func (s *Server) handle(conn net.Conn) {
-	injector := s.opts.Injector
-	if s.opts.InjectorFactory != nil {
-		injector = s.opts.InjectorFactory()
-	}
+// ReadRequests decodes a connection's control lines into a channel from a
+// dedicated goroutine, so that feedback arriving mid-stream can steer the
+// stream promptly. The channel closes when the connection fails or a line
+// does not parse. done must be closed when the handler returns: it keeps
+// the reader from blocking forever on a send nobody will receive (a write
+// error mid-stream with a Request already parsed), which would otherwise
+// leak one goroutine per failed connection.
+func ReadRequests(conn net.Conn, done <-chan struct{}) <-chan Request {
 	requests := make(chan Request)
-	handlerDone := make(chan struct{})
-	defer close(handlerDone)
 	go func() {
 		defer close(requests)
 		scan := bufio.NewScanner(conn)
@@ -252,11 +246,23 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			select {
 			case requests <- req:
-			case <-handlerDone:
+			case <-done:
 				return
 			}
 		}
 	}()
+	return requests
+}
+
+// handle runs one connection's request loop.
+func (s *Server) handle(conn net.Conn) {
+	injector := s.opts.Injector
+	if s.opts.InjectorFactory != nil {
+		injector = s.opts.InjectorFactory()
+	}
+	handlerDone := make(chan struct{})
+	defer close(handlerDone)
+	requests := ReadRequests(conn, handlerDone)
 
 	w := bufio.NewWriter(conn)
 	for {
@@ -268,6 +274,11 @@ func (s *Server) handle(conn net.Conn) {
 		if !ok {
 			return
 		}
+		if ClassifyControl(req.Op) != NotStreamControl {
+			// Stale feedback from a stream that already ended (it raced
+			// the end-of-stream marker); ignore.
+			continue
+		}
 		var err error
 		switch req.Op {
 		case "search":
@@ -276,10 +287,6 @@ func (s *Server) handle(conn net.Conn) {
 		case "fetch":
 			s.sm.reqFetch.Inc()
 			err = s.handleFetch(w, req, requests, injector)
-		case "stop", "stopgen":
-			// A stale stop/stopgen from a stream that already ended (e.g.
-			// feedback racing the end-of-stream marker); ignore.
-			continue
 		default:
 			s.sm.reqBad.Inc()
 			err = WriteJSONLine(w, Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
@@ -388,50 +395,37 @@ func (s *Server) handleFetch(w *bufio.Writer, req Request, requests <-chan Reque
 		s.sm.fetchErrors.Inc()
 		return s.refuse(w, Response{Error: errMsg})
 	}
-	plan := resolved.Plan
 
+	// The source is everything codec- and mode-specific about the stream;
+	// the header and the loop around it are the same for all of them.
+	var src frameSource
+	layout := resolved.Plan.Layout()
+	sending := 0 // an open-loop stream has no predetermined frame count
+	delay := s.opts.PacketDelay
 	if codec == erasure.CodecFountain {
 		s.sm.fountainFetches.Inc()
-		return s.handleFountainFetch(w, req, resolved, requests, injector)
-	}
-
-	have := make(map[int]bool, len(req.Have))
-	for _, seq := range req.Have {
-		have[seq] = true
-	}
-	layout := plan.Layout()
-	// Clear-prefix-only tiers stream just the systematic rows: every
-	// parity row is skipped, so no parity is ever encoded. A clean
-	// channel still reconstructs (M intact rows per generation); a lossy
-	// one pays extra retransmission rounds instead of failing.
-	clearOnly := mode.ClearPrefixOnly()
-	// Reconstructible generations reported by the client keep all their
-	// rows off the air — parity included, which Have alone cannot say.
-	var doneSeq []bool
-	if len(req.DoneGens) > 0 {
-		doneSeq = make([]bool, plan.N())
-		doneGen := make(map[int]bool, len(req.DoneGens))
-		for _, g := range req.DoneGens {
-			doneGen[g] = true
+		seed := req.Seed
+		if seed == 0 {
+			seed = resolved.FountainSeed(s.opts.FountainSalt)
 		}
-		off := 0
-		for g, shape := range layout.Shapes {
-			if doneGen[g] {
-				for i := 0; i < shape.N; i++ {
-					doneSeq[off+i] = true
-				}
-			}
-			off += shape.N
+		layout = resolved.Plan.FountainLayout(seed)
+		if req.Broadcast {
+			sub := s.subscribeBroadcast(resolved, seed, len(layout.Shapes))
+			defer s.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub)
+			src = &broadcastSource{genStops: newGenStops(req, layout), sub: sub}
+			// The carousel's producer is paced to the emulated link
+			// rate, not each subscriber's loop.
+			delay = 0
+		} else {
+			src = newFountainSource(resolved, seed, req, layout)
 		}
-	}
-	skip := func(seq int) bool {
-		return have[seq] || (doneSeq != nil && doneSeq[seq]) || (clearOnly && !layout.IsClear(seq))
-	}
-	sending := 0
-	for seq := 0; seq < plan.N(); seq++ {
-		if !skip(seq) {
-			sending++
-		}
+	} else {
+		// Clear-prefix-only tiers stream just the systematic rows: every
+		// parity row is skipped, so no parity is ever encoded. A clean
+		// channel still reconstructs (M intact rows per generation); a
+		// lossy one pays extra retransmission rounds instead of failing.
+		rows := newRowSource(resolved, layout, req, mode.ClearPrefixOnly())
+		src, sending = rows, rows.sending
 	}
 	resp := Response{OK: true, Layout: &layout, Sending: sending, Replica: s.opts.Name}
 	if mode != CapFull {
@@ -443,93 +437,7 @@ func (s *Server) handleFetch(w *bufio.Writer, req Request, requests <-chan Reque
 	if err := w.Flush(); err != nil {
 		return err
 	}
-
-	// Frames come from the shared frame cache when it is enabled: the
-	// slices are shared across connections and immutable, so the clean
-	// path writes them straight to the socket with no per-connection
-	// marshal or copy. Injectors may corrupt frames in place, so any
-	// injector other than the no-op first copies the cached bytes into
-	// this connection's private frameBuf — never append-in-place on a
-	// shared slice. With the cache disabled, the pre-cache path remains:
-	// AppendFrame rebuilds the frame into frameBuf each iteration, which
-	// also keeps a previous in-place corruption from leaking forward.
-	var frameBuf []byte
-	_, cleanChannel := injector.(NopInjector)
-	useCache := resolved.Cached()
-	sent := 0
-stream:
-	for seq := 0; seq < plan.N(); seq++ {
-		if skip(seq) {
-			continue
-		}
-		// A stop Request aborts the stream; connection closure (reader
-		// channel closed) aborts the whole handler.
-		select {
-		case req, ok := <-requests:
-			if !ok {
-				return io.EOF
-			}
-			if req.Op == "stop" {
-				break stream
-			}
-			// Any other mid-stream request is a protocol violation.
-			return fmt.Errorf("transport: %q request during stream", req.Op)
-		default:
-		}
-		var out []byte
-		if useCache {
-			frame, err := resolved.Frame(seq)
-			if err != nil {
-				return err
-			}
-			if cleanChannel {
-				out = frame // shared, immutable; written verbatim
-			} else {
-				frameBuf = append(frameBuf[:0], frame...)
-				var send bool
-				out, send = injector.Inject(frameBuf, seq)
-				if !send {
-					s.sm.framesDropped.Inc()
-					continue
-				}
-			}
-		} else {
-			var err error
-			frameBuf, err = plan.AppendFrame(frameBuf[:0], seq)
-			if err != nil {
-				return err
-			}
-			var send bool
-			out, send = injector.Inject(frameBuf, seq)
-			if !send {
-				s.sm.framesDropped.Inc()
-				continue
-			}
-		}
-		if err := WriteFrame(w, out); err != nil {
-			return err
-		}
-		sent++
-		s.sm.framesOut.Inc()
-		if s.opts.PacketDelay > 0 {
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			time.Sleep(s.opts.PacketDelay)
-		}
-	}
-	s.sm.fetchLog.Record(obs.FetchRecord{
-		Doc:     req.Doc,
-		Origin:  "server",
-		Replica: s.opts.Name,
-		Sent:    sent,
-		Have:    len(req.Have),
-		Gamma:   req.Gamma,
-	})
-	if err := WriteEndOfStream(w); err != nil {
-		return err
-	}
-	return w.Flush()
+	return s.stream(w, req, src, requests, injector, delay)
 }
 
 // DecodeRequest parses one JSON control line. It is the single entry

@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"mobweb/internal/core"
-	"mobweb/internal/erasure"
-	"mobweb/internal/packet"
-)
+import "mobweb/internal/core"
 
 // This file glues the client to the persistent packet store: seeding a
 // fresh receiver from stored state before touching the wire (the
@@ -12,26 +8,6 @@ import (
 // round so a crash costs at most the round in flight. The store is
 // keyed by the canonical fetch shape (fetchShape), the same identity a
 // prefetched receiver is reusable under.
-
-// storeCompatible reports whether a stored layout and a live one agree
-// on everything that gives stored records their identity. A γ-only
-// change (per-generation N grew or shrank) keeps every record valid —
-// cooked rows are independent of N and the store keys packets by
-// generation-local seq — so only the reconstruction-relevant geometry
-// is compared: body size, packet size, codec, seed, and each
-// generation's source count.
-func storeCompatible(a, b core.Layout) bool {
-	if a.BodySize != b.BodySize || a.PacketSize != b.PacketSize ||
-		a.Codec != b.Codec || a.Seed != b.Seed || len(a.Shapes) != len(b.Shapes) {
-		return false
-	}
-	for g := range a.Shapes {
-		if a.Shapes[g].M != b.Shapes[g].M {
-			return false
-		}
-	}
-	return true
-}
 
 // storeSeed builds a receiver from the store's state for one plan key:
 // decoded generations are installed wholesale, then loose packets of
@@ -69,7 +45,7 @@ func (c *Client) storeSeed(plan string) (*core.Receiver, int) {
 		if rcv.GenerationReconstructible(p.Gen) {
 			continue
 		}
-		seq, ok := wireSeq(lo, p.Gen, p.Seq)
+		seq, ok := lo.WireSeq(p.Gen, p.Seq)
 		if !ok {
 			continue
 		}
@@ -97,7 +73,7 @@ func (c *Client) persistReceiver(plan string, rcv *core.Receiver) int {
 		return 0
 	}
 	lo := rcv.Layout()
-	if stored, ok := c.Store.Layout(plan); ok && !storeCompatible(stored, lo) {
+	if stored, ok := c.Store.Layout(plan); ok && stored.SameStream(lo) != nil {
 		c.Store.Drop(plan)
 	}
 	if err := c.Store.PutLayout(plan, lo); err != nil {
@@ -120,7 +96,7 @@ func (c *Client) persistReceiver(plan string, rcv *core.Receiver) int {
 		}
 	}
 	for _, seq := range rcv.HaveList() {
-		gen, local, ok := storeKeySeq(lo, seq)
+		gen, local, ok := lo.SplitSeq(seq)
 		if !ok || rcv.GenerationReconstructible(gen) {
 			continue
 		}
@@ -136,43 +112,4 @@ func (c *Client) persistReceiver(plan string, rcv *core.Receiver) int {
 		}
 	}
 	return wrote
-}
-
-// wireSeq maps a store key (generation, generation-local seq) to the
-// wire sequence number AddFrame keys packets by: the packed (gen, seq)
-// pair under the fountain codec, the global cooked offset otherwise.
-func wireSeq(lo core.Layout, gen, local int) (int, bool) {
-	if lo.Codec == erasure.CodecFountain {
-		return packet.PackSeq(gen, local), true
-	}
-	off, err := lo.CookedOffset(gen)
-	if err != nil || local < 0 || local >= lo.Shapes[gen].N {
-		return 0, false
-	}
-	return off + local, true
-}
-
-// storeKeySeq is the inverse of wireSeq: wire sequence number to
-// (generation, generation-local seq) store key.
-func storeKeySeq(lo core.Layout, seq int) (gen, local int, ok bool) {
-	if lo.Codec == erasure.CodecFountain {
-		g, s := packet.UnpackSeq(seq)
-		if g < 0 || g >= len(lo.Shapes) {
-			return 0, 0, false
-		}
-		return g, s, true
-	}
-	g, l, err := lo.CookedGeneration(seq)
-	if err != nil {
-		return 0, 0, false
-	}
-	return g, l, true
-}
-
-// frameGen resolves the generation a just-received wire seq belongs to,
-// for the refetch accounting in consumeStream. ok=false for seqs the
-// layout cannot place.
-func frameGen(lo core.Layout, seq int) (int, bool) {
-	g, _, ok := storeKeySeq(lo, seq)
-	return g, ok
 }

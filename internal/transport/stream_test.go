@@ -1,0 +1,479 @@
+package transport
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"mobweb/internal/channel"
+	"mobweb/internal/core"
+	"mobweb/internal/corpus"
+	"mobweb/internal/erasure"
+	"mobweb/internal/packet"
+	"mobweb/internal/planner"
+)
+
+// The tables in this file cover the stream loop once for every source,
+// in place of one copy of each check per loop: what goes on the air
+// (TestStreamEmitsReferenceSequence), what comes out the other end
+// (TestFetchMatrixByteIdentical), and what control requests do to a
+// stream (TestControlOps).
+
+// recorder is a fault injector that notes every frame the loop offered it
+// and whether it went on the air, then defers to the wrapped injector. A
+// nil inner injector drops a seeded third of the frames — not every third
+// one, which would starve whole generations of a round-robin whose period
+// divides by three.
+type recorder struct {
+	mu    sync.Mutex
+	inner FaultInjector
+	drop  *rand.Rand
+	seqs  []int
+	sent  []bool
+}
+
+func (r *recorder) Inject(frame []byte, seq int) ([]byte, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out, send := frame, true
+	if r.inner == nil {
+		send = r.drop.Intn(3) != 0
+	} else {
+		out, send = r.inner.Inject(frame, seq)
+	}
+	r.seqs = append(r.seqs, seq)
+	r.sent = append(r.sent, send)
+	return out, send
+}
+
+// streamCases is the source × frame cache × channel grid both stream
+// tables walk.
+type streamCase struct {
+	source  string // vandermonde, fountain, broadcast
+	cached  bool
+	channel string // clean, bernoulli, drop
+}
+
+func (c streamCase) String() string {
+	cache := "cached"
+	if !c.cached {
+		cache = "uncached"
+	}
+	return fmt.Sprintf("%s/%s/%s", c.source, cache, c.channel)
+}
+
+func streamCases() []streamCase {
+	var out []streamCase
+	for _, source := range []string{"vandermonde", "fountain", "broadcast"} {
+		for _, cached := range []bool{true, false} {
+			for _, ch := range []string{"clean", "bernoulli", "drop"} {
+				out = append(out, streamCase{source, cached, ch})
+			}
+		}
+	}
+	return out
+}
+
+// serverOptions builds the case's server: small generations so every
+// stream crosses generation boundaries, and the case's cache and channel.
+// The returned recorder is nil on a clean channel — wrapping NopInjector
+// would take the loop off its zero-copy path.
+func (c streamCase) serverOptions(t *testing.T) (ServerOptions, *recorder) {
+	t.Helper()
+	opts := ServerOptions{Defaults: core.Config{MaxGeneration: 8}}
+	if !c.cached {
+		opts.PlannerOptions = planner.Options{FrameCacheBytes: -1}
+	}
+	if c.source != "vandermonde" {
+		opts.DefaultCodec = erasure.CodecFountain
+	}
+	var rec *recorder
+	switch c.channel {
+	case "bernoulli":
+		model, err := channel.NewBernoulli(0.2, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = &recorder{inner: NewModelInjector(model)}
+	case "drop":
+		rec = &recorder{drop: rand.New(rand.NewSource(5))}
+	}
+	if rec != nil {
+		opts.Injector = rec
+	}
+	return opts, rec
+}
+
+// TestStreamEmitsReferenceSequence drives the stream loop directly, with
+// no client feedback, and checks the frames on the wire against the
+// plan's own Frame / FountainFrame: the right frames, in the source's
+// order, minus what the request's Have and DoneGens exclude, each byte
+// for byte (or detectably corrupted, where the channel corrupts).
+func TestStreamEmitsReferenceSequence(t *testing.T) {
+	for _, tc := range streamCases() {
+		tc := tc
+		t.Run(tc.String(), func(t *testing.T) {
+			opts, rec := tc.serverOptions(t)
+			srv, err := NewServer(corpusEngine(t), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resolved, err := srv.planner.ResolveFrames(planner.Request{Doc: corpus.DraftName})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resolved.Cached() != tc.cached {
+				t.Fatalf("frame cache enabled = %v, want %v", resolved.Cached(), tc.cached)
+			}
+			plan := resolved.Plan
+			const seed = 42
+			// One held packet and one decoded generation, in both seq
+			// spaces: seq 1 is cooked row 1 and fountain symbol (0, 1).
+			req := Request{Op: "fetch", Doc: corpus.DraftName, Have: []int{1, packet.PackSeq(2, 3)}, DoneGens: []int{1}}
+			have := map[int]bool{1: true, packet.PackSeq(2, 3): true}
+
+			layout := plan.Layout()
+			var src frameSource
+			ref := plan.Frame
+			var want []int // exact attempted sequence; nil for broadcast
+			if tc.source == "vandermonde" {
+				src = newRowSource(resolved, layout, req, false)
+				for seq := 0; seq < plan.N(); seq++ {
+					if g, _, _ := layout.SplitSeq(seq); !have[seq] && g != 1 {
+						want = append(want, seq)
+					}
+				}
+			} else {
+				layout = plan.FountainLayout(seed)
+				ref = func(packed int) ([]byte, error) {
+					g, s := packet.UnpackSeq(packed)
+					return plan.FountainFrame(seed, g, s)
+				}
+				if tc.source == "broadcast" {
+					sub := srv.subscribeBroadcast(resolved, seed, len(layout.Shapes))
+					defer srv.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub)
+					src = &broadcastSource{genStops: newGenStops(req, layout), sub: sub}
+				} else {
+					src = newFountainSource(resolved, seed, req, layout)
+					sent := make([]int, len(layout.Shapes))
+					for k, active := 0, true; active; k++ {
+						active = false
+						for g, shape := range layout.Shapes {
+							if g == 1 || sent[g] >= fountainOvershootCap(shape.M) {
+								continue
+							}
+							active = true
+							if packed := packet.PackSeq(g, k); !have[packed] {
+								sent[g]++
+								want = append(want, packed)
+							}
+						}
+					}
+				}
+			}
+
+			var wire bytes.Buffer
+			w := bufio.NewWriter(&wire)
+			injector := FaultInjector(NopInjector{})
+			if rec != nil {
+				injector = rec
+			}
+			if err := srv.stream(w, req, src, make(chan Request), injector, 0); err != nil {
+				t.Fatal(err)
+			}
+
+			// attempted: every frame the source handed to the loop; onAir
+			// marks the ones that were written.
+			var frames [][]byte
+			for {
+				frame, err := ReadFrame(&wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if frame == nil {
+					break
+				}
+				frames = append(frames, frame)
+			}
+			if wire.Len() != 0 {
+				t.Fatalf("%d bytes after the end-of-stream marker", wire.Len())
+			}
+			var attempted []int
+			var onAir []bool
+			if rec != nil {
+				attempted, onAir = rec.seqs, rec.sent
+			} else {
+				for _, frame := range frames {
+					seq, _, err := layout.ParseFrame(frame)
+					if err != nil {
+						t.Fatalf("clean channel delivered an unparseable frame: %v", err)
+					}
+					attempted, onAir = append(attempted, seq), append(onAir, true)
+				}
+			}
+
+			if want != nil {
+				if fmt.Sprint(attempted) != fmt.Sprint(want) {
+					t.Fatalf("attempted sequence\n got %v\nwant %v", attempted, want)
+				}
+			} else {
+				// The carousel may skip symbols for a slow subscriber, so
+				// a subscription is pinned by its invariants: generations
+				// in seq order, nothing excluded on the air, and every
+				// live generation run exactly to its overshoot cap.
+				last := map[int]int{}
+				count := map[int]int{}
+				for _, packed := range attempted {
+					g, s := packet.UnpackSeq(packed)
+					if prev, ok := last[g]; ok && s <= prev {
+						t.Fatalf("generation %d went %d → %d", g, prev, s)
+					}
+					if g == 1 || have[packed] {
+						t.Fatalf("excluded symbol (%d, %d) attempted", g, s)
+					}
+					last[g] = s
+					count[g]++
+				}
+				for g, shape := range layout.Shapes {
+					if g != 1 && count[g] != fountainOvershootCap(shape.M) {
+						t.Fatalf("generation %d attempted %d symbols, want the cap %d", g, count[g], fountainOvershootCap(shape.M))
+					}
+				}
+			}
+
+			next := 0
+			for i, seq := range attempted {
+				if !onAir[i] {
+					continue
+				}
+				if next == len(frames) {
+					t.Fatalf("wire ended at frame %d; injector passed more", next)
+				}
+				frame := frames[next]
+				next++
+				want, err := ref(seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(frame, want) {
+					continue
+				}
+				_, _, perr := layout.ParseFrame(frame)
+				if tc.channel != "bernoulli" || !errors.Is(perr, packet.ErrCorrupt) || len(frame) != len(want) {
+					t.Fatalf("frame %d (seq %d) differs from the plan's reference frame", next-1, seq)
+				}
+			}
+			if next != len(frames) {
+				t.Fatalf("%d frames on the wire, injector passed %d", len(frames), next)
+			}
+			if tc.channel == "drop" && len(frames) == len(attempted) {
+				t.Fatal("drop channel dropped nothing")
+			}
+		})
+	}
+}
+
+// TestFetchMatrixByteIdentical runs the real client against the real
+// server over the same grid, once as a plain fetch and once as a
+// budgeted prefetch followed by the fetch that consumes it: every path
+// must hand back the document byte for byte.
+func TestFetchMatrixByteIdentical(t *testing.T) {
+	doc, err := corpus.Load(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 10
+	for _, tc := range streamCases() {
+		for _, prefetch := range []bool{false, true} {
+			tc, prefetch := tc, prefetch
+			name := tc.String() + "/fetch"
+			if prefetch {
+				name = tc.String() + "/prefetch"
+			}
+			t.Run(name, func(t *testing.T) {
+				sopts, _ := tc.serverOptions(t)
+				client := startServer(t, sopts)
+				opts := FetchOptions{Doc: corpus.DraftName, Caching: true, MaxRounds: 40, Broadcast: tc.source == "broadcast"}
+				var pre PrefetchResult
+				if prefetch {
+					pre, err = client.Prefetch(opts, budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pre.Received != budget {
+						t.Fatalf("prefetch received %d frames, want the budget %d", pre.Received, budget)
+					}
+					if pre.Intact == 0 || pre.Intact > budget {
+						t.Fatalf("prefetch primed %d packets from %d frames", pre.Intact, budget)
+					}
+				}
+				res, err := client.Fetch(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(res.Body, doc.Body()) {
+					t.Fatal("body differs from the source document")
+				}
+				if res.PrefetchedPackets != pre.Intact {
+					t.Errorf("fetch started from %d prefetched packets, prefetch primed %d", res.PrefetchedPackets, pre.Intact)
+				}
+				if tc.source != "vandermonde" && (res.Rounds != 1 || res.Codec != erasure.CodecFountain.String()) {
+					t.Errorf("rateless fetch took %d rounds under codec %q", res.Rounds, res.Codec)
+				}
+			})
+		}
+	}
+}
+
+// rawClient speaks the wire protocol by hand, for the requests a Client
+// never sends.
+type rawClient struct {
+	t    *testing.T
+	conn net.Conn
+	r    *bufio.Reader
+}
+
+func dialRaw(t *testing.T, addr string) *rawClient {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	return &rawClient{t: t, conn: conn, r: bufio.NewReader(conn)}
+}
+
+func (c *rawClient) send(req Request) {
+	c.t.Helper()
+	if err := WriteJSONLine(c.conn, req); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+func (c *rawClient) response() (Response, error) {
+	line, err := c.r.ReadBytes('\n')
+	if err != nil {
+		return Response{}, err
+	}
+	var resp Response
+	err = json.Unmarshal(line, &resp)
+	return resp, err
+}
+
+// frames reads up to n frames (n < 0: to the end-of-stream marker) and
+// reports how many it saw and whether the marker arrived.
+func (c *rawClient) frames(n int) (seen int, ended bool, err error) {
+	for n < 0 || seen < n {
+		frame, err := ReadFrame(c.r)
+		if err != nil {
+			return seen, false, err
+		}
+		if frame == nil {
+			return seen, true, nil
+		}
+		seen++
+	}
+	return seen, false, nil
+}
+
+// TestControlOps pins what each control request does to the server during
+// a stream and between streams; the shard package runs the same table
+// through a front.
+func TestControlOps(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		codec  string
+		during bool
+		op     Request // Op "" closes the connection instead
+		want   string  // ends, continues, closed, ignored, refused
+	}{
+		{"stop during fixed-rate", "vandermonde", true, Request{Op: "stop"}, "ends"},
+		{"stop during fountain", "fountain", true, Request{Op: "stop"}, "ends"},
+		{"stopgen during fountain", "fountain", true, Request{Op: "stopgen", Gen: 0}, "continues"},
+		{"stopgen during fixed-rate", "vandermonde", true, Request{Op: "stopgen", Gen: 0}, "closed"},
+		{"search during fixed-rate", "vandermonde", true, Request{Op: "search", Query: "x"}, "closed"},
+		{"fetch during fountain", "fountain", true, Request{Op: "fetch", Doc: corpus.DraftName}, "closed"},
+		{"close during fountain", "fountain", true, Request{}, "closed"},
+		{"stop between", "vandermonde", false, Request{Op: "stop"}, "ignored"},
+		{"stopgen between", "fountain", false, Request{Op: "stopgen", Gen: 1}, "ignored"},
+		{"unknown op between", "vandermonde", false, Request{Op: "bogus"}, "refused"},
+		{"close between", "vandermonde", false, Request{}, "closed"},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			client := startServer(t, ServerOptions{
+				Defaults:    core.Config{MaxGeneration: 8},
+				PacketDelay: time.Millisecond,
+			})
+			checkControlOp(t, client.conn.RemoteAddr().String(), tc.codec, tc.during, tc.op, tc.want)
+		})
+	}
+}
+
+// checkControlOp runs one control-op case against addr.
+func checkControlOp(t *testing.T, addr, codec string, during bool, op Request, want string) {
+	t.Helper()
+	c := dialRaw(t, addr)
+	c.send(Request{Op: "fetch", Doc: corpus.DraftName, Codec: codec})
+	resp, err := c.response()
+	if err != nil || !resp.OK {
+		t.Fatalf("fetch header: %+v, %v", resp, err)
+	}
+	if during {
+		if _, _, err := c.frames(3); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		c.send(Request{Op: "stop"})
+		if _, ended, err := c.frames(-1); err != nil || !ended {
+			t.Fatalf("stream did not end cleanly: %v", err)
+		}
+	}
+	if op.Op == "" {
+		// The server must let go of a vanished client: Close (in the
+		// test's cleanup) waits for every handler to return.
+		c.conn.Close()
+		return
+	}
+	c.send(op)
+	switch want {
+	case "ends":
+		if _, ended, err := c.frames(-1); err != nil || !ended {
+			t.Fatalf("stream did not end after %q: %v", op.Op, err)
+		}
+	case "continues":
+		if n, ended, err := c.frames(20); err != nil || ended || n != 20 {
+			t.Fatalf("stream stopped after %q: %d frames, ended=%v, %v", op.Op, n, ended, err)
+		}
+		c.send(Request{Op: "stop"})
+		if _, ended, err := c.frames(-1); err != nil || !ended {
+			t.Fatalf("stream did not end cleanly: %v", err)
+		}
+	case "closed":
+		if _, ended, err := c.frames(-1); err == nil && ended {
+			t.Fatalf("%q mid-stream was tolerated", op.Op)
+		}
+		return
+	case "refused":
+		if resp, err := c.response(); err != nil || resp.OK || resp.Error == "" {
+			t.Fatalf("%q between streams: %+v, %v", op.Op, resp, err)
+		}
+	case "ignored":
+	}
+	// Whatever happened, the connection is still in step: the next
+	// request gets its own response, not a stray line.
+	c.send(Request{Op: "search", Query: "mobile web"})
+	if resp, err := c.response(); err != nil || !resp.OK || len(resp.Hits) == 0 {
+		t.Fatalf("search after %q: %+v, %v", op.Op, resp, err)
+	}
+}
