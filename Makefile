@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-fetch bench-json bench-load bench-fleet bench-fountain bench-replay loc cover figures paperscale fuzz lint lint-json vulncheck verify clean
+.PHONY: all build test race bench bench-fetch bench-json bench-load bench-fleet bench-fountain bench-replay loc cover figures paperscale fuzz fmt-check lint lint-json vulncheck verify clean
 
 all: build test
 
@@ -39,10 +39,16 @@ vulncheck:
 		echo "warning: govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
+# gofmt gate. The analyzer fixtures under internal/lint/testdata are
+# exempt: their `// want` expectations are laid out by hand.
+fmt-check:
+	@unformatted=$$(gofmt -l . | grep -v '^internal/lint/testdata/' || true); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+
 # The CI gate: static checks plus the full suite under the race detector
 # (the planner's concurrent plan cache and core's lazy parity encoding
 # are exercised by dedicated -race stress tests).
-verify: lint vulncheck
+verify: fmt-check lint vulncheck
 	go vet ./...
 	go test -race ./...
 
@@ -142,6 +148,7 @@ fuzz:
 	go test -fuzz=FuzzParseXML -fuzztime=30s ./internal/markup
 	go test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/packet
 	go test -fuzz=FuzzRequestDecode -fuzztime=30s ./internal/transport
+	go test -fuzz=FuzzResponseLayout -fuzztime=30s ./internal/transport
 	go test -fuzz=FuzzFountainRoundtrip -fuzztime=30s ./internal/fountain
 	go test -fuzz=FuzzStoreRecover -fuzztime=30s ./internal/store
 

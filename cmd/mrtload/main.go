@@ -103,10 +103,10 @@ type passReport struct {
 
 // report is the full BENCH_load.json payload.
 type report struct {
-	GOOS       string  `json:"goos"`
-	GOARCH     string  `json:"goarch"`
-	NumCPU     int     `json:"num_cpu"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 
 	Clients  int            `json:"clients"`
 	Docs     int            `json:"docs"`

@@ -84,8 +84,8 @@ func (d *vandermondeGen) symbol(i int) []byte { return d.rows[i] }
 
 // heldRows lists every held row in ascending index order: Decode prefers
 // clear rows and fills the remainder with redundant rows in input order,
-// so a fixed order keeps the chosen row set — and with it the
-// inversion-cache key and the work profile — the same run to run.
+// so a fixed order keeps the chosen row set — and with it the work
+// profile — the same run to run.
 func (d *vandermondeGen) heldRows() []erasure.Received {
 	in := make([]erasure.Received, 0, d.held)
 	for i, p := range d.rows {

@@ -132,6 +132,7 @@ func (p *Plan) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
 
 // AppendFountainFrame appends the rateless packet's wire frame to dst
 // and returns the extended slice.
+//
 //mobweb:hot per-frame marshal of the fountain transmit loop
 func (p *Plan) AppendFountainFrame(dst []byte, seed uint64, gen, seq int) ([]byte, error) {
 	enc, err := p.fountainEncoder(gen, seed)

@@ -95,6 +95,15 @@ func segmentMeta(s UnitSegment) SegmentMeta {
 	}
 }
 
+// within reports whether both of the segment's extents lie inside a body
+// of bodySize bytes. The offsets come off the wire: compare by
+// subtraction, because offset+length wraps for an offset near MaxInt.
+func (seg SegmentMeta) within(bodySize int) bool {
+	return seg.Length >= 0 &&
+		seg.PermutedOff >= 0 && seg.Length <= bodySize-seg.PermutedOff &&
+		seg.OrigOff >= 0 && seg.Length <= bodySize-seg.OrigOff
+}
+
 // Validate checks internal consistency: positive packet size, feasible
 // shapes, segments within the body.
 func (l Layout) Validate() error {
@@ -124,21 +133,32 @@ func (l Layout) Validate() error {
 		return fmt.Errorf("core: layout raw capacity %d below body size %d", m*l.PacketSize, l.BodySize)
 	}
 	for _, seg := range l.Ranked {
-		if seg.PermutedOff < 0 || seg.Length < 0 || seg.PermutedOff+seg.Length > l.BodySize ||
-			seg.OrigOff < 0 || seg.OrigOff+seg.Length > l.BodySize {
+		if !seg.within(l.BodySize) {
 			return fmt.Errorf("core: layout segment %q out of bounds", seg.Label)
 		}
 	}
 	accrualTotal := 0.0
+	slots := 0
 	for _, seg := range l.Accrual {
-		if seg.PermutedOff < 0 || seg.Length < 0 || seg.PermutedOff+seg.Length > l.BodySize ||
-			seg.OrigOff < 0 || seg.OrigOff+seg.Length > l.BodySize {
+		if !seg.within(l.BodySize) {
 			return fmt.Errorf("core: layout accrual segment %q out of bounds", seg.Label)
 		}
 		if seg.Score < 0 {
 			return fmt.Errorf("core: layout accrual segment %q has negative score", seg.Label)
 		}
 		accrualTotal += seg.Score
+		if seg.Length > 0 {
+			first, last := packetSpan(seg, l.PacketSize)
+			slots += last - first + 1
+		}
+	}
+	// Accrual units partition the permuted body, so neighbours share at
+	// most a boundary packet and together they lie over at most one packet
+	// slot per unit plus one per raw packet. A layout claiming more has
+	// units stacked on each other, and a receiver indexing units by packet
+	// would pay units × packets for it.
+	if slots > len(l.Accrual)+m {
+		return fmt.Errorf("core: layout accrual segments overlap: %d packet slots under %d units of %d packets", slots, len(l.Accrual), m)
 	}
 	// A hostile or buggy server must not be able to convince the client
 	// it has more content than exists: accrual mass is capped at 1.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"mobweb/internal/document"
@@ -117,6 +118,13 @@ func TestLayoutValidate(t *testing.T) {
 			l.Accrual = append([]SegmentMeta(nil), l.Accrual...)
 			l.Accrual[0].Score = 5
 		}},
+		{"stacked accrual segments", func(l *Layout) {
+			// Every unit claims the whole body: units × packets slots.
+			l.Accrual = append([]SegmentMeta(nil), l.Accrual...)
+			for i := range l.Accrual {
+				l.Accrual[i].PermutedOff, l.Accrual[i].OrigOff, l.Accrual[i].Length = 0, 0, l.BodySize
+			}
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -129,6 +137,46 @@ func TestLayoutValidate(t *testing.T) {
 				t.Error("receiver accepted invalid layout")
 			}
 		})
+	}
+}
+
+// TestLayoutValidateOffsetOverflow: segment offsets come off the wire, and
+// an offset near MaxInt made offset+length wrap negative and pass the
+// bounds check. What accepting such a layout costs is spelled out below —
+// Reconstruct and the availability index both slice by these offsets.
+func TestLayoutValidateOffsetOverflow(t *testing.T) {
+	hostile := map[string]SegmentMeta{
+		"origOff":     {Label: "1", OrigOff: math.MaxInt, Length: 1},
+		"permutedOff": {Label: "1", PermutedOff: math.MaxInt, Length: 1},
+		"both":        {Label: "1", OrigOff: math.MaxInt - 3, PermutedOff: math.MaxInt - 3, Length: 8},
+	}
+	for name, seg := range hostile {
+		for _, list := range []string{"ranked", "accrual"} {
+			t.Run(list+"/"+name, func(t *testing.T) {
+				l := Layout{PacketSize: 8, BodySize: 8, Shapes: []GenerationShape{{M: 1, N: 1}}}
+				if list == "ranked" {
+					l.Ranked = []SegmentMeta{seg}
+				} else {
+					l.Accrual = []SegmentMeta{seg}
+				}
+				if err := l.Validate(); err == nil {
+					t.Error("Validate accepted a wrapping segment")
+				}
+				rcv, err := NewReceiverFromLayout(l)
+				if err != nil {
+					return
+				}
+				t.Error("receiver accepted a wrapping segment")
+				if err := rcv.Add(0, make([]byte, l.PacketSize)); err != nil {
+					t.Fatal(err)
+				}
+				rcv.InfoContent()
+				rcv.Render()
+				if _, err := rcv.Reconstruct(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

@@ -309,6 +309,7 @@ func (p *Plan) Frame(seq int) ([]byte, error) {
 // AppendFrame appends the cooked packet's wire frame to dst and returns
 // the extended slice. Stream loops reuse one buffer across a round, so
 // steady-state transmission allocates nothing per frame.
+//
 //mobweb:hot per-frame marshal of the steady-state transmit loop
 func (p *Plan) AppendFrame(dst []byte, seq int) ([]byte, error) {
 	payload, err := p.CookedPayload(seq)

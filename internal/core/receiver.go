@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"mobweb/internal/obs"
 	"mobweb/internal/packet"
@@ -39,6 +40,10 @@ type Receiver struct {
 	// raw bytes are fixed — extra packets can only re-derive them — so the
 	// memo is never invalidated by Add, only by Reset.
 	decoded [][][]byte
+	// avail indexes what is usable so far; Add and SeedDecodedGeneration
+	// note the generation they touched and the progress accessors fold
+	// that in before they answer.
+	avail availIndex
 	// trace, when attached via SetTrace, records decode events into the
 	// owning fetch's timeline.
 	trace *obs.Trace
@@ -67,6 +72,7 @@ func NewReceiverFromLayout(layout Layout) (*Receiver, error) {
 		gens:    gens,
 		intact:  make(map[int][]byte),
 		decoded: make([][][]byte, len(layout.Shapes)),
+		avail:   newAvailIndex(layout),
 	}, nil
 }
 
@@ -90,6 +96,7 @@ func (r *Receiver) Add(seq int, payload []byte) error {
 	own := append([]byte(nil), payload...)
 	r.intact[seq] = own
 	solved, err := r.gens[g].add(local, own)
+	r.avail.touch(g)
 	if solved {
 		r.trace.Record(obs.Event{Type: obs.EventDecode, Gen: g})
 	}
@@ -172,6 +179,7 @@ func (r *Receiver) Reset() {
 		panic(fmt.Sprintf("core: reset rebuilt invalid decoders: %v", err))
 	}
 	r.gens = gens
+	r.avail.reset()
 }
 
 // decodeGeneration returns generation g's raw packets, decoding on first
@@ -243,63 +251,39 @@ func (r *Receiver) Reconstruct() ([]byte, error) {
 	return out, nil
 }
 
-// rawAvailable computes, per raw packet, whether its bytes are usable:
-// its whole generation is reconstructible, or the decoder can already
-// read it — a clear-text row arrived, or a fountain symbol peeled before
-// the generation completed.
-func (r *Receiver) rawAvailable() []bool {
-	avail := make([]bool, r.layout.M())
-	rawOff := 0
-	for g, shape := range r.layout.Shapes {
-		all := r.GenerationReconstructible(g)
-		for i := 0; i < shape.M; i++ {
-			avail[rawOff+i] = all || r.gens[g].symbol(i) != nil
-		}
-		rawOff += shape.M
-	}
-	return avail
-}
-
-// segAvailable reports whether every raw packet covering the segment is
-// available.
-func segAvailable(seg SegmentMeta, avail []bool, sp int) bool {
-	if seg.Length == 0 {
-		return true
-	}
-	first := seg.PermutedOff / sp
-	last := (seg.PermutedOff + seg.Length - 1) / sp
-	for pkt := first; pkt <= last; pkt++ {
-		if pkt >= len(avail) || !avail[pkt] {
-			return false
-		}
-	}
-	return true
-}
-
 // InfoContent returns the accrued information content: the score sum of
 // all paragraph-level units whose bytes are fully available. Once every
 // generation is reconstructible this is 1 (the document is complete).
+//
+// The value is cached and summed again — over the available units in
+// Accrual order, never as a running += in arrival order — only after a
+// unit completed, so it is the same float64 whatever order packets came
+// in: StopAtIC comparisons turn on the last bit.
+//
+//mobweb:hot
 func (r *Receiver) InfoContent() float64 {
-	avail := r.rawAvailable()
-	sp := r.layout.PacketSize
-	total := 0.0
-	for _, seg := range r.layout.Accrual {
-		if segAvailable(seg, avail, sp) {
-			total += seg.Score
+	r.fold()
+	ix := &r.avail
+	if ix.icStale {
+		total := 0.0
+		for s := range r.layout.Accrual {
+			if ix.missing[s] == 0 {
+				total += r.layout.Accrual[s].Score
+			}
 		}
+		ix.ic, ix.icStale = total, false
 	}
-	return total
+	return ix.ic
 }
 
 // AvailableUnits returns the paragraph segments whose content is fully
 // available, in transmission order — exactly what the rendering manager
 // can already display.
 func (r *Receiver) AvailableUnits() []SegmentMeta {
-	avail := r.rawAvailable()
-	sp := r.layout.PacketSize
+	r.fold()
 	var out []SegmentMeta
-	for _, seg := range r.layout.Accrual {
-		if segAvailable(seg, avail, sp) {
+	for s, seg := range r.layout.Accrual {
+		if r.avail.missing[s] == 0 {
 			out = append(out, seg)
 		}
 	}
@@ -309,28 +293,43 @@ func (r *Receiver) AvailableUnits() []SegmentMeta {
 // UnitText extracts a segment's text from available packets. It returns
 // ok=false when the segment is not yet fully available.
 func (r *Receiver) UnitText(seg SegmentMeta) (string, bool) {
-	avail := r.rawAvailable()
+	r.fold()
 	sp := r.layout.PacketSize
-	if !segAvailable(seg, avail, sp) {
+	if seg.Length < 0 || seg.PermutedOff < 0 || seg.Length > len(r.avail.raw)*sp-seg.PermutedOff {
 		return "", false
 	}
-	buf := make([]byte, seg.Length)
+	if seg.Length == 0 {
+		return "", true
+	}
+	first, last := packetSpan(seg, sp)
+	for p := first; p <= last; p++ {
+		if !r.avail.raw[p] {
+			return "", false
+		}
+	}
+	return r.unitText(seg)
+}
+
+// unitText copies out a segment every raw packet of which is available.
+func (r *Receiver) unitText(seg SegmentMeta) (string, bool) {
+	sp := r.layout.PacketSize
+	var text strings.Builder
+	text.Grow(seg.Length)
 	for off := 0; off < seg.Length; {
 		pos := seg.PermutedOff + off
-		rawIdx := pos / sp
 		within := pos % sp
 		chunk := sp - within
 		if chunk > seg.Length-off {
 			chunk = seg.Length - off
 		}
-		data, ok := r.rawBytes(rawIdx)
+		data, ok := r.rawBytes(pos / sp)
 		if !ok {
 			return "", false
 		}
-		copy(buf[off:off+chunk], data[within:within+chunk])
+		text.Write(data[within : within+chunk])
 		off += chunk
 	}
-	return string(buf), true
+	return text.String(), true
 }
 
 // rawBytes returns raw packet rawIdx's bytes: straight from the decoder
@@ -371,13 +370,51 @@ type RenderedUnit struct {
 // Render returns every fully-available unit with its text, in
 // transmission order.
 func (r *Receiver) Render() []RenderedUnit {
-	var out []RenderedUnit
-	for _, seg := range r.AvailableUnits() {
-		text, ok := r.UnitText(seg)
-		if !ok {
+	r.fold()
+	return r.render(false)
+}
+
+// NewUnits returns the units that became fully available since the last
+// call (or since construction or Reset), with their text, in transmission
+// order. Over a receiver's life the drains add up to Render(): each unit
+// exactly once. It is the progressive renderer's accessor — a frame that
+// completed no unit costs it nothing.
+func (r *Receiver) NewUnits() []RenderedUnit {
+	r.fold()
+	ix := &r.avail
+	if ix.undrained == 0 {
+		return nil
+	}
+	out := r.render(true)
+	for s := range ix.drained {
+		ix.drained[s] = ix.missing[s] == 0
+	}
+	ix.undrained = 0
+	return out
+}
+
+// render pairs the available accrual units — all of them, or only those
+// NewUnits has not handed out — with their text.
+func (r *Receiver) render(undrainedOnly bool) []RenderedUnit {
+	ix := &r.avail
+	picked := func(s int) bool { return ix.missing[s] == 0 && !(undrainedOnly && ix.drained[s]) }
+	n := 0
+	for s := range r.layout.Accrual {
+		if picked(s) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]RenderedUnit, 0, n)
+	for s, seg := range r.layout.Accrual {
+		if !picked(s) {
 			continue
 		}
-		out = append(out, RenderedUnit{Segment: seg, Text: text})
+		if text, ok := r.unitText(seg); ok {
+			out = append(out, RenderedUnit{Segment: seg, Text: text})
+		}
 	}
 	return out
 }

@@ -7,8 +7,8 @@ import (
 // Regression for a defect the nondet analyzer surfaced: the rows handed
 // to erasure.Decode once came from ranging over the intact map, so with
 // more packets on hand than the generation needs, WHICH redundant rows
-// fed the decoder depended on map iteration order — varying the
-// inversion-cache key and the decode work profile run to run. The
+// fed the decoder depended on map iteration order — varying the decode
+// work profile run to run. The
 // generation decoder now lists held rows by ascending index whatever
 // order they arrived in.
 func TestGenerationIntactDeterministicRowChoice(t *testing.T) {

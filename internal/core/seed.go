@@ -81,5 +81,6 @@ func (r *Receiver) SeedDecodedGeneration(g int, raw [][]byte) error {
 		}
 	}
 	r.decoded[g] = own
+	r.avail.touch(g)
 	return nil
 }

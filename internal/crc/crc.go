@@ -54,6 +54,7 @@ func genSliceTable() [8][256]uint16 {
 }
 
 // Checksum returns the CRC-16/CCITT-FALSE of data.
+//
 //mobweb:hot runs per frame on both marshal and parse
 func Checksum(data []byte) uint16 {
 	return Update(Init, data)
@@ -63,6 +64,7 @@ func Checksum(data []byte) uint16 {
 // computation across header and payload without concatenation. Blocks of
 // eight bytes go through the slicing tables; the tail (and short inputs)
 // fall back to the byte-at-a-time reference path.
+//
 //mobweb:hot runs per frame on both marshal and parse
 func Update(crc uint16, data []byte) uint16 {
 	for len(data) >= 8 {
@@ -84,6 +86,7 @@ func Update(crc uint16, data []byte) uint16 {
 
 // updateBytewise is the byte-at-a-time reference implementation, kept as
 // the cross-checked oracle for the slicing path (see TestSlicingMatchesBytewise).
+//
 //mobweb:hot tail path of every Update call
 func updateBytewise(crc uint16, data []byte) uint16 {
 	for _, b := range data {

@@ -16,15 +16,13 @@
 //
 // The byte work runs through the pluggable GF(2^8) slice kernels in
 // package gf256; output rows are computed by a GOMAXPROCS-bounded worker
-// pool above a work-size cutover (see parallel.go); and submatrix
-// inversions are memoized per Coder because retransmission rounds repeat
-// row patterns (see invcache.go).
+// pool above a work-size cutover (see parallel.go); and Decode solves
+// only for the raw packets that did not arrive in clear text.
 package erasure
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"mobweb/internal/matrix"
 )
@@ -47,13 +45,11 @@ var (
 )
 
 // Coder encodes M raw packets into N cooked packets and decodes any M of
-// them back. A Coder's coding parameters are immutable after
-// construction and it is safe for concurrent use; the only mutable state
-// is the internal inverse cache, which synchronizes itself.
+// them back. A Coder is immutable after construction and safe for
+// concurrent use.
 type Coder struct {
 	m, n      int
 	dispersal *matrix.Matrix // n×m systematic dispersal matrix
-	inv       invCache       // memoized inverted submatrices by row set
 }
 
 // NewCoder constructs a systematic (m, n) coder. It returns an error when
@@ -222,12 +218,16 @@ func (b *bitset256) testAndSet(i int) bool {
 	return old
 }
 
+func (b *bitset256) test(i int) bool { return b[i>>6]&(uint64(1)<<(i&63)) != 0 }
+
 // Decode reconstructs the m raw packets from any m (or more) intact cooked
 // packets. Extra packets beyond m are ignored; which m are used is an
 // implementation detail. Decode prefers clear-text packets (index < m)
 // because they require no matrix work — the "saving recovering effort"
-// property of the systematic construction. The returned packets share one
-// backing arena and do not alias the received data.
+// property of the systematic construction — and solves only for the e
+// raw packets that are missing: an e×e system, not the m×m one. The
+// returned packets share one backing arena and do not alias the received
+// data.
 func (c *Coder) Decode(received []Received) ([][]byte, error) {
 	if len(received) < c.m {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrShortSet, len(received), c.m)
@@ -255,47 +255,59 @@ func (c *Coder) Decode(received []Received) ([][]byte, error) {
 			redundant = append(redundant, r)
 		}
 	}
-	for _, r := range redundant {
-		if len(chosen) == c.m {
-			break
-		}
-		chosen = append(chosen, r)
+	held := len(chosen) // distinct clear rows, so at most m
+	e := c.m - held
+	if len(redundant) < e {
+		return nil, fmt.Errorf("%w: only %d distinct indices", ErrShortSet, held+len(redundant))
 	}
-	if len(chosen) > c.m {
-		chosen = chosen[:c.m]
-	}
-	if len(chosen) < c.m {
-		return nil, fmt.Errorf("%w: only %d distinct indices", ErrShortSet, len(chosen))
-	}
+	parity := redundant[:e]
 
+	// Clear rows are the raw packets themselves: straight copies, and with
+	// none missing no matrix work at all.
 	raw := allocPackets(c.m, size)
-
-	// Fast path: all chosen packets are clear text — the arena views are
-	// filled by straight copies, no matrix work at all.
-	if allClear := chosen[len(chosen)-1].Index < c.m; allClear {
-		for _, r := range chosen {
-			copy(raw[r.Index], r.Data)
-		}
+	for _, r := range chosen {
+		copy(raw[r.Index], r.Data)
+	}
+	if e == 0 {
 		return raw, nil
 	}
 
-	// Sort the chosen rows: the reconstruction raw = inv(sub(rows)) ×
-	// data(rows) is invariant under permuting the rows together with
-	// their data, and a canonical ascending order lets repeated
-	// retransmission patterns share one cached inversion.
-	sort.Slice(chosen, func(i, j int) bool { return chosen[i].Index < chosen[j].Index })
-	rows := make([]int, c.m)
-	data := make([][]byte, c.m)
-	for i, r := range chosen {
-		rows[i] = r.Index
-		data[i] = r.Data
+	// Parity row p carries Σ_j D[p][j]·raw[j]. Moving the held terms to its
+	// side leaves the syndrome Σ_i D[p][missing i]·raw[missing i]: e
+	// equations in the e missing packets.
+	missing := make([]int, 0, e)
+	for i := 0; i < c.m; i++ {
+		if !seen.test(i) {
+			missing = append(missing, i)
+		}
 	}
-	inv, err := c.invertForRows(rows)
+	heldData := make([][]byte, held)
+	for t, r := range chosen {
+		heldData[t] = r.Data
+	}
+	sub := matrix.New(e, e)
+	heldCoeffs := make([]byte, e*held)
+	for k, p := range parity {
+		row := c.dispersal.Row(p.Index)
+		subRow := sub.Row(k)
+		for i, mi := range missing {
+			subRow[i] = row[mi]
+		}
+		for t, r := range chosen {
+			heldCoeffs[k*held+t] = row[r.Index]
+		}
+	}
+	inv, err := sub.Invert()
 	if err != nil {
 		return nil, err
 	}
-	forEachRow(c.m, c.m*size, func(i int) {
-		accumulateRow(raw[i], inv.Row(i), data)
+	syndromes := allocPackets(e, size)
+	forEachRow(e, e*size, func(k int) {
+		copy(syndromes[k], parity[k].Data)
+		accumulateRow(syndromes[k], heldCoeffs[k*held:(k+1)*held], heldData)
+	})
+	forEachRow(e, e*size, func(i int) {
+		accumulateRow(raw[missing[i]], inv.Row(i), syndromes)
 	})
 	return raw, nil
 }

@@ -10,9 +10,6 @@ import "mobweb/internal/obs"
 // annotates. A front end that owns an obs.Registry exposes them by
 // registering MetricsProbe under a name like "erasure".
 var codecMetrics struct {
-	// invHits and invMisses aggregate every coder's inverse-submatrix
-	// cache (the per-coder split remains available via InvCacheStats).
-	invHits, invMisses obs.Counter
 	// parallelJobs counts codec calls that fanned out to the worker
 	// pool; serialJobs counts calls that stayed below the cutover.
 	parallelJobs, serialJobs obs.Counter
@@ -24,8 +21,6 @@ var codecMetrics struct {
 // for obs.Registry.RegisterProbe.
 func MetricsProbe() any {
 	return map[string]int64{
-		"inv_hits":      codecMetrics.invHits.Value(),
-		"inv_misses":    codecMetrics.invMisses.Value(),
 		"parallel_jobs": codecMetrics.parallelJobs.Value(),
 		"serial_jobs":   codecMetrics.serialJobs.Value(),
 		"parity_rows":   codecMetrics.parityRows.Value(),

@@ -116,8 +116,7 @@ func TestParallelEncodeMatchesSerial(t *testing.T) {
 
 // TestSharedCodersConcurrent drives the parallel encoder concurrently
 // through erasure.Shared coders — the -race test the satellite asks for:
-// multiple goroutines share one memoized Coder (and its inverse cache)
-// while the row workers of each call run underneath.
+// multiple goroutines share one memoized Coder while the row workers of each call run underneath.
 func TestSharedCodersConcurrent(t *testing.T) {
 	withWorkers(t, 2, func() {
 		const goroutines = 8
@@ -140,8 +139,8 @@ func TestSharedCodersConcurrent(t *testing.T) {
 						errs <- err
 						return
 					}
-					// Rotate through survivor sets so the inverse cache sees
-					// both repeats (hits) and fresh patterns (misses+evictions).
+					// Rotate through survivor sets: all-clear, mixed and
+					// parity-heavy solves run side by side.
 					rec := make([]Received, 0, 16)
 					start := iter % 9
 					for i := start; i < start+16; i++ {
@@ -171,6 +170,11 @@ func TestSharedCodersConcurrent(t *testing.T) {
 	})
 }
 
+// TestInvCacheHitsAndEviction keeps its name from the per-coder inverse
+// cache it once checked; with Decode solving only the missing rows there
+// is nothing to cache, and what remains worth pinning is that the same
+// loss pattern decodes to the same bytes every time, whatever order the
+// packets are presented in and whatever was decoded in between.
 func TestInvCacheHitsAndEviction(t *testing.T) {
 	c, err := NewCoder(4, 12)
 	if err != nil {
@@ -181,7 +185,7 @@ func TestInvCacheHitsAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeRows := func(rows []int) {
+	decodeRows := func(rows []int) [][]byte {
 		t.Helper()
 		rec := make([]Received, 0, len(rows))
 		for _, r := range rows {
@@ -196,29 +200,19 @@ func TestInvCacheHitsAndEviction(t *testing.T) {
 				t.Fatalf("rows %v: raw[%d] mismatch", rows, i)
 			}
 		}
+		return dec
 	}
 
-	// Same row set twice — second decode must hit, regardless of the order
-	// the packets arrive in (keys are canonicalized by sorting).
-	decodeRows([]int{4, 5, 6, 7})
-	decodeRows([]int{7, 6, 5, 4})
-	st := c.InvCacheStats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("after repeat decode: %+v, want 1 miss and 1 hit", st)
-	}
-
-	// All-clear decodes never touch the cache.
-	decodeRows([]int{0, 1, 2, 3})
-	if st2 := c.InvCacheStats(); st2.Hits != st.Hits || st2.Misses != st.Misses {
-		t.Fatalf("all-clear decode touched the inverse cache: %+v", st2)
-	}
-
-	// More distinct row sets than the capacity: entries stay bounded.
-	for shift := 0; shift < invCacheCap+4; shift++ {
+	first := decodeRows([]int{4, 5, 6, 7})
+	for shift := 0; shift < 12; shift++ {
 		decodeRows([]int{4 + shift%8, 5 + shift%7, 2, 3})
 	}
-	if st := c.InvCacheStats(); st.Entries > invCacheCap {
-		t.Fatalf("inverse cache grew to %d entries, cap is %d", st.Entries, invCacheCap)
+	decodeRows([]int{0, 1, 2, 3})
+	again := decodeRows([]int{7, 6, 5, 4})
+	for i := range first {
+		if !bytes.Equal(first[i], again[i]) {
+			t.Fatalf("raw[%d] differs between two decodes of the same loss pattern", i)
+		}
 	}
 }
 

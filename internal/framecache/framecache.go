@@ -5,9 +5,8 @@
 // Before this layer existed, every connection streaming a hot document
 // re-marshalled every frame — and, past each generation's clear-text
 // prefix, re-triggered parity encoding — per fetch. The planner cache
-// (plan builds) and the erasure inverse cache (submatrix inversions)
-// had already deduplicated the other redundant computations on the hot
-// path; frames were the last one. With this cache, N concurrent fetches
+// (plan builds) had already deduplicated the other redundant computation
+// on the hot path; frames were the last one. With this cache, N concurrent fetches
 // of one document share exactly one parity encode + marshal per row,
 // which is what lets a single server behave like a CDN edge for cooked
 // frames.
@@ -134,8 +133,8 @@ type Cache struct {
 	opts Options
 
 	mu      sync.Mutex
-	ll      *list.List               // front = most recently used
-	entries map[Key]*list.Element    // key → element (value *entry)
+	ll      *list.List            // front = most recently used
+	entries map[Key]*list.Element // key → element (value *entry)
 	byPlan  map[string]map[Key]*list.Element
 	flights map[Key]*flight
 	// epochs counts InvalidatePlan calls per plan key, so a cook that
@@ -204,7 +203,7 @@ func (c *Cache) GetOrCook(key Key, cook func() ([]byte, error)) ([]byte, error) 
 	epoch := c.epochs[key.Plan]
 	c.mu.Unlock()
 
-	start := time.Now()         //mobweb:nondet-ok cook-time stats, never part of frame bytes or keys
+	start := time.Now() //mobweb:nondet-ok cook-time stats, never part of frame bytes or keys
 	frame, err := cook()
 	elapsed := time.Since(start) //mobweb:nondet-ok cook-time stats
 

@@ -134,6 +134,7 @@ func logExpMulSlice(c byte, dst, src []byte) {
 
 // pairwiseRows is the generic row accumulation: one two-operand pass per
 // coefficient, with the degenerate coefficients peeled off.
+//
 //mobweb:hot row accumulation for the logexp kernel
 func pairwiseRows(mulAdd func(byte, []byte, []byte), coeffs []byte, dst []byte, srcs [][]byte) {
 	for j, c := range coeffs {
@@ -169,6 +170,7 @@ var kernelTable = &kernel{
 
 // tableMulAdd works 16 bytes per iteration as two independent 8-byte
 // gathers whose accumulation chains overlap in the pipeline.
+//
 //mobweb:hot every byte of every cooked packet flows through here
 func tableMulAdd(c byte, dst, src []byte) {
 	row := &_mul.full[c]
@@ -215,6 +217,7 @@ func tableMulSlice(c byte, dst, src []byte) {
 // read-modify-write: four fused sources cost one dst pass instead of
 // four. Zero coefficients are compacted away first; c == 1 needs no
 // special case (row 1 of the product table is the identity).
+//
 //mobweb:hot per parity row per frame; feeds the zero-alloc send path
 func tableMulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 	if len(coeffs) > 256 {
@@ -296,6 +299,7 @@ func tableMulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 // xorSlice computes dst[i] ^= src[i] eight bytes at a time. It is the
 // c == 1 path of MulAddSlice and the body of AddSlice; XOR is field
 // addition, so there is no table work at all.
+//
 //mobweb:hot c == 1 fast path of every row accumulation
 func xorSlice(dst, src []byte) {
 	n := len(src) &^ 7

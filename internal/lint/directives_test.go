@@ -91,8 +91,8 @@ func TestParseDirective(t *testing.T) {
 	}{
 		{"//mobweb:hot per-frame kernel", "hot", true},
 		{"//mobweb:nondet-ok", "nondet-ok", true},
-		{"//mobweb:", "", false},       // name missing
-		{"// mobweb:hot", "", false},   // space breaks the directive form
+		{"//mobweb:", "", false},             // name missing
+		{"// mobweb:hot", "", false},         // space breaks the directive form
 		{"//lint:allow hotalloc", "", false}, // different namespace
 		{"plain text", "", false},
 	}

@@ -4,7 +4,7 @@
 // library. The protocol of the paper is driven by quantities the system
 // already computes — per-round corruption counts feeding the §4.4 EWMA
 // α-estimator, γ adaptation, decode and parity work, plan-cache and
-// inverse-cache hit rates — and obs is the single export path for all of
+// frame-cache hit rates — and obs is the single export path for all of
 // them, in the spirit of the event-log instrumentation used to validate
 // Bayou's weak-consistency replication and Odyssey's server-side request
 // accounting.

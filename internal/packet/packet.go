@@ -61,6 +61,7 @@ func (p Packet) Marshal() ([]byte, error) {
 // AppendMarshal appends the framed packet to dst and returns the extended
 // slice, for allocation-free transmit loops: when dst has capacity for the
 // frame, no allocation happens at all.
+//
 //mobweb:hot per-frame marshal of the steady-state transmit loop
 func (p Packet) AppendMarshal(dst []byte) ([]byte, error) {
 	if p.Seq < 0 || p.Seq > MaxSeq {
@@ -92,6 +93,7 @@ func Unmarshal(frame []byte) (Packet, error) {
 // aliases frame, so it is only valid while the caller's frame buffer is.
 // Receivers that retain packets across frames must copy the payload (or
 // use Unmarshal).
+//
 //mobweb:hot per-frame parse of the receive loop
 func Parse(frame []byte) (Packet, error) {
 	if len(frame) < Overhead {

@@ -361,7 +361,7 @@ func (p *Planner) resolve(req Request) (*core.Plan, string, *content.SC, error) 
 	p.misses++
 	p.mu.Unlock()
 
-	start := time.Now()         //mobweb:nondet-ok build-time stats, never part of plans or keys
+	start := time.Now() //mobweb:nondet-ok build-time stats, never part of plans or keys
 	plan, buildErr := core.NewPlan(sc, queryVec, cfg)
 	elapsed := time.Since(start) //mobweb:nondet-ok build-time stats
 

@@ -244,6 +244,7 @@ func (c *Client) backoffWait(delay time.Duration) time.Duration {
 
 // deadline computes the per-operation I/O deadline: the read/write
 // timeout, tightened by the context's own deadline when that is sooner.
+//
 //mobweb:nondet-ok I/O deadlines are wall-clock by nature
 func (c *Client) deadline(ctx context.Context) time.Time {
 	t := c.Timeout
@@ -1076,7 +1077,7 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 		if opts.OnProgress != nil {
 			prog := Progress{Seq: seq, Intact: intact, InfoContent: rcv.InfoContent()}
 			if intact {
-				for _, u := range rcv.Render() {
+				for _, u := range rcv.NewUnits() {
 					if seen[u.Segment.PermutedOff] {
 						continue
 					}

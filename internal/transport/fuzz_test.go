@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"encoding/json"
 	"testing"
 	"unicode/utf8"
 
+	"mobweb/internal/core"
 	"mobweb/internal/corpus"
+	"mobweb/internal/erasure"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
 )
@@ -69,6 +72,84 @@ func FuzzRequestDecode(f *testing.F) {
 			}
 		case "search":
 			srv.engine.Search(req.Query, req.Limit)
+		}
+	})
+}
+
+// FuzzResponseLayout feeds arbitrary bytes through what the client does
+// with a fetch response header — JSON decode, layout validation, receiver
+// construction — and then drives the receiver the way a fetch would:
+// packets in, progress questions after each, reconstruction at the end.
+// A hostile or buggy server may get an error back; it must never get a
+// panic. The layout is the one piece of the protocol whose offsets the
+// client slices its own buffers by.
+func FuzzResponseLayout(f *testing.F) {
+	// Hand-sized seeds: the engine minimises every interesting input, and
+	// a real plan's layout is tens of kilobytes of JSON to minimise.
+	for _, s := range []string{
+		// offset+length wraps negative: passed Validate, panicked Reconstruct
+		`{"ok":true,"layout":{"packetSize":8,"bodySize":8,"shapes":[{"m":1,"n":1}],"ranked":[{"label":"1","level":1,"score":1,"permutedOff":0,"origOff":9223372036854775807,"length":1}]}}`,
+		`{"ok":true,"layout":{"packetSize":8,"bodySize":8,"shapes":[{"m":1,"n":2}],"accrual":[{"label":"1","level":4,"score":1,"permutedOff":9223372036854775800,"origOff":0,"length":8}]}}`,
+		// every unit claims the whole body
+		`{"ok":true,"layout":{"packetSize":2,"bodySize":8,"shapes":[{"m":4,"n":6}],"accrual":[{"label":"1","score":0.1,"length":8},{"label":"2","score":0.1,"length":8},{"label":"3","score":0.1,"length":8},{"label":"4","score":0.1,"length":8},{"label":"5","score":0.1,"length":8},{"label":"6","score":0.1,"length":8},{"label":"7","score":0.1,"length":8},{"label":"8","score":0.1,"length":8},{"label":"9","score":0.1,"length":8}]}}`,
+		// zero-length units, units out of order, a fountain stream
+		`{"ok":true,"layout":{"packetSize":4,"bodySize":10,"shapes":[{"m":2,"n":3},{"m":1,"n":2}],"ranked":[{"label":"1","score":1,"length":10}],"accrual":[{"label":"b","score":0.5,"permutedOff":6,"origOff":6,"length":4},{"label":"e","score":0,"permutedOff":6,"origOff":6},{"label":"a","score":0.5,"length":6}]}}`,
+		`{"ok":true,"layout":{"packetSize":4,"bodySize":10,"shapes":[{"m":3,"n":3}],"ranked":[{"label":"1","score":1,"length":10}],"accrual":[{"label":"a","score":1,"length":10}],"codec":1,"seed":5}}`,
+		`{"ok":true}`,
+		`{"ok":true,"layout":{}}`,
+		`{"ok":true,"layout":{"packetSize":-1,"bodySize":-1,"shapes":[{"m":-1,"n":300}]}}`,
+	} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var resp Response
+		if json.Unmarshal(line, &resp) != nil || resp.Layout == nil {
+			return
+		}
+		lo := *resp.Layout
+		// Bound the work, not the shapes: a megabyte packet or ten
+		// thousand generations is legal and slow, not interesting.
+		if lo.PacketSize > 256 || len(lo.Shapes) > 8 || lo.N() > 512 || len(lo.Accrual) > 256 || len(lo.Ranked) > 256 {
+			return
+		}
+		rcv, err := core.NewReceiverFromLayout(lo)
+		if err != nil {
+			return
+		}
+		payload := make([]byte, lo.PacketSize)
+		for g, shape := range lo.Shapes {
+			rows := shape.N
+			if lo.Codec == erasure.CodecFountain {
+				rows = 2*shape.M + 8
+			}
+			for k := 0; k < rows && !rcv.GenerationReconstructible(g); k++ {
+				seq, ok := lo.WireSeq(g, k)
+				if !ok {
+					t.Fatalf("WireSeq(%d, %d) refused a row inside the layout", g, k)
+				}
+				if err := rcv.Add(seq, payload); err != nil {
+					return // e.g. all-zero fountain symbols that contradict each other
+				}
+				rcv.InfoContent()
+				rcv.NewUnits()
+			}
+		}
+		if ic := rcv.InfoContent(); ic < 0 || ic > 1+1e-6 {
+			t.Fatalf("InfoContent %v outside [0, 1]", ic)
+		}
+		rendered := rcv.Render()
+		if got := rcv.AvailableUnits(); len(got) != len(rendered) {
+			t.Fatalf("%d units available, %d rendered", len(got), len(rendered))
+		}
+		if rcv.Reconstructible() {
+			body, err := rcv.Reconstruct()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(body) != lo.BodySize {
+				t.Fatalf("reconstructed %d bytes, layout says %d", len(body), lo.BodySize)
+			}
 		}
 	})
 }

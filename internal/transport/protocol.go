@@ -164,6 +164,7 @@ type Response struct {
 }
 
 // WriteFrame writes one length-prefixed packet frame.
+//
 //mobweb:hot runs once per frame on every connection
 func WriteFrame(w io.Writer, frame []byte) error {
 	if len(frame) == 0 || len(frame) > MaxFrameSize {

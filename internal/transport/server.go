@@ -120,7 +120,7 @@ func NewServer(engine *search.Engine, opts ServerOptions) (*Server, error) {
 	if opts.Metrics != nil {
 		// The probes surface stats that live in their own layers: the
 		// planner's cache counters, the erasure codec's package-wide
-		// inverse-cache/dispatch counters, and the receiver decode
+		// dispatch counters, and the receiver decode
 		// counters. They run at scrape time, outside the registry lock.
 		opts.Metrics.RegisterProbe("planner", func() any { return pl.Stats() })
 		opts.Metrics.RegisterProbe("framecache", func() any { return pl.FrameStats() })
