@@ -7,8 +7,8 @@ package core
 // costs what the last packets changed instead of a walk over every unit
 // and every packet.
 //
-// Availability only grows until Reset — a held row stays held, a peeled
-// symbol stays peeled, a complete generation stays complete — so the
+// Availability only grows until Reset — a held row stays held, a resolved
+// symbol stays resolved, a complete generation stays complete — so the
 // index never retracts a flag.
 type availIndex struct {
 	// raw[p]: global raw packet p's bytes are usable.
@@ -129,7 +129,7 @@ func (ix *availIndex) markRaw(p int) {
 
 // fold brings the index up to date with the decoders: it rescans only the
 // generations touched since the last fold, through the same genDecoder
-// seam whatever made a symbol readable — a clear row, a peeled fountain
+// seam whatever made a symbol readable — a clear row, a resolved fountain
 // symbol, a completed or seeded generation.
 //
 //mobweb:hot

@@ -9,19 +9,20 @@ import (
 
 // genDecoder is one generation's codec state inside a Receiver. It hides
 // the decode algorithm — a fixed-rate matrix solve on demand, or rateless
-// peeling as packets arrive — so the receiver's bookkeeping (held packets,
+// elimination as packets arrive — so the receiver's bookkeeping (held packets,
 // decode memo, availability, rendering) is written once. Packets are
 // addressed by generation-local index; Layout.SplitSeq / WireSeq map
 // those to and from wire sequence numbers.
 type genDecoder interface {
-	// add feeds one intact packet. The payload is the receiver's own copy
-	// and stays valid for the decoder's lifetime. solved reports that this
+	// add feeds one intact packet. The payload is the receiver's own copy:
+	// it stays valid for the decoder's lifetime and must not be written
+	// to. solved reports that this
 	// packet finished an incremental decode.
 	add(local int, payload []byte) (solved bool, err error)
 	// complete reports whether the generation can be decoded.
 	complete() bool
 	// symbol returns raw symbol i when it is readable without solving —
-	// a held clear-text row, a peeled fountain symbol — and nil otherwise.
+	// a held clear-text row, a resolved fountain symbol — and nil otherwise.
 	symbol(i int) []byte
 	// decode returns all M raw symbols of a complete generation. solved
 	// reports that the call ran a matrix solve, as opposed to collecting
@@ -101,10 +102,10 @@ func (d *vandermondeGen) decode() ([][]byte, bool, error) {
 	return raw, true, err
 }
 
-// fountainGen adapts the rateless decoder, which recovers source symbols
-// incrementally (peeling) and finishes stalled patterns through its
-// Gaussian fallback. Packet count alone does not complete it — random
-// combinations can be linearly dependent.
+// fountainGen adapts the rateless decoder, which eliminates each packet
+// on arrival and exposes source symbols one by one as their rows resolve.
+// Packet count alone does not complete it — random combinations can be
+// linearly dependent.
 type fountainGen struct{ dec *fountain.Decoder }
 
 func (d fountainGen) add(local int, payload []byte) (bool, error) {
@@ -118,7 +119,7 @@ func (d fountainGen) add(local int, payload []byte) (bool, error) {
 func (d fountainGen) complete() bool { return d.dec.Complete() }
 
 // symbol is where unequal error protection pays off: high-IC symbols
-// peel first, and each is usable the moment it is recovered.
+// resolve first, and each is usable the moment it is recovered.
 func (d fountainGen) symbol(i int) []byte { return d.dec.Symbol(i) }
 
 func (d fountainGen) decode() ([][]byte, bool, error) {

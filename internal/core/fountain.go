@@ -79,39 +79,35 @@ func (p *Plan) FountainLayout(seed uint64) Layout {
 	return l
 }
 
-// fountainEncKey identifies one lazily-built generation encoder.
-type fountainEncKey struct {
-	gen  int
-	seed uint64
-}
-
-// fountainEncoder returns the plan's encoder for (gen, seed), building
-// it once. Encoders reference the plan's raw packets without copying;
-// the weights come from the same FountainWeights the client will run
-// against the transmitted layout.
-func (p *Plan) fountainEncoder(gen int, seed uint64) (*fountain.Encoder, error) {
+// fountainEncoder returns the plan's encoder for generation gen keyed to
+// the stream seed. One encoder per generation is built on first use and
+// kept — the symbol weights and degree tables do not depend on the seed,
+// which only keys the per-packet RNG — so what a plan retains is bounded
+// by its generation count however many seeds its clients choose.
+// Encoders reference the plan's raw packets without copying; the weights
+// come from the same FountainWeights the client will run against the
+// transmitted layout.
+func (p *Plan) fountainEncoder(gen int, seed uint64) (fountain.Encoder, error) {
 	if gen < 0 || gen >= len(p.gens) {
-		return nil, fmt.Errorf("core: fountain generation %d of %d", gen, len(p.gens))
+		return fountain.Encoder{}, fmt.Errorf("core: fountain generation %d of %d", gen, len(p.gens))
 	}
 	p.fmu.Lock()
 	defer p.fmu.Unlock()
-	key := fountainEncKey{gen: gen, seed: seed}
-	if enc, ok := p.fenc[key]; ok {
-		return enc, nil
-	}
-	weights, err := p.FountainLayout(seed).FountainWeights(gen)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := fountain.NewEncoder(gen, seed, p.gens[gen].raw, weights)
-	if err != nil {
-		return nil, fmt.Errorf("core: fountain generation %d: %w", gen, err)
-	}
 	if p.fenc == nil {
-		p.fenc = make(map[fountainEncKey]*fountain.Encoder, len(p.gens))
+		p.fenc = make([]*fountain.Encoder, len(p.gens))
 	}
-	p.fenc[key] = enc
-	return enc, nil
+	if p.fenc[gen] == nil {
+		weights, err := p.Layout().FountainWeights(gen)
+		if err != nil {
+			return fountain.Encoder{}, err
+		}
+		enc, err := fountain.NewEncoder(gen, 0, p.gens[gen].raw, weights)
+		if err != nil {
+			return fountain.Encoder{}, fmt.Errorf("core: fountain generation %d: %w", gen, err)
+		}
+		p.fenc[gen] = enc
+	}
+	return p.fenc[gen].WithSeed(seed), nil
 }
 
 // FountainPayload cooks the rateless packet (gen, seq) of the seeded

@@ -299,3 +299,49 @@ func TestFountainWeightsConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestFountainEncoderStateBoundedBySeeds is the regression test for a
+// remotely growable cache: the stream seed is client-chosen and plans are
+// shared and long-lived, so what a plan retains per fountain stream must
+// not scale with the seeds it has served — while every (seed, gen, seq)
+// still cooks to the same bytes whichever seeds came before it.
+func TestFountainEncoderStateBoundedBySeeds(t *testing.T) {
+	doc, scores := paperShapedDoc(t)
+	plan, err := NewPlanWithScores(doc, scores, Config{LOD: 4, MaxGeneration: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Generations() < 2 {
+		t.Fatalf("want a multi-generation plan, got %d", plan.Generations())
+	}
+	fresh, err := NewPlanWithScores(doc, scores, Config{LOD: 4, MaxGeneration: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fetch := 0; fetch < 1000; fetch++ {
+		seed := uint64(fetch)*0x9e3779b97f4a7c15 + 1
+		for g := 0; g < plan.Generations(); g++ {
+			if _, err := plan.FountainFrame(seed, g, fetch%7); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := len(plan.fenc); got != plan.Generations() {
+		t.Fatalf("plan retains %d fountain encoders after 1000 seeds, want %d (one per generation)", got, plan.Generations())
+	}
+	for _, seed := range []uint64{1, 0x0dd5eed} {
+		for g := 0; g < plan.Generations(); g++ {
+			a, err := plan.FountainFrame(seed, g, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := fresh.FountainFrame(seed, g, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("seed %#x gen %d: frame depends on the seeds served before it", seed, g)
+			}
+		}
+	}
+}

@@ -93,12 +93,12 @@ type Plan struct {
 	// parityEncodes counts generations whose parity has been encoded.
 	parityEncodes atomic.Int64
 
-	// fmu guards fenc, the lazily-built per-(generation, seed) fountain
-	// encoders. A plan is codec-neutral: the fixed-rate path uses the
-	// generations' coders, the rateless path attaches encoders here on
-	// first use (see fountain.go).
+	// fmu guards fenc, the lazily-built per-generation fountain encoders
+	// (seed-independent; see fountainEncoder). A plan is codec-neutral:
+	// the fixed-rate path uses the generations' coders, the rateless path
+	// attaches encoders here on first use.
 	fmu  sync.Mutex
-	fenc map[fountainEncKey]*fountain.Encoder
+	fenc []*fountain.Encoder
 }
 
 // NewPlan ranks the document's units by the SC's scores for the query and

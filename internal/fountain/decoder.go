@@ -1,41 +1,45 @@
 package fountain
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"mobweb/internal/gf256"
 )
 
-// pendRow is a received cooked packet reduced to its residual equation:
-// the GF(2^8) combination of still-unrecovered source symbols it
-// constrains. Residuals are order-independent — subtracting recovered
-// symbols commutes — so a pendRow's content is a pure function of its
-// seq and the decoder's recovered set, which is what makes the Gaussian
-// inverse cacheable across decoders seeing the same loss pattern.
-type pendRow struct {
-	seq    int
-	idx    []int  // residual symbol indices, sorted ascending
-	coeffs []byte // aligned with idx
-	data   []byte // owned residual payload
-}
-
 // Decoder reconstructs one generation's source symbols from any
-// sufficiently large subset of the cooked stream. Add packets as they
-// arrive; peeling recovers symbols incrementally (driving progressive
-// IC accrual), and a Gaussian fallback finishes off loss patterns that
-// stall belief propagation. Not safe for concurrent use; the owning
-// Receiver serializes access.
+// sufficiently large subset of the cooked stream by online Gauss–Jordan
+// elimination: every packet is reduced once, on arrival, against what is
+// already known, and source symbols become readable one by one as their
+// rows resolve (driving progressive IC accrual). Not safe for concurrent
+// use; the owning Receiver serializes access.
+//
+// Invariant. rows[c], when set, is the pivot row of source column c — k
+// coefficient bytes followed by the payload they combine to — with
+// coefficient 1 on column c and 0 on every other pivot column, so its
+// remaining non-zero coefficients all sit on columns no packet has
+// pinned yet. free[c] counts them; a row with none left reads
+// "symbol c = payload" and is what Symbol(c) exposes.
 type Decoder struct {
-	spec      *spec
-	size      int
-	recovered [][]byte // per source symbol, nil until recovered
-	nRec      int
-	pending   []pendRow
-	seen      map[int]bool
+	spec  *spec
+	seed  uint64
+	size  int
+	rows  [][]byte
+	free  []int
+	mixed []bool // the row was combined with a then-unresolved row
+	rank  int    // pivot rows installed
+	nRec  int    // of which resolved
+	seen  map[int]bool
+
 	received  int // distinct useful seqs consumed before completion
 	usedGauss bool
 	complete  bool
+
+	// Scratch of the forward pass, k entries each: the touched pivot rows
+	// and the packet's coefficient on each.
+	factors []byte
+	srcs    [][]byte
 }
 
 // NewDecoder builds the decoding side of generation gen's stream. k,
@@ -45,15 +49,20 @@ func NewDecoder(gen int, seed uint64, k, size int, weights []float64) (*Decoder,
 	if size <= 0 {
 		return nil, fmt.Errorf("fountain: symbol size %d", size)
 	}
-	sp, err := newSpec(gen, seed, k, weights)
+	sp, err := newSpec(gen, k, weights)
 	if err != nil {
 		return nil, err
 	}
 	return &Decoder{
-		spec:      sp,
-		size:      size,
-		recovered: make([][]byte, k),
-		seen:      make(map[int]bool, k+k/4),
+		spec:    sp,
+		seed:    seed,
+		size:    size,
+		rows:    make([][]byte, k),
+		free:    make([]int, k),
+		mixed:   make([]bool, k),
+		seen:    make(map[int]bool, k+k/4),
+		factors: make([]byte, k),
+		srcs:    make([][]byte, k),
 	}, nil
 }
 
@@ -67,9 +76,7 @@ func (d *Decoder) SymbolSize() int { return d.size }
 func (d *Decoder) Complete() bool { return d.complete }
 
 // Recovered reports whether source symbol i has been recovered yet.
-func (d *Decoder) Recovered(i int) bool {
-	return i >= 0 && i < len(d.recovered) && d.recovered[i] != nil
-}
+func (d *Decoder) Recovered(i int) bool { return d.Symbol(i) != nil }
 
 // RecoveredCount returns how many source symbols are recovered so far.
 func (d *Decoder) RecoveredCount() int { return d.nRec }
@@ -78,22 +85,26 @@ func (d *Decoder) RecoveredCount() int { return d.nRec }
 // before completion; received − k is the reception overhead.
 func (d *Decoder) Received() int { return d.received }
 
-// UsedGaussian reports whether completion needed the Gaussian fallback.
+// UsedGaussian reports whether any recovered symbol needed an
+// elimination between two unresolved rows, as opposed to substitutions
+// of already-recovered symbols alone (what a peeling decoder can do).
 func (d *Decoder) UsedGaussian() bool { return d.usedGauss }
 
 // Symbol returns recovered source symbol i, or nil if not yet
 // recovered. The slice is shared with the decoder; callers must not
 // mutate it.
 func (d *Decoder) Symbol(i int) []byte {
-	if i < 0 || i >= len(d.recovered) {
+	if i < 0 || i >= len(d.rows) || d.rows[i] == nil || d.free[i] != 0 {
 		return nil
 	}
-	return d.recovered[i]
+	return d.rows[i][d.spec.k:]
 }
 
 // Add consumes cooked packet seq and returns how many source symbols it
 // newly recovered. Duplicate seqs and packets arriving after completion
 // are no-ops. The payload is copied; the caller keeps ownership.
+//
+//mobweb:hot per intact fountain frame on the client
 func (d *Decoder) Add(seq int, payload []byte) (int, error) {
 	if len(payload) != d.size {
 		return 0, fmt.Errorf("fountain: payload %d bytes, want %d", len(payload), d.size)
@@ -105,158 +116,115 @@ func (d *Decoder) Add(seq int, payload []byte) (int, error) {
 	d.received++
 	fountainMetrics.packetsConsumed.Inc()
 
-	idx, coeffs := d.spec.combination(seq)
-	row := pendRow{
-		seq:    seq,
-		idx:    make([]int, 0, len(idx)),
-		coeffs: make([]byte, 0, len(idx)),
-		data:   append([]byte(nil), payload...),
-	}
-	for i, j := range idx {
-		if d.recovered[j] != nil {
-			gf256.MulAddSlice(coeffs[i], row.data, d.recovered[j])
-			continue
-		}
-		row.idx = append(row.idx, j)
-		row.coeffs = append(row.coeffs, coeffs[i])
-	}
+	k := d.spec.k
+	row := make([]byte, k+d.size) //lint:allow hotalloc (the one allocation per packet: the pivot row it becomes)
+	cols := d.spec.combination(d.seed, seq, row[:k])
+	copy(row[k:], payload)
 
 	before := d.nRec
-	switch len(row.idx) {
-	case 0:
-		fountainMetrics.packetsRedundant.Inc()
-	case 1:
-		d.recoverFrom(row)
-	default:
-		d.pending = append(d.pending, row)
+	d.eliminate(row, cols)
+	if d.rank == k {
+		d.finish()
 	}
-	if !d.complete && d.nRec < d.spec.k && len(d.pending) >= d.spec.k-d.nRec {
-		d.tryGaussian()
-	}
-	d.checkComplete()
 	return d.nRec - before, nil
 }
 
-// recoverFrom resolves a residual degree-1 row into its source symbol
-// and ripples the recovery through the pending set, peeling further
-// rows down to degree 1 as it goes.
-func (d *Decoder) recoverFrom(row pendRow) {
-	work := []pendRow{row}
-	for len(work) > 0 {
-		r := work[len(work)-1]
-		work = work[:len(work)-1]
-		j := r.idx[0]
-		if d.recovered[j] != nil {
+// eliminate reduces a packet's expanded row against the pivots it
+// touches and, if anything survives, installs it as the pivot of its
+// lowest surviving column and clears that column from every other row.
+//
+//mobweb:hot the row reduction of Decoder.Add
+func (d *Decoder) eliminate(row []byte, cols colset) {
+	k := d.spec.k
+	// Forward. Pivot rows are zero on each other's columns, so the factor
+	// of each is the packet's own coefficient there, whatever the order,
+	// and one fused pass applies them all. A resolved pivot contributes
+	// its symbol only: the peeling substitution.
+	n, mixed := 0, false
+	for w, word := range cols {
+		for ; word != 0; word &= word - 1 {
+			c := w<<6 + bits.TrailingZeros64(word)
+			if p := d.rows[c]; p != nil {
+				d.factors[n], d.srcs[n] = row[c], p
+				n++
+				mixed = mixed || d.free[c] > 0
+			}
+		}
+	}
+	if n > 0 {
+		gf256.MulAddRows(d.factors[:n], row, d.srcs[:n])
+	}
+
+	// What survives sits on pivot-less columns only.
+	c := 0
+	for c < k && row[c] == 0 {
+		c++
+	}
+	if c == k {
+		fountainMetrics.packetsRedundant.Inc()
+		return
+	}
+	gf256.MulSlice(gf256.Inv(row[c]), row[c:], row[c:])
+	free := nonZero(row[c:k]) - 1
+	d.rows[c], d.free[c], d.mixed[c] = row, free, mixed
+	d.rank++
+	if free == 0 {
+		d.resolve(c)
+	}
+
+	// Backward: column c now has a pivot, so it leaves every other row.
+	// The new row is zero below c; its other entries land on free columns
+	// of the row they are added to, which is then recounted.
+	for q, r := range d.rows {
+		if r == nil || q == c || r[c] == 0 {
 			continue
 		}
-		sym := make([]byte, d.size)
-		gf256.MulSlice(gf256.Inv(r.coeffs[0]), sym, r.data)
-		d.recovered[j] = sym
-		d.nRec++
-		fountainMetrics.peelRecovered.Inc()
-
-		// Substitute the new symbol into every pending row that uses it.
-		kept := d.pending[:0]
-		for _, p := range d.pending {
-			pos := sort.SearchInts(p.idx, j)
-			if pos < len(p.idx) && p.idx[pos] == j {
-				gf256.MulAddSlice(p.coeffs[pos], p.data, sym)
-				p.idx = append(p.idx[:pos], p.idx[pos+1:]...)
-				p.coeffs = append(p.coeffs[:pos], p.coeffs[pos+1:]...)
-			}
-			switch len(p.idx) {
-			case 0:
-				fountainMetrics.packetsRedundant.Inc()
-			case 1:
-				work = append(work, p)
-			default:
-				kept = append(kept, p)
-			}
+		gf256.MulAddSlice(r[c], r[c:], row[c:])
+		d.free[q] = nonZero(r[:k]) - 1
+		d.mixed[q] = d.mixed[q] || free > 0
+		if d.free[q] == 0 {
+			d.resolve(q)
 		}
-		d.pending = kept
 	}
 }
 
-// tryGaussian attempts to solve the residual system outright: if the
-// pending rows span the remaining unknowns, select an invertible square
-// submatrix (memoized in the shared LRU by loss pattern), invert it
-// once, and recover every outstanding symbol via the GF(2^8) kernels.
-func (d *Decoder) tryGaussian() {
-	unknowns := make([]int, 0, d.spec.k-d.nRec)
-	for j, sym := range d.recovered {
-		if sym == nil {
-			unknowns = append(unknowns, j)
+// nonZero counts b's non-zero bytes, eight per step: in each word the
+// high bit of a byte is raised exactly when the byte is zero, and a
+// population count tallies them.
+//
+//mobweb:hot the free-column recount of every backward elimination
+func nonZero(b []byte) int {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	n := len(b)
+	for ; len(b) >= 8; b = b[8:] {
+		x := binary.LittleEndian.Uint64(b)
+		n -= bits.OnesCount64(^((x&low7 + low7) | x | low7))
+	}
+	for _, v := range b {
+		if v == 0 {
+			n--
 		}
 	}
-	u := len(unknowns)
-	if u == 0 || len(d.pending) < u {
-		return
-	}
-	col := make(map[int]int, u)
-	for c, j := range unknowns {
-		col[j] = c
-	}
-	// Dense residual coefficient rows over the unknown columns.
-	dense := make([][]byte, len(d.pending))
-	for i, p := range d.pending {
-		dr := make([]byte, u)
-		for t, j := range p.idx {
-			dr[col[j]] = p.coeffs[t]
-		}
-		dense[i] = dr
-	}
+	return n
+}
 
-	entry := sharedInv.lookup(d.spec, d.seen, d.recovered)
-	if entry == nil {
-		rowSel, inv := solveDense(dense)
-		if inv == nil {
-			fountainMetrics.gaussStalls.Inc()
-			return
-		}
-		seqs := make([]int, u)
-		for t, ri := range rowSel {
-			seqs[t] = d.pending[ri].seq
-		}
-		entry = &invEntry{seqs: seqs, inv: inv}
-		sharedInv.store(d.spec, d.seen, d.recovered, entry)
-	}
-
-	bySeq := make(map[int]int, len(d.pending))
-	for i, p := range d.pending {
-		bySeq[p.seq] = i
-	}
-	dataRows := make([][]byte, u)
-	for t, seq := range entry.seqs {
-		i, ok := bySeq[seq]
-		if !ok {
-			// Cache geometry drifted from this decoder's pending set
-			// (cannot happen when keys match, but fail safe).
-			fountainMetrics.gaussStalls.Inc()
-			return
-		}
-		dataRows[t] = d.pending[i].data
-	}
-	for t, j := range unknowns {
-		sym := make([]byte, d.size)
-		gf256.MulAddRows(entry.inv.Row(t), sym, dataRows)
-		d.recovered[j] = sym
-		d.nRec++
+// resolve accounts for pivot row c having become source symbol c.
+func (d *Decoder) resolve(c int) {
+	d.nRec++
+	if d.mixed[c] {
+		d.usedGauss = true
 		fountainMetrics.gaussRecovered.Inc()
+	} else {
+		fountainMetrics.peelRecovered.Inc()
 	}
-	d.usedGauss = true
-	d.pending = nil
 }
 
-// checkComplete finalizes completion accounting exactly once.
-func (d *Decoder) checkComplete() {
-	if d.complete || d.nRec < d.spec.k {
-		return
-	}
+// finish does the completion accounting, once, at rank k — where every
+// column has a pivot, so every row is resolved.
+func (d *Decoder) finish() {
 	d.complete = true
-	d.pending = nil
 	fountainMetrics.packetsNeeded.Add(int64(d.spec.k))
-	over := d.received - d.spec.k
-	if over > 0 {
+	if over := d.received - d.spec.k; over > 0 {
 		fountainMetrics.overshootPackets.Add(int64(over))
 		fountainMetrics.overshootBytes.Add(int64(over) * int64(d.size))
 	}

@@ -2,6 +2,7 @@ package fountain
 
 import (
 	"fmt"
+	"sync"
 
 	"mobweb/internal/gf256"
 )
@@ -13,6 +14,7 @@ import (
 // stream serve many broadcast subscribers.
 type Encoder struct {
 	spec *spec
+	seed uint64
 	src  [][]byte
 	size int
 }
@@ -35,11 +37,21 @@ func NewEncoder(gen int, seed uint64, src [][]byte, weights []float64) (*Encoder
 			return nil, fmt.Errorf("fountain: symbol %d is %d bytes, want %d", i, len(s), size)
 		}
 	}
-	sp, err := newSpec(gen, seed, len(src), weights)
+	sp, err := newSpec(gen, len(src), weights)
 	if err != nil {
 		return nil, err
 	}
-	return &Encoder{spec: sp, src: src, size: size}, nil
+	return &Encoder{spec: sp, seed: seed, src: src, size: size}, nil
+}
+
+// WithSeed returns the encoder of the same generation's stream under
+// another seed. Everything but the per-packet RNG key is seed-independent
+// and shared, so a server keeps one Encoder per generation however many
+// seeds its clients choose.
+func (e *Encoder) WithSeed(seed uint64) Encoder {
+	c := *e
+	c.seed = seed
+	return c
 }
 
 // K returns the number of source symbols.
@@ -49,26 +61,31 @@ func (e *Encoder) K() int { return e.spec.k }
 func (e *Encoder) SymbolSize() int { return e.size }
 
 // Seed returns the stream seed.
-func (e *Encoder) Seed() uint64 { return e.spec.seed }
+func (e *Encoder) Seed() uint64 { return e.seed }
 
 // Payload cooks packet seq into a fresh slice.
 func (e *Encoder) Payload(seq int) []byte {
 	return e.AppendPayload(nil, seq)
 }
 
+// coeffScratch recycles the dense coefficient vector AppendPayload hands
+// to the slice kernel: the kernel call is indirect, so a stack array
+// would escape and cost an allocation per packet.
+var coeffScratch = sync.Pool{New: func() any { return new([MaxSourceSymbols]byte) }}
+
 // AppendPayload cooks packet seq and appends it to dst, returning the
-// extended slice. The combination is derived deterministically and the
-// GF(2^8) accumulation runs through the shared slice kernels.
+// extended slice; with room in dst it allocates nothing. The combination
+// is derived deterministically and the GF(2^8) accumulation runs through
+// the shared slice kernels.
 func (e *Encoder) AppendPayload(dst []byte, seq int) []byte {
-	idx, coeffs := e.spec.combination(seq)
+	buf := coeffScratch.Get().(*[MaxSourceSymbols]byte)
+	co := buf[:e.spec.k]
+	e.spec.combination(e.seed, seq, co)
 	off := len(dst)
 	dst = append(dst, make([]byte, e.size)...)
-	out := dst[off:]
-	rows := make([][]byte, len(idx))
-	for i, j := range idx {
-		rows[i] = e.src[j]
-	}
-	gf256.MulAddRows(coeffs, out, rows)
+	gf256.MulAddRows(co, dst[off:], e.src)
+	clear(co)
+	coeffScratch.Put(buf)
 	fountainMetrics.packetsGenerated.Inc()
 	return dst
 }

@@ -23,19 +23,22 @@
 // "Unequal Error Protected JPEG 2000 Broadcast Scheme with Progressive
 // Fountain Codes"): source packets carrying high-IC units are chosen
 // with higher probability, so they appear in more cooked packets and —
-// under the peeling decoder — are recovered earlier under loss. A
+// as their rows resolve first — are recovered earlier under loss. A
 // receiver that terminates on a relevance judgment therefore sees the
 // most informative units first, exactly as the fixed-rate code's
 // IC-ordered clear prefix arranged, but robustly under any loss pattern.
 //
-// Decoding is peeling (belief propagation) first: a received packet is
-// reduced against already-recovered symbols; residual degree-1 packets
-// recover a symbol and ripple. When peeling stalls with enough packets
-// on hand, a GF(2^8) Gaussian fallback solves the residual system
-// through the gf256 slice kernels (the PR 4 layer), with the inverted
-// submatrix memoized in a package-wide LRU so identical loss patterns —
-// ubiquitous under broadcast, where every clean-channel subscriber
-// receives the same prefix — invert once.
+// Decoding is one online Gauss–Jordan elimination over GF(2^8): the
+// decoder keeps at most one pivot row per source column, normalized to 1
+// on its own column and zero on every other pivot column, and reduces
+// each arriving packet against the pivots it touches exactly once. A
+// pivot row with nothing left outside its own column is the source
+// symbol — substituting such rows into an arriving packet is the peeling
+// step of belief propagation, so whatever a degree-1 ripple would reach
+// is exposed no later, and the generation is complete at rank k, the
+// first packet at which any decoder could finish. Nothing is solved in
+// batch and nothing is memoized: every row operation runs once, through
+// the gf256 slice kernels.
 package fountain
 
 import (
@@ -48,7 +51,7 @@ import (
 // Soliton parameters. The robust soliton distribution μ(d) ∝ ρ(d)+τ(d)
 // needs a constant c and a failure bound δ; these defaults are tuned for
 // the small generations of this system (M ≤ 255 source symbols), where
-// the Gaussian fallback erases most of the asymptotic overhead anyway.
+// full-rank decoding erases most of the asymptotic overhead anyway.
 const (
 	// SolitonC is the robust-soliton constant c.
 	SolitonC = 0.1
@@ -160,23 +163,22 @@ func (d *dist) sample(r *rng) int {
 	return sort.SearchFloat64s(d.cdf, x) + 1
 }
 
-// spec is the shared combination geometry of one (seed, gen) fountain
-// stream: the degree distribution plus the cumulative IC-weighted symbol
-// selection weights. Encoder and decoder each build one from the same
-// inputs, so they derive identical combinations per seq.
+// spec is the seed-independent combination geometry of one generation's
+// fountain streams: the degree distribution plus the cumulative
+// IC-weighted symbol selection weights. Encoder and decoder each build
+// one from the same inputs and key the per-packet RNG with the stream
+// seed, so they derive identical combinations per (seed, seq).
 type spec struct {
 	k    int
-	seed uint64
 	gen  int
 	dist *dist
 	cum  []float64 // cumulative selection weights, cum[k-1] = total
-	wsig uint64    // digest of cum: streams differing only in weights must not alias
 }
 
-// newSpec validates and builds the stream geometry. weights carries one
-// non-negative IC weight per source symbol (nil means uniform); the
+// newSpec validates and builds the generation's geometry. weights carries
+// one non-negative IC weight per source symbol (nil means uniform); the
 // selection weight of symbol i is 1 + UEPBoost·weights[i]/max(weights).
-func newSpec(gen int, seed uint64, k int, weights []float64) (*spec, error) {
+func newSpec(gen, k int, weights []float64) (*spec, error) {
 	if k < 1 || k > MaxSourceSymbols {
 		return nil, fmt.Errorf("fountain: %d source symbols outside [1, %d]", k, MaxSourceSymbols)
 	}
@@ -194,7 +196,6 @@ func newSpec(gen int, seed uint64, k int, weights []float64) (*spec, error) {
 	}
 	cum := make([]float64, k)
 	acc := 0.0
-	wsig := uint64(1469598103934665603) // FNV-64a over the weight bit patterns
 	for i := 0; i < k; i++ {
 		w := 1.0
 		if maxW > 0 {
@@ -202,52 +203,57 @@ func newSpec(gen int, seed uint64, k int, weights []float64) (*spec, error) {
 		}
 		acc += w
 		cum[i] = acc
-		wsig = (wsig ^ math.Float64bits(w)) * 1099511628211
 	}
-	return &spec{k: k, seed: seed, gen: gen, dist: robustSoliton(k), cum: cum, wsig: wsig}, nil
+	return &spec{k: k, gen: gen, dist: robustSoliton(k), cum: cum}, nil
 }
 
-// combination derives cooked packet seq's source subset and GF(2^8)
-// coefficients. The result is sorted by symbol index with coefficients
-// kept aligned; it is a pure function of (spec, seq).
-func (s *spec) combination(seq int) (idx []int, coeffs []byte) {
-	r := newRNG(s.seed, s.gen, seq)
-	d := s.dist.sample(&r)
-	if d > s.k {
-		d = s.k
-	}
-	idx = make([]int, 0, d)
-	chosen := make(map[int]bool, d)
+// colset is a set of source-symbol columns; MaxSourceSymbols fits its
+// 256 bits, so it lives on the stack.
+type colset [4]uint64
+
+func (c *colset) has(i int) bool { return c[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (c *colset) add(i int)      { c[i>>6] |= 1 << (uint(i) & 63) }
+
+// combination derives cooked packet (seed, seq)'s source subset and
+// GF(2^8) coefficients: it writes each chosen symbol's non-zero
+// coefficient into row — the packet's dense coefficient vector, k zero
+// bytes on entry — and returns the chosen columns. A pure function of
+// (spec, seed, seq); it allocates nothing.
+//
+//mobweb:hot per cooked packet on both sides of the stream
+func (s *spec) combination(seed uint64, seq int, row []byte) colset {
+	r := newRNG(seed, s.gen, seq)
+	d := min(s.dist.sample(&r), s.k)
+	var cols colset
 	total := s.cum[s.k-1]
 	// Weighted distinct sampling by rejection; the skew is bounded
 	// (max/min selection weight ≤ 1+UEPBoost) so the retry loop is short
 	// except when d approaches k, where the linear fallback finishes the
 	// set deterministically.
-	for attempts := 0; len(idx) < d; attempts++ {
+	n := 0
+	for attempts := 0; n < d; attempts++ {
 		if attempts > 16*s.k {
-			for i := 0; i < s.k && len(idx) < d; i++ {
-				if !chosen[i] {
-					chosen[i] = true
-					idx = append(idx, i)
+			for i := 0; i < s.k && n < d; i++ {
+				if !cols.has(i) {
+					cols.add(i)
+					n++
 				}
 			}
 			break
 		}
 		x := r.float64() * total
-		i := sort.SearchFloat64s(s.cum, x)
-		if i >= s.k {
-			i = s.k - 1
-		}
-		if chosen[i] {
+		i := min(sort.SearchFloat64s(s.cum, x), s.k-1)
+		if cols.has(i) {
 			continue
 		}
-		chosen[i] = true
-		idx = append(idx, i)
+		cols.add(i)
+		n++
 	}
-	sort.Ints(idx)
-	coeffs = make([]byte, len(idx))
-	for i := range coeffs {
-		coeffs[i] = byte(1 + r.intn(255)) // non-zero GF(2^8) coefficient
+	// Coefficients are drawn in ascending symbol order.
+	for w, word := range cols {
+		for ; word != 0; word &= word - 1 {
+			row[w<<6+bits.TrailingZeros64(word)] = byte(1 + r.intn(255)) // non-zero
+		}
 	}
-	return idx, coeffs
+	return cols
 }

@@ -17,18 +17,16 @@ var fountainMetrics struct {
 	packetsNeeded obs.Counter
 	// overshootPackets/Bytes count reception beyond the k minimum.
 	overshootPackets, overshootBytes obs.Counter
-	// packetsRedundant counts packets whose residual degree hit zero
-	// (pure duplicates of already-known information).
+	// packetsRedundant counts packets that reduced to zero (linearly
+	// dependent on what was already held).
 	packetsRedundant obs.Counter
-	// peelRecovered/gaussRecovered split symbol recoveries by mechanism;
-	// peelDecodes/gaussDecodes split completed generations by whether
-	// the Gaussian fallback was needed; gaussStalls counts fallback
-	// attempts that found a rank-deficient system.
+	// peelRecovered/gaussRecovered split symbol recoveries by what the
+	// resolved row went through: substitutions of already-recovered
+	// symbols only (all a peeling decoder can do), or at least one
+	// elimination against a then-unresolved row. peelDecodes/gaussDecodes
+	// split completed generations by whether any symbol needed the latter.
 	peelRecovered, gaussRecovered obs.Counter
 	peelDecodes, gaussDecodes     obs.Counter
-	gaussStalls                   obs.Counter
-	// invHits/invMisses track the shared inverse-submatrix LRU.
-	invHits, invMisses obs.Counter
 }
 
 // MetricsProbe returns the package-wide fountain counters in snapshot
@@ -45,8 +43,5 @@ func MetricsProbe() any {
 		"gauss_recovered":   fountainMetrics.gaussRecovered.Value(),
 		"peel_decodes":      fountainMetrics.peelDecodes.Value(),
 		"gauss_decodes":     fountainMetrics.gaussDecodes.Value(),
-		"gauss_stalls":      fountainMetrics.gaussStalls.Value(),
-		"inv_hits":          fountainMetrics.invHits.Value(),
-		"inv_misses":        fountainMetrics.invMisses.Value(),
 	}
 }
