@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-fetch bench-json bench-load bench-fleet bench-fountain bench-replay loc cover figures paperscale fuzz fmt-check lint lint-json vulncheck verify clean
+.PHONY: all build test race bench bench-fetch bench-load bench-fleet bench-fountain bench-replay loc cover figures paperscale fuzz fmt-check lint lint-json vulncheck verify clean
 
 all: build test
 
@@ -87,12 +87,6 @@ cover:
 		if ($$3 + 0 < floor) { printf "FAIL: coverage %.1f%% below floor %s%%\n", $$3, floor; exit 1 } \
 		printf "coverage %.1f%% meets floor %s%%\n", $$3, floor }'
 
-# Erasure-codec kernel matrix (kernels × M × packet size, plus the
-# parallel worker sweep): machine-readable BENCH_erasure.json at the repo
-# root and the human table under results/. See DESIGN.md §10.
-bench-json:
-	go run ./cmd/erasurebench -json BENCH_erasure.json -txt results/erasure-kernel-bench.txt
-
 # Open-loop load generator against the frame cache: 1000 Zipf-distributed
 # clients over 10 documents, cached pass vs cache-disabled baseline, with
 # the acceptance gates (hit rate, encode/marshal work reduction) checked
@@ -121,7 +115,7 @@ bench-fleet:
 # 2× the single-subscriber cost. BENCH_fountain.json at the repo root,
 # human table under results/. See DESIGN.md §15.
 bench-fountain:
-	go run ./cmd/erasurebench -fountain -gate \
+	go run ./cmd/erasurebench -gate \
 		-json BENCH_fountain.json -txt results/fountain-bench.txt
 
 # Deterministic session-replay harness for the persistent packet store

@@ -1,7 +1,6 @@
-// Fountain mode: instead of the GF(2^8) kernel matrix, drive real
-// transport fetches over loopback and compare the rateless fountain
-// codec against adaptive-γ Vandermonde across a grid of channel
-// corruption rates α. Three questions, matching the codec's pitch:
+// The fountain grid: drive real transport fetches over loopback and
+// compare the rateless fountain codec against adaptive-γ Vandermonde
+// across a grid of channel corruption rates α. Three questions, matching the codec's pitch:
 //
 //  1. Does a fountain fetch finish in ONE round at every α, where the
 //     fixed-rate codec needs a retransmission dialog?

@@ -1,80 +1,22 @@
-// Command erasurebench measures erasure-codec throughput across the
-// pluggable GF(2^8) kernels and writes the results as JSON (for machines)
-// and a plain-text table (for humans and the results/ directory).
-//
-// The matrix is kernels × M ∈ {4, 16, 64} × packet sizes {256 B, 1 KiB,
-// 4 KiB} at the paper's default redundancy γ = 1.5. Encode throughput
-// covers the full cook (clear copy + parity); decode throughput forces a
-// worst-case reconstruction that uses every parity packet. A second
-// section holds per-kernel micro numbers (MulAddSlice and the fused
-// MulAddRows gather on 4 KiB), and a third sweeps the parallel worker
-// count on the largest shape.
+// Command erasurebench drives real transport fetches over loopback and
+// compares the rateless fountain codec against adaptive-γ Vandermonde
+// across a grid of channel corruption rates α, plus the single-stream
+// broadcast fan-out work ratio (see fountain.go). It writes the results
+// as JSON (for machines) and a plain-text table (for humans and the
+// results/ directory).
 //
 // Usage:
 //
-//	erasurebench                             # auto-calibrated timing
-//	erasurebench -iters 1                    # CI smoke: one pass per cell
-//	erasurebench -json BENCH_erasure.json -txt results/erasure-kernel-bench.txt
+//	erasurebench -gate -json BENCH_fountain.json -txt results/fountain-bench.txt
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"strings"
-	"time"
-
-	"mobweb/internal/erasure"
-	"mobweb/internal/gf256"
 )
 
 const gamma = 1.5 // paper default redundancy ratio
-
-var (
-	ms    = []int{4, 16, 64}
-	sizes = []int{256, 1024, 4096}
-)
-
-// cell is one (kernel, shape, size) measurement.
-type cell struct {
-	Kernel     string  `json:"kernel"`
-	M          int     `json:"m"`
-	N          int     `json:"n"`
-	PacketSize int     `json:"packet_size"`
-	EncodeMBps float64 `json:"encode_mbps"`
-	DecodeMBps float64 `json:"decode_mbps"`
-}
-
-// microCell is one kernel-level slice-op measurement on 4 KiB payloads.
-type microCell struct {
-	Kernel          string  `json:"kernel"`
-	PayloadBytes    int     `json:"payload_bytes"`
-	MulAddMBps      float64 `json:"muladd_mbps"`
-	MulAddRows4MBps float64 `json:"muladd_rows4_mbps"`
-}
-
-// workerCell is one worker-count sweep point on the largest shape.
-type workerCell struct {
-	Workers    int     `json:"workers"`
-	M          int     `json:"m"`
-	PacketSize int     `json:"packet_size"`
-	EncodeMBps float64 `json:"encode_mbps"`
-}
-
-type report struct {
-	GOOS           string       `json:"goos"`
-	GOARCH         string       `json:"goarch"`
-	NumCPU         int          `json:"num_cpu"`
-	GOMAXPROCS     int          `json:"gomaxprocs"`
-	SelectedKernel string       `json:"selected_kernel"`
-	Gamma          float64      `json:"gamma"`
-	Codec          []cell       `json:"codec"`
-	Micro          []microCell  `json:"micro"`
-	Workers        []workerCell `json:"workers"`
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -85,273 +27,15 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("erasurebench", flag.ContinueOnError)
-	jsonPath := fs.String("json", "BENCH_erasure.json", "write machine-readable results here (empty disables)")
+	jsonPath := fs.String("json", "BENCH_fountain.json", "write machine-readable results here (empty disables)")
 	txtPath := fs.String("txt", "", "also write the text table here (stdout always gets it)")
-	iters := fs.Int("iters", 0, "fixed iterations per cell (0 auto-calibrates to -mintime)")
-	minTime := fs.Duration("mintime", 200*time.Millisecond, "per-cell measurement floor when auto-calibrating")
-	fountainMode := fs.Bool("fountain", false, "run the fountain-vs-Vandermonde fetch grid and broadcast fan-out instead of the kernel matrix")
 	parseFountain := fountainFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *fountainMode {
-		cfg, err := parseFountain()
-		if err != nil {
-			return err
-		}
-		if *jsonPath == "BENCH_erasure.json" {
-			// Fountain mode gets its own default artifact name so a codec
-			// run never clobbers the kernel benchmark.
-			*jsonPath = "BENCH_fountain.json"
-		}
-		return runFountain(cfg, *jsonPath, *txtPath)
-	}
-
-	selected := gf256.KernelName() // the process default, restored after the sweep
-	rep := report{
-		GOOS:           runtime.GOOS,
-		GOARCH:         runtime.GOARCH,
-		NumCPU:         runtime.NumCPU(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		SelectedKernel: selected,
-		Gamma:          gamma,
-	}
-	bench := func(f func()) float64 { return secondsPerOp(f, *iters, *minTime) }
-
-	micro, err := measureMicroAll(bench)
+	cfg, err := parseFountain()
 	if err != nil {
 		return err
 	}
-	rep.Micro = micro
-	for _, kname := range gf256.KernelNames() {
-		if err := gf256.SetKernel(kname); err != nil {
-			return err
-		}
-		for _, m := range ms {
-			for _, size := range sizes {
-				c, err := measureCodec(kname, m, size, bench)
-				if err != nil {
-					return err
-				}
-				rep.Codec = append(rep.Codec, c)
-			}
-		}
-	}
-
-	// Worker sweep on the heaviest shape with the selected kernel. On a
-	// single-core host the >1 rows are overhead measurements, not
-	// speedups; the table header records GOMAXPROCS so readers can tell.
-	if err := gf256.SetKernel(selected); err != nil {
-		return err
-	}
-	for _, w := range []int{1, 2, 4} {
-		wc, err := measureWorkers(w, 64, 4096, bench)
-		if err != nil {
-			return err
-		}
-		rep.Workers = append(rep.Workers, wc)
-	}
-
-	var out strings.Builder
-	writeTable(&out, &rep)
-	fmt.Print(out.String())
-	if *txtPath != "" {
-		if err := os.WriteFile(*txtPath, []byte(out.String()), 0o644); err != nil {
-			return err
-		}
-	}
-	if *jsonPath != "" {
-		blob, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// secondsPerOp times f, either for a fixed iteration count or by doubling
-// until the total elapsed time clears minTime (the usual benchmark ramp).
-// The calibrated path reports the fastest of three trials: on a shared
-// host the minimum is the measurement least polluted by neighbors.
-func secondsPerOp(f func(), iters int, minTime time.Duration) float64 {
-	if iters > 0 {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			f()
-		}
-		return time.Since(start).Seconds() / float64(iters)
-	}
-	n := 1
-	for ; ; n *= 2 {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			f()
-		}
-		if elapsed := time.Since(start); elapsed >= minTime || n > 1<<24 {
-			break
-		}
-	}
-	best := 1e18
-	for trial := 0; trial < 3; trial++ {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			f()
-		}
-		if s := time.Since(start).Seconds() / float64(n); s < best {
-			best = s
-		}
-	}
-	return best
-}
-
-func mbps(bytes int, secs float64) float64 {
-	if secs <= 0 {
-		return 0
-	}
-	return float64(bytes) / secs / 1e6
-}
-
-// measureMicroAll interleaves the kernels round-robin across several
-// rounds and keeps the per-kernel minimum, so the kernel-to-kernel
-// ratios are measured back-to-back instead of minutes apart — on a
-// shared host, sequential cells see different neighbors and the ratio
-// drifts far more than the individual numbers.
-func measureMicroAll(bench func(func()) float64) ([]microCell, error) {
-	const payload = 4096
-	dst := make([]byte, payload)
-	srcs := make([][]byte, 4)
-	for i := range srcs {
-		srcs[i] = make([]byte, payload)
-		for j := range srcs[i] {
-			srcs[i][j] = byte(j*7 + i*13 + 1)
-		}
-	}
-	coeffs := []byte{0x1d, 0x8e, 0x47, 0xad}
-	names := gf256.KernelNames()
-	pair := make([]float64, len(names))
-	rows := make([]float64, len(names))
-	for round := 0; round < 3; round++ {
-		for i, kname := range names {
-			if err := gf256.SetKernel(kname); err != nil {
-				return nil, err
-			}
-			p := bench(func() { gf256.MulAddSlice(0x8e, dst, srcs[0]) })
-			r := bench(func() { gf256.MulAddRows(coeffs, dst, srcs) })
-			if round == 0 || p < pair[i] {
-				pair[i] = p
-			}
-			if round == 0 || r < rows[i] {
-				rows[i] = r
-			}
-		}
-	}
-	cells := make([]microCell, len(names))
-	for i, kname := range names {
-		cells[i] = microCell{
-			Kernel:          kname,
-			PayloadBytes:    payload,
-			MulAddMBps:      mbps(payload, pair[i]),
-			MulAddRows4MBps: mbps(len(srcs)*payload, rows[i]),
-		}
-	}
-	return cells, nil
-}
-
-func measureCodec(kname string, m, size int, bench func(func()) float64) (cell, error) {
-	n := int(float64(m) * gamma)
-	coder, err := erasure.NewCoder(m, n)
-	if err != nil {
-		return cell{}, err
-	}
-	raw := make([][]byte, m)
-	for i := range raw {
-		raw[i] = make([]byte, size)
-		for j := range raw[i] {
-			raw[i][j] = byte(i*31 + j*7 + 1)
-		}
-	}
-	cooked, err := coder.Encode(raw)
-	if err != nil {
-		return cell{}, err
-	}
-	// Worst-case reconstruction: every parity packet plus just enough
-	// clear packets, so the decode runs a full matrix-gather pass.
-	received := make([]erasure.Received, 0, m)
-	for i := n - 1; i >= 0 && len(received) < m; i-- {
-		received = append(received, erasure.Received{Index: i, Data: cooked[i]})
-	}
-	if _, err := coder.Decode(received); err != nil {
-		return cell{}, err
-	}
-	payload := m * size
-	encSecs := bench(func() {
-		if _, err := coder.Encode(raw); err != nil {
-			panic(err)
-		}
-	})
-	decSecs := bench(func() {
-		if _, err := coder.Decode(received); err != nil {
-			panic(err)
-		}
-	})
-	return cell{
-		Kernel: kname, M: m, N: n, PacketSize: size,
-		EncodeMBps: mbps(payload, encSecs),
-		DecodeMBps: mbps(payload, decSecs),
-	}, nil
-}
-
-func measureWorkers(workers, m, size int, bench func(func()) float64) (workerCell, error) {
-	n := int(float64(m) * gamma)
-	coder, err := erasure.NewCoder(m, n)
-	if err != nil {
-		return workerCell{}, err
-	}
-	raw := make([][]byte, m)
-	for i := range raw {
-		raw[i] = make([]byte, size)
-		for j := range raw[i] {
-			raw[i][j] = byte(i*17 + j*5 + 1)
-		}
-	}
-	prev := erasure.SetMaxWorkers(workers)
-	defer erasure.SetMaxWorkers(prev)
-	secs := bench(func() {
-		if _, err := coder.Encode(raw); err != nil {
-			panic(err)
-		}
-	})
-	return workerCell{Workers: workers, M: m, PacketSize: size, EncodeMBps: mbps(m*size, secs)}, nil
-}
-
-func writeTable(w io.Writer, rep *report) {
-	fmt.Fprintf(w, "erasure kernel benchmark — %s/%s, %d CPU, GOMAXPROCS=%d, gamma=%.1f\n",
-		rep.GOOS, rep.GOARCH, rep.NumCPU, rep.GOMAXPROCS, rep.Gamma)
-	fmt.Fprintf(w, "default kernel: %s\n\n", rep.SelectedKernel)
-
-	fmt.Fprintf(w, "slice micro-ops (4 KiB payloads, MB/s)\n")
-	fmt.Fprintf(w, "%-8s  %12s  %16s\n", "kernel", "MulAddSlice", "MulAddRows(4)")
-	for _, mc := range rep.Micro {
-		fmt.Fprintf(w, "%-8s  %12.0f  %16.0f\n", mc.Kernel, mc.MulAddMBps, mc.MulAddRows4MBps)
-	}
-
-	fmt.Fprintf(w, "\ncodec throughput (payload MB/s, gamma=%.1f)\n", rep.Gamma)
-	fmt.Fprintf(w, "%-8s  %4s  %4s  %6s  %12s  %12s\n", "kernel", "M", "N", "size", "encode", "decode")
-	for _, c := range rep.Codec {
-		fmt.Fprintf(w, "%-8s  %4d  %4d  %6d  %12.0f  %12.0f\n",
-			c.Kernel, c.M, c.N, c.PacketSize, c.EncodeMBps, c.DecodeMBps)
-	}
-
-	fmt.Fprintf(w, "\nparallel encode sweep (kernel=%s, M=64, size=4096)\n", rep.SelectedKernel)
-	fmt.Fprintf(w, "%-8s  %12s\n", "workers", "encode MB/s")
-	for _, wc := range rep.Workers {
-		fmt.Fprintf(w, "%-8d  %12.0f\n", wc.Workers, wc.EncodeMBps)
-	}
-	if rep.GOMAXPROCS == 1 {
-		fmt.Fprintf(w, "\nnote: GOMAXPROCS=1 host — the worker sweep exercises the parallel path\n"+
-			"for correctness and overhead only; speedup needs a multi-core host.\n")
-	}
+	return runFountain(cfg, *jsonPath, *txtPath)
 }

@@ -48,20 +48,3 @@ func ParseCodec(s string) (CodecID, error) {
 		return CodecVandermonde, fmt.Errorf("erasure: unknown codec %q", s)
 	}
 }
-
-// Codec is the abstraction both coders satisfy: a generation-scoped
-// encoder identified by codec id over M source packets. The concrete
-// APIs differ — the fixed-rate coder exposes row-indexed parity, the
-// fountain an unbounded seq space — so call sites type-switch on
-// CodecID after sharing the geometry checks this interface carries.
-type Codec interface {
-	// CodecID identifies the wire/cache format of this codec's frames.
-	CodecID() CodecID
-	// M returns the number of raw (source) packets per generation.
-	M() int
-}
-
-// CodecID identifies the fixed-rate Vandermonde coder.
-func (c *Coder) CodecID() CodecID { return CodecVandermonde }
-
-var _ Codec = (*Coder)(nil)

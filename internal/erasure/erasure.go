@@ -14,16 +14,17 @@
 //     inverting the corresponding M×M submatrix (Rabin's IDA, JACM 1989,
 //     with the Vandermonde modification the paper describes).
 //
-// The byte work runs through the pluggable GF(2^8) slice kernels in
-// package gf256; output rows are computed by a GOMAXPROCS-bounded worker
-// pool above a work-size cutover (see parallel.go); and Decode solves
-// only for the raw packets that did not arrive in clear text.
+// The byte work is gf256.MulAddRows, one call per output row, rows in
+// order on the calling goroutine: the server cooks one parity row per
+// frame-cache miss (EncodeParityRow) and the client's Decode solves only
+// for the raw packets that did not arrive in clear text.
 package erasure
 
 import (
 	"errors"
 	"fmt"
 
+	"mobweb/internal/gf256"
 	"mobweb/internal/matrix"
 )
 
@@ -112,8 +113,9 @@ func (c *Coder) checkRaw(raw [][]byte) (int, error) {
 
 // Encode expands raw into cooked packets. Every raw packet must have the
 // same length. The returned packets share one backing arena; the first m
-// are copies of the raw packets (systematic property). Parity rows are
-// computed in parallel above the work cutover.
+// are copies of the raw packets (systematic property). Production cooks
+// row by row (EncodeParityRow); Encode is the whole-generation reference
+// the tests and drivers cook with.
 func (c *Coder) Encode(raw [][]byte) ([][]byte, error) {
 	size, err := c.checkRaw(raw)
 	if err != nil {
@@ -125,30 +127,10 @@ func (c *Coder) Encode(raw [][]byte) ([][]byte, error) {
 	for i := 0; i < c.m; i++ {
 		copy(cooked[i], raw[i])
 	}
-	parityRows := c.n - c.m
-	forEachRow(parityRows, parityRows*size, func(i int) {
-		accumulateRow(cooked[c.m+i], c.dispersal.Row(c.m+i), raw)
-	})
-	return cooked, nil
-}
-
-// EncodeParity computes only the redundancy packets — cooked indices
-// m..n-1 — skipping the systematic clear-text prefix entirely. It backs
-// lazy plan encoding: a transmission plan whose receiver never asks past
-// the clear prefix pays for no GF(2^8) work at all. The returned packets
-// share one backing arena (the slice is empty when n == m).
-func (c *Coder) EncodeParity(raw [][]byte) ([][]byte, error) {
-	size, err := c.checkRaw(raw)
-	if err != nil {
-		return nil, err
+	for i := c.m; i < c.n; i++ {
+		gf256.MulAddRows(c.dispersal.Row(i), cooked[i], raw)
 	}
-	rows := c.n - c.m
-	parity := allocPackets(rows, size)
-	forEachRow(rows, rows*size, func(i int) {
-		accumulateRow(parity[i], c.dispersal.Row(c.m+i), raw)
-	})
-	codecMetrics.parityRows.Add(int64(rows))
-	return parity, nil
+	return cooked, nil
 }
 
 // EncodeParityRow computes a single redundancy packet — cooked index
@@ -166,38 +148,9 @@ func (c *Coder) EncodeParityRow(raw [][]byte, row int) ([]byte, error) {
 		return nil, fmt.Errorf("erasure: parity row %d outside [0, %d)", row, c.n-c.m)
 	}
 	out := make([]byte, size)
-	accumulateRow(out, c.dispersal.Row(c.m+row), raw)
+	gf256.MulAddRows(c.dispersal.Row(c.m+row), out, raw)
 	codecMetrics.parityRows.Add(1)
 	return out, nil
-}
-
-// EncodeInto is the allocation-free variant of Encode for hot transmission
-// loops: cooked must contain n slices of the raw packet size.
-func (c *Coder) EncodeInto(cooked, raw [][]byte) error {
-	size, err := c.checkRaw(raw)
-	if err != nil {
-		return err
-	}
-	if len(cooked) != c.n {
-		return fmt.Errorf("erasure: got %d cooked buffers, want %d", len(cooked), c.n)
-	}
-	for i := 0; i < c.n; i++ {
-		if len(cooked[i]) != size {
-			return fmt.Errorf("erasure: cooked buffer %d has %d bytes, want %d", i, len(cooked[i]), size)
-		}
-	}
-	for i := 0; i < c.m; i++ {
-		copy(cooked[i], raw[i])
-	}
-	parityRows := c.n - c.m
-	forEachRow(parityRows, parityRows*size, func(i int) {
-		dst := cooked[c.m+i]
-		for j := range dst {
-			dst[j] = 0
-		}
-		accumulateRow(dst, c.dispersal.Row(c.m+i), raw)
-	})
-	return nil
 }
 
 // Received is one intact cooked packet tagged with its index in the cooked
@@ -302,13 +255,13 @@ func (c *Coder) Decode(received []Received) ([][]byte, error) {
 		return nil, err
 	}
 	syndromes := allocPackets(e, size)
-	forEachRow(e, e*size, func(k int) {
-		copy(syndromes[k], parity[k].Data)
-		accumulateRow(syndromes[k], heldCoeffs[k*held:(k+1)*held], heldData)
-	})
-	forEachRow(e, e*size, func(i int) {
-		accumulateRow(raw[missing[i]], inv.Row(i), syndromes)
-	})
+	for k, p := range parity {
+		copy(syndromes[k], p.Data)
+		gf256.MulAddRows(heldCoeffs[k*held:(k+1)*held], syndromes[k], heldData)
+	}
+	for i, mi := range missing {
+		gf256.MulAddRows(inv.Row(i), raw[mi], syndromes)
+	}
 	return raw, nil
 }
 

@@ -206,43 +206,71 @@ func TestDecodePrefersClearText(t *testing.T) {
 	}
 }
 
+// TestEncodeInto keeps its name from the caller-buffer variant it once
+// checked. Encode now always cooks into an arena of its own, and that is
+// what is pinned: the cooked packets neither alias the raw input nor run
+// into each other.
 func TestEncodeInto(t *testing.T) {
 	c, err := NewCoder(4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := randomPackets(rand.New(rand.NewSource(7)), 4, 64)
-	want, err := c.Encode(raw)
+	orig := make([][]byte, len(raw))
+	for i, p := range raw {
+		orig[i] = append([]byte(nil), p...)
+	}
+	cooked, err := c.Encode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cooked := make([][]byte, 7)
+	want := make([][]byte, len(cooked))
+	for i, p := range cooked {
+		want[i] = append([]byte(nil), p...)
+	}
 	for i := range cooked {
-		cooked[i] = make([]byte, 64)
-		cooked[i][0] = 0xFF // stale data that EncodeInto must clear
+		_ = append(cooked[i], 0xAA, 0xBB)
 	}
-	if err := c.EncodeInto(cooked, raw); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
+	for i := range cooked {
 		if !bytes.Equal(cooked[i], want[i]) {
-			t.Errorf("EncodeInto packet %d differs from Encode", i)
+			t.Fatalf("append to a neighbour clobbered cooked[%d]: arena views must be capacity-capped", i)
+		}
+	}
+	for i := range cooked {
+		for j := range cooked[i] {
+			cooked[i][j] ^= 0xFF
+		}
+	}
+	for i := range raw {
+		if !bytes.Equal(raw[i], orig[i]) {
+			t.Fatalf("writing to the cooked packets changed raw[%d]", i)
 		}
 	}
 }
 
+// TestEncodeIntoValidation keeps its name from the caller-buffer variant
+// whose arguments it once checked. The validation that matters on the
+// paths that remain: gf256.MulAddRows panics on mismatched lengths, so
+// both encode entry points must turn a miscounted or ragged generation
+// into an error before any row reaches the kernel.
 func TestEncodeIntoValidation(t *testing.T) {
-	c, err := NewCoder(2, 3)
+	c, err := NewCoder(3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := randomPackets(rand.New(rand.NewSource(8)), 2, 8)
-	if err := c.EncodeInto(make([][]byte, 2), raw); err == nil {
-		t.Error("wrong cooked count accepted")
-	}
-	bad := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 7)}
-	if err := c.EncodeInto(bad, raw); err == nil {
-		t.Error("wrong cooked size accepted")
+	for name, raw := range map[string][][]byte{
+		"no packets":   nil,
+		"too few":      {make([]byte, 8), make([]byte, 8)},
+		"too many":     {make([]byte, 8), make([]byte, 8), make([]byte, 8), make([]byte, 8)},
+		"ragged short": {make([]byte, 8), make([]byte, 8), make([]byte, 7)},
+		"ragged long":  {make([]byte, 8), make([]byte, 9), make([]byte, 8)},
+	} {
+		if _, err := c.Encode(raw); err == nil {
+			t.Errorf("Encode accepted %s", name)
+		}
+		if _, err := c.EncodeParityRow(raw, 0); err == nil {
+			t.Errorf("EncodeParityRow accepted %s", name)
+		}
 	}
 }
 
@@ -394,14 +422,10 @@ func BenchmarkEncode40x60(b *testing.B) {
 		b.Fatal(err)
 	}
 	raw := randomPackets(rand.New(rand.NewSource(9)), 40, 256)
-	cooked := make([][]byte, 60)
-	for i := range cooked {
-		cooked[i] = make([]byte, 256)
-	}
 	b.SetBytes(40 * 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.EncodeInto(cooked, raw); err != nil {
+		if _, err := c.Encode(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,14 +6,11 @@ import "mobweb/internal/obs"
 // usable, atomic, no registration needed) rather than registry-resolved
 // pointers because coders are shared process-wide (see Shared) and have
 // no natural owner to thread a registry through; the cost is one atomic
-// add per decode-path event, nowhere near the per-byte GF(2^8) work it
+// add per cooked row, nowhere near the per-byte GF(2^8) work it
 // annotates. A front end that owns an obs.Registry exposes them by
 // registering MetricsProbe under a name like "erasure".
 var codecMetrics struct {
-	// parallelJobs counts codec calls that fanned out to the worker
-	// pool; serialJobs counts calls that stayed below the cutover.
-	parallelJobs, serialJobs obs.Counter
-	// parityEncodes counts lazily materialized parity rows.
+	// parityRows counts lazily materialized parity rows.
 	parityRows obs.Counter
 }
 
@@ -21,8 +18,6 @@ var codecMetrics struct {
 // for obs.Registry.RegisterProbe.
 func MetricsProbe() any {
 	return map[string]int64{
-		"parallel_jobs": codecMetrics.parallelJobs.Value(),
-		"serial_jobs":   codecMetrics.serialJobs.Value(),
-		"parity_rows":   codecMetrics.parityRows.Value(),
+		"parity_rows": codecMetrics.parityRows.Value(),
 	}
 }

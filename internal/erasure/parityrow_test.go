@@ -7,8 +7,10 @@ import (
 )
 
 // TestEncodeParityRowMatchesEncodeParity checks row-at-a-time encoding
-// against the whole-tail path: every row must be byte-identical, since
-// the frame cache mixes the two freely.
+// against the parity rows of the whole-generation Encode every test
+// cooks with (the bulk EncodeParity of its name is gone): every row must
+// be byte-identical. TestParallelEncodeMatchesSerial repeats this over
+// the full shape × packet-size matrix.
 func TestEncodeParityRowMatchesEncodeParity(t *testing.T) {
 	const m, n = 5, 9
 	c, err := NewCoder(m, n)
@@ -16,7 +18,7 @@ func TestEncodeParityRowMatchesEncodeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := randomPackets(rand.New(rand.NewSource(7)), m, 64)
-	whole, err := c.EncodeParity(raw)
+	cooked, err := c.Encode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +27,8 @@ func TestEncodeParityRowMatchesEncodeParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("row %d: %v", row, err)
 		}
-		if !bytes.Equal(got, whole[row]) {
-			t.Fatalf("row %d differs from EncodeParity output", row)
+		if !bytes.Equal(got, cooked[m+row]) {
+			t.Fatalf("row %d differs from Encode's parity row", row)
 		}
 	}
 }

@@ -70,9 +70,6 @@ type Options struct {
 	// disables caching entirely (GetOrCook always cooks, though
 	// concurrent cooks of one key are still deduplicated).
 	Bytes int64
-	// MaxEntries additionally bounds the number of cached frames; zero
-	// means no entry cap.
-	MaxEntries int
 }
 
 // Stats is a point-in-time snapshot of the cache's counters.
@@ -279,7 +276,7 @@ func (c *Cache) insertLocked(key Key, frame []byte) {
 	}
 	c.byPlan[key.Plan][key] = elem
 	c.bytes += cost
-	for c.bytes > c.opts.Bytes || (c.opts.MaxEntries > 0 && c.ll.Len() > c.opts.MaxEntries) {
+	for c.bytes > c.opts.Bytes {
 		oldest := c.ll.Back()
 		if oldest == nil || oldest == c.ll.Front() {
 			break

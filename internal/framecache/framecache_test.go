@@ -102,16 +102,6 @@ func TestByteBudgetEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestMaxEntriesCap(t *testing.T) {
-	c := New(Options{MaxEntries: 2})
-	for row := 0; row < 5; row++ {
-		c.GetOrCook(key("p", 0, row), func() ([]byte, error) { return []byte{byte(row)}, nil })
-	}
-	if s := c.Stats(); s.Entries != 2 {
-		t.Fatalf("entries = %d, want 2", s.Entries)
-	}
-}
-
 func TestOversizedFrameServedNotCached(t *testing.T) {
 	c := New(Options{Bytes: 64})
 	frame, err := c.GetOrCook(key("p", 0, 0), func() ([]byte, error) { return make([]byte, 1024), nil })

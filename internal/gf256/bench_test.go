@@ -5,31 +5,25 @@ import (
 	"testing"
 )
 
-// benchKernels runs fn once per registered kernel as a sub-benchmark,
-// restoring the active kernel afterwards. SetBytes is left to fn.
-func benchKernels(b *testing.B, fn func(b *testing.B)) {
-	prev := activeKernel.Load()
-	defer activeKernel.Store(prev)
-	for _, k := range kernels {
-		k := k
-		b.Run(k.name, func(b *testing.B) {
-			activeKernel.Store(k)
-			fn(b)
-		})
+// benchImpls runs fn once per implementation (the log/exp reference and
+// the shipped table kernel) as a sub-benchmark. SetBytes is left to fn.
+func benchImpls(b *testing.B, fn func(b *testing.B, k sliceImpl)) {
+	for _, k := range impls {
+		b.Run(k.name, func(b *testing.B) { fn(b, k) })
 	}
 }
 
 // BenchmarkKernelMulAddSlice is the two-operand axpy that the acceptance
-// criterion measures: MulAddSlice on 4 KiB payloads, per kernel.
+// criterion measures: MulAddSlice on 4 KiB payloads, per implementation.
 func BenchmarkKernelMulAddSlice(b *testing.B) {
 	for _, size := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			src := testPattern(size, 1)
 			dst := testPattern(size, 2)
-			benchKernels(b, func(b *testing.B) {
+			benchImpls(b, func(b *testing.B, k sliceImpl) {
 				b.SetBytes(int64(size))
 				for i := 0; i < b.N; i++ {
-					MulAddSlice(byte(i)|2, dst, src)
+					k.mulAdd(byte(i)|2, dst, src)
 				}
 			})
 		})
@@ -49,10 +43,10 @@ func BenchmarkKernelMulAddRows(b *testing.B) {
 				srcs[j] = testPattern(size, j+1)
 				coeffs[j] = byte(0x53 + 2*j)
 			}
-			benchKernels(b, func(b *testing.B) {
+			benchImpls(b, func(b *testing.B, k sliceImpl) {
 				b.SetBytes(int64(size * rows))
 				for i := 0; i < b.N; i++ {
-					MulAddRows(coeffs, dst, srcs)
+					k.mulAddRows(coeffs, dst, srcs)
 				}
 			})
 		})

@@ -2,13 +2,14 @@ package gf256
 
 import "testing"
 
-// FuzzKernels is the cross-kernel equivalence fuzzer: for arbitrary
-// coefficients and payloads, every registered kernel must agree
-// byte-for-byte with the scalar Mul oracle on MulSlice, MulAddSlice and
-// MulAddRows. The kernels are driven through the public wrappers (which
-// own the degenerate c == 0 / c == 1 cases) because that is the contract
-// the erasure codec relies on. The payload is split in two so the rows
-// form exercises multiple source slices with distinct contents.
+// FuzzKernels is the equivalence fuzzer: for arbitrary coefficients and
+// payloads, the shipped table kernel and the log/exp reference
+// (reference_test.go) must agree byte-for-byte with the scalar Mul oracle
+// on MulSlice, MulAddSlice and MulAddRows. The table kernel is driven
+// through the public wrappers (which own the degenerate c == 0 / c == 1
+// cases) because that is the contract the erasure codec relies on. The
+// payload is split in two so the rows form exercises multiple source
+// slices with distinct contents.
 func FuzzKernels(f *testing.F) {
 	f.Add(byte(0), byte(0), []byte{})
 	f.Add(byte(1), byte(2), []byte{0, 1, 2, 3, 4, 5, 6, 7})
@@ -28,13 +29,9 @@ func FuzzKernels(f *testing.F) {
 			wantRows[i] = Mul(c1, a[i]) ^ Mul(c2, b[i])
 		}
 
-		prev := activeKernel.Load()
-		defer activeKernel.Store(prev)
-		for _, k := range kernels {
-			activeKernel.Store(k)
-
+		for _, k := range impls {
 			got := make([]byte, half)
-			MulSlice(c1, got, a)
+			k.mulSlice(c1, got, a)
 			for i := range got {
 				if got[i] != wantMul[i] {
 					t.Fatalf("%s MulSlice(c=%d)[%d] = %d, want %d", k.name, c1, i, got[i], wantMul[i])
@@ -42,7 +39,7 @@ func FuzzKernels(f *testing.F) {
 			}
 
 			copy(got, b)
-			MulAddSlice(c1, got, a)
+			k.mulAdd(c1, got, a)
 			for i := range got {
 				if got[i] != wantAdd[i] {
 					t.Fatalf("%s MulAddSlice(c=%d)[%d] = %d, want %d", k.name, c1, i, got[i], wantAdd[i])
@@ -52,7 +49,7 @@ func FuzzKernels(f *testing.F) {
 			for i := range got {
 				got[i] = 0
 			}
-			MulAddRows([]byte{c1, c2}, got, [][]byte{a, b})
+			k.mulAddRows([]byte{c1, c2}, got, [][]byte{a, b})
 			for i := range got {
 				if got[i] != wantRows[i] {
 					t.Fatalf("%s MulAddRows(c=[%d %d])[%d] = %d, want %d", k.name, c1, c2, i, got[i], wantRows[i])

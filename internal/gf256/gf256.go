@@ -124,7 +124,7 @@ func Pow(a byte, k int) byte {
 
 // MulSlice multiplies every byte of src by c and stores the result in dst.
 // dst and src must have equal length; they may alias. The byte work runs
-// through the selected slice kernel (see kernel.go).
+// through the table kernel (see kernel.go).
 func MulSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
@@ -139,13 +139,13 @@ func MulSlice(c byte, dst, src []byte) {
 		copy(dst, src)
 		return
 	}
-	activeKernel.Load().mulSlice(c, dst, src)
+	tableMulSlice(c, dst, src)
 }
 
 // MulAddSlice computes dst[i] ^= c * src[i] for every index, the classic
 // "axpy" kernel of the erasure encoder. dst and src must have equal length
 // and must not alias unless they are identical slices with c == 0. The
-// byte work runs through the selected slice kernel (see kernel.go); c == 1
+// byte work runs through the table kernel (see kernel.go); c == 1
 // degenerates to a word-wise XOR with no table work.
 func MulAddSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
@@ -158,7 +158,7 @@ func MulAddSlice(c byte, dst, src []byte) {
 		xorSlice(dst, src)
 		return
 	}
-	activeKernel.Load().mulAdd(c, dst, src)
+	tableMulAdd(c, dst, src)
 }
 
 // MulAddRows computes dst[i] ^= Σ_j coeffs[j]*srcs[j][i] — one dispersal
@@ -176,7 +176,7 @@ func MulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 			panic("gf256: MulAddRows length mismatch")
 		}
 	}
-	activeKernel.Load().mulAddRows(coeffs, dst, srcs)
+	tableMulAddRows(coeffs, dst, srcs)
 }
 
 // AddSlice computes dst[i] ^= src[i] for every index (field addition is

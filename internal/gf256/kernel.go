@@ -3,45 +3,19 @@ package gf256
 // The slice kernels below are the only GF(2^8) code on the transmission
 // hot path: every byte of every cooked packet flows through MulAddSlice
 // (encode) or MulAddRows (encode and decode), so their cost decides how
-// fast the erasure codec can feed a channel. Two interchangeable
-// implementations are provided, both pure Go:
+// fast the erasure codec can feed a channel. There is one implementation,
+// "table": a flat 64 KiB product table mulTable[c][x]. For a fixed
+// coefficient the inner loop touches one 256-byte row with a single
+// independent branch-free lookup per byte, gathering eight products at a
+// time into 64-bit destination words; its fused MulAddRows form folds up
+// to four source rows into one destination pass, amortizing the dst
+// read-modify-write that dominates repeated two-operand calls.
 //
-//   - logexp: the original log/exp-table reference — a branch plus two
-//     dependent table lookups per byte. Kept as the cross-checked oracle
-//     every other kernel must agree with byte-for-byte (see FuzzKernels).
-//   - table: a flat 64 KiB product table mulTable[c][x]. For a fixed
-//     coefficient the inner loop touches one 256-byte row with a single
-//     independent branch-free lookup per byte, gathering eight products
-//     at a time into 64-bit destination words; its fused MulAddRows form
-//     folds up to four source rows into one destination pass, amortizing
-//     the dst read-modify-write that dominates repeated two-operand
-//     calls.
-//
-// table is the kernel every process runs: it won every cell of the
-// committed kernel matrix (BENCH_erasure.json). SetKernel exists so the
-// cross-kernel fuzzer and cmd/erasurebench can run the reference.
+// The log/exp-table loop it replaced (a branch plus two dependent lookups
+// per byte, 2.3–2.6× slower) lives on in reference_test.go as the
+// byte-for-byte oracle FuzzKernels compares the shipped kernel with.
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sync/atomic"
-)
-
-// kernel bundles one implementation of the three slice primitives. All
-// functions may assume equal-length, non-aliasing slices and c >= 2 for
-// the two-operand forms — the public wrappers handle validation and the
-// degenerate c == 0 / c == 1 cases.
-type kernel struct {
-	name string
-	// mulAdd computes dst[i] ^= c*src[i].
-	mulAdd func(c byte, dst, src []byte)
-	// mulSlice computes dst[i] = c*src[i].
-	mulSlice func(c byte, dst, src []byte)
-	// mulAddRows computes dst[i] ^= Σ_j coeffs[j]*srcs[j][i], the row
-	// accumulation of the erasure encoder/decoder. Implementations must
-	// handle zero and one coefficients themselves.
-	mulAddRows func(coeffs []byte, dst []byte, srcs [][]byte)
-}
+import "encoding/binary"
 
 // mulTables holds the table kernel's product table, produced by one
 // deterministic computation like the log/exp tables.
@@ -61,101 +35,9 @@ func genMulTables() *mulTables {
 	return t
 }
 
-// kernels lists every implementation, reference first.
-var kernels = []*kernel{kernelLogExp, kernelTable}
-
-// activeKernel is the selected implementation; reads are one atomic load
-// per slice call, negligible next to the per-byte work.
-var activeKernel atomic.Pointer[kernel]
-
-func init() {
-	activeKernel.Store(kernelTable)
-}
-
-// KernelName reports the active slice-kernel implementation.
-func KernelName() string { return activeKernel.Load().name }
-
-// KernelNames lists the available implementations in registration order
-// (reference first).
-func KernelNames() []string {
-	names := make([]string, len(kernels))
-	for i, k := range kernels {
-		names[i] = k.name
-	}
-	return names
-}
-
-// SetKernel pins the slice kernel by name ("logexp" or "table"). It is
-// safe to call concurrently with running kernels: in-flight slice
-// operations finish on the previous implementation, which computes
-// identical bytes.
-func SetKernel(name string) error {
-	for _, k := range kernels {
-		if k.name == name {
-			activeKernel.Store(k)
-			return nil
-		}
-	}
-	return fmt.Errorf("gf256: unknown kernel %q (have %v)", name, KernelNames())
-}
-
-// ---- logexp: the reference kernel ----
-
-var kernelLogExp = &kernel{
-	name:     "logexp",
-	mulAdd:   logExpMulAdd,
-	mulSlice: logExpMulSlice,
-	mulAddRows: func(coeffs []byte, dst []byte, srcs [][]byte) {
-		pairwiseRows(logExpMulAdd, coeffs, dst, srcs)
-	},
-}
-
-//mobweb:hot reference kernel; runs per byte when SetKernel pins it
-func logExpMulAdd(c byte, dst, src []byte) {
-	logC := int(_tables.log[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= _tables.exp[logC+int(_tables.log[s])]
-		}
-	}
-}
-
-//mobweb:hot reference kernel; runs per byte when SetKernel pins it
-func logExpMulSlice(c byte, dst, src []byte) {
-	logC := int(_tables.log[c])
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-			continue
-		}
-		dst[i] = _tables.exp[logC+int(_tables.log[s])]
-	}
-}
-
-// pairwiseRows is the generic row accumulation: one two-operand pass per
-// coefficient, with the degenerate coefficients peeled off.
-//
-//mobweb:hot row accumulation for the logexp kernel
-func pairwiseRows(mulAdd func(byte, []byte, []byte), coeffs []byte, dst []byte, srcs [][]byte) {
-	for j, c := range coeffs {
-		switch c {
-		case 0:
-		case 1:
-			xorSlice(dst, srcs[j])
-		default:
-			mulAdd(c, dst, srcs[j])
-		}
-	}
-}
-
-// ---- table: flat 64 KiB product table ----
-
-var kernelTable = &kernel{
-	name:       "table",
-	mulAdd:     tableMulAdd,
-	mulSlice:   tableMulSlice,
-	mulAddRows: tableMulAddRows,
-}
+// KernelName names the slice-kernel implementation, for stats lines and
+// benchmark headers.
+func KernelName() string { return "table" }
 
 // The table loops below gather the products of 8 source bytes into one
 // 64-bit word: eight independent 256-byte-row lookups (bounds-check
@@ -223,7 +105,11 @@ func tableMulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 	if len(coeffs) > 256 {
 		// A GF(2^8) code has at most 255 rows, so this cannot happen for
 		// field-valid systems; stay correct for callers that try anyway.
-		pairwiseRows(tableMulAdd, coeffs, dst, srcs)
+		for j, c := range coeffs {
+			if c != 0 {
+				tableMulAdd(c, dst, srcs[j])
+			}
+		}
 		return
 	}
 	// Compact the non-zero terms into fixed-size stack arrays. This used

@@ -4,9 +4,9 @@ import "testing"
 
 // TestKernelsAllocationFree pins the hotalloc contract of the slice
 // kernels: the fused-rows accumulation (and the two-operand forms it is
-// built from) must not touch the heap, for any kernel. tableMulAddRows
-// once made three slices per call to compact its coefficients — per
-// parity row, per frame — which this test would have caught.
+// built from) must not touch the heap. tableMulAddRows once made three
+// slices per call to compact its coefficients — per parity row, per
+// frame — which this test would have caught.
 func TestKernelsAllocationFree(t *testing.T) {
 	const (
 		size = 4096
@@ -25,29 +25,18 @@ func TestKernelsAllocationFree(t *testing.T) {
 	coeffs[2] = 0 // compaction path
 	coeffs[4] = 1 // identity-coefficient path
 
-	prev := KernelName()
-	defer func() {
-		if err := SetKernel(prev); err != nil {
-			t.Fatalf("restoring kernel %q: %v", prev, err)
-		}
-	}()
-	for _, name := range KernelNames() {
-		if err := SetKernel(name); err != nil {
-			t.Fatalf("SetKernel(%q): %v", name, err)
-		}
-		checks := []struct {
-			op string
-			fn func()
-		}{
-			{"MulAddRows", func() { MulAddRows(coeffs, dst, srcs) }},
-			{"MulAddSlice", func() { MulAddSlice(0x53, dst, srcs[0]) }},
-			{"MulSlice", func() { MulSlice(0x1d, dst, srcs[1]) }},
-			{"AddSlice", func() { AddSlice(dst, srcs[3]) }},
-		}
-		for _, c := range checks {
-			if allocs := testing.AllocsPerRun(50, c.fn); allocs != 0 {
-				t.Errorf("kernel %s: %s allocates %.1f times per call, want 0", name, c.op, allocs)
-			}
+	checks := []struct {
+		op string
+		fn func()
+	}{
+		{"MulAddRows", func() { MulAddRows(coeffs, dst, srcs) }},
+		{"MulAddSlice", func() { MulAddSlice(0x53, dst, srcs[0]) }},
+		{"MulSlice", func() { MulSlice(0x1d, dst, srcs[1]) }},
+		{"AddSlice", func() { AddSlice(dst, srcs[3]) }},
+	}
+	for _, c := range checks {
+		if allocs := testing.AllocsPerRun(50, c.fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", c.op, allocs)
 		}
 	}
 }

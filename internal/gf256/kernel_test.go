@@ -5,18 +5,12 @@ import (
 	"testing"
 )
 
-// withKernel runs fn once per registered kernel, restoring the previously
-// active implementation afterwards.
-func withKernel(t *testing.T, fn func(t *testing.T, k *kernel)) {
+// withImpl runs fn once per implementation: the log/exp reference and
+// the shipped table kernel behind the public wrappers.
+func withImpl(t *testing.T, fn func(t *testing.T, k sliceImpl)) {
 	t.Helper()
-	prev := activeKernel.Load()
-	defer activeKernel.Store(prev)
-	for _, k := range kernels {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			activeKernel.Store(k)
-			fn(t, k)
-		})
+	for _, k := range impls {
+		t.Run(k.name, func(t *testing.T) { fn(t, k) })
 	}
 }
 
@@ -30,74 +24,27 @@ func testPattern(n, seed int) []byte {
 	return b
 }
 
-func TestKernelNames(t *testing.T) {
-	names := KernelNames()
-	want := []string{"logexp", "table"}
-	if len(names) != len(want) {
-		t.Fatalf("KernelNames() = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("KernelNames() = %v, want %v", names, want)
-		}
-	}
-	found := false
-	for _, n := range names {
-		if n == KernelName() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("active kernel %q not in KernelNames() %v", KernelName(), names)
-	}
-}
-
-func TestSetKernel(t *testing.T) {
-	prev := KernelName()
-	defer func() {
-		if err := SetKernel(prev); err != nil {
-			t.Fatalf("restoring kernel %q: %v", prev, err)
-		}
-	}()
-	for _, name := range KernelNames() {
-		if err := SetKernel(name); err != nil {
-			t.Fatalf("SetKernel(%q): %v", name, err)
-		}
-		if got := KernelName(); got != name {
-			t.Fatalf("KernelName() = %q after SetKernel(%q)", got, name)
-		}
-	}
-	if err := SetKernel("no-such-kernel"); err == nil {
-		t.Fatal("SetKernel with an unknown name did not error")
-	}
-	for _, gone := range []string{"auto", "", "nibble"} {
-		if err := SetKernel(gone); err == nil {
-			t.Fatalf("SetKernel(%q) did not error", gone)
-		}
-	}
-}
-
-// TestDefaultKernelIsTable pins the constant default: no calibration, no
-// environment knob.
+// TestDefaultKernelIsTable pins the name planner.Stats and the benchmark
+// header print: there is one kernel and no knob.
 func TestDefaultKernelIsTable(t *testing.T) {
 	if got := KernelName(); got != "table" {
 		t.Fatalf("default kernel %q, want table", got)
 	}
 }
 
-// TestKernelsAgainstScalar checks every kernel's three primitives against
+// TestKernelsAgainstScalar checks both implementations' primitives against
 // scalar Mul for a range of lengths (covering the 8-byte SWAR tail) and
 // coefficients, including the degenerate 0 and 1.
 func TestKernelsAgainstScalar(t *testing.T) {
 	lengths := []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 255, 256, 1024}
 	coeffs := []byte{0, 1, 2, 3, 29, 113, 142, 200, 254, 255}
-	withKernel(t, func(t *testing.T, k *kernel) {
+	withImpl(t, func(t *testing.T, k sliceImpl) {
 		for _, n := range lengths {
 			src := testPattern(n, 1)
 			for _, c := range coeffs {
 				// MulSlice.
 				dst := testPattern(n, 2)
-				MulSlice(c, dst, src)
+				k.mulSlice(c, dst, src)
 				for i := range src {
 					if want := Mul(c, src[i]); dst[i] != want {
 						t.Fatalf("%s MulSlice(c=%d, n=%d)[%d] = %d, want %d",
@@ -107,7 +54,7 @@ func TestKernelsAgainstScalar(t *testing.T) {
 				// MulAddSlice.
 				dst = testPattern(n, 2)
 				orig := append([]byte(nil), dst...)
-				MulAddSlice(c, dst, src)
+				k.mulAdd(c, dst, src)
 				for i := range src {
 					if want := orig[i] ^ Mul(c, src[i]); dst[i] != want {
 						t.Fatalf("%s MulAddSlice(c=%d, n=%d)[%d] = %d, want %d",
@@ -119,14 +66,15 @@ func TestKernelsAgainstScalar(t *testing.T) {
 	})
 }
 
-// TestMulAddRowsAgainstScalar exercises the fused row primitive for every
-// kernel across row counts that hit the 4/2/1 unrolling tails and rows
-// with zero and one coefficients interleaved.
+// TestMulAddRowsAgainstScalar exercises the fused row primitive (and the
+// reference's pairwise form) across row counts that hit the 4/2/1
+// unrolling tails (and, at 300, the table kernel's beyond-the-field
+// fallback) and rows with zero and one coefficients interleaved.
 func TestMulAddRowsAgainstScalar(t *testing.T) {
 	lengths := []int{0, 1, 8, 17, 256, 1024}
-	withKernel(t, func(t *testing.T, k *kernel) {
+	withImpl(t, func(t *testing.T, k sliceImpl) {
 		for _, n := range lengths {
-			for rows := 0; rows <= 9; rows++ {
+			for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 300} {
 				srcs := make([][]byte, rows)
 				coeffs := make([]byte, rows)
 				for j := range srcs {
@@ -148,7 +96,7 @@ func TestMulAddRowsAgainstScalar(t *testing.T) {
 						want[i] ^= Mul(coeffs[j], srcs[j][i])
 					}
 				}
-				MulAddRows(coeffs, dst, srcs)
+				k.mulAddRows(coeffs, dst, srcs)
 				if !bytes.Equal(dst, want) {
 					t.Fatalf("%s MulAddRows(rows=%d, n=%d) mismatch", k.name, rows, n)
 				}

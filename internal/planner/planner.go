@@ -64,9 +64,6 @@ type Options struct {
 	// Zero selects framecache.DefaultCacheBytes; a negative value
 	// disables frame caching, so every Frame call marshals privately.
 	FrameCacheBytes int64
-	// FrameCacheEntries additionally bounds the number of cached frames;
-	// zero means no entry cap.
-	FrameCacheEntries int
 }
 
 // Request names one plan to resolve, in wire spellings. Empty LOD/Notion
@@ -191,10 +188,7 @@ func New(engine *search.Engine, opts Options) (*Planner, error) {
 		scTokens: make(map[*content.SC]string),
 	}
 	if opts.FrameCacheBytes >= 0 {
-		p.frames = framecache.New(framecache.Options{
-			Bytes:      opts.FrameCacheBytes,
-			MaxEntries: opts.FrameCacheEntries,
-		})
+		p.frames = framecache.New(framecache.Options{Bytes: opts.FrameCacheBytes})
 	}
 	return p, nil
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -348,15 +347,7 @@ func (f *Front) readResponse(rc *replicaConn) (transport.Response, error) {
 	if err := rc.conn.SetReadDeadline(f.ioDeadline()); err != nil {
 		return transport.Response{}, err
 	}
-	line, err := rc.r.ReadBytes('\n')
-	if err != nil {
-		return transport.Response{}, err
-	}
-	var resp transport.Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return transport.Response{}, fmt.Errorf("%w: %v", transport.ErrBadResponse, err)
-	}
-	return resp, nil
+	return transport.ReadResponse(rc.r)
 }
 
 //mobweb:nondet-ok I/O deadlines are wall-clock by nature

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -231,15 +230,13 @@ func (c *Client) SetRedial(redial func() (net.Conn, error)) { c.redial = redial 
 // Close releases the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// backoffWait returns the jittered wait before the next redial attempt:
-// full jitter over the upper half of the window, so waits stay spread
-// out across clients without collapsing toward zero. The randomness is
-// the client's own seeded source, never the global one.
-func (c *Client) backoffWait(delay time.Duration) time.Duration {
+// jitterSource returns the client's own backoff randomness, created on
+// first use from Retry.Seed; never the global source.
+func (c *Client) jitterSource() *rand.Rand {
 	if c.jitter == nil {
 		c.jitter = JitterSource(c.Retry.Seed)
 	}
-	return jitterWait(delay, c.jitter)
+	return c.jitter
 }
 
 // deadline computes the per-operation I/O deadline: the read/write
@@ -301,15 +298,7 @@ func (c *Client) readResponse(ctx context.Context) (Response, error) {
 	if err := c.conn.SetReadDeadline(c.deadline(ctx)); err != nil {
 		return Response{}, err
 	}
-	line, err := c.r.ReadBytes('\n')
-	if err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return Response{}, fmt.Errorf("%w: %v", ErrBadResponse, err)
-	}
-	return resp, nil
+	return ReadResponse(c.r)
 }
 
 // respRefusal maps a server refusal to its typed error: shed and
@@ -341,17 +330,10 @@ func (c *Client) reconnect(ctx context.Context) error {
 	}
 	c.conn.Close()
 	p := c.Retry.withDefaults()
-	delay := p.BaseDelay
 	var lastErr error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			delay *= 2
-			if delay > p.MaxDelay {
-				delay = p.MaxDelay
-			}
-		}
 		//mobweb:nondet-ok backoff timer sleeps wall-clock time; duration is seed-driven
-		timer := time.NewTimer(c.backoffWait(delay))
+		timer := time.NewTimer(p.Backoff(attempt, c.jitterSource()))
 		select {
 		case <-ctx.Done():
 			timer.Stop()

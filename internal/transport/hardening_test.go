@@ -1,9 +1,13 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,6 +101,77 @@ func TestClientTimesOutOnSilentServer(t *testing.T) {
 	}
 	if conn := <-accepted; conn != nil {
 		conn.Close()
+	}
+}
+
+// TestClientBoundsResponseLine: a peer that answers a fetch with
+// 2 × MaxControlLine bytes and no newline (a misbehaving replica, or
+// packet bytes where the header should be after framing was lost) gets
+// ErrBadResponse — a protocol error, so no redial — and the client stops
+// reading at the bound instead of buffering whatever arrives.
+func TestClientBoundsResponseLine(t *testing.T) {
+	cliEnd, srvEnd := net.Pipe()
+	client := NewClient(cliEnd)
+	client.Timeout = 10 * time.Second
+	redials := 0
+	client.SetRedial(func() (net.Conn, error) {
+		redials++
+		return nil, errors.New("no second peer")
+	})
+
+	// net.Pipe is unbuffered: the peer's Write returns only what the
+	// client actually read, so `taken` counts the bytes the client took.
+	taken := make(chan int, 1)
+	go func() {
+		defer srvEnd.Close()
+		if _, err := bufio.NewReader(srvEnd).ReadBytes('\n'); err != nil {
+			taken <- 0
+			return
+		}
+		chunk := bytes.Repeat([]byte{'x'}, 4096)
+		total := 0
+		for total < 2*MaxControlLine {
+			n, err := srvEnd.Write(chunk)
+			total += n
+			if err != nil {
+				break
+			}
+		}
+		taken <- total
+	}()
+
+	_, err := client.Fetch(FetchOptions{Doc: corpus.DraftName})
+	cliEnd.Close()
+	if !errors.Is(err, ErrBadResponse) {
+		t.Fatalf("fetch against a newline-less peer: %v, want ErrBadResponse", err)
+	}
+	if redials != 0 {
+		t.Errorf("%d redials after a malformed response, want 0", redials)
+	}
+	if got := <-taken; got > MaxControlLine+2*4096 {
+		t.Errorf("client read %d bytes of one control line, bound is %d", got, MaxControlLine)
+	}
+}
+
+func TestReadResponse(t *testing.T) {
+	long := `{"error":"` + strings.Repeat("e", 3*4096) + `"}` // spans several reader buffers
+	for _, tc := range []struct {
+		name, in string
+		want     error
+	}{
+		{"short line", `{"error":"x"}` + "\nrest", nil},
+		{"line longer than the reader's buffer", long + "\n", nil},
+		{"not JSON", "garbage\n", ErrBadResponse},
+		{"closed mid-line", `{"error":`, io.EOF},
+		{"over the bound", strings.Repeat("x", MaxControlLine+1) + "\n", ErrBadResponse},
+	} {
+		resp, err := ReadResponse(bufio.NewReader(strings.NewReader(tc.in)))
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want == nil && resp.Error == "" {
+			t.Errorf("%s: response not decoded", tc.name)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -229,4 +230,41 @@ func WriteJSONLine(w io.Writer, v any) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// ReadResponse reads one newline-delimited Response from r. Like every
+// control line the server reads, the line is bounded by MaxControlLine: a
+// peer that sends more without a newline (or a stream that lost framing
+// and presents packet bytes where the header should be) gets
+// ErrBadResponse once the bound is crossed, and nothing past it is
+// buffered.
+func ReadResponse(r *bufio.Reader) (Response, error) {
+	var line []byte
+	for {
+		frag, err := r.ReadSlice('\n')
+		if len(line)+len(frag) > MaxControlLine {
+			return Response{}, fmt.Errorf("%w: control line exceeds %d bytes", ErrBadResponse, MaxControlLine)
+		}
+		if err != nil && !errors.Is(err, bufio.ErrBufferFull) {
+			return Response{}, err
+		}
+		if err == nil && line == nil {
+			line = frag // the whole line sat in the reader's buffer: no copy
+			break
+		}
+		if line == nil {
+			// A layout header is typically two or three reader buffers
+			// long; start at four so it is one allocation, not a ladder.
+			line = make([]byte, 0, 4*len(frag))
+		}
+		line = append(line, frag...)
+		if err == nil {
+			break
+		}
+	}
+	var resp Response
+	if err := json.Unmarshal(line, &resp); err != nil {
+		return Response{}, fmt.Errorf("%w: %v", ErrBadResponse, err)
+	}
+	return resp, nil
 }
