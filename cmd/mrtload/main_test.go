@@ -83,8 +83,10 @@ func TestRunSmoke(t *testing.T) {
 	if rep.Cached.HitRate < 0.5 {
 		t.Errorf("cached hit rate %.3f below smoke floor", rep.Cached.HitRate)
 	}
-	if rep.Baseline.Hits != 0 || rep.Baseline.Cooks != 0 {
-		t.Errorf("baseline pass touched the frame cache: %+v", rep.Baseline)
+	// The baseline runs the same path with a budget that retains nothing:
+	// every frame sent is a cook, none is a hit.
+	if rep.Baseline.Hits != 0 || rep.Baseline.CacheBytes != 0 || rep.Baseline.Cooks != rep.Baseline.FrameMarshals {
+		t.Errorf("baseline pass retained frames: %+v", rep.Baseline)
 	}
 	if rep.WorkReduction <= 1 {
 		t.Errorf("work reduction %.2f, want > 1", rep.WorkReduction)

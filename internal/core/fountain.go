@@ -11,7 +11,7 @@ import (
 // This file is the plan-side fountain glue: per-generation encoders
 // built lazily against the plan's raw packets, the IC-derived symbol
 // weights that realize unequal error protection, and the fountain frame
-// marshaling path mirroring Plan.AppendFrame.
+// marshaling path mirroring Plan.Frame.
 
 // FountainWeights computes the per-raw-packet IC weights of dispersal
 // group g: each accrual segment spreads its score uniformly over the
@@ -110,38 +110,18 @@ func (p *Plan) fountainEncoder(gen int, seed uint64) (fountain.Encoder, error) {
 	return p.fenc[gen].WithSeed(seed), nil
 }
 
-// FountainPayload cooks the rateless packet (gen, seq) of the seeded
-// stream into a fresh slice.
-func (p *Plan) FountainPayload(seed uint64, gen, seq int) ([]byte, error) {
-	enc, err := p.fountainEncoder(gen, seed)
-	if err != nil {
-		return nil, err
-	}
-	return enc.Payload(seq), nil
-}
-
 // FountainFrame marshals rateless packet (gen, seq) into its wire
 // frame (codec id + seed + gen + seq + CRC + payload).
 func (p *Plan) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
-	return p.AppendFountainFrame(nil, seed, gen, seq)
-}
-
-// AppendFountainFrame appends the rateless packet's wire frame to dst
-// and returns the extended slice.
-//
-//mobweb:hot per-frame marshal of the fountain transmit loop
-func (p *Plan) AppendFountainFrame(dst []byte, seed uint64, gen, seq int) ([]byte, error) {
 	enc, err := p.fountainEncoder(gen, seed)
 	if err != nil {
 		return nil, err
 	}
-	base := len(dst)
 	var hdr [packet.FountainOverhead]byte // stack scratch; FinishFountainFrame overwrites it
-	dst = append(dst, hdr[:]...)
-	dst = enc.AppendPayload(dst, seq)
-	if err := packet.FinishFountainFrame(dst[base:], seed, gen, seq); err != nil {
+	frame := enc.AppendPayload(append([]byte(nil), hdr[:]...), seq)
+	if err := packet.FinishFountainFrame(frame, seed, gen, seq); err != nil {
 		return nil, err
 	}
 	coreMetrics.frameMarshals.Add(1)
-	return dst, nil
+	return frame, nil
 }

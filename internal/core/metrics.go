@@ -10,7 +10,7 @@ var coreMetrics struct {
 	// decodes counts erasure decodes performed by receivers; memoHits
 	// counts decodes answered by the per-generation memo instead.
 	decodes, memoHits obs.Counter
-	// frameMarshals counts wire-frame marshals (Plan.AppendFrame). The
+	// frameMarshals counts wire-frame marshals (Plan.Frame, Plan.FountainFrame). The
 	// frame cache exists to flatten this curve: under load the counter
 	// should track distinct frames, not frames sent.
 	frameMarshals obs.Counter

@@ -303,21 +303,12 @@ func (p *Plan) ParityEncodes() int64 { return p.parityEncodes.Load() }
 // Frame marshals the cooked packet at seq into its wire frame
 // (sequence number + CRC + payload).
 func (p *Plan) Frame(seq int) ([]byte, error) {
-	return p.AppendFrame(nil, seq)
-}
-
-// AppendFrame appends the cooked packet's wire frame to dst and returns
-// the extended slice. Stream loops reuse one buffer across a round, so
-// steady-state transmission allocates nothing per frame.
-//
-//mobweb:hot per-frame marshal of the steady-state transmit loop
-func (p *Plan) AppendFrame(dst []byte, seq int) ([]byte, error) {
 	payload, err := p.CookedPayload(seq)
 	if err != nil {
 		return nil, err
 	}
 	coreMetrics.frameMarshals.Add(1)
-	return packet.Packet{Seq: seq, Payload: payload}.AppendMarshal(dst)
+	return packet.Packet{Seq: seq, Payload: payload}.AppendMarshal(nil)
 }
 
 // Locate maps a global cooked sequence number to its dispersal group and
@@ -340,29 +331,6 @@ func (p *Plan) locate(seq int) (genIdx, idx int, err error) {
 		}
 	}
 	return 0, 0, fmt.Errorf("core: cooked seq %d unmapped", seq)
-}
-
-// clearRawIndex returns the global raw packet index carried in clear text
-// by cooked seq, or -1 if seq is a redundancy packet.
-func (p *Plan) clearRawIndex(seq int) int {
-	g, idx, err := p.locate(seq)
-	if err != nil {
-		return -1
-	}
-	if idx < p.gens[g].coder.M() {
-		return p.gens[g].rawOff + idx
-	}
-	return -1
-}
-
-// permutedToOriginal copies the permuted stream back into original
-// document order.
-func (p *Plan) permutedToOriginal(permuted []byte) []byte {
-	out := make([]byte, len(p.body))
-	for _, seg := range p.segments {
-		copy(out[seg.OrigOff:seg.OrigOff+seg.Length], permuted[seg.PermutedOff:seg.PermutedOff+seg.Length])
-	}
-	return out
 }
 
 // BodySize returns the original document body size in bytes.

@@ -122,6 +122,10 @@ type flight struct {
 	wg    sync.WaitGroup
 	frame []byte
 	err   error
+	// stale is set (under the cache lock) when the plan was invalidated
+	// while the cook ran: the frame is served to its waiters but not
+	// inserted.
+	stale bool
 }
 
 // Cache is a byte-budgeted LRU of immutable encoded frames, safe for
@@ -134,11 +138,7 @@ type Cache struct {
 	entries map[Key]*list.Element // key → element (value *entry)
 	byPlan  map[string]map[Key]*list.Element
 	flights map[Key]*flight
-	// epochs counts InvalidatePlan calls per plan key, so a cook that
-	// was in flight when its plan was invalidated does not insert a
-	// stale frame afterwards. Entries exist only for invalidated plans.
-	epochs map[string]uint64
-	bytes  int64
+	bytes   int64
 
 	hits, misses, coalesced int64
 	cooks, evict, invalid   int64
@@ -156,7 +156,6 @@ func New(opts Options) *Cache {
 		entries: make(map[Key]*list.Element),
 		byPlan:  make(map[string]map[Key]*list.Element),
 		flights: make(map[Key]*flight),
-		epochs:  make(map[string]uint64),
 	}
 }
 
@@ -197,7 +196,6 @@ func (c *Cache) GetOrCook(key Key, cook func() ([]byte, error)) ([]byte, error) 
 	fl.wg.Add(1)
 	c.flights[key] = fl
 	c.misses++
-	epoch := c.epochs[key.Plan]
 	c.mu.Unlock()
 
 	start := time.Now() //mobweb:nondet-ok cook-time stats, never part of frame bytes or keys
@@ -210,7 +208,7 @@ func (c *Cache) GetOrCook(key Key, cook func() ([]byte, error)) ([]byte, error) 
 	c.cookNanos += elapsed.Nanoseconds()
 	// Insert only when the plan was not invalidated while we cooked: a
 	// re-indexed document must not resurrect through a racing cook.
-	if err == nil && c.epochs[key.Plan] == epoch {
+	if err == nil && !fl.stale {
 		c.insertLocked(key, frame)
 	}
 	c.mu.Unlock()
@@ -226,7 +224,12 @@ func (c *Cache) GetOrCook(key Key, cook func() ([]byte, error)) ([]byte, error) 
 func (c *Cache) InvalidatePlan(plan string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.epochs[plan]++
+	//mobweb:nondet-ok every in-flight cook of the plan is marked; order is immaterial
+	for key, fl := range c.flights {
+		if key.Plan == plan {
+			fl.stale = true
+		}
+	}
 	keys := c.byPlan[plan]
 	n := len(keys)
 	for _, elem := range keys {

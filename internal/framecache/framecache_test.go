@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,6 +170,38 @@ func TestInvalidationPoisonsInFlightCook(t *testing.T) {
 	<-done
 	if _, ok := c.Get(key("p", 0, 0)); ok {
 		t.Fatal("stale frame inserted by a cook racing InvalidatePlan")
+	}
+}
+
+// TestInvalidationLeavesNoResidue is the regression for the per-plan
+// epoch counter that InvalidatePlan bumped and nothing ever dropped:
+// every re-index mints a new plan key, so a long-lived server grew one
+// map entry per document version it had ever invalidated. Ten thousand
+// distinct plans cooked, served and invalidated — one of them with a cook
+// still in flight — must leave every map in the cache empty.
+func TestInvalidationLeavesNoResidue(t *testing.T) {
+	c := New(Options{})
+	for i := 0; i < 10000; i++ {
+		plan := fmt.Sprintf("doc\x00%x", i)
+		if _, err := c.GetOrCook(key(plan, 0, 0), func() ([]byte, error) { return []byte("frame"), nil }); err != nil {
+			t.Fatal(err)
+		}
+		if n := c.InvalidatePlan(plan); n != 1 {
+			t.Fatalf("plan %d: invalidated %d entries, want 1", i, n)
+		}
+	}
+	c.GetOrCook(key("racing", 0, 0), func() ([]byte, error) {
+		c.InvalidatePlan("racing")
+		return []byte("stale"), nil
+	})
+	cache := reflect.ValueOf(c).Elem()
+	for i := 0; i < cache.NumField(); i++ {
+		if f := cache.Field(i); f.Kind() == reflect.Map && f.Len() != 0 {
+			t.Errorf("Cache.%s holds %d entries after every plan was invalidated", cache.Type().Field(i).Name, f.Len())
+		}
+	}
+	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 {
+		t.Errorf("stats = %+v, want an empty cache", s)
 	}
 }
 

@@ -8,23 +8,24 @@ import "go/ast"
 // frames are CRC-framed, poisons every later fetch served from the
 // entry). A var, not a const map, so fixture tests can retarget it.
 var SharedFrameAccessors = map[string]bool{
-	"(*mobweb/internal/framecache.Cache).Get":       true,
-	"(*mobweb/internal/framecache.Cache).GetOrCook": true,
-	"(*mobweb/internal/planner.Resolved).Frame":     true,
+	"(*mobweb/internal/framecache.Cache).Get":           true,
+	"(*mobweb/internal/framecache.Cache).GetOrCook":     true,
+	"(*mobweb/internal/planner.Resolved).Frame":         true,
+	"(*mobweb/internal/planner.Resolved).FountainFrame": true,
 }
 
 // FrameMut enforces the frame cache's immutability contract, the sibling
 // of planmut's rule 2: slices obtained from framecache.Cache.Get /
-// GetOrCook or planner.Resolved.Frame are shared across connections and
-// must be treated as read-only. Element stores, append with such a slice
-// as the destination, and copy into it are flagged; re-slicing keeps the
-// taint, and copying into a fresh slice clears it. Callers that must
-// mutate a frame (fault injectors) copy it into private scratch first —
-// exactly what transport/server.go does before Inject.
+// GetOrCook or planner.Resolved.Frame / FountainFrame are shared across
+// connections and must be treated as read-only. Element stores, append
+// with such a slice as the destination, and copy into it are flagged;
+// re-slicing keeps the taint, and copying into a fresh slice clears it.
+// Callers that must mutate a frame (fault injectors) copy it into private
+// scratch first — exactly what transport/stream.go does before Inject.
 var FrameMut = &Analyzer{
 	Name: "framemut",
 	Doc: "flag writes through slices returned by the shared frame cache " +
-		"(framecache.Cache.Get/GetOrCook, planner.Resolved.Frame): cached frames are shared and immutable",
+		"(framecache.Cache.Get/GetOrCook, planner.Resolved.Frame/FountainFrame): cached frames are shared and immutable",
 	Run: runFrameMut,
 }
 

@@ -24,6 +24,9 @@ func mutateShared(c *framecache.Cache, r *planner.Resolved) {
 
 	wire, _ := r.Frame(0)
 	wire[0] = 0 // want "store through a slice shared"
+
+	symbol, _ := r.FountainFrame(42, 0, 0)
+	symbol[0] = 0 // want "store through a slice shared"
 }
 
 func allowedCopies(c *framecache.Cache, r *planner.Resolved) {

@@ -6,9 +6,11 @@ import (
 	"testing"
 )
 
-// TestResolveFramesByteIdentity is the correctness floor: every cached
-// frame must be byte-identical to the uncached Plan.Frame output, across
-// clear-prefix rows, parity rows, and generation boundaries.
+// TestResolveFramesByteIdentity is the correctness floor: every frame
+// served through the cache — retaining (the default) or retaining nothing
+// (negative budget) — must be byte-identical to the plan's own Plan.Frame
+// output, across clear-prefix rows, parity rows, and generation
+// boundaries.
 func TestResolveFramesByteIdentity(t *testing.T) {
 	cached, _ := newTestPlanner(t, Options{}, "a.xml")
 	plain, _ := newTestPlanner(t, Options{FrameCacheBytes: -1}, "a.xml")
@@ -17,34 +19,38 @@ func TestResolveFramesByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Cached() {
-		t.Fatal("frame cache should default on")
-	}
 	ref, err := plain.ResolveFrames(baseReq)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ref.Cached() {
-		t.Fatal("negative budget should disable the frame cache")
 	}
 	if res.Plan.N() != ref.Plan.N() {
 		t.Fatalf("plans disagree: N %d vs %d", res.Plan.N(), ref.Plan.N())
 	}
 	for seq := 0; seq < res.Plan.N(); seq++ {
-		got, err := res.Frame(seq)
+		want, err := ref.Plan.Frame(seq)
 		if err != nil {
-			t.Fatalf("cached seq %d: %v", seq, err)
+			t.Fatalf("plan seq %d: %v", seq, err)
 		}
-		want, err := ref.Frame(seq)
-		if err != nil {
-			t.Fatalf("plain seq %d: %v", seq, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("seq %d: cached frame differs from uncached", seq)
+		for name, r := range map[string]*Resolved{"cached": res, "uncached": ref} {
+			for pass := 0; pass < 2; pass++ {
+				got, err := r.Frame(seq)
+				if err != nil {
+					t.Fatalf("%s seq %d: %v", name, seq, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seq %d: %s frame differs from Plan.Frame", seq, name)
+				}
+			}
 		}
 	}
-	if s := cached.FrameStats(); s.Cooks == 0 || s.Entries == 0 {
-		t.Fatalf("frame cache unused: %+v", s)
+	n := int64(res.Plan.N())
+	if s := cached.FrameStats(); s.Cooks != n || s.Entries != int(n) || s.Hits != n {
+		t.Fatalf("default budget: %+v, want %d cooks, entries and hits", s, n)
+	}
+	// A negative budget keeps its meaning through the one path: every
+	// call cooks, nothing is retained.
+	if s := plain.FrameStats(); s.Cooks != 2*n || s.Entries != 0 || s.Hits != 0 || s.Bytes != 0 {
+		t.Fatalf("negative budget: %+v, want %d cooks and nothing retained", s, 2*n)
 	}
 }
 

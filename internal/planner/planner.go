@@ -62,7 +62,8 @@ type Options struct {
 	// FrameCacheBytes bounds the shared cooked-frame cache behind
 	// ResolveFrames (encoded wire frames, directly writable to sockets).
 	// Zero selects framecache.DefaultCacheBytes; a negative value
-	// disables frame caching, so every Frame call marshals privately.
+	// retains nothing, so every Frame call cooks (concurrent cooks of one
+	// frame are still deduplicated).
 	FrameCacheBytes int64
 }
 
@@ -151,8 +152,7 @@ type flightCall struct {
 type Planner struct {
 	engine *search.Engine
 	opts   Options
-	// frames is the shared cooked-frame cache fed by Resolved.Frame; nil
-	// when Options.FrameCacheBytes is negative.
+	// frames is the shared cooked-frame cache fed by Resolved.Frame.
 	frames *framecache.Cache
 
 	mu      sync.Mutex
@@ -186,9 +186,7 @@ func New(engine *search.Engine, opts Options) (*Planner, error) {
 		entries:  make(map[string]*list.Element),
 		flight:   make(map[string]*flightCall),
 		scTokens: make(map[*content.SC]string),
-	}
-	if opts.FrameCacheBytes >= 0 {
-		p.frames = framecache.New(framecache.Options{Bytes: opts.FrameCacheBytes})
+		frames:   framecache.New(framecache.Options{Bytes: opts.FrameCacheBytes}),
 	}
 	return p, nil
 }
@@ -219,20 +217,12 @@ type Resolved struct {
 	planner  *Planner
 }
 
-// Cached reports whether frame caching is active. When false, Frame
-// marshals a private slice per call (the pre-cache behaviour), so stream
-// loops should prefer Plan.AppendFrame with a reusable buffer.
-func (r *Resolved) Cached() bool { return r.planner.frames != nil }
-
 // Frame returns the cooked wire frame for a global sequence number,
-// serving it from the shared frame cache when enabled. The returned
-// slice is shared and immutable when Cached(); writing through it
-// corrupts every connection streaming the same document.
+// serving it from the shared frame cache. The returned slice is shared
+// and immutable; writing through it corrupts every connection streaming
+// the same document.
 func (r *Resolved) Frame(seq int) ([]byte, error) {
 	fc := r.planner.frames
-	if fc == nil {
-		return r.Plan.Frame(seq)
-	}
 	gen, row, err := r.Plan.Locate(seq)
 	if err != nil {
 		return nil, err
@@ -282,17 +272,13 @@ func (r *Resolved) FountainSeed(salt uint64) uint64 {
 }
 
 // FountainFrame returns the cooked fountain wire frame for (seed, gen,
-// seq), serving it from the shared frame cache when enabled. Fountain
+// seq), serving it from the shared frame cache. Fountain
 // frames are cacheable for the same reason fixed-rate ones are — the
 // stream is a pure function of (plan, codec, seed, gen, seq) — and the
 // cache key carries codec and seed so the two codecs' frames can never
-// collide on one plan. The returned slice is shared and immutable when
-// Cached().
+// collide on one plan. The returned slice is shared and immutable.
 func (r *Resolved) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
 	fc := r.planner.frames
-	if fc == nil {
-		return r.Plan.FountainFrame(seed, gen, seq)
-	}
 	k := framecache.Key{
 		Plan:  r.Key,
 		Gamma: r.Plan.Config().Gamma,
@@ -310,14 +296,8 @@ func (r *Resolved) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
 	})
 }
 
-// FrameStats returns a snapshot of the frame cache's counters (zero when
-// frame caching is disabled).
-func (p *Planner) FrameStats() framecache.Stats {
-	if p.frames == nil {
-		return framecache.Stats{}
-	}
-	return p.frames.Stats()
-}
+// FrameStats returns a snapshot of the frame cache's counters.
+func (p *Planner) FrameStats() framecache.Stats { return p.frames.Stats() }
 
 // resolve is the shared cache/singleflight/build path behind Resolve and
 // ResolveFrames, returning the plan alongside its canonical key and the
@@ -390,7 +370,7 @@ func (p *Planner) scTokenLocked(sc *content.SC) string {
 // nests strictly inside the planner's (framecache never calls back).
 func (p *Planner) invalidateLocked(elem *list.Element) {
 	ent := elem.Value.(*cacheEntry)
-	if p.frames != nil && ent.frameKey != "" {
+	if ent.frameKey != "" {
 		p.frames.InvalidatePlan(ent.frameKey)
 	}
 	delete(p.scTokens, ent.sc)
@@ -512,7 +492,7 @@ func (p *Planner) insertLocked(key string, sc *content.SC, plan *core.Plan) {
 		// A concurrent build of an invalidated key may have raced us in;
 		// replace it, dropping the raced entry's frames when it was built
 		// against a different document version.
-		if old := elem.Value.(*cacheEntry); p.frames != nil && old.frameKey != frameKey {
+		if old := elem.Value.(*cacheEntry); old.frameKey != frameKey {
 			p.frames.InvalidatePlan(old.frameKey)
 		}
 		p.removeLocked(elem)

@@ -8,7 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"mobweb/internal/core"
@@ -37,15 +37,16 @@ type Options struct {
 	Retry transport.RetryPolicy
 	// DialTimeout bounds one replica dial; zero means 2 s.
 	DialTimeout time.Duration
-	// IOTimeout bounds each replica/client read and write; zero means
-	// 30 s.
+	// IOTimeout bounds each replica read and write and each client write;
+	// zero means 30 s.
 	IOTimeout time.Duration
 	// IdleTimeout closes client connections with no request activity;
 	// zero means 2 minutes.
 	IdleTimeout time.Duration
 	// Metrics, when set, receives the front's counters (front.fetches,
-	// front.sheds, front.reroutes, front.markdowns, ...), the fetch log,
-	// and the "replicas" / "capability" probes on /debug/metrics.
+	// front.sheds, front.reroutes, front.markdowns, ...), the shared
+	// server's (serve.conns_accepted, serve.frames_out, ...), the fetch
+	// log, and the "replicas" / "capability" probes on /debug/metrics.
 	Metrics *obs.Registry
 }
 
@@ -59,23 +60,19 @@ func (o Options) withDefaults() Options {
 	if o.IOTimeout <= 0 {
 		o.IOTimeout = 30 * time.Second
 	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 2 * time.Minute
-	}
 	return o
 }
 
 // frontMetrics holds the front tier's counter pointers; the zero value
-// disables them.
+// disables them. Connections, requests and relayed frames are counted by
+// the shared server under its serve.* names.
 type frontMetrics struct {
-	connsAccepted *obs.Counter
-	connsActive   *obs.Gauge
-	fetches       *obs.Counter
-	fetchErrors   *obs.Counter
-	sheds         *obs.Counter
-	reroutes      *obs.Counter
-	searches      *obs.Counter
-	fetchLog      *obs.FetchLog
+	fetches     *obs.Counter
+	fetchErrors *obs.Counter
+	sheds       *obs.Counter
+	reroutes    *obs.Counter
+	searches    *obs.Counter
+	fetchLog    *obs.FetchLog
 }
 
 func newFrontMetrics(r *obs.Registry) frontMetrics {
@@ -83,41 +80,36 @@ func newFrontMetrics(r *obs.Registry) frontMetrics {
 		return frontMetrics{}
 	}
 	return frontMetrics{
-		connsAccepted: r.Counter("front.conns_accepted"),
-		connsActive:   r.Gauge("front.conns_active"),
-		fetches:       r.Counter("front.fetches"),
-		fetchErrors:   r.Counter("front.fetch_errors"),
-		sheds:         r.Counter("front.sheds"),
-		reroutes:      r.Counter("front.reroutes"),
-		searches:      r.Counter("front.searches"),
-		fetchLog:      r.FetchLog(),
+		fetches:     r.Counter("front.fetches"),
+		fetchErrors: r.Counter("front.fetch_errors"),
+		sheds:       r.Counter("front.sheds"),
+		reroutes:    r.Counter("front.reroutes"),
+		searches:    r.Counter("front.searches"),
+		fetchLog:    r.FetchLog(),
 	}
 }
 
-// Front is the fleet's entry point: it speaks the transport wire
-// protocol to clients, consistent-hashes each fetch's canonical document
-// ID onto the replica ring, proxies the stream, and — when the serving
-// replica dies mid-stream — replays the fetch against the next replica
-// on the ring with the client's Have list extended by every frame
-// already relayed intact. Frames are deterministic per (plan, seq)
-// across replicas serving the same corpus, so the re-routed stream is
-// byte-identical to the one the dead replica would have finished.
+// Front is the fleet's entry point: a transport.Server whose backend,
+// instead of planning and cooking, consistent-hashes each fetch's
+// canonical document ID onto the replica ring and relays that replica's
+// stream — and, when the serving replica dies mid-stream, replays the
+// fetch against the next replica on the ring with the client's Have list
+// extended by every frame already relayed intact. Frames are
+// deterministic per (plan, seq) across replicas serving the same corpus,
+// so the re-routed stream is byte-identical to the one the dead replica
+// would have finished.
 type Front struct {
 	opts Options
 	ring *Ring
 	mon  *Monitor
 	gate *Gate
 	fm   frontMetrics
+	srv  *transport.Server
 
 	monCtx    context.Context
 	monCancel context.CancelFunc
 
-	mu      sync.Mutex
-	ln      net.Listener
-	closed  bool
-	conns   map[net.Conn]bool
-	connSeq int64
-	wg      sync.WaitGroup
+	fetchSeq atomic.Int64
 }
 
 // NewFront builds a front over the replica fleet. The health monitor
@@ -143,13 +135,17 @@ func NewFront(opts Options) (*Front, error) {
 		mopts.Metrics = opts.Metrics
 	}
 	f := &Front{
-		opts:  opts,
-		ring:  ring,
-		mon:   NewMonitor(opts.Replicas, mopts),
-		gate:  NewGate(opts.Gate),
-		fm:    newFrontMetrics(opts.Metrics),
-		conns: make(map[net.Conn]bool),
+		opts: opts,
+		ring: ring,
+		mon:  NewMonitor(opts.Replicas, mopts),
+		gate: NewGate(opts.Gate),
+		fm:   newFrontMetrics(opts.Metrics),
 	}
+	f.srv = transport.NewBackendServer(f, transport.ServerOptions{
+		Admission:   f.gate,
+		IdleTimeout: opts.IdleTimeout,
+		Metrics:     opts.Metrics,
+	}, opts.IOTimeout)
 	f.monCtx, f.monCancel = context.WithCancel(context.Background())
 	opts.Metrics.RegisterProbe("capability", func() any {
 		return map[string]string{"mode": f.mon.Aggregate().String()}
@@ -167,140 +163,31 @@ func (f *Front) Gate() *Gate { return f.gate }
 // probing in the background; it always returns a non-nil error
 // (transport.ErrServerClosed after a clean shutdown).
 func (f *Front) Serve(ln net.Listener) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return transport.ErrServerClosed
-	}
-	f.ln = ln
-	f.mu.Unlock()
 	go f.mon.Run(f.monCtx)
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			f.mu.Lock()
-			closed := f.closed
-			f.mu.Unlock()
-			if closed {
-				return transport.ErrServerClosed
-			}
-			return err
-		}
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			conn.Close()
-			return transport.ErrServerClosed
-		}
-		f.conns[conn] = true
-		f.connSeq++
-		connID := f.connSeq
-		f.wg.Add(1)
-		f.mu.Unlock()
-		f.fm.connsAccepted.Inc()
-		f.fm.connsActive.Add(1)
-		go func() {
-			defer f.wg.Done()
-			defer func() {
-				f.mu.Lock()
-				delete(f.conns, conn)
-				f.mu.Unlock()
-				conn.Close()
-				f.fm.connsActive.Add(-1)
-			}()
-			f.handle(conn, connID)
-		}()
-	}
+	return f.srv.Serve(ln)
 }
 
-// Close stops accepting, stops the health monitor, closes live client
-// connections, and waits for handlers to exit.
+// Close stops the health monitor and the server: no more accepts, live
+// client connections closed, handlers waited for.
 func (f *Front) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil
-	}
-	f.closed = true
-	ln := f.ln
-	conns := make([]net.Conn, 0, len(f.conns))
-	//mobweb:nondet-ok shutdown closes every conn; close order is immaterial
-	for c := range f.conns {
-		conns = append(conns, c)
-	}
-	f.mu.Unlock()
 	f.monCancel()
-	for _, c := range conns {
-		c.Close()
-	}
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	f.wg.Wait()
-	return err
+	return f.srv.Close()
 }
 
-// jitter builds a per-connection backoff source: a non-zero Retry.Seed
-// yields a schedule determined by (seed, connection arrival order), so
-// chaos runs replay identical failover timing; a zero seed draws fresh
-// per-connection randomness.
-func (f *Front) jitter(connID int64) *rand.Rand {
+// jitter builds a per-fetch backoff source: a non-zero Retry.Seed yields
+// a schedule determined by (seed, fetch arrival order), so chaos runs
+// replay identical failover timing; a zero seed draws fresh per-fetch
+// randomness.
+func (f *Front) jitter(fetchID int64) *rand.Rand {
 	seed := f.opts.Retry.Seed
 	if seed != 0 {
-		seed += connID
+		seed += fetchID
 	}
 	return transport.JitterSource(seed)
 }
 
-// handle runs one client connection's request loop.
-func (f *Front) handle(conn net.Conn, connID int64) {
-	rng := f.jitter(connID)
-	handlerDone := make(chan struct{})
-	defer close(handlerDone)
-	requests := transport.ReadRequests(conn, handlerDone)
-
-	w := bufio.NewWriter(conn)
-	for {
-		//mobweb:nondet-ok idle-timeout deadline, wall-clock by nature
-		if err := conn.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout)); err != nil {
-			return
-		}
-		req, ok := <-requests
-		if !ok {
-			return
-		}
-		if transport.ClassifyControl(req.Op) != transport.NotStreamControl {
-			// Stale feedback from a stream that already ended; ignore.
-			continue
-		}
-		var err error
-		switch req.Op {
-		case "search":
-			f.fm.searches.Inc()
-			err = f.proxySearch(w, req)
-		case "fetch":
-			f.fm.fetches.Inc()
-			err = f.proxyFetch(conn, w, requests, req, rng)
-		default:
-			err = writeFlush(w, transport.Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// writeFlush writes one control message and flushes it.
-func writeFlush(w *bufio.Writer, resp transport.Response) error {
-	if err := transport.WriteJSONLine(w, resp); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// replicaConn is one proxied stream's backend leg.
+// replicaConn is one proxied stream's backend leg; every read and write
+// on it runs under Options.IOTimeout.
 type replicaConn struct {
 	conn net.Conn
 	r    *bufio.Reader
@@ -314,28 +201,28 @@ func (rc *replicaConn) close() {
 	}
 }
 
+// send writes one control message to the replica and flushes it.
+func (rc *replicaConn) send(req transport.Request) error {
+	if err := transport.WriteJSONLine(rc.w, req); err != nil {
+		return err
+	}
+	return rc.w.Flush()
+}
+
 // openStream dials a replica, sends the fetch request and reads the
 // response header. Any failure closes the leg and returns the error.
 func (f *Front) openStream(idx int, req transport.Request) (*replicaConn, transport.Response, error) {
 	d := net.Dialer{Timeout: f.opts.DialTimeout}
-	conn, err := d.Dial("tcp", f.opts.Replicas[idx].Addr)
+	raw, err := d.Dial("tcp", f.opts.Replicas[idx].Addr)
 	if err != nil {
 		return nil, transport.Response{}, err
 	}
+	conn := transport.TimeoutConn{Conn: raw, Timeout: f.opts.IOTimeout}
 	rc := &replicaConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), idx: idx}
-	if err := rc.conn.SetWriteDeadline(f.ioDeadline()); err != nil {
-		rc.close()
-		return nil, transport.Response{}, err
+	var resp transport.Response
+	if err = rc.send(req); err == nil {
+		resp, err = transport.ReadResponse(rc.r)
 	}
-	if err := transport.WriteJSONLine(rc.w, req); err != nil {
-		rc.close()
-		return nil, transport.Response{}, err
-	}
-	if err := rc.w.Flush(); err != nil {
-		rc.close()
-		return nil, transport.Response{}, err
-	}
-	resp, err := f.readResponse(rc)
 	if err != nil {
 		rc.close()
 		return nil, transport.Response{}, err
@@ -343,22 +230,11 @@ func (f *Front) openStream(idx int, req transport.Request) (*replicaConn, transp
 	return rc, resp, nil
 }
 
-func (f *Front) readResponse(rc *replicaConn) (transport.Response, error) {
-	if err := rc.conn.SetReadDeadline(f.ioDeadline()); err != nil {
-		return transport.Response{}, err
-	}
-	return transport.ReadResponse(rc.r)
-}
-
-//mobweb:nondet-ok I/O deadlines are wall-clock by nature
-func (f *Front) ioDeadline() time.Time {
-	return time.Now().Add(f.opts.IOTimeout)
-}
-
-// proxySearch relays a keyword query to the first usable replica in
-// ring order from the query's own hash (spreading search load across
-// the fleet), failing over on connection errors.
-func (f *Front) proxySearch(w *bufio.Writer, req transport.Request) error {
+// Search implements transport.Backend: the keyword query goes to the
+// first usable replica in ring order from the query's own hash (spreading
+// search load across the fleet), failing over on connection errors.
+func (f *Front) Search(req transport.Request) transport.Response {
+	f.fm.searches.Inc()
 	order := f.ring.Successors(req.Query, nil)
 	var lastErr error
 	for _, idx := range order {
@@ -375,7 +251,7 @@ func (f *Front) proxySearch(w *bufio.Writer, req transport.Request) error {
 		if resp.Replica == "" {
 			resp.Replica = f.opts.Replicas[idx].Name
 		}
-		return writeFlush(w, resp)
+		return resp
 	}
 	resp := transport.Response{
 		Error:      "no replica available for search",
@@ -386,272 +262,249 @@ func (f *Front) proxySearch(w *bufio.Writer, req transport.Request) error {
 	if lastErr != nil {
 		resp.Error = fmt.Sprintf("no replica available for search: %v", lastErr)
 	}
-	return writeFlush(w, resp)
+	return resp
 }
 
-// sortedUnion returns the members of a and b in ascending order. The
-// resume state replayed to the next replica on a re-route is built with
-// it: Have is the client's own list plus every sequence number already
-// relayed intact, DoneGens the generations it has reported decoded.
-func sortedUnion(a, b map[int]bool) []int {
-	out := make([]int, 0, len(a)+len(b))
-	for v := range a {
-		out = append(out, v)
+// Shed implements transport.Backend: the front tier's own refusal, on top
+// of whatever each replica's gate decides.
+func (f *Front) Shed(req transport.Request, retryAfter time.Duration) transport.Response {
+	f.fm.fetches.Inc()
+	f.fm.sheds.Inc()
+	f.logFetch(req, "", 0, 0, transport.ErrShed)
+	return transport.Response{
+		Error:        "load shed: front fetch budget exhausted",
+		Shed:         true,
+		RetryAfterMS: int(retryAfter / time.Millisecond),
+		Replica:      f.opts.Name,
 	}
-	for v := range b {
-		if !a[v] {
-			out = append(out, v)
-		}
+}
+
+// Fetch implements transport.Backend: the header is the first willing
+// replica's (or the refusal that stands in for it), the source a relay of
+// that replica's frames.
+func (f *Front) Fetch(req transport.Request) (transport.Response, transport.FrameSource, func(int, error)) {
+	f.fm.fetches.Inc()
+	s := &relay{
+		f:        f,
+		req:      req,
+		id:       f.fetchSeq.Add(1),
+		order:    f.ring.Successors(req.Doc, nil),
+		held:     intSet(req.Have),
+		doneGens: intSet(req.DoneGens),
+	}
+	hdr, err := s.open()
+	if s.rc == nil {
+		f.logFetch(req, "", 0, 0, err)
+		return hdr, nil, nil
+	}
+	return hdr, s, s.end
+}
+
+// intSet and sortedKeys move the resume state a re-routed request carries
+// between wire lists and the sets the relay grows: Have is the client's
+// own list plus every sequence number relayed intact, DoneGens the
+// generations it has reported decoded.
+func intSet(vals []int) map[int]bool {
+	set := make(map[int]bool, len(vals))
+	for _, v := range vals {
+		set[v] = true
+	}
+	return set
+}
+
+func sortedKeys(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for v := range set {
+		out = append(out, v)
 	}
 	sort.Ints(out)
 	return out
 }
 
-// proxyFetch admits, routes and relays one fetch stream, re-routing
-// across replica death. A returned error closes the client connection —
-// the deliberate signal once the response header is already relayed and
-// the stream cannot be finished on any replica: the client's own
-// redial/resume path takes over with its Have list intact.
-func (f *Front) proxyFetch(clientConn net.Conn, w *bufio.Writer, requests <-chan transport.Request, req transport.Request, rng *rand.Rand) error {
-	release, retryAfter, ok := f.gate.Admit(len(req.Have) > 0)
-	if !ok {
-		f.fm.sheds.Inc()
-		f.logFetch(req, "", 0, 0, transport.ErrShed)
-		return writeFlush(w, transport.Response{
-			Error:        "load shed: front fetch budget exhausted",
-			Shed:         true,
-			RetryAfterMS: int(retryAfter / time.Millisecond),
-			Replica:      f.opts.Name,
-		})
-	}
-	defer release()
+// relay is one proxied fetch: a frame source that reads from a replica
+// leg and, when the leg dies, re-routes to the next replica on the ring
+// without the stream loop above it noticing.
+type relay struct {
+	f     *Front
+	req   transport.Request
+	id    int64
+	order []int
+	// try is the position in the two-pass walk over order; attempt counts
+	// consecutive failed tries and drives the seeded backoff.
+	try, attempt int
+	rng          *rand.Rand
 
-	have := make(map[int]bool, len(req.Have))
-	for _, seq := range req.Have {
-		have[seq] = true
-	}
-	relayed := make(map[int]bool)
-	// Generations the client reported decoded mid-stream (stopgen): a
-	// re-routed request carries them as DoneGens, since the client will
-	// not repeat feedback it already gave.
-	doneGens := make(map[int]bool, len(req.DoneGens))
-	for _, g := range req.DoneGens {
-		doneGens[g] = true
-	}
-	order := f.ring.Successors(req.Doc, nil)
+	// held is the client's own Have list plus every frame that passed its
+	// CRC here, doneGens the generations the client reported decoded (in
+	// the request or by stopgen): the resume state a re-routed request
+	// carries, since the client will not repeat itself.
+	held, doneGens map[int]bool
 
-	var (
-		layout     core.Layout
-		headerSent bool
-		stopped    bool
-		reroutes   int
-		sent       int
-		attempt    int // failed attempts, drives the seeded backoff
-		lastDeg    *transport.Response
-		servedBy   string
-	)
+	rc       *replicaConn // live leg; nil before the first header and after a failed re-route
+	layout   core.Layout  // the first header's, which every later leg must match
+	servedBy string
+	reroutes int
+	ended    bool   // the serving replica's own end marker arrived
+	buf      []byte // the current frame, reused for the next
+}
 
-	finish := func(err error) error {
-		f.logFetch(req, servedBy, reroutes, sent, err)
-		if err != nil {
-			f.fm.fetchErrors.Inc()
-		}
-		return err
-	}
-
-	// Two passes over the ring order: the second pass retries replicas
-	// that failed on the first (a replica restarting mid-drill), with
-	// the seeded backoff between failed attempts.
-	maxTries := 2 * len(order)
-	for try := 0; try < maxTries; try++ {
-		idx := order[try%len(order)]
-		if !f.mon.Usable(idx) && !headerSent {
+// open walks the ring from where the last leg left off — two passes, the
+// second retrying replicas that failed on the first (a replica restarting
+// mid-drill), with the seeded backoff between failed attempts — until a
+// replica accepts the fetch, leaving s.rc behind its header. Before the
+// first header a replica's refusal is the answer, returned with s.rc nil
+// (and, when no replica could even be asked, with the error that classes
+// the fetch-log record). After it only an error ends the walk: the stream
+// cannot be finished on any replica, the client connection is closed on
+// purpose, and the client's own redial/resume path takes over with its
+// Have list intact.
+func (s *relay) open() (transport.Response, error) {
+	f := s.f
+	started := s.servedBy != ""
+	var lastDeg *transport.Response
+	for ; s.try < 2*len(s.order); s.try++ {
+		idx := s.order[s.try%len(s.order)]
+		if !started && !f.mon.Usable(idx) {
 			continue
 		}
-		if attempt > 0 {
-			time.Sleep(f.opts.Retry.Backoff(attempt-1, rng))
+		if s.attempt > 0 {
+			if s.rng == nil {
+				s.rng = f.jitter(s.id)
+			}
+			time.Sleep(f.opts.Retry.Backoff(s.attempt-1, s.rng))
 		}
-		rreq := req
-		rreq.Have = sortedUnion(have, relayed)
-		rreq.DoneGens = sortedUnion(doneGens, nil)
-		if headerSent && rreq.Seed == 0 {
+		rreq := s.req
+		rreq.Have = sortedKeys(s.held)
+		rreq.DoneGens = sortedKeys(s.doneGens)
+		if started && rreq.Seed == 0 {
 			// Pin the re-routed stream to the fountain seed the client is
 			// already decoding against (zero under the fixed-rate codec).
-			rreq.Seed = layout.Seed
+			rreq.Seed = s.layout.Seed
 		}
 		rc, resp, err := f.openStream(idx, rreq)
 		if err != nil {
 			f.mon.ReportFailure(idx)
-			attempt++
+			s.attempt++
 			continue
 		}
-		if !resp.OK {
-			rc.close()
-			switch {
-			case resp.Shed:
-				if !headerSent {
-					// Relay the replica's own shed verbatim: the
-					// retry-after hint is the overloaded replica's, not
-					// the front's.
-					return finish(writeFlush(w, resp))
+		name := f.opts.Replicas[idx].Name
+		switch {
+		case resp.OK && resp.Layout != nil:
+			if !started {
+				s.layout = *resp.Layout
+				if resp.Replica == "" {
+					resp.Replica = name
 				}
-				// A resume round shed mid-reroute; treat like a failure
-				// and walk on.
-				attempt++
-			case resp.Degraded:
-				lastDeg = &resp
-			default:
-				if !headerSent {
-					if resp.Replica == "" {
-						resp.Replica = f.opts.Replicas[idx].Name
-					}
-					return finish(writeFlush(w, resp))
-				}
-				attempt++
-			}
-			continue
-		}
-		if resp.Layout == nil {
-			rc.close()
-			attempt++
-			continue
-		}
-		if !headerSent {
-			layout = *resp.Layout
-			servedBy = f.opts.Replicas[idx].Name
-			if resp.Replica == "" {
-				resp.Replica = servedBy
-			}
-			if err := writeFlush(w, resp); err != nil {
-				rc.close()
-				return finish(err)
-			}
-			headerSent = true
-		} else {
-			if resp.Layout.N() != layout.N() || resp.Layout.BodySize != layout.BodySize {
+			} else if resp.Layout.N() != s.layout.N() || resp.Layout.BodySize != s.layout.BodySize {
 				// The replicas disagree on geometry (corpus drift): the
-				// relayed prefix and this stream cannot be mixed. Cut the
-				// client loose; its own redial/resume recovers cleanly.
+				// relayed prefix and this stream cannot be mixed.
 				rc.close()
-				return finish(fmt.Errorf("shard: layout changed across re-route for %s: %w", req.Doc, transport.ErrReroute))
+				return transport.Response{}, fmt.Errorf("shard: layout changed across re-route for %s: %w", s.req.Doc, transport.ErrReroute)
 			}
-			servedBy = f.opts.Replicas[idx].Name
+			s.rc, s.servedBy, s.attempt = rc, name, 0
+			s.try++
+			return resp, nil
+		case resp.Degraded:
+			lastDeg = &resp
+		case resp.OK, started:
+			// A header without a layout, or a resume round shed or refused
+			// mid-re-route: treat like a failed leg and walk on.
+			s.attempt++
+		default:
+			// The replica's own refusal, relayed verbatim: a shed's
+			// retry-after hint is the overloaded replica's, not the front's.
+			rc.close()
+			if !resp.Shed && resp.Replica == "" {
+				resp.Replica = name
+			}
+			return resp, nil
 		}
-		attempt = 0
-
-		done, relayErr := f.relayFrames(clientConn, w, rc, requests, layout, relayed, doneGens, &stopped, &sent)
 		rc.close()
-		if done {
-			return finish(nil)
-		}
-		if relayErr != nil {
-			// The client side failed (write error, connection gone, or a
-			// protocol violation); nothing a different replica can fix.
-			return finish(relayErr)
-		}
-		// The replica leg died mid-stream: re-route to the next ring
-		// replica, replaying Have ∪ relayed.
-		f.mon.ReportFailure(idx)
-		f.fm.reroutes.Inc()
-		reroutes++
-		attempt++
-		if stopped {
-			// The client already asked to stop; it needs no more frames,
-			// just the terminator.
-			if err := transport.WriteEndOfStream(w); err != nil {
-				return finish(err)
-			}
-			if err := w.Flush(); err != nil {
-				return finish(err)
-			}
-			return finish(nil)
-		}
 	}
-
-	if headerSent {
-		return finish(fmt.Errorf("shard: every replica failed mid-stream for %s: %w", req.Doc, transport.ErrReroute))
+	switch {
+	case started:
+		return transport.Response{}, fmt.Errorf("shard: every replica failed mid-stream for %s: %w", s.req.Doc, transport.ErrReroute)
+	case lastDeg != nil:
+		return *lastDeg, nil
 	}
-	if lastDeg != nil {
-		return finish(writeFlush(w, *lastDeg))
-	}
-	f.logFetch(req, "", reroutes, sent, transport.ErrDegraded)
-	return writeFlush(w, transport.Response{
-		Error:      fmt.Sprintf("no replica available for %s", req.Doc),
+	return transport.Response{
+		Error:      fmt.Sprintf("no replica available for %s", s.req.Doc),
 		Degraded:   true,
 		Capability: transport.CapDown.String(),
 		Replica:    f.opts.Name,
-	})
+	}, transport.ErrDegraded
 }
 
-// relayFrames pumps one replica stream to the client. It returns
-// done=true when the replica's end-of-stream terminator was relayed. A
-// nil error with done=false means the replica leg failed and the caller
-// should re-route; a non-nil error means the client leg failed and the
-// stream is unsalvageable.
-func (f *Front) relayFrames(clientConn net.Conn, w *bufio.Writer, rc *replicaConn, requests <-chan transport.Request, layout core.Layout, relayed, doneGens map[int]bool, stopped *bool, sent *int) (bool, error) {
-	var frameBuf []byte
+// Next implements transport.FrameSource.
+func (s *relay) Next(ctl <-chan transport.Request) (transport.Frame, transport.Request, error) {
+	if creq, err := transport.PollControl(ctl); err != nil || creq.Op != "" {
+		return transport.Frame{}, creq, err
+	}
 	for {
-		// Stream feedback is forwarded to the replica, which decides what
-		// it means for this stream's codec; client-connection closure
-		// (reader channel closed) aborts the whole handler.
-		select {
-		case creq, ok := <-requests:
-			if !ok {
-				return false, io.EOF
-			}
-			switch transport.ClassifyControl(creq.Op) {
-			case transport.StopStream:
-				if *stopped {
-					continue
-				}
-				*stopped = true
-			case transport.StopGeneration:
-				doneGens[creq.Gen] = true
-			default:
-				return false, fmt.Errorf("shard: %q request during stream", creq.Op)
-			}
-			// Best effort: a replica leg that cannot take the feedback is
-			// about to fail its next read, and the re-route replays it.
-			if err := rc.conn.SetWriteDeadline(f.ioDeadline()); err == nil {
-				if transport.WriteJSONLine(rc.w, creq) == nil {
-					rc.w.Flush()
-				}
-			}
-		default:
-		}
-		if err := rc.conn.SetReadDeadline(f.ioDeadline()); err != nil {
-			return false, nil
-		}
-		frame, err := transport.ReadFrameInto(rc.r, frameBuf)
+		frame, err := transport.ReadFrameInto(s.rc.r, s.buf)
 		if err != nil {
-			return false, nil // replica leg died: re-route
+			// The replica leg died mid-stream: re-route to the next ring
+			// replica, replaying everything held.
+			s.f.mon.ReportFailure(s.rc.idx)
+			s.f.fm.reroutes.Inc()
+			s.reroutes++
+			s.attempt++
+			s.rc.close()
+			s.rc = nil
+			if _, err := s.open(); err != nil {
+				return transport.Frame{}, transport.Request{}, err
+			}
+			continue
 		}
 		if frame == nil {
-			if err := transport.WriteEndOfStream(w); err != nil {
-				return false, err
-			}
-			if err := w.Flush(); err != nil {
-				return false, err
-			}
-			return true, nil
+			s.ended = true
+			return transport.Frame{}, transport.Request{}, nil
 		}
-		frameBuf = frame
-		if err := clientConn.SetWriteDeadline(f.ioDeadline()); err != nil {
-			return false, err
-		}
-		if err := transport.WriteFrame(w, frame); err != nil {
-			return false, err
-		}
-		if err := w.Flush(); err != nil {
-			return false, err
-		}
-		*sent++
+		s.buf = frame
 		// Only frames that pass their CRC here count as held by the
-		// client: a frame corrupted on the replica's (emulated) weak
-		// link must stay eligible for retransmission after a re-route.
-		if seq, _, perr := layout.ParseFrame(frame); perr == nil {
-			relayed[seq] = true
+		// client: a frame corrupted on the replica's (emulated) weak link
+		// must stay eligible for retransmission after a re-route.
+		seq, _, perr := s.layout.ParseFrame(frame)
+		if perr == nil {
+			s.held[seq] = true
 		}
+		return transport.Frame{Bytes: frame, Seq: seq}, transport.Request{}, nil
+	}
+}
+
+// StopGen implements transport.FrameSource: the replica decides what a
+// stopgen means for this stream's codec.
+func (s *relay) StopGen(g int) error {
+	s.doneGens[g] = true
+	// Best effort: a leg that cannot take the feedback is about to fail
+	// its next read, and the re-route replays it as DoneGens.
+	_ = s.rc.send(transport.Request{Op: "stopgen", Gen: g})
+	return nil
+}
+
+// Pace implements transport.FrameSource: frames go out as the replica
+// sends them.
+func (s *relay) Pace() (flushEach, selfPaced bool) { return true, true }
+
+// end is the fetch's end hook: it lets go of the replica leg and writes
+// the front's fetch-log record.
+func (s *relay) end(sent int, err error) {
+	if err == nil && !s.ended {
+		// The client said stop. Pass it on and drain to the replica's own
+		// end marker, so the replica finishes (and logs) a stopped stream
+		// rather than a vanished client.
+		_ = s.rc.send(transport.Request{Op: "stop"})
+		for {
+			frame, rerr := transport.ReadFrameInto(s.rc.r, s.buf)
+			if rerr != nil || frame == nil {
+				break
+			}
+		}
+	}
+	s.rc.close()
+	s.f.logFetch(s.req, s.servedBy, s.reroutes, sent, err)
+	if err != nil {
+		s.f.fm.fetchErrors.Inc()
 	}
 }
 
@@ -668,4 +521,7 @@ func (f *Front) logFetch(req transport.Request, replica string, reroutes, sent i
 	})
 }
 
-var _ io.Closer = (*Front)(nil)
+var (
+	_ io.Closer         = (*Front)(nil)
+	_ transport.Backend = (*Front)(nil)
+)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -596,14 +598,91 @@ func TestFountainThroughFront(t *testing.T) {
 	}
 }
 
-// TestFrontControlOps is transport's control-op table run through the
-// front: the shared classifier must give a proxied stream the same
-// answers as a direct one, during a stream and between streams.
+// wireTarget is one way of reaching the same replica: directly, or through
+// a front over it.
+type wireTarget struct {
+	name, addr string
+}
+
+// wireTranscript is what a raw client saw of one control-op case up to
+// the point where timing decides what follows: the fetch header line, the
+// frames read before the op went out, the line that answered the op (if
+// the case expects one) and how the case ended.
+type wireTranscript struct {
+	header  string
+	frames  [][]byte
+	answer  string
+	outcome string
+}
+
+// rawWire speaks the wire protocol by hand, for requests a Client never
+// sends.
+type rawWire struct {
+	t    *testing.T
+	conn net.Conn
+	r    *bufio.Reader
+}
+
+func dialRawWire(t *testing.T, addr string) *rawWire {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	return &rawWire{t: t, conn: conn, r: bufio.NewReader(conn)}
+}
+
+func (c *rawWire) send(req transport.Request) {
+	c.t.Helper()
+	if err := transport.WriteJSONLine(c.conn, req); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+// line reads one control line, raw and decoded.
+func (c *rawWire) line() (string, transport.Response, error) {
+	line, err := c.r.ReadBytes('\n')
+	if err != nil {
+		return "", transport.Response{}, err
+	}
+	var resp transport.Response
+	err = json.Unmarshal(line, &resp)
+	return string(line), resp, err
+}
+
+// frames reads up to n frames (n < 0: to the end marker).
+func (c *rawWire) frames(n int) (frames [][]byte, ended bool, err error) {
+	for n < 0 || len(frames) < n {
+		frame, err := transport.ReadFrame(c.r)
+		if err != nil {
+			return frames, false, err
+		}
+		if frame == nil {
+			return frames, true, nil
+		}
+		frames = append(frames, frame)
+	}
+	return frames, false, nil
+}
+
+// TestFrontControlOps is the control-op table, run against a replica
+// directly and through a front over that replica: there is one request
+// loop and one stream loop, so both must hand the client the same bytes —
+// header line, frames, refusal texts — and the same fate, during a stream
+// and between streams.
 func TestFrontControlOps(t *testing.T) {
-	fl := startFleet(t, 2, transport.ServerOptions{
+	gate := NewGate(GateOptions{MaxInFlight: 8, RetryAfter: 99 * time.Millisecond})
+	fl := startFleet(t, 1, transport.ServerOptions{
 		Defaults:    core.Config{MaxGeneration: 8},
 		PacketDelay: time.Millisecond,
+		Admission:   gate,
 	}, Options{})
+	targets := []wireTarget{{"direct", fl.replicas[0].addr}, {"front", fl.addr}}
+
 	for _, tc := range []struct {
 		name   string
 		codec  string
@@ -615,6 +694,7 @@ func TestFrontControlOps(t *testing.T) {
 		{"stop during fountain", "fountain", true, transport.Request{Op: "stop"}, "ends"},
 		{"stopgen during fountain", "fountain", true, transport.Request{Op: "stopgen", Gen: 0}, "continues"},
 		{"search during fountain", "fountain", true, transport.Request{Op: "search", Query: "x"}, "closed"},
+		{"unknown op during fixed-rate", "vandermonde", true, transport.Request{Op: "bogus"}, "closed"},
 		{"close during fountain", "fountain", true, transport.Request{}, "closed"},
 		{"stop between", "vandermonde", false, transport.Request{Op: "stop"}, "ignored"},
 		{"stopgen between", "fountain", false, transport.Request{Op: "stopgen", Gen: 1}, "ignored"},
@@ -622,90 +702,298 @@ func TestFrontControlOps(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			conn, err := net.Dial("tcp", fl.addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
-				t.Fatal(err)
-			}
-			r := bufio.NewReader(conn)
-			send := func(req transport.Request) {
-				t.Helper()
-				if err := transport.WriteJSONLine(conn, req); err != nil {
-					t.Fatal(err)
+			var seen []wireTranscript
+			for _, target := range targets {
+				c := dialRawWire(t, target.addr)
+				var tr wireTranscript
+				c.send(transport.Request{Op: "fetch", Doc: corpus.DraftName, Codec: tc.codec})
+				header, resp, err := c.line()
+				if err != nil || !resp.OK {
+					t.Fatalf("%s: fetch header: %+v, %v", target.name, resp, err)
 				}
-			}
-			response := func() (resp transport.Response, err error) {
-				line, err := r.ReadBytes('\n')
-				if err == nil {
-					err = json.Unmarshal(line, &resp)
-				}
-				return resp, err
-			}
-			// frames reads up to n frames (n < 0: to the end marker).
-			frames := func(n int) (seen int, ended bool, err error) {
-				for n < 0 || seen < n {
-					frame, err := transport.ReadFrame(r)
-					if err != nil {
-						return seen, false, err
+				tr.header = header
+				if tc.during {
+					if tr.frames, _, err = c.frames(3); err != nil {
+						t.Fatalf("%s: %v", target.name, err)
 					}
-					if frame == nil {
-						return seen, true, nil
+				} else {
+					c.send(transport.Request{Op: "stop"})
+					if _, ended, err := c.frames(-1); err != nil || !ended {
+						t.Fatalf("%s: stream did not end cleanly: %v", target.name, err)
 					}
-					seen++
 				}
-				return seen, false, nil
+				if tc.op.Op == "" {
+					// Closing is the case; Close on either server (in the
+					// cleanup) must not hang on the vanished client.
+					c.conn.Close()
+					seen = append(seen, tr)
+					continue
+				}
+				c.send(tc.op)
+				inStep := true
+				switch tc.want {
+				case "ends":
+					if _, ended, err := c.frames(-1); err != nil || !ended {
+						t.Fatalf("%s: stream did not end after %q: %v", target.name, tc.op.Op, err)
+					}
+				case "continues":
+					if got, ended, err := c.frames(20); err != nil || ended || len(got) != 20 {
+						t.Fatalf("%s: stream stopped after %q: %d frames, ended=%v, %v", target.name, tc.op.Op, len(got), ended, err)
+					}
+					c.send(transport.Request{Op: "stop"})
+					if _, ended, err := c.frames(-1); err != nil || !ended {
+						t.Fatalf("%s: stream did not end cleanly: %v", target.name, err)
+					}
+				case "closed":
+					if _, ended, err := c.frames(-1); err == nil && ended {
+						t.Fatalf("%s: %q mid-stream was tolerated", target.name, tc.op.Op)
+					}
+					inStep = false
+				case "refused":
+					line, resp, err := c.line()
+					if err != nil || resp.OK || resp.Error == "" {
+						t.Fatalf("%s: %q between streams: %+v, %v", target.name, tc.op.Op, resp, err)
+					}
+					tr.answer = line
+				}
+				if inStep {
+					// The connection is still in step: the next request gets
+					// its own response, not a stray line.
+					c.send(transport.Request{Op: "search", Query: "mobile web"})
+					if _, resp, err := c.line(); err != nil || !resp.OK || len(resp.Hits) == 0 {
+						t.Fatalf("%s: search after %q: %+v, %v", target.name, tc.op.Op, resp, err)
+					}
+				}
+				tr.outcome = tc.want
+				seen = append(seen, tr)
 			}
-
-			send(transport.Request{Op: "fetch", Doc: corpus.DraftName, Codec: tc.codec})
-			if resp, err := response(); err != nil || !resp.OK {
-				t.Fatalf("fetch header: %+v, %v", resp, err)
-			}
-			if tc.during {
-				if _, _, err := frames(3); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				send(transport.Request{Op: "stop"})
-				if _, ended, err := frames(-1); err != nil || !ended {
-					t.Fatalf("stream did not end cleanly: %v", err)
-				}
-			}
-			if tc.op.Op == "" {
-				return // the deferred Close is the case; Front.Close must not hang on it
-			}
-			send(tc.op)
-			switch tc.want {
-			case "ends":
-				if _, ended, err := frames(-1); err != nil || !ended {
-					t.Fatalf("stream did not end after %q: %v", tc.op.Op, err)
-				}
-			case "continues":
-				if n, ended, err := frames(20); err != nil || ended {
-					t.Fatalf("stream stopped after %q: %d frames, ended=%v, %v", tc.op.Op, n, ended, err)
-				}
-				send(transport.Request{Op: "stop"})
-				if _, ended, err := frames(-1); err != nil || !ended {
-					t.Fatalf("stream did not end cleanly: %v", err)
-				}
-			case "closed":
-				if _, ended, err := frames(-1); err == nil && ended {
-					t.Fatalf("%q mid-stream was tolerated", tc.op.Op)
-				}
-				return
-			case "refused":
-				if resp, err := response(); err != nil || resp.OK || resp.Error == "" {
-					t.Fatalf("%q between streams: %+v, %v", tc.op.Op, resp, err)
-				}
-			}
-			// The connection is still in step: the next request gets its
-			// own response, not a stray line.
-			send(transport.Request{Op: "search", Query: "mobile web"})
-			if resp, err := response(); err != nil || !resp.OK || len(resp.Hits) == 0 {
-				t.Fatalf("search after %q: %+v, %v", tc.op.Op, resp, err)
+			if !reflect.DeepEqual(seen[0], seen[1]) {
+				t.Errorf("client-visible bytes differ\ndirect %q %d frames %q\n front %q %d frames %q",
+					seen[0].header, len(seen[0].frames), seen[0].answer, seen[1].header, len(seen[1].frames), seen[1].answer)
 			}
 		})
 	}
+
+	// Refusals at the header: the replica's own shed and capability
+	// refusal reach the client byte for byte through the front.
+	for _, tc := range []struct {
+		name   string
+		refuse func() (undo func())
+	}{
+		{"shed", func() func() {
+			var held []func()
+			for {
+				release, _, ok := gate.Admit(true)
+				if !ok {
+					break
+				}
+				held = append(held, release)
+			}
+			return func() {
+				for _, release := range held {
+					release()
+				}
+			}
+		}},
+		{"degraded", func() func() {
+			fl.replicas[0].capability.Set(transport.CapSearchOnly)
+			return func() { fl.replicas[0].capability.Set(transport.CapFull) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Streams the cases above abandoned still hold slots until
+			// their handlers notice.
+			waitFor(t, 5*time.Second, func() bool { return gate.InFlight() == 0 }, "replica gate never drained")
+			defer tc.refuse()()
+			var lines []string
+			for _, target := range targets {
+				c := dialRawWire(t, target.addr)
+				c.send(transport.Request{Op: "fetch", Doc: corpus.DraftName})
+				line, resp, err := c.line()
+				if err != nil || resp.OK || resp.Shed != (tc.name == "shed") || resp.Degraded != (tc.name == "degraded") {
+					t.Fatalf("%s: %+v, %v", target.name, resp, err)
+				}
+				lines = append(lines, line)
+			}
+			if lines[0] != lines[1] {
+				t.Errorf("refusal differs\ndirect %s front %s", lines[0], lines[1])
+			}
+		})
+	}
+
+	// What the Client counts is the same either way. (A fountain fetch
+	// counts the frames in flight when a stopgen lands, so only its round
+	// and reconnect counts are comparable.)
+	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
+		t.Run("fetch result "+codec.String(), func(t *testing.T) {
+			var results []*transport.FetchResult
+			for _, target := range targets {
+				c, err := transport.Dial(target.addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				c.Timeout = 10 * time.Second
+				res, err := c.Fetch(transport.FetchOptions{Doc: corpus.DraftName, Caching: true, Codec: codec})
+				if err != nil {
+					t.Fatalf("%s: %v", target.name, err)
+				}
+				results = append(results, res)
+			}
+			d, f := results[0], results[1]
+			if !bytes.Equal(d.Body, f.Body) || d.Rounds != f.Rounds || d.Reconnects != f.Reconnects || d.Codec != f.Codec || d.Replica != f.Replica {
+				t.Errorf("direct %d rounds %d reconnects %s by %s, front %d rounds %d reconnects %s by %s (or bodies differ)",
+					d.Rounds, d.Reconnects, d.Codec, d.Replica, f.Rounds, f.Reconnects, f.Codec, f.Replica)
+			}
+			if codec == erasure.CodecVandermonde && (d.PacketsReceived != f.PacketsReceived || d.BytesReceived != f.BytesReceived ||
+				d.PacketsCorrupted != f.PacketsCorrupted || d.RefetchedPackets != f.RefetchedPackets || d.HeldPackets != f.HeldPackets) {
+				t.Errorf("direct received %d packets / %d bytes / %d held, front %d / %d / %d",
+					d.PacketsReceived, d.BytesReceived, d.HeldPackets, f.PacketsReceived, f.BytesReceived, f.HeldPackets)
+			}
+		})
+	}
+}
+
+// settleGoroutines waits for the goroutine count to come back down to
+// baseline and fails the test, with a dump of what is still running, if
+// it does not.
+func settleGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want at most %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStreamOutlastsIdleTimeoutThroughFront is transport's idle-timer
+// regression on both hops of a proxied fetch: neither the front's nor the
+// replica's request loop may cut a stream for outlasting IdleTimeout.
+func TestStreamOutlastsIdleTimeoutThroughFront(t *testing.T) {
+	doc, err := corpus.Load(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := startFleet(t, 1, transport.ServerOptions{
+		IdleTimeout: 100 * time.Millisecond,
+		PacketDelay: 10 * time.Millisecond,
+	}, Options{IdleTimeout: 100 * time.Millisecond})
+	res, err := fl.client(t).Fetch(transport.FetchOptions{Doc: corpus.DraftName, Caching: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 1 || res.Reconnects != 0 {
+		t.Errorf("fetch took %d rounds and %d reconnects, want 1 and 0", res.Rounds, res.Reconnects)
+	}
+	if !bytes.Equal(res.Body, doc.Body()) {
+		t.Error("body differs from the source document")
+	}
+	if rec := frontRecord(t, fl, corpus.DraftName); rec.Reroutes != 0 || rec.Err != "" {
+		t.Errorf("front record %+v, want no re-route and no error", rec)
+	}
+}
+
+// pipeListener hands a server in-memory connections: net.Pipe has no
+// buffer, so a peer that stops reading blocks the very next write.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case conn := <-l.conns:
+		return conn, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// TestWriteDeadlineReleasesFrontHandler is transport's write-deadline
+// regression through a front: a client that stops reading mid-stream must
+// cost the front its handler, its admission slot and its replica leg for
+// no longer than IOTimeout.
+func TestWriteDeadlineReleasesFrontHandler(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	t.Run("fleet", func(t *testing.T) {
+		replica := startReplica(t, "a-replica", transport.ServerOptions{})
+		front, err := NewFront(Options{Replicas: []Replica{replica.Replica()}, IOTimeout: 100 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			front.Serve(ln)
+		}()
+		defer func() {
+			front.Close()
+			<-served
+			replica.Kill()
+		}()
+
+		clientEnd, serverEnd := net.Pipe()
+		defer clientEnd.Close()
+		ln.conns <- serverEnd
+		if err := transport.WriteJSONLine(clientEnd, transport.Request{Op: "fetch", Doc: corpus.DraftName}); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(clientEnd)
+		if resp, err := transport.ReadResponse(r); err != nil || !resp.OK {
+			t.Fatalf("fetch header: %+v, %v", resp, err)
+		}
+		for i := 0; i < 3; i++ {
+			if frame, err := transport.ReadFrame(r); err != nil || frame == nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+		if held := front.Gate().InFlight(); held != 1 {
+			t.Fatalf("%d admission slots held mid-stream, want 1", held)
+		}
+		// The client stops reading here.
+		waitFor(t, 5*time.Second, func() bool { return front.Gate().InFlight() == 0 },
+			"front handler still holds its admission slot for a peer that stopped reading")
+	})
+	settleGoroutines(t, baseline)
+}
+
+// TestNoGoroutinesAfterFrontClose closes a front and its replicas over a
+// finished fetch, an idle connection and one mid-stream: nothing either
+// server started may outlive it.
+func TestNoGoroutinesAfterFrontClose(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	t.Run("fleet", func(t *testing.T) {
+		fl := startFleet(t, 2, transport.ServerOptions{PacketDelay: time.Millisecond}, Options{})
+		client := fl.client(t)
+		for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
+			if _, err := client.Fetch(transport.FetchOptions{Doc: corpus.DraftName, Caching: true, Codec: codec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		midStream := dialRawWire(t, fl.addr)
+		midStream.send(transport.Request{Op: "fetch", Doc: corpus.DraftName, Codec: "fountain"})
+		if _, resp, err := midStream.line(); err != nil || !resp.OK {
+			t.Fatalf("fetch header: %+v, %v", resp, err)
+		}
+		if _, _, err := midStream.frames(3); err != nil {
+			t.Fatal(err)
+		}
+		fl.front.Close()
+		for _, r := range fl.replicas {
+			r.Kill()
+		}
+	})
+	settleGoroutines(t, baseline)
 }

@@ -65,34 +65,34 @@ type broadcastHub struct {
 
 // subscribeBroadcast joins (creating on first subscriber) the shared
 // stream for (plan, seed).
-func (s *Server) subscribeBroadcast(resolved *planner.Resolved, seed uint64, gens int) *broadcastSub {
+func (t *transmitter) subscribeBroadcast(resolved *planner.Resolved, seed uint64, gens int) *broadcastSub {
 	key := broadcastKey{plan: resolved.Key, seed: seed}
 	sub := &broadcastSub{ch: make(chan broadcastFrame, broadcastSubBuffer)}
-	h := &s.bcast
+	h := &t.bcast
 	h.mu.Lock()
 	st, ok := h.streams[key]
 	if !ok {
 		st = &broadcastStream{key: key, subs: make(map[*broadcastSub]bool)}
 		h.streams[key] = st
-		s.sm.broadcastStreams.Add(1)
-		go s.produceBroadcast(st, resolved, seed, gens)
+		t.tm.broadcastStreams.Add(1)
+		go t.produceBroadcast(st, resolved, seed, gens)
 	}
 	st.subs[sub] = true
 	h.mu.Unlock()
-	s.sm.broadcastSubs.Add(1)
+	t.tm.broadcastSubs.Add(1)
 	return sub
 }
 
 // unsubscribeBroadcast detaches one subscriber; the producer notices an
 // empty subscriber set and deregisters itself.
-func (s *Server) unsubscribeBroadcast(key broadcastKey, sub *broadcastSub) {
-	h := &s.bcast
+func (t *transmitter) unsubscribeBroadcast(key broadcastKey, sub *broadcastSub) {
+	h := &t.bcast
 	h.mu.Lock()
 	if st := h.streams[key]; st != nil {
 		delete(st.subs, sub)
 	}
 	h.mu.Unlock()
-	s.sm.broadcastSubs.Add(-1)
+	t.tm.broadcastSubs.Add(-1)
 }
 
 // produceBroadcast is the single producer of one fan-out stream: it
@@ -101,8 +101,8 @@ func (s *Server) unsubscribeBroadcast(key broadcastKey, sub *broadcastSub) {
 // for that subscriber only. It exits (and deregisters the stream) when
 // the subscriber set empties, or tears the stream down by closing every
 // queue if a frame fails to cook.
-func (s *Server) produceBroadcast(st *broadcastStream, resolved *planner.Resolved, seed uint64, gens int) {
-	h := &s.bcast
+func (t *transmitter) produceBroadcast(st *broadcastStream, resolved *planner.Resolved, seed uint64, gens int) {
+	h := &t.bcast
 	cursor := make([]int, gens)
 	var subs []*broadcastSub
 	for {
@@ -115,7 +115,7 @@ func (s *Server) produceBroadcast(st *broadcastStream, resolved *planner.Resolve
 			if len(st.subs) == 0 {
 				delete(h.streams, st.key)
 				h.mu.Unlock()
-				s.sm.broadcastStreams.Add(-1)
+				t.tm.broadcastStreams.Add(-1)
 				return
 			}
 			if err != nil {
@@ -127,7 +127,7 @@ func (s *Server) produceBroadcast(st *broadcastStream, resolved *planner.Resolve
 				st.subs = make(map[*broadcastSub]bool)
 				delete(h.streams, st.key)
 				h.mu.Unlock()
-				s.sm.broadcastStreams.Add(-1)
+				t.tm.broadcastStreams.Add(-1)
 				return
 			}
 			subs = subs[:0]
@@ -142,9 +142,9 @@ func (s *Server) produceBroadcast(st *broadcastStream, resolved *planner.Resolve
 				select {
 				case sub.ch <- bf:
 					delivered = true
-					s.sm.broadcastFrames.Inc()
+					t.tm.broadcastFrames.Inc()
 				default:
-					s.sm.broadcastDrops.Inc()
+					t.tm.broadcastDrops.Inc()
 				}
 				if len(sub.ch) < broadcastPaceBacklog {
 					pace = false
@@ -160,7 +160,7 @@ func (s *Server) produceBroadcast(st *broadcastStream, resolved *planner.Resolve
 				//mobweb:nondet-ok pacing sleep; frame content is unaffected
 				time.Sleep(200 * time.Microsecond)
 			}
-			if d := s.opts.PacketDelay; d > 0 {
+			if d := t.opts.PacketDelay; d > 0 {
 				// The carousel is paced to the emulated broadcast link
 				// rate, like the unicast stream paths: the air interface,
 				// not the CPU, decides how fast new symbols appear.
@@ -181,22 +181,26 @@ type broadcastSource struct {
 	sub *broadcastSub
 }
 
-func (b *broadcastSource) next(ctl <-chan Request, _ []byte) (srcFrame, Request, error) {
+func (b *broadcastSource) Next(ctl <-chan Request) (Frame, Request, error) {
 	for b.active > 0 {
 		select {
 		case creq, ok := <-ctl:
 			if !ok {
-				return srcFrame{}, Request{}, io.EOF
+				return Frame{}, Request{}, io.EOF
 			}
-			return srcFrame{}, creq, nil
+			return Frame{}, creq, nil
 		case bf, ok := <-b.sub.ch:
 			if !ok {
-				return srcFrame{}, Request{}, nil // producer tore the stream down
+				return Frame{}, Request{}, nil // producer tore the stream down
 			}
 			if b.admit(bf.gen, bf.seq) {
-				return srcFrame{bytes: bf.frame, seq: packet.PackSeq(bf.gen, bf.seq), shared: true}, Request{}, nil
+				return Frame{Bytes: bf.frame, Seq: packet.PackSeq(bf.gen, bf.seq)}, Request{}, nil
 			}
 		}
 	}
-	return srcFrame{}, Request{}, nil
+	return Frame{}, Request{}, nil
 }
+
+// Pace implements FrameSource: the carousel's producer is paced to the
+// emulated link rate, not each subscriber's loop.
+func (b *broadcastSource) Pace() (flushEach, selfPaced bool) { return true, true }

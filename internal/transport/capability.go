@@ -79,9 +79,6 @@ func (c Capability) AllowsFetch() bool { return c <= CapClearPrefixOnly }
 // idle-time traffic is the first load a degrading replica sheds.
 func (c Capability) AllowsPrefetch() bool { return c == CapFull }
 
-// AllowsSearch reports whether the tier answers keyword queries.
-func (c Capability) AllowsSearch() bool { return c != CapDown }
-
 // ClearPrefixOnly reports whether fetch streams must skip parity rows.
 func (c Capability) ClearPrefixOnly() bool { return c == CapClearPrefixOnly }
 

@@ -63,7 +63,7 @@ func FuzzRequestDecode(f *testing.F) {
 		}
 		switch req.Op {
 		case "fetch":
-			plan, msg := srv.buildPlan(req)
+			plan, msg := srv.local.buildPlan(req)
 			if plan == nil && msg == "" {
 				t.Fatalf("buildPlan returned neither plan nor message for %q", line)
 			}
@@ -71,7 +71,7 @@ func FuzzRequestDecode(f *testing.F) {
 				t.Fatalf("invalid message %q", msg)
 			}
 		case "search":
-			srv.engine.Search(req.Query, req.Limit)
+			srv.local.Search(req)
 		}
 	})
 }

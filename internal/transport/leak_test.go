@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mobweb/internal/corpus"
+	"mobweb/internal/erasure"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
 )
@@ -72,4 +73,48 @@ func TestNoReaderGoroutineLeak(t *testing.T) {
 
 	srv.Close()
 	<-serveDone
+}
+
+// settleGoroutines waits for the goroutine count to come back down to
+// baseline and fails the test, with a dump of what is still running, if
+// it does not.
+func settleGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want at most %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestNoGoroutinesAfterClose runs every kind of stream, then closes the
+// server over one idle connection and one mid-stream: Close must take
+// every goroutine the server started with it.
+func TestNoGoroutinesAfterClose(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	t.Run("serve", func(t *testing.T) {
+		client, srv := startServerHandle(t, ServerOptions{PacketDelay: time.Millisecond})
+		for _, opts := range []FetchOptions{
+			{Doc: corpus.DraftName, Caching: true},
+			{Doc: corpus.DraftName, Caching: true, Codec: erasure.CodecFountain},
+			{Doc: corpus.DraftName, Caching: true, Codec: erasure.CodecFountain, Broadcast: true},
+		} {
+			if _, err := client.Fetch(opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		midStream := dialRaw(t, client.conn.RemoteAddr().String())
+		midStream.send(Request{Op: "fetch", Doc: corpus.DraftName, Codec: "fountain"})
+		if resp, err := midStream.response(); err != nil || !resp.OK {
+			t.Fatalf("fetch header: %+v, %v", resp, err)
+		}
+		if _, _, err := midStream.frames(3); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+	})
+	settleGoroutines(t, baseline)
 }

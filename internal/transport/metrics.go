@@ -48,30 +48,17 @@ func (c *Client) metrics() *clientMetrics {
 	return &c.cm
 }
 
-// serverMetrics holds the transmitter-side metric pointers plus the shared
-// fetch log; the zero value disables everything.
+// serverMetrics holds the wire loop's metric pointers — connections,
+// requests and frames, whatever the backend; the zero value disables
+// everything.
 type serverMetrics struct {
 	connsAccepted *obs.Counter
 	connsActive   *obs.Gauge
 	reqSearch     *obs.Counter
 	reqFetch      *obs.Counter
 	reqBad        *obs.Counter
-	fetchErrors   *obs.Counter
-	sheds         *obs.Counter
-	degraded      *obs.Counter
 	framesOut     *obs.Counter
 	framesDropped *obs.Counter
-	fetchLog      *obs.FetchLog
-
-	// Rateless-mode counters: fountain fetches served, fountain frames
-	// written, and the broadcast fan-out's stream/subscriber gauges plus
-	// delivered/dropped queue offers.
-	fountainFetches  *obs.Counter
-	fountainFrames   *obs.Counter
-	broadcastStreams *obs.Gauge
-	broadcastSubs    *obs.Gauge
-	broadcastFrames  *obs.Counter
-	broadcastDrops   *obs.Counter
 }
 
 func newServerMetrics(r *obs.Registry) serverMetrics {
@@ -84,12 +71,39 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		reqSearch:     r.Counter("serve.requests_search"),
 		reqFetch:      r.Counter("serve.requests_fetch"),
 		reqBad:        r.Counter("serve.requests_bad"),
-		fetchErrors:   r.Counter("serve.fetch_errors"),
-		sheds:         r.Counter("serve.sheds"),
-		degraded:      r.Counter("serve.degraded_refusals"),
 		framesOut:     r.Counter("serve.frames_out"),
 		framesDropped: r.Counter("serve.frames_dropped"),
-		fetchLog:      r.FetchLog(),
+	}
+}
+
+// transmitterMetrics holds the planner-backed backend's metric pointers
+// plus the shared fetch log; the zero value disables everything.
+type transmitterMetrics struct {
+	fetchErrors *obs.Counter
+	sheds       *obs.Counter
+	degraded    *obs.Counter
+	fetchLog    *obs.FetchLog
+
+	// Rateless-mode counters: fountain fetches served, fountain frames
+	// written (added when a stream ends), and the broadcast fan-out's
+	// stream/subscriber gauges plus delivered/dropped queue offers.
+	fountainFetches  *obs.Counter
+	fountainFrames   *obs.Counter
+	broadcastStreams *obs.Gauge
+	broadcastSubs    *obs.Gauge
+	broadcastFrames  *obs.Counter
+	broadcastDrops   *obs.Counter
+}
+
+func newTransmitterMetrics(r *obs.Registry) transmitterMetrics {
+	if r == nil {
+		return transmitterMetrics{}
+	}
+	return transmitterMetrics{
+		fetchErrors: r.Counter("serve.fetch_errors"),
+		sheds:       r.Counter("serve.sheds"),
+		degraded:    r.Counter("serve.degraded_refusals"),
+		fetchLog:    r.FetchLog(),
 
 		fountainFetches:  r.Counter("serve.fountain_fetches"),
 		fountainFrames:   r.Counter("serve.fountain_frames_out"),

@@ -248,7 +248,7 @@ func benchReceiverAndFrame(b *testing.B) (*core.Receiver, []byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	frame, err := plan.AppendFrame(nil, 0)
+	frame, err := plan.Frame(0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func TestFountainPrefetchSendsStopgen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolved, err := srv.planner.ResolveFrames(planner.Request{Doc: corpus.DraftName})
+	resolved, err := srv.local.planner.ResolveFrames(planner.Request{Doc: corpus.DraftName})
 	if err != nil {
 		t.Fatal(err)
 	}

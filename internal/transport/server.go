@@ -73,18 +73,42 @@ type ServerOptions struct {
 	FountainSalt uint64
 }
 
-// Server is the database gateway plus document transmitter of Figure 1:
-// it indexes a document collection, answers keyword searches, and streams
-// documents as QIC-ordered fault-tolerant packet sequences. Plan
-// resolution goes through the shared planner, so retransmission rounds of
-// one (doc, query, LOD, notion, γ) tuple reuse a cached plan instead of
-// re-ranking and re-encoding.
+// Backend is what a Server transmits. The server owns the wire: the accept
+// loop, each connection's request loop, admission, and the stream loop
+// with its fault injection, flush policy, write deadlines, frame count and
+// end-of-stream marker. A backend answers searches and, per admitted
+// fetch, yields the response header and the frames behind it. NewServer's
+// planner-backed transmitter is one backend; shard.Front, which relays
+// the streams of a replica fleet, is the other.
+type Backend interface {
+	// Search answers a keyword query.
+	Search(req Request) Response
+	// Fetch opens one admitted fetch. A header that is not OK is a
+	// terminal refusal and comes alone. An OK header comes with the source
+	// of the frames that follow it and the fetch's end hook, which the
+	// server calls exactly once when the frames are over — before it
+	// writes the end-of-stream marker — with the number of frames it put
+	// on the air and the error that cut the stream short, if one did.
+	Fetch(req Request) (hdr Response, src FrameSource, end func(sent int, err error))
+	// Shed is the refusal for a fetch the server's admitter turned away.
+	Shed(req Request, retryAfter time.Duration) Response
+}
+
+// writeTimeout bounds each write that reaches a client connection: the
+// 30 s the Client and the shard front default to for their own I/O.
+const writeTimeout = 30 * time.Second
+
+// Server is the wire side of Figure 1's server: it accepts connections,
+// reads each one's control requests, gates fetches through the admitter
+// and streams what its backend yields until the client says stop.
 type Server struct {
-	engine  *search.Engine
-	planner *planner.Planner
-	opts    ServerOptions
-	sm      serverMetrics
-	bcast   broadcastHub
+	backend Backend
+	// local is the planner-backed backend NewServer built (nil under
+	// NewBackendServer); PlannerStats and FrameStats read it.
+	local        *transmitter
+	opts         ServerOptions
+	writeTimeout time.Duration
+	sm           serverMetrics
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -93,16 +117,13 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer wraps a search engine as a transmission server.
+// NewServer wraps a search engine as a transmission server: the database
+// gateway plus document transmitter of Figure 1, which indexes a document
+// collection, answers keyword searches, and streams documents as
+// QIC-ordered fault-tolerant packet sequences.
 func NewServer(engine *search.Engine, opts ServerOptions) (*Server, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("transport: nil engine")
-	}
-	if opts.Injector == nil {
-		opts.Injector = NopInjector{}
-	}
-	if opts.IdleTimeout == 0 {
-		opts.IdleTimeout = 2 * time.Minute
 	}
 	if opts.DegradedGammaMax == 0 {
 		opts.DegradedGammaMax = 1.25
@@ -133,21 +154,43 @@ func NewServer(engine *search.Engine, opts ServerOptions) (*Server, error) {
 			opts.Metrics.RegisterProbe("capability", opts.Capability.Probe)
 		}
 	}
-	return &Server{
+	local := &transmitter{
 		engine:  engine,
 		planner: pl,
 		opts:    opts,
-		sm:      newServerMetrics(opts.Metrics),
+		tm:      newTransmitterMetrics(opts.Metrics),
 		bcast:   broadcastHub{streams: make(map[broadcastKey]*broadcastStream)},
-		conns:   make(map[net.Conn]bool),
-	}, nil
+	}
+	s := NewBackendServer(local, opts, writeTimeout)
+	s.local = local
+	return s, nil
+}
+
+// NewBackendServer serves the wire protocol over b. Of opts it reads what
+// belongs to the wire — Injector, InjectorFactory, PacketDelay,
+// IdleTimeout, Admission, Metrics; the rest configures NewServer's own
+// backend. ioTimeout bounds each write to a client connection.
+func NewBackendServer(b Backend, opts ServerOptions, ioTimeout time.Duration) *Server {
+	if opts.Injector == nil {
+		opts.Injector = NopInjector{}
+	}
+	if opts.IdleTimeout == 0 {
+		opts.IdleTimeout = 2 * time.Minute
+	}
+	return &Server{
+		backend:      b,
+		opts:         opts,
+		writeTimeout: ioTimeout,
+		sm:           newServerMetrics(opts.Metrics),
+		conns:        make(map[net.Conn]bool),
+	}
 }
 
 // PlannerStats snapshots the planning service's cache counters.
-func (s *Server) PlannerStats() planner.Stats { return s.planner.Stats() }
+func (s *Server) PlannerStats() planner.Stats { return s.local.planner.Stats() }
 
 // FrameStats snapshots the shared cooked-frame cache's counters.
-func (s *Server) FrameStats() framecache.Stats { return s.planner.FrameStats() }
+func (s *Server) FrameStats() framecache.Stats { return s.local.planner.FrameStats() }
 
 // Serve accepts connections until Close; it always returns a non-nil
 // error (ErrServerClosed after a clean shutdown).
@@ -254,6 +297,31 @@ func ReadRequests(conn net.Conn, done <-chan struct{}) <-chan Request {
 	return requests
 }
 
+// TimeoutConn arms a fresh deadline before every Read and Write that
+// reaches the connection, so a peer that stops reading (or sending) cannot
+// pin the goroutine using it — and, on the server, the admission slot
+// that goroutine holds — for longer than Timeout.
+type TimeoutConn struct {
+	net.Conn
+	Timeout time.Duration
+}
+
+//mobweb:nondet-ok I/O deadlines are wall-clock by nature
+func (c TimeoutConn) Read(p []byte) (int, error) {
+	if err := c.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
+		return 0, err
+	}
+	return c.Conn.Read(p)
+}
+
+//mobweb:nondet-ok I/O deadlines are wall-clock by nature
+func (c TimeoutConn) Write(p []byte) (int, error) {
+	if err := c.SetWriteDeadline(time.Now().Add(c.Timeout)); err != nil {
+		return 0, err
+	}
+	return c.Conn.Write(p)
+}
+
 // handle runs one connection's request loop.
 func (s *Server) handle(conn net.Conn) {
 	injector := s.opts.Injector
@@ -264,7 +332,9 @@ func (s *Server) handle(conn net.Conn) {
 	defer close(handlerDone)
 	requests := ReadRequests(conn, handlerDone)
 
-	w := bufio.NewWriter(conn)
+	// Only the write side goes through the timeout: reads belong to the
+	// reader goroutine, under the idle deadline armed below.
+	w := bufio.NewWriter(TimeoutConn{Conn: conn, Timeout: s.writeTimeout})
 	for {
 		//mobweb:nondet-ok idle-timeout deadline, wall-clock by nature
 		if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
@@ -274,25 +344,27 @@ func (s *Server) handle(conn net.Conn) {
 		if !ok {
 			return
 		}
-		if ClassifyControl(req.Op) != NotStreamControl {
-			// Stale feedback from a stream that already ended (it raced
-			// the end-of-stream marker); ignore.
-			continue
-		}
 		var err error
 		switch req.Op {
+		case "stop", "stopgen":
+			// Stale feedback from a stream that already ended (it raced the
+			// end-of-stream marker): dropped without a response, since the
+			// client is not waiting for one.
 		case "search":
 			s.sm.reqSearch.Inc()
-			err = s.handleSearch(w, req)
+			err = reply(w, s.backend.Search(req))
 		case "fetch":
 			s.sm.reqFetch.Inc()
-			err = s.handleFetch(w, req, requests, injector)
+			// The idle timer runs between requests only. The reader
+			// goroutine stays in its Read for the whole stream, so a
+			// deadline left armed would close the control channel, and
+			// with it the stream, once the stream outlasts IdleTimeout.
+			if err = conn.SetReadDeadline(time.Time{}); err == nil {
+				err = s.fetch(w, req, requests, injector)
+			}
 		default:
 			s.sm.reqBad.Inc()
-			err = WriteJSONLine(w, Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
-			if err == nil {
-				err = w.Flush()
-			}
+			err = reply(w, Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
 		}
 		if err != nil {
 			return
@@ -300,144 +372,44 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-func (s *Server) handleSearch(w *bufio.Writer, req Request) error {
-	limit := req.Limit
-	if limit <= 0 {
-		limit = 10
-	}
-	hits := s.engine.Search(req.Query, limit)
-	summaries := make([]HitSummary, len(hits))
-	for i, h := range hits {
-		summaries[i] = HitSummary{Name: h.Name, Title: h.Title, Score: h.Score}
-	}
-	if err := WriteJSONLine(w, Response{OK: true, Hits: summaries}); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// refuse writes a terminal non-OK response and flushes it.
-func (s *Server) refuse(w *bufio.Writer, resp Response) error {
-	resp.Replica = s.opts.Name
+// reply writes one control response and flushes it.
+func reply(w *bufio.Writer, resp Response) error {
 	if err := WriteJSONLine(w, resp); err != nil {
 		return err
 	}
 	return w.Flush()
 }
 
-func (s *Server) handleFetch(w *bufio.Writer, req Request, requests <-chan Request, injector FaultInjector) error {
+// fetch serves one fetch request: admission, the backend's header, the
+// stream behind it.
+func (s *Server) fetch(w *bufio.Writer, req Request, requests <-chan Request, injector FaultInjector) error {
 	// Admission control runs before any planning work: a shed request
-	// must cost the replica close to nothing. A non-empty Have list marks
+	// must cost the server close to nothing. A non-empty Have list marks
 	// a retransmission/resume round of an already-admitted fetch, which
 	// draws on reserved headroom so new arrivals cannot starve it.
 	if s.opts.Admission != nil {
 		release, retryAfter, ok := s.opts.Admission.Admit(len(req.Have) > 0)
 		if !ok {
-			s.sm.sheds.Inc()
-			return s.refuse(w, Response{
-				Error:        "load shed: fetch budget exhausted",
-				Shed:         true,
-				RetryAfterMS: int(retryAfter / time.Millisecond),
-			})
+			return reply(w, s.backend.Shed(req, retryAfter))
 		}
 		defer release()
 	}
-
-	// Capability tiers degrade the fetch path along the fallback tree
-	// instead of failing it outright: search-only refuses streams,
-	// degraded tiers clamp γ and refuse prefetch, clear-prefix-only
-	// additionally skips parity rows below.
-	mode := s.opts.Capability.Mode()
-	if !mode.AllowsFetch() {
-		s.sm.degraded.Inc()
-		return s.refuse(w, Response{
-			Error:      fmt.Sprintf("capability %s: fetch refused", mode),
-			Degraded:   true,
-			Capability: mode.String(),
-		})
+	hdr, src, end := s.backend.Fetch(req)
+	if src == nil {
+		return reply(w, hdr)
 	}
-	if req.Prefetch && !mode.AllowsPrefetch() {
-		s.sm.degraded.Inc()
-		return s.refuse(w, Response{
-			Error:      fmt.Sprintf("capability %s: prefetch refused", mode),
-			Degraded:   true,
-			Capability: mode.String(),
-		})
+	sent, err := 0, reply(w, hdr)
+	if err == nil {
+		sent, err = s.pump(w, src, requests, injector)
 	}
-	if mode.ClampsGamma() {
-		max := s.opts.DegradedGammaMax
-		if req.Gamma == 0 || req.Gamma > max {
-			// The unset default could exceed the clamp too, so pin the
-			// effective γ explicitly rather than trusting the default.
-			req.Gamma = max
-		}
-	}
-
-	codec := s.opts.DefaultCodec
-	if req.Codec != "" {
-		parsed, perr := erasure.ParseCodec(req.Codec)
-		if perr != nil {
-			s.sm.fetchErrors.Inc()
-			return s.refuse(w, Response{Error: perr.Error()})
-		}
-		codec = parsed
-	}
-	// Clear-prefix-only tiers have no rateless mode: every fountain
-	// packet is coded, so the tier serves the fixed-rate codec whose
-	// systematic prefix streams without any parity encoding. The layout
-	// in the response tells the client which codec it actually got.
-	if mode.ClearPrefixOnly() {
-		codec = erasure.CodecVandermonde
-	}
-
-	resolved, errMsg := s.buildPlan(req)
-	if errMsg != "" {
-		s.sm.fetchErrors.Inc()
-		return s.refuse(w, Response{Error: errMsg})
-	}
-
-	// The source is everything codec- and mode-specific about the stream;
-	// the header and the loop around it are the same for all of them.
-	var src frameSource
-	layout := resolved.Plan.Layout()
-	sending := 0 // an open-loop stream has no predetermined frame count
-	delay := s.opts.PacketDelay
-	if codec == erasure.CodecFountain {
-		s.sm.fountainFetches.Inc()
-		seed := req.Seed
-		if seed == 0 {
-			seed = resolved.FountainSeed(s.opts.FountainSalt)
-		}
-		layout = resolved.Plan.FountainLayout(seed)
-		if req.Broadcast {
-			sub := s.subscribeBroadcast(resolved, seed, len(layout.Shapes))
-			defer s.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub)
-			src = &broadcastSource{genStops: newGenStops(req, layout), sub: sub}
-			// The carousel's producer is paced to the emulated link
-			// rate, not each subscriber's loop.
-			delay = 0
-		} else {
-			src = newFountainSource(resolved, seed, req, layout)
-		}
-	} else {
-		// Clear-prefix-only tiers stream just the systematic rows: every
-		// parity row is skipped, so no parity is ever encoded. A clean
-		// channel still reconstructs (M intact rows per generation); a
-		// lossy one pays extra retransmission rounds instead of failing.
-		rows := newRowSource(resolved, layout, req, mode.ClearPrefixOnly())
-		src, sending = rows, rows.sending
-	}
-	resp := Response{OK: true, Layout: &layout, Sending: sending, Replica: s.opts.Name}
-	if mode != CapFull {
-		resp.Capability = mode.String()
-	}
-	if err := WriteJSONLine(w, resp); err != nil {
+	end(sent, err)
+	if err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
+	if err := WriteEndOfStream(w); err != nil {
 		return err
 	}
-	return s.stream(w, req, src, requests, injector, delay)
+	return w.Flush()
 }
 
 // DecodeRequest parses one JSON control line. It is the single entry
@@ -448,25 +420,6 @@ func DecodeRequest(line []byte) (Request, error) {
 		return Request{}, err
 	}
 	return req, nil
-}
-
-// buildPlan resolves a fetch request through the shared planner into a
-// frame-serving handle; it returns a client-facing error message rather
-// than an error for request-level problems. Planner errors are safe to
-// forward: request problems carry curated messages and build failures
-// match what this layer historically surfaced.
-func (s *Server) buildPlan(req Request) (*planner.Resolved, string) {
-	resolved, err := s.planner.ResolveFrames(planner.Request{
-		Doc:    req.Doc,
-		Query:  req.Query,
-		LOD:    req.LOD,
-		Notion: req.Notion,
-		Gamma:  req.Gamma,
-	})
-	if err != nil {
-		return nil, err.Error()
-	}
-	return resolved, ""
 }
 
 var _ io.Closer = (*Server)(nil)

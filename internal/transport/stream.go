@@ -7,160 +7,112 @@ import (
 	"time"
 
 	"mobweb/internal/core"
-	"mobweb/internal/obs"
 	"mobweb/internal/packet"
 	"mobweb/internal/planner"
 )
 
-// This file is the transmitter's one stream loop (§4.2: send cooked
-// packets in order until the client signals stop) and the frame sources
-// that drive it. A source alone knows which frame comes next, whether its
-// bytes are shared, how it waits for control requests, and what a stopgen
-// means to it; the loop alone classifies those requests, injects channel
-// faults, writes, flushes, paces, counts and terminates the stream. A
-// retransmission round, a rateless open-loop stream and a broadcast
-// subscription are the same loop over different sources.
+// This file is the server's one stream loop (§4.2: send cooked packets in
+// order until the client signals stop) and the transmitter's frame sources
+// that drive it. A source alone knows which frame comes next, how it waits
+// for control requests, what a stopgen means to it and on whose clock its
+// frames arrive; the loop alone decides what a mid-stream request is,
+// injects channel faults, writes, flushes, paces and counts. A
+// retransmission round, a rateless open-loop stream, a broadcast
+// subscription and a front's relayed stream (shard.relay) are the same
+// loop over different sources.
 
-// StreamControl is what a control-channel request means to a fetch stream.
-type StreamControl int
-
-const (
-	// NotStreamControl is any other op: an ordinary request between
-	// streams, a protocol violation during one.
-	NotStreamControl StreamControl = iota
-	// StopStream ("stop") ends the stream: the client reached a §4.2
-	// termination condition.
-	StopStream
-	// StopGeneration ("stopgen") takes one generation off the air: the
-	// client decoded it.
-	StopGeneration
-)
-
-// ClassifyControl is the single decision of which ops are stream feedback,
-// shared by the server and the shard front. Feedback is legal at any
-// time: during a stream it steers it, and between streams it is stale —
-// it raced the end-of-stream marker — and is dropped without a response,
-// since the client is not waiting for one.
-func ClassifyControl(op string) StreamControl {
-	switch op {
-	case "stop":
-		return StopStream
-	case "stopgen":
-		return StopGeneration
-	default:
-		return NotStreamControl
-	}
+// Frame is one frame handed from a source to the stream loop. The bytes
+// stay the source's — frame-cache and broadcast slices are shared with
+// other connections — and are good until the next call to Next: the loop
+// only reads them, and copies before a mutating injector sees them.
+type Frame struct {
+	// Bytes is the wire frame; nil marks the end of the source.
+	Bytes []byte
+	// Seq is the frame's wire sequence number, the fault injector's key.
+	Seq int
 }
 
-// srcFrame is one frame handed from a source to the stream loop.
-type srcFrame struct {
-	// bytes is the wire frame; nil marks the end of the source.
-	bytes []byte
-	// seq is the frame's wire sequence number, the fault injector's key.
-	seq int
-	// shared marks bytes other connections stream too (frame-cache or
-	// broadcast slices): immutable, so the loop copies them before a
-	// mutating injector sees them. Otherwise bytes is the loop's own
-	// buffer, rebuilt by the source each frame, which also keeps one
-	// frame's in-place corruption from leaking into the next.
-	shared bool
+// FrameSource decides what a fetch stream sends.
+type FrameSource interface {
+	// Next returns the next frame. It looks at the control channel first,
+	// the way the source must — private sources poll it without blocking,
+	// a broadcast subscription blocks on it together with its frame queue
+	// — and hands back a request it received (Op non-empty) instead of a
+	// frame. A closed channel means the connection is gone: io.EOF.
+	Next(ctl <-chan Request) (Frame, Request, error)
+	// StopGen applies a client's stopgen for generation g.
+	StopGen(g int) error
+	// Pace reports how the loop times the source's frames. flushEach marks
+	// frames that must reach the decoder promptly rather than sit in the
+	// write buffer — an open-loop stream, which ends only through client
+	// feedback; a closed-loop round flushes at its end. selfPaced marks
+	// frames that arrive on a clock of their own (a broadcast carousel, a
+	// relayed stream), which the loop must not pace a second time.
+	Pace() (flushEach, selfPaced bool)
 }
 
-// frameSource decides what a fetch stream sends.
-type frameSource interface {
-	// next returns the next frame, marshaling into buf when it builds a
-	// private one. It looks at the control channel first, the way the
-	// source must — private sources poll it without blocking, a broadcast
-	// subscription blocks on it together with its frame queue — and hands
-	// back a request it received (Op non-empty) instead of a frame. A
-	// closed channel means the connection is gone: io.EOF.
-	next(ctl <-chan Request, buf []byte) (srcFrame, Request, error)
-	// stopGen applies a client's stopgen for generation g.
-	stopGen(g int) error
-	// openLoop reports a stream that ends only through client feedback.
-	// Its frames are flushed one by one — they must reach the decoder
-	// promptly rather than sit in the write buffer — and count as
-	// fountain frames; a closed-loop round flushes at its end.
-	openLoop() bool
-}
-
-// stream runs one fetch stream to its end-of-stream marker.
-func (s *Server) stream(w *bufio.Writer, req Request, src frameSource, requests <-chan Request, injector FaultInjector, delay time.Duration) error {
+// pump is the stream loop: it moves frames from src to w until the source
+// ends or the client says stop, and reports how many went on the air.
+func (s *Server) pump(w *bufio.Writer, src FrameSource, requests <-chan Request, injector FaultInjector) (int, error) {
 	_, cleanChannel := injector.(NopInjector)
-	open := src.openLoop()
-	var buf []byte
+	flushEach, selfPaced := src.Pace()
+	delay := s.opts.PacketDelay
+	if selfPaced {
+		delay = 0
+	}
+	var scratch []byte // the injector's private copy of the current frame
 	sent := 0
-stream:
 	for {
-		fr, creq, err := src.next(requests, buf)
+		fr, creq, err := src.Next(requests)
 		if err != nil {
-			return err
+			return sent, err
 		}
-		if creq.Op != "" {
-			switch ClassifyControl(creq.Op) {
-			case StopStream:
-				break stream
-			case StopGeneration:
-				if err := src.stopGen(creq.Gen); err != nil {
-					return err
-				}
-				continue
-			default:
-				return fmt.Errorf("transport: %q request during stream", creq.Op)
+		// Stream feedback is "stop" (the client reached a §4.2 termination
+		// condition) and "stopgen" (it decoded one generation); any other
+		// request during a stream is a protocol violation.
+		switch creq.Op {
+		case "":
+		case "stop":
+			return sent, nil
+		case "stopgen":
+			if err := src.StopGen(creq.Gen); err != nil {
+				return sent, err
 			}
+			continue
+		default:
+			return sent, fmt.Errorf("transport: %q request during stream", creq.Op)
 		}
-		if fr.bytes == nil {
-			break
+		if fr.Bytes == nil {
+			return sent, nil
 		}
-		out := fr.bytes
-		if !fr.shared {
-			buf = out
-		}
+		out := fr.Bytes
 		if !cleanChannel {
-			if fr.shared {
-				buf = append(buf[:0], out...)
-				out = buf
-			}
+			scratch = append(scratch[:0], out...)
 			var send bool
-			if out, send = injector.Inject(out, fr.seq); !send {
+			if out, send = injector.Inject(scratch, fr.Seq); !send {
 				s.sm.framesDropped.Inc()
 				continue
 			}
 		}
 		if err := WriteFrame(w, out); err != nil {
-			return err
+			return sent, err
 		}
 		sent++
 		s.sm.framesOut.Inc()
-		if open {
-			s.sm.fountainFrames.Inc()
-		}
-		if open || delay > 0 {
+		if flushEach || delay > 0 {
 			if err := w.Flush(); err != nil {
-				return err
+				return sent, err
 			}
 		}
 		if delay > 0 {
 			time.Sleep(delay)
 		}
 	}
-	s.sm.fetchLog.Record(obs.FetchRecord{
-		Doc:     req.Doc,
-		Origin:  "server",
-		Replica: s.opts.Name,
-		Sent:    sent,
-		Have:    len(req.Have),
-		Gamma:   req.Gamma,
-	})
-	if err := WriteEndOfStream(w); err != nil {
-		return err
-	}
-	return w.Flush()
 }
 
-// pollControl is a private source's look at the control channel: whatever
+// PollControl is a private source's look at the control channel: whatever
 // is already there, never a wait.
-func pollControl(ctl <-chan Request) (Request, error) {
+func PollControl(ctl <-chan Request) (Request, error) {
 	select {
 	case creq, ok := <-ctl:
 		if !ok {
@@ -211,31 +163,27 @@ func newRowSource(resolved *planner.Resolved, layout core.Layout, req Request, c
 	return r
 }
 
-func (r *rowSource) next(ctl <-chan Request, buf []byte) (srcFrame, Request, error) {
+func (r *rowSource) Next(ctl <-chan Request) (Frame, Request, error) {
 	for r.seq < len(r.skip) && r.skip[r.seq] {
 		r.seq++
 	}
 	if r.seq == len(r.skip) {
-		return srcFrame{}, Request{}, nil
+		return Frame{}, Request{}, nil
 	}
-	if creq, err := pollControl(ctl); err != nil || creq.Op != "" {
-		return srcFrame{}, creq, err
+	if creq, err := PollControl(ctl); err != nil || creq.Op != "" {
+		return Frame{}, creq, err
 	}
 	seq := r.seq
 	r.seq++
-	if r.resolved.Cached() {
-		frame, err := r.resolved.Frame(seq)
-		return srcFrame{bytes: frame, seq: seq, shared: true}, Request{}, err
-	}
-	frame, err := r.resolved.Plan.AppendFrame(buf[:0], seq)
-	return srcFrame{bytes: frame, seq: seq}, Request{}, err
+	frame, err := r.resolved.Frame(seq)
+	return Frame{Bytes: frame, Seq: seq}, Request{}, err
 }
 
-func (r *rowSource) stopGen(int) error {
+func (r *rowSource) StopGen(int) error {
 	return fmt.Errorf("transport: %q request during a fixed-rate stream", "stopgen")
 }
 
-func (r *rowSource) openLoop() bool { return false }
+func (r *rowSource) Pace() (flushEach, selfPaced bool) { return false, false }
 
 // fountainOvershootCap bounds the packets a fountain stream sends for
 // one generation of M source symbols before giving up on feedback:
@@ -275,12 +223,12 @@ func newGenStops(req Request, layout core.Layout) *genStops {
 	// Generations the client reports done are stopped before the first
 	// frame — a stopgen that arrived with the request itself.
 	for _, g := range req.DoneGens {
-		st.stopGen(g)
+		st.StopGen(g)
 	}
 	return st
 }
 
-func (st *genStops) stopGen(g int) error {
+func (st *genStops) StopGen(g int) error {
 	if g >= 0 && g < len(st.left) && st.left[g] > 0 {
 		st.left[g] = 0
 		st.active--
@@ -302,7 +250,7 @@ func (st *genStops) admit(g, seq int) bool {
 	return true
 }
 
-func (st *genStops) openLoop() bool { return true }
+func (st *genStops) Pace() (flushEach, selfPaced bool) { return true, false }
 
 // fountainSource is a private open-loop fountain stream: round-robin over
 // the generations the client has not yet decoded, each generation's
@@ -324,14 +272,14 @@ func newFountainSource(resolved *planner.Resolved, seed uint64, req Request, lay
 	}
 }
 
-func (f *fountainSource) next(ctl <-chan Request, buf []byte) (srcFrame, Request, error) {
+func (f *fountainSource) Next(ctl <-chan Request) (Frame, Request, error) {
 	for f.active > 0 {
 		g := f.g
 		if f.left[g] > 0 {
 			// Polled before the round-robin position moves, so the frame
 			// a request displaced is the next one out.
-			if creq, err := pollControl(ctl); err != nil || creq.Op != "" {
-				return srcFrame{}, creq, err
+			if creq, err := PollControl(ctl); err != nil || creq.Op != "" {
+				return Frame{}, creq, err
 			}
 		}
 		f.g = (g + 1) % len(f.cursor)
@@ -340,13 +288,8 @@ func (f *fountainSource) next(ctl <-chan Request, buf []byte) (srcFrame, Request
 		if !f.admit(g, seq) {
 			continue
 		}
-		packed := packet.PackSeq(g, seq)
-		if f.resolved.Cached() {
-			frame, err := f.resolved.FountainFrame(f.seed, g, seq)
-			return srcFrame{bytes: frame, seq: packed, shared: true}, Request{}, err
-		}
-		frame, err := f.resolved.Plan.AppendFountainFrame(buf[:0], f.seed, g, seq)
-		return srcFrame{bytes: frame, seq: packed}, Request{}, err
+		frame, err := f.resolved.FountainFrame(f.seed, g, seq)
+		return Frame{Bytes: frame, Seq: packet.PackSeq(g, seq)}, Request{}, err
 	}
-	return srcFrame{}, Request{}, nil
+	return Frame{}, Request{}, nil
 }

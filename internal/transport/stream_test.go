@@ -125,12 +125,9 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resolved, err := srv.planner.ResolveFrames(planner.Request{Doc: corpus.DraftName})
+			resolved, err := srv.local.planner.ResolveFrames(planner.Request{Doc: corpus.DraftName})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if resolved.Cached() != tc.cached {
-				t.Fatalf("frame cache enabled = %v, want %v", resolved.Cached(), tc.cached)
 			}
 			plan := resolved.Plan
 			const seed = 42
@@ -140,7 +137,7 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 			have := map[int]bool{1: true, packet.PackSeq(2, 3): true}
 
 			layout := plan.Layout()
-			var src frameSource
+			var src FrameSource
 			ref := plan.Frame
 			var want []int // exact attempted sequence; nil for broadcast
 			if tc.source == "vandermonde" {
@@ -157,8 +154,8 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 					return plan.FountainFrame(seed, g, s)
 				}
 				if tc.source == "broadcast" {
-					sub := srv.subscribeBroadcast(resolved, seed, len(layout.Shapes))
-					defer srv.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub)
+					sub := srv.local.subscribeBroadcast(resolved, seed, len(layout.Shapes))
+					defer srv.local.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub)
 					src = &broadcastSource{genStops: newGenStops(req, layout), sub: sub}
 				} else {
 					src = newFountainSource(resolved, seed, req, layout)
@@ -185,25 +182,23 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 			if rec != nil {
 				injector = rec
 			}
-			if err := srv.stream(w, req, src, make(chan Request), injector, 0); err != nil {
+			sent, err := srv.pump(w, src, make(chan Request), injector)
+			if err != nil || w.Flush() != nil {
 				t.Fatal(err)
+			}
+			if retains := srv.FrameStats().Entries > 0; retains != tc.cached {
+				t.Fatalf("frame cache retains frames = %v, want %v", retains, tc.cached)
 			}
 
 			// attempted: every frame the source handed to the loop; onAir
 			// marks the ones that were written.
 			var frames [][]byte
-			for {
+			for wire.Len() > 0 {
 				frame, err := ReadFrame(&wire)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if frame == nil {
-					break
+				if err != nil || frame == nil {
+					t.Fatalf("the loop wrote something other than frames: %v", err)
 				}
 				frames = append(frames, frame)
-			}
-			if wire.Len() != 0 {
-				t.Fatalf("%d bytes after the end-of-stream marker", wire.Len())
 			}
 			var attempted []int
 			var onAir []bool
@@ -272,6 +267,9 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 			}
 			if next != len(frames) {
 				t.Fatalf("%d frames on the wire, injector passed %d", len(frames), next)
+			}
+			if sent != len(frames) {
+				t.Fatalf("the loop counted %d frames, %d on the wire", sent, len(frames))
 			}
 			if tc.channel == "drop" && len(frames) == len(attempted) {
 				t.Fatal("drop channel dropped nothing")
