@@ -52,7 +52,6 @@ func run(args []string) error {
 	delay := fs.Duration("delay", 0, "per-packet pacing delay (e.g. 100ms emulates 19.2 kbps feel)")
 	noCorpus := fs.Bool("nocorpus", false, "skip the embedded corpus")
 	cacheMB := fs.Int64("plancache-mb", 64, "plan-cache byte budget in MiB (0 disables caching)")
-	cacheEntries := fs.Int("plancache-entries", 0, "plan-cache entry cap (0 means byte budget only)")
 	frameMB := fs.Int64("framecache-mb", 32, "cooked-frame cache byte budget in MiB (0 disables caching)")
 	chaosKills := fs.Int("chaos-kills", 0, "sever this many connections mid-stream on a seeded schedule (0 disables, -1 unlimited)")
 	chaosMin := fs.Int("chaos-min", 0, "min bytes a connection may write before a chaos kill (0 = 2048)")
@@ -110,7 +109,6 @@ func run(args []string) error {
 	pl, err := planner.New(engine, planner.Options{
 		Defaults:        core.Config{Gamma: *gamma},
 		CacheBytes:      cacheBytes,
-		MaxEntries:      *cacheEntries,
 		FrameCacheBytes: frameBytes,
 	})
 	if err != nil {

@@ -53,7 +53,7 @@ type generation struct {
 // for observability (the planner's zero-encode acceptance assertion).
 // The GF(2^8) work runs under the generation mutex; concurrent senders
 // of one hot row are already deduplicated by the frame cache above, so
-// the lock guards only the cold corners (sim, baseline, cache disabled).
+// the lock guards only the callers with no cache in front (sim, baseline).
 func (g *generation) ensureParityRow(row int, encodes *atomic.Int64) ([]byte, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

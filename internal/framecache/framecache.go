@@ -1,27 +1,21 @@
-// Package framecache is the shared cooked-frame store behind the send
-// path: a byte-budgeted LRU of encoded wire frames keyed by (canonical
-// plan key, γ, generation, row), with singleflight cook deduplication.
+// Package framecache is the one cache behind the send path: a generic,
+// byte-budgeted LRU with singleflight load deduplication and grouped
+// invalidation. The planner holds two instances — built plans keyed by
+// the versioned plan key, and cooked wire frames keyed by Key — so a
+// retransmission round of the paper's Caching strategy costs the server
+// two map lookups instead of a ranking pass and a parity encode.
 //
-// Before this layer existed, every connection streaming a hot document
-// re-marshalled every frame — and, past each generation's clear-text
-// prefix, re-triggered parity encoding — per fetch. The planner cache
-// (plan builds) had already deduplicated the other redundant computation
-// on the hot path; frames were the last one. With this cache, N concurrent fetches
-// of one document share exactly one parity encode + marshal per row,
-// which is what lets a single server behave like a CDN edge for cooked
-// frames.
+// Values are SHARED AND IMMUTABLE. The frame instance stores fully
+// framed wire bytes (seq + CRC + payload), directly writable to a socket;
+// a caller that writes into one corrupts the stream of every connection
+// sharing the entry (the framemut analyzer machine-checks call sites).
+// Callers that must mutate a frame — e.g. a fault injector flipping bits
+// — copy it into private scratch first.
 //
-// The cache stores fully framed wire bytes (seq + CRC + payload), so a
-// hit is directly writable to a socket with no per-connection marshal.
-// Returned slices are SHARED AND IMMUTABLE: a caller that writes into
-// one corrupts the stream of every connection sharing the entry (the
-// framemut analyzer machine-checks call sites). Callers that must
-// mutate a frame — e.g. a fault injector flipping bits — copy it into
-// private scratch first.
-//
-// The package depends only on the standard library; the planner owns
-// the instance and supplies canonical keys, so framecache never needs
-// to know what a plan is.
+// The package depends only on the standard library: the owner supplies
+// keys, groups and costs, so the cache never needs to know what a plan
+// or a frame is, and it never calls back into its owner except through
+// the load function, which runs outside the cache lock.
 package framecache
 
 import (
@@ -31,29 +25,23 @@ import (
 	"time"
 )
 
-// DefaultCacheBytes is the frame-budget applied when Options.Bytes is
-// zero: enough for a handful of hot documents at the paper's 260-byte
-// frames without threatening the plan cache's own budget.
+// DefaultCacheBytes is the budget New applies when given zero: enough
+// frames for a handful of hot documents at the paper's 260-byte frames
+// without threatening the plan cache's own budget.
 const DefaultCacheBytes = 32 << 20
 
-// entryOverhead approximates the per-entry bookkeeping cost charged
-// against the byte budget on top of the frame bytes themselves: the key
-// strings, the map cells and the list element.
-const entryOverhead = 160
-
-// Key identifies one cooked wire frame. Plan is the planner's canonical
-// plan key (document, LOD, notion, γ, packet geometry, query-vector
-// hash, plus a document-version token), Gamma repeats the redundancy
-// ratio explicitly so operators can reason about the γ dimension, and
-// Gen/Row locate the frame inside the plan's dispersal groups (Row is
-// the global cooked sequence number's index within its generation, or
-// the stream seq for rateless codecs).
+// Key identifies one cooked wire frame. Plan is the planner's versioned
+// plan key (document-version token, document, LOD, notion, γ, packet
+// geometry, query-vector hash), Gamma repeats the redundancy ratio
+// explicitly so operators can reason about the γ dimension, and Gen/Row
+// locate the frame inside the plan's dispersal groups (Row is the global
+// cooked sequence number's index within its generation, or the stream
+// seq for rateless codecs).
 //
 // Codec and Seed complete the identity for multi-codec plans: a
 // fixed-rate Vandermonde frame and a fountain frame of the same plan
 // must never collide, nor may two fountain streams under different
-// seeds. Both are zero for the legacy fixed-rate codec, so pre-codec
-// keys are unchanged.
+// seeds. Both are zero for the fixed-rate codec.
 type Key struct {
 	Plan  string
 	Gamma float64
@@ -63,31 +51,23 @@ type Key struct {
 	Seed  uint64
 }
 
-// Options tunes a Cache.
-type Options struct {
-	// Bytes bounds the estimated total bytes of cached frames plus
-	// bookkeeping. Zero selects DefaultCacheBytes; a negative value
-	// disables caching entirely (GetOrCook always cooks, though
-	// concurrent cooks of one key are still deduplicated).
-	Bytes int64
-}
-
-// Stats is a point-in-time snapshot of the cache's counters.
+// Stats is a point-in-time snapshot of a cache's counters. A load is
+// called a cook, after the frame instance the names were coined for.
 type Stats struct {
 	// Hits counts lookups served from the cache.
 	Hits int64
-	// Misses counts lookups that required (or joined) a cook.
+	// Misses counts GetOrLoad lookups that started or joined a load.
 	Misses int64
-	// Coalesced counts lookups that joined an in-flight cook instead of
-	// starting their own (singleflight savings).
+	// Coalesced counts the misses that joined an in-flight load instead
+	// of starting their own (singleflight savings).
 	Coalesced int64
-	// Cooks counts completed cook calls (encode + marshal work done).
+	// Cooks counts completed load calls, failed ones included.
 	Cooks int64
-	// CookTime is the cumulative wall time spent inside cook functions.
+	// CookTime is the cumulative wall time spent inside load functions.
 	CookTime time.Duration
 	// Evictions counts entries dropped to respect the budget.
 	Evictions int64
-	// Invalidations counts entries dropped by InvalidatePlan.
+	// Invalidations counts entries dropped by Invalidate.
 	Invalidations int64
 	// Entries and Bytes describe current occupancy.
 	Entries int
@@ -109,196 +89,172 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, 100*s.HitRate(), s.Coalesced, s.Cooks, s.CookTime.Round(time.Microsecond), s.Evictions, s.Invalidations, s.Entries, s.Bytes)
 }
 
-// entry is one cached frame.
-type entry struct {
-	key   Key
-	frame []byte
+// entry is one cached value.
+type entry[K comparable, V any] struct {
+	key   K
+	group string
+	val   V
 	cost  int64
 }
 
-// flight is one in-progress cook that concurrent lookups of the same
+// flight is one in-progress load that concurrent lookups of the same
 // key wait on.
-type flight struct {
+type flight[V any] struct {
 	wg    sync.WaitGroup
-	frame []byte
+	group string
+	val   V
 	err   error
-	// stale is set (under the cache lock) when the plan was invalidated
-	// while the cook ran: the frame is served to its waiters but not
+	// stale is set (under the cache lock) when the group was invalidated
+	// while the load ran: the value is served to its waiters but not
 	// inserted.
 	stale bool
 }
 
-// Cache is a byte-budgeted LRU of immutable encoded frames, safe for
-// concurrent use. Cooks run outside the cache lock.
-type Cache struct {
-	opts Options
+// Cache is a byte-budgeted LRU of immutable values, safe for concurrent
+// use. Loads run outside the cache lock.
+type Cache[K comparable, V any] struct {
+	budget int64
 
 	mu      sync.Mutex
-	ll      *list.List            // front = most recently used
-	entries map[Key]*list.Element // key → element (value *entry)
-	byPlan  map[string]map[Key]*list.Element
-	flights map[Key]*flight
-	bytes   int64
-
-	hits, misses, coalesced int64
-	cooks, evict, invalid   int64
-	cookNanos               int64
+	stats   Stats                     // Entries and Bytes are live occupancy
+	ll      *list.List                // front = most recently used
+	entries map[K]*list.Element       // key → element (value *entry[K, V])
+	groups  map[string]map[K]struct{} // invalidation group → its resident keys
+	flights map[K]*flight[V]
 }
 
-// New builds a frame cache.
-func New(opts Options) *Cache {
-	if opts.Bytes == 0 {
-		opts.Bytes = DefaultCacheBytes
+// New builds a cache bounded to budget estimated bytes. Zero selects
+// DefaultCacheBytes; a negative budget retains nothing, so every
+// GetOrLoad loads (concurrent loads of one key are still deduplicated).
+func New[K comparable, V any](budget int64) *Cache[K, V] {
+	if budget == 0 {
+		budget = DefaultCacheBytes
 	}
-	return &Cache{
-		opts:    opts,
+	return &Cache[K, V]{
+		budget:  budget,
 		ll:      list.New(),
-		entries: make(map[Key]*list.Element),
-		byPlan:  make(map[string]map[Key]*list.Element),
-		flights: make(map[Key]*flight),
+		entries: make(map[K]*list.Element),
+		groups:  make(map[string]map[K]struct{}),
+		flights: make(map[K]*flight[V]),
 	}
 }
 
-// Get returns the cached frame for key, if present. The returned slice
-// is shared and immutable.
-func (c *Cache) Get(key Key) ([]byte, bool) {
+// Get returns the cached value for key, if present. A hit counts; a miss
+// does not (the GetOrLoad that follows counts it). The returned value is
+// shared and immutable.
+func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if elem, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(elem)
-		c.hits++
-		return elem.Value.(*entry).frame, true
+		c.stats.Hits++
+		return elem.Value.(*entry[K, V]).val, true
 	}
-	return nil, false
+	var zero V
+	return zero, false
 }
 
-// GetOrCook returns the cached frame for key, cooking it with cook on a
-// miss. Concurrent misses of one key share a single cook. The returned
-// slice is shared and immutable; cook must return a frame the cache may
-// retain (no aliasing of caller-owned buffers).
-func (c *Cache) GetOrCook(key Key, cook func() ([]byte, error)) ([]byte, error) {
+// GetOrLoad returns the cached value for key, calling load on a miss and
+// caching its result under the invalidation group at the cost it
+// reports. Concurrent misses of one key share a single load; each joiner
+// counts as a miss and a coalesce. The returned value is shared and
+// immutable; load must return one the cache may retain (no aliasing of
+// caller-owned buffers). A value costing more than the whole budget is
+// served but not cached, and so is an error.
+func (c *Cache[K, V]) GetOrLoad(key K, group string, load func() (V, int64, error)) (V, error) {
 	c.mu.Lock()
 	if elem, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(elem)
-		c.hits++
-		frame := elem.Value.(*entry).frame
+		c.stats.Hits++
+		val := elem.Value.(*entry[K, V]).val
 		c.mu.Unlock()
-		return frame, nil
+		return val, nil
 	}
+	c.stats.Misses++
 	if fl, ok := c.flights[key]; ok {
-		c.coalesced++
-		c.misses++
+		c.stats.Coalesced++
 		c.mu.Unlock()
 		fl.wg.Wait()
-		return fl.frame, fl.err
+		return fl.val, fl.err
 	}
-	fl := &flight{}
+	fl := &flight[V]{group: group}
 	fl.wg.Add(1)
 	c.flights[key] = fl
-	c.misses++
 	c.mu.Unlock()
 
-	start := time.Now() //mobweb:nondet-ok cook-time stats, never part of frame bytes or keys
-	frame, err := cook()
-	elapsed := time.Since(start) //mobweb:nondet-ok cook-time stats
+	start := time.Now() //mobweb:nondet-ok load-time stats, never part of values or keys
+	val, cost, err := load()
+	elapsed := time.Since(start) //mobweb:nondet-ok load-time stats
 
 	c.mu.Lock()
 	delete(c.flights, key)
-	c.cooks++
-	c.cookNanos += elapsed.Nanoseconds()
-	// Insert only when the plan was not invalidated while we cooked: a
-	// re-indexed document must not resurrect through a racing cook.
-	if err == nil && !fl.stale {
-		c.insertLocked(key, frame)
+	c.stats.Cooks++
+	c.stats.CookTime += elapsed
+	// Insert only when the group was not invalidated while we loaded: a
+	// re-indexed document must not resurrect through a racing load.
+	if err == nil && !fl.stale && cost <= c.budget {
+		c.insertLocked(&entry[K, V]{key: key, group: group, val: val, cost: cost})
 	}
 	c.mu.Unlock()
 
-	fl.frame, fl.err = frame, err
+	fl.val, fl.err = val, err
 	fl.wg.Done()
-	return frame, err
+	return val, err
 }
 
-// InvalidatePlan drops every cached frame of one plan key and poisons
-// in-flight cooks for it, returning the number of entries dropped. The
-// planner calls it when a plan is evicted or its document re-indexed.
-func (c *Cache) InvalidatePlan(plan string) int {
+// Invalidate drops every cached entry of one group and poisons the
+// in-flight loads for it, returning the number of entries dropped. The
+// planner calls it when a document is re-indexed.
+func (c *Cache[K, V]) Invalidate(group string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	//mobweb:nondet-ok every in-flight cook of the plan is marked; order is immaterial
-	for key, fl := range c.flights {
-		if key.Plan == plan {
+	//mobweb:nondet-ok every in-flight load of the group is marked; order is immaterial
+	for _, fl := range c.flights {
+		if fl.group == group {
 			fl.stale = true
 		}
 	}
-	keys := c.byPlan[plan]
-	n := len(keys)
-	for _, elem := range keys {
-		c.removeLocked(elem)
-		c.invalid++
+	n := len(c.groups[group])
+	//mobweb:nondet-ok the whole group goes; order is immaterial
+	for key := range c.groups[group] {
+		c.removeLocked(c.entries[key])
 	}
+	c.stats.Invalidations += int64(n)
 	return n
 }
 
 // Stats returns a snapshot of the cache's counters.
-func (c *Cache) Stats() Stats {
+func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Coalesced:     c.coalesced,
-		Cooks:         c.cooks,
-		CookTime:      time.Duration(c.cookNanos),
-		Evictions:     c.evict,
-		Invalidations: c.invalid,
-		Entries:       c.ll.Len(),
-		Bytes:         c.bytes,
-	}
+	return c.stats
 }
 
-// insertLocked caches a cooked frame and evicts from the LRU tail until
-// the budget holds. Frames beyond the whole budget are served but never
-// cached. Callers hold c.mu.
-func (c *Cache) insertLocked(key Key, frame []byte) {
-	if c.opts.Bytes < 0 {
-		return
+// insertLocked caches a loaded value and evicts from the LRU tail until
+// the budget holds. Callers hold c.mu and have checked the entry alone
+// fits; no entry of the key is resident, because its flight was.
+func (c *Cache[K, V]) insertLocked(ent *entry[K, V]) {
+	c.entries[ent.key] = c.ll.PushFront(ent)
+	if c.groups[ent.group] == nil {
+		c.groups[ent.group] = make(map[K]struct{})
 	}
-	cost := int64(len(frame)) + entryOverhead + int64(len(key.Plan))
-	if cost > c.opts.Bytes {
-		return
-	}
-	if elem, ok := c.entries[key]; ok {
-		// A racing cook of the same key got here first; replace it.
-		c.removeLocked(elem)
-	}
-	ent := &entry{key: key, frame: frame, cost: cost}
-	elem := c.ll.PushFront(ent)
-	c.entries[key] = elem
-	if c.byPlan[key.Plan] == nil {
-		c.byPlan[key.Plan] = make(map[Key]*list.Element)
-	}
-	c.byPlan[key.Plan][key] = elem
-	c.bytes += cost
-	for c.bytes > c.opts.Bytes {
-		oldest := c.ll.Back()
-		if oldest == nil || oldest == c.ll.Front() {
-			break
-		}
-		c.removeLocked(oldest)
-		c.evict++
+	c.groups[ent.group][ent.key] = struct{}{}
+	c.stats.Entries++
+	c.stats.Bytes += ent.cost
+	for c.stats.Bytes > c.budget {
+		c.removeLocked(c.ll.Back())
+		c.stats.Evictions++
 	}
 }
 
 // removeLocked drops one cache element. Callers hold c.mu.
-func (c *Cache) removeLocked(elem *list.Element) {
-	ent := elem.Value.(*entry)
-	c.ll.Remove(elem)
+func (c *Cache[K, V]) removeLocked(elem *list.Element) {
+	ent := c.ll.Remove(elem).(*entry[K, V])
 	delete(c.entries, ent.key)
-	if keys := c.byPlan[ent.key.Plan]; keys != nil {
-		delete(keys, ent.key)
-		if len(keys) == 0 {
-			delete(c.byPlan, ent.key.Plan)
-		}
+	keys := c.groups[ent.group]
+	if delete(keys, ent.key); len(keys) == 0 {
+		delete(c.groups, ent.group)
 	}
-	c.bytes -= ent.cost
+	c.stats.Entries--
+	c.stats.Bytes -= ent.cost
 }

@@ -15,15 +15,31 @@ func key(plan string, gen, row int) Key {
 	return Key{Plan: plan, Gamma: 1.5, Gen: gen, Row: row}
 }
 
+// entryOverhead is the planner's per-frame bookkeeping charge.
+const entryOverhead = 160
+
+// newFrames builds the frame instance of the cache.
+func newFrames(budget int64) *Cache[Key, []byte] { return New[Key, []byte](budget) }
+
+// getOrCook is GetOrLoad the way the planner drives the frame instance: the
+// plan key is the invalidation group, and a frame is charged its bytes,
+// its plan key and entryOverhead.
+func getOrCook(c *Cache[Key, []byte], k Key, f func() ([]byte, error)) ([]byte, error) {
+	return c.GetOrLoad(k, k.Plan, func() ([]byte, int64, error) {
+		frame, err := f()
+		return frame, int64(len(frame)+len(k.Plan)) + entryOverhead, err
+	})
+}
+
 func TestGetOrCookCachesAndHits(t *testing.T) {
-	c := New(Options{})
+	c := newFrames(0)
 	cooked := 0
 	cook := func() ([]byte, error) {
 		cooked++
 		return []byte("frame-0"), nil
 	}
 	for i := 0; i < 3; i++ {
-		frame, err := c.GetOrCook(key("p", 0, 0), cook)
+		frame, err := getOrCook(c, key("p", 0, 0), cook)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +63,11 @@ func TestGetOrCookCachesAndHits(t *testing.T) {
 }
 
 func TestGetMissesThenHit(t *testing.T) {
-	c := New(Options{})
+	c := newFrames(0)
 	if _, ok := c.Get(key("p", 0, 1)); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
-	if _, err := c.GetOrCook(key("p", 0, 1), func() ([]byte, error) { return []byte("x"), nil }); err != nil {
+	if _, err := getOrCook(c, key("p", 0, 1), func() ([]byte, error) { return []byte("x"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	frame, ok := c.Get(key("p", 0, 1))
@@ -61,16 +77,16 @@ func TestGetMissesThenHit(t *testing.T) {
 }
 
 func TestCookErrorNotCached(t *testing.T) {
-	c := New(Options{})
+	c := newFrames(0)
 	boom := errors.New("boom")
-	if _, err := c.GetOrCook(key("p", 0, 0), func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := getOrCook(c, key("p", 0, 0), func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if s := c.Stats(); s.Entries != 0 {
 		t.Fatalf("error was cached: %+v", s)
 	}
 	// A later cook succeeds and is cached.
-	if _, err := c.GetOrCook(key("p", 0, 0), func() ([]byte, error) { return []byte("ok"), nil }); err != nil {
+	if _, err := getOrCook(c, key("p", 0, 0), func() ([]byte, error) { return []byte("ok"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(key("p", 0, 0)); !ok {
@@ -81,9 +97,9 @@ func TestCookErrorNotCached(t *testing.T) {
 func TestByteBudgetEvictsLRU(t *testing.T) {
 	frame := make([]byte, 256)
 	perEntry := int64(len(frame)) + entryOverhead + 1 // plan key "p"
-	c := New(Options{Bytes: 4 * perEntry})
+	c := newFrames(4 * perEntry)
 	for row := 0; row < 6; row++ {
-		if _, err := c.GetOrCook(key("p", 0, row), func() ([]byte, error) { return frame, nil }); err != nil {
+		if _, err := getOrCook(c, key("p", 0, row), func() ([]byte, error) { return frame, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,8 +120,8 @@ func TestByteBudgetEvictsLRU(t *testing.T) {
 }
 
 func TestOversizedFrameServedNotCached(t *testing.T) {
-	c := New(Options{Bytes: 64})
-	frame, err := c.GetOrCook(key("p", 0, 0), func() ([]byte, error) { return make([]byte, 1024), nil })
+	c := newFrames(64)
+	frame, err := getOrCook(c, key("p", 0, 0), func() ([]byte, error) { return make([]byte, 1024), nil })
 	if err != nil || len(frame) != 1024 {
 		t.Fatalf("frame = %d bytes, err %v", len(frame), err)
 	}
@@ -115,10 +131,10 @@ func TestOversizedFrameServedNotCached(t *testing.T) {
 }
 
 func TestNegativeBudgetDisables(t *testing.T) {
-	c := New(Options{Bytes: -1})
+	c := newFrames(-1)
 	cooked := 0
 	for i := 0; i < 3; i++ {
-		c.GetOrCook(key("p", 0, 0), func() ([]byte, error) { cooked++; return []byte("x"), nil })
+		getOrCook(c, key("p", 0, 0), func() ([]byte, error) { cooked++; return []byte("x"), nil })
 	}
 	if cooked != 3 {
 		t.Fatalf("cooked %d, want 3 (cache disabled)", cooked)
@@ -129,12 +145,12 @@ func TestNegativeBudgetDisables(t *testing.T) {
 }
 
 func TestInvalidatePlanDropsOnlyThatPlan(t *testing.T) {
-	c := New(Options{})
+	c := newFrames(0)
 	for row := 0; row < 3; row++ {
-		c.GetOrCook(key("a", 0, row), func() ([]byte, error) { return []byte("a"), nil })
-		c.GetOrCook(key("b", 0, row), func() ([]byte, error) { return []byte("b"), nil })
+		getOrCook(c, key("a", 0, row), func() ([]byte, error) { return []byte("a"), nil })
+		getOrCook(c, key("b", 0, row), func() ([]byte, error) { return []byte("b"), nil })
 	}
-	if n := c.InvalidatePlan("a"); n != 3 {
+	if n := c.Invalidate("a"); n != 3 {
 		t.Fatalf("invalidated %d, want 3", n)
 	}
 	if _, ok := c.Get(key("a", 0, 0)); ok {
@@ -152,46 +168,46 @@ func TestInvalidatePlanDropsOnlyThatPlan(t *testing.T) {
 // cook that was already running when its plan was invalidated must not
 // insert a stale frame afterwards.
 func TestInvalidationPoisonsInFlightCook(t *testing.T) {
-	c := New(Options{})
+	c := newFrames(0)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.GetOrCook(key("p", 0, 0), func() ([]byte, error) {
+		getOrCook(c, key("p", 0, 0), func() ([]byte, error) {
 			close(started)
 			<-release
 			return []byte("stale"), nil
 		})
 	}()
 	<-started
-	c.InvalidatePlan("p")
+	c.Invalidate("p")
 	close(release)
 	<-done
 	if _, ok := c.Get(key("p", 0, 0)); ok {
-		t.Fatal("stale frame inserted by a cook racing InvalidatePlan")
+		t.Fatal("stale frame inserted by a cook racing Invalidate")
 	}
 }
 
 // TestInvalidationLeavesNoResidue is the regression for the per-plan
-// epoch counter that InvalidatePlan bumped and nothing ever dropped:
+// epoch counter that Invalidate bumped and nothing ever dropped:
 // every re-index mints a new plan key, so a long-lived server grew one
 // map entry per document version it had ever invalidated. Ten thousand
 // distinct plans cooked, served and invalidated — one of them with a cook
 // still in flight — must leave every map in the cache empty.
 func TestInvalidationLeavesNoResidue(t *testing.T) {
-	c := New(Options{})
+	c := newFrames(0)
 	for i := 0; i < 10000; i++ {
 		plan := fmt.Sprintf("doc\x00%x", i)
-		if _, err := c.GetOrCook(key(plan, 0, 0), func() ([]byte, error) { return []byte("frame"), nil }); err != nil {
+		if _, err := getOrCook(c, key(plan, 0, 0), func() ([]byte, error) { return []byte("frame"), nil }); err != nil {
 			t.Fatal(err)
 		}
-		if n := c.InvalidatePlan(plan); n != 1 {
+		if n := c.Invalidate(plan); n != 1 {
 			t.Fatalf("plan %d: invalidated %d entries, want 1", i, n)
 		}
 	}
-	c.GetOrCook(key("racing", 0, 0), func() ([]byte, error) {
-		c.InvalidatePlan("racing")
+	getOrCook(c, key("racing", 0, 0), func() ([]byte, error) {
+		c.Invalidate("racing")
 		return []byte("stale"), nil
 	})
 	cache := reflect.ValueOf(c).Elem()
@@ -209,7 +225,7 @@ func TestInvalidationLeavesNoResidue(t *testing.T) {
 // requires exactly one cook. Run under -race it also exercises the
 // shared-slice publication.
 func TestSingleflightDedup(t *testing.T) {
-	c := New(Options{})
+	c := newFrames(0)
 	var cooks, entered atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -221,10 +237,10 @@ func TestSingleflightDedup(t *testing.T) {
 			defer wg.Done()
 			<-gate
 			entered.Add(1)
-			frame, err := c.GetOrCook(key("p", 2, 7), func() ([]byte, error) {
+			frame, err := getOrCook(c, key("p", 2, 7), func() ([]byte, error) {
 				cooks.Add(1)
 				// Hold the cook open until every worker is about to call
-				// GetOrCook, so most late arrivals coalesce onto this
+				// GetOrLoad, so most late arrivals coalesce onto this
 				// flight. A worker can bump entered and still lose the
 				// race to the finished entry; it then scores a hit, which
 				// is the same saving counted under another name.
@@ -249,14 +265,17 @@ func TestSingleflightDedup(t *testing.T) {
 			t.Fatalf("worker %d saw %q", i, f)
 		}
 	}
+	// The counting rule both cache instances share: every lookup is a hit
+	// or a miss, and a lookup that joined the flight is a miss and a
+	// coalesce — so misses are the one cook plus its joiners.
 	s := c.Stats()
-	if s.Cooks != 1 || s.Hits+s.Coalesced != workers-1 {
-		t.Fatalf("stats = %+v, want 1 cook and %d hits+coalesced", s, workers-1)
+	if s.Cooks != 1 || s.Hits+s.Misses != workers || s.Misses != 1+s.Coalesced {
+		t.Fatalf("stats = %+v, want 1 cook, %d hits+misses, misses = 1 + coalesced", s, workers)
 	}
 }
 
 func TestConcurrentMixedOperations(t *testing.T) {
-	c := New(Options{Bytes: 8 << 10})
+	c := newFrames(8 << 10)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -267,11 +286,11 @@ func TestConcurrentMixedOperations(t *testing.T) {
 				k := Key{Plan: plan, Gamma: 1.5, Gen: i % 2, Row: i % 17}
 				switch i % 5 {
 				case 4:
-					c.InvalidatePlan(plan)
+					c.Invalidate(plan)
 				default:
-					frame, err := c.GetOrCook(k, func() ([]byte, error) { return make([]byte, 64), nil })
+					frame, err := getOrCook(c, k, func() ([]byte, error) { return make([]byte, 64), nil })
 					if err != nil || len(frame) != 64 {
-						t.Errorf("GetOrCook: %d bytes, %v", len(frame), err)
+						t.Errorf("GetOrLoad: %d bytes, %v", len(frame), err)
 					}
 				}
 			}
@@ -284,8 +303,8 @@ func TestConcurrentMixedOperations(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	c := New(Options{})
-	c.GetOrCook(key("p", 0, 0), func() ([]byte, error) { return []byte("x"), nil })
+	c := newFrames(0)
+	getOrCook(c, key("p", 0, 0), func() ([]byte, error) { return []byte("x"), nil })
 	got := c.Stats().String()
 	if got == "" || !bytes.Contains([]byte(got), []byte("framecache{")) {
 		t.Fatalf("String() = %q", got)

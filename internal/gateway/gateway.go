@@ -317,7 +317,7 @@ func (h *Handler) handleDoc(w http.ResponseWriter, r *http.Request) {
 	icCut := 1.0
 	if s := query.Get("ic"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 || v > 1 {
+		if err != nil || !(v > 0 && v <= 1) { // the negated form also refuses NaN
 			http.Error(w, "ic must be in (0, 1]", http.StatusBadRequest)
 			return
 		}

@@ -171,8 +171,10 @@ func TestDocEndpointValidation(t *testing.T) {
 	if rec := get(t, h, "/doc/"+corpus.DraftName+"?ic=2"); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad ic: status %d", rec.Code)
 	}
-	if rec := get(t, h, "/doc/"+corpus.DraftName+"?ic=0"); rec.Code != http.StatusBadRequest {
-		t.Errorf("zero ic: status %d", rec.Code)
+	for _, ic := range []string{"0", "nan", "inf", "-inf"} {
+		if rec := get(t, h, "/doc/"+corpus.DraftName+"?ic="+ic); rec.Code != http.StatusBadRequest {
+			t.Errorf("ic=%s: status %d", ic, rec.Code)
+		}
 	}
 }
 

@@ -6,17 +6,19 @@ import "go/ast"
 // fully cooked wire frames shared by every connection streaming the same
 // document. Writing through one corrupts concurrent streams (and, since
 // frames are CRC-framed, poisons every later fetch served from the
-// entry). A var, not a const map, so fixture tests can retarget it.
+// entry). The cache is generic; its methods go by their generic
+// declaration's name, which is what calleeFunc resolves an instantiated
+// call to. A var, not a const map, so fixture tests can retarget it.
 var SharedFrameAccessors = map[string]bool{
-	"(*mobweb/internal/framecache.Cache).Get":           true,
-	"(*mobweb/internal/framecache.Cache).GetOrCook":     true,
-	"(*mobweb/internal/planner.Resolved).Frame":         true,
-	"(*mobweb/internal/planner.Resolved).FountainFrame": true,
+	"(*mobweb/internal/framecache.Cache[K, V]).Get":       true,
+	"(*mobweb/internal/framecache.Cache[K, V]).GetOrLoad": true,
+	"(*mobweb/internal/planner.Resolved).Frame":           true,
+	"(*mobweb/internal/planner.Resolved).FountainFrame":   true,
 }
 
 // FrameMut enforces the frame cache's immutability contract, the sibling
 // of planmut's rule 2: slices obtained from framecache.Cache.Get /
-// GetOrCook or planner.Resolved.Frame / FountainFrame are shared across
+// GetOrLoad or planner.Resolved.Frame / FountainFrame are shared across
 // connections and must be treated as read-only. Element stores, append
 // with such a slice as the destination, and copy into it are flagged;
 // re-slicing keeps the taint, and copying into a fresh slice clears it.
@@ -25,7 +27,7 @@ var SharedFrameAccessors = map[string]bool{
 var FrameMut = &Analyzer{
 	Name: "framemut",
 	Doc: "flag writes through slices returned by the shared frame cache " +
-		"(framecache.Cache.Get/GetOrCook, planner.Resolved.Frame/FountainFrame): cached frames are shared and immutable",
+		"(framecache.Cache.Get/GetOrLoad, planner.Resolved.Frame/FountainFrame): cached frames are shared and immutable",
 	Run: runFrameMut,
 }
 

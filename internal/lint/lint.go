@@ -19,8 +19,8 @@
 //     seeing the chain.
 //   - lockorder: the global mutex acquisition-order graph (built over a
 //     cross-package call graph, see callgraph.go/program.go) must be
-//     acyclic — planner.mu strictly outer to framecache.Cache.mu, and
-//     framecache never calls back.
+//     acyclic — planner.mu strictly outside the cache mutex, and the
+//     cache never calls back.
 //   - goroleak: goroutines need an exit path; no unconditional loops
 //     without a way out, no bare unbuffered sends in goroutine loops
 //     (the historic transport reader-leak shape).
@@ -149,20 +149,23 @@ func buildAllow(fset *token.FileSet, files []*ast.File) map[string]map[string]bo
 
 // calleeFunc resolves a call expression to the static *types.Func it
 // invokes (method or package-level function), or nil for builtins,
-// conversions and indirect calls through function values.
+// conversions and indirect calls through function values. A method of an
+// instantiated generic type resolves to its declaration (Origin), so
+// Cache[Key, []byte].Get is Cache[K, V].Get to every analyzer.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
+			obj = sel.Obj()
+		} else {
+			obj = info.Uses[fun.Sel] // qualified identifier pkg.Func
 		}
-		// Qualified identifier pkg.Func.
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
 	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
+		obj = info.Uses[fun]
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
 	}
 	return nil
 }

@@ -11,9 +11,10 @@ import (
 // loaded package and reports cycles as potential deadlocks.
 //
 // Lock classes are instance-insensitive ("planner.Planner.mu" covers
-// every Planner): the discipline the repo documents — planner.mu is
-// strictly outer to framecache.Cache.mu, framecache never calls back
-// into the planner — is exactly a property of classes, not instances.
+// every Planner, "framecache.Cache.mu" every instantiation of the
+// generic cache): the discipline the repo documents — planner.mu is
+// strictly outside the cache mutex, the cache never calls back into
+// the planner — is exactly a property of classes, not instances.
 // For each function and each class A it acquires, an intraprocedural
 // held-walk (dataflow.go) finds what happens while A is held:
 //
@@ -248,8 +249,8 @@ func shortClass(class string) string {
 }
 
 // shortFunc trims package paths inside a FullName:
-// "(*mobweb/internal/framecache.Cache).InvalidatePlan" →
-// "(*framecache.Cache).InvalidatePlan".
+// "(*mobweb/internal/framecache.Cache[K, V]).Invalidate" →
+// "(*framecache.Cache[K, V]).Invalidate".
 func shortFunc(full string) string {
 	if i := strings.LastIndex(full, "/"); i >= 0 {
 		prefix := full[:i]

@@ -8,7 +8,7 @@ import (
 	"mobweb/internal/planner"
 )
 
-func mutateShared(c *framecache.Cache, r *planner.Resolved) {
+func mutateShared(c *framecache.Cache[framecache.Key, []byte], r *planner.Resolved) {
 	frame, ok := c.Get(framecache.Key{Plan: "p"})
 	if ok {
 		frame[0] = 1 // want "store through a slice shared"
@@ -19,7 +19,7 @@ func mutateShared(c *framecache.Cache, r *planner.Resolved) {
 	sub := frame[4:]              // re-slicing keeps the taint
 	sub[0] = 9                    // want "store through a slice shared"
 
-	cooked, _ := c.GetOrCook(framecache.Key{Plan: "p"}, nil)
+	cooked, _ := c.GetOrLoad(framecache.Key{Plan: "p"}, "v", nil)
 	cooked[2] ^= 0xff // want "store through a slice shared"
 
 	wire, _ := r.Frame(0)
@@ -29,8 +29,8 @@ func mutateShared(c *framecache.Cache, r *planner.Resolved) {
 	symbol[0] = 0 // want "store through a slice shared"
 }
 
-func allowedCopies(c *framecache.Cache, r *planner.Resolved) {
-	frame, _ := c.GetOrCook(framecache.Key{Plan: "p"}, nil)
+func allowedCopies(c *framecache.Cache[framecache.Key, []byte], r *planner.Resolved) {
+	frame, _ := c.GetOrLoad(framecache.Key{Plan: "p"}, "v", nil)
 	private := append([]byte(nil), frame...) // fresh backing array: fine
 	private[0] = 1
 

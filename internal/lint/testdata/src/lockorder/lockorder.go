@@ -90,3 +90,15 @@ func lockE() {
 	muE.Lock()
 	muE.Unlock()
 }
+
+// The planner/cache discipline: the owner's mutex strictly outside the
+// generic cache's, the cache never calls back. drop breaks it, and is only
+// caught if a call on cache[string] resolves to the generic declaration.
+type cache[K comparable] struct{ mu sync.Mutex }
+type owner struct{ mu sync.Mutex }
+
+var plans cache[string]
+
+func (c *cache[K]) drop(o *owner) { c.mu.Lock(); o.touch(); c.mu.Unlock() } // want `lock order cycle: lockorder\.owner\.mu acquired via call to .*touch while lockorder\.cache\.mu is held`
+func (o *owner) touch()           { o.mu.Lock(); o.mu.Unlock() }
+func (o *owner) retire()          { o.mu.Lock(); plans.drop(o); o.mu.Unlock() } // want `lock order cycle: lockorder\.cache\.mu acquired via call to .*drop while lockorder\.owner\.mu is held`

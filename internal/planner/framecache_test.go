@@ -173,7 +173,7 @@ func TestReindexInvalidatesFrames(t *testing.T) {
 func TestPlanEvictionKeepsFrameBytesValid(t *testing.T) {
 	// A plan budget too small to hold two plans forces eviction on every
 	// alternation; the frame cache keeps its own (default) budget.
-	p, _ := newTestPlanner(t, Options{CacheBytes: 1, MaxEntries: 1}, "a.xml", "b.xml")
+	p, _ := newTestPlanner(t, Options{CacheBytes: 1}, "a.xml", "b.xml")
 	reqA := baseReq
 	reqB := baseReq
 	reqB.Doc = "b.xml"

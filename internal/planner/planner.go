@@ -1,18 +1,17 @@
 // Package planner is the shared planning service between the front ends
-// (TCP transport, HTTP gateway) and the FT-MRT core. Both front ends used
-// to re-rank the document and re-encode every erasure generation from
-// scratch on every fetch — including each retransmission round of the
-// same (doc, query, LOD, notion, γ) tuple — in two independent copies of
-// the request-resolution logic. The planner owns that logic once:
+// (TCP transport, HTTP gateway) and the FT-MRT core. It owns request
+// resolution once:
 //
 //   - canonical plan keys: document name + resolved LOD + notion + γ +
 //     packet geometry + a canonicalized query-vector hash, so textually
 //     different queries with the same occurrence vector share a plan;
-//   - a bounded, byte-budgeted LRU of immutable *core.Plan values with
-//     hit/miss/eviction/build-latency counters behind an expvar-style
-//     Stats() snapshot;
-//   - singleflight deduplication, so N concurrent fetches of one key
-//     trigger exactly one core.NewPlan build;
+//   - two instances of the one byte-budgeted singleflight LRU
+//     (framecache.Cache): immutable *core.Plan values, so N concurrent
+//     fetches of one key trigger exactly one core.NewPlan build, and the
+//     cooked wire frames those plans produce;
+//   - one version token per document, which prefixes both caches' keys
+//     and names their invalidation group: the first resolution to see a
+//     re-indexed document retires everything built from the old one;
 //   - client-facing parameter validation (LOD/notion spellings, γ), so
 //     malformed requests fail fast with a safe message instead of a deep
 //     core/erasure error string.
@@ -24,7 +23,6 @@
 package planner
 
 import (
-	"container/list"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -46,19 +44,21 @@ import (
 // Options.CacheBytes is zero.
 const DefaultCacheBytes = 64 << 20
 
+// frameOverhead approximates the per-entry bookkeeping charged against
+// the frame budget on top of the frame bytes and the plan key: the map
+// cells and the list element.
+const frameOverhead = 160
+
 // Options tunes a Planner.
 type Options struct {
 	// Defaults are the plan parameters applied when a request leaves
 	// them unset (the transport server's ServerOptions.Defaults).
 	Defaults core.Config
 	// CacheBytes bounds the estimated total bytes of cached plans. Zero
-	// selects DefaultCacheBytes; a negative value disables caching
-	// (every resolution builds, though concurrent identical builds are
-	// still deduplicated).
+	// selects DefaultCacheBytes; a negative value retains nothing, so
+	// every resolution builds (concurrent identical builds are still
+	// deduplicated).
 	CacheBytes int64
-	// MaxEntries additionally bounds the number of cached plans; zero
-	// means no entry cap (the byte budget alone governs).
-	MaxEntries int
 	// FrameCacheBytes bounds the shared cooked-frame cache behind
 	// ResolveFrames (encoded wire frames, directly writable to sockets).
 	// Zero selects framecache.DefaultCacheBytes; a negative value
@@ -99,15 +99,15 @@ func badRequest(format string, args ...any) *RequestError {
 	return &RequestError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// Stats is a point-in-time snapshot of the planner's counters, in the
+// Stats is a point-in-time snapshot of the plan cache's counters, in the
 // spirit of an expvar export.
 type Stats struct {
 	// Hits counts resolutions served from the cache.
 	Hits int64
-	// Misses counts resolutions that required (or joined) a build.
+	// Misses counts resolutions that started or joined a build.
 	Misses int64
-	// Coalesced counts resolutions that joined an in-flight build
-	// instead of starting their own (singleflight savings).
+	// Coalesced counts the misses that joined an in-flight build instead
+	// of starting their own (singleflight savings).
 	Coalesced int64
 	// Builds counts completed core.NewPlan calls.
 	Builds int64
@@ -126,49 +126,29 @@ type Stats struct {
 	GFKernel string
 }
 
-// cacheEntry is one cached plan plus the identity needed to detect
-// staleness: the SC pointer the plan was ranked against. Re-adding a
-// document to the engine swaps its SC, which invalidates the entry on
-// next lookup. frameKey records the frame-cache plan key derived from
-// this entry, so invalidation can drop the cooked frames too.
-type cacheEntry struct {
-	key      string
-	frameKey string
-	sc       *content.SC
-	plan     *core.Plan
-	cost     int64
-}
-
-// flightCall is one in-progress build that concurrent resolutions of the
-// same key wait on.
-type flightCall struct {
-	wg   sync.WaitGroup
-	plan *core.Plan
-	err  error
+// docVersion is the planner's view of one document name: the SC its
+// current plans are ranked against and the token that stands for it in
+// cache keys. Holding the SC pins it, so a later SC can never reuse the
+// pointer while the comparison in current still matters.
+type docVersion struct {
+	sc    *content.SC
+	token string
 }
 
 // Planner resolves fetch requests into immutable transmission plans,
 // caching and deduplicating builds. It is safe for concurrent use.
 type Planner struct {
-	engine *search.Engine
-	opts   Options
-	// frames is the shared cooked-frame cache fed by Resolved.Frame.
-	frames *framecache.Cache
+	engine   *search.Engine
+	defaults core.Config
+	plans    *framecache.Cache[string, *core.Plan]
+	frames   *framecache.Cache[framecache.Key, []byte]
 
-	mu      sync.Mutex
-	ll      *list.List               // front = most recently used
-	entries map[string]*list.Element // key → element (value *cacheEntry)
-	bytes   int64
-	flight  map[string]*flightCall
-	// scTokens assigns each SC a short unique token embedded in frame
-	// keys, so frames of a re-indexed document can never be confused
-	// with frames of its replacement (pointer reuse notwithstanding).
-	scTokens map[*content.SC]string
-	scSeq    uint64
-
-	hits, misses, coalesced    int64
-	builds, evictions, invalid int64
-	buildNanos                 int64
+	// mu guards the version table. It is held across Engine.SC and the
+	// two Invalidate calls, so it sits strictly outside the engine's and
+	// the caches' mutexes; none of them ever calls back into the planner.
+	mu       sync.Mutex
+	versions map[string]docVersion // document name → current version
+	seq      uint64                // last token minted
 }
 
 // New wraps a search engine as a planning service.
@@ -179,42 +159,106 @@ func New(engine *search.Engine, opts Options) (*Planner, error) {
 	if opts.CacheBytes == 0 {
 		opts.CacheBytes = DefaultCacheBytes
 	}
-	p := &Planner{
+	return &Planner{
 		engine:   engine,
-		opts:     opts,
-		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
-		flight:   make(map[string]*flightCall),
-		scTokens: make(map[*content.SC]string),
-		frames:   framecache.New(framecache.Options{Bytes: opts.FrameCacheBytes}),
-	}
-	return p, nil
+		defaults: opts.Defaults,
+		plans:    framecache.New[string, *core.Plan](opts.CacheBytes),
+		frames:   framecache.New[framecache.Key, []byte](opts.FrameCacheBytes),
+		versions: make(map[string]docVersion),
+	}, nil
 }
 
 // Resolve returns the plan for a request, from cache when possible. A
 // *RequestError signals a client-caused failure whose message is safe to
 // forward; any other error is an internal build failure.
 func (p *Planner) Resolve(req Request) (*core.Plan, error) {
-	plan, _, _, err := p.resolve(req)
-	return plan, err
+	r, err := p.ResolveFrames(req)
+	if err != nil {
+		return nil, err
+	}
+	return r.Plan, nil
 }
 
-// Resolved couples a plan with the canonical identity the shared frame
-// cache keys by. Frame results are SHARED AND IMMUTABLE slices; callers
-// that must mutate one (e.g. fault injection) copy it first.
+// Resolved couples a plan with the identity the shared frame cache keys
+// by. Frame results are SHARED AND IMMUTABLE slices; callers that must
+// mutate one (e.g. fault injection) copy it first.
 type Resolved struct {
 	// Plan is the resolved transmission plan.
 	Plan *core.Plan
-	// Key is the frame-cache plan key: the canonical plan key plus a
-	// document-version token, so frames of a re-indexed document never
+	// Key is the versioned plan key: the document-version token, then the
+	// canonical plan key, so frames of a re-indexed document never
 	// collide with frames of its replacement.
 	Key string
-	// canonKey is the canonical plan key without the document-version
-	// token: identical across replicas resolving the same request, which
-	// is what FountainSeed needs so a rerouted fetch continues the same
-	// stream byte-identically on another replica.
-	canonKey string
-	planner  *Planner
+	// version is the token Key starts with and the invalidation group of
+	// everything cached for this handle.
+	version string
+	planner *Planner
+}
+
+// ResolveFrames resolves a request into a frame-serving handle. Errors
+// are as for Resolve.
+func (p *Planner) ResolveFrames(req Request) (*Resolved, error) {
+	sc, version, ok := p.current(req.Doc)
+	if !ok {
+		return nil, &RequestError{NotFound: true, Msg: fmt.Sprintf("unknown document %q", req.Doc)}
+	}
+	cfg, queryVec, err := p.resolveParams(req)
+	if err != nil {
+		return nil, err
+	}
+	key := cacheKey(version, req.Doc, cfg, queryVec)
+	plan, err := p.plans.GetOrLoad(key, version, func() (*core.Plan, int64, error) {
+		plan, err := core.NewPlan(sc, queryVec, cfg)
+		if err != nil {
+			return nil, 0, err
+		}
+		return plan, p.charge(req.Doc, version, planCost(plan)), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Resolved{Plan: plan, Key: key, version: version, planner: p}, nil
+}
+
+// current returns the document's SC and its version token. The first
+// call to see a new SC for a name mints the next token and retires the
+// old one in both caches: every plan and frame built from the previous
+// document goes at once, whatever key it sat under, and loads in flight
+// for it are served to their waiters but not cached. Reading the SC
+// under p.mu makes a name's versions follow the engine's order, so a
+// resolution that raced a re-index cannot bring a retired version back.
+func (p *Planner) current(doc string) (*content.SC, string, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sc, ok := p.engine.SC(doc)
+	if !ok {
+		return nil, "", false
+	}
+	v := p.versions[doc]
+	if v.sc != sc {
+		if v.sc != nil {
+			p.plans.Invalidate(v.token)
+			p.frames.Invalidate(v.token)
+		}
+		p.seq++
+		v = docVersion{sc: sc, token: strconv.FormatUint(p.seq, 16)}
+		p.versions[doc] = v
+	}
+	return sc, v.token, true
+}
+
+// charge is what a load reports as its cost: cost while version is still
+// the document's current one, and more than any budget admits once it
+// has been retired. It runs inside the load, while the cache holds the
+// flight: a retirement that came first is seen here, one that comes later
+// finds the flight and poisons it, so no entry outlives its version.
+func (p *Planner) charge(doc, version string, cost int64) int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.versions[doc].token != version {
+		return math.MaxInt64
+	}
+	return cost
 }
 
 // Frame returns the cooked wire frame for a global sequence number,
@@ -222,44 +266,59 @@ type Resolved struct {
 // and immutable; writing through it corrupts every connection streaming
 // the same document.
 func (r *Resolved) Frame(seq int) ([]byte, error) {
-	fc := r.planner.frames
 	gen, row, err := r.Plan.Locate(seq)
 	if err != nil {
 		return nil, err
 	}
-	k := framecache.Key{Plan: r.Key, Gamma: r.Plan.Config().Gamma, Gen: gen, Row: row}
+	return r.frame(framecache.Key{Plan: r.Key, Gamma: r.Plan.Config().Gamma, Gen: gen, Row: row}, seq)
+}
+
+// FountainFrame returns the cooked fountain wire frame for (seed, gen,
+// seq), serving it from the shared frame cache. Fountain frames are
+// cacheable for the same reason fixed-rate ones are — the stream is a
+// pure function of (plan, codec, seed, gen, seq) — and the cache key
+// carries codec and seed so the two codecs' frames can never collide on
+// one plan. The returned slice is shared and immutable.
+func (r *Resolved) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
+	return r.frame(framecache.Key{
+		Plan:  r.Key,
+		Gamma: r.Plan.Config().Gamma,
+		Gen:   gen,
+		Row:   seq,
+		Codec: uint8(erasure.CodecFountain),
+		Seed:  seed,
+	}, seq)
+}
+
+// frame is the one frame-cache lookup behind Frame and FountainFrame;
+// seq is the plan-global sequence number a fixed-rate cook needs. A
+// frame is charged its bytes, its plan key and frameOverhead.
+func (r *Resolved) frame(k framecache.Key, seq int) ([]byte, error) {
+	p := r.planner
 	// Try the closure-free hit path first; build the cook only on miss.
-	if frame, ok := fc.Get(k); ok {
+	if frame, ok := p.frames.Get(k); ok {
 		return frame, nil
 	}
-	plan := r.Plan
-	return fc.GetOrCook(k, func() ([]byte, error) {
-		return plan.Frame(seq)
+	return p.frames.GetOrLoad(k, r.version, func() (frame []byte, cost int64, err error) {
+		if k.Codec == uint8(erasure.CodecFountain) {
+			frame, err = r.Plan.FountainFrame(k.Seed, k.Gen, k.Row)
+		} else {
+			frame, err = r.Plan.Frame(seq)
+		}
+		return frame, p.charge(r.Plan.Doc().Name, r.version, int64(len(frame)+len(k.Plan))+frameOverhead), err
 	})
 }
 
-// ResolveFrames resolves a request into a frame-serving handle. Errors
-// are as for Resolve.
-func (p *Planner) ResolveFrames(req Request) (*Resolved, error) {
-	plan, key, sc, err := p.resolve(req)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	frameKey := key + "\x00" + p.scTokenLocked(sc)
-	p.mu.Unlock()
-	return &Resolved{Plan: plan, Key: frameKey, canonKey: key, planner: p}, nil
-}
-
 // FountainSeed derives the fountain stream seed for this plan under a
-// server-wide salt. It is a pure function of (canonical plan key, salt),
+// server-wide salt. It is a pure function of (canonical plan key, salt)
+// — the key without its version token, which is local to one planner —
 // so every replica configured with the same salt streams byte-identical
 // fountain packets for the same request — the property broadcast fan-out
 // and mid-fetch re-routing rely on. The result is never zero (zero means
 // "derive for me" in the transport request).
 func (r *Resolved) FountainSeed(salt uint64) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(r.canonKey))
+	h.Write([]byte(r.Key[len(r.version)+1:]))
 	s := h.Sum64() ^ salt
 	// splitmix64 finalizer: smear the salt across all bits.
 	s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9
@@ -271,161 +330,52 @@ func (r *Resolved) FountainSeed(salt uint64) uint64 {
 	return s
 }
 
-// FountainFrame returns the cooked fountain wire frame for (seed, gen,
-// seq), serving it from the shared frame cache. Fountain
-// frames are cacheable for the same reason fixed-rate ones are — the
-// stream is a pure function of (plan, codec, seed, gen, seq) — and the
-// cache key carries codec and seed so the two codecs' frames can never
-// collide on one plan. The returned slice is shared and immutable.
-func (r *Resolved) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
-	fc := r.planner.frames
-	k := framecache.Key{
-		Plan:  r.Key,
-		Gamma: r.Plan.Config().Gamma,
-		Gen:   gen,
-		Row:   seq,
-		Codec: uint8(erasure.CodecFountain),
-		Seed:  seed,
-	}
-	if frame, ok := fc.Get(k); ok {
-		return frame, nil
-	}
-	plan := r.Plan
-	return fc.GetOrCook(k, func() ([]byte, error) {
-		return plan.FountainFrame(seed, gen, seq)
-	})
-}
-
 // FrameStats returns a snapshot of the frame cache's counters.
 func (p *Planner) FrameStats() framecache.Stats { return p.frames.Stats() }
 
-// resolve is the shared cache/singleflight/build path behind Resolve and
-// ResolveFrames, returning the plan alongside its canonical key and the
-// SC it was ranked against.
-func (p *Planner) resolve(req Request) (*core.Plan, string, *content.SC, error) {
-	sc, cfg, queryVec, err := p.resolveParams(req)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	key := cacheKey(req.Doc, cfg, queryVec)
-
-	p.mu.Lock()
-	if elem, ok := p.entries[key]; ok {
-		ent := elem.Value.(*cacheEntry)
-		if ent.sc == sc {
-			p.ll.MoveToFront(elem)
-			p.hits++
-			plan := ent.plan
-			p.mu.Unlock()
-			return plan, key, sc, nil
-		}
-		// The document was re-indexed since this plan was built; its
-		// cooked frames are stale too.
-		p.invalidateLocked(elem)
-	}
-	if call, ok := p.flight[key]; ok {
-		p.coalesced++
-		p.mu.Unlock()
-		call.wg.Wait()
-		return call.plan, key, sc, call.err
-	}
-	call := &flightCall{}
-	call.wg.Add(1)
-	p.flight[key] = call
-	p.misses++
-	p.mu.Unlock()
-
-	start := time.Now() //mobweb:nondet-ok build-time stats, never part of plans or keys
-	plan, buildErr := core.NewPlan(sc, queryVec, cfg)
-	elapsed := time.Since(start) //mobweb:nondet-ok build-time stats
-
-	p.mu.Lock()
-	delete(p.flight, key)
-	p.builds++
-	p.buildNanos += elapsed.Nanoseconds()
-	if buildErr == nil {
-		p.insertLocked(key, sc, plan)
-	}
-	p.mu.Unlock()
-
-	call.plan, call.err = plan, buildErr
-	call.wg.Done()
-	return plan, key, sc, buildErr
-}
-
-// scTokenLocked returns the document-version token for an SC, assigning
-// the next one on first sight. Callers hold p.mu.
-func (p *Planner) scTokenLocked(sc *content.SC) string {
-	if t, ok := p.scTokens[sc]; ok {
-		return t
-	}
-	p.scSeq++
-	t := strconv.FormatUint(p.scSeq, 16)
-	p.scTokens[sc] = t
-	return t
-}
-
-// invalidateLocked drops one stale cache entry: its plan, its frame-cache
-// residue, and its SC token. Callers hold p.mu. The frame cache's mutex
-// nests strictly inside the planner's (framecache never calls back).
-func (p *Planner) invalidateLocked(elem *list.Element) {
-	ent := elem.Value.(*cacheEntry)
-	if ent.frameKey != "" {
-		p.frames.InvalidatePlan(ent.frameKey)
-	}
-	delete(p.scTokens, ent.sc)
-	p.removeLocked(elem)
-	p.invalid++
-}
-
-// Stats returns a snapshot of the planner's counters.
+// Stats returns a snapshot of the plan cache's counters.
 func (p *Planner) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	s := p.plans.Stats()
 	return Stats{
-		Hits:          p.hits,
-		Misses:        p.misses,
-		Coalesced:     p.coalesced,
-		Builds:        p.builds,
-		BuildTime:     time.Duration(p.buildNanos),
-		Evictions:     p.evictions,
-		Invalidations: p.invalid,
-		Entries:       p.ll.Len(),
-		Bytes:         p.bytes,
+		Hits:          s.Hits,
+		Misses:        s.Misses,
+		Coalesced:     s.Coalesced,
+		Builds:        s.Cooks,
+		BuildTime:     s.CookTime,
+		Evictions:     s.Evictions,
+		Invalidations: s.Invalidations,
+		Entries:       s.Entries,
+		Bytes:         s.Bytes,
 		GFKernel:      gf256.KernelName(),
 	}
 }
 
 // String formats the snapshot for logs.
 func (s Stats) String() string {
-	return fmt.Sprintf("planner{hits %d, misses %d, coalesced %d, builds %d (%v), evictions %d, entries %d, %d bytes, gf %s}",
-		s.Hits, s.Misses, s.Coalesced, s.Builds, s.BuildTime.Round(time.Microsecond), s.Evictions, s.Entries, s.Bytes, s.GFKernel)
+	return fmt.Sprintf("planner{hits %d, misses %d, coalesced %d, builds %d (%v), evictions %d, invalidations %d, entries %d, %d bytes, gf %s}",
+		s.Hits, s.Misses, s.Coalesced, s.Builds, s.BuildTime.Round(time.Microsecond), s.Evictions, s.Invalidations, s.Entries, s.Bytes, s.GFKernel)
 }
 
-// resolveParams validates the request against the engine and defaults,
-// returning the SC to rank, the canonical config and the query vector.
-func (p *Planner) resolveParams(req Request) (*content.SC, core.Config, map[string]int, error) {
-	sc, ok := p.engine.SC(req.Doc)
-	if !ok {
-		return nil, core.Config{}, nil, &RequestError{NotFound: true, Msg: fmt.Sprintf("unknown document %q", req.Doc)}
-	}
-	cfg := p.opts.Defaults
+// resolveParams validates the request against the defaults, returning
+// the canonical config and the query vector.
+func (p *Planner) resolveParams(req Request) (core.Config, map[string]int, error) {
+	cfg := p.defaults
 	if req.LOD != "" {
 		lod, err := ParseLOD(req.LOD)
 		if err != nil {
-			return nil, core.Config{}, nil, badRequest("%s", err)
+			return core.Config{}, nil, badRequest("%s", err)
 		}
 		cfg.LOD = lod
 	}
 	if req.Notion != "" {
 		notion, err := ParseNotion(req.Notion)
 		if err != nil {
-			return nil, core.Config{}, nil, badRequest("%s", err)
+			return core.Config{}, nil, badRequest("%s", err)
 		}
 		cfg.Notion = notion
 	}
 	if err := ValidateGamma(req.Gamma); err != nil {
-		return nil, core.Config{}, nil, badRequest("%s", err)
+		return core.Config{}, nil, badRequest("%s", err)
 	}
 	if req.Gamma != 0 {
 		cfg.Gamma = req.Gamma
@@ -434,19 +384,20 @@ func (p *Planner) resolveParams(req Request) (*content.SC, core.Config, map[stri
 	if err != nil {
 		// A bad server default (not client input) — still client-visible,
 		// matching the pre-planner behaviour of surfacing the message.
-		return nil, core.Config{}, nil, badRequest("%s", err)
+		return core.Config{}, nil, badRequest("%s", err)
 	}
 	var queryVec map[string]int
 	if req.Query != "" {
 		queryVec = textproc.QueryVector(req.Query)
 	}
-	return sc, canonical, queryVec, nil
+	return canonical, queryVec, nil
 }
 
-// cacheKey canonicalizes a resolved request. Everything that changes the
-// resulting plan participates; the query enters as a hash of its sorted
-// occurrence vector, so queries that stem to the same vector share a key.
-func cacheKey(doc string, cfg core.Config, queryVec map[string]int) string {
+// cacheKey canonicalizes a resolved request behind its document-version
+// token. Everything that changes the resulting plan participates; the
+// query enters as a hash of its sorted occurrence vector, so queries that
+// stem to the same vector share a key.
+func cacheKey(version, doc string, cfg core.Config, queryVec map[string]int) string {
 	h := fnv.New64a()
 	terms := make([]string, 0, len(queryVec))
 	for t := range queryVec {
@@ -456,7 +407,7 @@ func cacheKey(doc string, cfg core.Config, queryVec map[string]int) string {
 	for _, t := range terms {
 		fmt.Fprintf(h, "%s=%d;", t, queryVec[t])
 	}
-	return doc + "\x00" +
+	return version + "\x00" + doc + "\x00" +
 		strconv.Itoa(int(cfg.LOD)) + "\x00" +
 		strconv.Itoa(int(cfg.Notion)) + "\x00" +
 		strconv.FormatUint(math.Float64bits(cfg.Gamma), 16) + "\x00" +
@@ -474,49 +425,4 @@ func planCost(plan *core.Plan) int64 {
 	return int64(2*plan.BodySize()) +
 		int64(plan.N()*plan.Config().PacketSize) +
 		int64(128*segs) + 512
-}
-
-// insertLocked caches a freshly built plan and evicts from the LRU tail
-// until the budget holds. Oversized plans (cost beyond the whole budget)
-// are served but never cached. Callers hold p.mu.
-func (p *Planner) insertLocked(key string, sc *content.SC, plan *core.Plan) {
-	if p.opts.CacheBytes < 0 {
-		return
-	}
-	cost := planCost(plan)
-	if cost > p.opts.CacheBytes {
-		return
-	}
-	frameKey := key + "\x00" + p.scTokenLocked(sc)
-	if elem, ok := p.entries[key]; ok {
-		// A concurrent build of an invalidated key may have raced us in;
-		// replace it, dropping the raced entry's frames when it was built
-		// against a different document version.
-		if old := elem.Value.(*cacheEntry); old.frameKey != frameKey {
-			p.frames.InvalidatePlan(old.frameKey)
-		}
-		p.removeLocked(elem)
-	}
-	ent := &cacheEntry{key: key, frameKey: frameKey, sc: sc, plan: plan, cost: cost}
-	p.entries[key] = p.ll.PushFront(ent)
-	p.bytes += cost
-	for p.bytes > p.opts.CacheBytes || (p.opts.MaxEntries > 0 && p.ll.Len() > p.opts.MaxEntries) {
-		// Capacity eviction keeps the frames: a rebuilt plan of the same
-		// key and document version cooks byte-identical frames, so the
-		// frame cache's own LRU governs their lifetime independently.
-		oldest := p.ll.Back()
-		if oldest == nil || oldest == p.ll.Front() {
-			break
-		}
-		p.removeLocked(oldest)
-		p.evictions++
-	}
-}
-
-// removeLocked drops one cache element. Callers hold p.mu.
-func (p *Planner) removeLocked(elem *list.Element) {
-	ent := elem.Value.(*cacheEntry)
-	p.ll.Remove(elem)
-	delete(p.entries, ent.key)
-	p.bytes -= ent.cost
 }

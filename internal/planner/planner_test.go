@@ -162,8 +162,10 @@ func TestSingleflight(t *testing.T) {
 	if st.Builds != 1 {
 		t.Fatalf("%d concurrent resolves ran %d builds, want 1 (stats %+v)", n, st.Builds, st)
 	}
-	if got := st.Hits + st.Misses + st.Coalesced; got != n {
-		t.Fatalf("counters account for %d of %d resolves: %+v", got, n, st)
+	// The counting rule both cache instances share: every resolve is a hit
+	// or a miss, and one that joined the flight is a miss and a coalesce.
+	if st.Hits+st.Misses != n || st.Misses != 1+st.Coalesced {
+		t.Fatalf("%d resolves: %+v, want hits+misses = %d and misses = 1 + coalesced", n, st, n)
 	}
 }
 
@@ -221,9 +223,16 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestMaxEntriesCap: the entry cap evicts even when bytes fit.
+// TestMaxEntriesCap keeps its name from the entry cap the byte budget
+// replaced: a budget that fits one plan holds one entry and has evicted
+// once after two resolutions.
 func TestMaxEntriesCap(t *testing.T) {
-	p, _ := newTestPlanner(t, Options{MaxEntries: 1}, "a.xml", "b.xml")
+	probe, _ := newTestPlanner(t, Options{}, "a.xml")
+	plan, err := probe.Resolve(baseReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := newTestPlanner(t, Options{CacheBytes: planCost(plan) + planCost(plan)/2}, "a.xml", "b.xml")
 	reqB := baseReq
 	reqB.Doc = "b.xml"
 	if _, err := p.Resolve(baseReq); err != nil {
@@ -234,7 +243,7 @@ func TestMaxEntriesCap(t *testing.T) {
 	}
 	st := p.Stats()
 	if st.Entries != 1 || st.Evictions != 1 {
-		t.Fatalf("entry cap: %+v, want 1 entry / 1 eviction", st)
+		t.Fatalf("one-plan budget: %+v, want 1 entry / 1 eviction", st)
 	}
 }
 
@@ -483,5 +492,139 @@ func TestBothCodecsOneDoc(t *testing.T) {
 	}
 	if st := p.FrameStats(); st.Entries != 3 {
 		t.Fatalf("cache holds %d entries, want 3 distinct", st.Entries)
+	}
+}
+
+// cacheMapSizes reports the length of every map held by the planner and,
+// through its pointer fields, by the caches it owns — the walk
+// framecache's TestInvalidationLeavesNoResidue does, one level up. The
+// engine is skipped: its postings grow with the vocabulary by design.
+func cacheMapSizes(p *Planner) map[string]int {
+	sizes := make(map[string]int)
+	var walk func(prefix string, v reflect.Value)
+	walk = func(prefix string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), prefix+"."+v.Type().Field(i).Name
+			switch {
+			case f.Kind() == reflect.Map:
+				sizes[name] = f.Len()
+			case f.Kind() == reflect.Pointer && !f.IsNil() && f.Type().Elem().Kind() == reflect.Struct &&
+				strings.HasSuffix(f.Type().Elem().PkgPath(), "/framecache"):
+				walk(name, f.Elem())
+			}
+		}
+	}
+	walk("Planner", reflect.ValueOf(p).Elem())
+	return sizes
+}
+
+// TestReindexRetiresWholeVersion is the regression for the leak the
+// version group closed: staleness used to be noticed only when a lookup
+// met a stale entry under the same plan key, so re-indexing a document
+// and then asking for it under any other key pinned the old SC (document
+// plus index) forever and left its plans sitting in the budget. Every
+// round here uses a never-repeated query; whatever N is, the planner must
+// end up tracking one version of the one document, with every retired
+// plan and frame counted as an invalidation.
+func TestReindexRetiresWholeVersion(t *testing.T) {
+	p, engine := newTestPlanner(t, Options{}, "a.xml")
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		req := baseReq
+		req.Query = fmt.Sprintf("mobile zq%c%c", 'a'+i/26, 'a'+i%26)
+		r, err := p.ResolveFrames(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Frame(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := engine.Add(synthDoc(t, "a.xml", 12)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The next resolution is the first to see the last re-index.
+	if _, err := p.ResolveFrames(baseReq); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.versions); n != 1 {
+		t.Errorf("planner tracks %d versions of one document", n)
+	}
+	for name, n := range cacheMapSizes(p) {
+		if n > 1 {
+			t.Errorf("%s holds %d entries after %d re-index rounds, want at most 1", name, n, rounds)
+		}
+	}
+	if st := p.Stats(); st.Builds != rounds+1 || st.Invalidations != rounds || st.Entries != 1 {
+		t.Errorf("plan cache: %+v, want %d builds, %d invalidations, 1 entry", st, rounds+1, rounds)
+	}
+	if st := p.FrameStats(); st.Invalidations != rounds || st.Entries != 0 {
+		t.Errorf("frame cache: %+v, want %d invalidations and nothing resident", st, rounds)
+	}
+}
+
+// TestReindexDuringBuildNotRetained is the -race stress for the window
+// between reading a document's version and caching what was built from
+// it: goroutines resolve and cook while another keeps re-adding the
+// document. Once it settles, a resolution must return a plan of the
+// engine's current document, and neither cache may hold an entry of a
+// retired version — a leaked one would sit under its own versioned key,
+// so it would show as an entry beyond the ones resolved below.
+func TestReindexDuringBuildNotRetained(t *testing.T) {
+	p, engine := newTestPlanner(t, Options{}, "a.xml")
+	queries := []string{"mobile web browsing", "weakly connected channel", ""}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				req := baseReq
+				req.Query = queries[i%len(queries)]
+				r, err := p.ResolveFrames(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := r.Frame(i % r.Plan.N()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	var last *document.Document
+	for i := 0; i < 40; i++ {
+		last = synthDoc(t, "a.xml", 10+i%3)
+		if err := engine.Add(last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	for _, q := range queries {
+		req := baseReq
+		req.Query = q
+		r, err := p.ResolveFrames(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Plan.Doc() != last {
+			t.Fatalf("query %q: plan of a superseded document after the re-index settled", q)
+		}
+	}
+	if st := p.Stats(); st.Entries != len(queries) {
+		t.Errorf("plan cache holds %d entries for %d live keys: %+v", st.Entries, len(queries), st)
+	}
+	sizes := cacheMapSizes(p)
+	if sizes["Planner.plans.groups"] != 1 || sizes["Planner.frames.groups"] > 1 || sizes["Planner.versions"] != 1 {
+		t.Errorf("more than the current version is resident: %v", sizes)
 	}
 }

@@ -23,8 +23,8 @@ type ServerOptions struct {
 	// Defaults are the plan parameters applied when a fetch request
 	// leaves them unset.
 	Defaults core.Config
-	// PlannerOptions tunes the shared planning service (plan-cache byte
-	// budget, entry cap). Its Defaults field is overridden by the
+	// PlannerOptions tunes the shared planning service (plan- and frame-
+	// cache byte budgets). Its Defaults field is overridden by the
 	// Defaults above so the two cannot disagree.
 	PlannerOptions planner.Options
 	// Planner, when non-nil, is a pre-built planning service shared with
