@@ -141,6 +141,7 @@ fuzz:
 	go test -fuzz=FuzzParseHTML -fuzztime=30s ./internal/markup
 	go test -fuzz=FuzzParseXML -fuzztime=30s ./internal/markup
 	go test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/packet
+	go test -fuzz=FuzzLayoutBinary -fuzztime=30s ./internal/core
 	go test -fuzz=FuzzRequestDecode -fuzztime=30s ./internal/transport
 	go test -fuzz=FuzzResponseLayout -fuzztime=30s ./internal/transport
 	go test -fuzz=FuzzFountainRoundtrip -fuzztime=30s ./internal/fountain

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mobweb/internal/document"
 	"mobweb/internal/erasure"
@@ -12,19 +13,19 @@ import (
 // a client needs to track reception without holding the document.
 type SegmentMeta struct {
 	// Label is the unit's hierarchical label (e.g. "3.2.1").
-	Label string `json:"label"`
+	Label string
 	// Title is the unit's heading, empty for paragraphs.
-	Title string `json:"title,omitempty"`
+	Title string
 	// Level is the unit's LOD.
-	Level document.LOD `json:"level"`
+	Level document.LOD
 	// Score is the unit's normalized information content.
-	Score float64 `json:"score"`
+	Score float64
 	// PermutedOff is the byte offset in the permuted stream.
-	PermutedOff int `json:"permutedOff"`
+	PermutedOff int
 	// OrigOff is the byte offset in the original body.
-	OrigOff int `json:"origOff"`
+	OrigOff int
 	// Length is the extent length in bytes.
-	Length int `json:"length"`
+	Length int
 }
 
 // GenerationShape is the dispersal shape of one encoding group. The
@@ -32,8 +33,8 @@ type SegmentMeta struct {
 // remote client rebuild the decoder.
 type GenerationShape struct {
 	// M and N are the raw and cooked packet counts of the group.
-	M int `json:"m"`
-	N int `json:"n"`
+	M int
+	N int
 }
 
 // Layout is the complete serializable transmission geometry of a plan:
@@ -41,25 +42,25 @@ type GenerationShape struct {
 // the header the document transmitter sends before the packet stream.
 type Layout struct {
 	// PacketSize is the raw packet payload size sp.
-	PacketSize int `json:"packetSize"`
+	PacketSize int
 	// BodySize is the original document body size in bytes.
-	BodySize int `json:"bodySize"`
+	BodySize int
 	// Shapes lists the dispersal groups in stream order.
-	Shapes []GenerationShape `json:"shapes"`
+	Shapes []GenerationShape
 	// Ranked lists the transmission-ordered unit segments.
-	Ranked []SegmentMeta `json:"ranked"`
+	Ranked []SegmentMeta
 	// Accrual lists the paragraph-level accounting segments.
-	Accrual []SegmentMeta `json:"accrual"`
+	Accrual []SegmentMeta
 	// Codec names the cooked-packet codec; the zero value is the legacy
 	// fixed-rate Vandermonde code, so layouts serialized before codecs
 	// existed keep their meaning. The server's layout is authoritative —
 	// a replica may serve a different codec than the client asked for
 	// (e.g. a clear-prefix-only capability tier cannot stream fountain).
-	Codec erasure.CodecID `json:"codec,omitempty"`
+	Codec erasure.CodecID
 	// Seed identifies the fountain stream when Codec is CodecFountain:
 	// both sides derive identical packet combinations from it. Zero and
 	// unused for the fixed-rate codec.
-	Seed uint64 `json:"seed,omitempty"`
+	Seed uint64
 }
 
 // Layout extracts the plan's transmission geometry.
@@ -104,8 +105,17 @@ func (seg SegmentMeta) within(bodySize int) bool {
 		seg.OrigOff >= 0 && seg.Length <= bodySize-seg.OrigOff
 }
 
+// scoreOK reports whether the segment's score is a finite, non-negative
+// number. The binary encoding carries all 64 float bits, so NaN and ±Inf
+// do come off the wire, and a NaN accrual score slips past every ordered
+// comparison: the receiver's InfoContent would be NaN for good, and
+// neither StopAtIC nor a progress threshold would ever fire.
+func (seg SegmentMeta) scoreOK() bool {
+	return seg.Score >= 0 && !math.IsInf(seg.Score, 1)
+}
+
 // Validate checks internal consistency: positive packet size, feasible
-// shapes, segments within the body.
+// shapes, segments within the body, scores finite and non-negative.
 func (l Layout) Validate() error {
 	if l.PacketSize < 1 {
 		return fmt.Errorf("core: layout packet size %d", l.PacketSize)
@@ -136,6 +146,9 @@ func (l Layout) Validate() error {
 		if !seg.within(l.BodySize) {
 			return fmt.Errorf("core: layout segment %q out of bounds", seg.Label)
 		}
+		if !seg.scoreOK() {
+			return fmt.Errorf("core: layout segment %q has score %v", seg.Label, seg.Score)
+		}
 	}
 	accrualTotal := 0.0
 	slots := 0
@@ -143,8 +156,8 @@ func (l Layout) Validate() error {
 		if !seg.within(l.BodySize) {
 			return fmt.Errorf("core: layout accrual segment %q out of bounds", seg.Label)
 		}
-		if seg.Score < 0 {
-			return fmt.Errorf("core: layout accrual segment %q has negative score", seg.Label)
+		if !seg.scoreOK() {
+			return fmt.Errorf("core: layout accrual segment %q has score %v", seg.Label, seg.Score)
 		}
 		accrualTotal += seg.Score
 		if seg.Length > 0 {

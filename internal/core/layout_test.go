@@ -9,6 +9,9 @@ import (
 	"mobweb/internal/document"
 )
 
+// TestLayoutJSONRoundTrip: encoding/json carries a Layout as the base64
+// text of its binary form (one string, picked up through MarshalText), and
+// it comes back whole.
 func TestLayoutJSONRoundTrip(t *testing.T) {
 	doc, scores := paperShapedDoc(t)
 	plan, err := NewPlanWithScores(doc, scores, Config{LOD: document.LODParagraph})
@@ -20,9 +23,15 @@ func TestLayoutJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
+		t.Fatalf("layout marshalled as %.40s…, want one JSON string", data)
+	}
 	var back Layout
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
+	}
+	if !sameLayout(back, layout) {
+		t.Errorf("round-trip changed the layout: %+v vs %+v", back, layout)
 	}
 	if back.M() != layout.M() || back.N() != layout.N() || back.BodySize != layout.BodySize {
 		t.Errorf("round-trip changed geometry: %+v vs %+v", back, layout)
@@ -113,6 +122,28 @@ func TestLayoutValidate(t *testing.T) {
 		{"negative accrual score", func(l *Layout) {
 			l.Accrual = append([]SegmentMeta(nil), l.Accrual...)
 			l.Accrual[0].Score = -0.5
+		}},
+		{"NaN accrual score", func(l *Layout) {
+			// Neither < 0 nor > 1: every ordered comparison lets it by, and
+			// the receiver's InfoContent is then NaN for the whole fetch.
+			l.Accrual = append([]SegmentMeta(nil), l.Accrual...)
+			l.Accrual[len(l.Accrual)-1].Score = math.NaN()
+		}},
+		{"infinite accrual score", func(l *Layout) {
+			l.Accrual = append([]SegmentMeta(nil), l.Accrual...)
+			l.Accrual[0].Score = math.Inf(1)
+		}},
+		{"NaN ranked score", func(l *Layout) {
+			l.Ranked = append([]SegmentMeta(nil), l.Ranked...)
+			l.Ranked[0].Score = math.NaN()
+		}},
+		{"negative ranked score", func(l *Layout) {
+			l.Ranked = append([]SegmentMeta(nil), l.Ranked...)
+			l.Ranked[0].Score = -1e-9
+		}},
+		{"infinite ranked score", func(l *Layout) {
+			l.Ranked = append([]SegmentMeta(nil), l.Ranked...)
+			l.Ranked[0].Score = math.Inf(-1)
 		}},
 		{"hostile accrual mass", func(l *Layout) {
 			l.Accrual = append([]SegmentMeta(nil), l.Accrual...)

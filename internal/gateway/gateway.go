@@ -210,7 +210,11 @@ func (h *Handler) handleSC(w http.ResponseWriter, r *http.Request) {
 
 // handleLayout returns the FT-MRT transmission geometry for a document,
 // letting an HTTP-bootstrapped client build a core.Receiver and then
-// consume the packet transport for the wireless hop. Query parameters
+// consume the packet transport for the wireless hop. The body is what the
+// packet transport's response line carries in its layout member: one JSON
+// string, the base64 of core.Layout's binary encoding (DESIGN.md §19), so
+// json.Unmarshal into a core.Layout — or base64 -d and UnmarshalBinary —
+// reads it, and Validate judges it. Query parameters
 // mirror /doc: q, lod, notion, plus gamma. Resolution goes through the
 // shared planner, so repeated layout requests (each retransmission
 // bootstrap) hit the plan cache.

@@ -31,7 +31,6 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -46,7 +45,7 @@ import (
 // Record kinds. The kind byte leads every record; an unknown kind stops
 // the recovery scan at that offset (it cannot be framed trustworthily).
 const (
-	recLayout     = 1 // payload: JSON core.Layout for the plan key
+	recLayout     = 1 // payload: core.Layout.MarshalBinary for the plan key (version byte first)
 	recPacket     = 2 // payload: one cooked packet (gen-local seq)
 	recGeneration = 3 // payload: uint16 M followed by M raw packets
 	recDrop       = 4 // tombstone: forget every record of the plan key
@@ -469,7 +468,7 @@ func (s *Store) readLocked(k key) ([]byte, bool) {
 // appended and shadows the old one (latest wins on recovery too, since
 // segments replay in order).
 func (s *Store) PutLayout(plan string, lo core.Layout) error {
-	data, err := json.Marshal(lo)
+	data, err := lo.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("store: marshal layout: %w", err)
 	}
@@ -483,7 +482,9 @@ func (s *Store) PutLayout(plan string, lo core.Layout) error {
 }
 
 // Layout returns the stored layout for a plan key. A stored layout that
-// fails to unmarshal or validate is dropped and reported absent.
+// fails to decode or validate is dropped and reported absent — which is
+// also what happens to the JSON payload an older build wrote: its first
+// byte is '{', not a known encoding version, and the fetch starts over.
 func (s *Store) Layout(plan string) (core.Layout, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -493,7 +494,7 @@ func (s *Store) Layout(plan string) (core.Layout, bool) {
 		return core.Layout{}, false
 	}
 	var lo core.Layout
-	if err := json.Unmarshal(data, &lo); err != nil || lo.Validate() != nil {
+	if err := lo.UnmarshalBinary(data); err != nil || lo.Validate() != nil {
 		delete(s.index, k)
 		return core.Layout{}, false
 	}

@@ -294,11 +294,13 @@ func (c *Client) send(ctx context.Context, req Request) error {
 	return c.w.Flush()
 }
 
-func (c *Client) readResponse(ctx context.Context) (Response, error) {
+// readResponse reads one control response under a read deadline and
+// returns its length on the wire with it.
+func (c *Client) readResponse(ctx context.Context) (Response, int, error) {
 	if err := c.conn.SetReadDeadline(c.deadline(ctx)); err != nil {
-		return Response{}, err
+		return Response{}, 0, err
 	}
-	return ReadResponse(c.r)
+	return readResponse(c.r)
 }
 
 // respRefusal maps a server refusal to its typed error: shed and
@@ -397,7 +399,7 @@ func (c *Client) SearchContext(ctx context.Context, query string, limit int) ([]
 	if err := c.send(ctx, Request{Op: "search", Query: query, Limit: limit}); err != nil {
 		return nil, ctxErr(ctx, err)
 	}
-	resp, err := c.readResponse(ctx)
+	resp, _, err := c.readResponse(ctx)
 	if err != nil {
 		return nil, ctxErr(ctx, err)
 	}
@@ -529,6 +531,12 @@ type FetchResult struct {
 	// (corrupt frames included — the radio spent the air time either
 	// way), so codecs with different framing compare on equal terms.
 	BytesReceived int
+	// HeaderBytes sums the control-line bytes received ahead of the frames
+	// — the response header with its layout, or a refusal — over every
+	// round and resume. It is counted beside BytesReceived, not in it:
+	// folding the header into the wire-byte metrics is ROADMAP item 1(a),
+	// a benchmark change of its own.
+	HeaderBytes int
 	// HeldPackets is the number of intact packets held at the end.
 	HeldPackets int
 	// Stalled reports whether any round ended without termination.
@@ -807,7 +815,8 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 	if err := c.send(ctx, req); err != nil {
 		return rcv, false, err
 	}
-	resp, err := c.readResponse(ctx)
+	resp, n, err := c.readResponse(ctx)
+	result.HeaderBytes += n
 	if err != nil {
 		return rcv, false, err
 	}

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 	"unicode/utf8"
 
@@ -77,7 +79,8 @@ func FuzzRequestDecode(f *testing.F) {
 }
 
 // FuzzResponseLayout feeds arbitrary bytes through what the client does
-// with a fetch response header — JSON decode, layout validation, receiver
+// with a fetch response header — JSON decode (the layout member is base64
+// of core.Layout's binary encoding), layout validation, receiver
 // construction — and then drives the receiver the way a fetch would:
 // packets in, progress questions after each, reconstruction at the end.
 // A hostile or buggy server may get an error back; it must never get a
@@ -85,21 +88,40 @@ func FuzzRequestDecode(f *testing.F) {
 // client slices its own buffers by.
 func FuzzResponseLayout(f *testing.F) {
 	// Hand-sized seeds: the engine minimises every interesting input, and
-	// a real plan's layout is tens of kilobytes of JSON to minimise.
-	for _, s := range []string{
+	// a real plan's layout is kilobytes to minimise. Each is a core.Layout
+	// value written the way the server writes it.
+	seg := func(label string, score float64, permutedOff, origOff, length int) core.SegmentMeta {
+		return core.SegmentMeta{Label: label, Score: score, PermutedOff: permutedOff, OrigOff: origOff, Length: length}
+	}
+	tenths := make([]core.SegmentMeta, 9)
+	for i := range tenths {
+		tenths[i] = seg(string(rune('1'+i)), 0.1, 0, 0, 8)
+	}
+	one := []core.GenerationShape{{M: 1, N: 1}}
+	for _, lo := range []*core.Layout{
 		// offset+length wraps negative: passed Validate, panicked Reconstruct
-		`{"ok":true,"layout":{"packetSize":8,"bodySize":8,"shapes":[{"m":1,"n":1}],"ranked":[{"label":"1","level":1,"score":1,"permutedOff":0,"origOff":9223372036854775807,"length":1}]}}`,
-		`{"ok":true,"layout":{"packetSize":8,"bodySize":8,"shapes":[{"m":1,"n":2}],"accrual":[{"label":"1","level":4,"score":1,"permutedOff":9223372036854775800,"origOff":0,"length":8}]}}`,
+		{PacketSize: 8, BodySize: 8, Shapes: one, Ranked: []core.SegmentMeta{seg("1", 1, 0, math.MaxInt, 1)}},
+		{PacketSize: 8, BodySize: 8, Shapes: []core.GenerationShape{{M: 1, N: 2}}, Accrual: []core.SegmentMeta{seg("1", 1, math.MaxInt-7, 0, 8)}},
 		// every unit claims the whole body
-		`{"ok":true,"layout":{"packetSize":2,"bodySize":8,"shapes":[{"m":4,"n":6}],"accrual":[{"label":"1","score":0.1,"length":8},{"label":"2","score":0.1,"length":8},{"label":"3","score":0.1,"length":8},{"label":"4","score":0.1,"length":8},{"label":"5","score":0.1,"length":8},{"label":"6","score":0.1,"length":8},{"label":"7","score":0.1,"length":8},{"label":"8","score":0.1,"length":8},{"label":"9","score":0.1,"length":8}]}}`,
+		{PacketSize: 2, BodySize: 8, Shapes: []core.GenerationShape{{M: 4, N: 6}}, Accrual: tenths},
 		// zero-length units, units out of order, a fountain stream
-		`{"ok":true,"layout":{"packetSize":4,"bodySize":10,"shapes":[{"m":2,"n":3},{"m":1,"n":2}],"ranked":[{"label":"1","score":1,"length":10}],"accrual":[{"label":"b","score":0.5,"permutedOff":6,"origOff":6,"length":4},{"label":"e","score":0,"permutedOff":6,"origOff":6},{"label":"a","score":0.5,"length":6}]}}`,
-		`{"ok":true,"layout":{"packetSize":4,"bodySize":10,"shapes":[{"m":3,"n":3}],"ranked":[{"label":"1","score":1,"length":10}],"accrual":[{"label":"a","score":1,"length":10}],"codec":1,"seed":5}}`,
-		`{"ok":true}`,
-		`{"ok":true,"layout":{}}`,
-		`{"ok":true,"layout":{"packetSize":-1,"bodySize":-1,"shapes":[{"m":-1,"n":300}]}}`,
+		{PacketSize: 4, BodySize: 10, Shapes: []core.GenerationShape{{M: 2, N: 3}, {M: 1, N: 2}},
+			Ranked:  []core.SegmentMeta{seg("1", 1, 0, 0, 10)},
+			Accrual: []core.SegmentMeta{seg("b", 0.5, 6, 6, 4), seg("e", 0, 6, 6, 0), seg("a", 0.5, 0, 0, 6)}},
+		{PacketSize: 4, BodySize: 10, Shapes: []core.GenerationShape{{M: 3, N: 3}},
+			Ranked: []core.SegmentMeta{seg("1", 1, 0, 0, 10)}, Accrual: []core.SegmentMeta{seg("a", 1, 0, 0, 10)},
+			Codec: erasure.CodecFountain, Seed: 5},
+		// a NaN score: no ordered comparison catches it, only Validate's finiteness check
+		{PacketSize: 8, BodySize: 8, Shapes: one, Accrual: []core.SegmentMeta{seg("a", math.NaN(), 0, 0, 8)}},
+		nil,
+		{},
+		{PacketSize: -1, BodySize: -1, Shapes: []core.GenerationShape{{M: -1, N: 300}}},
 	} {
-		f.Add([]byte(s))
+		var line bytes.Buffer
+		if err := WriteJSONLine(&line, Response{OK: true, Layout: lo}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line.Bytes())
 	}
 
 	f.Fuzz(func(t *testing.T, line []byte) {
@@ -135,7 +157,7 @@ func FuzzResponseLayout(f *testing.F) {
 				rcv.NewUnits()
 			}
 		}
-		if ic := rcv.InfoContent(); ic < 0 || ic > 1+1e-6 {
+		if ic := rcv.InfoContent(); !(ic >= 0 && ic <= 1+1e-6) { // written so NaN fails
 			t.Fatalf("InfoContent %v outside [0, 1]", ic)
 		}
 		rendered := rcv.Render()

@@ -57,6 +57,7 @@ type serverMetrics struct {
 	reqSearch     *obs.Counter
 	reqFetch      *obs.Counter
 	reqBad        *obs.Counter
+	headerBytes   *obs.Counter // control-line bytes written: fetch headers, search replies, refusals
 	framesOut     *obs.Counter
 	framesDropped *obs.Counter
 }
@@ -71,6 +72,7 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		reqSearch:     r.Counter("serve.requests_search"),
 		reqFetch:      r.Counter("serve.requests_fetch"),
 		reqBad:        r.Counter("serve.requests_bad"),
+		headerBytes:   r.Counter("serve.header_bytes"),
 		framesOut:     r.Counter("serve.frames_out"),
 		framesDropped: r.Counter("serve.frames_dropped"),
 	}

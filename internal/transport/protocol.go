@@ -5,7 +5,10 @@
 // (packet bookkeeping, CRC verification, reconstruction) and the
 // rendering manager (progressive unit display). The CORBA object request
 // broker of the original prototype is replaced by a newline-delimited
-// JSON control channel plus length-prefixed binary packet frames.
+// JSON control channel plus length-prefixed binary packet frames. The one
+// large control message, the fetch response's layout, rides its JSON line
+// as a base64 string of core.Layout's versioned varint encoding (DESIGN.md
+// §19) rather than as a JSON object per segment.
 //
 // The protocol supports the paper's full §4.2 loop: QIC-ordered
 // fault-tolerant streaming, client stop ("the user has determined that
@@ -146,7 +149,9 @@ type Response struct {
 	OK    bool         `json:"ok"`
 	Error string       `json:"error,omitempty"`
 	Hits  []HitSummary `json:"hits,omitempty"`
-	// Layout carries the transmission geometry for fetch responses.
+	// Layout carries the transmission geometry for fetch responses: one
+	// base64 string of core.Layout's binary encoding (the type marshals
+	// itself as text), not a JSON object.
 	Layout *core.Layout `json:"layout,omitempty"`
 	// Sending is the number of frames that will follow.
 	Sending int `json:"sending,omitempty"`
@@ -223,13 +228,19 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 
 // WriteJSONLine writes one newline-delimited control message.
 func WriteJSONLine(w io.Writer, v any) error {
+	_, err := writeJSONLine(w, v)
+	return err
+}
+
+// writeJSONLine is WriteJSONLine returning the line's length, newline
+// included, for the header-byte accounting on both ends.
+func writeJSONLine(w io.Writer, v any) (int, error) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
+	return w.Write(data)
 }
 
 // ReadResponse reads one newline-delimited Response from r. Like every
@@ -239,21 +250,28 @@ func WriteJSONLine(w io.Writer, v any) error {
 // ErrBadResponse once the bound is crossed, and nothing past it is
 // buffered.
 func ReadResponse(r *bufio.Reader) (Response, error) {
+	resp, _, err := readResponse(r)
+	return resp, err
+}
+
+// readResponse is ReadResponse returning the line's length as well,
+// newline included.
+func readResponse(r *bufio.Reader) (Response, int, error) {
 	var line []byte
 	for {
 		frag, err := r.ReadSlice('\n')
 		if len(line)+len(frag) > MaxControlLine {
-			return Response{}, fmt.Errorf("%w: control line exceeds %d bytes", ErrBadResponse, MaxControlLine)
+			return Response{}, 0, fmt.Errorf("%w: control line exceeds %d bytes", ErrBadResponse, MaxControlLine)
 		}
 		if err != nil && !errors.Is(err, bufio.ErrBufferFull) {
-			return Response{}, err
+			return Response{}, 0, err
 		}
 		if err == nil && line == nil {
 			line = frag // the whole line sat in the reader's buffer: no copy
 			break
 		}
 		if line == nil {
-			// A layout header is typically two or three reader buffers
+			// A layout header is rarely more than two reader buffers
 			// long; start at four so it is one allocation, not a ladder.
 			line = make([]byte, 0, 4*len(frag))
 		}
@@ -264,7 +282,7 @@ func ReadResponse(r *bufio.Reader) (Response, error) {
 	}
 	var resp Response
 	if err := json.Unmarshal(line, &resp); err != nil {
-		return Response{}, fmt.Errorf("%w: %v", ErrBadResponse, err)
+		return Response{}, len(line), fmt.Errorf("%w: %v", ErrBadResponse, err)
 	}
-	return resp, nil
+	return resp, len(line), nil
 }

@@ -352,7 +352,7 @@ func (s *Server) handle(conn net.Conn) {
 			// client is not waiting for one.
 		case "search":
 			s.sm.reqSearch.Inc()
-			err = reply(w, s.backend.Search(req))
+			err = s.reply(w, s.backend.Search(req))
 		case "fetch":
 			s.sm.reqFetch.Inc()
 			// The idle timer runs between requests only. The reader
@@ -364,7 +364,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		default:
 			s.sm.reqBad.Inc()
-			err = reply(w, Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
+			err = s.reply(w, Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
 		}
 		if err != nil {
 			return
@@ -373,8 +373,10 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // reply writes one control response and flushes it.
-func reply(w *bufio.Writer, resp Response) error {
-	if err := WriteJSONLine(w, resp); err != nil {
+func (s *Server) reply(w *bufio.Writer, resp Response) error {
+	n, err := writeJSONLine(w, resp)
+	s.sm.headerBytes.Add(int64(n))
+	if err != nil {
 		return err
 	}
 	return w.Flush()
@@ -390,15 +392,15 @@ func (s *Server) fetch(w *bufio.Writer, req Request, requests <-chan Request, in
 	if s.opts.Admission != nil {
 		release, retryAfter, ok := s.opts.Admission.Admit(len(req.Have) > 0)
 		if !ok {
-			return reply(w, s.backend.Shed(req, retryAfter))
+			return s.reply(w, s.backend.Shed(req, retryAfter))
 		}
 		defer release()
 	}
 	hdr, src, end := s.backend.Fetch(req)
 	if src == nil {
-		return reply(w, hdr)
+		return s.reply(w, hdr)
 	}
-	sent, err := 0, reply(w, hdr)
+	sent, err := 0, s.reply(w, hdr)
 	if err == nil {
 		sent, err = s.pump(w, src, requests, injector)
 	}

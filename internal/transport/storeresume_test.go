@@ -3,7 +3,12 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"net"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -168,7 +173,7 @@ func TestDoneGensKeepsGenerationsOffTheAir(t *testing.T) {
 		if err := client.send(ctx, Request{Op: "fetch", Doc: corpus.DraftName, DoneGens: done}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := client.readResponse(ctx)
+		resp, _, err := client.readResponse(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,5 +247,83 @@ func TestPrefetchCancelPersistsPartialWindow(t *testing.T) {
 	}
 	if full.Body == nil {
 		t.Fatal("resumed fetch did not reconstruct")
+	}
+}
+
+// TestLegacyJSONLayoutDropped: a store last written by a build that kept
+// the layout as JSON reopens cleanly under this one. The JSON record is
+// intact as a record (framing and CRC are the store's, not the layout's),
+// so recovery keeps it; its payload starts with '{', which is not a layout
+// encoding version, so Layout reports it absent through the same path that
+// drops any undecodable layout, and the fetch starts from scratch and
+// reconstructs the same bytes. There is no legacy decoder to keep.
+func TestLegacyJSONLayoutDropped(t *testing.T) {
+	addr := startServerAddr(t, ServerOptions{})
+	dir := t.TempDir()
+	opts := FetchOptions{Doc: corpus.DraftName, Caching: true}
+	plan := fetchShape(opts)
+
+	// A first life leaves ten packets behind, as the old build would have.
+	c1 := dialWithStore(t, addr, dir)
+	if partial, err := c1.Prefetch(opts, 10); err != nil || partial.Intact == 0 {
+		t.Fatalf("partial prefetch: %+v, %v", partial, err)
+	}
+	if _, ok := c1.Store.Layout(plan); !ok {
+		t.Fatal("prefetch stored no layout")
+	}
+	c1.Close()
+	c1.Store.Close()
+
+	// The old build's layout record, appended where it shadows the new one
+	// (the latest record of a key wins): kind 1, codec 0, gen 0, seq 0,
+	// key, JSON payload, CRC-32 over all of it.
+	legacy := []byte(`{"packetSize":256,"bodySize":5651,"shapes":[{"m":23,"n":35}],` +
+		`"ranked":[{"label":"0","title":"draft","level":1,"score":1,"permutedOff":0,"origOff":0,"length":5651}],` +
+		`"accrual":[{"label":"1.1","level":5,"score":0.05,"permutedOff":0,"origOff":0,"length":312}]}`)
+	rec := make([]byte, 16, 16+len(plan)+len(legacy)+4)
+	rec[0] = 1
+	binary.BigEndian.PutUint16(rec[10:12], uint16(len(plan)))
+	binary.BigEndian.PutUint32(rec[12:16], uint32(len(legacy)))
+	rec = append(append(rec, plan...), legacy...)
+	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files in the store: %v", err)
+	}
+	sort.Strings(segs)
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := dialWithStore(t, addr, dir)
+	if st := c2.Store.Stats(); st.TornTails != 0 {
+		t.Fatalf("reopening the legacy store truncated %d segments", st.TornTails)
+	}
+	if _, ok := c2.Store.Layout(plan); ok {
+		t.Fatal("a JSON layout payload decoded")
+	}
+	full, err := c2.Fetch(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.StoredPackets != 0 {
+		t.Errorf("fetch seeded %d records from a store without a usable layout", full.StoredPackets)
+	}
+	doc, err := corpus.Load(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(full.Body, doc.Body()) {
+		t.Fatal("body fetched over the legacy store differs from the source document")
+	}
+	if _, ok := c2.Store.Layout(plan); !ok {
+		t.Error("the completed fetch did not store its layout")
 	}
 }

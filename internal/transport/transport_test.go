@@ -319,7 +319,7 @@ func TestUnknownOp(t *testing.T) {
 	if err := client.send(context.Background(), Request{Op: "bogus"}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.readResponse(context.Background())
+	resp, _, err := client.readResponse(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
