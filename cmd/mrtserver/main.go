@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"expvar"
 	"flag"
 	"fmt"
@@ -269,13 +270,13 @@ func run(args []string) error {
 // connections.
 type dialFetcher struct{ addr string }
 
-func (d dialFetcher) Fetch(opts transport.FetchOptions) (*transport.FetchResult, error) {
+func (d dialFetcher) FetchContext(ctx context.Context, opts transport.FetchOptions) (*transport.FetchResult, error) {
 	c, err := transport.Dial(d.addr)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
-	return c.Fetch(opts)
+	return c.FetchContext(ctx, opts)
 }
 
 // statsLine condenses a registry snapshot into the periodic log line: the

@@ -1,25 +1,49 @@
 package gateway
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"testing"
 	"time"
 
+	"mobweb/internal/core"
+	"mobweb/internal/document"
 	"mobweb/internal/erasure"
 	"mobweb/internal/obs"
 	"mobweb/internal/transport"
 )
 
-// stubFetcher scripts the transport tier's behaviour for gateway tests.
+// stubFetcher scripts the transport tier's behaviour for gateway tests:
+// it reports units, one frame each under res's response header, then
+// returns res and err.
 type stubFetcher struct {
-	res *transport.FetchResult
-	err error
+	units []core.RenderedUnit
+	res   *transport.FetchResult
+	err   error
 }
 
-func (s *stubFetcher) Fetch(transport.FetchOptions) (*transport.FetchResult, error) {
+func (s *stubFetcher) FetchContext(_ context.Context, opts transport.FetchOptions) (*transport.FetchResult, error) {
+	ic := 0.0
+	for i, u := range s.units {
+		ic += u.Segment.Score
+		p := transport.Progress{Seq: i, Intact: true, InfoContent: ic, NewUnits: []core.RenderedUnit{u}}
+		if s.res != nil {
+			p.Replica, p.Capability, p.Codec = s.res.Replica, s.res.Capability, s.res.Codec
+		}
+		opts.OnProgress(p)
+	}
 	return s.res, s.err
 }
+
+// twoUnits is a scripted unit stream and the body the gateway makes of it.
+var twoUnits = []core.RenderedUnit{
+	{Segment: core.SegmentMeta{Label: "1.0.0", Level: document.LODParagraph, Score: 0.625}, Text: "first paragraph"},
+	{Segment: core.SegmentMeta{Label: "0.0.0", Level: document.LODParagraph, Score: 0.375}, Text: "second paragraph"},
+}
+
+const twoUnitsBody = "── paragraph 1.0.0 (score 0.6250) \nfirst paragraph\n\n" +
+	"── paragraph 0.0.0 (score 0.3750) \nsecond paragraph\n\n"
 
 // newRemoteGateway builds a gateway whose /doc is backed by the stub.
 func newRemoteGateway(t *testing.T, f Fetcher) (*Handler, *obs.Registry) {
@@ -32,7 +56,7 @@ func newRemoteGateway(t *testing.T, f Fetcher) (*Handler, *obs.Registry) {
 }
 
 func TestDocRemoteServesBodyWithTierHeaders(t *testing.T) {
-	h, reg := newRemoteGateway(t, &stubFetcher{res: &transport.FetchResult{
+	h, reg := newRemoteGateway(t, &stubFetcher{units: twoUnits, res: &transport.FetchResult{
 		Body:       []byte("reconstructed document"),
 		Replica:    "b-replica",
 		Capability: "fetch-degraded",
@@ -42,8 +66,11 @@ func TestDocRemoteServesBodyWithTierHeaders(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200", rec.Code)
 	}
-	if got := rec.Body.String(); got != "reconstructed document" {
-		t.Errorf("body = %q", got)
+	if got := rec.Body.String(); got != twoUnitsBody {
+		t.Errorf("body = %q, want the unit blocks %q", got, twoUnitsBody)
+	}
+	if rec.Header().Get("X-Document-Title") != "" {
+		t.Error("X-Document-Title set for a document the gateway's engine does not index")
 	}
 	if got := rec.Header().Get("X-Mobweb-Replica"); got != "b-replica" {
 		t.Errorf("X-Mobweb-Replica = %q, want b-replica", got)
@@ -130,6 +157,42 @@ func TestDocRemoteOtherErrorsBecome502(t *testing.T) {
 	}
 }
 
+func TestDocRemoteFailureAfterUnitsEndsWithTerminalLine(t *testing.T) {
+	h, reg := newRemoteGateway(t, &stubFetcher{
+		units: twoUnits[:1],
+		res:   &transport.FetchResult{Replica: "b-replica", Rounds: 1},
+		err:   fmt.Errorf("redial failed: %w", transport.ErrDisconnected),
+	})
+	rec := get(t, h, "/doc/the-draft.xml")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want the 200 the first unit committed to", rec.Code)
+	}
+	want := "── paragraph 1.0.0 (score 0.6250) \nfirst paragraph\n\n" +
+		"── fetch ended: disconnected at information content 0.625 ──\n"
+	if got := rec.Body.String(); got != want {
+		t.Errorf("body = %q, want %q", got, want)
+	}
+	if got := rec.Header().Get("X-Mobweb-Replica"); got != "b-replica" {
+		t.Errorf("X-Mobweb-Replica = %q, want b-replica", got)
+	}
+	if logged := reg.FetchLog().Recent(0); len(logged) != 1 || logged[0].Err != "disconnected" {
+		t.Errorf("fetch log = %+v, want one disconnected record", logged)
+	}
+}
+
+func TestDocRemoteICStopKeepsStopLine(t *testing.T) {
+	f := &recordingFetcher{stubFetcher: stubFetcher{units: twoUnits[:1], res: &transport.FetchResult{InfoContent: 0.625}}}
+	h, _ := newRemoteGateway(t, f)
+	rec := get(t, h, "/doc/the-draft.xml?ic=0.5")
+	want := "── paragraph 1.0.0 (score 0.6250) \nfirst paragraph\n\n── stopped at information content 0.625 ──\n"
+	if got := rec.Body.String(); got != want {
+		t.Errorf("body = %q, want %q", got, want)
+	}
+	if len(f.got) != 1 || f.got[0].StopAtIC != 0.5 || !f.got[0].Caching {
+		t.Errorf("fetch options = %+v, want StopAtIC 0.5 with caching", f.got)
+	}
+}
+
 func TestDocRemoteBadParamsRejectedBeforeFetch(t *testing.T) {
 	h, _ := newRemoteGateway(t, &stubFetcher{res: &transport.FetchResult{Body: []byte("x")}})
 	if rec := get(t, h, "/doc/the-draft.xml?lod=bogus"); rec.Code != http.StatusBadRequest {
@@ -165,9 +228,9 @@ type recordingFetcher struct {
 	got []transport.FetchOptions
 }
 
-func (r *recordingFetcher) Fetch(opts transport.FetchOptions) (*transport.FetchResult, error) {
+func (r *recordingFetcher) FetchContext(ctx context.Context, opts transport.FetchOptions) (*transport.FetchResult, error) {
 	r.got = append(r.got, opts)
-	return r.stubFetcher.Fetch(opts)
+	return r.stubFetcher.FetchContext(ctx, opts)
 }
 
 func TestDocRemoteCodecQueryAndHeader(t *testing.T) {

@@ -1,28 +1,39 @@
 // Package gateway is the WWW-server half of Figure 1: an HTTP front end
 // over the document collection that lets a conventional browser consume
-// multi-resolution content. Three endpoints:
+// multi-resolution content. Four endpoints:
 //
 //	GET /search?q=...&limit=N      → JSON list of hits
 //	GET /sc/{name}?q=...           → JSON structural characteristic
 //	                                 (per-unit IC/QIC/MQIC)
-//	GET /doc/{name}?q=...&lod=...&notion=...&ic=0.4
+//	GET /layout/{name}?q=...       → the FT-MRT transmission geometry
+//	GET /doc/{name}?q=...&lod=...&notion=...&codec=...&ic=0.4
 //	                               → the document's units as text/plain,
-//	                                 highest content first, streamed
-//	                                 progressively (chunked) and cut off
-//	                                 at the requested information content
+//	                                 highest content first, one flushed
+//	                                 block per unit, cut off at the
+//	                                 requested information content
 //
-// The gateway runs server-side on the wired segment; the FT-MRT packet
-// transport covers the wireless hop. Exposing the ranked unit stream over
-// plain HTTP makes the multi-resolution behaviour observable with stock
-// tools (curl shows the most relevant paragraphs arriving first).
+// /doc is a rendering of the packet transport: each request is one fetch
+// through the handler's Fetcher, and the body is the receiver's unit
+// stream (transport.Progress.NewUnits) written as it decodes; the
+// receiver's accrued information content is the only cut-off rule, and
+// reaching ic makes the client send stop. The default Fetcher reaches an
+// in-process transport.Server over a net.Pipe per request, through the
+// handler's planner and so its plan and frame caches; SetFetcher swaps in
+// one that crosses the wireless hop. Nothing else differs between the two:
+// the same parameters refused, the same bytes for the same URL (curl -N
+// shows the most relevant paragraphs arriving first).
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"mobweb/internal/content"
@@ -36,11 +47,26 @@ import (
 	"mobweb/internal/transport"
 )
 
-// Fetcher downloads a document over the FT-MRT packet transport.
-// *transport.Client satisfies it, whether dialled straight at one
-// replica or at a shard front.
+// Fetcher downloads a document over the FT-MRT packet transport, stopping
+// when ctx does. *transport.Client satisfies it, whether dialled straight
+// at one replica or at a shard front.
 type Fetcher interface {
-	Fetch(opts transport.FetchOptions) (*transport.FetchResult, error)
+	FetchContext(ctx context.Context, opts transport.FetchOptions) (*transport.FetchResult, error)
+}
+
+// pipeFetcher is the default Fetcher: the packet transport with no hop to
+// cross, a fresh net.Pipe per fetch between a client and a server that
+// plans through the handler's planner.
+type pipeFetcher struct{ srv *transport.Server }
+
+func (p pipeFetcher) FetchContext(ctx context.Context, opts transport.FetchOptions) (*transport.FetchResult, error) {
+	near, far := net.Pipe()
+	c := transport.NewClient(near)
+	defer c.Close() // ends the server's handler too
+	if err := p.srv.ServeConn(far); err != nil {
+		return nil, err
+	}
+	return c.FetchContext(ctx, opts)
 }
 
 // Handler serves the gateway endpoints. Construct with New or
@@ -49,8 +75,7 @@ type Handler struct {
 	engine  *search.Engine
 	planner *planner.Planner
 	mux     *http.ServeMux
-	// fetcher, when set, backs GET /doc with the packet-transport tier
-	// instead of the local engine; see SetFetcher.
+	// fetcher runs every GET /doc: in process until SetFetcher.
 	fetcher Fetcher
 	// requests counts gateway requests when a metrics registry is
 	// attached via SetMetrics; nil (no-op) otherwise.
@@ -58,8 +83,7 @@ type Handler struct {
 	// unavailable counts /doc requests refused with 503 because the
 	// fetch tier shed them or was degraded below fetching.
 	unavailable *obs.Counter
-	// fetchLog receives one record per transport-backed /doc request
-	// when a registry is attached.
+	// fetchLog receives one record per /doc request; nil without a registry.
 	fetchLog *obs.FetchLog
 }
 
@@ -68,9 +92,6 @@ var _ http.Handler = (*Handler)(nil)
 // New wraps a search engine as an HTTP gateway with its own
 // default-configured planning service.
 func New(engine *search.Engine) (*Handler, error) {
-	if engine == nil {
-		return nil, fmt.Errorf("gateway: nil engine")
-	}
 	pl, err := planner.New(engine, planner.Options{
 		Defaults: core.Config{LOD: document.LODParagraph, Notion: content.NotionQIC},
 	})
@@ -83,13 +104,14 @@ func New(engine *search.Engine) (*Handler, error) {
 // NewWithPlanner wraps a search engine as an HTTP gateway sharing a
 // planning service (and hence its plan cache) with other front ends.
 func NewWithPlanner(engine *search.Engine, pl *planner.Planner) (*Handler, error) {
-	if engine == nil {
-		return nil, fmt.Errorf("gateway: nil engine")
-	}
 	if pl == nil {
 		return nil, fmt.Errorf("gateway: nil planner")
 	}
-	h := &Handler{engine: engine, planner: pl, mux: http.NewServeMux()}
+	srv, err := transport.NewServer(engine, transport.ServerOptions{Planner: pl})
+	if err != nil {
+		return nil, err
+	}
+	h := &Handler{engine: engine, planner: pl, mux: http.NewServeMux(), fetcher: pipeFetcher{srv}}
 	h.mux.HandleFunc("GET /search", h.handleSearch)
 	h.mux.HandleFunc("GET /sc/{name}", h.handleSC)
 	h.mux.HandleFunc("GET /doc/{name}", h.handleDoc)
@@ -122,21 +144,13 @@ func (h *Handler) SetMetrics(reg *obs.Registry) {
 	h.mux.Handle("GET /debug/fetches", obs.FetchesHandler(reg))
 }
 
-// SetFetcher routes GET /doc through the FT-MRT packet transport — a
-// client dialled at a replica or shard front — instead of the local
-// engine. Call it once, before serving; a nil fetcher is a no-op.
-//
-// In this mode the gateway translates the fetch tier's robustness
-// signals into stock HTTP: a shed fetch (admission control) or a fleet
-// degraded below fetching becomes 503 Service Unavailable with a
-// Retry-After header, so conventional browsers and proxies back off
-// without understanding the packet protocol. Successful responses name
-// the serving tier in X-Mobweb-Replica and X-Mobweb-Capability headers.
+// SetFetcher makes GET /doc fetch through f — a client dialled at a
+// replica or shard front — instead of the in-process server. Call it
+// once, before serving; a nil fetcher is a no-op.
 func (h *Handler) SetFetcher(f Fetcher) {
-	if f == nil {
-		return
+	if f != nil {
+		h.fetcher = f
 	}
-	h.fetcher = f
 }
 
 // ServeHTTP implements http.Handler.
@@ -208,70 +222,85 @@ func (h *Handler) handleSC(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
+// fetchOptions is the one parser of the parameters that shape a document
+// request — q, lod, notion, codec, gamma and ic — into the fetch that
+// carries them, so every endpoint and both fetchers refuse the same inputs
+// with the same 400. Empty means the serving tier's default.
+func fetchOptions(r *http.Request) (transport.FetchOptions, error) {
+	query := r.URL.Query()
+	opts := transport.FetchOptions{Doc: r.PathValue("name"), Query: query.Get("q"), Caching: true}
+	var err error
+	if s := query.Get("lod"); s != "" {
+		if opts.LOD, err = planner.ParseLOD(s); err != nil {
+			return opts, err
+		}
+	}
+	if s := query.Get("notion"); s != "" {
+		if opts.Notion, err = planner.ParseNotion(s); err != nil {
+			return opts, err
+		}
+	}
+	if s := query.Get("codec"); s != "" {
+		if opts.Codec, err = erasure.ParseCodec(s); err != nil {
+			return opts, err
+		}
+	}
+	if s := query.Get("gamma"); s != "" {
+		// gamma=0 is a bad request here, not the planner's "use the default".
+		if opts.Gamma, err = strconv.ParseFloat(s, 64); err != nil || opts.Gamma == 0 || planner.ValidateGamma(opts.Gamma) != nil {
+			return opts, errors.New("gamma must be a finite number >= 1")
+		}
+	}
+	if s := query.Get("ic"); s != "" {
+		opts.StopAtIC, err = strconv.ParseFloat(s, 64)
+		if err != nil || !(opts.StopAtIC > 0 && opts.StopAtIC <= 1) { // the negated form also refuses NaN
+			return opts, errors.New("ic must be in (0, 1]")
+		}
+	}
+	return opts, nil
+}
+
 // handleLayout returns the FT-MRT transmission geometry for a document,
 // letting an HTTP-bootstrapped client build a core.Receiver and then
 // consume the packet transport for the wireless hop. The body is what the
 // packet transport's response line carries in its layout member: one JSON
 // string, the base64 of core.Layout's binary encoding (DESIGN.md §19), so
 // json.Unmarshal into a core.Layout — or base64 -d and UnmarshalBinary —
-// reads it, and Validate judges it. Query parameters
-// mirror /doc: q, lod, notion, plus gamma. Resolution goes through the
-// shared planner, so repeated layout requests (each retransmission
-// bootstrap) hit the plan cache.
+// reads it, and Validate judges it. Query parameters are /doc's, plus seed
+// for a fountain layout; resolution goes through the shared planner.
 func (h *Handler) handleLayout(w http.ResponseWriter, r *http.Request) {
-	query := r.URL.Query()
-	req := planner.Request{
-		Doc:    r.PathValue("name"),
-		Query:  query.Get("q"),
-		LOD:    query.Get("lod"),
-		Notion: query.Get("notion"),
-	}
-	if s := query.Get("gamma"); s != "" {
-		g, err := strconv.ParseFloat(s, 64)
-		if err != nil || g == 0 {
-			// An explicit gamma=0 is a bad request here, not "use the
-			// default" as the zero value means inside the planner.
-			http.Error(w, "gamma must be a finite number >= 1", http.StatusBadRequest)
-			return
-		}
-		req.Gamma = g
-	}
-	codec := erasure.CodecVandermonde
-	if s := query.Get("codec"); s != "" {
-		c, err := erasure.ParseCodec(s)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		codec = c
-	}
-	if codec == erasure.CodecFountain {
-		// The fountain layout carries the stream seed: explicit via
-		// ?seed=, otherwise derived from the canonical plan key so every
-		// gateway replica hands out the same geometry.
-		resolved, err := h.planner.ResolveFrames(req)
-		if err != nil {
-			writePlanError(w, err)
-			return
-		}
-		seed := resolved.FountainSeed(0)
-		if s := query.Get("seed"); s != "" {
-			v, perr := strconv.ParseUint(s, 10, 64)
-			if perr != nil || v == 0 {
-				http.Error(w, "seed must be a positive integer", http.StatusBadRequest)
-				return
-			}
-			seed = v
-		}
-		writeJSON(w, resolved.Plan.FountainLayout(seed))
+	opts, err := fetchOptions(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	plan, err := h.planner.Resolve(req)
+	req := planner.Request{Doc: opts.Doc, Query: opts.Query, Gamma: opts.Gamma}
+	if opts.LOD != 0 {
+		req.LOD = opts.LOD.String()
+	}
+	if opts.Notion != 0 {
+		req.Notion = opts.Notion.String()
+	}
+	resolved, err := h.planner.ResolveFrames(req)
 	if err != nil {
 		writePlanError(w, err)
 		return
 	}
-	writeJSON(w, plan.Layout())
+	if opts.Codec != erasure.CodecFountain {
+		writeJSON(w, resolved.Plan.Layout())
+		return
+	}
+	// The fountain layout carries the stream seed: explicit via ?seed=,
+	// otherwise derived from the canonical plan key so every gateway
+	// replica hands out the same geometry.
+	seed := resolved.FountainSeed(0)
+	if s := r.URL.Query().Get("seed"); s != "" {
+		if seed, err = strconv.ParseUint(s, 10, 64); err != nil || seed == 0 {
+			http.Error(w, "seed must be a positive integer", http.StatusBadRequest)
+			return
+		}
+	}
+	writeJSON(w, resolved.Plan.FountainLayout(seed))
 }
 
 // writePlanError maps planner errors onto HTTP statuses: unknown document
@@ -289,177 +318,118 @@ func writePlanError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusInternalServerError)
 }
 
+// writeUnit is the one rendering of a unit: a rule naming it, its text
+// (a body extent, less the separator it ends in), a blank line.
+func writeUnit(w io.Writer, u core.RenderedUnit) {
+	seg := u.Segment
+	fmt.Fprintf(w, "── %s %s (score %.4f) %s\n", seg.Level, seg.Label, seg.Score, seg.Title)
+	if text := strings.TrimSpace(u.Text); text != "" {
+		fmt.Fprintln(w, text)
+	}
+	fmt.Fprintln(w)
+}
+
+// handleDoc serves GET /doc as one transport fetch, writing and flushing
+// each unit the receiver completes. Status and the X-Mobweb-Replica,
+// -Capability and -Codec headers are settled before the first byte: a
+// fetch that fails with nothing written is a 4xx/5xx (writeFetchError),
+// one cut short after that ends the body with a terminal line saying so.
+// A browser going away cancels the request context and with it the fetch.
 func (h *Handler) handleDoc(w http.ResponseWriter, r *http.Request) {
-	if h.fetcher != nil {
-		h.handleDocRemote(w, r)
-		return
-	}
-	sc, ok := h.engine.SC(r.PathValue("name"))
-	if !ok {
-		http.Error(w, "unknown document", http.StatusNotFound)
-		return
-	}
-	query := r.URL.Query()
-
-	cfg := core.Config{LOD: document.LODParagraph, Notion: content.NotionQIC}
-	if s := query.Get("lod"); s != "" {
-		lod, err := planner.ParseLOD(s)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cfg.LOD = lod
-	}
-	if s := query.Get("notion"); s != "" {
-		notion, err := planner.ParseNotion(s)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cfg.Notion = notion
-	}
-	icCut := 1.0
-	if s := query.Get("ic"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || !(v > 0 && v <= 1) { // the negated form also refuses NaN
-			http.Error(w, "ic must be in (0, 1]", http.StatusBadRequest)
-			return
-		}
-		icCut = v
-	}
-	qv := textproc.QueryVector(query.Get("q"))
-
-	ranked, err := sc.RankUnits(cfg.LOD, cfg.Notion, qv)
+	opts, err := fetchOptions(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	total := 0.0
-	for _, ru := range ranked {
-		total += ru.Score
+	// /doc's own defaults, whatever the tier's: a q= must order the units.
+	if opts.LOD == 0 {
+		opts.LOD = document.LODParagraph
 	}
-
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("X-Document-Title", sc.Doc().Title)
-	flusher, _ := w.(http.Flusher)
-	ctx := r.Context()
-	accrued := 0.0
-	for _, ru := range ranked {
-		// A weakly-connected browser going away mid-stream cancels the
-		// request context; stop ranking work for a dead reader.
-		if ctx.Err() != nil {
+	if opts.Notion == 0 {
+		opts.Notion = content.NotionQIC
+	}
+	// Best effort: this engine need not index what the fetch tier serves.
+	if sc, ok := h.engine.SC(opts.Doc); ok {
+		w.Header().Set("X-Document-Title", sc.Doc().Title)
+	}
+	started := false
+	start := func(replica, capability, codec string) {
+		if started {
 			return
 		}
-		share := ru.Score
-		if total > 0 {
-			share /= total
+		started = true
+		if replica != "" {
+			w.Header().Set("X-Mobweb-Replica", replica)
 		}
-		fmt.Fprintf(w, "── %s %s (score %.4f) %s\n", ru.Unit.Level, ru.Unit.Label, share, ru.Unit.Title)
-		text := ru.Unit.OwnAndDescendantText()
-		if text != "" {
-			fmt.Fprintln(w, text)
+		if capability == "" {
+			capability = transport.CapFull.String()
 		}
-		fmt.Fprintln(w)
-		if flusher != nil {
-			flusher.Flush()
+		w.Header().Set("X-Mobweb-Capability", capability)
+		if codec != "" {
+			// The codec the fetch tier actually serves with — a degraded
+			// replica may answer a fountain request with the fixed-rate codec.
+			w.Header().Set("X-Mobweb-Codec", codec)
 		}
-		accrued += share
-		if accrued >= icCut {
-			fmt.Fprintf(w, "── stopped at information content %.3f ──\n", accrued)
-			return
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	}
+	flush := http.NewResponseController(w).Flush // fails only where w cannot flush
+	ic := 0.0                                    // the receiver's accrual as of the last frame
+	opts.OnProgress = func(p transport.Progress) {
+		ic = p.InfoContent
+		for _, u := range p.NewUnits {
+			start(p.Replica, p.Capability, p.Codec)
+			writeUnit(w, u)
+			_ = flush()
 		}
 	}
-}
-
-// handleDocRemote serves GET /doc off the packet transport (SetFetcher
-// mode): the reconstructed document body, with the serving replica and
-// capability tier in response headers, and the fetch tier's shed /
-// degraded refusals mapped onto 503 + Retry-After.
-func (h *Handler) handleDocRemote(w http.ResponseWriter, r *http.Request) {
-	query := r.URL.Query()
-	opts := transport.FetchOptions{
-		Doc:     r.PathValue("name"),
-		Query:   query.Get("q"),
-		Caching: true,
+	res, err := h.fetcher.FetchContext(r.Context(), opts)
+	if res == nil {
+		res = &transport.FetchResult{}
 	}
-	if s := query.Get("codec"); s != "" {
-		codec, err := erasure.ParseCodec(s)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		opts.Codec = codec
-	}
-	if s := query.Get("lod"); s != "" {
-		lod, err := planner.ParseLOD(s)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		opts.LOD = lod
-	}
-	if s := query.Get("notion"); s != "" {
-		notion, err := planner.ParseNotion(s)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		opts.Notion = notion
-	}
-	res, err := h.fetcher.Fetch(opts)
-	rec := obs.FetchRecord{Doc: opts.Doc, Origin: "gateway", Err: transport.ErrorClass(err)}
-	if res != nil {
-		rec.Rounds = res.Rounds
-		rec.Reconnects = res.Reconnects
-		rec.Received = res.PacketsReceived
-		rec.Corrupted = res.PacketsCorrupted
-		rec.Held = res.HeldPackets
-		rec.Replica = res.Replica
-	}
+	rec := obs.FetchRecord{Doc: opts.Doc, Origin: "gateway", Err: transport.ErrorClass(err), Replica: res.Replica,
+		Rounds: res.Rounds, Reconnects: res.Reconnects, Received: res.PacketsReceived, Corrupted: res.PacketsCorrupted, Held: res.HeldPackets}
 	h.fetchLog.Record(rec)
-	if err != nil {
+	switch {
+	case err != nil && !started:
 		h.writeFetchError(w, err)
-		return
+	case err != nil:
+		fmt.Fprintf(w, "── fetch ended: %s at information content %.3f ──\n", rec.Err, ic)
+	default:
+		start(res.Replica, res.Capability, res.Codec)
+		if res.Body == nil {
+			fmt.Fprintf(w, "── stopped at information content %.3f ──\n", ic)
+		}
 	}
-	if res.Replica != "" {
-		w.Header().Set("X-Mobweb-Replica", res.Replica)
-	}
-	capability := res.Capability
-	if capability == "" {
-		capability = transport.CapFull.String()
-	}
-	w.Header().Set("X-Mobweb-Capability", capability)
-	if res.Codec != "" {
-		// The codec the fetch tier actually served with — a degraded
-		// replica may answer a fountain request with the fixed-rate codec.
-		w.Header().Set("X-Mobweb-Codec", res.Codec)
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(res.Body)
 }
 
-// writeFetchError maps transport-tier fetch errors onto HTTP statuses:
-// shed and degraded refusals are the fleet protecting itself — 503 with
-// a Retry-After so stock HTTP clients back off — and anything else is a
-// 502 from the gateway's point of view (the backend tier failed).
+// writeFetchError maps a fetch that failed before its first unit onto an
+// HTTP status. Shed and degraded refusals are the fleet protecting itself:
+// 503 with a Retry-After, so stock HTTP clients back off without knowing
+// the packet protocol. A plain refusal is 404: with the parameters vetted
+// by fetchOptions, the document name is what is left to turn down.
+// Anything else is a 502 (the backend tier failed).
 func (h *Handler) writeFetchError(w http.ResponseWriter, err error) {
-	var shed *transport.ShedError
+	var msg string
 	switch {
-	case errors.As(err, &shed):
-		h.unavailable.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(shed.RetryAfter)))
-		http.Error(w, "fetch tier shedding load", http.StatusServiceUnavailable)
 	case errors.Is(err, transport.ErrShed):
-		h.unavailable.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(0)))
-		http.Error(w, "fetch tier shedding load", http.StatusServiceUnavailable)
+		msg = "fetch tier shedding load"
 	case errors.Is(err, transport.ErrDegraded):
-		h.unavailable.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(0)))
-		http.Error(w, "fetch tier degraded below document fetching", http.StatusServiceUnavailable)
+		msg = "fetch tier degraded below document fetching"
+	case transport.ErrorClass(err) == "refused":
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
 	default:
 		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
 	}
+	h.unavailable.Inc()
+	var hint time.Duration // zero, the minimum, unless the refusal carries one
+	var shed *transport.ShedError
+	if errors.As(err, &shed) {
+		hint = shed.RetryAfter
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(hint)))
+	http.Error(w, msg, http.StatusServiceUnavailable)
 }
 
 // retryAfterSeconds converts the shed hint to whole seconds for the
@@ -469,17 +439,11 @@ func retryAfterSeconds(d time.Duration) int {
 	if d <= 0 {
 		return 1
 	}
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	return int((d + time.Second - 1) / time.Second)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing recoverable remains.
-		return
-	}
+	// On an error the headers are gone; nothing recoverable remains.
+	_ = json.NewEncoder(w).Encode(v)
 }

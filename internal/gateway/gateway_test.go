@@ -6,17 +6,19 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
+	"mobweb/internal/document"
 	"mobweb/internal/erasure"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
 )
 
-func newGateway(t *testing.T) *Handler {
+func corpusEngine(t *testing.T) *search.Engine {
 	t.Helper()
 	engine := search.NewEngine(textproc.Options{})
 	docs, err := corpus.LoadAll()
@@ -28,7 +30,12 @@ func newGateway(t *testing.T) *Handler {
 			t.Fatal(err)
 		}
 	}
-	h, err := New(engine)
+	return engine
+}
+
+func newGateway(t *testing.T) *Handler {
+	t.Helper()
+	h, err := New(corpusEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +132,40 @@ func TestDocEndpointRankedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
-	// The first streamed section must be the query-heavy introduction,
-	// not the document-order abstract.
-	firstHeader := text[:strings.IndexByte(text, '\n')]
-	if !strings.Contains(firstHeader, "section") {
-		t.Errorf("first line %q is not a section header", firstHeader)
-	}
-	introPos := strings.Index(text, "Introduction")
-	encodingPos := strings.Index(text, "Fault-Tolerant Transmission")
-	if introPos == -1 || encodingPos == -1 {
+	// The body is the receiver's unit stream, which accrues by paragraph
+	// whatever the ranking LOD: ranking by section shows as each section's
+	// paragraphs arriving together, sections in QIC order. The first must
+	// be the query-heavy introduction, not the document-order abstract.
+	sc, _ := h.engine.SC(corpus.DraftName)
+	section := map[string]string{} // title → label
+	sc.Doc().Root.Walk(func(u *document.Unit) bool {
+		if u.Level == document.LODSection {
+			section[u.Title] = u.Label
+		}
+		return true
+	})
+	intro, ft := section["Introduction"], section["Fault-Tolerant Transmission"]
+	if intro == "" || ft == "" {
 		t.Fatal("expected section titles missing")
 	}
-	if introPos > encodingPos {
+	var order []string // top-level label of each streamed unit, runs collapsed
+	for _, line := range strings.Split(text, "\n") {
+		label, ok := strings.CutPrefix(line, "── paragraph ")
+		if !ok {
+			continue
+		}
+		top := label[:strings.IndexByte(label, '.')]
+		if len(order) == 0 || order[len(order)-1] != top {
+			order = append(order, top)
+		}
+	}
+	if len(order) != len(section) {
+		t.Errorf("sections streamed as runs %v, want each of %d sections once", order, len(section))
+	}
+	if len(order) == 0 || order[0] != intro {
+		t.Errorf("first streamed section %v, want the introduction (%s)", order, intro)
+	}
+	if slices.Index(order, intro) > slices.Index(order, ft) {
 		t.Error("QIC ordering did not put the introduction before the FT section")
 	}
 	if got := rec.Header().Get("X-Document-Title"); !strings.Contains(got, "Weakly-Connected") {

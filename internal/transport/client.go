@@ -294,10 +294,20 @@ func (c *Client) send(ctx context.Context, req Request) error {
 	return c.w.Flush()
 }
 
+// armRead sets the next read's deadline, then looks at ctx: a cancellation
+// that came first is seen here, a later one poisons the deadline just set
+// (armInterrupt). Looking first would let one in between be overwritten.
+func (c *Client) armRead(ctx context.Context) error {
+	if err := c.conn.SetReadDeadline(c.deadline(ctx)); err != nil {
+		return err
+	}
+	return ctx.Err()
+}
+
 // readResponse reads one control response under a read deadline and
 // returns its length on the wire with it.
 func (c *Client) readResponse(ctx context.Context) (Response, int, error) {
-	if err := c.conn.SetReadDeadline(c.deadline(ctx)); err != nil {
+	if err := c.armRead(ctx); err != nil {
 		return Response{}, 0, err
 	}
 	return readResponse(c.r)
@@ -319,9 +329,16 @@ func respRefusal(resp Response, op string) error {
 		}
 		return fmt.Errorf("transport: %s refused by %s replica: %w", op, tier, ErrDegraded)
 	default:
-		return fmt.Errorf("transport: %s: %s", op, resp.Error)
+		return fmt.Errorf("transport: %s: %w", op, refusal(resp.Error))
 	}
 }
+
+// refusal is the serving tier's reason for turning a request down on the
+// request's own account: a document it does not hold, a parameter it
+// cannot plan. ErrorClass calls it "refused".
+type refusal string
+
+func (r refusal) Error() string { return string(r) }
 
 // reconnect redials after a connection failure with exponential backoff
 // and jitter, replacing the client's connection and buffers. The dead
@@ -424,6 +441,11 @@ type Progress struct {
 	// NewUnits lists units that became fully available with this frame,
 	// ready to render at their proper position.
 	NewUnits []core.RenderedUnit
+	// Replica, Capability and Codec are the round's response header, as
+	// FetchResult reports them at the end: who serves the stream, at what
+	// tier, under which codec — known before the first frame, for a
+	// renderer that must commit to them up front (HTTP response headers).
+	Replica, Capability, Codec string
 }
 
 // FetchOptions parameterizes a document download.
@@ -1025,7 +1047,7 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 	}
 	var frameBuf []byte // reused across frames; AddFrame copies what it keeps
 	for {
-		if err := c.conn.SetReadDeadline(c.deadline(ctx)); err != nil {
+		if err := c.armRead(ctx); err != nil {
 			return false, err
 		}
 		frame, err := ReadFrameInto(c.r, frameBuf)
@@ -1066,7 +1088,8 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 			}
 		}
 		if opts.OnProgress != nil {
-			prog := Progress{Seq: seq, Intact: intact, InfoContent: rcv.InfoContent()}
+			prog := Progress{Seq: seq, Intact: intact, InfoContent: rcv.InfoContent(),
+				Replica: result.Replica, Capability: result.Capability, Codec: result.Codec}
 			if intact {
 				for _, u := range rcv.NewUnits() {
 					if seen[u.Segment.PermutedOff] {

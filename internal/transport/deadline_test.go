@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"mobweb/internal/corpus"
+	"mobweb/internal/obs"
 )
 
 // TestStreamOutlastsIdleTimeout is the regression for the idle timer that
@@ -98,6 +100,109 @@ func TestWriteDeadlineReleasesHandler(t *testing.T) {
 	}
 	if held := admitter.held.Load(); held != 0 {
 		t.Errorf("%d admission slots still held after the handler returned", held)
+	}
+	settleGoroutines(t, baseline)
+}
+
+// poisonWatch is a connection that reports the read deadline armInterrupt
+// poisons it with, and counts the reads issued after that.
+type poisonWatch struct {
+	net.Conn
+	poisoned  chan struct{}
+	readsPast atomic.Int32
+}
+
+func (c *poisonWatch) SetReadDeadline(d time.Time) error {
+	if !d.IsZero() && d.Before(time.Now()) {
+		select {
+		case <-c.poisoned:
+		default:
+			close(c.poisoned)
+		}
+	}
+	return c.Conn.SetReadDeadline(d)
+}
+
+func (c *poisonWatch) Read(p []byte) (int, error) {
+	select {
+	case <-c.poisoned:
+		c.readsPast.Add(1)
+	default:
+	}
+	return c.Conn.Read(p)
+}
+
+// TestCancelBetweenReadsIsNotOverwritten is the regression for the read
+// loop that armed each read's deadline without looking at the context: a
+// cancellation that landed between two reads poisoned the deadline, the
+// next read overwrote the poison with now + Timeout, and the fetch (and,
+// behind the HTTP gateway, a departed browser's admission slot) outlived
+// its context by the whole Timeout. The context is cancelled from
+// OnProgress — between reads by construction — and the callback returns
+// only once the poison has landed, the losing order of the old race.
+func TestCancelBetweenReadsIsNotOverwritten(t *testing.T) {
+	srv, err := NewServer(corpusEngine(t), ServerOptions{PacketDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	near, far := net.Pipe()
+	if err := srv.ServeConn(far); err != nil {
+		t.Fatal(err)
+	}
+	conn := &poisonWatch{Conn: near, poisoned: make(chan struct{})}
+	client := NewClient(conn)
+	defer client.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = client.FetchContext(ctx, FetchOptions{Doc: corpus.DraftName, Caching: true, OnProgress: func(Progress) {
+		cancel()
+		<-conn.poisoned
+	}})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("fetch returned %v, want context.Canceled", err)
+	}
+	if n := conn.readsPast.Load(); n != 0 {
+		t.Errorf("%d reads issued after the cancellation had poisoned the deadline", n)
+	}
+}
+
+// TestServeConn: a connection handed to ServeConn is served like an
+// accepted one, Close reaps it, and after Close it is refused.
+func TestServeConn(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	reg := obs.NewRegistry()
+	srv, err := NewServer(corpusEngine(t), ServerOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, far := net.Pipe()
+	if err := srv.ServeConn(far); err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(near)
+	res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Caching: true})
+	if err != nil || res.Body == nil {
+		t.Fatalf("fetch over a pipe: %v", err)
+	}
+	if got := reg.Snapshot().Gauges["serve.conns_active"]; got != 1 {
+		t.Errorf("serve.conns_active = %d with the pipe open, want 1", got)
+	}
+	// The idle connection is in the live set: Close ends its handler.
+	srv.Close()
+	if got := reg.Snapshot().Gauges["serve.conns_active"]; got != 0 {
+		t.Errorf("serve.conns_active = %d after Close, want 0", got)
+	}
+	if _, err := client.Search("mobile", 1); err == nil {
+		t.Error("search succeeded over a connection Close had reaped")
+	}
+	near, far = net.Pipe()
+	defer near.Close()
+	if err := srv.ServeConn(far); !errors.Is(err, ErrServerClosed) {
+		t.Errorf("ServeConn after Close returned %v, want ErrServerClosed", err)
+	}
+	if _, err := far.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("refused connection left open: write returned %v", err)
 	}
 	settleGoroutines(t, baseline)
 }

@@ -139,12 +139,14 @@ func errClass(err error) string {
 		return "degraded"
 	case errors.Is(err, ErrReroute):
 		return "rerouted"
+	case errors.As(err, new(refusal)):
+		return "refused"
 	default:
 		return "error"
 	}
 }
 
-// ErrorClass maps a terminal fetch error to its short stable class
-// ("shed", "degraded", "rerouted", "disconnected", ...) for fetch-log
+// ErrorClass maps a terminal fetch error to its short stable class ("shed",
+// "degraded", "refused", "rerouted", "disconnected", ...) for fetch-log
 // records and traces outside this package (gateway, shard front tier).
 func ErrorClass(err error) string { return errClass(err) }

@@ -7,6 +7,7 @@ import (
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
 	"mobweb/internal/document"
+	"mobweb/internal/erasure"
 	"mobweb/internal/obs"
 )
 
@@ -107,5 +108,41 @@ func TestNewUnitsExactlyOncePerFetch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProgressCarriesResponseHeader: who serves the stream, at what tier
+// and under which codec is on every Progress, the first included — a
+// renderer that must commit to them before its first byte can.
+func TestProgressCarriesResponseHeader(t *testing.T) {
+	client := startServer(t, ServerOptions{
+		Name:       "r1",
+		Capability: NewCapabilityState(CapFetchDegraded),
+	})
+	frames := 0
+	res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Codec: erasure.CodecFountain, Caching: true, OnProgress: func(p Progress) {
+		frames++
+		if p.Replica != "r1" || p.Capability != CapFetchDegraded.String() || p.Codec != "fountain" {
+			t.Errorf("frame %d: replica %q, capability %q, codec %q", p.Seq, p.Replica, p.Capability, p.Codec)
+		}
+	}})
+	if err != nil || frames == 0 {
+		t.Fatalf("%d frames, %v", frames, err)
+	}
+	if res.Replica != "r1" || res.Capability != CapFetchDegraded.String() || res.Codec != "fountain" {
+		t.Errorf("result: replica %q, capability %q, codec %q", res.Replica, res.Capability, res.Codec)
+	}
+}
+
+// TestRefusalClass: a request the tier answers and turns down is its own
+// error class, apart from a failed transport.
+func TestRefusalClass(t *testing.T) {
+	client := startServer(t, ServerOptions{})
+	_, err := client.Fetch(FetchOptions{Doc: "missing.xml"})
+	if got := ErrorClass(err); got != "refused" {
+		t.Errorf("ErrorClass(%v) = %q, want refused", err, got)
+	}
+	if want := `transport: fetch: unknown document "missing.xml"`; err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
 	}
 }

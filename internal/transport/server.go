@@ -214,29 +214,39 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return ErrServerClosed
+		if err := s.ServeConn(conn); err != nil {
+			return err
 		}
-		s.conns[conn] = true
-		s.wg.Add(1)
-		s.mu.Unlock()
-		s.sm.connsAccepted.Inc()
-		s.sm.connsActive.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-				s.sm.connsActive.Add(-1)
-			}()
-			s.handle(conn)
-		}()
 	}
+}
+
+// ServeConn serves one established connection in a goroutine of its own:
+// a socket Serve accepted, or one end of a net.Pipe whose other end an
+// in-process Client holds. The connection joins the live set, so Close
+// reaps it like any other; after Close it is closed and refused with
+// ErrServerClosed.
+func (s *Server) ServeConn(conn net.Conn) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return ErrServerClosed
+	}
+	s.conns[conn] = true
+	s.wg.Add(1)
+	s.mu.Unlock()
+	s.sm.connsAccepted.Inc()
+	s.sm.connsActive.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.handle(conn)
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+		s.sm.connsActive.Add(-1)
+	}()
+	return nil
 }
 
 // Close stops accepting, closes live connections, and waits for handlers
