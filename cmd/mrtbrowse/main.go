@@ -148,7 +148,7 @@ func run(w io.Writer, args []string, stdin io.Reader) error {
 	fmt.Fprintf(w, "\nfetch complete: IC %.3f, %d rounds, %d packets (%d corrupted), stalled=%v\n",
 		res.InfoContent, res.Rounds, res.PacketsReceived, res.PacketsCorrupted, res.Stalled)
 	if res.StoredPackets > 0 || res.RefetchedPackets > 0 {
-		fmt.Fprintf(w, "store resume: %d records restored, %d packets refetched\n",
+		fmt.Fprintf(w, "store resume: %d packets restored, %d packets refetched\n",
 			res.StoredPackets, res.RefetchedPackets)
 	}
 	if res.Reconnects > 0 {

@@ -119,8 +119,8 @@ func runREPL(w io.Writer, stdin io.Reader, client *transport.Client, opts sessio
 				fmt.Fprintln(w, "  download stalled; try again")
 				continue
 			}
-			fmt.Fprintf(w, "  read %d bytes (%d packets, %d prefetched, %d rounds)\n",
-				len(res.Body), res.PacketsReceived, res.PrefetchedPackets, res.Rounds)
+			fmt.Fprintf(w, "  read %d bytes (%d packets, %d stored, %d rounds)\n",
+				len(res.Body), res.PacketsReceived, res.StoredPackets, res.Rounds)
 		case "discard":
 			name, err := resolve(arg)
 			if err != nil {
@@ -137,7 +137,7 @@ func runREPL(w io.Writer, stdin io.Reader, client *transport.Client, opts sessio
 			fmt.Fprintf(w, "  interests: %v\n", terms)
 		case "stats":
 			s := sess.Stats()
-			fmt.Fprintf(w, "  searches %d, skims %d, reads %d, discards %d, packets %d (%d prefetched)\n",
+			fmt.Fprintf(w, "  searches %d, skims %d, reads %d, discards %d, packets %d (%d from store)\n",
 				s.Searches, s.Skims, s.Reads, s.Discards, s.PacketsReceived, s.PrefetchedUsed)
 		default:
 			fmt.Fprintf(w, "  unknown command %q (try help)\n", cmd)

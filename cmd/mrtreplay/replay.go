@@ -222,7 +222,11 @@ func runSession(cfg config, addr, storeRoot string, sess sessionTrace, mode pass
 		return out
 	}
 	gate := &prefetch.Gate{}
-	tracker := prefetch.NewTracker()
+	// prefetchOpts is an idle window's fetch shape; foreground fetches use
+	// the same plan-affecting options, so they seed from what it stored.
+	prefetchOpts := func(doc string) transport.FetchOptions {
+		return transport.FetchOptions{Doc: doc, Codec: cfg.codec}
+	}
 	var (
 		hits      []transport.HitInfo
 		lastQuery string
@@ -322,11 +326,15 @@ func runSession(cfg config, addr, storeRoot string, sess sessionTrace, mode pass
 			if len(cands) == 0 {
 				continue
 			}
+			// Plan net of what the shared store already holds, whichever
+			// window, foreground fetch or process life put it there.
+			for i := range cands {
+				cands[i].HavePackets = l.bg.Held(prefetchOpts(cands[i].Name))
+			}
 			sched := &prefetch.Scheduler{
-				Gate:    gate,
-				Tracker: tracker,
+				Gate: gate,
 				Fetch: func(ctx context.Context, doc string, budget int) (int, error) {
-					r, err := l.bg.PrefetchContext(ctx, transport.FetchOptions{Doc: doc, Codec: cfg.codec}, budget)
+					r, err := l.bg.PrefetchContext(ctx, prefetchOpts(doc), budget)
 					return r.Received, err
 				},
 			}

@@ -142,8 +142,8 @@ func run() error {
 		if res.Body == nil {
 			return fmt.Errorf("page %s did not reconstruct", page)
 		}
-		fmt.Printf("  %-14s %4d bytes, %2d pkts (%d prefetched, %d corrupted)\n",
-			page, len(res.Body), res.PacketsReceived, res.PrefetchedPackets, res.PacketsCorrupted)
+		fmt.Printf("  %-14s %4d bytes, %2d pkts (%d stored, %d corrupted)\n",
+			page, len(res.Body), res.PacketsReceived, res.StoredPackets, res.PacketsCorrupted)
 
 		// Think time: prefetch this page's links, best cluster-QIC first.
 		cands, err := clu.PrefetchCandidates(page, qv, 256, 1.5)

@@ -36,11 +36,9 @@ const (
 	EventRedial = "redial"
 	// EventRebase carries N held packets onto a γ-changed layout.
 	EventRebase = "rebase"
-	// EventPrefetch seeds the fetch with N packets primed by an earlier
-	// Prefetch of the same document.
-	EventPrefetch = "prefetch"
-	// EventStoreSeed seeds the fetch with N records restored from the
-	// persistent packet store — the resume-after-restart path.
+	// EventStoreSeed seeds the fetch with N packets from the client's
+	// store — prefetched, kept by an earlier fetch, or left by a previous
+	// process life.
 	EventStoreSeed = "store-seed"
 	// EventStop is the client telling the transmitter to stop early
 	// (relevance threshold reached).

@@ -30,8 +30,9 @@ type Candidate struct {
 	// clear-text prefix (M), or fewer when only a relevance-judgment
 	// fraction is wanted. Zero means TotalPackets.
 	UsefulPackets int
-	// HavePackets counts packets already cached from earlier idle
-	// windows.
+	// HavePackets counts packets the client already holds toward the
+	// document — from earlier idle windows or foreground fetches; the
+	// transport client reports it as Client.Held.
 	HavePackets int
 }
 
@@ -99,44 +100,4 @@ func Budget(idleSeconds, bandwidthBPS float64, frameBytes int) int {
 		return 0
 	}
 	return int(idleSeconds * bandwidthBPS / float64(frameBytes*8))
-}
-
-// Tracker remembers per-document prefetch progress across idle windows.
-// It is a small bookkeeping helper for session loops; not safe for
-// concurrent use.
-type Tracker struct {
-	have map[string]int
-}
-
-// NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{have: make(map[string]int)}
-}
-
-// Have returns the packets already prefetched for a document.
-func (t *Tracker) Have(name string) int { return t.have[name] }
-
-// Add records packets prefetched for a document.
-func (t *Tracker) Add(name string, packets int) {
-	if packets > 0 {
-		t.have[name] += packets
-	}
-}
-
-// Consume removes a document from the tracker (the user opened it) and
-// returns how many packets had been prefetched for it.
-func (t *Tracker) Consume(name string) int {
-	n := t.have[name]
-	delete(t.have, name)
-	return n
-}
-
-// Wasted sums the prefetched packets for all documents still tracked —
-// bandwidth spent on documents the user never opened.
-func (t *Tracker) Wasted() int {
-	total := 0
-	for _, n := range t.have {
-		total += n
-	}
-	return total
 }

@@ -120,23 +120,3 @@ func TestBudget(t *testing.T) {
 		t.Error("degenerate budgets not zero")
 	}
 }
-
-func TestTracker(t *testing.T) {
-	tr := NewTracker()
-	tr.Add("a", 10)
-	tr.Add("a", 5)
-	tr.Add("b", 3)
-	tr.Add("c", -1) // ignored
-	if got := tr.Have("a"); got != 15 {
-		t.Errorf("Have(a) = %d, want 15", got)
-	}
-	if got := tr.Consume("a"); got != 15 {
-		t.Errorf("Consume(a) = %d, want 15", got)
-	}
-	if got := tr.Have("a"); got != 0 {
-		t.Errorf("Have(a) after consume = %d, want 0", got)
-	}
-	if got := tr.Wasted(); got != 3 {
-		t.Errorf("Wasted = %d, want 3 (only b remains)", got)
-	}
-}

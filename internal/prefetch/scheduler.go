@@ -11,8 +11,9 @@ import (
 // that subordinates prefetch traffic to foreground fetches, and a
 // scheduler that spends idle link time on the profile's top-k predicted
 // documents through any transport-shaped prefetch function. Plan (the
-// budget split) and Tracker (cross-window progress) above are the
-// policy pieces; the scheduler is the loop that runs them.
+// budget split) is the policy; the scheduler is the loop that runs it.
+// Cross-window progress is not kept here: it lives in the client's
+// packet store, and callers report it in Candidate.HavePackets.
 
 // ErrBusy is returned by a scheduler window that could not start
 // because the link is in foreground use. It is a yield, not a failure.
@@ -90,19 +91,16 @@ func (g *Gate) WindowContext(parent context.Context) (ctx context.Context, relea
 // Prefetch shaped into a dependency the scheduler can hold without
 // importing the transport. received must be valid even when err is
 // non-nil: a window canceled mid-generation still spent that air time,
-// and the frames it delivered are already cached downstream.
+// and the frames it delivered are already stored downstream.
 type PrefetchFunc func(ctx context.Context, doc string, budgetPackets int) (received int, err error)
 
 // Scheduler spends idle-link budgets on predicted documents. It is a
-// single-session loop like Tracker (not safe for concurrent use); the
-// Gate it shares with the foreground path is.
+// single-session loop (not safe for concurrent use); the Gate it shares
+// with the foreground path is.
 type Scheduler struct {
 	// Gate subordinates windows to foreground traffic; nil means no
 	// gating (windows always run).
 	Gate *Gate
-	// Tracker carries per-document progress across windows; created
-	// lazily when nil.
-	Tracker *Tracker
 	// Fetch is the transport dependency. Required.
 	Fetch PrefetchFunc
 }
@@ -121,31 +119,18 @@ type WindowResult struct {
 }
 
 // RunWindow plans the budget across candidates (expected-utility
-// greedy, already net of tracked progress) and serves the allocations
-// in order until the budget is spent or the gate yields the link.
-//
-// Accounting is crash-shaped: every received count is folded into the
-// tracker *before* the error is examined, so a window canceled
-// mid-generation keeps what the radio already delivered — losing it
-// would both re-spend air time next window and undercount Wasted.
-// Cancellation (the gate's or the caller's) is a yield, not an error.
+// greedy, net of each candidate's HavePackets) and serves the
+// allocations in order until the budget is spent or the gate yields the
+// link. Every received count is added to the result before the error is
+// examined, so a window canceled mid-generation still accounts for the
+// air time it spent. Cancellation (the gate's or the caller's) is a
+// yield, not an error.
 func (s *Scheduler) RunWindow(ctx context.Context, cands []Candidate, budgetPackets int) (WindowResult, error) {
 	var res WindowResult
 	if s.Fetch == nil {
 		return res, fmt.Errorf("prefetch: scheduler has no fetch function")
 	}
-	if s.Tracker == nil {
-		s.Tracker = NewTracker()
-	}
-	// Fold tracked progress in so re-planned documents aren't re-fetched.
-	planIn := make([]Candidate, len(cands))
-	copy(planIn, cands)
-	for i := range planIn {
-		if have := s.Tracker.Have(planIn[i].Name); have > planIn[i].HavePackets {
-			planIn[i].HavePackets = have
-		}
-	}
-	allocs, err := Plan(planIn, budgetPackets)
+	allocs, err := Plan(cands, budgetPackets)
 	if err != nil {
 		return res, err
 	}
@@ -162,9 +147,6 @@ func (s *Scheduler) RunWindow(ctx context.Context, cands []Candidate, budgetPack
 	defer release()
 	for _, a := range allocs {
 		n, err := s.Fetch(wctx, a.Name, a.Packets)
-		// Keep the partial count first — the satellite invariant: what
-		// was received before a cancel is never dropped from the books.
-		s.Tracker.Add(a.Name, n)
 		res.Received += n
 		if err != nil {
 			if wctx.Err() != nil {

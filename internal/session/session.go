@@ -105,8 +105,9 @@ type Stats struct {
 	// received by prefetch windows (which may end before their allocated
 	// budget for short documents).
 	PacketsReceived int
-	// PrefetchedUsed counts prefetched packets consumed by later
-	// fetches.
+	// PrefetchedUsed counts the packets fetches started from the client's
+	// store (FetchResult.StoredPackets): prefetched by a think-time
+	// window, or kept by an earlier skim of the same document.
 	PrefetchedUsed int
 }
 
@@ -200,11 +201,13 @@ func (s *Session) prefetchHits(ctx context.Context) error {
 	cands := make([]prefetch.Candidate, len(hits))
 	for i, h := range hits {
 		// Packet counts are unknown before the first header exchange;
-		// budget generously and let the server's stream end early.
+		// budget generously and let the server's stream end early. What
+		// the store already holds is netted out.
 		cands[i] = prefetch.Candidate{
 			Name:         h.Name,
 			Score:        h.Blended + 1e-9,
 			TotalPackets: budget,
+			HavePackets:  s.client.Held(s.fetchOptions(h.Name)),
 		}
 	}
 	allocs, err := prefetch.Plan(cands, budget)
@@ -213,7 +216,7 @@ func (s *Session) prefetchHits(ctx context.Context) error {
 	}
 	for _, alloc := range allocs {
 		got, err := s.client.PrefetchContext(ctx, s.fetchOptions(alloc.Name), alloc.Packets)
-		// Frames received before a failure are still primed; account for
+		// Frames received before a failure are still stored; account for
 		// them either way.
 		s.stats.PacketsReceived += got.Received
 		if err != nil {
@@ -250,7 +253,7 @@ func (s *Session) SkimContext(ctx context.Context, doc string) (*transport.Fetch
 	}
 	s.stats.Skims++
 	s.stats.PacketsReceived += res.PacketsReceived
-	s.stats.PrefetchedUsed += res.PrefetchedPackets
+	s.stats.PrefetchedUsed += res.StoredPackets
 	s.skimmed[doc] = renderedText(res)
 	return res, nil
 }
@@ -268,7 +271,7 @@ func (s *Session) ReadContext(ctx context.Context, doc string) (*transport.Fetch
 	}
 	s.stats.Reads++
 	s.stats.PacketsReceived += res.PacketsReceived
-	s.stats.PrefetchedUsed += res.PrefetchedPackets
+	s.stats.PrefetchedUsed += res.StoredPackets
 	if s.prof != nil {
 		text := string(res.Body)
 		if text == "" {

@@ -198,7 +198,7 @@ func TestThinkTimePrefetchingReducesFetchTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PrefetchedPackets == 0 {
+	if res.StoredPackets == 0 {
 		t.Error("think-time prefetch contributed nothing to the read")
 	}
 	if s.Stats().PrefetchedUsed == 0 {

@@ -1,17 +1,21 @@
-// Package store is the client's crash-safe on-disk packet store: the
-// persistence layer that carries a fetch's progress across process
-// restarts ("resume after device wipe" from ROADMAP item 1). A mobile
-// browser that dies mid-fetch — battery, OOM kill, crash — should come
-// back holding every CRC-verified cooked packet and every decoded
-// generation it had, so its next request resumes with a Have list
-// instead of refetching bytes the radio already paid for.
+// Package store is the client's one packet state: every cooked packet,
+// decoded generation and layout a client holds toward a document lives
+// here, whether a foreground fetch or an idle-time prefetch received it.
+// It has two tiers behind one format. A store opened on a directory is
+// persistent and crash-safe: a mobile browser that dies mid-fetch —
+// battery, OOM kill, crash — comes back holding every CRC-verified packet
+// and decoded generation it had, so its next request resumes with a Have
+// list instead of refetching bytes the radio already paid for. A store
+// opened on "" is the RAM tier: the same records, index, dedup, byte
+// budget and eviction, with segments held in memory and nothing to
+// recover.
 //
 // The format is an append-only log of self-checking records split over
-// fixed-size segment files (seg-00000000.log, seg-00000001.log, ...).
+// fixed-size segments (on disk seg-00000000.log, seg-00000001.log, ...).
 // Each record carries its own CRC-32 over header, key and payload;
-// recovery scans every segment in order, rebuilds the in-memory index,
-// and truncates a segment at the first record that is short or fails
-// its CRC — a torn tail from a crash mid-append loses at most the
+// recovery scans every segment file in order, rebuilds the in-memory
+// index, and truncates a segment at the first record that is short or
+// fails its CRC — a torn tail from a crash mid-append loses at most the
 // record being written, never anything before it. There is no fsync:
 // "crash-safe" here means recovery never panics and never surfaces a
 // record whose CRC fails, not that the last write survives power loss.
@@ -26,15 +30,20 @@
 // oldest segments are deleted (their index entries vanish with them).
 // Eviction is coarse on purpose — dropping a cold plan's packets costs
 // one refetch; per-record compaction would cost write amplification the
-// client's flash does not want.
+// client's flash does not want. A plan's layout is written once, so when
+// its segment goes while newer segments still hold the plan's packets,
+// the layout record is carried forward into the active segment: packets
+// without their layout could never seed a receiver.
 package store
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -64,7 +73,7 @@ const (
 
 // Options tunes a store.
 type Options struct {
-	// MaxBytes is the byte budget across all segment files; exceeding it
+	// MaxBytes is the byte budget across all segments; exceeding it
 	// evicts whole oldest segments. Zero means 64 MiB; negative disables
 	// eviction.
 	MaxBytes int64
@@ -95,9 +104,52 @@ type key struct {
 
 // ref locates a live record inside a segment.
 type ref struct {
-	seg  int
+	seg  *seg
 	off  int64
 	size int // whole record: header + key + payload + CRC
+}
+
+// segment is one segment's bytes: an *os.File for a store on disk, a
+// memSeg for a memory-only one. Records are written at the segment's
+// tracked end and read back where the index says they are.
+type segment interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Closer
+}
+
+// seg is one live segment and the bytes written to it so far.
+type seg struct {
+	id   int
+	f    segment
+	size int64
+}
+
+// memSeg is a segment held in RAM. It only ever grows at its end.
+type memSeg struct{ b []byte }
+
+func (m *memSeg) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 || off > int64(len(m.b)) {
+		return 0, io.EOF
+	}
+	n := copy(p, m.b[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (m *memSeg) WriteAt(p []byte, off int64) (int, error) {
+	if off != int64(len(m.b)) {
+		return 0, fmt.Errorf("store: write at %d, segment ends at %d", off, len(m.b))
+	}
+	m.b = append(m.b, p...)
+	return len(p), nil
+}
+
+func (m *memSeg) Close() error {
+	m.b = nil
+	return nil
 }
 
 // Packet is one stored cooked packet. Seq is generation-local: the
@@ -116,8 +168,8 @@ type Generation struct {
 // Stats is a point-in-time snapshot of store state and lifetime
 // counters (the latter also feed the package metrics probe).
 type Stats struct {
-	// Segments and Bytes describe the current on-disk footprint;
-	// Records counts live index entries.
+	// Segments and Bytes describe the current footprint, on disk or in
+	// RAM; Records counts live index entries.
 	Segments int
 	Bytes    int64
 	Records  int
@@ -131,62 +183,66 @@ type Stats struct {
 // foreground fetch path and the idle-time prefetch scheduler share one
 // store.
 type Store struct {
-	mu      sync.Mutex
-	dir     string
-	opts    Options
-	index   map[key]ref
-	files   map[int]*os.File // open segment handles, including the active one
-	segs    []int            // live segment ids, ascending
-	active  int              // id of the append segment
-	actSize int64
-	bytes   int64 // total on-disk bytes across live segments
-	stats   Stats
-	closed  bool
+	mu     sync.Mutex
+	dir    string // "" for a memory-only store
+	opts   Options
+	index  map[key]ref
+	segs   []*seg // live segments, ascending id; the last is the append target
+	bytes  int64  // total bytes across live segments
+	stats  Stats
+	closed bool
 }
 
-// Open opens (creating if needed) the store rooted at dir and runs the
-// recovery scan: every segment is read in id order, intact records are
-// indexed, and a segment is truncated at the first short or CRC-failing
-// record. Open never fails on corrupt record data — only on I/O errors
-// from the directory itself.
+// Open opens the store rooted at dir, creating the directory if needed,
+// and runs the recovery scan: every segment is read in id order, intact
+// records are indexed, and a segment is truncated at the first short or
+// CRC-failing record. Open never fails on corrupt record data — only on
+// I/O errors from the directory itself. An empty dir opens a fresh
+// memory-only store: nothing to recover, and nothing outlives Close.
 func Open(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
 	s := &Store{
 		dir:   dir,
-		opts:  opts,
+		opts:  opts.withDefaults(),
 		index: make(map[key]ref),
-		files: make(map[int]*os.File),
 	}
-	if err := s.recover(); err != nil {
-		s.Close()
-		return nil, err
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("store: open %s: %w", dir, err)
+		}
+		if err := s.recover(); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.segs) == 0 {
+		if err := s.rotate(); err != nil {
+			return nil, err
+		}
+	}
 	s.evictLocked()
-	s.mu.Unlock()
 	return s, nil
 }
 
-// Close releases every segment handle. The store must not be used
-// afterwards.
+// Close releases every segment. The store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
 	var first error
-	for _, f := range s.files { //mobweb:nondet-ok closing handles; order is immaterial
-		if err := f.Close(); err != nil && first == nil {
+	for _, sg := range s.segs {
+		if err := sg.f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	s.files = make(map[int]*os.File)
 	s.closed = true
 	return first
 }
 
-// Dir returns the store's root directory.
+// Dir returns the store's root directory; "" for a memory-only store.
 func (s *Store) Dir() string { return s.dir }
 
 // segPath names segment id's file.
@@ -214,22 +270,6 @@ func (s *Store) recover() error {
 			return err
 		}
 	}
-	if len(s.segs) == 0 {
-		if err := s.rotate(); err != nil {
-			return err
-		}
-	} else {
-		s.active = s.segs[len(s.segs)-1]
-		f, err := s.segFile(s.active)
-		if err != nil {
-			return err
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		s.actSize = fi.Size()
-	}
 	return nil
 }
 
@@ -242,8 +282,8 @@ func (s *Store) recoverSegment(id int) error {
 	if err != nil {
 		return fmt.Errorf("store: open segment: %w", err)
 	}
-	s.files[id] = f
-	s.segs = append(s.segs, id)
+	sg := &seg{id: id, f: f}
+	s.segs = append(s.segs, sg)
 	data, err := os.ReadFile(s.segPath(id))
 	if err != nil {
 		return fmt.Errorf("store: read segment: %w", err)
@@ -263,7 +303,7 @@ func (s *Store) recoverSegment(id int) error {
 				}
 			}
 		} else {
-			s.index[k] = ref{seg: id, off: int64(off), size: n}
+			s.index[k] = ref{seg: sg, off: int64(off), size: n}
 		}
 		s.stats.RecoveredRecords++
 		storeMetrics.recovered.Inc()
@@ -279,7 +319,8 @@ func (s *Store) recoverSegment(id int) error {
 		s.stats.TornTails++
 		storeMetrics.tornTails.Inc()
 	}
-	s.bytes += int64(off)
+	sg.size = int64(off)
+	s.bytes += sg.size
 	return nil
 }
 
@@ -326,9 +367,8 @@ func parseRecord(data []byte) (r struct {
 	return r, k, total
 }
 
-// appendRecord encodes and appends one record to the active segment,
-// rotating first when the segment is full, then updates the index.
-// Callers hold the lock.
+// appendLocked encodes and appends one record to the active segment,
+// rotating first when the segment is full. Callers hold the lock.
 func (s *Store) appendLocked(k key, payload []byte) error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
@@ -339,7 +379,7 @@ func (s *Store) appendLocked(k key, payload []byte) error {
 	if len(payload) > maxPayloadLen {
 		return fmt.Errorf("store: payload %d bytes exceeds %d", len(payload), maxPayloadLen)
 	}
-	if s.actSize >= s.opts.SegmentBytes {
+	if s.segs[len(s.segs)-1].size >= s.opts.SegmentBytes {
 		if err := s.rotate(); err != nil {
 			return err
 		}
@@ -356,23 +396,24 @@ func (s *Store) appendLocked(k key, payload []byte) error {
 	copy(buf[recHeaderLen:], k.plan)
 	copy(buf[recHeaderLen+len(k.plan):], payload)
 	binary.BigEndian.PutUint32(buf[total-recTrailerLen:], crc32.ChecksumIEEE(buf[:total-recTrailerLen]))
+	return s.writeLocked(k, buf)
+}
 
-	f, err := s.segFile(s.active)
-	if err != nil {
-		return err
-	}
-	off := s.actSize
-	if _, err := f.WriteAt(buf, off); err != nil {
+// writeLocked writes one encoded record at the active segment's end and
+// indexes it. It never rotates, so eviction may call it.
+func (s *Store) writeLocked(k key, rec []byte) error {
+	act := s.segs[len(s.segs)-1]
+	if _, err := act.f.WriteAt(rec, act.size); err != nil {
 		storeMetrics.writeErrors.Inc()
 		return fmt.Errorf("store: append: %w", err)
 	}
-	s.actSize += int64(total)
-	s.bytes += int64(total)
 	if k.kind != recDrop {
-		s.index[k] = ref{seg: s.active, off: off, size: total}
+		s.index[k] = ref{seg: act, off: act.size, size: len(rec)}
 	}
+	act.size += int64(len(rec))
+	s.bytes += int64(len(rec))
 	storeMetrics.appends.Inc()
-	storeMetrics.bytesAppended.Add(int64(total))
+	storeMetrics.bytesAppended.Add(int64(len(rec)))
 	return nil
 }
 
@@ -380,35 +421,25 @@ func (s *Store) appendLocked(k key, payload []byte) error {
 func (s *Store) rotate() error {
 	next := 0
 	if len(s.segs) > 0 {
-		next = s.segs[len(s.segs)-1] + 1
+		next = s.segs[len(s.segs)-1].id + 1
 	}
-	f, err := os.OpenFile(s.segPath(next), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: create segment: %w", err)
+	var f segment = &memSeg{}
+	if s.dir != "" {
+		file, err := os.OpenFile(s.segPath(next), os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			return fmt.Errorf("store: create segment: %w", err)
+		}
+		f = file
 	}
-	s.files[next] = f
-	s.segs = append(s.segs, next)
-	s.active = next
-	s.actSize = 0
+	s.segs = append(s.segs, &seg{id: next, f: f})
 	return nil
 }
 
-// segFile returns the open handle for segment id, opening it if needed.
-func (s *Store) segFile(id int) (*os.File, error) {
-	if f, ok := s.files[id]; ok {
-		return f, nil
-	}
-	f, err := os.OpenFile(s.segPath(id), os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open segment: %w", err)
-	}
-	s.files[id] = f
-	return f, nil
-}
-
-// evictLocked deletes whole oldest segments while the log exceeds its
+// evictLocked deletes whole oldest segments while the store exceeds its
 // byte budget, never touching the active segment. Index entries living
-// in a deleted segment vanish with it.
+// in a deleted segment vanish with it — except a layout whose plan still
+// has records elsewhere: it is re-written into the active segment first,
+// or those records could never seed a receiver again.
 func (s *Store) evictLocked() {
 	if s.opts.MaxBytes < 0 {
 		return
@@ -416,51 +447,73 @@ func (s *Store) evictLocked() {
 	for s.bytes > s.opts.MaxBytes && len(s.segs) > 1 {
 		victim := s.segs[0]
 		s.segs = s.segs[1:]
-		if f, ok := s.files[victim]; ok {
-			f.Close()
-			delete(s.files, victim)
-		}
-		var victimBytes int64
-		if fi, err := os.Stat(s.segPath(victim)); err == nil {
-			victimBytes = fi.Size()
-		}
-		os.Remove(s.segPath(victim))
-		s.bytes -= victimBytes
+		// The victim's layout records by plan.
+		layouts := make(map[string][]byte)
 		for k, r := range s.index { //mobweb:nondet-ok map deletion by predicate; order is immaterial
-			if r.seg == victim {
-				delete(s.index, k)
+			if r.seg != victim {
+				continue
+			}
+			if k.kind == recLayout {
+				if rec, ok := s.recordLocked(k, r); ok {
+					layouts[k.plan] = rec
+				}
+			}
+			delete(s.index, k)
+		}
+		victim.f.Close()
+		if s.dir != "" {
+			os.Remove(s.segPath(victim.id))
+		}
+		s.bytes -= victim.size
+		storeMetrics.evictions.Inc()
+		if len(layouts) == 0 {
+			continue
+		}
+
+		var carry []string
+		for k := range s.index { //mobweb:nondet-ok membership test; carry is sorted below
+			if _, ok := layouts[k.plan]; ok && !slices.Contains(carry, k.plan) {
+				carry = append(carry, k.plan)
 			}
 		}
-		storeMetrics.evictions.Inc()
+		sort.Strings(carry)
+		for _, plan := range carry {
+			s.writeLocked(key{kind: recLayout, plan: plan}, layouts[plan])
+		}
 	}
 }
 
-// readLocked reads and re-verifies one indexed record, returning its
-// payload. The CRC is checked again on every read: the index only
+// recordLocked reads and re-verifies one indexed record, returning the
+// whole record. The CRC is checked again on every read: the index only
 // proves the record was intact at scan or append time, not that the
-// medium kept it so. A failing record is dropped from the index.
-func (s *Store) readLocked(k key) ([]byte, bool) {
-	r, ok := s.index[k]
-	if !ok {
-		return nil, false
-	}
-	f, err := s.segFile(r.seg)
-	if err != nil {
-		return nil, false
-	}
+// medium kept it so.
+func (s *Store) recordLocked(k key, r ref) ([]byte, bool) {
 	buf := make([]byte, r.size)
-	if _, err := f.ReadAt(buf, r.off); err != nil {
+	if _, err := r.seg.f.ReadAt(buf, r.off); err != nil {
 		storeMetrics.readErrors.Inc()
-		delete(s.index, k)
 		return nil, false
 	}
 	rec, pk, n := parseRecord(buf)
 	if n != r.size || pk != k || rec.kind != k.kind {
 		storeMetrics.readErrors.Inc()
+		return nil, false
+	}
+	return buf, true
+}
+
+// readLocked returns one indexed record's payload. A record failing
+// re-verification is dropped from the index.
+func (s *Store) readLocked(k key) ([]byte, bool) {
+	r, ok := s.index[k]
+	if !ok {
+		return nil, false
+	}
+	buf, ok := s.recordLocked(k, r)
+	if !ok {
 		delete(s.index, k)
 		return nil, false
 	}
-	return buf[recHeaderLen+len(k.plan) : n-recTrailerLen], true
+	return buf[recHeaderLen+len(k.plan) : r.size-recTrailerLen], true
 }
 
 // PutLayout records the transmission layout for a plan key. A layout

@@ -36,6 +36,23 @@ func testLayoutN(t *testing.T, paras int) core.Layout {
 	return plan.Layout()
 }
 
+// forTiers runs fn against both tiers: a store on a fresh directory and
+// a memory-only one (dir "").
+func forTiers(t *testing.T, fn func(t *testing.T, dir string)) {
+	t.Run("disk", func(t *testing.T) { fn(t, t.TempDir()) })
+	t.Run("memory", func(t *testing.T) { fn(t, "") })
+}
+
+// mustOpen opens a store or fails the test.
+func mustOpen(t *testing.T, dir string, opts Options) *Store {
+	t.Helper()
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func payload(seed byte, n int) []byte {
 	p := make([]byte, n)
 	for i := range p {
@@ -101,10 +118,11 @@ func TestStoreRoundtripAcrossReopen(t *testing.T) {
 }
 
 func TestStoreDuplicatePutsAreSkipped(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	forTiers(t, testDuplicatePutsAreSkipped)
+}
+
+func testDuplicatePutsAreSkipped(t *testing.T, dir string) {
+	s := mustOpen(t, dir, Options{})
 	defer s.Close()
 	before := s.Stats().Bytes
 	if err := s.PutPacket("p", 0, 0, 3, payload(1, 16)); err != nil {
@@ -129,11 +147,11 @@ func TestStoreDuplicatePutsAreSkipped(t *testing.T) {
 }
 
 func TestStoreDropTombstoneSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	forTiers(t, testDropTombstone)
+}
+
+func testDropTombstone(t *testing.T, dir string) {
+	s := mustOpen(t, dir, Options{})
 	if err := s.PutPacket("doomed", 0, 0, 0, payload(1, 16)); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +164,13 @@ func TestStoreDropTombstoneSurvivesReopen(t *testing.T) {
 	if n := len(s.Packets("doomed", 0)); n != 0 {
 		t.Fatalf("dropped plan still has %d packets", n)
 	}
+	if plans := s.Plans(); len(plans) != 1 || plans[0] != "kept" {
+		t.Fatalf("plans = %v", plans)
+	}
 	s.Close()
+	if dir == "" {
+		return
+	}
 
 	s2, err := Open(dir, Options{})
 	if err != nil {
@@ -165,12 +189,12 @@ func TestStoreDropTombstoneSurvivesReopen(t *testing.T) {
 }
 
 func TestStoreByteBudgetEvictsOldestSegments(t *testing.T) {
-	dir := t.TempDir()
+	forTiers(t, testByteBudget)
+}
+
+func testByteBudget(t *testing.T, dir string) {
 	// Tiny segments so several rotate; budget holds about two of them.
-	s, err := Open(dir, Options{MaxBytes: 2048, SegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir, Options{MaxBytes: 2048, SegmentBytes: 512})
 	defer s.Close()
 	for seq := 0; seq < 40; seq++ {
 		if err := s.PutPacket("p", 0, 0, seq, payload(byte(seq), 128)); err != nil {
@@ -199,11 +223,11 @@ func TestStoreByteBudgetEvictsOldestSegments(t *testing.T) {
 }
 
 func TestStoreLayoutChangeShadowsOld(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	forTiers(t, testLayoutShadowing)
+}
+
+func testLayoutShadowing(t *testing.T, dir string) {
+	s := mustOpen(t, dir, Options{})
 	lo := testLayout(t)
 	if err := s.PutLayout("p", lo); err != nil {
 		t.Fatal(err)
@@ -229,13 +253,97 @@ func TestStoreLayoutChangeShadowsOld(t *testing.T) {
 		t.Fatalf("layout body = %d ok=%v, want %d", got.BodySize, ok, lo2.BodySize)
 	}
 	s.Close()
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if dir == "" {
+		return
 	}
+	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
 	if got, ok := s2.Layout("p"); !ok || got.BodySize != lo2.BodySize {
 		t.Fatalf("reopened layout body = %d ok=%v, want %d", got.BodySize, ok, lo2.BodySize)
+	}
+}
+
+// TestStoreEvictionCarriesLayout is the orphaned-layout regression: a
+// plan's layout is written once, into what becomes the oldest segment,
+// while its packets keep arriving in newer ones. Evicting that segment
+// used to take the layout with it, leaving packets indexed that no
+// receiver could be seeded from — on reopen too. Eviction now carries
+// the layout forward while the plan has records left.
+func TestStoreEvictionCarriesLayout(t *testing.T) {
+	forTiers(t, func(t *testing.T, dir string) {
+		opts := Options{MaxBytes: 3 << 10, SegmentBytes: 1 << 10}
+		s := mustOpen(t, dir, opts)
+		lo := testLayout(t)
+		if err := s.PutLayout("P", lo); err != nil {
+			t.Fatal(err)
+		}
+		for seq := 0; seq < 40; seq++ {
+			if err := s.PutPacket("P", 0, 0, seq, payload(byte(seq), 200)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(s *Store, when string) {
+			t.Helper()
+			n := len(s.Packets("P", 0))
+			if n == 0 || n == 40 {
+				t.Fatalf("%s: %d/40 packets left, want eviction to have run", when, n)
+			}
+			if _, ok := s.Layout("P"); !ok {
+				t.Fatalf("%s: layout gone while %d packets are still indexed", when, n)
+			}
+			if st := s.Stats(); st.Bytes > opts.MaxBytes+opts.SegmentBytes+512 {
+				t.Fatalf("%s: %d bytes held, budget %d", when, st.Bytes, opts.MaxBytes)
+			}
+		}
+		check(s, "live")
+		s.Close()
+		if dir == "" {
+			return
+		}
+		s2 := mustOpen(t, dir, opts)
+		defer s2.Close()
+		check(s2, "reopened")
+	})
+}
+
+// TestStoreEvictionDropsLoneLayout: a layout whose plan has nothing left
+// is not carried — the budget must not fill with orphaned layouts.
+func TestStoreEvictionDropsLoneLayout(t *testing.T) {
+	forTiers(t, func(t *testing.T, dir string) {
+		s := mustOpen(t, dir, Options{MaxBytes: 3 << 10, SegmentBytes: 1 << 10})
+		defer s.Close()
+		if err := s.PutLayout("old", testLayout(t)); err != nil {
+			t.Fatal(err)
+		}
+		for seq := 0; seq < 40; seq++ {
+			if err := s.PutPacket("new", 0, 0, seq, payload(byte(seq), 200)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, ok := s.Layout("old"); ok {
+			t.Fatal("a layout with no records left survived eviction")
+		}
+	})
+}
+
+// TestStoreMemoryTierTouchesNoDisk: Open("") works without a directory
+// and each memory store starts empty.
+func TestStoreMemoryTierTouchesNoDisk(t *testing.T) {
+	a := mustOpen(t, "", Options{})
+	defer a.Close()
+	if a.Dir() != "" {
+		t.Fatalf("memory store reports dir %q", a.Dir())
+	}
+	if err := a.PutPacket("p", 0, 0, 0, payload(1, 16)); err != nil {
+		t.Fatal(err)
+	}
+	b := mustOpen(t, "", Options{})
+	defer b.Close()
+	if st := b.Stats(); st.Records != 0 || st.Segments != 1 {
+		t.Fatalf("fresh memory store stats = %+v", st)
+	}
+	if len(a.Packets("p", 0)) != 1 {
+		t.Fatal("memory store lost its packet")
 	}
 }
 

@@ -215,7 +215,7 @@ func TestChaosPrefetchResumesAcrossKills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PrefetchedPackets != got.Intact {
-		t.Errorf("fetch saw %d prefetched packets, want %d", res.PrefetchedPackets, got.Intact)
+	if res.StoredPackets != got.Intact {
+		t.Errorf("fetch started from %d stored packets, want %d", res.StoredPackets, got.Intact)
 	}
 }

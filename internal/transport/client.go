@@ -151,22 +151,14 @@ type Client struct {
 	// nil means reconnection is unavailable (NewClient without
 	// SetRedial).
 	redial func() (net.Conn, error)
-	// prefetched holds receivers primed by Prefetch, consumed by the
-	// next Fetch of the same document.
-	prefetched map[string]*prefetchedDoc
-	// Store, when set, persists cooked packets and decoded generations
-	// across process lives: caching fetches seed from it before touching
-	// the wire and drain back to it after every round, so a restarted
-	// client resumes with its Have/DoneGens lists instead of refetching
-	// bytes the radio already delivered. Nil disables persistence.
+	// Store is the client's packet state: every fetch seeds its first
+	// round from it, caching fetches and prefetches drain every round back
+	// to it. A store opened on a directory carries that state across
+	// process lives, so a restarted client resumes with its Have/DoneGens
+	// lists instead of refetching bytes the radio already delivered.
+	// Prefetch installs a memory-only store when none is set; nil
+	// otherwise keeps no packets between fetches.
 	Store *store.Store
-}
-
-// prefetchedDoc is a primed receiver plus the fetch shape it was primed
-// under; a Fetch with a different shape cannot reuse it.
-type prefetchedDoc struct {
-	rcv   *core.Receiver
-	shape string
 }
 
 // Dial connects to a transmission server. The address is kept as the
@@ -511,8 +503,8 @@ type FetchOptions struct {
 	Trace *obs.Trace
 }
 
-// fetchShape fingerprints the plan-affecting fetch options; a prefetched
-// receiver is only reusable under the same shape.
+// fetchShape fingerprints the plan-affecting fetch options: the store's
+// plan key, under which packets are only reusable by the same shape.
 func fetchShape(opts FetchOptions) string {
 	return fmt.Sprintf("%s|%s|%d|%d|%g|%d|%d", opts.Doc, opts.Query, opts.LOD, opts.Notion, opts.Gamma, opts.Codec, opts.FountainSeed)
 }
@@ -522,12 +514,10 @@ func fetchShape(opts FetchOptions) string {
 // alongside the error: whatever units were rendered, the accrued
 // information content, and the held-packet count all remain usable.
 type FetchResult struct {
-	// PrefetchedPackets counts intact packets contributed by an earlier
-	// Prefetch of this document.
-	PrefetchedPackets int
-	// StoredPackets counts records restored from the persistent packet
-	// store before the first round — held packets plus decoded
-	// generations a previous process life already paid for.
+	// StoredPackets counts the packets the fetch held after seeding from
+	// the client's store and before its first round — prefetched, kept by
+	// an earlier fetch, or left by a previous process life. A decoded
+	// generation counts as its M packets.
 	StoredPackets int
 	// RefetchedPackets counts intact frames that contributed nothing:
 	// packets already held, or belonging to a generation that was
@@ -657,29 +647,14 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 	tr := opts.Trace
 	var rcv *core.Receiver
 	seen := make(map[int]bool) // rendered units by permuted offset
-	shape := fetchShape(opts)
-	fromPrefetch := false
 
-	// Consume a primed receiver from an earlier Prefetch when the fetch
-	// shape matches.
-	if pre, ok := c.prefetched[opts.Doc]; ok && pre.shape == shape {
-		rcv = pre.rcv
-		fromPrefetch = true
-		result.PrefetchedPackets = rcv.IntactCount()
-		delete(c.prefetched, opts.Doc)
-		rcv.SetTrace(tr)
-		tr.Record(obs.Event{Type: obs.EventPrefetch, N: result.PrefetchedPackets})
-		// A fully-primed receiver needs no network at all.
-		if c.terminated(rcv, opts) {
-			return c.finish(rcv, opts, result)
-		}
-	}
-
-	// The persistent store is the cross-process prefetch: a caching
-	// fetch with no primed receiver resumes from whatever a previous
-	// process life stored — possibly the whole document.
-	if rcv == nil && opts.Caching {
-		if seeded, n := c.storeSeed(shape); seeded != nil {
+	// Round 1 starts from whatever the store holds for this shape — a
+	// prefetch window, an earlier skim, a previous process life; possibly
+	// the whole document, which then needs no network at all.
+	var plan string
+	if c.Store != nil {
+		plan = fetchShape(opts)
+		if seeded, n := c.storeSeed(plan); seeded != nil {
 			rcv = seeded
 			result.StoredPackets = n
 			rcv.SetTrace(tr)
@@ -691,14 +666,11 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 	}
 
 	// fail ends the fetch with a terminal error but still returns the
-	// partial result; a receiver consumed from a Prefetch is re-primed
-	// so a retry keeps the prefetch benefit.
+	// partial result; a caching fetch keeps what it received in the store,
+	// so a retry starts from it.
 	fail := func(err error) (*FetchResult, error) {
-		if fromPrefetch && rcv != nil {
-			c.primeReceiver(opts.Doc, shape, rcv)
-		}
 		if opts.Caching {
-			c.persistReceiver(shape, rcv)
+			c.persistReceiver(plan, rcv)
 		}
 		partial, ferr := c.finish(rcv, opts, result)
 		if ferr != nil {
@@ -715,7 +687,7 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 		result.Rounds++
 		cm.rounds.Inc()
 		// NoCaching semantics apply between transmission rounds —
-		// including resumes after a reconnect; prefetched packets on the
+		// including resumes after a reconnect; stored packets on the
 		// first round are local state, not a retransmission cache.
 		noCaching := result.Rounds > 1 && !opts.Caching
 		rctx := ctx
@@ -730,7 +702,7 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 		// Drain the round's packets to the store whatever happened next:
 		// a crash between rounds then costs nothing already received.
 		if opts.Caching {
-			c.persistReceiver(shape, rcv)
+			c.persistReceiver(plan, rcv)
 		}
 		tr.Record(obs.Event{
 			Type:    obs.EventRoundEnd,
@@ -865,7 +837,6 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 		rebased, rerr := rcv.Rebase(*resp.Layout)
 		if rerr != nil {
 			rcv = nil
-			result.PrefetchedPackets = 0
 		} else {
 			rcv = rebased
 			opts.Trace.Record(obs.Event{Type: obs.EventRebase, Round: result.Rounds, N: rcv.IntactCount()})
@@ -936,22 +907,22 @@ type PrefetchResult struct {
 	// the idle window's bandwidth affords: a corrupted frame costs air
 	// time whether or not it contributes an intact packet.
 	Received int
-	// Intact is the primed receiver's total intact packet count after
-	// the call, including packets from earlier prefetches of the same
-	// document.
+	// Intact is Held after the call: the packets the client's store holds
+	// toward the document, including those of earlier windows.
 	Intact int
 }
 
-// Prefetch pulls up to budgetPackets frames of a document into a primed
-// receiver during idle time (§6's intelligent prefetching on the live
-// transport) and stops the stream. The budget is counted in
+// Prefetch pulls up to budgetPackets frames of a document into the
+// client's store during idle time (§6's intelligent prefetching on the
+// live transport) and stops the stream. A client without a store gets a
+// memory-only one with the default budget. The budget is counted in
 // transmissions, not intact packets — corrupted frames burn budget
 // because they burn the idle window's air time — and the result reports
-// both counts. The next Fetch with the same plan-affecting options (Doc,
-// Query, LOD, Notion, Gamma) starts from the prefetched packets; its
-// result reports them in PrefetchedPackets. Prefetching the same
-// document again tops up the primed receiver. On error, frames received
-// before the failure are still primed for the next Fetch.
+// both counts. Any later Fetch with the same plan-affecting options (Doc,
+// Query, LOD, Notion, Gamma, Codec, FountainSeed) starts from the
+// prefetched packets and reports them in StoredPackets; so does a second
+// client sharing the store. Prefetching the same document again tops it
+// up. On error, frames received before the failure are still stored.
 func (c *Client) Prefetch(opts FetchOptions, budgetPackets int) (PrefetchResult, error) {
 	return c.PrefetchContext(context.Background(), opts, budgetPackets)
 }
@@ -965,26 +936,21 @@ func (c *Client) PrefetchContext(ctx context.Context, opts FetchOptions, budgetP
 	if budgetPackets < 1 {
 		return res, fmt.Errorf("transport: prefetch budget %d, want >= 1", budgetPackets)
 	}
-	shape := fetchShape(opts)
-	var rcv *core.Receiver
-	if pre, ok := c.prefetched[opts.Doc]; ok && pre.shape == shape {
-		rcv = pre.rcv
-	}
-	// Seed from the persistent store like a caching fetch does: an idle
-	// window must not spend air time on rows a previous process life (or
-	// a foreground skim) already banked.
-	if rcv == nil {
-		rcv, _ = c.storeSeed(shape)
-	}
-	// Whatever was received — even a partial window on the error path —
-	// is primed for the next Fetch, and drained to the persistent store
-	// so a kill mid-window costs nothing already received.
-	defer func() {
-		if rcv != nil {
-			c.primeReceiver(opts.Doc, shape, rcv)
-			res.Intact = rcv.IntactCount()
-			c.persistReceiver(shape, rcv)
+	if c.Store == nil {
+		if c.Store, err = store.Open("", store.Options{}); err != nil {
+			return res, err
 		}
+	}
+	// An idle window must not spend air time on rows the store already
+	// holds, whoever banked them.
+	plan := fetchShape(opts)
+	rcv, _ := c.storeSeed(plan)
+	// Whatever was received — even a partial window on the error path —
+	// is drained to the store, so a kill mid-window costs nothing already
+	// received.
+	defer func() {
+		c.persistReceiver(plan, rcv)
+		res.Intact = c.Held(opts)
 	}()
 	// A prefetch window is a caching fetch round with a frame budget in
 	// place of the user's stop conditions: no rendering, no trace, and the
@@ -1009,13 +975,14 @@ func (c *Client) PrefetchContext(ctx context.Context, opts FetchOptions, budgetP
 	}
 }
 
-// primeReceiver stores a receiver for consumption by the next Fetch of
-// the same document and shape.
-func (c *Client) primeReceiver(doc, shape string, rcv *core.Receiver) {
-	if c.prefetched == nil {
-		c.prefetched = make(map[string]*prefetchedDoc)
-	}
-	c.prefetched[doc] = &prefetchedDoc{rcv: rcv, shape: shape}
+// Held reports the packets the client's store holds toward the fetch
+// opts describes, a decoded generation counting as its M packets: what a
+// Fetch of that shape would start from (FetchResult.StoredPackets), and
+// what a prefetch planner should net out (prefetch.Candidate.HavePackets).
+// Zero without a store.
+func (c *Client) Held(opts FetchOptions) int {
+	_, n := c.storeSeed(fetchShape(opts))
+	return n
 }
 
 // consumeStream reads frames until termination or end-of-stream. It

@@ -156,17 +156,17 @@ func TestFountainPrefetchPrimesFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pre.Intact == 0 {
-		t.Fatal("prefetch primed nothing")
+		t.Fatal("prefetch stored nothing")
 	}
 	res, err := client.Fetch(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PrefetchedPackets != pre.Intact {
-		t.Errorf("fetch saw %d prefetched packets, want %d", res.PrefetchedPackets, pre.Intact)
+	if res.StoredPackets != pre.Intact {
+		t.Errorf("fetch started from %d stored packets, want %d", res.StoredPackets, pre.Intact)
 	}
 	if res.Body == nil {
-		t.Fatal("primed fountain fetch incomplete")
+		t.Fatal("prefetched fountain fetch incomplete")
 	}
 }
 

@@ -2,7 +2,12 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
 	"net"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +18,9 @@ import (
 	"mobweb/internal/document"
 	"mobweb/internal/erasure"
 	"mobweb/internal/planner"
+	"mobweb/internal/search"
+	"mobweb/internal/store"
+	"mobweb/internal/textproc"
 )
 
 func TestPrefetchThenFetch(t *testing.T) {
@@ -35,8 +43,8 @@ func TestPrefetchThenFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PrefetchedPackets != 15 {
-		t.Errorf("fetch saw %d prefetched packets, want 15", res.PrefetchedPackets)
+	if res.StoredPackets != 15 {
+		t.Errorf("fetch started from %d stored packets, want 15", res.StoredPackets)
 	}
 	if res.Body == nil {
 		t.Fatal("fetch incomplete")
@@ -46,13 +54,17 @@ func TestPrefetchThenFetch(t *testing.T) {
 	if res.PacketsReceived >= 45 {
 		t.Errorf("fetch received %d packets; selective continuation failed", res.PacketsReceived)
 	}
-	// A second fetch has no primed receiver left.
+	// The first caching fetch left the whole document in the store: a
+	// second one is served from it with nothing on the wire.
 	res2, err := client.Fetch(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.PrefetchedPackets != 0 {
-		t.Errorf("primed receiver reused twice (%d packets)", res2.PrefetchedPackets)
+	if res2.Rounds != 0 || res2.PacketsReceived != 0 {
+		t.Errorf("second fetch used the wire: %d rounds, %d packets", res2.Rounds, res2.PacketsReceived)
+	}
+	if !bytes.Equal(res2.Body, res.Body) {
+		t.Error("second fetch's body differs from the first")
 	}
 }
 
@@ -79,17 +91,156 @@ func TestPrefetchShapeMismatchIgnored(t *testing.T) {
 	if _, err := client.Prefetch(FetchOptions{Doc: corpus.DraftName, LOD: document.LODParagraph}, 10); err != nil {
 		t.Fatal(err)
 	}
-	// Fetch with a different LOD: the primed receiver must not be used.
+	// Fetch with a different LOD: the stored packets must not be used.
 	res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, LOD: document.LODSection})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PrefetchedPackets != 0 {
-		t.Errorf("shape-mismatched prefetch reused (%d packets)", res.PrefetchedPackets)
+	if res.StoredPackets != 0 {
+		t.Errorf("shape-mismatched prefetch reused (%d packets)", res.StoredPackets)
 	}
 	if res.Body == nil {
 		t.Fatal("fetch incomplete")
 	}
+}
+
+// TestPrefetchVisibleThroughSharedStore is the foreground/background
+// pattern of a browsing client: one connection prefetches while another
+// fetches, both over one store. What the prefetch stored is what the
+// foreground fetch starts from, and the two may run at once.
+func TestPrefetchVisibleThroughSharedStore(t *testing.T) {
+	addr := startServerAddr(t, ServerOptions{})
+	st, err := store.Open("", store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	dial := func() *Client {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Timeout = 10 * time.Second
+		c.Store = st
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	bg, fg := dial(), dial()
+	opts := FetchOptions{Doc: corpus.DraftName, Caching: true}
+
+	var wg sync.WaitGroup
+	var pre PrefetchResult
+	var preErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		pre, preErr = bg.Prefetch(opts, 15)
+	}()
+	other, err := fg.Fetch(FetchOptions{Doc: "mobile-survey.html", Caching: true})
+	wg.Wait()
+	if err != nil || other.Body == nil {
+		t.Fatalf("concurrent foreground fetch: %v", err)
+	}
+	if preErr != nil {
+		t.Fatal(preErr)
+	}
+	if pre.Intact != 15 || fg.Held(opts) != 15 {
+		t.Fatalf("prefetch stored %d, foreground sees %d held, want 15", pre.Intact, fg.Held(opts))
+	}
+	res, err := fg.Fetch(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StoredPackets != 15 {
+		t.Errorf("foreground fetch started from %d stored packets, want 15", res.StoredPackets)
+	}
+	if res.RefetchedPackets != 0 {
+		t.Errorf("foreground fetch re-received %d prefetched packets", res.RefetchedPackets)
+	}
+	doc, err := corpus.Load(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Body, doc.Body()) {
+		t.Fatal("body differs from the source document")
+	}
+}
+
+// TestPrefetchManyDocumentsStaysInBudget: a client that prefetches a
+// thousand distinct documents holds them in its store and nowhere else,
+// so its retained heap is bounded by the store's byte budget rather than
+// growing with every document it ever speculated on.
+func TestPrefetchManyDocumentsStaysInBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("prefetches a thousand documents")
+	}
+	const docs = 1000
+	engine := search.NewEngine(textproc.Options{})
+	for i := 0; i < docs; i++ {
+		b := document.NewBuilder()
+		b.Open(document.LODSection, "1", fmt.Sprintf("Section %d", i))
+		for p := 0; p < 6; p++ {
+			b.Paragraph(fmt.Sprintf("paragraph %d of synthetic document %d: %s", p, i,
+				strings.Repeat(fmt.Sprintf("weak link %d mobile browsing %d ", i, p), 8)))
+		}
+		b.Close()
+		d, err := b.Build(fmt.Sprintf("doc-%04d.xml", i), fmt.Sprintf("Doc %d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := engine.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No server-side caches: the heap measured is the client's.
+	addr := serveEngine(t, engine, ServerOptions{
+		PlannerOptions: planner.Options{CacheBytes: -1, FrameCacheBytes: -1},
+	})
+	sopts := store.Options{MaxBytes: 256 << 10, SegmentBytes: 32 << 10}
+	for _, tier := range []struct{ name, dir string }{{"memory", ""}, {"disk", t.TempDir()}} {
+		t.Run(tier.name, func(t *testing.T) {
+			st, err := store.Open(tier.dir, sopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			client, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			client.Timeout = 10 * time.Second
+			client.Store = st
+			prefetch := func(i int) {
+				if _, err := client.Prefetch(FetchOptions{Doc: fmt.Sprintf("doc-%04d.xml", i)}, 8); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prefetch(0)
+			before := liveHeap()
+			for i := 1; i < docs; i++ {
+				prefetch(i)
+			}
+			grew := liveHeap() - before
+			t.Logf("retained heap grew %d KiB over %d documents", grew>>10, docs)
+			if limit := sopts.MaxBytes + sopts.SegmentBytes + 2<<20; grew > limit {
+				t.Fatalf("retained heap grew %d KiB over %d documents, limit %d KiB (store budget %d KiB)",
+					grew>>10, docs, limit>>10, sopts.MaxBytes>>10)
+			}
+			if s := st.Stats(); s.Bytes > sopts.MaxBytes+sopts.SegmentBytes {
+				t.Fatalf("store holds %d bytes, budget %d", s.Bytes, sopts.MaxBytes)
+			}
+		})
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 func TestPrefetchValidation(t *testing.T) {
@@ -132,8 +283,8 @@ func TestPrefetchOverLossyChannelStillHelps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PrefetchedPackets != intact {
-		t.Errorf("fetch saw %d prefetched, want %d", res.PrefetchedPackets, intact)
+	if res.StoredPackets != intact {
+		t.Errorf("fetch started from %d stored packets, want %d", res.StoredPackets, intact)
 	}
 	if res.Body == nil {
 		t.Fatal("fetch incomplete")
@@ -141,8 +292,8 @@ func TestPrefetchOverLossyChannelStillHelps(t *testing.T) {
 }
 
 func TestPrefetchWholeDocumentShortCircuits(t *testing.T) {
-	// A budget covering the whole stream primes a fully reconstructible
-	// receiver; the subsequent fetch needs only the header exchange.
+	// A budget covering the whole stream stores a fully reconstructible
+	// document; the subsequent fetch needs no network at all.
 	client := startServer(t, ServerOptions{})
 	opts := FetchOptions{Doc: "mobile-survey.html", Caching: true}
 	if _, err := client.Prefetch(opts, 10_000); err != nil {

@@ -62,7 +62,7 @@ func TestSendSetsWriteDeadline(t *testing.T) {
 	}
 }
 
-func TestFetchErrorRestoresPrefetchedReceiver(t *testing.T) {
+func TestFetchErrorKeepsStoredPackets(t *testing.T) {
 	client, srv := startServerHandle(t, ServerOptions{})
 	opts := FetchOptions{Doc: corpus.DraftName, Caching: true}
 	got, err := client.Prefetch(opts, 15)
@@ -80,17 +80,13 @@ func TestFetchErrorRestoresPrefetchedReceiver(t *testing.T) {
 	if err == nil {
 		t.Fatal("fetch against a dead server succeeded")
 	}
-	if res == nil || res.PrefetchedPackets != 15 {
-		t.Fatalf("partial result %+v, want PrefetchedPackets 15", res)
+	if res == nil || res.StoredPackets != 15 {
+		t.Fatalf("partial result %+v, want StoredPackets 15", res)
 	}
-	// The primed receiver must survive the failed fetch so a retry keeps
-	// the prefetch benefit.
-	pre, ok := client.prefetched[opts.Doc]
-	if !ok {
-		t.Fatal("primed receiver lost on the fetch error path")
-	}
-	if n := pre.rcv.IntactCount(); n < 15 {
-		t.Errorf("restored receiver holds %d packets, want at least 15", n)
+	// The prefetched packets stay in the store through the failed fetch,
+	// so a retry keeps the prefetch benefit.
+	if n := client.Held(opts); n < 15 {
+		t.Errorf("store holds %d packets after the failed fetch, want at least 15", n)
 	}
 }
 

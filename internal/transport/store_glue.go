@@ -2,17 +2,18 @@ package transport
 
 import "mobweb/internal/core"
 
-// This file glues the client to the persistent packet store: seeding a
-// fresh receiver from stored state before touching the wire (the
-// restart path), and draining receiver state back to disk after each
-// round so a crash costs at most the round in flight. The store is
-// keyed by the canonical fetch shape (fetchShape), the same identity a
-// prefetched receiver is reusable under.
+// This file glues the client to its packet store (Client.Store): seeding
+// a fresh receiver from stored state before touching the wire, and
+// draining receiver state back after each round so a crash costs at most
+// the round in flight. The store is keyed by the canonical fetch shape
+// (fetchShape).
 
 // storeSeed builds a receiver from the store's state for one plan key:
 // decoded generations are installed wholesale, then loose packets of
 // the still-incomplete generations are re-added under the stored
-// layout. It returns (nil, 0) when the store holds nothing usable.
+// layout. It returns the receiver with the packets it holds, a decoded
+// generation counting as its M, or (nil, 0) when the store holds nothing
+// usable.
 // Records the store refuses (CRC re-check) or the receiver rejects are
 // simply skipped — seeding is best-effort by design; anything skipped
 // is refetched.
@@ -36,7 +37,7 @@ func (c *Client) storeSeed(plan string) (*core.Receiver, int) {
 		if err := rcv.SeedDecodedGeneration(g.Gen, g.Raw); err != nil {
 			continue
 		}
-		seeded++
+		seeded += len(g.Raw)
 	}
 	for _, p := range c.Store.Packets(plan, lo.Codec) {
 		if p.Gen < 0 || p.Gen >= len(lo.Shapes) {

@@ -15,6 +15,7 @@ import (
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
 	"mobweb/internal/erasure"
+	"mobweb/internal/search"
 	"mobweb/internal/store"
 )
 
@@ -22,7 +23,13 @@ import (
 // can dial several client "process lives" against one server.
 func startServerAddr(t *testing.T, opts ServerOptions) string {
 	t.Helper()
-	srv, err := NewServer(corpusEngine(t), opts)
+	return serveEngine(t, corpusEngine(t), opts)
+}
+
+// serveEngine launches a server over engine and returns its address.
+func serveEngine(t *testing.T, engine *search.Engine, opts ServerOptions) string {
+	t.Helper()
+	srv, err := NewServer(engine, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,7 +309,7 @@ func TestFetchMatrixByteIdentical(t *testing.T) {
 						t.Fatalf("prefetch received %d frames, want the budget %d", pre.Received, budget)
 					}
 					if pre.Intact == 0 || pre.Intact > budget {
-						t.Fatalf("prefetch primed %d packets from %d frames", pre.Intact, budget)
+						t.Fatalf("prefetch stored %d packets from %d frames", pre.Intact, budget)
 					}
 				}
 				res, err := client.Fetch(opts)
@@ -319,8 +319,8 @@ func TestFetchMatrixByteIdentical(t *testing.T) {
 				if !bytes.Equal(res.Body, doc.Body()) {
 					t.Fatal("body differs from the source document")
 				}
-				if res.PrefetchedPackets != pre.Intact {
-					t.Errorf("fetch started from %d prefetched packets, prefetch primed %d", res.PrefetchedPackets, pre.Intact)
+				if res.StoredPackets != pre.Intact {
+					t.Errorf("fetch started from %d stored packets, prefetch stored %d", res.StoredPackets, pre.Intact)
 				}
 				if tc.source != "vandermonde" && (res.Rounds != 1 || res.Codec != erasure.CodecFountain.String()) {
 					t.Errorf("rateless fetch took %d rounds under codec %q", res.Rounds, res.Codec)

@@ -172,22 +172,19 @@ type (
 	// foreground fetch starts.
 	PrefetchGate = prefetch.Gate
 	// PrefetchScheduler spends idle-link budgets on predicted documents
-	// through a transport-shaped fetch function, keeping partial windows
-	// on the books across cancellations.
+	// through a transport-shaped fetch function, planning each window net
+	// of the packets every candidate already holds (Client.Held).
 	PrefetchScheduler = prefetch.Scheduler
-	// PrefetchTracker carries per-document prefetch progress across
-	// scheduler windows.
-	PrefetchTracker = prefetch.Tracker
 	// PrefetchWindowResult accounts one scheduler window.
 	PrefetchWindowResult = prefetch.WindowResult
 	// ProfileCandidate is a scored document offered to PredictTopK.
 	ProfileCandidate = profile.Candidate
 	// ProfilePrediction is one entry of a top-k prefetch shortlist.
 	ProfilePrediction = profile.Prediction
-	// Store is the crash-safe persistent packet store: cooked packets
-	// and decoded generations survive process death, so a restarted
-	// client resumes with its Have/DoneGens lists (attach via
-	// Client.Store).
+	// Store is the client's packet state (Client.Store): cooked packets
+	// and decoded generations from fetches and prefetches alike. On a
+	// directory it is crash-safe and persistent, so a restarted client
+	// resumes with its Have/DoneGens lists; on "" it lives in RAM.
 	Store = store.Store
 	// StoreOptions bounds the store's segment log.
 	StoreOptions = store.Options
@@ -400,9 +397,11 @@ func PredictTopK(cands []ProfileCandidate, k int) []ProfilePrediction {
 	return profile.PredictTopK(cands, k)
 }
 
-// OpenStore opens (or recovers) a persistent packet store rooted at dir.
-// Attach it via Client.Store; a caching fetch then seeds from it before
-// touching the wire and drains back to it after every round.
+// OpenStore opens (or recovers) a persistent packet store rooted at dir,
+// or a memory-only one when dir is "". Attach it via Client.Store: every
+// fetch then seeds from it before touching the wire, and caching fetches
+// and prefetches drain back to it after every round. A client that
+// prefetches without one gets a memory-only store with default options.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	return store.Open(dir, opts)
 }
