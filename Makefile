@@ -14,10 +14,9 @@ test:
 race:
 	go test -race ./...
 
-# The repo's own invariant analyzers (planmut, framemut, gfarith,
-# lockscope, errwrap, lockorder, goroleak, nondet, hotalloc) plus the
-# selected go vet passes, gated on the findings baseline; see DESIGN.md
-# §8 and §13.
+# The repo's own invariant analyzers (planmut, framemut, gfarith, locks,
+# errwrap, goroleak, nondet, hotalloc) plus the selected go vet passes,
+# gated on the findings baseline; see DESIGN.md §8.
 lint:
 	go run ./cmd/mobweblint -baseline lint.baseline ./...
 

@@ -1,11 +1,11 @@
 // Command mobweblint is the repository's multichecker: it runs the
 // custom invariant analyzers from internal/lint (planmut, framemut,
-// gfarith, lockscope, errwrap, lockorder, goroleak, nondet, hotalloc)
-// plus a selected set of go vet passes over the given packages.
+// gfarith, locks, errwrap, goroleak, nondet, hotalloc) plus a selected
+// set of go vet passes over the given packages.
 //
 //	go run ./cmd/mobweblint ./...          # everything (the CI gate)
 //	go run ./cmd/mobweblint -vet=false ./internal/core
-//	go run ./cmd/mobweblint -only=lockscope ./internal/transport
+//	go run ./cmd/mobweblint -only=locks ./internal/transport
 //	go run ./cmd/mobweblint -baseline lint.baseline ./...
 //	go run ./cmd/mobweblint -json -vet=false ./...  > report.json
 //
@@ -30,7 +30,7 @@ import (
 
 // vetPasses are the go vet analyzers run alongside the custom suite:
 // the concurrency-adjacent ones (a copied mutex or a lost context
-// cancel is the same bug family lockscope hunts) plus printf, which
+// cancel is the same bug family locks hunts) plus printf, which
 // backstops errwrap's format-string parsing.
 var vetPasses = []string{"copylocks", "lostcancel", "atomic", "printf"}
 

@@ -19,15 +19,13 @@ func TestTreeLintsClean(t *testing.T) {
 	}
 }
 
-// The multichecker must register the full suite: the per-package
-// analyzers and the whole-program ones (which carry RunProgram instead
-// of Run).
+// The multichecker must register the full suite, every analyzer with a
+// Run over the whole-load Pass.
 func TestAnalyzersRegistered(t *testing.T) {
 	as := lint.Analyzers()
 	want := map[string]bool{
-		"planmut": false, "framemut": false, "gfarith": false, "lockscope": false,
-		"errwrap": false, "lockorder": false, "goroleak": false, "nondet": false,
-		"hotalloc": false,
+		"planmut": false, "framemut": false, "gfarith": false, "locks": false,
+		"errwrap": false, "goroleak": false, "nondet": false, "hotalloc": false,
 	}
 	if len(as) != len(want) {
 		t.Errorf("got %d analyzers, want %d", len(as), len(want))
@@ -36,8 +34,8 @@ func TestAnalyzersRegistered(t *testing.T) {
 		if a.Name == "" || a.Doc == "" {
 			t.Errorf("analyzer %+v missing Name/Doc", a)
 		}
-		if (a.Run == nil) == (a.RunProgram == nil) {
-			t.Errorf("analyzer %s must have exactly one of Run/RunProgram", a.Name)
+		if a.Run == nil {
+			t.Errorf("analyzer %s has no Run", a.Name)
 		}
 		if _, ok := want[a.Name]; ok {
 			want[a.Name] = true

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
+	"maps"
 )
 
 // The call graph is keyed by types.Func.FullName() strings rather than
@@ -24,22 +24,11 @@ type FuncNode struct {
 	Pkg *Package
 	// Decl is the named declaration, nil for literals.
 	Decl *ast.FuncDecl
-	// Lit is the literal body, nil for declarations.
-	Lit *ast.FuncLit
+	// Body is the function's block.
+	Body *ast.BlockStmt
 	// Calls are the static call sites in the body, excluding those inside
 	// nested literals (which get their own nodes).
 	Calls []CallSite
-}
-
-// Body returns the function's block.
-func (n *FuncNode) Body() *ast.BlockStmt {
-	if n.Decl != nil {
-		return n.Decl.Body
-	}
-	if n.Lit != nil {
-		return n.Lit.Body
-	}
-	return nil
 }
 
 // CallSite is one static call from a function body.
@@ -49,11 +38,9 @@ type CallSite struct {
 	Callee string
 	// Call is the call expression, for positions.
 	Call *ast.CallExpr
-	// Deferred marks `defer f(...)`; Go marks `go f(...)`. Both run
-	// outside the statement's source position (function exit / new
-	// goroutine), which lock-order walks must respect.
-	Deferred bool
-	Go       bool
+	// Go marks `go f(...)`: the callee runs on a new goroutine, not under
+	// the caller's locks.
+	Go bool
 }
 
 // CallGraph is the whole-program static call graph over every function
@@ -61,113 +48,68 @@ type CallSite struct {
 // data-only deps) appear as edge targets but have no node.
 type CallGraph struct {
 	Nodes map[string]*FuncNode
-	// byBody finds the node owning a given body, used to map a GoStmt's
-	// function literal back to its node.
-	byBody map[*ast.BlockStmt]*FuncNode
-}
-
-// NodeFor returns the graph node owning the body, or nil.
-func (g *CallGraph) NodeFor(body *ast.BlockStmt) *FuncNode {
-	return g.byBody[body]
 }
 
 // SortedNames returns every node name in deterministic order, so walks
 // over the graph produce stable diagnostics.
 func (g *CallGraph) SortedNames() []string {
-	names := make([]string, 0, len(g.Nodes))
-	for name := range g.Nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return sortedKeys(g.Nodes)
 }
 
 // buildCallGraph indexes every function body across the packages.
 func buildCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{
-		Nodes:  make(map[string]*FuncNode),
-		byBody: make(map[*ast.BlockStmt]*FuncNode),
-	}
+	g := &CallGraph{Nodes: make(map[string]*FuncNode)}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					g.collect(&FuncNode{Name: declFullName(pkg, fd), Pkg: pkg, Decl: fd, Body: fd.Body})
 				}
-				name := declFullName(pkg, fd)
-				node := &FuncNode{Name: name, Pkg: pkg, Decl: fd}
-				g.add(node)
-				g.collect(pkg, node, fd.Body, name)
 			}
 		}
 	}
 	return g
 }
 
-func (g *CallGraph) add(n *FuncNode) {
-	g.Nodes[n.Name] = n
-	if body := n.Body(); body != nil {
-		g.byBody[body] = n
-	}
-}
-
-// collect records the call sites directly inside body (literals
-// excluded) and recursively creates nodes for nested literals, named
-// parent$1, parent$2, ... in source order.
-func (g *CallGraph) collect(pkg *Package, node *FuncNode, body *ast.BlockStmt, parent string) {
+// collect adds the node and records the call sites directly inside its
+// body; nested literals become nodes of their own, named parent$1,
+// parent$2, ... in source order.
+func (g *CallGraph) collect(node *FuncNode) {
+	g.Nodes[node.Name] = node
 	litCount := 0
-	var walk func(n ast.Node, deferred, goStmt bool)
-	walk = func(n ast.Node, deferred, goStmt bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncLit:
-				litCount++
-				lit := &FuncNode{
-					Name: fmt.Sprintf("%s$%d", parent, litCount),
-					Pkg:  pkg,
-					Lit:  x,
-				}
-				g.add(lit)
-				g.collect(pkg, lit, x.Body, lit.Name)
-				return false
-			case *ast.DeferStmt:
-				g.site(pkg, node, x.Call, true, false)
-				// Arguments evaluate at the defer statement; only the
-				// call itself is delayed. Walk them with the current
-				// flags, and the callee expression too (it may contain
-				// literals).
-				walk(x.Call.Fun, deferred, goStmt)
-				for _, a := range x.Call.Args {
-					walk(a, deferred, goStmt)
-				}
-				return false
-			case *ast.GoStmt:
-				g.site(pkg, node, x.Call, false, true)
-				walk(x.Call.Fun, deferred, goStmt)
-				for _, a := range x.Call.Args {
-					walk(a, deferred, goStmt)
-				}
-				return false
-			case *ast.CallExpr:
-				g.site(pkg, node, x, deferred, goStmt)
-				return true
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			litCount++
+			g.collect(&FuncNode{Name: fmt.Sprintf("%s$%d", node.Name, litCount), Pkg: node.Pkg, Body: x.Body})
+			return false
+		case *ast.GoStmt:
+			// The spawn is a go site; the callee expression and the
+			// arguments evaluate here, as ordinary code.
+			g.site(node, x.Call, true)
+			ast.Inspect(x.Call.Fun, visit)
+			for _, a := range x.Call.Args {
+				ast.Inspect(a, visit)
 			}
-			return true
-		})
+			return false
+		case *ast.CallExpr:
+			g.site(node, x, false)
+		}
+		return true
 	}
-	walk(body, false, false)
+	ast.Inspect(node.Body, visit)
 }
 
-func (g *CallGraph) site(pkg *Package, node *FuncNode, call *ast.CallExpr, deferred, goStmt bool) {
-	name := calleeFullName(pkg.Info, call)
+func (g *CallGraph) site(node *FuncNode, call *ast.CallExpr, goStmt bool) {
+	name := calleeFullName(node.Pkg.Info, call)
 	if name == "" {
 		// Dynamic call through a function value — or a call of a literal
 		// spelled inline (go func(){...}()), which the literal node
 		// already covers.
 		return
 	}
-	node.Calls = append(node.Calls, CallSite{Callee: name, Call: call, Deferred: deferred, Go: goStmt})
+	node.Calls = append(node.Calls, CallSite{Callee: name, Call: call, Go: goStmt})
 }
 
 // declFullName computes the FullName key for a declaration in a loaded
@@ -186,32 +128,24 @@ func declFullName(pkg *Package, fd *ast.FuncDecl) string {
 // values over the node's static call-graph closure (itself included).
 // It is the shared fixpoint behind "may this function acquire lock
 // class C?" and "may this call reach time.Now?". Edges through `go`
-// statements are excluded when excludeGo is set: a spawned goroutine's
-// acquisitions do not happen under the caller's locks.
-func reachableClosure(g *CallGraph, direct map[string]map[string]bool, excludeGo bool) map[string]map[string]bool {
+// statements are excluded: a spawned goroutine's acquisitions do not
+// happen under the caller's locks, nor its clock reads in the caller's
+// result.
+func reachableClosure(g *CallGraph, direct map[string]map[string]bool) map[string]map[string]bool {
 	out := make(map[string]map[string]bool, len(g.Nodes))
 	for name, vals := range direct {
-		cp := make(map[string]bool, len(vals))
-		for v := range vals {
-			cp[v] = true
-		}
-		out[name] = cp
+		out[name] = maps.Clone(vals)
 	}
 	// Iterate to fixpoint; the graph is small (one repo), so a simple
 	// sweep loop beats maintaining a worklist.
 	for changed := true; changed; {
 		changed = false
 		for _, name := range g.SortedNames() {
-			node := g.Nodes[name]
-			for _, site := range node.Calls {
-				if excludeGo && site.Go {
+			for _, site := range g.Nodes[name].Calls {
+				if site.Go {
 					continue
 				}
-				callee, ok := out[site.Callee]
-				if !ok {
-					continue
-				}
-				for v := range callee {
+				for v := range out[site.Callee] {
 					if out[name] == nil {
 						out[name] = make(map[string]bool)
 					}

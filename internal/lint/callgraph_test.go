@@ -15,7 +15,7 @@ const (
 // The call graph is keyed by types.Func FullName strings because
 // cross-package type-checking against export data gives distinct
 // *types.Func values for the same function; these tests pin the naming
-// scheme and the defer/go flags the analyzers rely on.
+// scheme and the go flag the analyzers rely on.
 func TestCallGraphNodesAndSites(t *testing.T) {
 	pkgs, err := lint.Load(".", "./testdata/src/lockorder")
 	if err != nil {
@@ -32,8 +32,8 @@ func TestCallGraphNodesAndSites(t *testing.T) {
 	for _, site := range caller.Calls {
 		if site.Callee == lockorderPath+".lockD" {
 			foundLockD = true
-			if site.Deferred || site.Go {
-				t.Errorf("plain call recorded as deferred=%v go=%v", site.Deferred, site.Go)
+			if site.Go {
+				t.Error("plain call recorded as a go site")
 			}
 		}
 	}
@@ -50,7 +50,7 @@ func TestCallGraphNodesAndSites(t *testing.T) {
 		if site.Callee == lockorderPath+".lockE" {
 			foundGo = true
 			if !site.Go {
-				t.Error("go lockE() must carry the Go flag (lockorder excludes goroutine edges)")
+				t.Error("go lockE() must carry the Go flag (locks excludes goroutine edges)")
 			}
 		}
 	}
@@ -76,10 +76,16 @@ func TestCallGraphFuncLitNodes(t *testing.T) {
 	if lit == nil {
 		t.Fatalf("no node for leakyLit's literal; have %v", prog.Graph.SortedNames())
 	}
-	if lit.Decl != nil || lit.Lit == nil {
-		t.Error("literal node must carry Lit, not Decl")
+	if lit.Decl != nil || lit.Body == nil {
+		t.Error("literal node must carry its Body and no Decl")
 	}
-	if body := lit.Body(); body == nil || prog.Graph.NodeFor(body) != lit {
-		t.Error("NodeFor must map a literal's body back to its node")
+	parent := prog.Graph.Nodes[goroleakPath+".leakyLit"]
+	if parent == nil || lit.Body.Pos() < parent.Body.Pos() || lit.Body.End() > parent.Body.End() {
+		t.Fatal("leakyLit$1 must be the literal inside leakyLit's body")
+	}
+	for _, site := range parent.Calls {
+		if site.Call.Pos() >= lit.Body.Pos() && site.Call.End() <= lit.Body.End() {
+			t.Errorf("call %s inside the literal recorded on the parent node", site.Callee)
+		}
 	}
 }

@@ -6,25 +6,18 @@ import (
 	"go/types"
 )
 
-// This file is the small intraprocedural dataflow core under the
-// whole-program analyzers. Two pieces:
-//
-//   - heldWalker: a forward, block-structured walk of one function body
-//     tracking whether one lock class is held, invoking a callback at
-//     every call evaluated under the lock. It shares lockscope's
-//     branch-merge lattice (mergeBranches / fallsThrough): the state is
-//     a single bool per tracked class, branches merge conservatively
-//     toward "released", and `defer Unlock` pins the class held to
-//     function end. Running it once per class acquired in the body
-//     keeps the lattice trivial while still giving lockorder the
-//     "acquired B while holding A" events it needs.
-//
-//   - loopExits: reachability of a loop exit from inside a loop body,
-//     tracking break-target nesting (a `break` inside a nested select
-//     does NOT exit the loop — the exact misreading behind the historic
-//     transport reader leak). goroleak builds on it.
+// This file is the held-lock walker under the locks analyzer: a forward,
+// block-structured walk of one function body tracking whether one mutex —
+// one receiver spelling, such as "s.mu" — is held, delivering an event
+// for everything that happens while it is. The state is a single bool;
+// an unlock on an early-return path (if cond { mu.Unlock(); return })
+// does not release the fall-through path, branches merge conservatively
+// toward "released" (mergeBranches / fallsThrough), and `defer Unlock`
+// pins the lock held to function end. Function literals are skipped:
+// each is a call-graph node walked on its own (a goroutine body does not
+// run under its spawner's lock).
 
-// lockMethods are the sync.Mutex/RWMutex methods the walkers model.
+// lockMethods are the sync.Mutex/RWMutex methods the walker models.
 // TryLock/TryRLock are deliberately absent: a try-acquire cannot
 // deadlock, so it neither starts a critical section nor forms an
 // ordering edge.
@@ -32,16 +25,16 @@ var lockMethods = map[string]bool{
 	"Lock": true, "RLock": true, "Unlock": true, "RUnlock": true,
 }
 
-// lockClass classifies call as a mutex method on a global lock class,
-// returning the class key, the receiver spelling, and the method name.
+// lockClass classifies call as a mutex method, returning the receiver
+// spelling, the method name and the receiver's global lock class.
 // Classes are instance-insensitive:
 //
 //	"pkgpath.Type.field"      a mutex field, any instance of the type
 //	"pkgpath.Type.(embedded)" an embedded mutex, any instance
 //	"pkgpath.varname"         a package-level mutex variable
 //
-// Locals and parameters return "": their ordering is invisible across
-// functions, and flagging them would only produce noise.
+// Locals and parameters have class "": their ordering is invisible
+// across functions. A call that is not a mutex method returns all "".
 func lockClass(pkg *Package, call *ast.CallExpr) (class, spell, method string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -51,12 +44,11 @@ func lockClass(pkg *Package, call *ast.CallExpr) (class, spell, method string) {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || !lockMethods[fn.Name()] {
 		return "", "", ""
 	}
-	method = fn.Name()
-	spell = types.ExprString(sel.X)
 	recv := namedOrPointee(pkg.Info.Types[sel.X].Type)
 	if recv == nil || recv.Obj().Pkg() == nil {
 		return "", "", ""
 	}
+	spell, method = types.ExprString(sel.X), fn.Name()
 	if name := recv.Obj().Name(); name != "Mutex" && name != "RWMutex" {
 		// mu is embedded: sel.X's own type is the embedding struct.
 		return recv.Obj().Pkg().Path() + "." + name + ".(embedded)", spell, method
@@ -64,74 +56,52 @@ func lockClass(pkg *Package, call *ast.CallExpr) (class, spell, method string) {
 	switch x := ast.Unparen(sel.X).(type) {
 	case *ast.SelectorExpr:
 		// s.mu.Lock(): class is the owning type plus field name.
-		owner := namedOrPointee(pkg.Info.Types[x.X].Type)
-		if owner == nil || owner.Obj().Pkg() == nil {
-			return "", "", ""
+		if owner := namedOrPointee(pkg.Info.Types[x.X].Type); owner != nil && owner.Obj().Pkg() != nil {
+			class = owner.Obj().Pkg().Path() + "." + owner.Obj().Name() + "." + x.Sel.Name
 		}
-		return owner.Obj().Pkg().Path() + "." + owner.Obj().Name() + "." + x.Sel.Name, spell, method
 	case *ast.Ident:
 		// mu.Lock(): only package-level variables form a class.
-		v, ok := pkg.Info.Uses[x].(*types.Var)
-		if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-			return "", "", ""
+		if v, ok := pkg.Info.Uses[x].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			class = v.Pkg().Path() + "." + v.Name()
 		}
-		return v.Pkg().Path() + "." + v.Name(), spell, method
 	}
-	return "", "", ""
+	return class, spell, method
 }
 
-// heldEvent is delivered by heldWalker for everything that happens while
-// the tracked class is held.
+// heldEvent is one call or channel operation evaluated while the tracked
+// lock is held.
 type heldEvent struct {
-	// Call is the expression evaluated under the lock.
-	Call *ast.CallExpr
-	// Class/Spell/Method are set when Call is itself a mutex operation.
+	// Node is the *ast.CallExpr, a channel send (*ast.SendStmt) or
+	// receive (*ast.UnaryExpr), an *ast.SelectStmt, or an *ast.RangeStmt
+	// over a channel.
+	Node ast.Node
+	// Class, Spell and Method are set when Node is itself a mutex call;
+	// re-locking the tracked spelling while held is delivered too.
 	Class, Spell, Method string
-	// AcquiredAt is where the tracked class was most recently acquired.
-	AcquiredAt token.Pos
-	// AcquireSpell is the receiver spelling of that acquisition.
-	AcquireSpell string
-	// AcquireMethod is "Lock" or "RLock" for that acquisition.
+	// HeldClass is the tracked lock's class ("" for locals and
+	// parameters), AcquiredAt and AcquireMethod ("Lock" or "RLock") its
+	// most recent acquisition.
+	HeldClass     string
+	AcquiredAt    token.Pos
 	AcquireMethod string
 }
 
-// heldWalker tracks one lock class through one function body.
+// heldWalker tracks one receiver spelling through one function body.
 type heldWalker struct {
-	pkg   *Package
-	class string
-	// onEvent fires for every call evaluated while class is held,
-	// including nested mutex operations.
+	pkg     *Package
+	spell   string
 	onEvent func(heldEvent)
 
 	deferred      bool
+	class         string
 	acquiredAt    token.Pos
-	acquireSpell  string
 	acquireMethod string
 }
 
-// walkHeld runs the walker over a body for one class.
-func walkHeld(pkg *Package, body *ast.BlockStmt, class string, onEvent func(heldEvent)) {
-	w := &heldWalker{pkg: pkg, class: class, onEvent: onEvent}
+// walkHeld runs the walker over a body for one receiver spelling.
+func walkHeld(pkg *Package, body *ast.BlockStmt, spell string, onEvent func(heldEvent)) {
+	w := &heldWalker{pkg: pkg, spell: spell, onEvent: onEvent}
 	w.walkList(body.List, false)
-}
-
-// classesAcquired returns the distinct global lock classes acquired
-// directly in the body (nested literals excluded), with one witness
-// spelling each, in source order.
-func classesAcquired(pkg *Package, body *ast.BlockStmt) []string {
-	seen := make(map[string]bool)
-	var out []string
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		if class, _, method := lockClass(pkg, call); class != "" && (method == "Lock" || method == "RLock") && !seen[class] {
-			seen[class] = true
-			out = append(out, class)
-		}
-	})
-	return out
 }
 
 func (w *heldWalker) walkList(stmts []ast.Stmt, held bool) bool {
@@ -141,60 +111,54 @@ func (w *heldWalker) walkList(stmts []ast.Stmt, held bool) bool {
 	return held
 }
 
+// walkStmt returns the held state after st; a nil st changes nothing.
 func (w *heldWalker) walkStmt(st ast.Stmt, held bool) bool {
 	switch s := st.(type) {
 	case *ast.ExprStmt:
 		return w.scanExpr(s.X, held)
 	case *ast.DeferStmt:
-		// A deferred unlock of the class pins it held to function end.
-		// Other deferred calls run at exit under an unknowable lock
-		// regime; err toward silence and skip the call itself, but the
-		// argument expressions evaluate here and now.
-		if w.deferUnlocksClass(s) {
-			if held {
-				w.deferred = true
-			}
+		// A deferred unlock pins the lock held to function end. Other
+		// deferred calls run at exit under an unknowable lock regime;
+		// err toward silence and skip the call itself, but the argument
+		// expressions evaluate here and now.
+		if w.deferUnlocks(s) {
+			w.deferred = w.deferred || held
 			return held
 		}
-		for _, arg := range s.Call.Args {
-			held = w.scanExpr(arg, held)
-		}
-		return held
+		return w.scanExprs(held, s.Call.Args...)
 	case *ast.GoStmt:
 		// The goroutine body runs elsewhere, not under this lock; its
 		// arguments evaluate here.
-		for _, arg := range s.Call.Args {
-			held = w.scanExpr(arg, held)
-		}
-		return held
+		return w.scanExprs(held, s.Call.Args...)
 	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			held = w.scanExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			held = w.scanExpr(e, held)
-		}
-		return held
+		return w.scanExprs(w.scanExprs(held, s.Rhs...), s.Lhs...)
 	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			held = w.scanExpr(e, held)
-		}
-		return held
+		return w.scanExprs(held, s.Results...)
+	case *ast.IncDecStmt:
+		return w.scanExpr(s.X, held)
 	case *ast.SendStmt:
-		held = w.scanExpr(s.Chan, held)
-		return w.scanExpr(s.Value, held)
+		held = w.scanExprs(held, s.Chan, s.Value)
+		w.chanOp(s, held)
+		return held
 	case *ast.SelectStmt:
+		// The select is the blocking operation; its cases' operands
+		// evaluate on entry, their bodies run after.
+		w.chanOp(s, held)
 		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok {
-				w.walkList(cc.Body, held)
+			cc := clause.(*ast.CommClause)
+			switch comm := cc.Comm.(type) {
+			case *ast.SendStmt:
+				w.scanExprs(held, comm.Chan, comm.Value)
+			case *ast.ExprStmt:
+				w.scanExpr(recvOperand(comm.X), held)
+			case *ast.AssignStmt:
+				w.scanExprs(w.scanExpr(recvOperand(comm.Rhs[0]), held), comm.Lhs...)
 			}
+			w.walkList(cc.Body, held)
 		}
 		return held
 	case *ast.IfStmt:
-		if s.Init != nil {
-			held = w.walkStmt(s.Init, held)
-		}
-		held = w.scanExpr(s.Cond, held)
+		held = w.scanExpr(s.Cond, w.walkStmt(s.Init, held))
 		bodyHeld := w.walkList(s.Body.List, held)
 		elseHeld := held
 		elseFalls := true
@@ -206,226 +170,183 @@ func (w *heldWalker) walkStmt(st ast.Stmt, held bool) bool {
 			branch{bodyHeld, fallsThroughList(s.Body.List)},
 			branch{elseHeld, elseFalls})
 	case *ast.ForStmt:
-		if s.Init != nil {
-			held = w.walkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			held = w.scanExpr(s.Cond, held)
-		}
-		w.walkList(s.Body.List, held)
+		held = w.scanExpr(s.Cond, w.walkStmt(s.Init, held))
+		w.walkStmt(s.Post, w.walkList(s.Body.List, held))
 		return held
 	case *ast.RangeStmt:
+		if t := w.pkg.Info.Types[s.X].Type; t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				w.chanOp(s, held)
+			}
+		}
 		held = w.scanExpr(s.X, held)
 		w.walkList(s.Body.List, held)
 		return held
 	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held = w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			held = w.scanExpr(s.Tag, held)
-		}
-		return w.walkCases(s.Body, held)
+		return w.walkCases(s.Body, w.scanExpr(s.Tag, w.walkStmt(s.Init, held)))
 	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			held = w.walkStmt(s.Init, held)
-		}
-		return w.walkCases(s.Body, held)
+		return w.walkCases(s.Body, w.walkStmt(s.Assign, w.walkStmt(s.Init, held)))
 	case *ast.BlockStmt:
 		return w.walkList(s.List, held)
 	case *ast.LabeledStmt:
 		return w.walkStmt(s.Stmt, held)
-	case *ast.IncDecStmt:
-		return w.scanExpr(s.X, held)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						held = w.scanExpr(v, held)
-					}
+					held = w.scanExprs(held, vs.Values...)
 				}
 			}
-		}
-		return held
-	default:
-		return held
-	}
-}
-
-func (w *heldWalker) walkCases(body *ast.BlockStmt, held bool) bool {
-	branches := make([]branch, 0, len(body.List))
-	for _, clause := range body.List {
-		if cc, ok := clause.(*ast.CaseClause); ok {
-			after := w.walkList(cc.Body, held)
-			branches = append(branches, branch{after, fallsThroughList(cc.Body)})
-		}
-	}
-	return mergeBranches(held, branches...)
-}
-
-// scanExpr visits every call in the expression in evaluation order,
-// updating the held state across lock/unlock operations of the tracked
-// class and delivering events for everything evaluated while held.
-// Nested function literals are skipped (their bodies are independent
-// graph nodes).
-func (w *heldWalker) scanExpr(e ast.Expr, held bool) bool {
-	if e == nil {
-		return held
-	}
-	var calls []*ast.CallExpr
-	inspectSkippingFuncLits(e, func(n ast.Node) {
-		if call, ok := n.(*ast.CallExpr); ok {
-			calls = append(calls, call)
-		}
-	})
-	for _, call := range calls {
-		class, spell, method := lockClass(w.pkg, call)
-		if class == w.class {
-			switch method {
-			case "Lock", "RLock":
-				if held {
-					// Re-acquiring the tracked class while held: the
-					// self-deadlock event, delivered before the state
-					// (already held) is refreshed.
-					w.emit(call, class, spell, method)
-				}
-				held = true
-				w.acquiredAt = call.Pos()
-				w.acquireSpell = spell
-				w.acquireMethod = method
-			case "Unlock", "RUnlock":
-				if !w.deferred {
-					held = false
-				}
-			}
-			continue
-		}
-		if held {
-			w.emit(call, class, spell, method)
 		}
 	}
 	return held
 }
 
-func (w *heldWalker) emit(call *ast.CallExpr, class, spell, method string) {
-	w.onEvent(heldEvent{
-		Call: call, Class: class, Spell: spell, Method: method,
-		AcquiredAt: w.acquiredAt, AcquireSpell: w.acquireSpell, AcquireMethod: w.acquireMethod,
-	})
+// walkCases walks a switch's clauses: each case's expressions, then its
+// body, all from the entry state.
+func (w *heldWalker) walkCases(body *ast.BlockStmt, held bool) bool {
+	branches := make([]branch, 0, len(body.List))
+	for _, clause := range body.List {
+		cc := clause.(*ast.CaseClause)
+		after := w.walkList(cc.Body, w.scanExprs(held, cc.List...))
+		branches = append(branches, branch{after, fallsThroughList(cc.Body)})
+	}
+	return mergeBranches(held, branches...)
 }
 
-// deferUnlocksClass reports whether the defer releases the tracked
-// class, directly or inside a deferred closure.
-func (w *heldWalker) deferUnlocksClass(d *ast.DeferStmt) bool {
-	if class, _, method := lockClass(w.pkg, d.Call); class == w.class && (method == "Unlock" || method == "RUnlock") {
-		return true
+// recvOperand strips a select case's top-level receive: the receive is
+// the select's blocking operation, its channel operand an ordinary
+// expression.
+func recvOperand(e ast.Expr) ast.Expr {
+	if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+		return u.X
 	}
-	if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-		found := false
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if class, _, method := lockClass(w.pkg, call); class == w.class && (method == "Unlock" || method == "RUnlock") {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	}
-	return false
+	return e
 }
 
-// loopExits reports whether control can leave the loop from inside its
-// body: a return; a break that binds to THIS loop (bare break not
-// swallowed by a nested for/switch/select, or a labeled break naming
-// this loop's label); a goto (conservatively an exit); or a terminal
-// call (panic, os.Exit, runtime.Goexit, log.Fatal*, testing Fatal*).
-// Function literals inside the body are not part of the loop's control
-// flow and are skipped.
-func loopExits(info *types.Info, body *ast.BlockStmt, label string) bool {
-	exits := false
-	var walk func(n ast.Node, depth int)
-	walk = func(n ast.Node, depth int) {
-		if exits || n == nil {
-			return
-		}
-		switch s := n.(type) {
-		case *ast.FuncLit:
-			return
-		case *ast.ReturnStmt:
-			exits = true
-			return
-		case *ast.BranchStmt:
-			switch s.Tok {
-			case token.BREAK:
-				if s.Label == nil && depth == 0 {
-					exits = true
-				} else if s.Label != nil && s.Label.Name == label {
-					exits = true
-				}
-			case token.GOTO:
-				exits = true
+func (w *heldWalker) scanExprs(held bool, es ...ast.Expr) bool {
+	for _, e := range es {
+		held = w.scanExpr(e, held)
+	}
+	return held
+}
+
+// scanExpr visits every call and channel receive in the expression in
+// evaluation order, updating the held state across lock/unlock calls on
+// the tracked spelling and delivering events for everything evaluated
+// while held.
+func (w *heldWalker) scanExpr(e ast.Expr, held bool) bool {
+	inspectSkippingFuncLits(e, func(n ast.Node) {
+		switch x := n.(type) {
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW {
+				w.chanOp(x, held)
 			}
-			return
-		case *ast.ForStmt:
-			walkChildren(s, func(c ast.Node) { walk(c, depth+1) })
-			return
-		case *ast.RangeStmt:
-			walkChildren(s, func(c ast.Node) { walk(c, depth+1) })
-			return
-		case *ast.SwitchStmt:
-			walkChildren(s, func(c ast.Node) { walk(c, depth+1) })
-			return
-		case *ast.TypeSwitchStmt:
-			walkChildren(s, func(c ast.Node) { walk(c, depth+1) })
-			return
-		case *ast.SelectStmt:
-			walkChildren(s, func(c ast.Node) { walk(c, depth+1) })
-			return
 		case *ast.CallExpr:
-			if isTerminalCall(info, s) {
-				exits = true
+			class, spell, method := lockClass(w.pkg, x)
+			if spell != w.spell {
+				if held {
+					w.emit(x, class, spell, method)
+				}
 				return
 			}
+			switch method {
+			case "Lock", "RLock":
+				if held {
+					// Re-acquiring the tracked lock while held: the
+					// self-deadlock event, delivered before the
+					// acquisition is refreshed.
+					w.emit(x, class, spell, method)
+				}
+				held = true
+				w.class, w.acquiredAt, w.acquireMethod = class, x.Pos(), method
+			case "Unlock", "RUnlock":
+				held = held && w.deferred
+			}
 		}
-		walkChildren(n, func(c ast.Node) { walk(c, depth) })
-	}
-	for _, st := range body.List {
-		walk(st, 0)
-	}
-	return exits
+	})
+	return held
 }
 
-// walkChildren visits n's direct children once each.
-func walkChildren(n ast.Node, visit func(ast.Node)) {
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if c != nil {
-			visit(c)
-		}
-		return false
+// chanOp delivers a channel operation evaluated while held.
+func (w *heldWalker) chanOp(n ast.Node, held bool) {
+	if held {
+		w.emit(n, "", "", "")
+	}
+}
+
+func (w *heldWalker) emit(n ast.Node, class, spell, method string) {
+	w.onEvent(heldEvent{
+		Node: n, Class: class, Spell: spell, Method: method,
+		HeldClass: w.class, AcquiredAt: w.acquiredAt, AcquireMethod: w.acquireMethod,
 	})
 }
 
-// isTerminalCall reports whether the call never returns.
-func isTerminalCall(info *types.Info, call *ast.CallExpr) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-		return true
+// deferUnlocks reports whether the defer releases the tracked lock,
+// directly or inside a deferred closure.
+func (w *heldWalker) deferUnlocks(d *ast.DeferStmt) bool {
+	found := false
+	ast.Inspect(d.Call, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			_, spell, method := lockClass(w.pkg, call)
+			found = found || spell == w.spell && (method == "Unlock" || method == "RUnlock")
+		}
+		return !found
+	})
+	return found
+}
+
+type branch struct {
+	held  bool
+	falls bool
+}
+
+// mergeBranches computes the lock state after a conditional: if any
+// falling-through branch released the lock, treat the merge as released
+// (suppresses findings rather than inventing them); if no branch falls
+// through, keep the entry state.
+func mergeBranches(entry bool, branches ...branch) bool {
+	merged := entry
+	anyFalls := false
+	for _, b := range branches {
+		if b.falls {
+			anyFalls = true
+			merged = merged && b.held
+		}
 	}
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
+	if !anyFalls {
+		return entry
+	}
+	return merged
+}
+
+// fallsThrough reports whether control can flow past the statement.
+func fallsThrough(st ast.Stmt) bool {
+	switch s := st.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
 		return false
-	}
-	switch fn.Pkg().Path() + "." + fn.Name() {
-	case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln",
-		"testing.Fatal", "testing.Fatalf", "testing.FailNow", "testing.Skip",
-		"testing.Skipf", "testing.SkipNow":
+	case *ast.ExprStmt:
+		if call, ok := s.X.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+				return false
+			}
+		}
+		return true
+	case *ast.BlockStmt:
+		return fallsThroughList(s.List)
+	case *ast.IfStmt:
+		if s.Else == nil {
+			return true
+		}
+		return fallsThroughList(s.Body.List) || fallsThrough(s.Else)
+	default:
 		return true
 	}
-	return false
+}
+
+func fallsThroughList(stmts []ast.Stmt) bool {
+	if len(stmts) == 0 {
+		return true
+	}
+	return fallsThrough(stmts[len(stmts)-1])
 }

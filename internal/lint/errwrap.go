@@ -37,36 +37,39 @@ var ErrWrap = &Analyzer{
 }
 
 func runErrWrap(pass *Pass) error {
-	if !ErrwrapPackages[pass.Pkg.Path()] {
-		return nil
-	}
 	errorType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || calleeFullName(pass.Info, call) != "fmt.Errorf" || len(call.Args) < 2 {
-				return true
-			}
-			format, ok := constantString(pass.Info, call.Args[0])
-			wraps := ok && strings.Contains(format, "%w")
-			for _, arg := range call.Args[1:] {
-				t := pass.Info.Types[arg].Type
-				if t != nil && types.Implements(t, errorType) && !wraps {
-					pass.Reportf(arg.Pos(), "error crosses the %s boundary without %%w; wrap it (or return a typed *planner.RequestError) so errors.As keeps working", pass.Pkg.Name())
+	for _, pkg := range pass.Pkgs {
+		if !ErrwrapPackages[pkg.PkgPath] {
+			continue
+		}
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || calleeFullName(info, call) != "fmt.Errorf" || len(call.Args) < 2 {
 					return true
 				}
-				// err.Error() smuggled in as a string defeats wrapping
-				// even when another arg uses %w.
-				if inner, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
-					if sel, ok := ast.Unparen(inner.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Error" && len(inner.Args) == 0 {
-						if rt := pass.Info.Types[sel.X].Type; rt != nil && types.Implements(rt, errorType) {
-							pass.Reportf(arg.Pos(), "err.Error() flattens the chain at the %s boundary; pass the error itself with %%w", pass.Pkg.Name())
+				format, ok := constantString(info, call.Args[0])
+				wraps := ok && strings.Contains(format, "%w")
+				for _, arg := range call.Args[1:] {
+					t := info.Types[arg].Type
+					if t != nil && types.Implements(t, errorType) && !wraps {
+						pass.Reportf(arg.Pos(), "error crosses the %s boundary without %%w; wrap it (or return a typed *planner.RequestError) so errors.As keeps working", pkg.Types.Name())
+						return true
+					}
+					// err.Error() smuggled in as a string defeats wrapping
+					// even when another arg uses %w.
+					if inner, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
+						if sel, ok := ast.Unparen(inner.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Error" && len(inner.Args) == 0 {
+							if rt := info.Types[sel.X].Type; rt != nil && types.Implements(rt, errorType) {
+								pass.Reportf(arg.Pos(), "err.Error() flattens the chain at the %s boundary; pass the error itself with %%w", pkg.Types.Name())
+							}
 						}
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return nil
 }

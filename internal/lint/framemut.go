@@ -32,8 +32,10 @@ var FrameMut = &Analyzer{
 }
 
 func runFrameMut(pass *Pass) error {
-	forEachFunc(pass.Files, func(_ string, body *ast.BlockStmt) {
-		checkSharedSliceWrites(pass, body, SharedFrameAccessors, "the frame cache")
-	})
+	for _, pkg := range pass.Pkgs {
+		forEachFunc(pkg.Files, func(_ string, body *ast.BlockStmt) {
+			checkSharedSliceWrites(pass, pkg.Info, body, SharedFrameAccessors, "the frame cache")
+		})
+	}
 	return nil
 }

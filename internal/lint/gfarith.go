@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"slices"
 )
 
 // gf256Package is the arithmetic substrate package. Any package that
@@ -51,37 +53,35 @@ var gfShiftOps = map[token.Token]string{
 }
 
 func runGFArith(pass *Pass) error {
-	if pass.Pkg.Path() == gf256Package {
-		return nil
-	}
-	importsGF := false
-	for _, imp := range pass.Pkg.Imports() {
-		if imp.Path() == gf256Package {
-			importsGF = true
-			break
+	for _, pkg := range pass.Pkgs {
+		importsGF := slices.ContainsFunc(pkg.Types.Imports(), func(imp *types.Package) bool { return imp.Path() == gf256Package })
+		if importsGF && pkg.PkgPath != gf256Package {
+			checkGFArith(pass, pkg)
 		}
 	}
-	if !importsGF {
-		return nil
-	}
-	for _, f := range pass.Files {
+	return nil
+}
+
+func checkGFArith(pass *Pass, pkg *Package) {
+	isByteExpr := func(e ast.Expr) bool { return isByte(pkg.Info.Types[e].Type) }
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch e := n.(type) {
 			case *ast.BinaryExpr:
-				if op, forbidden := gfForbiddenOps[e.Op]; forbidden && isByte(pass.Info.Types[e.X].Type) && isByte(pass.Info.Types[e.Y].Type) {
+				if op, forbidden := gfForbiddenOps[e.Op]; forbidden && isByteExpr(e.X) && isByteExpr(e.Y) {
 					pass.Reportf(e.OpPos, "integer %q on byte operands in a GF(2^8) package; use gf256.%s (field arithmetic, not machine arithmetic)",
 						op, gfHelperFor(e.Op))
 				}
-				if op, shift := gfShiftOps[e.Op]; shift && isByte(pass.Info.Types[e.X].Type) {
+				if op, shift := gfShiftOps[e.Op]; shift && isByteExpr(e.X) {
 					pass.Reportf(e.OpPos, "byte %q in a GF(2^8) package is unreduced doubling; use gf256.Mul with a power of Exp (reduction modulo the field polynomial)",
 						op)
 				}
 			case *ast.AssignStmt:
-				if op, forbidden := gfForbiddenOps[e.Tok]; forbidden && len(e.Lhs) == 1 && isByte(pass.Info.Types[e.Lhs[0]].Type) {
+				if op, forbidden := gfForbiddenOps[e.Tok]; forbidden && len(e.Lhs) == 1 && isByteExpr(e.Lhs[0]) {
 					pass.Reportf(e.TokPos, "integer %q on byte operands in a GF(2^8) package; use gf256.%s (field arithmetic, not machine arithmetic)",
 						op, gfHelperFor(e.Tok))
 				}
-				if op, shift := gfShiftOps[e.Tok]; shift && len(e.Lhs) == 1 && isByte(pass.Info.Types[e.Lhs[0]].Type) {
+				if op, shift := gfShiftOps[e.Tok]; shift && len(e.Lhs) == 1 && isByteExpr(e.Lhs[0]) {
 					pass.Reportf(e.TokPos, "byte %q in a GF(2^8) package is unreduced doubling; use gf256.Mul with a power of Exp (reduction modulo the field polynomial)",
 						op)
 				}
@@ -89,7 +89,6 @@ func runGFArith(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 func gfHelperFor(op token.Token) string {

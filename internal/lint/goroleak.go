@@ -33,51 +33,36 @@ var GoroLeak = &Analyzer{
 }
 
 func runGoroLeak(pass *Pass) error {
-	// Map function objects to their declarations so `go s.run()` can be
-	// followed into a same-package body.
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = fd
-				}
-			}
-		}
-	}
-
 	reported := make(map[token.Pos]bool)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					if body := goroutineBody(pass, pkg, g); body != nil {
+						checkGoroutineBody(pass, pkg, body, reported)
+					}
+				}
 				return true
-			}
-			if body := goroutineBody(pass, decls, g); body != nil {
-				checkGoroutineBody(pass, body, reported)
-			}
-			return true
-		})
+			})
+		}
 	}
 	return nil
 }
 
 // goroutineBody resolves the body a go statement spawns: a literal's
 // body, or the declaration of a same-package function. Cross-package
-// spawns return nil — that body is analyzed when its own package is.
-func goroutineBody(pass *Pass, decls map[*types.Func]*ast.FuncDecl, g *ast.GoStmt) *ast.BlockStmt {
+// spawns return nil — that body is checked with its own package.
+func goroutineBody(pass *Pass, pkg *Package, g *ast.GoStmt) *ast.BlockStmt {
 	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		return lit.Body
 	}
-	if fn := calleeFunc(pass.Info, g.Call); fn != nil {
-		if fd, ok := decls[fn]; ok {
-			return fd.Body
-		}
+	if node := pass.Graph.Nodes[calleeFullName(pkg.Info, g.Call)]; node != nil && node.Pkg == pkg {
+		return node.Body
 	}
 	return nil
 }
 
-func checkGoroutineBody(pass *Pass, body *ast.BlockStmt, reported map[token.Pos]bool) {
+func checkGoroutineBody(pass *Pass, pkg *Package, body *ast.BlockStmt, reported map[token.Pos]bool) {
 	report := func(pos token.Pos, format string, args ...any) {
 		if !reported[pos] {
 			reported[pos] = true
@@ -106,7 +91,7 @@ func checkGoroutineBody(pass *Pass, body *ast.BlockStmt, reported map[token.Pos]
 				if len(labels) > 0 {
 					label = labels[len(labels)-1]
 				}
-				if !loopExits(pass.Info, s.Body, label) {
+				if !loopExits(pkg.Info, s.Body, label) {
 					report(s.Pos(), "goroutine loops forever with no exit path (no return, break, or terminal call); add a done/context case so shutdown can reach it")
 				}
 			}
@@ -120,24 +105,24 @@ func checkGoroutineBody(pass *Pass, body *ast.BlockStmt, reported map[token.Pos]
 	}
 
 	// Shape 2: bare unbuffered sends inside loops.
-	checkBareSends(pass, body, false, report)
+	checkBareSends(pkg, body, false, report)
 }
 
 // checkBareSends walks the goroutine body looking for plain SendStmts
 // inside loops. Sends appearing as a select's comm clause are skipped —
 // the select is the fix this analyzer asks for.
-func checkBareSends(pass *Pass, n ast.Node, inLoop bool, report func(token.Pos, string, ...any)) {
+func checkBareSends(pkg *Package, n ast.Node, inLoop bool, report func(token.Pos, string, ...any)) {
 	switch s := n.(type) {
 	case *ast.FuncLit:
 		return
 	case *ast.ForStmt:
 		if s.Init != nil {
-			checkBareSends(pass, s.Init, inLoop, report)
+			checkBareSends(pkg, s.Init, inLoop, report)
 		}
-		checkBareSends(pass, s.Body, true, report)
+		checkBareSends(pkg, s.Body, true, report)
 		return
 	case *ast.RangeStmt:
-		checkBareSends(pass, s.Body, true, report)
+		checkBareSends(pkg, s.Body, true, report)
 		return
 	case *ast.SelectStmt:
 		for _, clause := range s.Body.List {
@@ -145,31 +130,31 @@ func checkBareSends(pass *Pass, n ast.Node, inLoop bool, report func(token.Pos, 
 				// The comm operation itself is select-guarded; only the
 				// case bodies keep the current loop context.
 				for _, st := range cc.Body {
-					checkBareSends(pass, st, inLoop, report)
+					checkBareSends(pkg, st, inLoop, report)
 				}
 			}
 		}
 		return
 	case *ast.SendStmt:
 		if inLoop {
-			if obj := chanObject(pass, s.Chan); obj != nil && packageMakesUnbuffered(pass, obj) {
+			if obj := chanObject(pkg.Info, s.Chan); obj != nil && packageMakesUnbuffered(pkg, obj) {
 				report(s.Pos(), "send on unbuffered channel %s inside a goroutine loop with no select: if the receiver stops (error return, client gone) this goroutine blocks forever; select on it with a done channel", obj.Name())
 			}
 		}
 	}
 	if n != nil {
-		walkChildren(n, func(c ast.Node) { checkBareSends(pass, c, inLoop, report) })
+		walkChildren(n, func(c ast.Node) { checkBareSends(pkg, c, inLoop, report) })
 	}
 }
 
 // chanObject resolves the channel expression to its variable, nil when
 // it isn't a simple variable or field reference.
-func chanObject(pass *Pass, e ast.Expr) types.Object {
+func chanObject(info *types.Info, e ast.Expr) types.Object {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		return pass.Info.Uses[x]
+		return info.Uses[x]
 	case *ast.SelectorExpr:
-		return pass.Info.Uses[x.Sel]
+		return info.Uses[x.Sel]
 	}
 	return nil
 }
@@ -178,9 +163,10 @@ func chanObject(pass *Pass, e ast.Expr) types.Object {
 // `make(chan T)` (or explicit zero capacity) assigned to the object.
 // Finding no make at all — a parameter, a channel made elsewhere —
 // reports false: the analyzer only speaks when it can see the capacity.
-func packageMakesUnbuffered(pass *Pass, obj types.Object) bool {
+func packageMakesUnbuffered(pkg *Package, obj types.Object) bool {
+	info := pkg.Info
 	unbuffered := false
-	for _, f := range pass.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.AssignStmt:
@@ -188,16 +174,16 @@ func packageMakesUnbuffered(pass *Pass, obj types.Object) bool {
 					return true
 				}
 				for i, lhs := range s.Lhs {
-					if chanObject(pass, lhs) == obj || identDefines(pass, lhs, obj) {
-						if isUnbufferedMake(pass, s.Rhs[i]) {
+					if chanObject(info, lhs) == obj || identDefines(info, lhs, obj) {
+						if isUnbufferedMake(info, s.Rhs[i]) {
 							unbuffered = true
 						}
 					}
 				}
 			case *ast.ValueSpec:
 				for i, name := range s.Names {
-					if pass.Info.Defs[name] == obj && i < len(s.Values) {
-						if isUnbufferedMake(pass, s.Values[i]) {
+					if info.Defs[name] == obj && i < len(s.Values) {
+						if isUnbufferedMake(info, s.Values[i]) {
 							unbuffered = true
 						}
 					}
@@ -213,13 +199,13 @@ func packageMakesUnbuffered(pass *Pass, obj types.Object) bool {
 }
 
 // identDefines reports whether e is an identifier that := -defines obj.
-func identDefines(pass *Pass, e ast.Expr, obj types.Object) bool {
+func identDefines(info *types.Info, e ast.Expr, obj types.Object) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && pass.Info.Defs[id] == obj
+	return ok && info.Defs[id] == obj
 }
 
 // isUnbufferedMake reports whether e is make(chan T) or make(chan T, 0).
-func isUnbufferedMake(pass *Pass, e ast.Expr) bool {
+func isUnbufferedMake(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
@@ -228,13 +214,13 @@ func isUnbufferedMake(pass *Pass, e ast.Expr) bool {
 	if !ok || id.Name != "make" {
 		return false
 	}
-	if _, ok := pass.Info.Uses[id].(*types.Builtin); !ok {
+	if _, ok := info.Uses[id].(*types.Builtin); !ok {
 		return false
 	}
 	if len(call.Args) == 0 {
 		return false
 	}
-	t := pass.Info.Types[call.Args[0]]
+	t := info.Types[call.Args[0]]
 	if !t.IsType() {
 		return false
 	}
@@ -244,6 +230,81 @@ func isUnbufferedMake(pass *Pass, e ast.Expr) bool {
 	if len(call.Args) == 1 {
 		return true
 	}
-	cap := pass.Info.Types[call.Args[1]]
+	cap := info.Types[call.Args[1]]
 	return cap.Value != nil && cap.Value.String() == "0"
+}
+
+// loopExits reports whether control can leave the loop from inside its
+// body: a return; a break that binds to THIS loop (bare break not
+// swallowed by a nested for/switch/select, or a labeled break naming
+// this loop's label); a goto (conservatively an exit); or a terminal
+// call (panic, os.Exit, runtime.Goexit, log.Fatal*, testing Fatal*).
+// Function literals inside the body are not part of the loop's control
+// flow and are skipped.
+func loopExits(info *types.Info, body *ast.BlockStmt, label string) bool {
+	exits := false
+	var walk func(n ast.Node, depth int)
+	walk = func(n ast.Node, depth int) {
+		if exits || n == nil {
+			return
+		}
+		switch s := n.(type) {
+		case *ast.FuncLit:
+			return
+		case *ast.ReturnStmt:
+			exits = true
+			return
+		case *ast.BranchStmt:
+			exits = s.Tok == token.GOTO || s.Tok == token.BREAK &&
+				(s.Label == nil && depth == 0 || s.Label != nil && s.Label.Name == label)
+			return
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			// A bare break in here binds to the nested statement.
+			walkChildren(s, func(c ast.Node) { walk(c, depth+1) })
+			return
+		case *ast.CallExpr:
+			if isTerminalCall(info, s) {
+				exits = true
+				return
+			}
+		}
+		walkChildren(n, func(c ast.Node) { walk(c, depth) })
+	}
+	for _, st := range body.List {
+		walk(st, 0)
+	}
+	return exits
+}
+
+// walkChildren visits n's direct children once each.
+func walkChildren(n ast.Node, visit func(ast.Node)) {
+	first := true
+	ast.Inspect(n, func(c ast.Node) bool {
+		if first {
+			first = false
+			return true
+		}
+		if c != nil {
+			visit(c)
+		}
+		return false
+	})
+}
+
+// isTerminalCall reports whether the call never returns.
+func isTerminalCall(info *types.Info, call *ast.CallExpr) bool {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+		return true
+	}
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	switch fn.Pkg().Path() + "." + fn.Name() {
+	case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln",
+		"testing.Fatal", "testing.Fatalf", "testing.FailNow", "testing.Skip",
+		"testing.Skipf", "testing.SkipNow":
+		return true
+	}
+	return false
 }

@@ -37,19 +37,19 @@ var HotAlloc = &Analyzer{
 const hotDirective = "hot"
 
 func runHotAlloc(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !funcDirective(fd, hotDirective) {
-				continue
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && pass.Directive(fd.Body.Lbrace, hotDirective) {
+					checkHotFunc(pass, pkg.Info, fd)
+				}
 			}
-			checkHotFunc(pass, fd)
 		}
 	}
 	return nil
 }
 
-func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
+func checkHotFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 	// Return statements bound the cold exits.
 	var returns []ast.Node
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -67,7 +67,7 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 		return false
 	}
 
-	params := paramVars(pass, fd)
+	params := paramVars(info, fd)
 
 	// Hot-ness covers nested literals too: a closure defined in a hot
 	// function (a per-row worker) runs on the same path.
@@ -80,7 +80,7 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			checkHotCall(pass, fd, x, params)
+			checkHotCall(pass, info, fd, x, params)
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
 				if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
@@ -88,7 +88,7 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.CompositeLit:
-			checkHotComposite(pass, fd, x)
+			checkHotComposite(pass, info, fd, x)
 		}
 		return true
 	})
@@ -97,7 +97,7 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 // paramVars collects the function's parameters (incl. receiver and
 // results): appending to any of them is the caller-owns-the-buffer
 // idiom, not a hot-path allocation.
-func paramVars(pass *Pass, fd *ast.FuncDecl) map[*types.Var]bool {
+func paramVars(info *types.Info, fd *ast.FuncDecl) map[*types.Var]bool {
 	out := make(map[*types.Var]bool)
 	add := func(fl *ast.FieldList) {
 		if fl == nil {
@@ -105,7 +105,7 @@ func paramVars(pass *Pass, fd *ast.FuncDecl) map[*types.Var]bool {
 		}
 		for _, field := range fl.List {
 			for _, name := range field.Names {
-				if v, ok := pass.Info.Defs[name].(*types.Var); ok {
+				if v, ok := info.Defs[name].(*types.Var); ok {
 					out[v] = true
 				}
 			}
@@ -119,15 +119,15 @@ func paramVars(pass *Pass, fd *ast.FuncDecl) map[*types.Var]bool {
 	return out
 }
 
-func checkHotCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, params map[*types.Var]bool) {
+func checkHotCall(pass *Pass, info *types.Info, fd *ast.FuncDecl, call *ast.CallExpr, params map[*types.Var]bool) {
 	// Builtins first: make and growing append.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, builtin := pass.Info.Uses[id].(*types.Builtin); builtin {
+		if _, builtin := info.Uses[id].(*types.Builtin); builtin {
 			switch id.Name {
 			case "make":
 				pass.Reportf(call.Pos(), "make in //mobweb:hot %s allocates per call; hoist to a reusable scratch buffer or a fixed-size stack array", fd.Name.Name)
 			case "append":
-				if len(call.Args) > 0 && !reusesCapacity(pass, call.Args[0], params) {
+				if len(call.Args) > 0 && !reusesCapacity(info, call.Args[0], params) {
 					pass.Reportf(call.Pos(), "growing append in //mobweb:hot %s: target is neither a caller-provided buffer nor a [:0] reuse, so it reallocates as it grows", fd.Name.Name)
 				}
 			}
@@ -136,30 +136,30 @@ func checkHotCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, params map[*
 	}
 
 	// Conversions: string([]byte) / []byte(string) copy.
-	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
+	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		to := tv.Type.Underlying()
-		from := pass.Info.Types[call.Args[0]].Type
+		from := info.Types[call.Args[0]].Type
 		if from != nil && isStringBytesConv(to, from.Underlying()) {
 			pass.Reportf(call.Pos(), "string/[]byte conversion in //mobweb:hot %s copies the data; keep one representation on the hot path", fd.Name.Name)
 		}
 		return
 	}
 
-	fn := calleeFunc(pass.Info, call)
+	fn := calleeFunc(info, call)
 	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 		pass.Reportf(call.Pos(), "fmt.%s in //mobweb:hot %s allocates for every verb; format off the hot path", fn.Name(), fd.Name.Name)
 		return
 	}
 
-	checkBoxing(pass, fd, call)
+	checkBoxing(pass, info, fd, call)
 }
 
 // checkBoxing flags concrete, non-pointer-shaped arguments passed to
 // interface parameters: the conversion heap-allocates the boxed value.
 // Pointer-shaped kinds (pointers, chans, maps, funcs) fit the interface
 // data word directly and are exempt.
-func checkBoxing(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
-	tv, ok := pass.Info.Types[call.Fun]
+func checkBoxing(pass *Pass, info *types.Info, fd *ast.FuncDecl, call *ast.CallExpr) {
+	tv, ok := info.Types[call.Fun]
 	if !ok || tv.Type == nil {
 		return
 	}
@@ -187,16 +187,16 @@ func checkBoxing(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 		if pt == nil || !types.IsInterface(pt) {
 			continue
 		}
-		at := pass.Info.Types[arg].Type
-		if at == nil || types.IsInterface(at) || isPointerShaped(at) || isUntypedNil(pass, arg) {
+		at := info.Types[arg].Type
+		if at == nil || types.IsInterface(at) || isPointerShaped(at) || isUntypedNil(info, arg) {
 			continue
 		}
 		pass.Reportf(arg.Pos(), "%s value boxed into interface parameter in //mobweb:hot %s (allocates); pass a pointer or keep the call off the hot path", at.String(), fd.Name.Name)
 	}
 }
 
-func checkHotComposite(pass *Pass, fd *ast.FuncDecl, lit *ast.CompositeLit) {
-	t := pass.Info.Types[lit].Type
+func checkHotComposite(pass *Pass, info *types.Info, fd *ast.FuncDecl, lit *ast.CompositeLit) {
+	t := info.Types[lit].Type
 	if t == nil {
 		return
 	}
@@ -212,12 +212,12 @@ func checkHotComposite(pass *Pass, fd *ast.FuncDecl, lit *ast.CompositeLit) {
 // reusesCapacity reports whether the append target provably reuses
 // existing storage: a (possibly sliced) function parameter, or an
 // explicit x[:0] / x[:n] re-slice of anything.
-func reusesCapacity(pass *Pass, target ast.Expr, params map[*types.Var]bool) bool {
+func reusesCapacity(info *types.Info, target ast.Expr, params map[*types.Var]bool) bool {
 	switch x := ast.Unparen(target).(type) {
 	case *ast.SliceExpr:
 		return true // append(buf[:0], ...) — the reuse idiom
 	case *ast.Ident:
-		if v, ok := pass.Info.Uses[x].(*types.Var); ok {
+		if v, ok := info.Uses[x].(*types.Var); ok {
 			return params[v]
 		}
 	}
@@ -250,7 +250,7 @@ func isPointerShaped(t types.Type) bool {
 	return false
 }
 
-func isUntypedNil(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[e]
+func isUntypedNil(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	return ok && tv.IsNil()
 }

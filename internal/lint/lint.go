@@ -6,21 +6,20 @@
 //     (the planner LRU hands one plan to many goroutines; §4's "any M
 //     intact cooked packets reconstruct the document" dies silently if a
 //     cached plan is mutated).
+//   - framemut: the same contract for cooked wire frames handed out by
+//     the frame cache and planner.Resolved.
 //   - gfarith: parity rows are GF(2^8)-linear combinations; byte-valued
 //     field elements must go through gf256.Add/Mul/Div, never integer
 //     +, -, *, /. Index arithmetic stays int-typed and is untouched.
-//   - lockscope: mutexes must not be held across channel operations,
-//     network I/O, or plan builds (the singleflight deadlock shape the
-//     planner explicitly avoids by dropping its lock around
-//     core.NewPlan).
+//   - locks: mutexes must not be held across channel operations, network
+//     I/O, plan builds, waits or sleeps, and the global mutex
+//     acquisition-order graph (built over the cross-package call graph)
+//     must be acyclic — planner.mu strictly outside the cache mutex, and
+//     the cache never calls back.
 //   - errwrap: errors crossing the planner/transport/gateway package
 //     boundaries must be wrapped with %w (or carried as a typed
 //     *planner.RequestError) so the client-facing 404/400 mapping keeps
 //     seeing the chain.
-//   - lockorder: the global mutex acquisition-order graph (built over a
-//     cross-package call graph, see callgraph.go/program.go) must be
-//     acyclic — planner.mu strictly outside the cache mutex, and the
-//     cache never calls back.
 //   - goroleak: goroutines need an exit path; no unconditional loops
 //     without a way out, no bare unbuffered sends in goroutine loops
 //     (the historic transport reader-leak shape).
@@ -34,10 +33,12 @@
 //
 // The framework mirrors the golang.org/x/tools go/analysis API surface
 // (Analyzer, Pass, Reportf, analysistest-style fixtures with // want
-// comments) but is built only on the standard library: the container
-// has no module proxy access, so x/tools cannot be a dependency.
-// Packages are loaded offline via `go list -deps -export -json` and the
-// compiler's export data (see load.go).
+// comments) but is built only on the standard library, so the module
+// keeps zero dependencies. Packages are loaded offline via
+// `go list -deps -export -json` and the compiler's export data
+// (load.go). Every analyzer sees the whole load through one Pass: the
+// packages, the static call graph (callgraph.go) and the index of
+// //lint:allow and //mobweb: comments (program.go).
 package lint
 
 import (
@@ -45,38 +46,26 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
 // Analyzer is one static check, in the image of analysis.Analyzer.
-// Exactly one of Run and RunProgram is set: Run sees one package at a
-// time, RunProgram sees the whole load (call graph included) at once.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and //lint:allow
 	// suppressions.
 	Name string
 	// Doc is the one-paragraph description shown by `mobweblint -help`.
 	Doc string
-	// Run inspects one package and reports findings through the pass.
+	// Run inspects the whole load and reports findings through the pass.
 	Run func(*Pass) error
-	// RunProgram inspects the whole program: every target package plus
-	// the cross-package call graph (see program.go). Program analyzers
-	// run before per-package ones so they can suppress subsumed
-	// findings (lockorder absorbing lockscope symptoms).
-	RunProgram func(*ProgramPass) error
 }
 
-// Pass carries one analyzer's view of one type-checked package.
+// Pass carries one analyzer's view of the whole load.
 type Pass struct {
+	*Program
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
 
-	// allow maps "file:line" to the analyzer names suppressed there by a
-	// //lint:allow comment.
-	allow map[string]map[string]bool
 	// report receives every non-suppressed diagnostic.
 	report func(Diagnostic)
 }
@@ -97,54 +86,15 @@ func (d Diagnostic) String() string {
 // //lint:allow suppression.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	key := fmt.Sprintf("%s:%d", position.Filename, position.Line)
-	if names, ok := p.allow[key]; ok && (names[p.Analyzer.Name] || names["all"]) {
+	if p.comments.on(position, "lint:allow "+p.Analyzer.Name) || p.comments.on(position, "lint:allow all") {
 		return
 	}
 	p.report(Diagnostic{Pos: position, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // Analyzers returns every registered analyzer, the multichecker's suite.
-// Program-wide analyzers (lockorder, nondet) share one whole-program
-// view per run; the rest see one package at a time.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		PlanMut, FrameMut, GFArith, LockScope, ErrWrap,
-		LockOrder, GoroLeak, NonDet, HotAlloc,
-	}
-}
-
-// buildAllow scans file comments for //lint:allow suppressions. The
-// comment applies to the line it sits on:
-//
-//	frame[0] += 1 //lint:allow gfarith (wire header, not a field element)
-//
-// Multiple analyzers may be listed, comma- or space-separated; "all"
-// suppresses every analyzer on the line.
-func buildAllow(fset *token.FileSet, files []*ast.File) map[string]map[string]bool {
-	allow := make(map[string]map[string]bool)
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//lint:allow")
-				if !ok {
-					continue
-				}
-				if i := strings.Index(text, "("); i >= 0 {
-					text = text[:i]
-				}
-				pos := fset.Position(c.Pos())
-				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-				if allow[key] == nil {
-					allow[key] = make(map[string]bool)
-				}
-				for _, name := range strings.FieldsFunc(text, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
-					allow[key][name] = true
-				}
-			}
-		}
-	}
-	return allow
+	return []*Analyzer{PlanMut, FrameMut, GFArith, Locks, ErrWrap, GoroLeak, NonDet, HotAlloc}
 }
 
 // calleeFunc resolves a call expression to the static *types.Func it
@@ -213,4 +163,43 @@ func forEachFunc(files []*ast.File, fn func(name string, body *ast.BlockStmt)) {
 			fn(fd.Name.Name, fd.Body)
 		}
 	}
+}
+
+// inspectSkippingFuncLits is ast.Inspect minus function-literal bodies;
+// a nil root visits nothing.
+func inspectSkippingFuncLits(root ast.Node, visit func(ast.Node)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok || n == nil {
+			return false
+		}
+		visit(n)
+		return true
+	})
+}
+
+// sortedKeys returns the map's keys sorted, nil-safe.
+func sortedKeys[V any](m map[string]V) []string {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// shortFunc trims package paths inside a FullName:
+// "(*mobweb/internal/framecache.Cache[K, V]).Invalidate" →
+// "(*framecache.Cache[K, V]).Invalidate".
+func shortFunc(full string) string {
+	if i := strings.LastIndex(full, "/"); i >= 0 {
+		prefix := full[:i]
+		if j := strings.LastIndexAny(prefix, "(* "); j >= 0 {
+			return prefix[:j+1] + full[i+1:]
+		}
+		return full[i+1:]
+	}
+	return full
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -13,7 +14,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -147,76 +150,27 @@ func exportLookup(exports map[string]string) func(path string) (io.ReadCloser, e
 	}
 }
 
-// Run loads the patterns and applies every analyzer to every package,
-// returning the findings sorted by position. Whole-program analyzers
-// run first over a shared Program; per-package findings they suppressed
-// (one defect, one report) are dropped before sorting.
+// Run loads the patterns and applies every analyzer to the whole load,
+// returning the findings sorted by position.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	var programAnalyzers, pkgAnalyzers []*Analyzer
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			programAnalyzers = append(programAnalyzers, a)
-		} else {
-			pkgAnalyzers = append(pkgAnalyzers, a)
-		}
-	}
-
+	prog := NewProgram(pkgs)
 	var diags []Diagnostic
-	var prog *Program
-	if len(programAnalyzers) > 0 {
-		prog = NewProgram(pkgs)
-		for _, a := range programAnalyzers {
-			pass := &ProgramPass{
-				Analyzer: a,
-				Program:  prog,
-				report:   func(d Diagnostic) { diags = append(diags, d) },
-			}
-			if err := a.RunProgram(pass); err != nil {
-				return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
-			}
+	for _, a := range analyzers {
+		pass := &Pass{Program: prog, Analyzer: a, report: func(d Diagnostic) { diags = append(diags, d) }}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
 		}
 	}
-
-	var pkgDiags []Diagnostic
-	for _, pkg := range pkgs {
-		allow := buildAllow(pkg.Fset, pkg.Files)
-		for _, a := range pkgAnalyzers {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				allow:    allow,
-				report:   func(d Diagnostic) { pkgDiags = append(pkgDiags, d) },
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
-			}
-		}
-	}
-	for _, d := range pkgDiags {
-		if prog != nil && prog.suppressed(d) {
-			continue
-		}
-		diags = append(diags, d)
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer))
 	})
 	return diags, nil
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -48,45 +49,31 @@ var NondetPackages = []string{
 //     to an ordered sink (fmt.Fprint*, Write*, print)
 //
 // Genuinely wall-clock lines — cook-time stats, I/O deadlines — carry a
-// //mobweb:nondet-ok directive (line or function form, see
-// directives.go), which also stops closure propagation through them.
+// //mobweb:nondet-ok directive (line or function form, see the comment
+// index in program.go), which also stops closure propagation through
+// them.
 var NonDet = &Analyzer{
 	Name: "nondet",
 	Doc: "flag time.Now, unseeded math/rand and map-iteration-order-dependent output in the " +
 		"deterministic packages (golden traces, seeded chaos, cache keys); //mobweb:nondet-ok opts out",
-	RunProgram: runNonDet,
+	Run: runNonDet,
 }
 
 // nondetOK is the directive name shared with the fixture docs.
 const nondetOK = "nondet-ok"
 
-func runNonDet(pass *ProgramPass) error {
-	prog := pass.Program
-
-	inSet := func(pkgPath string) bool {
-		for _, p := range NondetPackages {
-			if pkgPath == p {
-				return true
-			}
-		}
-		return false
-	}
-
+func runNonDet(pass *Pass) error {
 	// Phase 1: per-function direct sources, across every loaded package,
 	// with annotated sites excluded so directives cut propagation too.
 	direct := make(map[string]map[string]bool)
-	for name, node := range prog.Graph.Nodes {
-		body := node.Body()
-		if body == nil || nodeNondetOK(prog, node) {
-			continue
-		}
-		inspectSkippingFuncLits(body, func(n ast.Node) {
+	for name, node := range pass.Graph.Nodes {
+		inspectSkippingFuncLits(node.Body, func(n ast.Node) {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return
 			}
 			desc := nondetSource(node.Pkg.Info, call)
-			if desc == "" || prog.Directive(prog.Fset.Position(call.Pos()), nondetOK) {
+			if desc == "" || pass.Directive(call.Pos(), nondetOK) {
 				return
 			}
 			if direct[name] == nil {
@@ -95,24 +82,20 @@ func runNonDet(pass *ProgramPass) error {
 			direct[name][desc] = true
 		})
 	}
-	reaches := reachableClosure(prog.Graph, direct, true)
+	reaches := reachableClosure(pass.Graph, direct)
 
 	// Phase 2: report inside the deterministic packages.
-	for _, name := range prog.Graph.SortedNames() {
-		node := prog.Graph.Nodes[name]
-		if node.Pkg == nil || !inSet(node.Pkg.PkgPath) {
+	for _, name := range pass.Graph.SortedNames() {
+		node := pass.Graph.Nodes[name]
+		if !slices.Contains(NondetPackages, node.Pkg.PkgPath) {
 			continue
 		}
-		body := node.Body()
-		if body == nil || nodeNondetOK(prog, node) {
-			continue
-		}
-		inspectSkippingFuncLits(body, func(n ast.Node) {
+		inspectSkippingFuncLits(node.Body, func(n ast.Node) {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return
 			}
-			if prog.Directive(prog.Fset.Position(call.Pos()), nondetOK) {
+			if pass.Directive(call.Pos(), nondetOK) {
 				return
 			}
 			if desc := nondetSource(node.Pkg.Info, call); desc != "" {
@@ -125,8 +108,8 @@ func runNonDet(pass *ProgramPass) error {
 			// the deterministic set. Callees inside the set report their
 			// own sites; repeating them at every caller is noise.
 			callee := calleeFullName(node.Pkg.Info, call)
-			calleeNode := prog.Graph.Nodes[callee]
-			if callee == "" || calleeNode == nil || (calleeNode.Pkg != nil && inSet(calleeNode.Pkg.PkgPath)) {
+			calleeNode := pass.Graph.Nodes[callee]
+			if callee == "" || calleeNode == nil || slices.Contains(NondetPackages, calleeNode.Pkg.PkgPath) {
 				return
 			}
 			if srcs := sortedKeys(reaches[callee]); len(srcs) > 0 {
@@ -169,35 +152,13 @@ func nondetSource(info *types.Info, call *ast.CallExpr) string {
 	return ""
 }
 
-// nodeNondetOK reports whether the node — or, for a function literal,
-// its enclosing declaration — carries a //mobweb:nondet-ok doc
-// directive.
-func nodeNondetOK(prog *Program, node *FuncNode) bool {
-	if node.Decl != nil {
-		return funcDirective(node.Decl, nondetOK)
-	}
-	// parent$1$2 → walk up to the declaring function.
-	name := node.Name
-	for {
-		i := strings.LastIndex(name, "$")
-		if i < 0 {
-			return false
-		}
-		name = name[:i]
-		if parent := prog.Graph.Nodes[name]; parent != nil && parent.Decl != nil {
-			return funcDirective(parent.Decl, nondetOK)
-		}
-	}
-}
-
 // checkMapOrder flags map ranges whose iteration order leaks into
 // ordered output: an append to a slice declared outside the loop with no
 // sort call on it later in the function, or a direct write to an ordered
 // sink inside the loop. Building other maps, summing, or assigning by
 // computed index are all order-insensitive and stay silent.
-func checkMapOrder(pass *ProgramPass, node *FuncNode) {
-	prog := pass.Program
-	body := node.Body()
+func checkMapOrder(pass *Pass, node *FuncNode) {
+	body := node.Body
 	info := node.Pkg.Info
 	inspectSkippingFuncLits(body, func(n ast.Node) {
 		rng, ok := n.(*ast.RangeStmt)
@@ -211,7 +172,7 @@ func checkMapOrder(pass *ProgramPass, node *FuncNode) {
 		if _, isMap := t.Underlying().(*types.Map); !isMap {
 			return
 		}
-		if prog.Directive(prog.Fset.Position(rng.Pos()), nondetOK) {
+		if pass.Directive(rng.Pos(), nondetOK) {
 			return
 		}
 		// Ordered sinks inside the loop body (one report per range).

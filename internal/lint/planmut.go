@@ -17,15 +17,11 @@ var (
 	// construction. generation is unexported but lives behind every
 	// cached plan, so it is covered too.
 	planOwnerTypes = map[string]bool{"Plan": true, "generation": true}
-	// planConstructorAllowed marks owner-package functions that may write
-	// plan fields: constructors, the mutex-guarded lazy parity row
-	// encode, and the equally mutex-guarded lazy fountain encoder
-	// memoization (the sanctioned post-construction writes).
-	planConstructorAllowed = func(name string) bool {
-		return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new") ||
-			name == "ensureParity" || name == "ensureParityRow" ||
-			name == "fountainEncoder"
-	}
+	// planLazyWriters are the owner-package functions besides New*/new*
+	// constructors that may write plan fields: the mutex-guarded lazy
+	// parity row encode and the equally mutex-guarded lazy fountain
+	// encoder memoization (the sanctioned post-construction writes).
+	planLazyWriters = map[string]bool{"ensureParityRow": true, "fountainEncoder": true}
 	// SharedPlanAccessors return slices that alias cache-owned plan
 	// state. Their results must be treated as read-only; writing through
 	// them corrupts the plan for every goroutine sharing it.
@@ -44,8 +40,8 @@ var (
 // Two rules:
 //
 //  1. Inside the owner package, fields of Plan/generation may only be
-//     assigned in constructor-shaped functions (New*, new*) and in
-//     ensureParity (the sync.Once-guarded lazy encode).
+//     assigned in constructor-shaped functions (New*, new*) and in the
+//     lazy writers (ensureParityRow, fountainEncoder).
 //  2. Everywhere, slices obtained from the shared accessors (Segments,
 //     AccrualSegments, CookedPayload) must not be written through:
 //     element/field stores, append with such a slice as destination,
@@ -60,32 +56,33 @@ var PlanMut = &Analyzer{
 }
 
 func runPlanMut(pass *Pass) error {
-	inOwner := pass.Pkg.Path() == PlanOwnerPackage
-	forEachFunc(pass.Files, func(name string, body *ast.BlockStmt) {
-		if inOwner {
-			checkOwnerWrites(pass, name, body)
-		}
-		checkSharedSliceWrites(pass, body, SharedPlanAccessors, "a cached plan")
-	})
+	for _, pkg := range pass.Pkgs {
+		forEachFunc(pkg.Files, func(name string, body *ast.BlockStmt) {
+			if pkg.PkgPath == PlanOwnerPackage {
+				checkOwnerWrites(pass, pkg.Info, name, body)
+			}
+			checkSharedSliceWrites(pass, pkg.Info, body, SharedPlanAccessors, "a cached plan")
+		})
+	}
 	return nil
 }
 
 // checkOwnerWrites flags field stores on protected types outside
 // constructor-shaped functions (rule 1). Closures inherit the enclosing
-// declaration's name via forEachFunc, so the Once.Do literal inside
-// ensureParity stays allowed.
-func checkOwnerWrites(pass *Pass, funcName string, body *ast.BlockStmt) {
-	if planConstructorAllowed(funcName) {
+// declaration's name via forEachFunc, so a literal inside a constructor
+// stays allowed.
+func checkOwnerWrites(pass *Pass, info *types.Info, funcName string, body *ast.BlockStmt) {
+	if strings.HasPrefix(funcName, "New") || strings.HasPrefix(funcName, "new") || planLazyWriters[funcName] {
 		return
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range st.Lhs {
-				reportProtectedFieldWrite(pass, lhs, funcName)
+				reportProtectedFieldWrite(pass, info, lhs, funcName)
 			}
 		case *ast.IncDecStmt:
-			reportProtectedFieldWrite(pass, st.X, funcName)
+			reportProtectedFieldWrite(pass, info, st.X, funcName)
 		}
 		return true
 	})
@@ -95,7 +92,7 @@ func checkOwnerWrites(pass *Pass, funcName string, body *ast.BlockStmt) {
 // selector and reports it when the selector's receiver is a protected
 // plan type. p.m = 3, p.segments[i] = s and g.parity = rows all reduce
 // to a selector on Plan/generation.
-func reportProtectedFieldWrite(pass *Pass, lhs ast.Expr, funcName string) {
+func reportProtectedFieldWrite(pass *Pass, info *types.Info, lhs ast.Expr, funcName string) {
 	for {
 		switch e := ast.Unparen(lhs).(type) {
 		case *ast.IndexExpr:
@@ -105,7 +102,7 @@ func reportProtectedFieldWrite(pass *Pass, lhs ast.Expr, funcName string) {
 			lhs = e.X
 			continue
 		case *ast.SelectorExpr:
-			named := namedOrPointee(pass.Info.Types[e.X].Type)
+			named := namedOrPointee(info.Types[e.X].Type)
 			if named != nil && named.Obj().Pkg() != nil &&
 				named.Obj().Pkg().Path() == PlanOwnerPackage && planOwnerTypes[named.Obj().Name()] {
 				pass.Reportf(e.Pos(), "write to %s.%s outside a constructor (in %s): plans are immutable once cached",
@@ -126,21 +123,21 @@ func reportProtectedFieldWrite(pass *Pass, lhs ast.Expr, funcName string) {
 // are reported; assigning a fresh value to the local clears the taint.
 // The accessor set and the owner noun ("a cached plan", "the frame
 // cache") are parameters, so planmut and framemut share the machinery.
-func checkSharedSliceWrites(pass *Pass, body *ast.BlockStmt, accessors map[string]bool, owner string) {
+func checkSharedSliceWrites(pass *Pass, info *types.Info, body *ast.BlockStmt, accessors map[string]bool, owner string) {
 	tainted := make(map[types.Object]bool)
 
 	taintSource := func(rhs ast.Expr) bool {
 		switch e := ast.Unparen(rhs).(type) {
 		case *ast.CallExpr:
-			return accessors[calleeFullName(pass.Info, e)]
+			return accessors[calleeFullName(info, e)]
 		case *ast.Ident:
-			return tainted[pass.Info.Uses[e]]
+			return tainted[info.Uses[e]]
 		case *ast.SliceExpr:
 			if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
-				return tainted[pass.Info.Uses[id]]
+				return tainted[info.Uses[id]]
 			}
 			if call, ok := ast.Unparen(e.X).(*ast.CallExpr); ok {
-				return accessors[calleeFullName(pass.Info, call)]
+				return accessors[calleeFullName(info, call)]
 			}
 		}
 		return false
@@ -153,7 +150,7 @@ func checkSharedSliceWrites(pass *Pass, body *ast.BlockStmt, accessors map[strin
 	taintedBase = func(e ast.Expr) bool {
 		switch e := ast.Unparen(e).(type) {
 		case *ast.Ident:
-			return tainted[pass.Info.Uses[e]]
+			return tainted[info.Uses[e]]
 		case *ast.IndexExpr:
 			return taintedBase(e.X)
 		case *ast.SliceExpr:
@@ -164,7 +161,7 @@ func checkSharedSliceWrites(pass *Pass, body *ast.BlockStmt, accessors map[strin
 			// owner-package rule's business, not taint's.
 			return taintedBase(e.X)
 		case *ast.CallExpr:
-			return accessors[calleeFullName(pass.Info, e)]
+			return accessors[calleeFullName(info, e)]
 		}
 		return false
 	}
@@ -202,9 +199,9 @@ func checkSharedSliceWrites(pass *Pass, body *ast.BlockStmt, accessors map[strin
 			if len(st.Rhs) == 1 {
 				src := taintSource(st.Rhs[0])
 				if id, ok := ast.Unparen(st.Lhs[0]).(*ast.Ident); ok && id.Name != "_" {
-					obj := pass.Info.Defs[id]
+					obj := info.Defs[id]
 					if obj == nil {
-						obj = pass.Info.Uses[id]
+						obj = info.Uses[id]
 					}
 					if obj != nil {
 						tainted[obj] = src

@@ -17,8 +17,8 @@ func TestPlanMutOwnerPackage(t *testing.T) {
 }
 
 // The real owner package must satisfy its own analyzer: every
-// Plan/generation field write in core sits in a constructor or in
-// ensureParity.
+// Plan/generation field write in core sits in a constructor or in a
+// lazy writer (ensureParityRow, fountainEncoder).
 func TestPlanMutCleanOnCore(t *testing.T) {
 	diags, err := lint.Run(".", []string{"mobweb/internal/core"}, []*lint.Analyzer{lint.PlanMut})
 	if err != nil {

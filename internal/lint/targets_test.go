@@ -1,0 +1,71 @@
+package lint
+
+import (
+	"go/types"
+	"testing"
+)
+
+// Every name an analyzer's tables target must exist in the tree: an
+// accessor, blocker or lazy writer that was renamed or deleted leaves
+// its rule guarding nothing, silently.
+func TestAnalyzerTargetsExist(t *testing.T) {
+	pkgs, err := Load(".", "mobweb/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := make(map[string]bool)
+	funcs := make(map[string]bool) // FullName of every function and method
+	names := make(map[string]bool) // "pkgpath.Name" of the same
+	add := func(fn *types.Func) {
+		funcs[fn.FullName()] = true
+		names[fn.Pkg().Path()+"."+fn.Name()] = true
+	}
+	for _, pkg := range pkgs {
+		loaded[pkg.PkgPath] = true
+		for _, p := range append([]*types.Package{pkg.Types}, pkg.Types.Imports()...) {
+			for _, name := range p.Scope().Names() {
+				switch obj := p.Scope().Lookup(name).(type) {
+				case *types.Func:
+					add(obj)
+				case *types.TypeName:
+					if named, ok := obj.Type().(*types.Named); ok {
+						for i := 0; i < named.NumMethods(); i++ {
+							add(named.Method(i))
+						}
+					}
+				}
+			}
+		}
+	}
+
+	for table, m := range map[string]map[string]bool{
+		"SharedPlanAccessors":  SharedPlanAccessors,
+		"SharedFrameAccessors": SharedFrameAccessors,
+	} {
+		for name := range m {
+			if !funcs[name] {
+				t.Errorf("%s names %s, which the tree does not have", table, name)
+			}
+		}
+	}
+	for name := range lockBlockers {
+		if !funcs[name] {
+			t.Errorf("lockBlockers names %s, which the tree does not have", name)
+		}
+	}
+	for name := range planLazyWriters {
+		if !names[PlanOwnerPackage+"."+name] {
+			t.Errorf("planLazyWriters names %s, which %s does not have", name, PlanOwnerPackage)
+		}
+	}
+	for _, path := range NondetPackages {
+		if !loaded[path] {
+			t.Errorf("NondetPackages names %s, which is not a package of the tree", path)
+		}
+	}
+	for path := range ErrwrapPackages {
+		if !loaded[path] {
+			t.Errorf("ErrwrapPackages names %s, which is not a package of the tree", path)
+		}
+	}
+}

@@ -1,9 +1,9 @@
-// Package lockdedup reproduces the overlap between lockscope and
-// lockorder: a critical section that both sleeps (lockscope's
-// held-across-blocker finding) and closes a lock-order cycle. The cycle
-// is the root cause; lint.Run must keep the lockorder report and drop
-// the lockscope symptom inside the cycle's critical section. The
-// lockscope finding outside any cycle must survive.
+// Package lockdedup reproduces the overlap between the locks analyzer's
+// two shapes: a critical section that both sleeps (a held-across-blocker
+// finding) and closes a lock-order cycle. The cycle is the root cause;
+// the analyzer must keep the cycle report and drop the held-across
+// symptom inside the cycle's critical section. The held-across finding
+// outside any cycle must survive.
 package lockdedup
 
 import (
@@ -17,7 +17,7 @@ var (
 	muLone sync.Mutex
 )
 
-// abWithSleep sleeps inside the A→B half of the cycle: lockscope's
+// abWithSleep sleeps inside the A→B half of the cycle: the held-across
 // finding on the Sleep line is subsumed by the cycle report.
 func abWithSleep() {
 	muA.Lock()
@@ -34,7 +34,7 @@ func ba() {
 	muB.Unlock()
 }
 
-// sleepLone holds a cycle-free mutex across a sleep: a plain lockscope
+// sleepLone holds a cycle-free mutex across a sleep: a plain held-across
 // finding that dedup must NOT eat.
 func sleepLone() {
 	muLone.Lock()

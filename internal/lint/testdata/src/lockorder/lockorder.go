@@ -1,4 +1,4 @@
-// Package lockorder is the fixture for the acquisition-order analyzer:
+// Package lockorder is the fixture for the locks analyzer's lock order:
 // an AB/BA cycle witnessed from both sides, an indirect cycle through a
 // callee, a self-deadlock, and the disciplined patterns that must stay
 // silent (consistent ordering, goroutine-spawned acquisitions).
@@ -102,3 +102,20 @@ var plans cache[string]
 func (c *cache[K]) drop(o *owner) { c.mu.Lock(); o.touch(); c.mu.Unlock() } // want `lock order cycle: lockorder\.owner\.mu acquired via call to .*touch while lockorder\.cache\.mu is held`
 func (o *owner) touch()           { o.mu.Lock(); o.mu.Unlock() }
 func (o *owner) retire()          { o.mu.Lock(); plans.drop(o); o.mu.Unlock() } // want `lock order cycle: lockorder\.cache\.mu acquired via call to .*drop while lockorder\.owner\.mu is held`
+
+// cThenDInSelect closes C→D from a select case: the operands of a comm
+// clause evaluate while muC is held.
+func cThenDInSelect(ch chan int) {
+	muC.Lock()
+	select {
+	case ch <- lockDValue(): // want `lock order cycle: lockorder\.muD acquired via call to lockorder\.lockDValue while lockorder\.muC is held`
+	default:
+	}
+	muC.Unlock()
+}
+
+func lockDValue() int {
+	muD.Lock()
+	defer muD.Unlock()
+	return 1
+}

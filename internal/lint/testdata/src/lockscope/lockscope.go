@@ -1,4 +1,4 @@
-// Fixture for the lockscope analyzer: critical sections spanning
+// Fixture for the locks held-across shape: critical sections spanning
 // channel operations, network I/O, plan builds, waits and sleeps.
 package lockscope
 
@@ -120,4 +120,16 @@ func (s *server) unlockThenSendGood(v int) {
 	s.plans = nil
 	s.mu.Unlock()
 	s.ch <- v
+}
+
+// A for loop's post statement and a switch's case expressions run under
+// the lock too.
+func (s *server) postAndCaseBad(c net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for err := error(nil); err == nil; err = c.SetDeadline(time.Time{}) { // want `held across network I/O \(net\.SetDeadline\)`
+	}
+	switch {
+	case c.LocalAddr() == nil: // want `held across network I/O \(net\.LocalAddr\)`
+	}
 }

@@ -23,9 +23,9 @@ func NewPlan() *Plan {
 	return p
 }
 
-// ensureParity is the one sanctioned post-construction write (the
-// sync.Once-guarded lazy encode in the real package).
-func (g *generation) ensureParity() {
+// ensureParityRow is a sanctioned post-construction write (the
+// mutex-guarded lazy row encode in the real package).
+func (g *generation) ensureParityRow() {
 	g.parity = [][]byte{{1}}
 }
 
@@ -51,3 +51,9 @@ func Mutate(p *Plan, g *generation) {
 
 // Read-only access is always fine.
 func (p *Plan) Read() int { return p.m }
+
+// fountainEncoder is the other sanctioned lazy writer (the mutex-guarded
+// encoder memoization in the real package).
+func (p *Plan) fountainEncoder() {
+	p.gens = append(p.gens[:0], &generation{})
+}
