@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-fetch bench-load bench-fleet bench-fountain bench-replay loc cover figures paperscale fuzz fmt-check lint lint-json vulncheck verify clean
+.PHONY: all build test race bench bench-fetch loc cover figures paperscale fuzz fmt-check lint lint-json vulncheck verify clean
 
 all: build test
 
@@ -85,47 +85,6 @@ cover:
 		awk -v floor=$(COVER_FLOOR) '{ sub(/%/, "", $$3); \
 		if ($$3 + 0 < floor) { printf "FAIL: coverage %.1f%% below floor %s%%\n", $$3, floor; exit 1 } \
 		printf "coverage %.1f%% meets floor %s%%\n", $$3, floor }'
-
-# Open-loop load generator against the frame cache: 1000 Zipf-distributed
-# clients over 10 documents, cached pass vs cache-disabled baseline, with
-# the acceptance gates (hit rate, encode/marshal work reduction) checked
-# in-process. BENCH_load.json at the repo root, human table under
-# results/. See DESIGN.md §12.
-bench-load:
-	go run ./cmd/mrtload -json BENCH_load.json -txt results/framecache-bench.txt -min-hit-rate 0.9
-
-# Sharded-fleet robustness run: a front over three in-process replicas,
-# Zipf load with per-packet pacing so streams are long enough for the
-# seeded mid-run kill of the hottest replica to land mid-stream. Gates:
-# zero outright failures among admitted fetches, zero byte mismatches
-# against the pre-kill reference, and a completed-fetch floor.
-# BENCH_fleet.json at the repo root, human table under results/. See
-# DESIGN.md §14.
-bench-fleet:
-	go run ./cmd/mrtload -fleet 3 -clients 200 -docs 8 -doc-kb 12 \
-		-fleet-delay 2ms -concurrency 32 -seed 1 -min-completed 0.95 \
-		-json BENCH_fleet.json -txt results/fleet-bench.txt
-
-# Rateless fountain codec vs adaptive-γ Vandermonde across a channel
-# corruption grid (α 0.05–0.4), plus the single-stream broadcast fan-out
-# work ratio at 32 subscribers. Gated: every fountain fetch must finish
-# in one round, mean reception overhead ≤ 15%, fountain must move fewer
-# bytes than Vandermonde at α ≥ 0.2, and broadcast work must stay under
-# 2× the single-subscriber cost. BENCH_fountain.json at the repo root,
-# human table under results/. See DESIGN.md §15.
-bench-fountain:
-	go run ./cmd/erasurebench -gate \
-		-json BENCH_fountain.json -txt results/fountain-bench.txt
-
-# Deterministic session-replay harness for the persistent packet store
-# and the speculative prefetcher: scripted browse/skim/idle/kill-restart
-# sessions replayed twice (store+prefetch off vs on) over the identical
-# seeded workload. Gates: zero packets refetched after restart, zero
-# resume bytes for fully-read documents, byte-identical bodies, and
-# foreground p99 parity (on ≤ 1.10× off). BENCH_replay.json at the repo
-# root, the generated trace under results/. See DESIGN.md §16.
-bench-replay:
-	go run ./cmd/mrtreplay -json BENCH_replay.json -trace-out results/replay-trace.json
 
 # Regenerate every table and figure at the default reduced scale.
 figures:

@@ -17,8 +17,9 @@ import (
 // group g: each accrual segment spreads its score uniformly over the
 // raw packets its permuted extent touches, so a packet's weight is the
 // information content per byte it carries. Encoder (from the plan) and
-// decoder (from the transmitted layout) both call this — the accrual
-// scores round-trip JSON exactly, so the derived specs are identical.
+// decoder (from the transmitted layout) both call this — the layout
+// encoding carries each accrual score as its exact float64 bits, so the
+// derived specs are identical.
 func (l Layout) FountainWeights(g int) ([]float64, error) {
 	if g < 0 || g >= len(l.Shapes) {
 		return nil, fmt.Errorf("core: fountain weights for generation %d of %d", g, len(l.Shapes))

@@ -20,7 +20,6 @@ func TestFrameMutCleanOnConsumers(t *testing.T) {
 		"mobweb/internal/transport",
 		"mobweb/internal/planner",
 		"mobweb/internal/gateway",
-		"mobweb/cmd/mrtload",
 	}
 	diags, err := lint.Run(".", pkgs, []*lint.Analyzer{lint.FrameMut})
 	if err != nil {

@@ -242,6 +242,63 @@ func TestChaosReplicaKillAndRestart(t *testing.T) {
 	}
 }
 
+// TestChaosReplicaKillUnderConcurrentLoad is the fleet drill under load:
+// eight clients fetch the corpus at once through a three-replica front,
+// the first document's home replica dies mid-stream, and every fetch
+// still completes byte-identically while the monitor marks the dead
+// replica down.
+func TestChaosReplicaKillUnderConcurrentLoad(t *testing.T) {
+	fl := startFleet(t, 3, transport.ServerOptions{PacketDelay: 2 * time.Millisecond}, Options{
+		Retry: transport.RetryPolicy{Seed: 5, BaseDelay: 10 * time.Millisecond},
+	})
+	docs := corpus.Names()
+	home := fl.home(docs[0])
+	want := make(map[string][]byte, len(docs))
+	for _, doc := range docs {
+		want[doc] = singleServerBody(t, fl.replicas[(home+1)%3], doc)
+	}
+
+	const clients = 8
+	bodies := make([][]byte, clients)
+	errs := make([]error, clients)
+	var progress int
+	var killed, wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		opts := transport.FetchOptions{Doc: docs[i%len(docs)], Caching: true}
+		if i == 0 {
+			opts.OnProgress = killAt(5, fl.replicas[home], &progress, &killed)
+		}
+		c := fl.client(t)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := c.Fetch(opts)
+			if err == nil {
+				bodies[i] = res.Body
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	killed.Wait()
+	for i := 0; i < clients; i++ {
+		doc := docs[i%len(docs)]
+		if errs[i] != nil {
+			t.Errorf("client %d (%s): %v", i, doc, errs[i])
+		} else if !bytes.Equal(bodies[i], want[doc]) {
+			t.Errorf("client %d (%s): body differs from the single-server fetch", i, doc)
+		}
+	}
+	if progress < 5 {
+		t.Fatalf("the killing fetch saw %d frames; the kill never fired", progress)
+	}
+	if got := fl.counter("front.reroutes"); got < 1 {
+		t.Errorf("front.reroutes = %d, want >= 1", got)
+	}
+	waitFor(t, 5*time.Second, func() bool { return fl.counter("front.markdowns") >= 1 },
+		"the killed home replica was never marked down")
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
 	t.Helper()

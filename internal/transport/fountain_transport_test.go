@@ -11,6 +11,7 @@ import (
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
 	"mobweb/internal/erasure"
+	"mobweb/internal/fountain"
 	"mobweb/internal/obs"
 	"mobweb/internal/packet"
 )
@@ -48,38 +49,43 @@ func TestFountainFetchCleanChannel(t *testing.T) {
 
 // TestFountainSingleRoundUnderLoss is the rateless payoff over the real
 // transport: where the fixed-rate codec stalls into retransmission
-// rounds at α=0.3, the open-loop fountain stream completes in ONE round
-// — the server simply keeps sending until the client's stopgens land.
+// rounds under loss, the open-loop fountain stream completes in ONE
+// round at every corruption rate of the grid — the server simply keeps
+// sending until the client's stopgens land.
 func TestFountainSingleRoundUnderLoss(t *testing.T) {
-	model, err := channel.NewBernoulli(0.3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
-	res, err := client.Fetch(FetchOptions{
-		Doc:       corpus.DraftName,
-		Codec:     erasure.CodecFountain,
-		Caching:   true,
-		MaxRounds: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Body == nil {
-		t.Fatal("fountain fetch over α=0.3 failed to reconstruct")
-	}
-	if res.Rounds != 1 {
-		t.Errorf("fountain fetch used %d rounds at α=0.3, want 1 (open-loop)", res.Rounds)
-	}
-	if res.PacketsCorrupted == 0 {
-		t.Error("injector corrupted nothing at α=0.3")
-	}
 	doc, err := corpus.Load(corpus.DraftName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Body, doc.Body()) {
-		t.Error("reconstructed body differs despite CRC verification")
+	for _, alpha := range []float64{0.05, 0.1, 0.2, 0.3, 0.4} {
+		t.Run(fmt.Sprintf("alpha=%.2f", alpha), func(t *testing.T) {
+			model, err := channel.NewBernoulli(alpha, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+			res, err := client.Fetch(FetchOptions{
+				Doc:       corpus.DraftName,
+				Codec:     erasure.CodecFountain,
+				Caching:   true,
+				MaxRounds: 5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Body == nil {
+				t.Fatalf("fountain fetch over α=%.2f failed to reconstruct", alpha)
+			}
+			if res.Rounds != 1 {
+				t.Errorf("fountain fetch used %d rounds at α=%.2f, want 1 (open-loop)", res.Rounds, alpha)
+			}
+			if res.PacketsCorrupted == 0 {
+				t.Errorf("injector corrupted nothing at α=%.2f", alpha)
+			}
+			if !bytes.Equal(res.Body, doc.Body()) {
+				t.Error("reconstructed body differs despite CRC verification")
+			}
+		})
 	}
 }
 
@@ -170,29 +176,62 @@ func TestFountainPrefetchPrimesFetch(t *testing.T) {
 	}
 }
 
+// TestFountainBroadcastFanout serves one cooked fountain stream to many
+// subscribers: every subscriber reconstructs the document, and the
+// server's encode+marshal work for 8 subscribers stays under twice the
+// work for one — the fan-out amortizes instead of cooking per socket.
 func TestFountainBroadcastFanout(t *testing.T) {
-	reg := obs.NewRegistry()
 	const subscribers = 8
-	// One server; N concurrent broadcast subscribers of the same plan.
-	engineClient := startServer(t, ServerOptions{Metrics: reg})
-	addr := engineClient.conn.RemoteAddr().String()
+	reg := obs.NewRegistry()
+	many := broadcastWork(t, subscribers, reg)
+	snap := reg.Snapshot()
+	if subs := snap.Gauges["serve.broadcast_subscribers"]; subs != 0 {
+		t.Errorf("broadcast subscriber gauge %d after all streams ended, want 0", subs)
+	}
+	if frames := snap.Counters["serve.broadcast_frames"]; frames == 0 {
+		t.Error("no frames delivered through the broadcast hub")
+	}
+	one := broadcastWork(t, 1, obs.NewRegistry())
+	t.Logf("broadcast work: %d for %d subscribers, %d for one", many, subscribers, one)
+	if one == 0 || many >= 2*one {
+		t.Errorf("broadcast work %d for %d subscribers, %d for one: want under 2×", many, subscribers, one)
+	}
+}
+
+// broadcastWork fans the draft document's fountain stream out to subs
+// concurrent broadcast subscribers of a fresh server — a cold frame
+// cache, so each pass pays for its own cooking — and returns the work
+// the server spent: fountain symbols generated plus frames marshalled.
+// The carousel is paced to an emulated link rate: subscribers join a
+// stream the air interface feeds, not one racing at CPU speed. Every
+// subscriber is dialed before the counters are read, and the counters
+// are read again only after the producer has exited, so the difference
+// is the whole stream and nothing else.
+func broadcastWork(t *testing.T, subs int, reg *obs.Registry) int64 {
+	t.Helper()
+	opts := ServerOptions{Metrics: reg, PacketDelay: 500 * time.Microsecond}
+	addr := startServer(t, opts).conn.RemoteAddr().String()
 	doc, err := corpus.Load(corpus.DraftName)
 	if err != nil {
 		t.Fatal(err)
 	}
+	clients := make([]*Client, subs)
+	for i := range clients {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Timeout = 10 * time.Second
+		t.Cleanup(func() { c.Close() })
+		clients[i] = c
+	}
+	before := fountainWork()
 	var wg sync.WaitGroup
-	errs := make(chan error, subscribers)
-	for i := 0; i < subscribers; i++ {
+	errs := make(chan error, subs)
+	for i, c := range clients {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, c *Client) {
 			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			c.Timeout = 10 * time.Second
 			res, err := c.Fetch(FetchOptions{
 				Doc:       corpus.DraftName,
 				Codec:     erasure.CodecFountain,
@@ -207,20 +246,22 @@ func TestFountainBroadcastFanout(t *testing.T) {
 			if !bytes.Equal(res.Body, doc.Body()) {
 				errs <- fmt.Errorf("subscriber %d: body differs", i)
 			}
-		}(i)
+		}(i, c)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-	snap := reg.Snapshot()
-	if subs := snap.Gauges["serve.broadcast_subscribers"]; subs != 0 {
-		t.Errorf("broadcast subscriber gauge %d after all streams ended, want 0", subs)
-	}
-	if frames := snap.Counters["serve.broadcast_frames"]; frames == 0 {
-		t.Error("no frames delivered through the broadcast hub")
-	}
+	waitFor(t, func() bool { return reg.Snapshot().Gauges["serve.broadcast_streams"] == 0 })
+	return fountainWork() - before
+}
+
+// fountainWork reads the process-wide encode and marshal counters.
+func fountainWork() int64 {
+	f := fountain.MetricsProbe().(map[string]int64)
+	c := core.MetricsProbe().(map[string]int64)
+	return f["packets_generated"] + c["frame_marshals"]
 }
 
 // TestFountainBroadcastChurn is the -race stress: subscribers join and

@@ -28,11 +28,12 @@ func dialServer(t *testing.T, srv *Server) *Client {
 	return client
 }
 
-// TestConcurrentClientsShareCachedFrames is satellite 1's race test: many
-// clients fetch the same document at once over a clean channel, so the
-// server writes the very same cached frame slices to every socket. Run
-// under -race this catches any append-in-place on shared bytes; the
-// assertions catch cross-stream corruption and require actual sharing.
+// TestConcurrentClientsShareCachedFrames is the shared-frame race test:
+// many clients fetch the same document at once over a clean channel, so
+// the server writes the very same cached frame slices to every socket.
+// Run under -race this catches any append-in-place on shared bytes; the
+// assertions catch cross-stream corruption and require actual sharing:
+// every distinct frame is cooked exactly once across all the clients.
 func TestConcurrentClientsShareCachedFrames(t *testing.T) {
 	want := cleanBody(t, corpus.DraftName)
 	_, srv := startServerHandle(t, ServerOptions{})
@@ -60,8 +61,9 @@ func TestConcurrentClientsShareCachedFrames(t *testing.T) {
 		}
 	}
 	s := srv.FrameStats()
-	if s.Hits == 0 {
-		t.Fatalf("no frame-cache hits across %d identical fetches: %+v", clients, s)
+	if s.Entries == 0 || s.Cooks != int64(s.Entries) {
+		t.Fatalf("%d cooks for %d cached frames across %d identical fetches, want one each: %+v",
+			s.Cooks, s.Entries, clients, s)
 	}
 }
 

@@ -106,16 +106,22 @@ func TestStoreResumeFullDocumentNeedsNoNetwork(t *testing.T) {
 }
 
 // TestStoreResumePartialRefetchesNothing kills the client mid-document
-// (StopAtIC stops the stream early) and resumes in a new process life:
-// the resumed fetch must complete without re-receiving a single packet
-// it already held — the Have/DoneGens feedback working end to end.
+// (a budgeted prefetch stops the stream early) and resumes in a new
+// process life: the resumed fetch must complete without re-receiving a
+// single packet it already held — the Have/DoneGens feedback working end
+// to end. The torn cases also cut the newest segment mid-record between
+// the two lives, the torn write a crash mid-append leaves: recovery drops
+// that record, and the resume still seeds from the rest.
 func TestStoreResumePartialRefetchesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		codec erasure.CodecID
+		torn  bool
 	}{
-		{"vandermonde", erasure.CodecVandermonde},
-		{"fountain", erasure.CodecFountain},
+		{"vandermonde", erasure.CodecVandermonde, false},
+		{"fountain", erasure.CodecFountain, false},
+		{"vandermonde-torn-tail", erasure.CodecVandermonde, true},
+		{"fountain-torn-tail", erasure.CodecFountain, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := startServerAddr(t, ServerOptions{})
@@ -136,8 +142,23 @@ func TestStoreResumePartialRefetchesNothing(t *testing.T) {
 			}
 			c1.Close()
 			c1.Store.Close()
+			if tc.torn {
+				// The last record is a cooked packet (the layout is written
+				// first): cut it inside its payload.
+				seg := lastSegment(t, dir)
+				info, err := os.Stat(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Truncate(seg, info.Size()-100); err != nil {
+					t.Fatal(err)
+				}
+			}
 
 			c2 := dialWithStore(t, addr, dir)
+			if st := c2.Store.Stats(); tc.torn && st.TornTails != 1 {
+				t.Fatalf("reopening the torn store truncated %d segments, want 1", st.TornTails)
+			}
 			full, err := c2.Fetch(FetchOptions{
 				Doc: corpus.DraftName, Caching: true, Codec: tc.codec,
 			})
@@ -149,6 +170,10 @@ func TestStoreResumePartialRefetchesNothing(t *testing.T) {
 			}
 			if full.StoredPackets == 0 {
 				t.Fatal("resumed fetch seeded nothing from the store")
+			}
+			if tc.torn && full.StoredPackets != partial.Intact-1 {
+				t.Fatalf("resumed fetch seeded %d packets from a store torn inside the last of %d",
+					full.StoredPackets, partial.Intact)
 			}
 			if full.RefetchedPackets != 0 {
 				t.Fatalf("resumed fetch re-received %d packets it already held",
@@ -293,12 +318,7 @@ func TestLegacyJSONLayoutDropped(t *testing.T) {
 	binary.BigEndian.PutUint32(rec[12:16], uint32(len(legacy)))
 	rec = append(append(rec, plan...), legacy...)
 	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segment files in the store: %v", err)
-	}
-	sort.Strings(segs)
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(lastSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,4 +353,15 @@ func TestLegacyJSONLayoutDropped(t *testing.T) {
 	if _, ok := c2.Store.Layout(plan); !ok {
 		t.Error("the completed fetch did not store its layout")
 	}
+}
+
+// lastSegment returns the path of the store's newest segment file.
+func lastSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files in the store: %v", err)
+	}
+	sort.Strings(segs)
+	return segs[len(segs)-1]
 }
