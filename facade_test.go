@@ -1,8 +1,94 @@
 package mobweb
 
 import (
+	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
+
+var updateSurface = flag.Bool("update", false, "rewrite testdata/facade.golden from mobweb.go")
+
+// TestFacadeSurface pins the public API: every exported identifier
+// mobweb.go declares, one per line and sorted, must match
+// testdata/facade.golden, so any growth of the surface is a reviewed
+// diff of that file. Regenerate after an intentional change with:
+//
+//	go test -run TestFacadeSurface -update .
+func TestFacadeSurface(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "mobweb.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			if d.Recv == nil {
+				names = append(names, "func "+d.Name.Name)
+				continue
+			}
+			recv := d.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			names = append(names, "method "+recv.(*ast.Ident).Name+"."+d.Name.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if !s.Name.IsExported() {
+						continue
+					}
+					names = append(names, "type "+s.Name.Name)
+					if st, ok := s.Type.(*ast.StructType); ok {
+						for _, field := range st.Fields.List {
+							for _, n := range field.Names {
+								if n.IsExported() {
+									names = append(names, "field "+s.Name.Name+"."+n.Name)
+								}
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							names = append(names, d.Tok.String()+" "+n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	got := strings.Join(names, "\n") + "\n"
+
+	golden := filepath.Join("testdata", "facade.golden")
+	if *updateSurface {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("mobweb.go's exported surface differs from %s; regenerate with -update if the change is intentional:\n%s",
+			golden, got)
+	}
+}
 
 func TestQueryVectorFacade(t *testing.T) {
 	qv := QueryVector("mobile mobile web")

@@ -1,5 +1,5 @@
 // Package corpus embeds the sample document collection used by the
-// examples, the Table 1 regenerator, and the live transport demos. The
+// server, scgen, the Table 1 regenerator and the tests. The
 // centerpiece is draft.xml, a reconstruction of the paper's own early
 // draft whose structural characteristic Table 1 tabulates.
 package corpus

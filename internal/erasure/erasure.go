@@ -82,9 +82,6 @@ func (c *Coder) M() int { return c.m }
 // N returns the number of cooked packets.
 func (c *Coder) N() int { return c.n }
 
-// Ratio returns the redundancy ratio γ = N/M.
-func (c *Coder) Ratio() float64 { return float64(c.n) / float64(c.m) }
-
 // allocPackets carves count packet slices of size bytes out of one
 // backing arena. The full slice expressions cap each view at its own
 // region, so an append on one packet can never scribble on its neighbor.

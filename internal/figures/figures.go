@@ -58,11 +58,6 @@ func DefaultScale() SimScale {
 	return SimScale{Documents: 60, Repetitions: 5, Seed: 1}
 }
 
-// PaperScale is the full workload of §5.
-func PaperScale() SimScale {
-	return SimScale{Documents: 200, Repetitions: 50, Seed: 1}
-}
-
 func (s SimScale) apply(p *sim.Params) {
 	p.Documents = s.Documents
 	p.Repetitions = s.Repetitions

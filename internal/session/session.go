@@ -4,8 +4,7 @@
 // a relevance threshold F, full reads, relevance feedback into the
 // profile, and idle-time prefetching of the hits the user is most likely
 // to open next. It glues the transport client, the profile, and the
-// prefetch planner together with the policies the examples demonstrate
-// individually.
+// prefetch planner together.
 package session
 
 import (

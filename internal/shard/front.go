@@ -395,9 +395,10 @@ func (s *relay) open() (transport.Response, error) {
 				if resp.Replica == "" {
 					resp.Replica = name
 				}
-			} else if resp.Layout.N() != s.layout.N() || resp.Layout.BodySize != s.layout.BodySize {
-				// The replicas disagree on geometry (corpus drift): the
-				// relayed prefix and this stream cannot be mixed.
+			} else if resp.Layout.N() != s.layout.N() || s.layout.SameStream(*resp.Layout) != nil {
+				// The replicas disagree on geometry (corpus drift, another
+				// γ or generation split): the relayed prefix and this
+				// stream cannot be mixed.
 				rc.close()
 				return transport.Response{}, fmt.Errorf("shard: layout changed across re-route for %s: %w", s.req.Doc, transport.ErrReroute)
 			}

@@ -522,6 +522,62 @@ func TestRebaseAcrossReplicaSwitch(t *testing.T) {
 	}
 }
 
+// TestRerouteRefusesAnotherGenerationSplit: the survivor splits the
+// document into generations differently while N and the body size agree,
+// so only the shapes tell the two streams apart. The front must refuse
+// to splice them, as the client's own resume round does, rather than
+// relay frames that decode to a wrong body with a nil error.
+func TestRerouteRefusesAnotherGenerationSplit(t *testing.T) {
+	a := startReplica(t, "a-replica", transport.ServerOptions{
+		Defaults:    core.Config{Gamma: 1.5},
+		PacketDelay: 2 * time.Millisecond,
+	})
+	b := startReplica(t, "b-replica", transport.ServerOptions{
+		Defaults:    core.Config{Gamma: 1.5, MaxGeneration: 2},
+		PacketDelay: 2 * time.Millisecond,
+	})
+	doc := corpus.DraftName
+	layout := func(r *testReplica) core.Layout {
+		w := dialRawWire(t, r.addr)
+		w.send(transport.Request{Op: "fetch", Doc: doc})
+		_, resp, err := w.line()
+		w.conn.Close()
+		if err != nil || !resp.OK || resp.Layout == nil {
+			t.Fatalf("%s: fetch header: %+v, %v", r.name, resp, err)
+		}
+		return *resp.Layout
+	}
+	la, lb := layout(a), layout(b)
+	if la.N() != lb.N() || la.BodySize != lb.BodySize || la.SameStream(lb) == nil {
+		t.Fatalf("replica layouts must agree on N and body size but split differently: %v/%d vs %v/%d",
+			la.Shapes, la.BodySize, lb.Shapes, lb.BodySize)
+	}
+	fl := startFrontOver(t, []*testReplica{a, b}, Options{
+		Retry: transport.RetryPolicy{Seed: 5, BaseDelay: 10 * time.Millisecond},
+	})
+	home := fl.home(doc)
+	want := singleServerBody(t, fl.replicas[1-home], doc)
+
+	client := fl.client(t)
+	var progress int
+	var killed sync.WaitGroup
+	res, err := client.Fetch(transport.FetchOptions{
+		Doc:        doc,
+		Caching:    true,
+		OnProgress: killAt(5, fl.replicas[home], &progress, &killed),
+	})
+	killed.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Body, want) {
+		t.Fatal("fetch across a generation-split change returned a wrong body")
+	}
+	if res.Reconnects < 1 {
+		t.Errorf("reconnects = %d; the front should have cut the client loose", res.Reconnects)
+	}
+}
+
 // TestFrontRedialJitterDeterministic pins the satellite fix: the
 // front's failover backoff honours RetryPolicy.Seed, so two fronts
 // configured identically replay identical re-dial schedules — the

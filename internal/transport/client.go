@@ -174,37 +174,6 @@ func Dial(addr string) (*Client, error) {
 	return c, nil
 }
 
-// DialMulti connects to the first reachable address and keeps the whole
-// list as redial targets: each redial moves to the next address
-// (wrapping), so a client pointed at a replica fleet fails over across
-// it instead of hammering a dead peer. The address rotation is
-// deterministic; only the backoff timing between attempts is randomized,
-// and RetryPolicy.Seed pins even that.
-func DialMulti(addrs ...string) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("transport: DialMulti needs at least one address")
-	}
-	var conn net.Conn
-	var err error
-	cur := 0
-	for i := range addrs {
-		conn, err = net.Dial("tcp", addrs[i])
-		if err == nil {
-			cur = i
-			break
-		}
-	}
-	if conn == nil {
-		return nil, fmt.Errorf("transport: dial %v: %w", addrs, err)
-	}
-	c := NewClient(conn)
-	c.redial = func() (net.Conn, error) {
-		cur = (cur + 1) % len(addrs)
-		return net.Dial("tcp", addrs[cur])
-	}
-	return c, nil
-}
-
 // NewClient wraps an existing connection (e.g. a net.Pipe end in tests).
 // A client built this way cannot reconnect until SetRedial is called.
 func NewClient(conn net.Conn) *Client {

@@ -42,7 +42,6 @@ import (
 	"net"
 	"net/http"
 
-	"mobweb/internal/baseline"
 	"mobweb/internal/channel"
 	"mobweb/internal/cluster"
 	"mobweb/internal/content"
@@ -60,7 +59,6 @@ import (
 	"mobweb/internal/sim"
 	"mobweb/internal/store"
 	"mobweb/internal/textproc"
-	"mobweb/internal/trace"
 	"mobweb/internal/transport"
 )
 
@@ -103,10 +101,6 @@ type (
 	Planner = planner.Planner
 	// PlannerOptions tunes plan caching and request resolution.
 	PlannerOptions = planner.Options
-	// PlannerRequest names one plan to resolve in wire spellings.
-	PlannerRequest = planner.Request
-	// PlannerStats snapshots the planner's cache counters.
-	PlannerStats = planner.Stats
 	// Client fetches documents over TCP with caching and progressive
 	// rendering.
 	Client = transport.Client
@@ -136,17 +130,9 @@ type (
 	// Gateway.SetMetrics; a nil registry disables all instrumentation at
 	// one branch per event.
 	Metrics = obs.Registry
-	// MetricsSnapshot is a point-in-time copy of every metric in a
-	// registry, as served by /debug/metrics.
-	MetricsSnapshot = obs.Snapshot
 	// FetchTrace is a bounded per-fetch event timeline; attach one via
 	// FetchOptions.Trace.
 	FetchTrace = obs.Trace
-	// FetchEvent is one entry in a fetch timeline.
-	FetchEvent = obs.Event
-	// FetchRecord summarizes one fetch in the registry's fetch log, as
-	// served by /debug/fetches.
-	FetchRecord = obs.FetchRecord
 	// Gateway is the HTTP front end of Figure 1's WWW server; SetMetrics
 	// mounts the /debug endpoints on it.
 	Gateway = gateway.Handler
@@ -154,8 +140,6 @@ type (
 	SimParams = sim.Params
 	// SimResult aggregates a simulation run.
 	SimResult = sim.Result
-	// DocSpec describes the synthetic simulation document population.
-	DocSpec = trace.DocSpec
 	// Profile is an adaptive user-interest vector with relevance
 	// feedback (§6's user-profiling extension).
 	Profile = profile.Profile
@@ -167,16 +151,6 @@ type (
 	PrefetchCandidate = prefetch.Candidate
 	// PrefetchAllocation assigns idle budget to a candidate.
 	PrefetchAllocation = prefetch.Allocation
-	// PrefetchGate subordinates speculative windows to foreground
-	// fetches: every open window's context is canceled the moment a
-	// foreground fetch starts.
-	PrefetchGate = prefetch.Gate
-	// PrefetchScheduler spends idle-link budgets on predicted documents
-	// through a transport-shaped fetch function, planning each window net
-	// of the packets every candidate already holds (Client.Held).
-	PrefetchScheduler = prefetch.Scheduler
-	// PrefetchWindowResult accounts one scheduler window.
-	PrefetchWindowResult = prefetch.WindowResult
 	// ProfileCandidate is a scored document offered to PredictTopK.
 	ProfileCandidate = profile.Candidate
 	// ProfilePrediction is one entry of a top-k prefetch shortlist.
@@ -188,26 +162,15 @@ type (
 	Store = store.Store
 	// StoreOptions bounds the store's segment log.
 	StoreOptions = store.Options
-	// StoreStats snapshots the store's segment, byte and recovery
-	// counters.
-	StoreStats = store.Stats
-	// TransferStrategy is a baseline transfer scheme for comparisons.
-	TransferStrategy = baseline.Strategy
 	// Cluster groups hierarchically linked pages into the paper's larger
 	// browsing unit.
 	Cluster = cluster.Cluster
-	// PageScore is a page's cluster-level information content.
-	PageScore = cluster.PageScore
 	// Session orchestrates the full mobile browsing loop: personalized
 	// search, skims at the relevance threshold, reads with feedback, and
 	// think-time prefetching.
 	Session = session.Session
 	// SessionOptions tunes the browsing policy.
 	SessionOptions = session.Options
-	// SessionStats aggregates a session's accounting.
-	SessionStats = session.Stats
-	// RankedHit is a search hit after personalization.
-	RankedHit = session.RankedHit
 )
 
 // Levels of detail, coarsest first.
