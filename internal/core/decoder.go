@@ -36,11 +36,7 @@ func newGenDecoders(layout Layout) ([]genDecoder, error) {
 	gens := make([]genDecoder, len(layout.Shapes))
 	if layout.Codec == erasure.CodecFountain {
 		for g, s := range layout.Shapes {
-			weights, err := layout.FountainWeights(g)
-			if err != nil {
-				return nil, err
-			}
-			dec, err := fountain.NewDecoder(g, layout.Seed, s.M, layout.PacketSize, weights)
+			dec, err := fountain.NewDecoder(g, layout.Seed, s.M, layout.PacketSize, nil)
 			if err != nil {
 				return nil, fmt.Errorf("generation %d: %w", g, err)
 			}
@@ -104,8 +100,8 @@ func (d *vandermondeGen) decode() ([][]byte, bool, error) {
 
 // fountainGen adapts the rateless decoder, which eliminates each packet
 // on arrival and exposes source symbols one by one as their rows resolve.
-// Packet count alone does not complete it — random combinations can be
-// linearly dependent.
+// Packet count alone does not complete it — a repair can be linearly
+// dependent on what is held.
 type fountainGen struct{ dec *fountain.Decoder }
 
 func (d fountainGen) add(local int, payload []byte) (bool, error) {
@@ -118,8 +114,8 @@ func (d fountainGen) add(local int, payload []byte) (bool, error) {
 
 func (d fountainGen) complete() bool { return d.dec.Complete() }
 
-// symbol is where unequal error protection pays off: high-IC symbols
-// resolve first, and each is usable the moment it is recovered.
+// symbol is where unequal error protection pays off: the systematic
+// prefix carries the high-IC symbols first, each usable on arrival.
 func (d fountainGen) symbol(i int) []byte { return d.dec.Symbol(i) }
 
 func (d fountainGen) decode() ([][]byte, bool, error) {

@@ -9,17 +9,17 @@ import (
 )
 
 // This file is the plan-side fountain glue: per-generation encoders
-// built lazily against the plan's raw packets, the IC-derived symbol
-// weights that realize unequal error protection, and the fountain frame
-// marshaling path mirroring Plan.Frame.
+// built lazily against the plan's raw packets, the per-packet IC
+// weights, and the fountain frame marshaling path mirroring Plan.Frame.
 
 // FountainWeights computes the per-raw-packet IC weights of dispersal
 // group g: each accrual segment spreads its score uniformly over the
 // raw packets its permuted extent touches, so a packet's weight is the
-// information content per byte it carries. Encoder (from the plan) and
-// decoder (from the transmitted layout) both call this — the layout
-// encoding carries each accrual score as its exact float64 bits, so the
-// derived specs are identical.
+// information content per byte it carries. The systematic fountain
+// stream does not read them — its protection order is the raw packets'
+// IC order — so neither the plan's encoders nor the receiver's decoders
+// are built with them; the layout encoding carries each accrual score as
+// its exact float64 bits, so both sides still compute identical weights.
 func (l Layout) FountainWeights(g int) ([]float64, error) {
 	if g < 0 || g >= len(l.Shapes) {
 		return nil, fmt.Errorf("core: fountain weights for generation %d of %d", g, len(l.Shapes))
@@ -82,12 +82,10 @@ func (p *Plan) FountainLayout(seed uint64) Layout {
 
 // fountainEncoder returns the plan's encoder for generation gen keyed to
 // the stream seed. One encoder per generation is built on first use and
-// kept — the symbol weights and degree tables do not depend on the seed,
-// which only keys the per-packet RNG — so what a plan retains is bounded
-// by its generation count however many seeds its clients choose.
-// Encoders reference the plan's raw packets without copying; the weights
-// come from the same FountainWeights the client will run against the
-// transmitted layout.
+// kept — nothing in it depends on the seed, which only keys the
+// per-packet RNG — so what a plan retains is bounded by its generation
+// count however many seeds its clients choose. Encoders reference the
+// plan's raw packets without copying.
 func (p *Plan) fountainEncoder(gen int, seed uint64) (fountain.Encoder, error) {
 	if gen < 0 || gen >= len(p.gens) {
 		return fountain.Encoder{}, fmt.Errorf("core: fountain generation %d of %d", gen, len(p.gens))
@@ -98,11 +96,7 @@ func (p *Plan) fountainEncoder(gen int, seed uint64) (fountain.Encoder, error) {
 		p.fenc = make([]*fountain.Encoder, len(p.gens))
 	}
 	if p.fenc[gen] == nil {
-		weights, err := p.Layout().FountainWeights(gen)
-		if err != nil {
-			return fountain.Encoder{}, err
-		}
-		enc, err := fountain.NewEncoder(gen, 0, p.gens[gen].raw, weights)
+		enc, err := fountain.NewEncoder(gen, 0, p.gens[gen].raw, nil)
 		if err != nil {
 			return fountain.Encoder{}, fmt.Errorf("core: fountain generation %d: %w", gen, err)
 		}

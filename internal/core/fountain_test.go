@@ -256,10 +256,9 @@ func TestFountainFrameCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestFountainWeightsConsistency pins the invariant the codec depends
-// on: the weights computed from a plan's own layout and from the
-// JSON-round-tripped layout a client receives are identical, so both
-// sides derive the same stream spec.
+// TestFountainWeightsConsistency pins that the weights computed from a
+// plan's own layout and from the JSON-round-tripped layout a client
+// receives are identical: the accrual scores cross the wire bit-exact.
 func TestFountainWeightsConsistency(t *testing.T) {
 	doc, scores := paperShapedDoc(t)
 	plan, err := NewPlanWithScores(doc, scores, Config{LOD: 4})

@@ -127,7 +127,7 @@ func (l Layout) Validate() error {
 		return fmt.Errorf("core: layout has no dispersal groups")
 	}
 	if !l.Codec.Valid() {
-		return fmt.Errorf("core: layout codec %d unknown", uint8(l.Codec))
+		return fmt.Errorf("core: layout codec %d: %w", uint8(l.Codec), erasure.ErrUnknownCodec)
 	}
 	if l.Codec != erasure.CodecFountain && l.Seed != 0 {
 		return fmt.Errorf("core: layout seed set for codec %s", l.Codec)
@@ -321,9 +321,11 @@ func (l Layout) ParseFrame(frame []byte) (seq int, payload []byte, err error) {
 func (l Layout) IsClear(seq int) bool { return l.clearRawIndex(seq) >= 0 }
 
 // clearRawIndex returns the global raw index carried in clear text by
-// cooked seq, or -1 for redundancy packets. Fountain packets are always
-// GF(2^8) combinations — a rateless stream has no systematic prefix —
-// so no fountain seq is ever clear.
+// cooked seq, or -1 for redundancy packets. It answers for the fixed-rate
+// seq space only: a fountain stream's systematic prefix is clear too, but
+// a clear-prefix-only tier never serves fountain, and a seeded decoded
+// generation is kept off the air by DoneGens rather than by Have, so no
+// fountain seq is reported clear.
 func (l Layout) clearRawIndex(seq int) int {
 	if l.Codec == erasure.CodecFountain {
 		return -1

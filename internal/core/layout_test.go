@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
 	"mobweb/internal/document"
+	"mobweb/internal/erasure"
 )
 
 // TestLayoutJSONRoundTrip: encoding/json carries a Layout as the base64
@@ -168,6 +170,15 @@ func TestLayoutValidate(t *testing.T) {
 				t.Error("receiver accepted invalid layout")
 			}
 		})
+	}
+
+	// Codec id 1 named the fountain stream before it was systematic: a
+	// layout carrying it, off the wire or out of a store, is refused by
+	// type rather than decoded under today's generator.
+	retired := plan.FountainLayout(7)
+	retired.Codec = 1
+	if err := retired.Validate(); !errors.Is(err, erasure.ErrUnknownCodec) {
+		t.Errorf("codec-1 layout: Validate = %v, want ErrUnknownCodec", err)
 	}
 }
 

@@ -51,10 +51,10 @@ func (r *Receiver) DoneGenerations() []int {
 // Raw symbols the codec also carries as clear-text rows — the fixed-rate
 // code's systematic prefix — re-enter as held packets too: the Have list
 // then covers them, and a server honoring DoneGens or Have sends nothing
-// for this generation. Under the fountain codec a raw symbol corresponds
-// to no wire packet; the generation is reconstructible through the memo
-// alone, and the client's stopgen/DoneGens feedback keeps the transmitter
-// off it.
+// for this generation. Under the fountain codec the raw symbols are the
+// stream's systematic prefix but do not re-enter as packets: the
+// generation is reconstructible through the memo alone, and the client's
+// stopgen/DoneGens feedback keeps the transmitter off it.
 func (r *Receiver) SeedDecodedGeneration(g int, raw [][]byte) error {
 	if g < 0 || g >= len(r.layout.Shapes) {
 		return fmt.Errorf("core: generation %d of %d", g, len(r.layout.Shapes))

@@ -1,6 +1,9 @@
 package erasure
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // CodecID identifies a cooked-packet codec on the wire, in cache keys
 // and in plan layouts. The zero value is the paper's fixed-rate
@@ -11,11 +14,18 @@ const (
 	// CodecVandermonde is the fixed-rate systematic Rabin/IDA code: N
 	// cooked packets are fixed per round, any M of them reconstruct.
 	CodecVandermonde CodecID = 0
-	// CodecFountain is the rateless LT-style code (internal/fountain):
+	// CodecFountain is the systematic rateless code (internal/fountain):
 	// the server streams cooked packets open-loop until the client has
-	// decoded and says stop.
-	CodecFountain CodecID = 1
+	// decoded and says stop. Id 1 named the rateless stream before it was
+	// systematic and is retired: under it the same (seed, gen, seq) names
+	// another combination, so a layout, frame or stored packet carrying
+	// id 1 is refused, never decoded under this generator.
+	CodecFountain CodecID = 2
 )
+
+// ErrUnknownCodec reports a codec id this build does not decode, the
+// retired id 1 included.
+var ErrUnknownCodec = errors.New("erasure: unknown codec")
 
 // String returns the canonical lower-case codec name used by flags,
 // gateway headers and benchmark output.
@@ -45,6 +55,6 @@ func ParseCodec(s string) (CodecID, error) {
 	case "fountain", "lt":
 		return CodecFountain, nil
 	default:
-		return CodecVandermonde, fmt.Errorf("erasure: unknown codec %q", s)
+		return CodecVandermonde, fmt.Errorf("%w %q", ErrUnknownCodec, s)
 	}
 }

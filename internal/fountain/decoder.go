@@ -36,15 +36,16 @@ type Decoder struct {
 	usedGauss bool
 	complete  bool
 
-	// Scratch of the forward pass, k entries each: the touched pivot rows
-	// and the packet's coefficient on each.
+	// Scratch of the forward pass, k entries each: the packet's
+	// coefficient on each touched pivot and what that pivot contributes.
 	factors []byte
 	srcs    [][]byte
 }
 
 // NewDecoder builds the decoding side of generation gen's stream. k,
-// size, seed and weights must match the encoder exactly; the receiver
-// derives them from the layout, the same place the server derived them.
+// size and seed must match the encoder exactly; the receiver derives
+// them from the layout, the same place the server derived them. weights
+// is validated as NewEncoder's is and does not shape the stream.
 func NewDecoder(gen int, seed uint64, k, size int, weights []float64) (*Decoder, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("fountain: symbol size %d", size)
@@ -118,11 +119,11 @@ func (d *Decoder) Add(seq int, payload []byte) (int, error) {
 
 	k := d.spec.k
 	row := make([]byte, k+d.size) //lint:allow hotalloc (the one allocation per packet: the pivot row it becomes)
-	cols := d.spec.combination(d.seed, seq, row[:k])
+	d.spec.combination(d.seed, seq, row[:k])
 	copy(row[k:], payload)
 
 	before := d.nRec
-	d.eliminate(row, cols)
+	d.eliminate(row)
 	if d.rank == k {
 		d.finish()
 	}
@@ -134,25 +135,36 @@ func (d *Decoder) Add(seq int, payload []byte) (int, error) {
 // lowest surviving column and clears that column from every other row.
 //
 //mobweb:hot the row reduction of Decoder.Add
-func (d *Decoder) eliminate(row []byte, cols colset) {
+func (d *Decoder) eliminate(row []byte) {
 	k := d.spec.k
 	// Forward. Pivot rows are zero on each other's columns, so the factor
 	// of each is the packet's own coefficient there, whatever the order,
-	// and one fused pass applies them all. A resolved pivot contributes
-	// its symbol only: the peeling substitution.
-	n, mixed := 0, false
-	for w, word := range cols {
-		for ; word != 0; word &= word - 1 {
-			c := w<<6 + bits.TrailingZeros64(word)
-			if p := d.rows[c]; p != nil {
-				d.factors[n], d.srcs[n] = row[c], p
-				n++
-				mixed = mixed || d.free[c] > 0
-			}
+	// and one fused pass applies each kind. A resolved pivot reads
+	// "symbol c = payload": it clears column c and contributes its payload
+	// only, the peeling substitution. An unresolved one contributes its
+	// whole row. The two kinds share the scratch from opposite ends; at
+	// most k pivots exist, so they never meet.
+	res, unres := 0, k
+	for c, f := range row[:k] {
+		p := d.rows[c]
+		if f == 0 || p == nil {
+			continue
+		}
+		if d.free[c] == 0 {
+			d.factors[res], d.srcs[res] = f, p[k:]
+			res++
+			row[c] = 0
+		} else {
+			unres--
+			d.factors[unres], d.srcs[unres] = f, p
 		}
 	}
-	if n > 0 {
-		gf256.MulAddRows(d.factors[:n], row, d.srcs[:n])
+	if res > 0 {
+		gf256.MulAddRows(d.factors[:res], row[k:], d.srcs[:res])
+	}
+	mixed := unres < k
+	if mixed {
+		gf256.MulAddRows(d.factors[unres:], row, d.srcs[unres:])
 	}
 
 	// What survives sits on pivot-less columns only.

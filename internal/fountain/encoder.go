@@ -20,10 +20,11 @@ type Encoder struct {
 }
 
 // NewEncoder builds the stream for generation gen under the given seed.
-// src holds the generation's equal-length source symbols (raw packets);
-// weights optionally carries one IC weight per symbol for UEP (nil means
-// uniform protection). The src slices are retained, not copied — callers
-// must not mutate them afterwards.
+// src holds the generation's equal-length source symbols (raw packets),
+// in the order the systematic prefix sends them. weights, one IC weight
+// per symbol or nil, is validated but does not shape the stream. The src
+// slices are retained, not copied — callers must not mutate them
+// afterwards.
 func NewEncoder(gen int, seed uint64, src [][]byte, weights []float64) (*Encoder, error) {
 	if len(src) == 0 {
 		return nil, fmt.Errorf("fountain: no source symbols")
@@ -74,10 +75,14 @@ func (e *Encoder) Payload(seq int) []byte {
 var coeffScratch = sync.Pool{New: func() any { return new([MaxSourceSymbols]byte) }}
 
 // AppendPayload cooks packet seq and appends it to dst, returning the
-// extended slice; with room in dst it allocates nothing. The combination
-// is derived deterministically and the GF(2^8) accumulation runs through
-// the shared slice kernels.
+// extended slice; with room in dst it allocates nothing. A source seq is
+// a copy of its symbol; a repair's combination is derived
+// deterministically and accumulated through the shared slice kernels.
 func (e *Encoder) AppendPayload(dst []byte, seq int) []byte {
+	fountainMetrics.packetsGenerated.Inc()
+	if e.spec.isSource(seq) {
+		return append(dst, e.src[seq]...)
+	}
 	buf := coeffScratch.Get().(*[MaxSourceSymbols]byte)
 	co := buf[:e.spec.k]
 	e.spec.combination(e.seed, seq, co)
@@ -86,6 +91,5 @@ func (e *Encoder) AppendPayload(dst []byte, seq int) []byte {
 	gf256.MulAddRows(co, dst[off:], e.src)
 	clear(co)
 	coeffScratch.Put(buf)
-	fountainMetrics.packetsGenerated.Inc()
 	return dst
 }

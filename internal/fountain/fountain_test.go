@@ -95,30 +95,66 @@ func TestRoundtripUnderLoss(t *testing.T) {
 	}
 }
 
-// TestWeightMismatchIsNotSilent documents that encoder and decoder must
-// agree on weights: a mismatched decoder derives different combinations
-// and decodes garbage, which is why the layout carries the accrual
-// scores both sides derive weights from.
-func TestWeightMismatchIsNotSilent(t *testing.T) {
-	k := 24
-	rng := rand.New(rand.NewSource(9))
-	src := randomSymbols(rng, k, 32)
-	weights := make([]float64, k)
-	for i := range weights {
-		weights[i] = float64(i)
-	}
-	enc, _ := NewEncoder(0, 0x1234, src, weights)
-	dec, _ := NewDecoder(0, 0x1234, k, 32, nil) // wrong: uniform
-	for seq := 0; seq < 3*k && !dec.Complete(); seq++ {
-		dec.Add(seq, enc.Payload(seq))
-	}
-	if dec.Complete() {
-		for i := range src {
-			if !bytes.Equal(dec.Symbol(i), src[i]) {
-				return // garbage as expected
+// TestSystematicPrefixIsSource pins the systematic prefix: under every
+// seed the payload of seq i < k is raw packet i, and an in-order clean
+// decode finishes at exactly k packets with no elimination between
+// unresolved rows.
+func TestSystematicPrefixIsSource(t *testing.T) {
+	for _, k := range []int{1, 2, 40, 255} {
+		src := randomSymbols(rand.New(rand.NewSource(int64(k))), k, 32)
+		for _, seed := range []uint64{0, 1, ^uint64(0)} {
+			enc, err := NewEncoder(1, seed, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range src {
+				if got := enc.Payload(i); !bytes.Equal(got, want) {
+					t.Fatalf("k=%d seed=%x: seq %d is %x, want raw packet %x", k, seed, i, got, want)
+				}
+			}
+			dec, err := NewDecoder(1, seed, k, 32, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drain(t, enc, dec, nil, 0)
+			checkDecoded(t, dec, src)
+			if dec.Received() != k || dec.UsedGaussian() {
+				t.Fatalf("k=%d seed=%x: clean in-order decode took %d packets (gaussian %v), want %d and none",
+					k, seed, dec.Received(), dec.UsedGaussian(), k)
 			}
 		}
-		t.Fatal("mismatched weights decoded the true source; weights are not binding the spec")
+	}
+}
+
+// TestOvershootTable bounds the reception overhead of dense repairs: a
+// repair fails to add rank only when it falls in the span of what is
+// held, about one chance in 256, so over α ∈ {0.1 … 0.4} × 8 seeds the
+// mean count of packets consumed beyond k stays within 1 % of k.
+func TestOvershootTable(t *testing.T) {
+	const k, size, trials = 128, 16, 8
+	for _, alpha := range []float64{0.1, 0.2, 0.3, 0.4} {
+		over := 0
+		for trial := 0; trial < trials; trial++ {
+			rng := rand.New(rand.NewSource(int64(alpha*1000) + int64(trial)))
+			src := randomSymbols(rng, k, size)
+			seed := rng.Uint64()
+			enc, err := NewEncoder(0, seed, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := NewDecoder(0, seed, k, size, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drain(t, enc, dec, rng, alpha)
+			checkDecoded(t, dec, src)
+			over += dec.Received() - k
+		}
+		mean := float64(over) / trials
+		if mean > 0.01*k {
+			t.Errorf("alpha=%.1f: mean overshoot %.2f packets, want <= %.2f", alpha, mean, 0.01*k)
+		}
+		t.Logf("alpha=%.1f: mean overshoot %.3f packets over %d trials (k=%d)", alpha, mean, trials, k)
 	}
 }
 
@@ -234,7 +270,7 @@ func TestGaussianFallbackAndSharedInvCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// White-box: pick seqs whose combinations have degree >= 2.
+	// White-box: pick seqs whose combinations have degree >= 2: repairs.
 	var seqs []int
 	for seq := 0; len(seqs) < k+4 && seq < 100*k; seq++ {
 		if idx, _ := oracleCombination(enc.spec, seed, seq); len(idx) >= 2 {

@@ -13,46 +13,22 @@ import (
 
 // This file keeps the decoder the online eliminator replaced — sparse
 // peeling with a ripple, then a batch Gaussian solve of the residual
-// system, retried on every packet until it has full rank — and the
-// map-and-sort combination draw, as the oracles the production code is
-// compared against after every packet.
+// system, retried on every packet until it has full rank — and a sparse
+// statement of the systematic generator, as the oracles the production
+// code is compared against after every packet.
 
-// oracleCombination is the original draw: a map for the chosen set, a
-// sort, then one coefficient per index in ascending order.
+// oracleCombination states the generator as index and coefficient lists:
+// seq < k is source symbol seq with coefficient 1, any other seq names
+// every symbol in ascending order, each with one non-zero draw of the
+// (seed, gen, seq) stream.
 func oracleCombination(s *spec, seed uint64, seq int) (idx []int, coeffs []byte) {
+	if seq >= 0 && seq < s.k {
+		return []int{seq}, []byte{1}
+	}
 	r := newRNG(seed, s.gen, seq)
-	d := s.dist.sample(&r)
-	if d > s.k {
-		d = s.k
-	}
-	idx = make([]int, 0, d)
-	chosen := make(map[int]bool, d)
-	total := s.cum[s.k-1]
-	for attempts := 0; len(idx) < d; attempts++ {
-		if attempts > 16*s.k {
-			for i := 0; i < s.k && len(idx) < d; i++ {
-				if !chosen[i] {
-					chosen[i] = true
-					idx = append(idx, i)
-				}
-			}
-			break
-		}
-		x := r.float64() * total
-		i := sort.SearchFloat64s(s.cum, x)
-		if i >= s.k {
-			i = s.k - 1
-		}
-		if chosen[i] {
-			continue
-		}
-		chosen[i] = true
+	for i := 0; i < s.k; i++ {
 		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	coeffs = make([]byte, len(idx))
-	for i := range coeffs {
-		coeffs[i] = byte(1 + r.intn(255))
+		coeffs = append(coeffs, byte(1+r.intn(255)))
 	}
 	return idx, coeffs
 }
@@ -77,9 +53,9 @@ type oracleDecoder struct {
 	complete  bool
 }
 
-func newOracleDecoder(t testing.TB, gen int, seed uint64, k, size int, weights []float64) *oracleDecoder {
+func newOracleDecoder(t testing.TB, gen int, seed uint64, k, size int) *oracleDecoder {
 	t.Helper()
-	sp, err := newSpec(gen, k, weights)
+	sp, err := newSpec(gen, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,44 +208,28 @@ func solveDense(dense [][]byte) ([]int, *matrix.Matrix) {
 	return perm[:u], inv
 }
 
-// testWeights returns the three weight shapes of the oracle table.
-func testWeights(k int) map[string][]float64 {
-	uniform, skewed := make([]float64, k), make([]float64, k)
-	for i := range uniform {
-		uniform[i] = 1
-		if i < (k+3)/4 {
-			skewed[i] = float64(k - i)
-		}
-	}
-	return map[string][]float64{"nil": nil, "uniform": uniform, "skewed": skewed}
-}
-
-// TestCombinationMatchesOracle pins the draw order: the allocation-free
-// combination must pick the same symbols and coefficients as the
-// original for every (geometry, seed, seq), or streams stop being
-// bit-identical across versions.
+// TestCombinationMatchesOracle pins the generator: the dense row
+// combination writes must equal the oracle's statement of it for every
+// (geometry, seed, seq), or streams stop being bit-identical across
+// versions — and a store holding the old stream's packets would decode
+// them under the wrong combinations.
 func TestCombinationMatchesOracle(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 8, 40, 128, 255} {
-		for name, w := range testWeights(k) {
-			sp, err := newSpec(k%5, k, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, seed := range []uint64{0, 1, 0xc0ffee, ^uint64(0)} {
-				for seq := 0; seq < 300; seq++ {
-					row := make([]byte, k)
-					cols := sp.combination(seed, seq, row)
-					idx, coeffs := oracleCombination(sp, seed, seq)
-					want := make([]byte, k)
-					for i, j := range idx {
-						want[j] = coeffs[i]
-						if !cols.has(j) {
-							t.Fatalf("k=%d %s seed=%x seq=%d: column %d missing from the set", k, name, seed, seq, j)
-						}
-					}
-					if !bytes.Equal(row, want) {
-						t.Fatalf("k=%d %s seed=%x seq=%d: coefficients %x, oracle %x", k, name, seed, seq, row, want)
-					}
+		sp, err := newSpec(k%5, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []uint64{0, 1, 0xc0ffee, ^uint64(0)} {
+			for seq := 0; seq < 300; seq++ {
+				row := make([]byte, k)
+				sp.combination(seed, seq, row)
+				idx, coeffs := oracleCombination(sp, seed, seq)
+				want := make([]byte, k)
+				for i, j := range idx {
+					want[j] = coeffs[i]
+				}
+				if !bytes.Equal(row, want) {
+					t.Fatalf("k=%d seed=%x seq=%d: coefficients %x, oracle %x", k, seed, seq, row, want)
 				}
 			}
 		}
@@ -286,84 +246,82 @@ func TestDecoderMatchesOracle(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 8, 40, 128, 255} {
 		for _, alpha := range []float64{0, 0.2, 0.5} {
 			for _, order := range []string{"in-order", "shuffled", "duplicated"} {
-				for wname, weights := range testWeights(k) {
-					name := fmt.Sprintf("k%d/a%.1f/%s/%s", k, alpha, order, wname)
-					rng := rand.New(rand.NewSource(int64(k)*131 + int64(alpha*10) + int64(len(order))))
-					src := randomSymbols(rng, k, size)
-					seed := rng.Uint64()
-					enc, err := NewEncoder(2, seed, src, weights)
+				name := fmt.Sprintf("k%d/a%.1f/%s", k, alpha, order)
+				rng := rand.New(rand.NewSource(int64(k)*131 + int64(alpha*10) + int64(len(order))))
+				src := randomSymbols(rng, k, size)
+				seed := rng.Uint64()
+				enc, err := NewEncoder(2, seed, src, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The arrival schedule: survivors of the loss pattern
+				// over a window long enough to decode, then reordered.
+				var seqs []int
+				for seq := 0; seq < 3*k+64; seq++ {
+					if rng.Float64() >= alpha {
+						seqs = append(seqs, seq)
+					}
+				}
+				switch order {
+				case "shuffled":
+					rng.Shuffle(len(seqs), func(i, j int) { seqs[i], seqs[j] = seqs[j], seqs[i] })
+				case "duplicated":
+					for i := len(seqs) - 1; i > 0; i -= 3 {
+						seqs = append(seqs[:i+1], seqs[i:]...)
+						seqs[i+1] = seqs[rng.Intn(i+1)]
+					}
+				}
+				dec, err := NewDecoder(2, seed, k, size, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				orc := newOracleDecoder(t, 2, seed, k, size)
+				for step, seq := range seqs {
+					p := enc.Payload(seq)
+					was := dec.RecoveredCount()
+					n, err := dec.Add(seq, p)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: Add(%d): %v", name, seq, err)
 					}
-					// The arrival schedule: survivors of the loss pattern
-					// over a window long enough to decode, then reordered.
-					var seqs []int
-					for seq := 0; seq < 3*k+64; seq++ {
-						if rng.Float64() >= alpha {
-							seqs = append(seqs, seq)
-						}
+					orc.add(seq, p)
+					if n != dec.RecoveredCount()-was {
+						t.Fatalf("%s step %d: Add reported %d new symbols, count moved by %d", name, step, n, dec.RecoveredCount()-was)
 					}
-					switch order {
-					case "shuffled":
-						rng.Shuffle(len(seqs), func(i, j int) { seqs[i], seqs[j] = seqs[j], seqs[i] })
-					case "duplicated":
-						for i := len(seqs) - 1; i > 0; i -= 3 {
-							seqs = append(seqs[:i+1], seqs[i:]...)
-							seqs[i+1] = seqs[rng.Intn(i+1)]
-						}
+					if dec.Complete() != orc.complete {
+						t.Fatalf("%s step %d (seq %d): complete %v, oracle %v", name, step, seq, dec.Complete(), orc.complete)
 					}
-					dec, err := NewDecoder(2, seed, k, size, weights)
-					if err != nil {
-						t.Fatal(err)
+					if dec.Received() != orc.received {
+						t.Fatalf("%s step %d: received %d, oracle %d", name, step, dec.Received(), orc.received)
 					}
-					orc := newOracleDecoder(t, 2, seed, k, size, weights)
-					for step, seq := range seqs {
-						p := enc.Payload(seq)
-						was := dec.RecoveredCount()
-						n, err := dec.Add(seq, p)
-						if err != nil {
-							t.Fatalf("%s: Add(%d): %v", name, seq, err)
+					got := 0
+					for i := 0; i < k; i++ {
+						sym := dec.Symbol(i)
+						if sym == nil && orc.recovered[i] != nil {
+							t.Fatalf("%s step %d: oracle has symbol %d, eliminator does not", name, step, i)
 						}
-						orc.add(seq, p)
-						if n != dec.RecoveredCount()-was {
-							t.Fatalf("%s step %d: Add reported %d new symbols, count moved by %d", name, step, n, dec.RecoveredCount()-was)
-						}
-						if dec.Complete() != orc.complete {
-							t.Fatalf("%s step %d (seq %d): complete %v, oracle %v", name, step, seq, dec.Complete(), orc.complete)
-						}
-						if dec.Received() != orc.received {
-							t.Fatalf("%s step %d: received %d, oracle %d", name, step, dec.Received(), orc.received)
-						}
-						got := 0
-						for i := 0; i < k; i++ {
-							sym := dec.Symbol(i)
-							if sym == nil && orc.recovered[i] != nil {
-								t.Fatalf("%s step %d: oracle has symbol %d, eliminator does not", name, step, i)
-							}
-							if sym != nil {
-								got++
-								if !bytes.Equal(sym, src[i]) {
-									t.Fatalf("%s step %d: exposed symbol %d is wrong", name, step, i)
-								}
-							}
-							if dec.Recovered(i) != (sym != nil) {
-								t.Fatalf("%s step %d: Recovered(%d) disagrees with Symbol", name, step, i)
+						if sym != nil {
+							got++
+							if !bytes.Equal(sym, src[i]) {
+								t.Fatalf("%s step %d: exposed symbol %d is wrong", name, step, i)
 							}
 						}
-						if got != dec.RecoveredCount() {
-							t.Fatalf("%s step %d: %d symbols exposed, RecoveredCount %d", name, step, got, dec.RecoveredCount())
+						if dec.Recovered(i) != (sym != nil) {
+							t.Fatalf("%s step %d: Recovered(%d) disagrees with Symbol", name, step, i)
 						}
 					}
-					if !dec.Complete() {
-						t.Fatalf("%s: incomplete after %d packets", name, len(seqs))
+					if got != dec.RecoveredCount() {
+						t.Fatalf("%s step %d: %d symbols exposed, RecoveredCount %d", name, step, got, dec.RecoveredCount())
 					}
+				}
+				if !dec.Complete() {
+					t.Fatalf("%s: incomplete after %d packets", name, len(seqs))
 				}
 			}
 		}
 	}
 }
 
-// TestRankDeficientStreamNeverCompletes feeds degree ≥ 2 packets spanning
+// TestRankDeficientStreamNeverCompletes feeds repair packets spanning
 // fewer than k dimensions: no completion, and nothing exposed is wrong.
 func TestRankDeficientStreamNeverCompletes(t *testing.T) {
 	const k, size = 20, 32

@@ -24,8 +24,9 @@ const (
 	FountainOverhead = 17
 	// FountainCodecByte is the codec id carried in byte 0 of a fountain
 	// frame (erasure.CodecFountain; duplicated here to keep packet
-	// dependency-free).
-	FountainCodecByte = 1
+	// dependency-free). A frame of the retired id 1, the stream before it
+	// was systematic, fails with ErrCodecMismatch.
+	FountainCodecByte = 2
 	// MaxFountainSeq bounds the per-generation fountain seq.
 	MaxFountainSeq = 1<<32 - 1
 	// MaxFountainGen bounds the generation index on the wire.

@@ -483,9 +483,9 @@ func (s *relay) StopGen(g int) error {
 	return nil
 }
 
-// Pace implements transport.FrameSource: frames go out as the replica
-// sends them.
-func (s *relay) Pace() (flushEach, selfPaced bool) { return true, true }
+// SelfPaced implements transport.FrameSource: frames go out as the
+// replica sends them.
+func (s *relay) SelfPaced() bool { return true }
 
 // end is the fetch's end hook: it lets go of the replica leg and writes
 // the front's fetch-log record.

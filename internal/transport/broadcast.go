@@ -201,6 +201,6 @@ func (b *broadcastSource) Next(ctl <-chan Request) (Frame, Request, error) {
 	return Frame{}, Request{}, nil
 }
 
-// Pace implements FrameSource: the carousel's producer is paced to the
-// emulated link rate, not each subscriber's loop.
-func (b *broadcastSource) Pace() (flushEach, selfPaced bool) { return true, true }
+// SelfPaced implements FrameSource: the carousel's producer is paced to
+// the emulated link rate, not each subscriber's loop.
+func (b *broadcastSource) SelfPaced() bool { return true }

@@ -45,6 +45,14 @@ func TestFountainFetchCleanChannel(t *testing.T) {
 	if frames == 0 {
 		t.Error("no progress callbacks on the fountain path")
 	}
+	// The stream is systematic: on a clean channel the draft's one
+	// generation arrives as its M source packets, and the client stops on
+	// the M-th without consuming a repair.
+	m := (len(doc.Body()) + core.DefaultPacketSize - 1) / core.DefaultPacketSize
+	if res.PacketsReceived != m || res.HeldPackets != m {
+		t.Errorf("clean fountain fetch received %d frames and held %d, want M = %d each",
+			res.PacketsReceived, res.HeldPackets, m)
+	}
 }
 
 // TestFountainSingleRoundUnderLoss is the rateless payoff over the real

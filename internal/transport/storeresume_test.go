@@ -282,6 +282,49 @@ func TestPrefetchCancelPersistsPartialWindow(t *testing.T) {
 	}
 }
 
+// TestRetiredFountainCodecStoreNotSeeded: testdata/store-codec1 is a
+// store written before the fountain stream became systematic — a
+// ten-frame fountain prefetch of the draft document, so a layout and ten
+// loose packets under codec id 1. Today's generator gives the same
+// (seed, gen, seq) another combination, so seeding those packets would
+// decode a wrong body with a nil error. The retired id keeps them out:
+// the fetch seeds nothing and returns the exact body.
+func TestRetiredFountainCodecStoreNotSeeded(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "store-codec1", "seg-00000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000000.log"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := dialWithStore(t, startServerAddr(t, ServerOptions{}), dir)
+	opts := FetchOptions{Doc: corpus.DraftName, Caching: true, Codec: erasure.CodecFountain}
+
+	retired := opts
+	retired.Codec = 1
+	if n := len(c.Store.Packets(fetchShape(retired), retired.Codec)); n != 10 {
+		t.Fatalf("fixture holds %d codec-1 packets, want 10", n)
+	}
+	if _, ok := c.Store.Layout(fetchShape(retired)); ok {
+		t.Fatal("a codec-1 layout validated")
+	}
+	full, err := c.Fetch(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.StoredPackets != 0 {
+		t.Errorf("fetch seeded %d records of the retired stream", full.StoredPackets)
+	}
+	doc, err := corpus.Load(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(full.Body, doc.Body()) {
+		t.Fatal("body fetched over a codec-1 store differs from the source document")
+	}
+}
+
 // TestLegacyJSONLayoutDropped: a store last written by a build that kept
 // the layout as JSON reopens cleanly under this one. The JSON record is
 // intact as a record (framing and CRC are the store's, not the layout's),

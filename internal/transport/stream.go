@@ -42,20 +42,20 @@ type FrameSource interface {
 	Next(ctl <-chan Request) (Frame, Request, error)
 	// StopGen applies a client's stopgen for generation g.
 	StopGen(g int) error
-	// Pace reports how the loop times the source's frames. flushEach marks
-	// frames that must reach the decoder promptly rather than sit in the
-	// write buffer — an open-loop stream, which ends only through client
-	// feedback; a closed-loop round flushes at its end. selfPaced marks
-	// frames that arrive on a clock of their own (a broadcast carousel, a
-	// relayed stream), which the loop must not pace a second time.
-	Pace() (flushEach, selfPaced bool)
+	// SelfPaced reports that the source's frames arrive on a clock of
+	// their own (a broadcast carousel, a relayed stream): the loop must not
+	// pace them a second time, and since Next may block until the next one
+	// comes, it flushes each frame before asking. A source whose Next never
+	// blocks leaves flushing to the write buffer, which flushes when full
+	// and when the stream ends.
+	SelfPaced() bool
 }
 
 // pump is the stream loop: it moves frames from src to w until the source
 // ends or the client says stop, and reports how many went on the air.
 func (s *Server) pump(w *bufio.Writer, src FrameSource, requests <-chan Request, injector FaultInjector) (int, error) {
 	_, cleanChannel := injector.(NopInjector)
-	flushEach, selfPaced := src.Pace()
+	selfPaced := src.SelfPaced()
 	delay := s.opts.PacketDelay
 	if selfPaced {
 		delay = 0
@@ -99,7 +99,7 @@ func (s *Server) pump(w *bufio.Writer, src FrameSource, requests <-chan Request,
 		}
 		sent++
 		s.sm.framesOut.Inc()
-		if flushEach || delay > 0 {
+		if selfPaced || delay > 0 {
 			if err := w.Flush(); err != nil {
 				return sent, err
 			}
@@ -183,13 +183,13 @@ func (r *rowSource) StopGen(int) error {
 	return fmt.Errorf("transport: %q request during a fixed-rate stream", "stopgen")
 }
 
-func (r *rowSource) Pace() (flushEach, selfPaced bool) { return false, false }
+func (r *rowSource) SelfPaced() bool { return false }
 
 // fountainOvershootCap bounds the packets a fountain stream sends for
 // one generation of M source symbols before giving up on feedback:
 // enough for decode at severe loss (4M covers α beyond 0.7), with a
-// floor for tiny generations whose soliton overhead is proportionally
-// larger.
+// floor for tiny generations, where a short run of losses is a large
+// share of the generation.
 func fountainOvershootCap(m int) int {
 	if c := 4 * m; c > m+64 {
 		return c
@@ -250,8 +250,6 @@ func (st *genStops) admit(g, seq int) bool {
 	return true
 }
 
-func (st *genStops) Pace() (flushEach, selfPaced bool) { return true, false }
-
 // fountainSource is a private open-loop fountain stream: round-robin over
 // the generations the client has not yet decoded, each generation's
 // symbols in seq order.
@@ -271,6 +269,8 @@ func newFountainSource(resolved *planner.Resolved, seed uint64, req Request, lay
 		cursor:   make([]int, len(layout.Shapes)),
 	}
 }
+
+func (f *fountainSource) SelfPaced() bool { return false }
 
 func (f *fountainSource) Next(ctl <-chan Request) (Frame, Request, error) {
 	for f.active > 0 {
