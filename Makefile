@@ -102,7 +102,7 @@ fuzz:
 	go test -fuzz=FuzzLayoutBinary -fuzztime=30s ./internal/core
 	go test -fuzz=FuzzRequestDecode -fuzztime=30s ./internal/transport
 	go test -fuzz=FuzzResponseLayout -fuzztime=30s ./internal/transport
-	go test -fuzz=FuzzFountainRoundtrip -fuzztime=30s ./internal/fountain
+	go test -fuzz=FuzzFountainRoundtrip -fuzztime=60s ./internal/fountain # both codecs' row generators through erasure.Decoder
 	go test -fuzz=FuzzStoreRecover -fuzztime=30s ./internal/store
 
 clean:

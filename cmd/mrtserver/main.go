@@ -297,8 +297,7 @@ func statsLine(reg *obs.Registry) string {
 		line += fmt.Sprintf(" fountain=%d bcast_subs=%d bcast_drops=%d",
 			v, s.Gauges["serve.broadcast_subscribers"], s.Counters["serve.broadcast_drops"])
 		if fm, ok := s.Probes["fountain"].(map[string]int64); ok {
-			line += fmt.Sprintf(" ft_overshoot_kb=%d ft_gauss=%d",
-				fm["overshoot_bytes"]>>10, fm["gauss_decodes"])
+			line += fmt.Sprintf(" ft_generated=%d", fm["packets_generated"])
 		}
 	}
 	return line

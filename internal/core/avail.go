@@ -7,9 +7,8 @@ package core
 // costs what the last packets changed instead of a walk over every unit
 // and every packet.
 //
-// Availability only grows until Reset — a held row stays held, a resolved
-// symbol stays resolved, a complete generation stays complete — so the
-// index never retracts a flag.
+// Availability only grows until Reset — a held row stays held, a complete
+// generation stays complete — so the index never retracts a flag.
 type availIndex struct {
 	// raw[p]: global raw packet p's bytes are usable.
 	raw []bool
@@ -128,9 +127,9 @@ func (ix *availIndex) markRaw(p int) {
 }
 
 // fold brings the index up to date with the decoders: it rescans only the
-// generations touched since the last fold, through the same genDecoder
-// seam whatever made a symbol readable — a clear row, a resolved fountain
-// symbol, a completed or seeded generation.
+// generations touched since the last fold. A symbol is usable once its
+// source packet is held or its generation is complete; an incomplete
+// generation's Symbol never solves.
 //
 //mobweb:hot
 func (r *Receiver) fold() {
@@ -145,7 +144,7 @@ func (r *Receiver) fold() {
 			ix.touched[g] = false
 			all := r.GenerationReconstructible(g)
 			for i := 0; i < shape.M; i++ {
-				if p := rawOff + i; !ix.raw[p] && (all || r.gens[g].symbol(i) != nil) {
+				if p := rawOff + i; !ix.raw[p] && (all || r.gens[g].Symbol(i) != nil) {
 					ix.markRaw(p)
 				}
 			}

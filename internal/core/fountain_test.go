@@ -77,8 +77,8 @@ func TestFountainPlanRoundtrip(t *testing.T) {
 
 // TestFountainProgressiveIC checks the progressive payoff end to end:
 // with several generations in flight, early-completing generations (and
-// peeled symbols within them) accrue IC before the whole document is
-// reconstructible.
+// the source symbols of the others) accrue IC before the whole document
+// is reconstructible.
 func TestFountainProgressiveIC(t *testing.T) {
 	doc, scores := paperShapedDoc(t)
 	plan, err := NewPlanWithScores(doc, scores, Config{LOD: 4, MaxGeneration: 8})

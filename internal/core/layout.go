@@ -314,29 +314,12 @@ func (l Layout) ParseFrame(frame []byte) (seq int, payload []byte, err error) {
 	return p.Seq, p.Payload, err
 }
 
-// IsClear reports whether cooked seq carries a clear-text (systematic)
-// row rather than parity. A clear-prefix-only replica streams only these
+// IsClear reports whether wire seq carries a clear-text (systematic) row
+// rather than a repair: under both codecs a generation's first M packets
+// are its raw packets. A clear-prefix-only replica streams only these
 // rows: clean channels still reconstruct from the M intact data rows of
 // each generation, at the cost of extra rounds on lossy channels.
-func (l Layout) IsClear(seq int) bool { return l.clearRawIndex(seq) >= 0 }
-
-// clearRawIndex returns the global raw index carried in clear text by
-// cooked seq, or -1 for redundancy packets. It answers for the fixed-rate
-// seq space only: a fountain stream's systematic prefix is clear too, but
-// a clear-prefix-only tier never serves fountain, and a seeded decoded
-// generation is kept off the air by DoneGens rather than by Have, so no
-// fountain seq is reported clear.
-func (l Layout) clearRawIndex(seq int) int {
-	if l.Codec == erasure.CodecFountain {
-		return -1
-	}
-	g, rawOff, cookedOff, err := l.genBounds(seq)
-	if err != nil {
-		return -1
-	}
-	idx := seq - cookedOff
-	if idx < l.Shapes[g].M {
-		return rawOff + idx
-	}
-	return -1
+func (l Layout) IsClear(seq int) bool {
+	g, local, ok := l.SplitSeq(seq)
+	return ok && local < l.Shapes[g].M
 }

@@ -9,6 +9,7 @@ import (
 
 	"mobweb/internal/document"
 	"mobweb/internal/erasure"
+	"mobweb/internal/packet"
 )
 
 // TestLayoutJSONRoundTrip: encoding/json carries a Layout as the base64
@@ -222,32 +223,36 @@ func TestLayoutValidateOffsetOverflow(t *testing.T) {
 	}
 }
 
+// TestLayoutClearRawIndex keeps its name from the raw-index mapping
+// IsClear was once built on; what it pins is the clear-text predicate
+// itself, under both codecs, including seqs outside the layout.
 func TestLayoutClearRawIndex(t *testing.T) {
 	doc, scores := paperShapedDoc(t)
 	plan, err := NewPlanWithScores(doc, scores, Config{MaxGeneration: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := plan.Layout()
-	// Generation g spans cooked [g*12, g*12+12); the first 8 are clear
-	// and map to raw g*8+i.
+	// Generation g spans cooked [g*12, g*12+12), of which the first 8 are
+	// clear; the fountain stream of the same plan has its first 8 seqs
+	// clear and every later one a repair.
+	l, f := plan.Layout(), plan.FountainLayout(3)
 	for g := 0; g < 5; g++ {
-		for i := 0; i < 12; i++ {
-			seq := g*12 + i
-			want := -1
-			if i < 8 {
-				want = g*8 + i
+		for _, i := range []int{0, 7, 8, 11, 300} {
+			if seq := g*12 + i; i < 12 && l.IsClear(seq) != (i < 8) {
+				t.Errorf("IsClear(%d) = %v, want %v", seq, l.IsClear(seq), i < 8)
 			}
-			if got := l.clearRawIndex(seq); got != want {
-				t.Errorf("clearRawIndex(%d) = %d, want %d", seq, got, want)
+			if seq, _ := f.WireSeq(g, i); f.IsClear(seq) != (i < 8) {
+				t.Errorf("fountain IsClear(gen %d, seq %d) = %v, want %v", g, i, f.IsClear(seq), i < 8)
 			}
 		}
 	}
-	if got := l.clearRawIndex(-1); got != -1 {
-		t.Errorf("clearRawIndex(-1) = %d, want -1", got)
+	for _, seq := range []int{-1, l.N()} {
+		if l.IsClear(seq) {
+			t.Errorf("IsClear(%d) outside the layout", seq)
+		}
 	}
-	if got := l.clearRawIndex(l.N()); got != -1 {
-		t.Errorf("clearRawIndex(N) = %d, want -1", got)
+	if f.IsClear(packet.PackSeq(len(f.Shapes), 0)) {
+		t.Error("fountain IsClear past the last generation")
 	}
 }
 

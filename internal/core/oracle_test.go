@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mobweb/internal/document"
+	"mobweb/internal/erasure"
 )
 
 // This file keeps the receiver's previous progress accounting — a fresh
@@ -17,16 +18,14 @@ import (
 // what the scans answered, after every packet.
 
 // rawAvailable computes, per raw packet, whether its bytes are usable:
-// its whole generation is reconstructible, or the decoder can already
-// read it — a clear-text row arrived, or a fountain symbol peeled before
-// the generation completed.
+// its whole generation is reconstructible, or its clear-text row arrived.
 func (r *Receiver) rawAvailable() []bool {
 	avail := make([]bool, r.layout.M())
 	rawOff := 0
 	for g, shape := range r.layout.Shapes {
 		all := r.GenerationReconstructible(g)
 		for i := 0; i < shape.M; i++ {
-			avail[rawOff+i] = all || r.gens[g].symbol(i) != nil
+			avail[rawOff+i] = all || r.gens[g].Symbol(i) != nil
 		}
 		rawOff += shape.M
 	}
@@ -368,7 +367,10 @@ func TestNewUnitsTransmissionOrder(t *testing.T) {
 
 // TestProgressAllocations pins what a frame costs the progress path: a
 // corrupt one nothing, an intact one that completes no unit only its
-// payload copy and (amortised) its slot in the held-packet map.
+// payload copy and (amortised) its slot in the held-packet map — a clear
+// row, a parity row and a fountain repair alike, the last two while their
+// generation is still short of rank, with the decoder's list of held
+// repairs growing amortised too.
 func TestProgressAllocations(t *testing.T) {
 	doc, scores := paperShapedDoc(t)
 	// 64-byte packets under 512-byte paragraphs: seven clear rows in eight
@@ -437,6 +439,57 @@ func TestProgressAllocations(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Errorf("intact frame completing no unit allocates %v times, want 1 (the payload copy; map growth amortises below one)", n)
+	}
+
+	const seed = 5
+	for _, tc := range []struct {
+		name   string
+		layout Layout
+		// frame returns generation g's k-th repair frame.
+		frame func(g, k int) ([]byte, error)
+	}{
+		{"parity", plan.Layout(), func(g, k int) ([]byte, error) {
+			seq, _ := plan.Layout().WireSeq(g, plan.Layout().Shapes[g].M+k)
+			return plan.Frame(seq)
+		}},
+		{"fountain repair", plan.FountainLayout(seed), func(g, k int) ([]byte, error) {
+			return plan.FountainFrame(seed, g, plan.Layout().Shapes[g].M+k)
+		}},
+	} {
+		rcv, err := NewReceiverFromLayout(tc.layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcv.NewUnits()
+		var repairs [][]byte
+		for g, shape := range tc.layout.Shapes {
+			// Short of rank: fewer than M repairs, and no more than the
+			// fixed-rate code has.
+			count := shape.M - 1
+			if tc.layout.Codec == erasure.CodecVandermonde {
+				count = min(count, shape.N-shape.M)
+			}
+			for k := 0; k < count; k++ {
+				frame, err := tc.frame(g, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				repairs = append(repairs, frame)
+			}
+		}
+		next := 0
+		if n := testing.AllocsPerRun(len(repairs)-1, func() {
+			if _, intact, err := rcv.AddFrame(repairs[next]); !intact || err != nil {
+				t.Fatalf("%s frame %d: intact=%v, %v", tc.name, next, intact, err)
+			}
+			next++
+			sink += rcv.InfoContent()
+			if rcv.NewUnits() != nil || rcv.Reconstructible() {
+				t.Fatalf("%s frame %d completed something", tc.name, next-1)
+			}
+		}); n != 1 {
+			t.Errorf("%s frame completing no unit allocates %v times, want 1", tc.name, n)
+		}
 	}
 	_ = sink
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 
+	"mobweb/internal/erasure"
+	"mobweb/internal/fountain"
 	"mobweb/internal/obs"
 	"mobweb/internal/packet"
 )
@@ -26,23 +28,15 @@ import (
 // from a single goroutine.
 type Receiver struct {
 	layout Layout
-	// gens holds each generation's codec state, chosen once from the
-	// layout's codec; everything below is codec-agnostic.
-	gens []genDecoder
+	// gens holds each generation's decoder; only their repair rows depend
+	// on the layout's codec, and everything below is codec-agnostic.
+	gens []*erasure.Decoder
 	// intact maps wire sequence number (Layout.WireSeq) → payload, so Have
 	// lists, persistence and resume address packets the same way under
-	// every codec.
+	// every codec. The decoders hold these payloads by reference.
 	intact map[int][]byte
-	// decoded memoizes each generation's raw packets: the decode result
-	// once one ran, or the symbols SeedDecodedGeneration installed from a
-	// persistent store — which makes the generation reconstructible
-	// whether or not wire packets back it. A reconstructible generation's
-	// raw bytes are fixed — extra packets can only re-derive them — so the
-	// memo is never invalidated by Add, only by Reset.
-	decoded [][][]byte
-	// avail indexes what is usable so far; Add and SeedDecodedGeneration
-	// note the generation they touched and the progress accessors fold
-	// that in before they answer.
+	// avail indexes what is usable so far; Add notes the generation it
+	// touched and the progress accessors fold that in before they answer.
 	avail availIndex
 	// trace, when attached via SetTrace, records decode events into the
 	// owning fetch's timeline.
@@ -63,17 +57,38 @@ func NewReceiverFromLayout(layout Layout) (*Receiver, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
-	gens, err := newGenDecoders(layout)
+	gens, err := newDecoders(layout)
 	if err != nil {
 		return nil, err
 	}
 	return &Receiver{
-		layout:  layout,
-		gens:    gens,
-		intact:  make(map[int][]byte),
-		decoded: make([][][]byte, len(layout.Shapes)),
-		avail:   newAvailIndex(layout),
+		layout: layout,
+		gens:   gens,
+		intact: make(map[int][]byte),
+		avail:  newAvailIndex(layout),
 	}, nil
+}
+
+// newDecoders builds one decoder per generation, and is the one place the
+// receiver asks which codec it is decoding: the repair rows are the
+// Vandermonde dispersal rows or the rateless stream's combinations.
+func newDecoders(layout Layout) ([]*erasure.Decoder, error) {
+	gens := make([]*erasure.Decoder, len(layout.Shapes))
+	for g, s := range layout.Shapes {
+		var err error
+		if layout.Codec == erasure.CodecFountain {
+			gens[g], err = fountain.NewDecoder(g, layout.Seed, s.M, layout.PacketSize, nil)
+		} else {
+			var coder *erasure.Coder
+			if coder, err = erasure.Shared(s.M, s.N); err == nil {
+				gens[g] = coder.NewDecoder(layout.PacketSize)
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("generation %d: %w", g, err)
+		}
+	}
+	return gens, nil
 }
 
 // Layout returns the receiver's transmission geometry.
@@ -95,11 +110,8 @@ func (r *Receiver) Add(seq int, payload []byte) error {
 	}
 	own := append([]byte(nil), payload...)
 	r.intact[seq] = own
-	solved, err := r.gens[g].add(local, own)
+	_, err := r.gens[g].Add(local, own)
 	r.avail.touch(g)
-	if solved {
-		r.trace.Record(obs.Event{Type: obs.EventDecode, Gen: g})
-	}
 	return err
 }
 
@@ -169,12 +181,9 @@ func (r *Receiver) Rebase(newLayout Layout) (*Receiver, error) {
 // retransmission rounds (stock HTTP reload).
 func (r *Receiver) Reset() {
 	r.intact = make(map[int][]byte)
-	for i := range r.decoded {
-		r.decoded[i] = nil
-	}
 	// Decoders accumulate state monotonically; a reset means fresh ones.
 	// The layout was validated at construction, so rebuilding cannot fail.
-	gens, err := newGenDecoders(r.layout)
+	gens, err := newDecoders(r.layout)
 	if err != nil {
 		panic(fmt.Sprintf("core: reset rebuilt invalid decoders: %v", err))
 	}
@@ -182,37 +191,31 @@ func (r *Receiver) Reset() {
 	r.avail.reset()
 }
 
-// decodeGeneration returns generation g's raw packets, decoding on first
-// use and serving the memo afterwards. Callers must have checked
-// reconstructibility; the memo is sound because a reconstructible
-// generation always decodes to the same raw bytes no matter which packet
-// subset the codec picks.
-func (r *Receiver) decodeGeneration(g int) ([][]byte, error) {
-	if r.decoded[g] != nil {
-		coreMetrics.memoHits.Inc()
-		r.trace.Record(obs.Event{Type: obs.EventDecodeMemo, Gen: g})
-		return r.decoded[g], nil
-	}
-	raw, solved, err := r.gens[g].decode()
-	if err != nil {
-		return nil, err
-	}
-	if solved {
+// rawSymbols returns generation g's raw packets, which the first call
+// assembles — solving for any that did not arrive — once the generation
+// is complete.
+func (r *Receiver) rawSymbols(g int) ([][]byte, error) {
+	was := r.gens[g].Decoded()
+	raw, err := r.gens[g].Raw()
+	r.noteDecode(g, was)
+	return raw, err
+}
+
+// noteDecode counts and traces generation g's decode — the read that
+// first assembled its raw symbols — given whether they were assembled
+// before that read.
+func (r *Receiver) noteDecode(g int, was bool) {
+	if !was && r.gens[g].Decoded() {
 		coreMetrics.decodes.Inc()
 		r.trace.Record(obs.Event{Type: obs.EventDecode, Gen: g})
 	}
-	r.decoded[g] = raw
-	return raw, nil
 }
 
 // GenerationReconstructible reports whether dispersal group g can be
-// decoded: its decoder is complete (M intact rows of the fixed-rate code,
-// a finished rateless decode), or its raw packets were seeded.
+// decoded: the packets held span its raw packets (any M intact rows of
+// the fixed-rate code, a full-rank set of the rateless one).
 func (r *Receiver) GenerationReconstructible(g int) bool {
-	if g < 0 || g >= len(r.gens) {
-		return false
-	}
-	return r.decoded[g] != nil || r.gens[g].complete()
+	return g >= 0 && g < len(r.gens) && r.gens[g].Complete()
 }
 
 // Reconstructible reports whether every generation can be decoded — the
@@ -235,7 +238,7 @@ func (r *Receiver) Reconstruct() ([]byte, error) {
 	}
 	permuted := make([]byte, 0, r.layout.M()*r.layout.PacketSize)
 	for g := range r.layout.Shapes {
-		raw, err := r.decodeGeneration(g)
+		raw, err := r.rawSymbols(g)
 		if err != nil {
 			return nil, fmt.Errorf("generation %d: %w", g, err)
 		}
@@ -332,27 +335,19 @@ func (r *Receiver) unitText(seg SegmentMeta) (string, bool) {
 	return text.String(), true
 }
 
-// rawBytes returns raw packet rawIdx's bytes: straight from the decoder
-// when it can read the symbol without solving, otherwise from the
-// generation's (memoized) decode.
+// rawBytes returns raw packet rawIdx's bytes once they are readable: a
+// held clear row at once, any other once its generation is complete, the
+// first such read running the generation's decode.
 func (r *Receiver) rawBytes(rawIdx int) ([]byte, bool) {
-	rawOff := 0
 	for g, shape := range r.layout.Shapes {
-		if rawIdx >= rawOff+shape.M {
-			rawOff += shape.M
+		if rawIdx >= shape.M {
+			rawIdx -= shape.M
 			continue
 		}
-		if sym := r.gens[g].symbol(rawIdx - rawOff); sym != nil {
-			return sym, true
-		}
-		if !r.GenerationReconstructible(g) {
-			return nil, false
-		}
-		raw, err := r.decodeGeneration(g)
-		if err != nil {
-			return nil, false
-		}
-		return raw[rawIdx-rawOff], true
+		was := r.gens[g].Decoded()
+		sym := r.gens[g].Symbol(rawIdx)
+		r.noteDecode(g, was)
+		return sym, sym != nil
 	}
 	return nil, false
 }

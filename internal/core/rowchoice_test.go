@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -8,9 +9,10 @@ import (
 // to erasure.Decode once came from ranging over the intact map, so with
 // more packets on hand than the generation needs, WHICH redundant rows
 // fed the decoder depended on map iteration order — varying the decode
-// work profile run to run. The
-// generation decoder now lists held rows by ascending index whatever
-// order they arrived in.
+// work profile run to run. Packets now reach the generation's decoder in
+// arrival order only, it stops taking them at completion, and its solve
+// takes the held repairs in index order: a given arrival order always
+// decodes from the same rows, and any order decodes to the same bytes.
 func TestGenerationIntactDeterministicRowChoice(t *testing.T) {
 	doc, scores := paperShapedDoc(t)
 	plan, err := NewPlanWithScores(doc, scores, Config{MaxGeneration: 16})
@@ -23,8 +25,9 @@ func TestGenerationIntactDeterministicRowChoice(t *testing.T) {
 		t.Skipf("generation 0 has no parity (N=%d M=%d); nothing to choose between", shape0.N, shape0.M)
 	}
 
-	// Two receivers fed the same full generation-0 packet set (every
-	// clear and parity row), but in opposite insertion orders.
+	// Receivers fed the full generation-0 packet set (every clear and
+	// parity row), in opposite insertion orders: clear rows first needs no
+	// solve, parity first needs every parity row.
 	seqs := make([]int, shape0.N)
 	for i := range seqs {
 		seqs[i] = i
@@ -49,27 +52,21 @@ func TestGenerationIntactDeterministicRowChoice(t *testing.T) {
 	for i, s := range seqs {
 		reversed[len(seqs)-1-i] = s
 	}
-	a := build(seqs)
-	b := build(reversed)
-
-	rowsOf := func(r *Receiver) []int {
-		got := r.gens[0].(*vandermondeGen).heldRows()
-		rows := make([]int, len(got))
-		for i, rec := range got {
-			rows[i] = rec.Index
+	decoded := func(r *Receiver) [][]byte {
+		t.Helper()
+		if got := r.gens[0].Received(); got != shape0.M {
+			t.Fatalf("decoder took %d packets, want exactly M = %d", got, shape0.M)
 		}
-		return rows
-	}
-	rowsA, rowsB := rowsOf(a), rowsOf(b)
-	if len(rowsA) != len(rowsB) {
-		t.Fatalf("intact count differs: %d vs %d", len(rowsA), len(rowsB))
-	}
-	for i := range rowsA {
-		if rowsA[i] != rowsB[i] {
-			t.Fatalf("row order differs at %d: %v vs %v", i, rowsA, rowsB)
+		raw, err := r.DecodedGeneration(0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i > 0 && rowsA[i-1] >= rowsA[i] {
-			t.Fatalf("held rows not ascending: %v", rowsA)
+		return raw
+	}
+	a, b, again := decoded(build(seqs)), decoded(build(reversed)), decoded(build(reversed))
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) || !bytes.Equal(b[i], again[i]) {
+			t.Fatalf("raw packet %d differs between arrival orders", i)
 		}
 	}
 }

@@ -16,18 +16,15 @@ func (r *Receiver) Packet(seq int) ([]byte, bool) {
 	return payload, ok
 }
 
-// DecodedGeneration returns generation g's raw packets, decoding (and
-// memoizing) on first use. It errors while the generation is not yet
-// reconstructible. The returned slices are shared with the memo and
-// must not be modified.
+// DecodedGeneration returns generation g's raw packets, decoding on
+// first use. It errors while the generation is not reconstructible, and
+// for a generation the layout does not have. The returned slices are
+// shared with the decoder and must not be modified.
 func (r *Receiver) DecodedGeneration(g int) ([][]byte, error) {
-	if g < 0 || g >= len(r.layout.Shapes) {
-		return nil, fmt.Errorf("core: generation %d of %d", g, len(r.layout.Shapes))
-	}
 	if !r.GenerationReconstructible(g) {
 		return nil, ErrNotReconstructible
 	}
-	return r.decodeGeneration(g)
+	return r.rawSymbols(g)
 }
 
 // DoneGenerations lists the reconstructible generations in ascending
@@ -48,13 +45,10 @@ func (r *Receiver) DoneGenerations() []int {
 // in a previous process life. raw must be exactly the generation's M
 // packets of the layout's packet size.
 //
-// Raw symbols the codec also carries as clear-text rows — the fixed-rate
-// code's systematic prefix — re-enter as held packets too: the Have list
-// then covers them, and a server honoring DoneGens or Have sends nothing
-// for this generation. Under the fountain codec the raw symbols are the
-// stream's systematic prefix but do not re-enter as packets: the
-// generation is reconstructible through the memo alone, and the client's
-// stopgen/DoneGens feedback keeps the transmitter off it.
+// Under both codecs raw symbol i is the generation's source packet i, so
+// the symbols re-enter as held packets: the generation completes with no
+// solve, the Have list covers them, and a server honoring DoneGens or
+// Have sends nothing for this generation.
 func (r *Receiver) SeedDecodedGeneration(g int, raw [][]byte) error {
 	if g < 0 || g >= len(r.layout.Shapes) {
 		return fmt.Errorf("core: generation %d of %d", g, len(r.layout.Shapes))
@@ -69,18 +63,11 @@ func (r *Receiver) SeedDecodedGeneration(g int, raw [][]byte) error {
 				g, i, len(p), r.layout.PacketSize)
 		}
 	}
-	own := make([][]byte, len(raw))
 	for i, p := range raw {
-		own[i] = append([]byte(nil), p...)
-	}
-	for i, p := range own {
-		if seq, ok := r.layout.WireSeq(g, i); ok && r.layout.IsClear(seq) {
-			if err := r.Add(seq, p); err != nil {
-				return err
-			}
+		seq, _ := r.layout.WireSeq(g, i) // i < M: every layout has the packet
+		if err := r.Add(seq, p); err != nil {
+			return err
 		}
 	}
-	r.decoded[g] = own
-	r.avail.touch(g)
 	return nil
 }

@@ -104,10 +104,10 @@ func TestSeedDecodedGenerationVandermonde(t *testing.T) {
 	}
 }
 
-// TestSeedDecodedGenerationFountain covers the rateless path, where the
-// raw symbols match no wire packet: the seeded generation must still
-// report reconstructible (via the seeded override), serve unit text,
-// and survive Reset back to empty.
+// TestSeedDecodedGenerationFountain covers the rateless path, whose raw
+// symbols are the stream's systematic prefix: they re-enter as held
+// source packets, so the seeded generation reports reconstructible, its
+// Have list covers the prefix, it serves unit text, and Reset empties it.
 func TestSeedDecodedGenerationFountain(t *testing.T) {
 	doc, scores := paperShapedDoc(t)
 	plan, err := NewPlanWithScores(doc, scores, Config{LOD: 4, MaxGeneration: 8})
@@ -131,9 +131,18 @@ func TestSeedDecodedGenerationFountain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for g := range layout.Shapes {
+	have := map[int]bool{}
+	for _, seq := range fresh.HaveList() {
+		have[seq] = true
+	}
+	for g, shape := range layout.Shapes {
 		if !fresh.GenerationReconstructible(g) {
 			t.Fatalf("seeded fountain gen %d not reconstructible", g)
+		}
+		for i := 0; i < shape.M; i++ {
+			if seq, _ := layout.WireSeq(g, i); !have[seq] || !layout.IsClear(seq) {
+				t.Fatalf("seeded gen %d source %d: held %v, clear %v", g, i, have[seq], layout.IsClear(seq))
+			}
 		}
 	}
 	body, err := fresh.Reconstruct()

@@ -16,8 +16,10 @@
 //
 // The byte work is gf256.MulAddRows, one call per output row, rows in
 // order on the calling goroutine: the server cooks one parity row per
-// frame-cache miss (EncodeParityRow) and the client's Decode solves only
-// for the raw packets that did not arrive in clear text.
+// frame-cache miss (EncodeParityRow) and the client's Decoder solves only
+// for the raw packets that did not arrive in clear text. The Decoder
+// takes its repair rows from a function, so the rateless code
+// (internal/fountain) decodes through it too.
 package erasure
 
 import (
@@ -157,109 +159,39 @@ type Received struct {
 	Data  []byte
 }
 
-// bitset256 tracks which of the MaxCooked+1 possible cooked indices have
-// been seen; it replaces a map in Decode's per-call hot path.
-type bitset256 [4]uint64
-
-func (b *bitset256) testAndSet(i int) bool {
-	w, mask := i>>6, uint64(1)<<(i&63)
-	old := b[w]&mask != 0
-	b[w] |= mask
-	return old
-}
-
-func (b *bitset256) test(i int) bool { return b[i>>6]&(uint64(1)<<(i&63)) != 0 }
-
 // Decode reconstructs the m raw packets from any m (or more) intact cooked
-// packets. Extra packets beyond m are ignored; which m are used is an
-// implementation detail. Decode prefers clear-text packets (index < m)
-// because they require no matrix work — the "saving recovering effort"
-// property of the systematic construction — and solves only for the e
-// raw packets that are missing: an e×e system, not the m×m one. The
+// packets, through one Decoder. Clear-text packets (index < m) go in
+// first because they require no matrix work — the "saving recovering
+// effort" property of the systematic construction — and redundant ones in
+// input order fill in only the e raw packets that are missing: an e×e
+// system, not the m×m one. Extra packets beyond m are ignored. The
 // returned packets share one backing arena and do not alias the received
 // data.
 func (c *Coder) Decode(received []Received) ([][]byte, error) {
 	if len(received) < c.m {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrShortSet, len(received), c.m)
 	}
-	size := -1
-	var seen bitset256
-	// Partition into clear-text and redundant packets, preferring clear.
-	chosen := make([]Received, 0, c.m)
-	var redundant []Received
+	var seen [MaxCooked]bool
 	for _, r := range received {
 		if r.Index < 0 || r.Index >= c.n {
 			return nil, fmt.Errorf("erasure: cooked index %d out of [0, %d)", r.Index, c.n)
 		}
-		if seen.testAndSet(r.Index) {
+		if seen[r.Index] {
 			return nil, fmt.Errorf("%w: index %d", ErrDuplicateIndex, r.Index)
 		}
-		if size == -1 {
-			size = len(r.Data)
-		} else if len(r.Data) != size {
-			return nil, fmt.Errorf("erasure: packet %d has %d bytes, want %d", r.Index, len(r.Data), size)
-		}
-		if r.Index < c.m {
-			chosen = append(chosen, r)
-		} else {
-			redundant = append(redundant, r)
-		}
+		seen[r.Index] = true
 	}
-	held := len(chosen) // distinct clear rows, so at most m
-	e := c.m - held
-	if len(redundant) < e {
-		return nil, fmt.Errorf("%w: only %d distinct indices", ErrShortSet, held+len(redundant))
-	}
-	parity := redundant[:e]
-
-	// Clear rows are the raw packets themselves: straight copies, and with
-	// none missing no matrix work at all.
-	raw := allocPackets(c.m, size)
-	for _, r := range chosen {
-		copy(raw[r.Index], r.Data)
-	}
-	if e == 0 {
-		return raw, nil
-	}
-
-	// Parity row p carries Σ_j D[p][j]·raw[j]. Moving the held terms to its
-	// side leaves the syndrome Σ_i D[p][missing i]·raw[missing i]: e
-	// equations in the e missing packets.
-	missing := make([]int, 0, e)
-	for i := 0; i < c.m; i++ {
-		if !seen.test(i) {
-			missing = append(missing, i)
+	d := c.NewDecoder(len(received[0].Data))
+	for _, clear := range []bool{true, false} {
+		for _, r := range received {
+			if (r.Index < c.m) == clear {
+				if _, err := d.Add(r.Index, r.Data); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
-	heldData := make([][]byte, held)
-	for t, r := range chosen {
-		heldData[t] = r.Data
-	}
-	sub := matrix.New(e, e)
-	heldCoeffs := make([]byte, e*held)
-	for k, p := range parity {
-		row := c.dispersal.Row(p.Index)
-		subRow := sub.Row(k)
-		for i, mi := range missing {
-			subRow[i] = row[mi]
-		}
-		for t, r := range chosen {
-			heldCoeffs[k*held+t] = row[r.Index]
-		}
-	}
-	inv, err := sub.Invert()
-	if err != nil {
-		return nil, err
-	}
-	syndromes := allocPackets(e, size)
-	for k, p := range parity {
-		copy(syndromes[k], p.Data)
-		gf256.MulAddRows(heldCoeffs[k*held:(k+1)*held], syndromes[k], heldData)
-	}
-	for i, mi := range missing {
-		gf256.MulAddRows(inv.Row(i), raw[mi], syndromes)
-	}
-	return raw, nil
+	return d.Raw()
 }
 
 // Split cuts payload into m packets of packetSize bytes, zero-padding the

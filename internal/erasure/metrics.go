@@ -12,12 +12,25 @@ import "mobweb/internal/obs"
 var codecMetrics struct {
 	// parityRows counts lazily materialized parity rows.
 	parityRows obs.Counter
+	// packetsConsumed counts distinct packets fed to decoders of either
+	// codec; packetsNeeded accumulates M per completed generation, so
+	// consumed/needed is the fleet-wide reception overhead ratio.
+	packetsConsumed, packetsNeeded obs.Counter
+	// overshootPackets/Bytes count reception beyond the M minimum of
+	// completed generations; packetsRedundant counts the held repairs
+	// their solves left unused.
+	overshootPackets, overshootBytes, packetsRedundant obs.Counter
 }
 
 // MetricsProbe returns the package-wide codec counters in snapshot form,
 // for obs.Registry.RegisterProbe.
 func MetricsProbe() any {
 	return map[string]int64{
-		"parity_rows": codecMetrics.parityRows.Value(),
+		"parity_rows":       codecMetrics.parityRows.Value(),
+		"packets_consumed":  codecMetrics.packetsConsumed.Value(),
+		"packets_needed":    codecMetrics.packetsNeeded.Value(),
+		"overshoot_packets": codecMetrics.overshootPackets.Value(),
+		"overshoot_bytes":   codecMetrics.overshootBytes.Value(),
+		"packets_redundant": codecMetrics.packetsRedundant.Value(),
 	}
 }

@@ -58,12 +58,6 @@ func (e *Encoder) WithSeed(seed uint64) Encoder {
 // K returns the number of source symbols.
 func (e *Encoder) K() int { return e.spec.k }
 
-// SymbolSize returns the payload size in bytes.
-func (e *Encoder) SymbolSize() int { return e.size }
-
-// Seed returns the stream seed.
-func (e *Encoder) Seed() uint64 { return e.seed }
-
 // Payload cooks packet seq into a fresh slice.
 func (e *Encoder) Payload(seq int) []byte {
 	return e.AppendPayload(nil, seq)

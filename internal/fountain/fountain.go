@@ -29,23 +29,17 @@
 // a sparse, IC-weighted repair row would rarely touch the few unknown
 // columns a systematic prefix leaves behind.
 //
-// Decoding is one online Gauss–Jordan elimination over GF(2^8): the
-// decoder keeps at most one pivot row per source column, normalized to 1
-// on its own column and zero on every other pivot column, and reduces
-// each arriving packet against the pivots it touches exactly once. A
-// pivot row with nothing left outside its own column is the source
-// symbol — substituting such rows into an arriving packet is the peeling
-// step of belief propagation, so whatever a degree-1 ripple would reach
-// is exposed no later, and the generation is complete at rank k, the
-// first packet at which any decoder could finish. Nothing is solved in
-// batch and nothing is memoized: every row operation runs once, through
-// the gf256 slice kernels.
+// Decoding is erasure.Decoder's, the one decoder of both codecs: the
+// stream is a systematic linear code whose repair rows come from this
+// package's generator instead of a dispersal matrix (NewDecoder).
 package fountain
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"mobweb/internal/erasure"
 )
 
 // MaxSourceSymbols caps a generation's source symbol count, mirroring
@@ -135,4 +129,20 @@ func (s *spec) combination(seed uint64, seq int, row []byte) {
 	for c := range row[:s.k] {
 		row[c] = byte(1 + r.intn(255))
 	}
+}
+
+// NewDecoder builds the decoding side of generation gen's stream: an
+// erasure.Decoder whose repair rows are the stream's combinations. k,
+// size and seed must match the encoder exactly; the receiver derives them
+// from the layout, the same place the server derived them. weights is
+// validated as NewEncoder's is and does not shape the stream.
+func NewDecoder(gen int, seed uint64, k, size int, weights []float64) (*erasure.Decoder, error) {
+	if size <= 0 {
+		return nil, fmt.Errorf("fountain: symbol size %d", size)
+	}
+	sp, err := newSpec(gen, k, weights)
+	if err != nil {
+		return nil, err
+	}
+	return erasure.NewDecoder(k, size, func(seq int, coeffs []byte) { sp.combination(seed, seq, coeffs) }), nil
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"mobweb/internal/erasure"
 )
 
 // randomSymbols builds k deterministic pseudo-random source symbols.
@@ -19,13 +21,12 @@ func randomSymbols(rng *rand.Rand, k, size int) [][]byte {
 
 // drain streams packets from enc into dec under Bernoulli loss alpha
 // until the decoder completes, returning how many packets were sent.
-func drain(t *testing.T, enc *Encoder, dec *Decoder, lossRNG *rand.Rand, alpha float64) int {
+func drain(t *testing.T, enc *Encoder, dec *erasure.Decoder, lossRNG *rand.Rand, alpha float64) int {
 	t.Helper()
 	sent := 0
 	for seq := 0; !dec.Complete(); seq++ {
 		if seq > 50*enc.K()+200 {
-			t.Fatalf("decoder did not complete after %d seqs (k=%d, received=%d, recovered=%d)",
-				seq, enc.K(), dec.Received(), dec.RecoveredCount())
+			t.Fatalf("decoder did not complete after %d seqs (k=%d, received=%d)", seq, enc.K(), dec.Received())
 		}
 		sent++
 		if lossRNG != nil && lossRNG.Float64() < alpha {
@@ -38,12 +39,17 @@ func drain(t *testing.T, enc *Encoder, dec *Decoder, lossRNG *rand.Rand, alpha f
 	return sent
 }
 
-func checkDecoded(t *testing.T, dec *Decoder, src [][]byte) {
+// checkDecoded requires every symbol, read one by one and as the raw
+// arena, to equal the source.
+func checkDecoded(t *testing.T, dec *erasure.Decoder, src [][]byte) {
 	t.Helper()
+	raw, err := dec.Raw()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, want := range src {
-		got := dec.Symbol(i)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("symbol %d: decoded %x want %x", i, got, want)
+		if got := dec.Symbol(i); !bytes.Equal(got, want) || !bytes.Equal(raw[i], want) {
+			t.Fatalf("symbol %d: decoded %x (raw %x) want %x", i, got, raw[i], want)
 		}
 	}
 }
@@ -97,8 +103,7 @@ func TestRoundtripUnderLoss(t *testing.T) {
 
 // TestSystematicPrefixIsSource pins the systematic prefix: under every
 // seed the payload of seq i < k is raw packet i, and an in-order clean
-// decode finishes at exactly k packets with no elimination between
-// unresolved rows.
+// decode finishes at exactly k packets whose symbols read with no solve.
 func TestSystematicPrefixIsSource(t *testing.T) {
 	for _, k := range []int{1, 2, 40, 255} {
 		src := randomSymbols(rand.New(rand.NewSource(int64(k))), k, 32)
@@ -117,11 +122,15 @@ func TestSystematicPrefixIsSource(t *testing.T) {
 				t.Fatal(err)
 			}
 			drain(t, enc, dec, nil, 0)
-			checkDecoded(t, dec, src)
-			if dec.Received() != k || dec.UsedGaussian() {
-				t.Fatalf("k=%d seed=%x: clean in-order decode took %d packets (gaussian %v), want %d and none",
-					k, seed, dec.Received(), dec.UsedGaussian(), k)
+			for i, want := range src {
+				if got := dec.Symbol(i); !bytes.Equal(got, want) || dec.Decoded() {
+					t.Fatalf("k=%d seed=%x: symbol %d read %x (solved %v), want the source unsolved", k, seed, i, got, dec.Decoded())
+				}
 			}
+			if dec.Received() != k {
+				t.Fatalf("k=%d seed=%x: clean in-order decode took %d packets, want %d", k, seed, dec.Received(), k)
+			}
+			checkDecoded(t, dec, src)
 		}
 	}
 }
@@ -231,7 +240,7 @@ func TestUEPOrdering(t *testing.T) {
 			}
 			step++
 			for i := 0; i < k; i++ {
-				if firstSeen[i] < 0 && dec.Recovered(i) {
+				if firstSeen[i] < 0 && dec.Symbol(i) != nil {
 					firstSeen[i] = step
 				}
 			}
@@ -257,10 +266,11 @@ func TestUEPOrdering(t *testing.T) {
 
 // TestGaussianFallbackAndSharedInvCache keeps its name from the decoder
 // it was written for (peeling, a Gaussian fallback and a shared inverse
-// cache, all gone). What it still pins: a stream with no degree-1 packet
-// at all — nothing for peeling to start from — decodes by elimination
-// alone, and decoding the identical packets a second time is
-// byte-identical with the same accounting.
+// cache, all gone). What it still pins: a stream of repairs alone — no
+// source packet to read in the clear — exposes nothing before rank k,
+// then decodes by one solve over every column, and decoding the
+// identical packets a second time is byte-identical with the same
+// accounting.
 func TestGaussianFallbackAndSharedInvCache(t *testing.T) {
 	const k, size = 20, 32
 	rng := rand.New(rand.NewSource(11))
@@ -281,7 +291,7 @@ func TestGaussianFallbackAndSharedInvCache(t *testing.T) {
 		t.Fatalf("only %d degree>=2 seqs found", len(seqs))
 	}
 
-	run := func() *Decoder {
+	run := func() ([][]byte, int) {
 		dec, err := NewDecoder(1, seed, k, size, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -289,6 +299,11 @@ func TestGaussianFallbackAndSharedInvCache(t *testing.T) {
 		for _, seq := range seqs {
 			if dec.Complete() {
 				break
+			}
+			for i := 0; i < k; i++ {
+				if dec.Symbol(i) != nil {
+					t.Fatalf("symbol %d exposed before rank k", i)
+				}
 			}
 			if _, err := dec.Add(seq, enc.Payload(seq)); err != nil {
 				t.Fatal(err)
@@ -298,17 +313,19 @@ func TestGaussianFallbackAndSharedInvCache(t *testing.T) {
 			t.Fatalf("decoder incomplete after %d degree>=2 packets", len(seqs))
 		}
 		checkDecoded(t, dec, src)
-		return dec
+		raw, _ := dec.Raw()
+		return raw, dec.Received()
 	}
 
-	d1, d2 := run(), run()
-	for _, d := range []*Decoder{d1, d2} {
-		if !d.UsedGaussian() {
-			t.Fatal("expected row-against-row elimination with no degree-1 packets")
+	r1, n1 := run()
+	r2, n2 := run()
+	for i := range r1 {
+		if !bytes.Equal(r1[i], r2[i]) {
+			t.Fatalf("symbol %d differs between two decodes of the same packets", i)
 		}
 	}
-	if d1.Received() != d2.Received() {
-		t.Fatalf("same packets, different accounting: received %d then %d", d1.Received(), d2.Received())
+	if n1 != n2 {
+		t.Fatalf("same packets, different accounting: received %d then %d", n1, n2)
 	}
 }
 
@@ -357,53 +374,122 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// FuzzFountainRoundtrip is the cross-codec equivalence fuzzer required
-// by the issue: random geometry, seed and loss pattern; decoded bytes
-// must equal the source exactly.
+// FuzzFountainRoundtrip is the cross-codec equivalence fuzzer: one
+// erasure.Decoder under both row generators. nRaw 0 draws a fountain
+// stream, any other value a Vandermonde code with m ≤ n ≤ 255. The
+// survivors of a random loss pattern arrive shuffled — sources after
+// repairs too — with duplicates. After every packet Complete() must agree
+// with an independent rank count of the held coefficient rows, and what
+// the decoder exposes must equal the source.
 func FuzzFountainRoundtrip(f *testing.F) {
-	f.Add(uint8(4), uint8(16), uint64(1), int64(2), uint8(50))
-	f.Add(uint8(1), uint8(1), uint64(0), int64(0), uint8(0))
-	f.Add(uint8(200), uint8(8), uint64(0xffffffffffffffff), int64(99), uint8(120))
-	f.Fuzz(func(t *testing.T, kRaw, sizeRaw uint8, seed uint64, lossSeed int64, alphaRaw uint8) {
+	f.Add(uint8(4), uint8(16), uint64(1), int64(2), uint8(50), uint8(0))
+	f.Add(uint8(1), uint8(1), uint64(0), int64(0), uint8(0), uint8(0))
+	f.Add(uint8(200), uint8(8), uint64(0xffffffffffffffff), int64(99), uint8(120), uint8(0))
+	f.Add(uint8(39), uint8(32), uint64(0), int64(5), uint8(60), uint8(21))
+	f.Add(uint8(254), uint8(3), uint64(0), int64(6), uint8(127), uint8(1))
+	// Holds a repair dependent on those before it once k packets are in.
+	f.Add(uint8(9), uint8(16), uint64(1), int64(159), uint8(50), uint8(0))
+	f.Fuzz(func(t *testing.T, kRaw, sizeRaw uint8, seed uint64, lossSeed int64, alphaRaw, nRaw uint8) {
 		k := int(kRaw)%MaxSourceSymbols + 1
 		size := int(sizeRaw)%96 + 1
 		alpha := float64(alphaRaw%128) / 256.0 // [0, 0.5)
 		rng := rand.New(rand.NewSource(lossSeed))
 		src := randomSymbols(rng, k, size)
-		weights := make([]float64, k)
-		for i := range weights {
-			weights[i] = rng.Float64() * 3
-		}
-		enc, err := NewEncoder(int(lossSeed)&0xffff, seed, src, weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := NewDecoder(int(lossSeed)&0xffff, seed, k, size, weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seq := 0; !dec.Complete(); seq++ {
-			if seq > 200*k+400 {
-				t.Fatalf("no completion after %d seqs (k=%d alpha=%.2f)", seq, k, alpha)
-			}
-			if rng.Float64() < alpha {
-				continue
-			}
-			if _, err := dec.Add(seq, enc.Payload(seq)); err != nil {
+
+		var (
+			dec     *erasure.Decoder
+			payload func(seq int) []byte
+			coeffs  func(seq int) []byte // the packet's full coefficient row
+			window  int
+		)
+		if nRaw == 0 {
+			gen := int(lossSeed) & 0xffff
+			enc, err := NewEncoder(gen, seed, src, nil)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if dec, err = NewDecoder(gen, seed, k, size, nil); err != nil {
+				t.Fatal(err)
+			}
+			payload = enc.Payload
+			coeffs = func(seq int) []byte {
+				row := make([]byte, k)
+				idx, co := oracleCombination(enc.spec, seed, seq)
+				for i, j := range idx {
+					row[j] = co[i]
+				}
+				return row
+			}
+			window = 2*k + 16
+		} else {
+			n := k + (int(nRaw)-1)%(erasure.MaxCooked-k+1)
+			c, err := erasure.NewCoder(k, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cooked, err := c.Encode(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Cooking the identity yields the dispersal rows themselves.
+			unit := make([][]byte, k)
+			for i := range unit {
+				unit[i] = make([]byte, k)
+				unit[i][i] = 1
+			}
+			rows, err := c.Encode(unit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec = c.NewDecoder(size)
+			payload = func(seq int) []byte { return cooked[seq] }
+			coeffs = func(seq int) []byte { return rows[seq] }
+			window = n
+		}
+
+		var seqs []int
+		for seq := 0; seq < window; seq++ {
+			if rng.Float64() >= alpha {
+				seqs = append(seqs, seq)
+			}
+		}
+		rng.Shuffle(len(seqs), func(i, j int) { seqs[i], seqs[j] = seqs[j], seqs[i] })
+		for i := len(seqs) - 1; i > 0; i -= 4 {
+			seqs = append(seqs[:i+1], seqs[i:]...)
+			seqs[i+1] = seqs[rng.Intn(i+1)]
+		}
+
+		var rank rankOracle
+		for _, seq := range seqs {
+			if _, err := dec.Add(seq, payload(seq)); err != nil {
+				t.Fatal(err)
+			}
+			full := rank.add(coeffs(seq)) == k
+			if dec.Complete() != full {
+				t.Fatalf("after seq %d: complete %v, held rank full %v (k=%d)", seq, dec.Complete(), full, k)
 			}
 		}
 		for i, want := range src {
-			if !bytes.Equal(dec.Symbol(i), want) {
+			if got := dec.Symbol(i); got != nil && !bytes.Equal(got, want) {
 				t.Fatalf("symbol %d mismatch", i)
+			}
+		}
+		raw, err := dec.Raw()
+		if dec.Complete() != (err == nil) {
+			t.Fatalf("complete %v, Raw error %v", dec.Complete(), err)
+		}
+		for i := range raw {
+			if !bytes.Equal(raw[i], src[i]) {
+				t.Fatalf("raw symbol %d mismatch", i)
 			}
 		}
 	})
 }
 
 // TestHotPathAllocations pins the per-packet allocation budget on both
-// sides of the stream: cooking into a buffer with room allocates
-// nothing, and a decoder allocates only the row the packet becomes.
+// sides of the stream: cooking into a buffer with room allocates nothing,
+// a decoder holds a source by reference with no allocation, and a repair
+// costs at most its slot in the held-repair list, which grows amortised.
 func TestHotPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -428,29 +514,42 @@ func TestHotPathAllocations(t *testing.T) {
 		t.Errorf("AppendPayload into a pre-sized buffer: %v allocs, want 0", n)
 	}
 
-	payloads := make([][]byte, k/2) // half a generation: no completion, no map growth
-	for i := range payloads {
-		payloads[i] = enc.Payload(i)
+	// Half a generation of sources, then a quarter of repairs: short of
+	// rank k throughout, so no Add completes.
+	const sources, repairs = k / 2, k / 4
+	payloads := make([][]byte, k+sources+repairs)
+	for seq := range payloads {
+		if seq < sources || seq >= k+sources {
+			payloads[seq] = enc.Payload(seq)
+		}
 	}
 	dec, err := NewDecoder(0, 42, k, size, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq = 0
-	if n := testing.AllocsPerRun(len(payloads)-1, func() {
+	add := func() {
 		if _, err := dec.Add(seq, payloads[seq]); err != nil {
 			t.Fatal(err)
 		}
 		seq++
-	}); n > 1 {
-		t.Errorf("Decoder.Add: %v allocs per packet, want <= 1", n)
+	}
+	seq = 0
+	if n := testing.AllocsPerRun(sources-1, add); n != 0 {
+		t.Errorf("Decoder.Add of a source: %v allocs per packet, want 0", n)
+	}
+	seq = k + sources
+	if n := testing.AllocsPerRun(repairs-1, add); n > 1 {
+		t.Errorf("Decoder.Add of a repair: %v allocs per packet, want <= 1", n)
+	}
+	if dec.Complete() || dec.Received() != sources+repairs {
+		t.Fatalf("complete %v after %d packets, want incomplete after %d", dec.Complete(), dec.Received(), sources+repairs)
 	}
 }
 
-// BenchmarkDecode times cold single-generation decodes under 20 % loss:
-// a fresh stream seed, loss pattern and decoder per iteration, so
-// nothing can be carried from one decode to the next. The streams are
-// cooked before the clock starts.
+// BenchmarkDecode times cold single-generation decodes under 20 % loss,
+// from the first Add to the raw symbols: a fresh stream seed, loss
+// pattern and decoder per iteration, so nothing can be carried from one
+// decode to the next. The streams are cooked before the clock starts.
 func BenchmarkDecode(b *testing.B) {
 	for _, k := range []int{40, 128} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
@@ -489,6 +588,9 @@ func BenchmarkDecode(b *testing.B) {
 					if _, err := dec.Add(st.seqs[j], st.payloads[j*size:(j+1)*size]); err != nil {
 						b.Fatal(err)
 					}
+				}
+				if _, err := dec.Raw(); err != nil {
+					b.Fatal(err)
 				}
 				received += dec.Received()
 			}

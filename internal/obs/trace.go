@@ -21,11 +21,9 @@ const (
 	EventPacket = "packet"
 	// EventCorrupt is one CRC-failed frame claiming sequence number Seq.
 	EventCorrupt = "corrupt"
-	// EventDecode is generation Gen's erasure decode (matrix solve).
+	// EventDecode is generation Gen's decode: the first read that
+	// assembled its raw packets, solving for any that did not arrive.
 	EventDecode = "decode"
-	// EventDecodeMemo is a decode answered by the receiver's per-
-	// generation memo instead of a matrix solve.
-	EventDecodeMemo = "decode-memo"
 	// EventGamma is an adaptive-γ change: the next round will request
 	// redundancy Value.
 	EventGamma = "gamma"

@@ -761,8 +761,7 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 	if rcv != nil && opts.Caching {
 		// Have lists wire sequence numbers under either codec — the same
 		// identifiers AddFrame keyed the packets by. DoneGens covers what
-		// Have cannot: a reconstructed generation's unheld parity rows
-		// (or, store-seeded under fountain, all its symbols).
+		// Have cannot: a reconstructed generation's unheld repair rows.
 		req.Have = rcv.HaveList()
 		req.DoneGens = rcv.DoneGenerations()
 		if req.Seed == 0 {
