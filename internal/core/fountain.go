@@ -112,8 +112,10 @@ func (p *Plan) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [packet.FountainOverhead]byte // stack scratch; FinishFountainFrame overwrites it
-	frame := enc.AppendPayload(append([]byte(nil), hdr[:]...), seq)
+	// One allocation per frame: the header room (FinishFountainFrame fills
+	// it) plus capacity for the payload AppendPayload cooks into.
+	frame := make([]byte, packet.FountainOverhead, packet.FountainOverhead+p.cfg.PacketSize)
+	frame = enc.AppendPayload(frame, seq)
 	if err := packet.FinishFountainFrame(frame, seed, gen, seq); err != nil {
 		return nil, err
 	}

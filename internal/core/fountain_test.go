@@ -256,6 +256,35 @@ func TestFountainFrameCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestFountainFrameAllocations pins the cook path to one allocation per
+// frame, source or repair: the frame itself, sized up front for header
+// and payload, so AppendPayload never grows it.
+func TestFountainFrameAllocations(t *testing.T) {
+	doc, scores := paperShapedDoc(t)
+	plan, err := NewPlanWithScores(doc, scores, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 9
+	m := plan.Layout().Shapes[0].M
+	if _, err := plan.FountainFrame(seed, 0, 0); err != nil { // builds the encoder
+		t.Fatal(err)
+	}
+	for _, seq := range []int{0, m} {
+		var frame []byte
+		if n := testing.AllocsPerRun(50, func() {
+			if frame, err = plan.FountainFrame(seed, 0, seq); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("FountainFrame(seq %d) allocates %v times, want 1", seq, n)
+		}
+		if len(frame) != cap(frame) {
+			t.Errorf("FountainFrame(seq %d): len %d, cap %d; the buffer was not sized up front", seq, len(frame), cap(frame))
+		}
+	}
+}
+
 // TestFountainWeightsConsistency pins that the weights computed from a
 // plan's own layout and from the JSON-round-tripped layout a client
 // receives are identical: the accrual scores cross the wire bit-exact.

@@ -15,8 +15,8 @@ import (
 type rowFunc func(row, dst []byte, srcs [][]byte)
 
 // oracleArithmetic names the two ways the oracle multiplies: the shipped
-// table kernel, and scalar gf256.Mul (log/exp tables), which shares no
-// code with it.
+// slice kernel (avx2 or table, as the CPU decides), and scalar gf256.Mul
+// (log/exp tables), which shares no code with it.
 var oracleArithmetic = []struct {
 	name string
 	rows rowFunc

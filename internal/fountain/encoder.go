@@ -2,7 +2,7 @@ package fountain
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"mobweb/internal/gf256"
 )
@@ -63,11 +63,6 @@ func (e *Encoder) Payload(seq int) []byte {
 	return e.AppendPayload(nil, seq)
 }
 
-// coeffScratch recycles the dense coefficient vector AppendPayload hands
-// to the slice kernel: the kernel call is indirect, so a stack array
-// would escape and cost an allocation per packet.
-var coeffScratch = sync.Pool{New: func() any { return new([MaxSourceSymbols]byte) }}
-
 // AppendPayload cooks packet seq and appends it to dst, returning the
 // extended slice; with room in dst it allocates nothing. A source seq is
 // a copy of its symbol; a repair's combination is derived
@@ -77,13 +72,14 @@ func (e *Encoder) AppendPayload(dst []byte, seq int) []byte {
 	if e.spec.isSource(seq) {
 		return append(dst, e.src[seq]...)
 	}
-	buf := coeffScratch.Get().(*[MaxSourceSymbols]byte)
+	var buf [MaxSourceSymbols]byte // the kernel does not retain it: stays on the stack
 	co := buf[:e.spec.k]
 	e.spec.combination(e.seed, seq, co)
 	off := len(dst)
-	dst = append(dst, make([]byte, e.size)...)
+	// Not append(dst, make(...)...): the race build compiles that make as
+	// a real allocation.
+	dst = slices.Grow(dst, e.size)[:off+e.size]
+	clear(dst[off:])
 	gf256.MulAddRows(co, dst[off:], e.src)
-	clear(co)
-	coeffScratch.Put(buf)
 	return dst
 }

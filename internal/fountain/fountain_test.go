@@ -491,9 +491,6 @@ func FuzzFountainRoundtrip(f *testing.F) {
 // a decoder holds a source by reference with no allocation, and a repair
 // costs at most its slot in the held-repair list, which grows amortised.
 func TestHotPathAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	const k, size = 128, 256
 	rng := rand.New(rand.NewSource(3))
 	src := randomSymbols(rng, k, size)

@@ -6,7 +6,7 @@ import (
 )
 
 // benchImpls runs fn once per implementation (the log/exp reference and
-// the shipped table kernel) as a sub-benchmark. SetBytes is left to fn.
+// the shipped kernels) as a sub-benchmark. SetBytes is left to fn.
 func benchImpls(b *testing.B, fn func(b *testing.B, k sliceImpl)) {
 	for _, k := range impls {
 		b.Run(k.name, func(b *testing.B) { fn(b, k) })
@@ -31,20 +31,20 @@ func BenchmarkKernelMulAddSlice(b *testing.B) {
 }
 
 // BenchmarkKernelMulAddRows is the fused row primitive the codec actually
-// runs: four source rows folded into one destination pass.
+// runs: four source rows folded into one destination pass, and the weak
+// workloads' generation shape, 128 sources of 256 bytes.
 func BenchmarkKernelMulAddRows(b *testing.B) {
-	const rows = 4
-	for _, size := range []int{1024, 4096} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			dst := testPattern(size, 0)
-			srcs := make([][]byte, rows)
-			coeffs := make([]byte, rows)
+	for _, shape := range []struct{ rows, size int }{{4, 1024}, {4, 4096}, {128, 256}} {
+		b.Run(fmt.Sprintf("rows=%d/size=%d", shape.rows, shape.size), func(b *testing.B) {
+			dst := testPattern(shape.size, 0)
+			srcs := make([][]byte, shape.rows)
+			coeffs := make([]byte, shape.rows)
 			for j := range srcs {
-				srcs[j] = testPattern(size, j+1)
+				srcs[j] = testPattern(shape.size, j+1)
 				coeffs[j] = byte(0x53 + 2*j)
 			}
 			benchImpls(b, func(b *testing.B, k sliceImpl) {
-				b.SetBytes(int64(size * rows))
+				b.SetBytes(int64(shape.size * shape.rows))
 				for i := 0; i < b.N; i++ {
 					k.mulAddRows(coeffs, dst, srcs)
 				}

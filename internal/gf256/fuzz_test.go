@@ -3,13 +3,13 @@ package gf256
 import "testing"
 
 // FuzzKernels is the equivalence fuzzer: for arbitrary coefficients and
-// payloads, the shipped table kernel and the log/exp reference
-// (reference_test.go) must agree byte-for-byte with the scalar Mul oracle
-// on MulSlice, MulAddSlice and MulAddRows. The table kernel is driven
-// through the public wrappers (which own the degenerate c == 0 / c == 1
-// cases) because that is the contract the erasure codec relies on. The
-// payload is split in two so the rows form exercises multiple source
-// slices with distinct contents.
+// payloads, every implementation in impls — the log/exp reference
+// (reference_test.go), the table kernel called directly and, on AVX2
+// hosts, the avx2 kernel through the public wrappers (which own the
+// degenerate c == 0 / c == 1 cases, the contract the erasure codec relies
+// on) — must agree byte-for-byte with the scalar Mul oracle on MulSlice,
+// MulAddSlice and MulAddRows. The payload is split in two so the rows
+// form exercises multiple source slices with distinct contents.
 func FuzzKernels(f *testing.F) {
 	f.Add(byte(0), byte(0), []byte{})
 	f.Add(byte(1), byte(2), []byte{0, 1, 2, 3, 4, 5, 6, 7})

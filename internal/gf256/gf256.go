@@ -145,7 +145,7 @@ func MulSlice(c byte, dst, src []byte) {
 // MulAddSlice computes dst[i] ^= c * src[i] for every index, the classic
 // "axpy" kernel of the erasure encoder. dst and src must have equal length
 // and must not alias unless they are identical slices with c == 0. The
-// byte work runs through the table kernel (see kernel.go); c == 1
+// byte work runs through the slice kernel (see kernel.go); c == 1
 // degenerates to a word-wise XOR with no table work.
 func MulAddSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
@@ -158,14 +158,15 @@ func MulAddSlice(c byte, dst, src []byte) {
 		xorSlice(dst, src)
 		return
 	}
-	tableMulAdd(c, dst, src)
+	mulAdd(c, dst, src)
 }
 
 // MulAddRows computes dst[i] ^= Σ_j coeffs[j]*srcs[j][i] — one dispersal
 // row applied to all of its source packets in a single call. Fusing the
-// sources lets the table kernel amortize the dst read-modify-write across
-// up to four sources per pass, the dominant cost of repeated MulAddSlice
-// calls; it is the encode/decode row primitive of the erasure codec.
+// sources lets the kernel amortize the dst read-modify-write (across
+// every source for avx2, up to four per pass for table), the dominant
+// cost of repeated MulAddSlice calls; it is the encode/decode row
+// primitive of the erasure codec.
 // Every source must have dst's length, and none may alias dst.
 func MulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 	if len(coeffs) != len(srcs) {
@@ -176,7 +177,7 @@ func MulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 			panic("gf256: MulAddRows length mismatch")
 		}
 	}
-	tableMulAddRows(coeffs, dst, srcs)
+	mulAddRows(coeffs, dst, srcs)
 }
 
 // AddSlice computes dst[i] ^= src[i] for every index (field addition is

@@ -3,17 +3,21 @@ package gf256
 // The slice kernels below are the only GF(2^8) code on the transmission
 // hot path: every byte of every cooked packet flows through MulAddSlice
 // (encode) or MulAddRows (encode and decode), so their cost decides how
-// fast the erasure codec can feed a channel. There is one implementation,
-// "table": a flat 64 KiB product table mulTable[c][x]. For a fixed
-// coefficient the inner loop touches one 256-byte row with a single
-// independent branch-free lookup per byte, gathering eight products at a
-// time into 64-bit destination words; its fused MulAddRows form folds up
-// to four source rows into one destination pass, amortizing the dst
-// read-modify-write that dominates repeated two-operand calls.
+// fast the erasure codec can feed a channel. There are two
+// implementations, chosen by the CPU (see KernelName). On amd64 with AVX2
+// it is "avx2", the split-nibble VPSHUFB loop of kernel_amd64.s, for
+// every whole 32-byte block. Everywhere else, and for the sub-32-byte
+// tail, it is "table" below: a flat 64 KiB product table mulTable[c][x].
+// For a fixed coefficient the table loop touches one 256-byte row with a
+// single independent branch-free lookup per byte, gathering eight
+// products at a time into 64-bit destination words; its fused MulAddRows
+// form folds up to four source rows into one destination pass, amortizing
+// the dst read-modify-write that dominates repeated two-operand calls.
 //
-// The log/exp-table loop it replaced (a branch plus two dependent lookups
-// per byte, 2.3–2.6× slower) lives on in reference_test.go as the
-// byte-for-byte oracle FuzzKernels compares the shipped kernel with.
+// The log/exp-table loop the table kernel replaced (a branch plus two
+// dependent lookups per byte, 2.3–2.6× slower) lives on in
+// reference_test.go as the byte-for-byte oracle FuzzKernels compares
+// both shipped kernels with.
 
 import "encoding/binary"
 
@@ -34,10 +38,6 @@ func genMulTables() *mulTables {
 	}
 	return t
 }
-
-// KernelName names the slice-kernel implementation, for stats lines and
-// benchmark headers.
-func KernelName() string { return "table" }
 
 // The table loops below gather the products of 8 source bytes into one
 // 64-bit word: eight independent 256-byte-row lookups (bounds-check

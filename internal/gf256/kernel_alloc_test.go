@@ -25,14 +25,26 @@ func TestKernelsAllocationFree(t *testing.T) {
 	coeffs[2] = 0 // compaction path
 	coeffs[4] = 1 // identity-coefficient path
 
+	// The public entries run the avx2 kernel on AVX2 hosts (with a
+	// table-kernel tail at the odd length); the table entries are called
+	// directly so both kernels are checked in one binary.
+	const odd = size - 5
+	tails := make([][]byte, rows)
+	for j := range tails {
+		tails[j] = srcs[j][:odd]
+	}
 	checks := []struct {
 		op string
 		fn func()
 	}{
 		{"MulAddRows", func() { MulAddRows(coeffs, dst, srcs) }},
+		{"MulAddRows with a tail", func() { MulAddRows(coeffs, dst[:odd], tails) }},
 		{"MulAddSlice", func() { MulAddSlice(0x53, dst, srcs[0]) }},
+		{"MulAddSlice with a tail", func() { MulAddSlice(0x53, dst[:odd], srcs[0][:odd]) }},
 		{"MulSlice", func() { MulSlice(0x1d, dst, srcs[1]) }},
 		{"AddSlice", func() { AddSlice(dst, srcs[3]) }},
+		{"tableMulAddRows", func() { tableMulAddRows(coeffs, dst, srcs) }},
+		{"tableMulAdd", func() { tableMulAdd(0x53, dst, srcs[0]) }},
 	}
 	for _, c := range checks {
 		if allocs := testing.AllocsPerRun(50, c.fn); allocs != 0 {

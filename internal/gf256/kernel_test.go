@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// withImpl runs fn once per implementation: the log/exp reference and
-// the shipped table kernel behind the public wrappers.
+// withImpl runs fn once per implementation in impls: the log/exp
+// reference, the table kernel and, on AVX2 hosts, the avx2 kernel.
 func withImpl(t *testing.T, fn func(t *testing.T, k sliceImpl)) {
 	t.Helper()
 	for _, k := range impls {
@@ -24,41 +24,44 @@ func testPattern(n, seed int) []byte {
 	return b
 }
 
-// TestDefaultKernelIsTable pins the name planner.Stats and the benchmark
-// header print: there is one kernel and no knob.
-func TestDefaultKernelIsTable(t *testing.T) {
-	if got := KernelName(); got != "table" {
-		t.Fatalf("default kernel %q, want table", got)
-	}
+// misaligned returns n bytes of testPattern(n+off, seed) starting at
+// byte off, so a kernel sees a base address that is not block-aligned.
+func misaligned(n, off, seed int) []byte {
+	return testPattern(n+off, seed)[off:]
 }
 
-// TestKernelsAgainstScalar checks both implementations' primitives against
-// scalar Mul for a range of lengths (covering the 8-byte SWAR tail) and
-// coefficients, including the degenerate 0 and 1.
+// kernelLengths covers the 8-byte SWAR tail, the 16-byte table loop and
+// the avx2 block/tail seam at 32.
+var kernelLengths = []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257, 1024}
+
+// TestKernelsAgainstScalar checks every implementation's primitives
+// against scalar Mul for a range of lengths and coefficients, including
+// the degenerate 0 and 1, on aligned and unaligned sub-slices.
 func TestKernelsAgainstScalar(t *testing.T) {
-	lengths := []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 255, 256, 1024}
 	coeffs := []byte{0, 1, 2, 3, 29, 113, 142, 200, 254, 255}
 	withImpl(t, func(t *testing.T, k sliceImpl) {
-		for _, n := range lengths {
-			src := testPattern(n, 1)
-			for _, c := range coeffs {
-				// MulSlice.
-				dst := testPattern(n, 2)
-				k.mulSlice(c, dst, src)
-				for i := range src {
-					if want := Mul(c, src[i]); dst[i] != want {
-						t.Fatalf("%s MulSlice(c=%d, n=%d)[%d] = %d, want %d",
-							k.name, c, n, i, dst[i], want)
+		for _, off := range []int{0, 1, 5} {
+			for _, n := range kernelLengths {
+				src := misaligned(n, off, 1)
+				for _, c := range coeffs {
+					// MulSlice.
+					dst := misaligned(n, off+2, 2)
+					k.mulSlice(c, dst, src)
+					for i := range src {
+						if want := Mul(c, src[i]); dst[i] != want {
+							t.Fatalf("%s MulSlice(c=%d, n=%d, off=%d)[%d] = %d, want %d",
+								k.name, c, n, off, i, dst[i], want)
+						}
 					}
-				}
-				// MulAddSlice.
-				dst = testPattern(n, 2)
-				orig := append([]byte(nil), dst...)
-				k.mulAdd(c, dst, src)
-				for i := range src {
-					if want := orig[i] ^ Mul(c, src[i]); dst[i] != want {
-						t.Fatalf("%s MulAddSlice(c=%d, n=%d)[%d] = %d, want %d",
-							k.name, c, n, i, dst[i], want)
+					// MulAddSlice.
+					dst = misaligned(n, off+2, 2)
+					orig := append([]byte(nil), dst...)
+					k.mulAdd(c, dst, src)
+					for i := range src {
+						if want := orig[i] ^ Mul(c, src[i]); dst[i] != want {
+							t.Fatalf("%s MulAddSlice(c=%d, n=%d, off=%d)[%d] = %d, want %d",
+								k.name, c, n, off, i, dst[i], want)
+						}
 					}
 				}
 			}
@@ -68,37 +71,40 @@ func TestKernelsAgainstScalar(t *testing.T) {
 
 // TestMulAddRowsAgainstScalar exercises the fused row primitive (and the
 // reference's pairwise form) across row counts that hit the 4/2/1
-// unrolling tails (and, at 300, the table kernel's beyond-the-field
-// fallback) and rows with zero and one coefficients interleaved.
+// unrolling tails (and, at 300, the beyond-the-field fallback), rows
+// with zero and one coefficients interleaved, lengths either side of
+// the 32-byte block seam, and sources at differing misalignments.
 func TestMulAddRowsAgainstScalar(t *testing.T) {
-	lengths := []int{0, 1, 8, 17, 256, 1024}
+	lengths := []int{0, 1, 8, 17, 31, 32, 33, 63, 65, 256, 257, 1024}
 	withImpl(t, func(t *testing.T, k sliceImpl) {
-		for _, n := range lengths {
-			for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 300} {
-				srcs := make([][]byte, rows)
-				coeffs := make([]byte, rows)
-				for j := range srcs {
-					srcs[j] = testPattern(n, j+1)
-					// Interleave zero, one and general coefficients.
-					switch j % 3 {
-					case 0:
-						coeffs[j] = 0
-					case 1:
-						coeffs[j] = 1
-					default:
-						coeffs[j] = byte(37*j + 5)
+		for _, off := range []int{0, 3} {
+			for _, n := range lengths {
+				for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 300} {
+					srcs := make([][]byte, rows)
+					coeffs := make([]byte, rows)
+					for j := range srcs {
+						srcs[j] = misaligned(n, off*(j%4), j+1)
+						// Interleave zero, one and general coefficients.
+						switch j % 3 {
+						case 0:
+							coeffs[j] = 0
+						case 1:
+							coeffs[j] = 1
+						default:
+							coeffs[j] = byte(37*j + 5)
+						}
 					}
-				}
-				dst := testPattern(n, 0)
-				want := append([]byte(nil), dst...)
-				for j := range srcs {
-					for i := range want {
-						want[i] ^= Mul(coeffs[j], srcs[j][i])
+					dst := misaligned(n, off, 0)
+					want := append([]byte(nil), dst...)
+					for j := range srcs {
+						for i := range want {
+							want[i] ^= Mul(coeffs[j], srcs[j][i])
+						}
 					}
-				}
-				k.mulAddRows(coeffs, dst, srcs)
-				if !bytes.Equal(dst, want) {
-					t.Fatalf("%s MulAddRows(rows=%d, n=%d) mismatch", k.name, rows, n)
+					k.mulAddRows(coeffs, dst, srcs)
+					if !bytes.Equal(dst, want) {
+						t.Fatalf("%s MulAddRows(rows=%d, n=%d, off=%d) mismatch", k.name, rows, n, off)
+					}
 				}
 			}
 		}

@@ -5,6 +5,8 @@ package gf256
 // selected them outside a benchmark driver — but stay here as the
 // independent byte-for-byte oracle: FuzzKernels, the …AgainstScalar
 // tests and the kernel benchmarks run every implementation in impls.
+// Both shipped kernels are in it on an AVX2 host: table called directly,
+// avx2 through the public wrappers.
 
 // sliceImpl is one implementation of the three slice primitives under
 // the public contract (any c, equal-length non-aliasing slices).
@@ -15,10 +17,20 @@ type sliceImpl struct {
 	mulAddRows func(coeffs []byte, dst []byte, srcs [][]byte)
 }
 
-// impls lists the reference first, then what the binary runs.
-var impls = []sliceImpl{
-	{"logexp", logExpMulSlice, logExpMulAdd, pairwiseRows},
-	{"table", MulSlice, MulAddSlice, MulAddRows},
+// impls lists the reference first, then the pure-Go table kernel, then
+// (on hosts that have it) avx2. The avx2 entry's MulSlice is the table
+// loop; only the accumulating forms have an AVX2 path.
+var impls = kernelImpls()
+
+func kernelImpls() []sliceImpl {
+	out := []sliceImpl{
+		{"logexp", logExpMulSlice, logExpMulAdd, pairwiseRows},
+		{"table", tableMulSlice, tableMulAdd, tableMulAddRows},
+	}
+	if KernelName() == "avx2" {
+		out = append(out, sliceImpl{"avx2", MulSlice, MulAddSlice, MulAddRows})
+	}
+	return out
 }
 
 func logExpMulAdd(c byte, dst, src []byte) {

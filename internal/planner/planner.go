@@ -121,8 +121,9 @@ type Stats struct {
 	// Entries and Bytes describe the cache's current occupancy.
 	Entries int
 	Bytes   int64
-	// GFKernel names the active GF(2^8) slice kernel driving every
-	// encode behind the cached plans (see gf256.KernelName).
+	// GFKernel names the GF(2^8) slice kernel this CPU runs for every
+	// encode behind the cached plans: "avx2" or "table", fixed by CPUID
+	// at start-up (see gf256.KernelName).
 	GFKernel string
 }
 
