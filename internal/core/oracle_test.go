@@ -365,12 +365,13 @@ func TestNewUnitsTransmissionOrder(t *testing.T) {
 	}
 }
 
-// TestProgressAllocations pins what a frame costs the progress path: a
-// corrupt one nothing, an intact one that completes no unit only its
-// payload copy and (amortised) its slot in the held-packet map — a clear
-// row, a parity row and a fountain repair alike, the last two while their
-// generation is still short of rank, with the decoder's list of held
-// repairs growing amortised too.
+// TestProgressAllocations pins what a frame costs the progress path:
+// nothing, whether corrupt or intact. An intact frame that completes no
+// unit — a clear row, a parity row and a fountain repair alike, the last
+// two while their generation is still short of rank — copies its payload
+// into the receiver's current block and takes a slot in the pre-sized
+// held-packet map; the blocks and the decoder's list of held repairs are
+// allocated once for many frames, below one allocation a frame.
 func TestProgressAllocations(t *testing.T) {
 	doc, scores := paperShapedDoc(t)
 	// 64-byte packets under 512-byte paragraphs: seven clear rows in eight
@@ -437,8 +438,8 @@ func TestProgressAllocations(t *testing.T) {
 		if rcv.NewUnits() != nil {
 			t.Fatalf("quiet frame %d completed a unit", next-1)
 		}
-	}); n != 1 {
-		t.Errorf("intact frame completing no unit allocates %v times, want 1 (the payload copy; map growth amortises below one)", n)
+	}); n != 0 {
+		t.Errorf("intact frame completing no unit allocates %v times, want 0", n)
 	}
 
 	const seed = 5
@@ -487,8 +488,8 @@ func TestProgressAllocations(t *testing.T) {
 			if rcv.NewUnits() != nil || rcv.Reconstructible() {
 				t.Fatalf("%s frame %d completed something", tc.name, next-1)
 			}
-		}); n != 1 {
-			t.Errorf("%s frame completing no unit allocates %v times, want 1", tc.name, n)
+		}); n != 0 {
+			t.Errorf("%s frame completing no unit allocates %v times, want 0", tc.name, n)
 		}
 	}
 	_ = sink

@@ -35,6 +35,8 @@ type Receiver struct {
 	// lists, persistence and resume address packets the same way under
 	// every codec. The decoders hold these payloads by reference.
 	intact map[int][]byte
+	// slab is the unused tail of the block Add copies payloads into.
+	slab []byte
 	// avail indexes what is usable so far; Add notes the generation it
 	// touched and the progress accessors fold that in before they answer.
 	avail availIndex
@@ -64,7 +66,7 @@ func NewReceiverFromLayout(layout Layout) (*Receiver, error) {
 	return &Receiver{
 		layout: layout,
 		gens:   gens,
-		intact: make(map[int][]byte),
+		intact: make(map[int][]byte, layout.M()),
 		avail:  newAvailIndex(layout),
 	}, nil
 }
@@ -96,7 +98,10 @@ func (r *Receiver) Layout() Layout { return r.layout }
 
 // Add records an intact cooked packet by wire sequence number
 // (Layout.WireSeq) and feeds it to its generation's decoder. Duplicates
-// are ignored. The payload is copied.
+// are ignored. The payload is copied into the receiver's payload blocks,
+// which the held packets share, so a packet costs no allocation of its own.
+//
+//mobweb:hot per intact frame on the client
 func (r *Receiver) Add(seq int, payload []byte) error {
 	if len(payload) != r.layout.PacketSize {
 		return fmt.Errorf("core: payload %d bytes, want %d", len(payload), r.layout.PacketSize)
@@ -108,11 +113,29 @@ func (r *Receiver) Add(seq int, payload []byte) error {
 	if _, dup := r.intact[seq]; dup {
 		return nil
 	}
-	own := append([]byte(nil), payload...)
+	if len(r.slab) < len(payload) {
+		r.slab = r.newSlab()
+	}
+	own := r.slab[:len(payload):len(payload)]
+	r.slab = r.slab[len(payload):]
+	copy(own, payload)
 	r.intact[seq] = own
 	_, err := r.gens[g].Add(local, own)
 	r.avail.touch(g)
 	return err
+}
+
+// maxSlab bounds one payload block in bytes.
+const maxSlab = 64 << 10
+
+// newSlab returns a block for the next payloads. Its size is the packets
+// the layout still lacks — M less those held, at least one packet, at most
+// maxSlab bytes — so a whole fetch holds its payloads in one or two
+// allocations, and a fetch that stops early leaves one block partly used.
+func (r *Receiver) newSlab() []byte {
+	sp := r.layout.PacketSize
+	n := min(max(r.layout.M()-len(r.intact), 1), max(maxSlab/sp, 1))
+	return make([]byte, n*sp)
 }
 
 // AddFrame parses a wire frame in the layout's codec, verifies its CRC,
@@ -180,7 +203,8 @@ func (r *Receiver) Rebase(newLayout Layout) (*Receiver, error) {
 // Reset discards all cached packets — the NoCaching behaviour between
 // retransmission rounds (stock HTTP reload).
 func (r *Receiver) Reset() {
-	r.intact = make(map[int][]byte)
+	r.intact = make(map[int][]byte, r.layout.M())
+	r.slab = nil
 	// Decoders accumulate state monotonically; a reset means fresh ones.
 	// The layout was validated at construction, so rebuilding cannot fail.
 	gens, err := newDecoders(r.layout)
@@ -236,20 +260,24 @@ func (r *Receiver) Reconstruct() ([]byte, error) {
 	if !r.Reconstructible() {
 		return nil, ErrNotReconstructible
 	}
-	permuted := make([]byte, 0, r.layout.M()*r.layout.PacketSize)
+	// The body is copied straight out of the raw packets, which are the
+	// held payloads themselves wherever they arrived.
+	raws := make([][]byte, 0, r.layout.M())
 	for g := range r.layout.Shapes {
 		raw, err := r.rawSymbols(g)
 		if err != nil {
 			return nil, fmt.Errorf("generation %d: %w", g, err)
 		}
-		for _, pkt := range raw {
-			permuted = append(permuted, pkt...)
-		}
+		raws = append(raws, raw...)
 	}
-	permuted = permuted[:r.layout.BodySize]
+	sp := r.layout.PacketSize
 	out := make([]byte, r.layout.BodySize)
 	for _, seg := range r.layout.Ranked {
-		copy(out[seg.OrigOff:seg.OrigOff+seg.Length], permuted[seg.PermutedOff:seg.PermutedOff+seg.Length])
+		dst := out[seg.OrigOff : seg.OrigOff+seg.Length]
+		for off := seg.PermutedOff; len(dst) > 0; {
+			n := copy(dst, raws[off/sp][off%sp:])
+			dst, off = dst[n:], off+n
+		}
 	}
 	return out, nil
 }
@@ -310,14 +338,18 @@ func (r *Receiver) UnitText(seg SegmentMeta) (string, bool) {
 			return "", false
 		}
 	}
-	return r.unitText(seg)
-}
-
-// unitText copies out a segment every raw packet of which is available.
-func (r *Receiver) unitText(seg SegmentMeta) (string, bool) {
-	sp := r.layout.PacketSize
 	var text strings.Builder
 	text.Grow(seg.Length)
+	if !r.writeUnit(&text, seg) {
+		return "", false
+	}
+	return text.String(), true
+}
+
+// writeUnit writes out a segment every raw packet of which is available;
+// on false it has written the packets before the first unreadable one.
+func (r *Receiver) writeUnit(text *strings.Builder, seg SegmentMeta) bool {
+	sp := r.layout.PacketSize
 	for off := 0; off < seg.Length; {
 		pos := seg.PermutedOff + off
 		within := pos % sp
@@ -327,12 +359,12 @@ func (r *Receiver) unitText(seg SegmentMeta) (string, bool) {
 		}
 		data, ok := r.rawBytes(pos / sp)
 		if !ok {
-			return "", false
+			return false
 		}
 		text.Write(data[within : within+chunk])
 		off += chunk
 	}
-	return text.String(), true
+	return true
 }
 
 // rawBytes returns raw packet rawIdx's bytes once they are readable: a
@@ -389,26 +421,33 @@ func (r *Receiver) NewUnits() []RenderedUnit {
 }
 
 // render pairs the available accrual units — all of them, or only those
-// NewUnits has not handed out — with their text.
+// NewUnits has not handed out — with their text. The texts are substrings
+// of one string, built in one allocation.
 func (r *Receiver) render(undrainedOnly bool) []RenderedUnit {
 	ix := &r.avail
 	picked := func(s int) bool { return ix.missing[s] == 0 && !(undrainedOnly && ix.drained[s]) }
-	n := 0
-	for s := range r.layout.Accrual {
+	n, size := 0, 0
+	for s, seg := range r.layout.Accrual {
 		if picked(s) {
 			n++
+			size += seg.Length
 		}
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]RenderedUnit, 0, n)
+	var text strings.Builder
+	text.Grow(size)
 	for s, seg := range r.layout.Accrual {
 		if !picked(s) {
 			continue
 		}
-		if text, ok := r.unitText(seg); ok {
-			out = append(out, RenderedUnit{Segment: seg, Text: text})
+		// A builder's string is never written again, only extended, so a
+		// unit's text can be cut from it before the next unit is added.
+		start := text.Len()
+		if r.writeUnit(&text, seg) {
+			out = append(out, RenderedUnit{Segment: seg, Text: text.String()[start:]})
 		}
 	}
 	return out

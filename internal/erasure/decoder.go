@@ -194,9 +194,10 @@ func (d *Decoder) Symbol(i int) []byte {
 	return raw[i]
 }
 
-// Raw returns all M source symbols of a complete generation, copied into
-// one arena of capacity-capped views, solving for the missing ones on the
-// first call; later calls return the same arena.
+// Raw returns all M source symbols of a complete generation, solving for
+// the missing ones on the first call; later calls return the same slices.
+// A held source is its payload as Add received it, not a copy; the solved
+// ones share one block of capacity-capped views. None may be modified.
 func (d *Decoder) Raw() ([][]byte, error) {
 	if d.raw != nil {
 		return d.raw, nil
@@ -204,9 +205,13 @@ func (d *Decoder) Raw() ([][]byte, error) {
 	if !d.complete {
 		return nil, fmt.Errorf("%w: %d packets held do not span %d symbols", ErrShortSet, d.Received(), d.m)
 	}
-	raw := allocPackets(d.m, d.size)
+	raw := make([][]byte, d.m)
+	solved := allocPackets(d.m-d.held, d.size)
 	for i, s := range d.src {
-		copy(raw[i], s)
+		if s == nil {
+			s, solved = solved[0], solved[1:]
+		}
+		raw[i] = s
 	}
 	if err := d.solve(raw); err != nil {
 		return nil, err
@@ -215,10 +220,11 @@ func (d *Decoder) Raw() ([][]byte, error) {
 	return raw, nil
 }
 
-// solve fills the missing rows of raw, which hold zeros on entry. Picked
-// repair k carries Σ_j C[k][j]·raw[j]; adding the held sources' terms to
-// it leaves the syndrome Σ_i C[k][missing i]·raw[missing i], u equations
-// in the u missing symbols, solved by one u×u inverse.
+// solve fills the missing rows of raw, which hold zeros on entry, and
+// only reads the others. Picked repair k carries Σ_j C[k][j]·raw[j];
+// adding the held sources' terms to it leaves the syndrome
+// Σ_i C[k][missing i]·raw[missing i], u equations in the u missing
+// symbols, solved by one u×u inverse.
 func (d *Decoder) solve(raw [][]byte) error {
 	u := len(d.picked)
 	if u == 0 {

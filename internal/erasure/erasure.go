@@ -181,7 +181,8 @@ func (c *Coder) Decode(received []Received) ([][]byte, error) {
 		}
 		seen[r.Index] = true
 	}
-	d := c.NewDecoder(len(received[0].Data))
+	size := len(received[0].Data)
+	d := c.NewDecoder(size)
 	for _, clear := range []bool{true, false} {
 		for _, r := range received {
 			if (r.Index < c.m) == clear {
@@ -191,7 +192,15 @@ func (c *Coder) Decode(received []Received) ([][]byte, error) {
 			}
 		}
 	}
-	return d.Raw()
+	held, err := d.Raw()
+	if err != nil {
+		return nil, err
+	}
+	raw := allocPackets(c.m, size)
+	for i, s := range held {
+		copy(raw[i], s)
+	}
+	return raw, nil
 }
 
 // Split cuts payload into m packets of packetSize bytes, zero-padding the

@@ -119,8 +119,10 @@ const (
 // and is not safe for concurrent use.
 type Client struct {
 	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	// r and w are the connection's buffers, taken from the pools when an
+	// operation first does I/O and handed back when it ends (see release).
+	r *bufio.Reader
+	w *bufio.Writer
 	// Timeout bounds each network read and write; zero means 30 seconds.
 	Timeout time.Duration
 	// Retry bounds reconnection after mid-fetch connection failures; the
@@ -177,11 +179,7 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an existing connection (e.g. a net.Pipe end in tests).
 // A client built this way cannot reconnect until SetRedial is called.
 func NewClient(conn net.Conn) *Client {
-	return &Client{
-		conn: conn,
-		r:    bufio.NewReader(conn),
-		w:    bufio.NewWriter(conn),
-	}
+	return &Client{conn: conn}
 }
 
 // SetRedial installs the function used to re-establish the connection
@@ -243,9 +241,30 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
+// buffers gives the client its connection buffers for the operation
+// running, from the pools unless it still holds them.
+func (c *Client) buffers() {
+	if c.r == nil {
+		c.r, c.w = getReader(c.conn), getWriter(c.conn)
+	}
+}
+
+// release ends an operation: it hands the connection buffers back to the
+// pools, unless they hold bytes that belong to the connection's next read
+// or write.
+func (c *Client) release() {
+	if c.r == nil || c.r.Buffered() > 0 || c.w.Buffered() > 0 {
+		return
+	}
+	putReader(c.r)
+	putWriter(c.w)
+	c.r, c.w = nil, nil
+}
+
 // send writes one control message under a write deadline, so a wedged
 // peer (or dead link with full TCP buffers) cannot block forever.
 func (c *Client) send(ctx context.Context, req Request) error {
+	c.buffers()
 	if err := c.conn.SetWriteDeadline(c.deadline(ctx)); err != nil {
 		return err
 	}
@@ -268,6 +287,7 @@ func (c *Client) armRead(ctx context.Context) error {
 // readResponse reads one control response under a read deadline and
 // returns its length on the wire with it.
 func (c *Client) readResponse(ctx context.Context) (Response, int, error) {
+	c.buffers()
 	if err := c.armRead(ctx); err != nil {
 		return Response{}, 0, err
 	}
@@ -326,8 +346,10 @@ func (c *Client) reconnect(ctx context.Context) error {
 			continue
 		}
 		c.conn = conn
-		c.r = bufio.NewReader(conn)
-		c.w = bufio.NewWriter(conn)
+		if c.r != nil {
+			c.r.Reset(conn)
+			c.w.Reset(conn)
+		}
 		return nil
 	}
 	if lastErr == nil {
@@ -373,6 +395,7 @@ func (c *Client) SearchContext(ctx context.Context, query string, limit int) ([]
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: interrupted: %w", err)
 	}
+	defer c.release()
 	defer c.armInterrupt(ctx)()
 	if err := c.send(ctx, Request{Op: "search", Query: query, Limit: limit}); err != nil {
 		return nil, ctxErr(ctx, err)
@@ -557,6 +580,7 @@ func (c *Client) Fetch(opts FetchOptions) (*FetchResult, error) {
 // in-flight network operations and stops the reconnect loop. Like Fetch,
 // it returns the partial result alongside any terminal error.
 func (c *Client) FetchContext(ctx context.Context, opts FetchOptions) (*FetchResult, error) {
+	defer c.release()
 	result, err := c.fetchContext(ctx, opts)
 	cm := c.metrics()
 	cm.fetches.Inc()
@@ -615,7 +639,10 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 	cm := c.metrics()
 	tr := opts.Trace
 	var rcv *core.Receiver
-	seen := make(map[int]bool) // rendered units by permuted offset
+	var seen map[int]bool // units OnProgress has had, by permuted offset
+	if opts.OnProgress != nil {
+		seen = make(map[int]bool)
+	}
 
 	// Round 1 starts from whatever the store holds for this shape — a
 	// prefetch window, an earlier skim, a previous process life; possibly
@@ -904,6 +931,7 @@ func (c *Client) PrefetchContext(ctx context.Context, opts FetchOptions, budgetP
 	if budgetPackets < 1 {
 		return res, fmt.Errorf("transport: prefetch budget %d, want >= 1", budgetPackets)
 	}
+	defer c.release()
 	if c.Store == nil {
 		if c.Store, err = store.Open("", store.Options{}); err != nil {
 			return res, err
@@ -1026,12 +1054,14 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 			prog := Progress{Seq: seq, Intact: intact, InfoContent: rcv.InfoContent(),
 				Replica: result.Replica, Capability: result.Capability, Codec: result.Codec}
 			if intact {
-				for _, u := range rcv.NewUnits() {
-					if seen[u.Segment.PermutedOff] {
-						continue
+				// The drain is the receiver's fresh slice: filter it in place.
+				units := rcv.NewUnits()
+				prog.NewUnits = units[:0]
+				for _, u := range units {
+					if !seen[u.Segment.PermutedOff] {
+						seen[u.Segment.PermutedOff] = true
+						prog.NewUnits = append(prog.NewUnits, u)
 					}
-					seen[u.Segment.PermutedOff] = true
-					prog.NewUnits = append(prog.NewUnits, u)
 				}
 			}
 			opts.OnProgress(prog)

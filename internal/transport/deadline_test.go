@@ -42,7 +42,7 @@ func TestStreamOutlastsIdleTimeout(t *testing.T) {
 	if err := client.conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.r.ReadByte(); !errors.Is(err, io.EOF) {
+	if _, err := client.conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
 		t.Errorf("idle connection: read returned %v, want the server's close", err)
 	}
 }

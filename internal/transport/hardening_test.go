@@ -176,38 +176,41 @@ func TestReadResponse(t *testing.T) {
 }
 
 func TestReadFrameRejectsOversizedPrefix(t *testing.T) {
-	var buf bytes.Buffer
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	buf.Write(hdr[:])
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hdr[:]))); err == nil {
 		t.Error("oversized frame prefix accepted")
 	}
 }
 
 func TestWriteFrameRejectsBadSizes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, nil); err == nil {
+	w := bufio.NewWriter(io.Discard)
+	if err := WriteFrame(w, nil); err == nil {
 		t.Error("empty frame accepted")
 	}
-	if err := WriteFrame(&buf, make([]byte, MaxFrameSize+1)); err == nil {
+	if err := WriteFrame(w, make([]byte, MaxFrameSize+1)); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }
 
 func TestFrameRoundTripAndEOS(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte{1, 2, 3}); err != nil {
+	w := bufio.NewWriter(&buf)
+	if err := WriteFrame(w, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteEndOfStream(&buf); err != nil {
+	if err := WriteEndOfStream(w); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := ReadFrame(&buf)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(&buf)
+	frame, err := ReadFrame(r)
 	if err != nil || !bytes.Equal(frame, []byte{1, 2, 3}) {
 		t.Fatalf("ReadFrame = (%v, %v)", frame, err)
 	}
-	eos, err := ReadFrame(&buf)
+	eos, err := ReadFrame(r)
 	if err != nil || eos != nil {
 		t.Fatalf("end-of-stream = (%v, %v), want (nil, nil)", eos, err)
 	}

@@ -349,16 +349,19 @@ func TestFountainPrefetchSendsStopgen(t *testing.T) {
 				control <- req
 			}
 		}()
+		w := bufio.NewWriter(srvEnd)
 		for seq := 0; ; seq++ {
 			select {
 			case req := <-control:
 				first <- req
-				WriteEndOfStream(srvEnd)
+				if WriteEndOfStream(w) == nil {
+					w.Flush()
+				}
 				return
 			default:
 			}
 			frame, err := plan.FountainFrame(seed, 0, seq)
-			if err != nil || WriteFrame(srvEnd, frame) != nil {
+			if err != nil || WriteFrame(w, frame) != nil || w.Flush() != nil {
 				return
 			}
 		}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mobweb/internal/core"
@@ -169,16 +170,20 @@ type Response struct {
 	Capability string `json:"capability,omitempty"`
 }
 
-// WriteFrame writes one length-prefixed packet frame.
+// frameHeader is the length prefix ahead of every frame: a big-endian
+// uint32, zero for the end-of-stream marker.
+const frameHeader = 4
+
+// WriteFrame writes one length-prefixed packet frame. Framing runs inside
+// the connection's buffers — the prefix is appended in w's own buffer, and
+// ReadFrameInto peeks it in the reader's — so a frame costs no allocation.
 //
 //mobweb:hot runs once per frame on every connection
-func WriteFrame(w io.Writer, frame []byte) error {
+func WriteFrame(w *bufio.Writer, frame []byte) error {
 	if len(frame) == 0 || len(frame) > MaxFrameSize {
 		return fmt.Errorf("transport: frame size %d outside (0, %d]", len(frame), MaxFrameSize)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if err := writeHeader(w, uint32(len(frame))); err != nil {
 		return err
 	}
 	_, err := w.Write(frame)
@@ -186,40 +191,52 @@ func WriteFrame(w io.Writer, frame []byte) error {
 }
 
 // WriteEndOfStream writes the zero-length terminator.
-func WriteEndOfStream(w io.Writer) error {
-	var hdr [4]byte
-	_, err := w.Write(hdr[:])
+func WriteEndOfStream(w *bufio.Writer) error {
+	return writeHeader(w, 0)
+}
+
+// writeHeader appends a length prefix in w's buffer.
+func writeHeader(w *bufio.Writer, n uint32) error {
+	if w.Available() < frameHeader {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), n))
 	return err
 }
 
 // ReadFrame reads one length-prefixed frame; it returns (nil, nil) at the
 // end-of-stream marker.
-func ReadFrame(r io.Reader) ([]byte, error) {
+func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	return ReadFrameInto(r, nil)
 }
 
 // ReadFrameInto is ReadFrame with buffer reuse: the frame is read into
 // buf when it has the capacity, so a receive loop that hands each frame
 // to the sequence manager (which copies what it keeps) allocates only on
-// growth. It returns (nil, nil) at the end-of-stream marker.
-func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// growth. It returns (nil, nil) at the end-of-stream marker. Its errors
+// are io.ReadFull's: io.EOF at a frame boundary or right after a prefix,
+// io.ErrUnexpectedEOF inside either.
+//
+//mobweb:hot runs once per frame on every client connection
+func ReadFrameInto(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(frameHeader)
+	if err != nil {
+		if len(hdr) > 0 && errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	r.Discard(frameHeader)
 	if n == 0 {
 		return nil, nil
 	}
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("transport: frame size %d exceeds %d", n, MaxFrameSize)
 	}
-	var frame []byte
-	if uint32(cap(buf)) >= n {
-		frame = buf[:n]
-	} else {
-		frame = make([]byte, n)
-	}
+	frame := slices.Grow(buf[:0], int(n))[:n]
 	if _, err := io.ReadFull(r, frame); err != nil {
 		return nil, err
 	}
@@ -257,18 +274,31 @@ func ReadResponse(r *bufio.Reader) (Response, error) {
 // readResponse is ReadResponse returning the line's length as well,
 // newline included.
 func readResponse(r *bufio.Reader) (Response, int, error) {
+	line, err := readLine(r)
+	if err != nil {
+		return Response{}, 0, err
+	}
+	var resp Response
+	if err := json.Unmarshal(line, &resp); err != nil {
+		return Response{}, len(line), fmt.Errorf("%w: %v", ErrBadResponse, err)
+	}
+	return resp, len(line), nil
+}
+
+// readLine reads one control line, newline included. A line that sat
+// whole in the reader's buffer is returned in place, valid until the next
+// read; a longer one is copied. A line longer than MaxControlLine is an
+// ErrBadResponse and nothing past the bound is buffered. On any other
+// error readLine returns what it read of the line with the error.
+func readLine(r *bufio.Reader) ([]byte, error) {
 	var line []byte
 	for {
 		frag, err := r.ReadSlice('\n')
 		if len(line)+len(frag) > MaxControlLine {
-			return Response{}, 0, fmt.Errorf("%w: control line exceeds %d bytes", ErrBadResponse, MaxControlLine)
+			return nil, fmt.Errorf("%w: control line exceeds %d bytes", ErrBadResponse, MaxControlLine)
 		}
-		if err != nil && !errors.Is(err, bufio.ErrBufferFull) {
-			return Response{}, 0, err
-		}
-		if err == nil && line == nil {
-			line = frag // the whole line sat in the reader's buffer: no copy
-			break
+		if line == nil && !errors.Is(err, bufio.ErrBufferFull) {
+			return frag, err // the whole line sat in the reader's buffer: no copy
 		}
 		if line == nil {
 			// A layout header is rarely more than two reader buffers
@@ -276,13 +306,8 @@ func readResponse(r *bufio.Reader) (Response, int, error) {
 			line = make([]byte, 0, 4*len(frag))
 		}
 		line = append(line, frag...)
-		if err == nil {
-			break
+		if !errors.Is(err, bufio.ErrBufferFull) {
+			return line, err
 		}
 	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return Response{}, len(line), fmt.Errorf("%w: %v", ErrBadResponse, err)
-	}
-	return resp, len(line), nil
 }

@@ -281,25 +281,33 @@ func (s *Server) Close() error {
 
 // ReadRequests decodes a connection's control lines into a channel from a
 // dedicated goroutine, so that feedback arriving mid-stream can steer the
-// stream promptly. The channel closes when the connection fails or a line
-// does not parse. done must be closed when the handler returns: it keeps
-// the reader from blocking forever on a send nobody will receive (a write
-// error mid-stream with a Request already parsed), which would otherwise
-// leak one goroutine per failed connection.
+// stream promptly. The channel closes when the connection fails, a line
+// does not parse or is longer than MaxControlLine; a last line cut short by
+// the end of the connection still counts. done must be closed when the
+// handler returns: it keeps the reader from blocking forever on a send
+// nobody will receive (a write error mid-stream with a Request already
+// parsed), which would otherwise leak one goroutine per failed connection.
 func ReadRequests(conn net.Conn, done <-chan struct{}) <-chan Request {
 	requests := make(chan Request)
 	go func() {
 		defer close(requests)
-		scan := bufio.NewScanner(conn)
-		scan.Buffer(make([]byte, 0, 4096), MaxControlLine)
-		for scan.Scan() {
-			req, err := DecodeRequest(scan.Bytes())
-			if err != nil {
+		r := getReader(conn)
+		defer putReader(r)
+		for {
+			line, err := readLine(r)
+			if len(line) == 0 {
+				return
+			}
+			req, derr := DecodeRequest(line)
+			if derr != nil {
 				return
 			}
 			select {
 			case requests <- req:
 			case <-done:
+				return
+			}
+			if err != nil {
 				return
 			}
 		}
@@ -344,7 +352,8 @@ func (s *Server) handle(conn net.Conn) {
 
 	// Only the write side goes through the timeout: reads belong to the
 	// reader goroutine, under the idle deadline armed below.
-	w := bufio.NewWriter(TimeoutConn{Conn: conn, Timeout: s.writeTimeout})
+	w := getWriter(TimeoutConn{Conn: conn, Timeout: s.writeTimeout})
+	defer putWriter(w)
 	for {
 		//mobweb:nondet-ok idle-timeout deadline, wall-clock by nature
 		if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {

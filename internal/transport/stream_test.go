@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -193,8 +194,11 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 			// attempted: every frame the source handed to the loop; onAir
 			// marks the ones that were written.
 			var frames [][]byte
-			for wire.Len() > 0 {
-				frame, err := ReadFrame(&wire)
+			for r := bufio.NewReader(&wire); ; {
+				frame, err := ReadFrame(r)
+				if errors.Is(err, io.EOF) {
+					break
+				}
 				if err != nil || frame == nil {
 					t.Fatalf("the loop wrote something other than frames: %v", err)
 				}
