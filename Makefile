@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-fetch loc cover figures paperscale fuzz fmt-check lint lint-json vulncheck verify clean
+.PHONY: all build test race bench bench-fetch loc cover figures paperscale fuzz fmt-check lint vulncheck verify clean
 
 all: build test
 
@@ -14,19 +14,11 @@ test:
 race:
 	go test -race ./...
 
-# The repo's own invariant analyzers (planmut, framemut, gfarith, locks,
-# errwrap, goroleak, nondet, hotalloc) plus the selected go vet passes,
-# gated on the findings baseline; see DESIGN.md §8.
+# The repo's four invariant analyzers (planmut, framemut, locks, nondet)
+# over the whole tree; see DESIGN.md §8. The vet passes run in `build`
+# and `verify` as plain `go vet ./...`.
 lint:
-	go run ./cmd/mobweblint -baseline lint.baseline ./...
-
-# Machine-readable findings report (the CI artifact). Runs without the
-# baseline so the report is the complete picture, and without vet (vet
-# has no JSON mode); always exits 0 — the gate is `make lint`.
-lint-json:
-	@mkdir -p results
-	go run ./cmd/mobweblint -json -vet=false ./... > results/mobweblint.json || true
-	@echo "wrote results/mobweblint.json"
+	go test -run TestTreeLintsClean ./internal/lint
 
 # Known-vulnerability scan. Best effort: govulncheck is an external tool
 # and needs network access for its database, so its absence (or an

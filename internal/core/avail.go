@@ -113,8 +113,6 @@ func (ix *availIndex) touch(g int) {
 }
 
 // markRaw flags raw packet p usable and credits the units it lies under.
-//
-//mobweb:hot
 func (ix *availIndex) markRaw(p int) {
 	ix.raw[p] = true
 	for _, s := range ix.cover[ix.coverOff[p]:ix.coverOff[p+1]] {
@@ -130,8 +128,6 @@ func (ix *availIndex) markRaw(p int) {
 // generations touched since the last fold. A symbol is usable once its
 // source packet is held or its generation is complete; an incomplete
 // generation's Symbol never solves.
-//
-//mobweb:hot
 func (r *Receiver) fold() {
 	ix := &r.avail
 	if !ix.dirty {

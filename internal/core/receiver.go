@@ -100,8 +100,6 @@ func (r *Receiver) Layout() Layout { return r.layout }
 // (Layout.WireSeq) and feeds it to its generation's decoder. Duplicates
 // are ignored. The payload is copied into the receiver's payload blocks,
 // which the held packets share, so a packet costs no allocation of its own.
-//
-//mobweb:hot per intact frame on the client
 func (r *Receiver) Add(seq int, payload []byte) error {
 	if len(payload) != r.layout.PacketSize {
 		return fmt.Errorf("core: payload %d bytes, want %d", len(payload), r.layout.PacketSize)
@@ -290,8 +288,6 @@ func (r *Receiver) Reconstruct() ([]byte, error) {
 // Accrual order, never as a running += in arrival order — only after a
 // unit completed, so it is the same float64 whatever order packets came
 // in: StopAtIC comparisons turn on the last bit.
-//
-//mobweb:hot
 func (r *Receiver) InfoContent() float64 {
 	r.fold()
 	ix := &r.avail

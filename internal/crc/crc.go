@@ -54,8 +54,6 @@ func genSliceTable() [8][256]uint16 {
 }
 
 // Checksum returns the CRC-16/CCITT-FALSE of data.
-//
-//mobweb:hot runs per frame on both marshal and parse
 func Checksum(data []byte) uint16 {
 	return Update(Init, data)
 }
@@ -64,8 +62,6 @@ func Checksum(data []byte) uint16 {
 // computation across header and payload without concatenation. Blocks of
 // eight bytes go through the slicing tables; the tail (and short inputs)
 // fall back to the byte-at-a-time reference path.
-//
-//mobweb:hot runs per frame on both marshal and parse
 func Update(crc uint16, data []byte) uint16 {
 	for len(data) >= 8 {
 		// The 16-bit register only overlaps the first two bytes of the
@@ -86,8 +82,6 @@ func Update(crc uint16, data []byte) uint16 {
 
 // updateBytewise is the byte-at-a-time reference implementation, kept as
 // the cross-checked oracle for the slicing path (see TestSlicingMatchesBytewise).
-//
-//mobweb:hot tail path of every Update call
 func updateBytewise(crc uint16, data []byte) uint16 {
 	for _, b := range data {
 		crc = crc<<8 ^ _table[byte(crc>>8)^b]

@@ -25,6 +25,17 @@ func TestKnownVectors(t *testing.T) {
 			}
 		})
 	}
+	// Every frame is checksummed on both sides, through the slicing path
+	// and the byte-at-a-time tail: neither may allocate.
+	data := []byte("123456789")
+	for name, fn := range map[string]func() uint16{
+		"Checksum":       func() uint16 { return Checksum(data) },
+		"updateBytewise": func() uint16 { return updateBytewise(Init, data) },
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { fn() }); allocs != 0 {
+			t.Errorf("%s allocates %.0f times per call, want 0", name, allocs)
+		}
+	}
 }
 
 func TestBitByBitEquivalence(t *testing.T) {

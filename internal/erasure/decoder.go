@@ -68,8 +68,6 @@ func (d *Decoder) Received() int { return d.held + len(d.repairs) }
 // readable. Duplicates and packets arriving after completion are no-ops.
 // The payload is held by reference: the caller must not modify it while
 // the decoder lives.
-//
-//mobweb:hot per intact packet on the client
 func (d *Decoder) Add(index int, payload []byte) (int, error) {
 	if len(payload) != d.size {
 		return 0, fmt.Errorf("erasure: packet %d has %d bytes, want %d", index, len(payload), d.size)

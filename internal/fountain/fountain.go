@@ -118,8 +118,6 @@ func (s *spec) isSource(seq int) bool { return uint(seq) < uint(s.k) }
 // source seq gets coefficient 1 on its own column and no RNG draw; a
 // repair gets a non-zero coefficient on every column, drawn in column
 // order. A pure function of (spec, seed, seq); it allocates nothing.
-//
-//mobweb:hot per cooked packet on both sides of the stream
 func (s *spec) combination(seed uint64, seq int, row []byte) {
 	if s.isSource(seq) {
 		row[seq] = 1

@@ -52,8 +52,6 @@ func genMulTables() *mulTables {
 
 // tableMulAdd works 16 bytes per iteration as two independent 8-byte
 // gathers whose accumulation chains overlap in the pipeline.
-//
-//mobweb:hot every byte of every cooked packet flows through here
 func tableMulAdd(c byte, dst, src []byte) {
 	row := &_mul.full[c]
 	n := len(src) &^ 15
@@ -74,7 +72,6 @@ func tableMulAdd(c byte, dst, src []byte) {
 	}
 }
 
-//mobweb:hot every byte of every cooked packet flows through here
 func tableMulSlice(c byte, dst, src []byte) {
 	row := &_mul.full[c]
 	n := len(src) &^ 15
@@ -99,8 +96,6 @@ func tableMulSlice(c byte, dst, src []byte) {
 // read-modify-write: four fused sources cost one dst pass instead of
 // four. Zero coefficients are compacted away first; c == 1 needs no
 // special case (row 1 of the product table is the identity).
-//
-//mobweb:hot per parity row per frame; feeds the zero-alloc send path
 func tableMulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 	if len(coeffs) > 256 {
 		// A GF(2^8) code has at most 255 rows, so this cannot happen for
@@ -112,10 +107,9 @@ func tableMulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 		}
 		return
 	}
-	// Compact the non-zero terms into fixed-size stack arrays. This used
-	// to make three slices per call — per parity row, per frame — which
-	// the hotalloc analyzer flagged: the send path's AllocsPerRun gates
-	// budget zero for kernel work.
+	// Compact the non-zero terms into fixed-size stack arrays: this runs
+	// per parity row, per frame, and the send path's AllocsPerRun gates
+	// budget zero for kernel work (TestKernelsAllocationFree).
 	live := 0
 	var rows [256]*[256]byte
 	var data [256][]byte
@@ -185,8 +179,6 @@ func tableMulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 // xorSlice computes dst[i] ^= src[i] eight bytes at a time. It is the
 // c == 1 path of MulAddSlice and the body of AddSlice; XOR is field
 // addition, so there is no table work at all.
-//
-//mobweb:hot c == 1 fast path of every row accumulation
 func xorSlice(dst, src []byte) {
 	n := len(src) &^ 7
 	i := 0

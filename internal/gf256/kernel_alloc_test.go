@@ -2,8 +2,8 @@ package gf256
 
 import "testing"
 
-// TestKernelsAllocationFree pins the hotalloc contract of the slice
-// kernels: the fused-rows accumulation (and the two-operand forms it is
+// TestKernelsAllocationFree pins the allocation-free contract of the
+// slice kernels: the fused-rows accumulation (and the two-operand forms it is
 // built from) must not touch the heap. tableMulAddRows once made three
 // slices per call to compact its coefficients — per parity row, per
 // frame — which this test would have caught.

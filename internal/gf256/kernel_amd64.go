@@ -58,8 +58,6 @@ func KernelName() string {
 }
 
 // mulAdd is MulAddSlice's kernel for c >= 2.
-//
-//mobweb:hot every byte of every cooked packet flows through here
 func mulAdd(c byte, dst, src []byte) {
 	if n := len(dst) &^ 31; hasAVX2 && n > 0 {
 		cc := [1]byte{c}
@@ -73,8 +71,6 @@ func mulAdd(c byte, dst, src []byte) {
 // mulAddRows is MulAddRows' kernel. The non-zero terms are compacted
 // into stack arrays for the assembly loop, which covers the 32-byte
 // blocks; the table kernel finishes the tail.
-//
-//mobweb:hot per parity row per frame and per solved symbol; feeds the zero-alloc send path
 func mulAddRows(coeffs []byte, dst []byte, srcs [][]byte) {
 	n := len(dst) &^ 31
 	if !hasAVX2 || n == 0 || len(coeffs) > 256 {

@@ -9,7 +9,7 @@ import (
 
 const (
 	lockorderPath = "mobweb/internal/lint/testdata/src/lockorder"
-	goroleakPath  = "mobweb/internal/lint/testdata/src/goroleak"
+	funclitPath   = "mobweb/internal/lint/testdata/src/funclit"
 )
 
 // The call graph is keyed by types.Func FullName strings because
@@ -67,21 +67,21 @@ func TestCallGraphNodesAndSites(t *testing.T) {
 // Function literals get their own nodes named parent$N so a goroutine
 // body is never analyzed under its spawner's locks.
 func TestCallGraphFuncLitNodes(t *testing.T) {
-	pkgs, err := lint.Load(".", "./testdata/src/goroleak")
+	pkgs, err := lint.Load(".", "./testdata/src/funclit")
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := lint.NewProgram(pkgs)
-	lit := prog.Graph.Nodes[goroleakPath+".leakyLit$1"]
+	lit := prog.Graph.Nodes[funclitPath+".spawn$1"]
 	if lit == nil {
-		t.Fatalf("no node for leakyLit's literal; have %v", prog.Graph.SortedNames())
+		t.Fatalf("no node for spawn's literal; have %v", prog.Graph.SortedNames())
 	}
 	if lit.Decl != nil || lit.Body == nil {
 		t.Error("literal node must carry its Body and no Decl")
 	}
-	parent := prog.Graph.Nodes[goroleakPath+".leakyLit"]
+	parent := prog.Graph.Nodes[funclitPath+".spawn"]
 	if parent == nil || lit.Body.Pos() < parent.Body.Pos() || lit.Body.End() > parent.Body.End() {
-		t.Fatal("leakyLit$1 must be the literal inside leakyLit's body")
+		t.Fatal("spawn$1 must be the literal inside spawn's body")
 	}
 	for _, site := range parent.Calls {
 		if site.Call.Pos() >= lit.Body.Pos() && site.Call.End() <= lit.Body.End() {

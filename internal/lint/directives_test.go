@@ -3,7 +3,6 @@ package lint
 import (
 	"go/parser"
 	"go/token"
-	"slices"
 	"testing"
 )
 
@@ -11,10 +10,10 @@ const directivesSrc = `package p
 
 import "time"
 
-// hot is a documented hot path.
+// other carries a directive of another name.
 //
-//mobweb:hot fixture reason
-func hot() {}
+//mobweb:other fixture reason
+func other() {}
 
 // plain has no directive.
 func plain() {}
@@ -24,7 +23,7 @@ func body() int64 {
 	//mobweb:nondet-ok standalone form covers the next line
 	b := time.Now().UnixNano()
 	c := time.Now().UnixNano()
-	return a + b + c //lint:allow gfarith, nondet (fixture reason)
+	return a + b + c
 }
 
 // wall reads the clock throughout.
@@ -60,11 +59,7 @@ func TestDirectiveIndex(t *testing.T) {
 		{15, "mobweb:nondet-ok", true, "standalone directive covers its own line"},
 		{16, "mobweb:nondet-ok", true, "standalone directive covers the next line"},
 		{17, "mobweb:nondet-ok", false, "coverage stops after one line"},
-		{14, "mobweb:hot", false, "directive names are distinct"},
-		{18, "lint:allow gfarith", true, "//lint:allow covers its own line"},
-		{18, "lint:allow nondet", true, "//lint:allow lists several analyzers"},
-		{19, "lint:allow gfarith", false, "//lint:allow covers its own line only"},
-		{18, "lint:allow hotalloc", false, "//lint:allow covers only the analyzers listed"},
+		{14, "mobweb:other", false, "directive names are distinct"},
 	}
 	for _, c := range cases {
 		if got := idx.on(token.Position{Filename: "p.go", Line: c.line}, c.name); got != c.want {
@@ -79,14 +74,14 @@ func TestFuncDirective(t *testing.T) {
 	on := func(line int, name string) bool {
 		return idx.on(token.Position{Filename: "p.go", Line: line}, name)
 	}
-	if !on(8, "mobweb:hot") {
-		t.Error("hot's doc comment carries //mobweb:hot; its body is not covered")
+	if !on(8, "mobweb:other") {
+		t.Error("other's doc comment carries //mobweb:other; its body is not covered")
 	}
-	if on(11, "mobweb:hot") {
+	if on(11, "mobweb:other") {
 		t.Error("plain has no directive; the index invented one")
 	}
 	if on(8, "mobweb:nondet-ok") {
-		t.Error("hot carries //mobweb:hot, not //mobweb:nondet-ok")
+		t.Error("other carries //mobweb:other, not //mobweb:nondet-ok")
 	}
 	for line := 24; line <= 27; line++ {
 		if !on(line, "mobweb:nondet-ok") {
@@ -100,22 +95,19 @@ func TestFuncDirective(t *testing.T) {
 
 func TestParseDirective(t *testing.T) {
 	cases := []struct {
-		text      string
-		names     []string
-		directive bool
+		text string
+		name string
 	}{
-		{"//mobweb:hot per-frame kernel", []string{"mobweb:hot"}, true},
-		{"//mobweb:nondet-ok", []string{"mobweb:nondet-ok"}, true},
-		{"//mobweb:", nil, false},     // name missing
-		{"// mobweb:hot", nil, false}, // space breaks the directive form
-		{"//lint:allow hotalloc", []string{"lint:allow hotalloc"}, false},
-		{"//lint:allow gfarith,nondet (reason, not names)", []string{"lint:allow gfarith", "lint:allow nondet"}, false},
-		{"plain text", nil, false},
+		{"//mobweb:other fixture reason", "mobweb:other"},
+		{"//mobweb:nondet-ok", "mobweb:nondet-ok"},
+		{"//mobweb:", ""},           // name missing
+		{"// mobweb:nondet-ok", ""}, // space breaks the directive form
+		{"//lint:allow nondet", ""}, // not a directive
+		{"plain text", ""},
 	}
 	for _, c := range cases {
-		names, directive := parseComment(c.text)
-		if !slices.Equal(names, c.names) || directive != c.directive {
-			t.Errorf("parseComment(%q) = (%q, %v), want (%q, %v)", c.text, names, directive, c.names, c.directive)
+		if got := parseDirective(c.text); got != c.name {
+			t.Errorf("parseDirective(%q) = %q, want %q", c.text, got, c.name)
 		}
 	}
 }

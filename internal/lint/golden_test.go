@@ -24,8 +24,6 @@ func TestFixtureDiagnosticsGolden(t *testing.T) {
 	const src = "mobweb/internal/lint/testdata/src/"
 	defer linttest.Override(&lint.PlanOwnerPackage, src+"planmutowner")()
 	defer linttest.Override(&lint.NondetPackages, []string{src + "nondet"})()
-	lint.ErrwrapPackages[src+"errwrap"] = true
-	defer delete(lint.ErrwrapPackages, src+"errwrap")
 
 	diags, err := lint.Run(".", []string{"./testdata/src/..."}, lint.Analyzers())
 	if err != nil {

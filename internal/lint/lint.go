@@ -1,5 +1,6 @@
 // Package lint is a self-contained static-analysis framework plus the
-// analyzers that machine-check this repository's correctness invariants:
+// four analyzers that machine-check the invariants of this repository
+// that no runtime test can pin down:
 //
 //   - planmut: cached *core.Plan values are immutable after construction,
 //     and the slices its accessors share must never be written through
@@ -8,28 +9,19 @@
 //     cached plan is mutated).
 //   - framemut: the same contract for cooked wire frames handed out by
 //     the frame cache and planner.Resolved.
-//   - gfarith: parity rows are GF(2^8)-linear combinations; byte-valued
-//     field elements must go through gf256.Add/Mul/Div, never integer
-//     +, -, *, /. Index arithmetic stays int-typed and is untouched.
 //   - locks: mutexes must not be held across channel operations, network
 //     I/O, plan builds, waits or sleeps, and the global mutex
 //     acquisition-order graph (built over the cross-package call graph)
 //     must be acyclic — planner.mu strictly outside the cache mutex, and
 //     the cache never calls back.
-//   - errwrap: errors crossing the planner/transport/gateway package
-//     boundaries must be wrapped with %w (or carried as a typed
-//     *planner.RequestError) so the client-facing 404/400 mapping keeps
-//     seeing the chain.
-//   - goroleak: goroutines need an exit path; no unconditional loops
-//     without a way out, no bare unbuffered sends in goroutine loops
-//     (the historic transport reader-leak shape).
 //   - nondet: the packages feeding golden traces, seeded chaos and
 //     cache keys must not read wall clocks, draw unseeded randomness,
 //     or leak map iteration order into output (//mobweb:nondet-ok opts
 //     genuinely wall-clock lines out).
-//   - hotalloc: //mobweb:hot functions — the GF(2^8) kernels, CRC,
-//     packet marshal, frame append/write — must not allocate (fmt,
-//     make, growing append, boxing), guarding the zero-alloc wins.
+//
+// GF(2^8) arithmetic, %w error chains, goroutine exits and the
+// allocation-free hot paths are pinned by runtime tests instead
+// (DESIGN.md §8).
 //
 // The framework mirrors the golang.org/x/tools go/analysis API surface
 // (Analyzer, Pass, Reportf, analysistest-style fixtures with // want
@@ -38,7 +30,8 @@
 // `go list -deps -export -json` and the compiler's export data
 // (load.go). Every analyzer sees the whole load through one Pass: the
 // packages, the static call graph (callgraph.go) and the index of
-// //lint:allow and //mobweb: comments (program.go).
+// //mobweb: directives (program.go). TestTreeLintsClean runs the suite
+// over the tree; `make lint` runs that test.
 package lint
 
 import (
@@ -52,10 +45,9 @@ import (
 
 // Analyzer is one static check, in the image of analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and //lint:allow
-	// suppressions.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description shown by `mobweblint -help`.
+	// Doc is the one-paragraph description of what it checks.
 	Doc string
 	// Run inspects the whole load and reports findings through the pass.
 	Run func(*Pass) error
@@ -82,19 +74,15 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Pos, d.Message, d.Analyzer)
 }
 
-// Reportf records a finding unless the line carries a matching
-// //lint:allow suppression.
+// Reportf records a finding.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.comments.on(position, "lint:allow "+p.Analyzer.Name) || p.comments.on(position, "lint:allow all") {
-		return
-	}
-	p.report(Diagnostic{Pos: position, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
+	p.report(Diagnostic{Pos: p.Fset.Position(pos), Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// Analyzers returns every registered analyzer, the multichecker's suite.
+// Analyzers returns every registered analyzer, the suite TestTreeLintsClean
+// runs over the tree.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{PlanMut, FrameMut, GFArith, Locks, ErrWrap, GoroLeak, NonDet, HotAlloc}
+	return []*Analyzer{PlanMut, FrameMut, Locks, NonDet}
 }
 
 // calleeFunc resolves a call expression to the static *types.Func it
@@ -128,15 +116,6 @@ func calleeFullName(info *types.Info, call *ast.CallExpr) string {
 		return fn.FullName()
 	}
 	return ""
-}
-
-// isByte reports whether t's underlying type is byte/uint8.
-func isByte(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Uint8
 }
 
 // namedOrPointee unwraps one level of pointer and returns the named type

@@ -8,7 +8,7 @@ import (
 
 // Program is the whole-load view every analyzer's Pass embeds: the
 // loaded target packages, the static call graph over all of them, and
-// the index of //lint:allow and //mobweb: comments.
+// the index of //mobweb: directives.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
@@ -36,22 +36,15 @@ func (prog *Program) Directive(pos token.Pos, name string) bool {
 	return prog.comments.on(prog.Fset.Position(pos), "mobweb:"+name)
 }
 
-// commentIndex records, per file line, the names the comments covering
-// that line carry: "lint:allow <analyzer>" for a suppression and
-// "mobweb:<name>" for a directive. The two forms differ in intent —
-// //lint:allow drops a finding already raised, a //mobweb: directive
-// changes what an analyzer looks at:
+// commentIndex records, per file line, the "mobweb:<name>" directives
+// covering that line. A directive changes what an analyzer looks at:
 //
-//	//lint:allow gfarith (wire header, not a field element)
 //	//mobweb:nondet-ok deadlines are wall-clock by nature
-//	//mobweb:hot per-frame kernel
 //
-// and in what they cover. //lint:allow covers its own line only; several
-// analyzers may be listed, comma- or space-separated, and "all" covers
-// every analyzer. A //mobweb: directive covers its own line, the next
-// line too when the comment stands alone (so it can sit above a long
-// statement), and the whole body when it is a line of a function's doc
-// comment. Reason text is for humans and is not parsed.
+// It covers its own line, the next line too when the comment stands
+// alone (so it can sit above a long statement), and the whole body when
+// it is a line of a function's doc comment. Reason text is for humans
+// and is not parsed.
 type commentIndex map[commentKey]bool
 
 type commentKey struct {
@@ -75,50 +68,37 @@ func (idx commentIndex) add(fset *token.FileSet, f *ast.File) {
 	var code map[int]bool // lines on which code ends, built on first use
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			names, directive := parseComment(c.Text)
-			if len(names) == 0 {
+			name := parseDirective(c.Text)
+			if name == "" {
 				continue
+			}
+			if code == nil {
+				code = codeLines(fset, f)
 			}
 			pos := fset.Position(c.Pos())
 			from, to := pos.Line, pos.Line
-			if directive {
-				if code == nil {
-					code = codeLines(fset, f)
-				}
-				if !code[pos.Line] {
-					to++
-				}
-				if body := docBody[cg]; body != nil {
-					to = max(to, fset.Position(body.Rbrace).Line)
-				}
+			if !code[pos.Line] {
+				to++
 			}
-			for _, name := range names {
-				for line := from; line <= to; line++ {
-					idx[commentKey{pos.Filename, line, name}] = true
-				}
+			if body := docBody[cg]; body != nil {
+				to = max(to, fset.Position(body.Rbrace).Line)
+			}
+			for line := from; line <= to; line++ {
+				idx[commentKey{pos.Filename, line, name}] = true
 			}
 		}
 	}
 }
 
-// parseComment returns the index names one comment carries — one
-// "lint:allow <analyzer>" per analyzer a //lint:allow lists (the
-// parenthesized reason dropped), or "mobweb:<name>" for a //mobweb:
-// directive — and whether it is a directive.
-func parseComment(text string) (names []string, directive bool) {
-	if rest, ok := strings.CutPrefix(text, "//lint:allow"); ok {
-		rest, _, _ = strings.Cut(rest, "(")
-		for _, name := range strings.FieldsFunc(rest, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
-			names = append(names, "lint:allow "+name)
-		}
-		return names, false
-	}
+// parseDirective returns "mobweb:<name>" for a //mobweb: directive and
+// "" for any other comment.
+func parseDirective(text string) string {
 	if rest, ok := strings.CutPrefix(text, "//mobweb:"); ok {
 		if fields := strings.Fields(rest); len(fields) > 0 {
-			return []string{"mobweb:" + fields[0]}, true
+			return "mobweb:" + fields[0]
 		}
 	}
-	return nil, false
+	return ""
 }
 
 // codeLines returns the lines on which some non-comment node ends. A //

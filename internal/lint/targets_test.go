@@ -63,9 +63,4 @@ func TestAnalyzerTargetsExist(t *testing.T) {
 			t.Errorf("NondetPackages names %s, which is not a package of the tree", path)
 		}
 	}
-	for path := range ErrwrapPackages {
-		if !loaded[path] {
-			t.Errorf("ErrwrapPackages names %s, which is not a package of the tree", path)
-		}
-	}
 }

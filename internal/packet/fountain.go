@@ -71,8 +71,6 @@ func (p FountainPacket) Marshal() ([]byte, error) {
 
 // AppendMarshal appends the framed packet to dst and returns the
 // extended slice, allocation-free when dst has capacity.
-//
-//mobweb:hot per-frame marshal of the fountain transmit loop
 func (p FountainPacket) AppendMarshal(dst []byte) ([]byte, error) {
 	base := len(dst)
 	var hdr [FountainOverhead]byte // stack scratch; FinishFountainFrame overwrites it
@@ -109,8 +107,6 @@ func FinishFountainFrame(frame []byte, seed uint64, gen, seq int) error {
 // ErrCodecMismatch when byte 0 is not the fountain codec id, and
 // ErrCorrupt when the CRC check fails (the returned header fields are
 // then diagnostic only).
-//
-//mobweb:hot per-frame parse of the fountain receive loop
 func ParseFountain(frame []byte) (FountainPacket, error) {
 	if len(frame) < FountainOverhead {
 		return FountainPacket{}, ErrTruncated

@@ -61,8 +61,6 @@ func (p Packet) Marshal() ([]byte, error) {
 // AppendMarshal appends the framed packet to dst and returns the extended
 // slice, for allocation-free transmit loops: when dst has capacity for the
 // frame, no allocation happens at all.
-//
-//mobweb:hot per-frame marshal of the steady-state transmit loop
 func (p Packet) AppendMarshal(dst []byte) ([]byte, error) {
 	if p.Seq < 0 || p.Seq > MaxSeq {
 		return nil, fmt.Errorf("packet: sequence %d outside [0, %d]", p.Seq, MaxSeq)
@@ -93,8 +91,6 @@ func Unmarshal(frame []byte) (Packet, error) {
 // aliases frame, so it is only valid while the caller's frame buffer is.
 // Receivers that retain packets across frames must copy the payload (or
 // use Unmarshal).
-//
-//mobweb:hot per-frame parse of the receive loop
 func Parse(frame []byte) (Packet, error) {
 	if len(frame) < Overhead {
 		return Packet{}, ErrTruncated

@@ -92,17 +92,36 @@ func TestAppendMarshalMatchesMarshal(t *testing.T) {
 	}
 }
 
+// Every per-frame marshal and parse, both frame formats, and the CRC
+// under them runs allocation-free once the caller's buffer has room.
 func TestAppendMarshalAllocFree(t *testing.T) {
 	p := Packet{Seq: 9, Payload: make([]byte, 256)}
+	fp := FountainPacket{Seed: 7, Gen: 1, Seq: 300, Payload: make([]byte, 256)}
 	buf := make([]byte, 0, 300)
-	allocs := testing.AllocsPerRun(100, func() {
-		out, err := p.AppendMarshal(buf[:0])
-		if err != nil {
-			t.Fatal(err)
+	frame, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fframe, err := fp.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"Packet.AppendMarshal", func() error { _, err := p.AppendMarshal(buf[:0]); return err }},
+		{"Parse", func() error { _, err := Parse(frame); return err }},
+		{"FountainPacket.AppendMarshal", func() error { _, err := fp.AppendMarshal(buf[:0]); return err }},
+		{"ParseFountain", func() error { _, err := ParseFountain(fframe); return err }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := c.fn(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocated %.1f times per call, want 0", c.name, allocs)
 		}
-		_ = out
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendMarshal allocated %.1f times per call, want 0", allocs)
 	}
 }

@@ -967,6 +967,24 @@ func TestFrontControlOps(t *testing.T) {
 	}
 }
 
+// goroutineBaseline waits until the goroutine count has held still for
+// 50 ms (at most 2 s) and returns it, so a baseline does not count what
+// earlier tests are still tearing down: those exits would otherwise
+// hide a goroutine the test under way leaks.
+func goroutineBaseline() int {
+	n := runtime.NumGoroutine()
+	deadline := time.Now().Add(2 * time.Second)
+	for still := 0; still < 5 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // settleGoroutines waits for the goroutine count to come back down to
 // baseline and fails the test, with a dump of what is still running, if
 // it does not.
@@ -1086,7 +1104,7 @@ func TestWriteDeadlineReleasesFrontHandler(t *testing.T) {
 // finished fetch, an idle connection and one mid-stream: nothing either
 // server started may outlive it.
 func TestNoGoroutinesAfterFrontClose(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := goroutineBaseline()
 	t.Run("fleet", func(t *testing.T) {
 		fl := startFleet(t, 2, transport.ServerOptions{PacketDelay: time.Millisecond}, Options{})
 		client := fl.client(t)

@@ -85,8 +85,6 @@ func (r *Ring) Replicas() int { return r.replicas }
 
 // Pick returns the home replica for a canonical document ID: the owner
 // of the first ring point at or after the document's hash, wrapping.
-//
-//mobweb:hot per-fetch routing decision on the front tier's request path
 func (r *Ring) Pick(doc string) int {
 	return r.points[r.search(fnv1a(doc))].replica
 }

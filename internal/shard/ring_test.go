@@ -21,6 +21,11 @@ func TestRingPickDeterministic(t *testing.T) {
 			t.Fatalf("Pick(%q) differs across identically built rings", doc)
 		}
 	}
+	// Pick is on every fetch's routing path through the front; it
+	// hashes the name in place and searches without a closure.
+	if allocs := testing.AllocsPerRun(100, func() { r1.Pick("doc-7.xml") }); allocs != 0 {
+		t.Errorf("Pick allocates %.0f times per call, want 0", allocs)
+	}
 }
 
 func TestRingPickStableUnderExtension(t *testing.T) {

@@ -29,80 +29,56 @@ type Index struct {
 	TotalDoc int
 }
 
-// annotated is the token shape flowing through the pipeline.
+// annotated is a token that passed the word filter.
 type annotated struct {
-	unitID     int
-	raw        string
-	lemma      string
-	emphasized bool
+	unitID int
+	lemma  string
 }
 
-// BuildIndex drives the five-stage pipeline over the document and returns
-// the logical index. Stages run as concurrent goroutines connected by
-// channels, the "pipelined fashion" of §3.3; BuildIndex itself is
-// synchronous and returns only after the SC-generator stage has consumed
-// every token.
+// BuildIndex runs the five stages of §3.3 over the document and returns
+// the logical index. The recognizer, lemmatizer and word filter act on
+// one token at a time, so they run as one loop over the unit tree, in
+// document order, feeding the keyword extractor's counts directly. The
+// extractor is a barrier (qualification needs the document-wide counts),
+// after which the structural characteristic generator counts the
+// qualified keywords per unit.
 func BuildIndex(doc *document.Document, opts Options) (*Index, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("textproc: nil document")
 	}
 
-	// Stage 1 — document recognizer: unit text → raw tokens.
-	recognized := make(chan annotated)
-	go func() {
-		defer close(recognized)
-		doc.Root.Walk(func(u *document.Unit) bool {
-			emph := make(map[string]bool, len(u.Emphasized))
-			for _, w := range u.Emphasized {
-				for _, tok := range Tokenize(w) {
-					emph[tok] = true
-				}
-			}
-			// Titles are content-bearing text of the unit itself.
-			for _, source := range []string{u.Title, u.Text} {
-				for _, w := range Tokenize(source) {
-					recognized <- annotated{unitID: u.ID, raw: w, emphasized: emph[w]}
-				}
-			}
-			return true
-		})
-	}()
-
-	// Stage 2 — lemmatizer.
-	lemmatized := make(chan annotated)
-	go func() {
-		defer close(lemmatized)
-		for t := range recognized {
-			t.lemma = Lemmatize(t.raw)
-			lemmatized <- t //lint:allow goroleak (linear pipeline: BuildIndex drains every stage to close)
-		}
-	}()
-
-	// Stage 3 — word filter: drop stop words.
-	filtered := make(chan annotated)
-	go func() {
-		defer close(filtered)
-		for t := range lemmatized {
-			if IsStopWord(t.raw) || IsStopWord(t.lemma) {
-				continue
-			}
-			filtered <- t //lint:allow goroleak (linear pipeline: BuildIndex drains every stage to close)
-		}
-	}()
-
-	// Stage 4 — keyword extractor: frequency analysis over the whole
-	// document plus the specially-formatted override. This stage is a
-	// natural barrier: qualification needs global counts.
+	// Stages 1–3 — document recognizer (unit text → tokens), lemmatizer,
+	// word filter (drop stop words) — and the counting half of stage 4,
+	// the keyword extractor.
 	var stream []annotated
 	freq := make(map[string]int)
 	emphasizedWords := make(map[string]bool)
-	for t := range filtered {
-		stream = append(stream, t)
-		freq[t.lemma]++
-		if t.emphasized {
-			emphasizedWords[t.lemma] = true
+	doc.Root.Walk(func(u *document.Unit) bool {
+		emph := make(map[string]bool, len(u.Emphasized))
+		for _, w := range u.Emphasized {
+			for _, tok := range Tokenize(w) {
+				emph[tok] = true
+			}
 		}
-	}
+		// Titles are content-bearing text of the unit itself.
+		for _, source := range []string{u.Title, u.Text} {
+			for _, w := range Tokenize(source) {
+				lemma := Lemmatize(w)
+				if IsStopWord(w) || IsStopWord(lemma) {
+					continue
+				}
+				stream = append(stream, annotated{unitID: u.ID, lemma: lemma})
+				freq[lemma]++
+				if emph[w] {
+					emphasizedWords[lemma] = true
+				}
+			}
+		}
+		return true
+	})
+
+	// Stage 4 — keyword extractor: frequency threshold plus the
+	// specially-formatted override.
 	minFreq := opts.MinFrequency
 	if minFreq < 1 {
 		minFreq = 1

@@ -1,9 +1,9 @@
 // Package textproc implements the structural-characteristic generation
 // pipeline of §3.3: document recognizer → lemmatizer → word filter →
 // keyword extractor → structural characteristic generator, "operating in
-// a pipelined fashion". The stages are connected by channels and run
-// concurrently; BuildIndex is the synchronous entry point that drives the
-// pipeline over a whole document and collects per-unit keyword counts.
+// a pipelined fashion". BuildIndex drives the stages over a whole
+// document in that order — the per-token stages as one loop, then the
+// keyword extractor's barrier — and collects per-unit keyword counts.
 package textproc
 
 import (

@@ -233,9 +233,19 @@ func (c *Client) armInterrupt(ctx context.Context) func() {
 
 // ctxErr maps an I/O error caused by a context interrupt back to the
 // context's own error, so callers see context.Canceled rather than the
-// poisoned-deadline timeout armInterrupt produces.
+// poisoned-deadline timeout armInterrupt produces. A read deadline is
+// capped at the context's deadline, so the I/O can time out a moment
+// before the context's own timer marks it done: past its deadline, the
+// context is waited for.
 func ctxErr(ctx context.Context, err error) error {
-	if err != nil && ctx.Err() != nil {
+	if err == nil {
+		return nil
+	}
+	//mobweb:nondet-ok compares against the context's wall-clock deadline
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		<-ctx.Done()
+	}
+	if ctx.Err() != nil {
 		return fmt.Errorf("transport: interrupted: %w", ctx.Err())
 	}
 	return err

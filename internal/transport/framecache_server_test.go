@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,12 +14,19 @@ import (
 )
 
 // dialServer opens an extra client against a server started with
-// startServerHandle.
+// startServerHandle. Serve records its listener on a goroutine of its
+// own, which may not have run yet, so wait for it.
 func dialServer(t *testing.T, srv *Server) *Client {
 	t.Helper()
-	srv.mu.Lock()
-	addr := srv.ln.Addr().String()
-	srv.mu.Unlock()
+	var addr string
+	for addr == "" {
+		srv.mu.Lock()
+		if srv.ln != nil {
+			addr = srv.ln.Addr().String()
+		}
+		srv.mu.Unlock()
+		runtime.Gosched()
+	}
 	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -75,6 +75,24 @@ func TestNoReaderGoroutineLeak(t *testing.T) {
 	<-serveDone
 }
 
+// goroutineBaseline waits until the goroutine count has held still for
+// 50 ms (at most 2 s) and returns it, so a baseline does not count what
+// earlier tests are still tearing down: those exits would otherwise
+// hide a goroutine the test under way leaks.
+func goroutineBaseline() int {
+	n := runtime.NumGoroutine()
+	deadline := time.Now().Add(2 * time.Second)
+	for still := 0; still < 5 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // settleGoroutines waits for the goroutine count to come back down to
 // baseline and fails the test, with a dump of what is still running, if
 // it does not.
@@ -94,7 +112,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 // server over one idle connection and one mid-stream: Close must take
 // every goroutine the server started with it.
 func TestNoGoroutinesAfterClose(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := goroutineBaseline()
 	t.Run("serve", func(t *testing.T) {
 		client, srv := startServerHandle(t, ServerOptions{PacketDelay: time.Millisecond})
 		for _, opts := range []FetchOptions{

@@ -177,8 +177,6 @@ const frameHeader = 4
 // WriteFrame writes one length-prefixed packet frame. Framing runs inside
 // the connection's buffers — the prefix is appended in w's own buffer, and
 // ReadFrameInto peeks it in the reader's — so a frame costs no allocation.
-//
-//mobweb:hot runs once per frame on every connection
 func WriteFrame(w *bufio.Writer, frame []byte) error {
 	if len(frame) == 0 || len(frame) > MaxFrameSize {
 		return fmt.Errorf("transport: frame size %d outside (0, %d]", len(frame), MaxFrameSize)
@@ -218,8 +216,6 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 // growth. It returns (nil, nil) at the end-of-stream marker. Its errors
 // are io.ReadFull's: io.EOF at a frame boundary or right after a prefix,
 // io.ErrUnexpectedEOF inside either.
-//
-//mobweb:hot runs once per frame on every client connection
 func ReadFrameInto(r *bufio.Reader, buf []byte) ([]byte, error) {
 	hdr, err := r.Peek(frameHeader)
 	if err != nil {
