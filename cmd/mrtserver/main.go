@@ -41,95 +41,117 @@ func main() {
 	}
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("mrtserver", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:8047", "listen address")
-	httpAddr := fs.String("http", "", "also serve the HTTP gateway (e.g. 127.0.0.1:8080)")
-	docVia := fs.String("doc-via", "", "back the gateway's /doc with a packet-transport fetch to this address (a replica or mrtfront); shed/degraded surface as 503 + Retry-After")
-	dir := fs.String("dir", "", "directory of additional .xml/.html documents")
-	alpha := fs.Float64("alpha", 0, "emulated per-packet corruption probability")
-	seed := fs.Int64("seed", 1, "fault injection seed")
-	gamma := fs.Float64("gamma", core.DefaultGamma, "default redundancy ratio")
-	delay := fs.Duration("delay", 0, "per-packet pacing delay (e.g. 100ms emulates 19.2 kbps feel)")
-	noCorpus := fs.Bool("nocorpus", false, "skip the embedded corpus")
-	cacheMB := fs.Int64("plancache-mb", 64, "plan-cache byte budget in MiB (0 disables caching)")
-	frameMB := fs.Int64("framecache-mb", 32, "cooked-frame cache byte budget in MiB (0 disables caching)")
-	chaosKills := fs.Int("chaos-kills", 0, "sever this many connections mid-stream on a seeded schedule (0 disables, -1 unlimited)")
-	chaosMin := fs.Int("chaos-min", 0, "min bytes a connection may write before a chaos kill (0 = 2048)")
-	chaosMax := fs.Int("chaos-max", 0, "max bytes before a chaos kill (0 = 4x min)")
-	chaosStall := fs.Duration("chaos-stall", 0, "stall a connection this long before severing it")
-	metricsAddr := fs.String("metrics-addr", "", "serve /debug/metrics, /debug/fetches and /debug/vars on this address (e.g. 127.0.0.1:8049)")
-	statsEvery := fs.Duration("stats-every", 0, "log a one-line metrics summary at this interval (0 disables)")
-	replicaName := fs.String("replica-name", "", "replica identity reported in fetch responses and scraped by a shard front")
-	capability := fs.String("capability", "", "serve at a reduced tier: full, fetch-degraded, clear-prefix or search-only")
-	shedMax := fs.Int("shed-max-inflight", 0, "admission budget: max concurrent fetch streams before shedding (0 disables)")
-	shedRetryAfter := fs.Duration("shed-retry-after", 0, "retry-after hint attached to shed refusals (0 means 250ms)")
-	codecFlag := fs.String("codec", "", "default erasure codec for fetches that don't name one: vandermonde or fountain")
-	fountainSalt := fs.Uint64("fountain-salt", 0, "salt mixed into derived fountain seeds; replicas sharing a salt emit identical streams")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	defaultCodec, err := erasure.ParseCodec(*codecFlag)
-	if err != nil {
-		return err
-	}
+// options is mrtserver's command line.
+type options struct {
+	addr, httpAddr, docVia, dir, metricsAddr, replicaName, capability, codec string
+	alpha, gamma                                                             float64
+	seed, cacheMB, frameMB                                                   int64
+	delay, chaosStall, statsEvery, shedRetryAfter                            time.Duration
+	chaosKills, chaosMin, chaosMax, shedMax                                  int
+	noCorpus                                                                 bool
+	fountainSalt                                                             uint64
+}
 
-	engine := search.NewEngine(textproc.Options{})
-	if !*noCorpus {
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("mrtserver", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8047", "listen address")
+	fs.StringVar(&o.httpAddr, "http", "", "also serve the HTTP gateway (e.g. 127.0.0.1:8080)")
+	fs.StringVar(&o.docVia, "doc-via", "", "back the gateway's /doc with a packet-transport fetch to this address (a replica or mrtfront); shed/degraded surface as 503 + Retry-After")
+	fs.StringVar(&o.dir, "dir", "", "directory of additional .xml/.html documents")
+	fs.Float64Var(&o.alpha, "alpha", 0, "emulated per-packet corruption probability")
+	fs.Int64Var(&o.seed, "seed", 1, "fault injection seed")
+	fs.Float64Var(&o.gamma, "gamma", core.DefaultGamma, "default redundancy ratio")
+	fs.DurationVar(&o.delay, "delay", 0, "per-packet pacing delay (e.g. 100ms emulates 19.2 kbps feel)")
+	fs.BoolVar(&o.noCorpus, "nocorpus", false, "skip the embedded corpus")
+	fs.Int64Var(&o.cacheMB, "plancache-mb", 64, "plan-cache byte budget in MiB (0 disables caching)")
+	fs.Int64Var(&o.frameMB, "framecache-mb", 32, "cooked-frame cache byte budget in MiB (0 disables caching)")
+	fs.IntVar(&o.chaosKills, "chaos-kills", 0, "sever this many connections mid-stream on a seeded schedule (0 disables, -1 unlimited)")
+	fs.IntVar(&o.chaosMin, "chaos-min", 0, "min bytes a connection may write before a chaos kill (0 = 2048)")
+	fs.IntVar(&o.chaosMax, "chaos-max", 0, "max bytes before a chaos kill (0 = 4x min)")
+	fs.DurationVar(&o.chaosStall, "chaos-stall", 0, "stall a connection this long before severing it")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /debug/metrics, /debug/fetches and /debug/vars on this address (e.g. 127.0.0.1:8049)")
+	fs.DurationVar(&o.statsEvery, "stats-every", 0, "log a one-line metrics summary at this interval (0 disables)")
+	fs.StringVar(&o.replicaName, "replica-name", "", "replica identity reported in fetch responses and scraped by a shard front")
+	fs.StringVar(&o.capability, "capability", "", "serve at a reduced tier: full, fetch-degraded, clear-prefix or search-only")
+	fs.IntVar(&o.shedMax, "shed-max-inflight", 0, "admission budget: max concurrent fetch streams before shedding (0 disables)")
+	fs.DurationVar(&o.shedRetryAfter, "shed-retry-after", 0, "retry-after hint attached to shed refusals (0 means 250ms)")
+	fs.StringVar(&o.codec, "codec", "", "default erasure codec for fetches that don't name one: vandermonde or fountain")
+	fs.Uint64Var(&o.fountainSalt, "fountain-salt", 0, "salt mixed into derived fountain seeds; replicas sharing a salt emit identical streams")
+	return o, fs.Parse(args)
+}
+
+// process is what one mrtserver serves: one document collection, one
+// planner, one transmitter and, with -http, the gateway in front of that
+// transmitter — so every setting below holds on both front ends.
+type process struct {
+	engine *search.Engine
+	pl     *planner.Planner
+	// reg serves the transmitter, the gateway and the metrics listener;
+	// nil (no -metrics-addr, no -stats-every) keeps all instrumentation
+	// on its no-op path.
+	reg *obs.Registry
+	srv *transport.Server
+	gw  *gateway.Handler // nil without -http
+}
+
+// newProcess indexes the documents and builds the transmitter and gateway
+// o describes; it opens no listener.
+func newProcess(o options) (*process, error) {
+	defaultCodec, err := erasure.ParseCodec(o.codec)
+	if err != nil {
+		return nil, err
+	}
+	if o.docVia != "" && o.httpAddr == "" {
+		return nil, fmt.Errorf("-doc-via requires -http")
+	}
+	p := &process{engine: search.NewEngine(textproc.Options{})}
+	if !o.noCorpus {
 		docs, err := corpus.LoadAll()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, d := range docs {
-			if err := engine.Add(d); err != nil {
-				return fmt.Errorf("index %s: %w", d.Name, err)
+			if err := p.engine.Add(d); err != nil {
+				return nil, fmt.Errorf("index %s: %w", d.Name, err)
 			}
 			fmt.Printf("indexed %s (%d bytes, %d units)\n", d.Name, d.Size(), len(d.Units()))
 		}
 	}
-	if *dir != "" {
-		if err := indexDir(engine, *dir); err != nil {
-			return err
+	if o.dir != "" {
+		if err := indexDir(p.engine, o.dir); err != nil {
+			return nil, err
 		}
 	}
-	if engine.Len() == 0 {
-		return fmt.Errorf("no documents to serve")
+	if p.engine.Len() == 0 {
+		return nil, fmt.Errorf("no documents to serve")
 	}
 
-	// One planner shared between the TCP transport and the HTTP gateway:
-	// a plan built for either front end serves retransmission rounds (and
-	// layout bootstraps) on both.
-	cacheBytes := *cacheMB << 20
+	cacheBytes := o.cacheMB << 20
 	if cacheBytes == 0 {
 		cacheBytes = -1 // planner: negative disables, zero means default
 	}
-	frameBytes := *frameMB << 20
+	frameBytes := o.frameMB << 20
 	if frameBytes == 0 {
 		frameBytes = -1 // framecache: negative disables, zero means default
 	}
-	pl, err := planner.New(engine, planner.Options{
-		Defaults:        core.Config{Gamma: *gamma},
+	if p.pl, err = planner.New(p.engine, planner.Options{
+		Defaults:        core.Config{Gamma: o.gamma},
 		CacheBytes:      cacheBytes,
 		FrameCacheBytes: frameBytes,
-	})
-	if err != nil {
-		return err
+	}); err != nil {
+		return nil, err
 	}
-	// One registry serves the TCP transmitter, the HTTP gateway and the
-	// metrics listener; nil (no -metrics-addr, no -stats-every) keeps all
-	// instrumentation on its no-op path.
-	var reg *obs.Registry
-	if *metricsAddr != "" || *statsEvery > 0 {
-		reg = obs.NewRegistry()
+	if o.metricsAddr != "" || o.statsEvery > 0 {
+		p.reg = obs.NewRegistry()
 	}
 	opts := transport.ServerOptions{
-		Name:         *replicaName,
-		Defaults:     core.Config{Gamma: *gamma},
-		Planner:      pl,
-		PacketDelay:  *delay,
-		Metrics:      reg,
+		Name:         o.replicaName,
+		Planner:      p.pl,
+		PacketDelay:  o.delay,
+		Metrics:      p.reg,
 		DefaultCodec: defaultCodec,
-		FountainSalt: *fountainSalt,
+		FountainSalt: o.fountainSalt,
 	}
 	if defaultCodec != erasure.CodecVandermonde {
 		fmt.Printf("default codec: %s\n", defaultCodec)
@@ -137,51 +159,76 @@ func run(args []string) error {
 	// Always expose a capability state when the server is fleet-facing
 	// (metrics scraped by a front) or explicitly tiered, so the front's
 	// health checker can read the mode.
-	if *capability != "" || *metricsAddr != "" {
-		mode, err := transport.ParseCapability(*capability)
+	if o.capability != "" || o.metricsAddr != "" {
+		mode, err := transport.ParseCapability(o.capability)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		opts.Capability = transport.NewCapabilityState(mode)
 		if mode != transport.CapFull {
 			fmt.Printf("capability tier: %s\n", mode)
 		}
 	}
-	if *shedMax > 0 {
+	if o.shedMax > 0 {
 		opts.Admission = shard.NewGate(shard.GateOptions{
-			MaxInFlight: *shedMax,
-			RetryAfter:  *shedRetryAfter,
+			MaxInFlight: o.shedMax,
+			RetryAfter:  o.shedRetryAfter,
 		})
-		fmt.Printf("admission control: %d in-flight fetch streams\n", *shedMax)
+		fmt.Printf("admission control: %d in-flight fetch streams\n", o.shedMax)
 	}
-	if *alpha > 0 {
-		model, err := channel.NewBernoulli(*alpha, *seed)
+	if o.alpha > 0 {
+		model, err := channel.NewBernoulli(o.alpha, o.seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		opts.Injector = transport.NewModelInjector(model)
+		// One channel realisation for every connection, /doc's included.
+		injector := transport.NewModelInjector(model)
+		opts.InjectorFactory = func() transport.FaultInjector { return injector }
 	}
-	srv, err := transport.NewServer(engine, opts)
+	if p.srv, err = transport.NewServer(p.engine, opts); err != nil {
+		return nil, err
+	}
+	if o.httpAddr == "" {
+		return p, nil
+	}
+	if p.gw, err = gateway.New(p.srv); err != nil {
+		return nil, err
+	}
+	p.gw.SetMetrics(p.reg)
+	if o.docVia != "" {
+		p.gw.SetFetcher(dialFetcher{addr: o.docVia})
+		fmt.Printf("gateway /doc via packet transport at %s\n", o.docVia)
+	}
+	return p, nil
+}
+
+func run(args []string) error {
+	o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", *addr)
+	p, err := newProcess(o)
 	if err != nil {
 		return err
 	}
-	if *chaosKills != 0 {
-		maxKills := *chaosKills
+	reg := p.reg
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return err
+	}
+	if o.chaosKills != 0 {
+		maxKills := o.chaosKills
 		if maxKills < 0 {
 			maxKills = 0 // policy: zero means unlimited
 		}
 		chaos := transport.NewChaosListener(ln, transport.ChaosPolicy{
-			Seed:         *seed,
-			KillAfterMin: *chaosMin,
-			KillAfterMax: *chaosMax,
+			Seed:         o.seed,
+			KillAfterMin: o.chaosMin,
+			KillAfterMax: o.chaosMax,
 			MaxKills:     maxKills,
-			Stall:        *chaosStall,
+			Stall:        o.chaosStall,
 		})
-		fmt.Printf("chaos drill armed: up to %d kills (seed %d)\n", *chaosKills, *seed)
+		fmt.Printf("chaos drill armed: up to %d kills (seed %d)\n", o.chaosKills, o.seed)
 		ln = chaos
 		reg.RegisterProbe("chaos", func() any {
 			return map[string]int64{"kills": int64(chaos.Kills())}
@@ -189,7 +236,7 @@ func run(args []string) error {
 		defer func() { fmt.Printf("chaos kills delivered: %d\n", chaos.Kills()) }()
 	}
 
-	if *metricsAddr != "" {
+	if o.metricsAddr != "" {
 		if err := reg.PublishExpvar("mobweb"); err != nil {
 			return err
 		}
@@ -197,7 +244,7 @@ func run(args []string) error {
 		mux.Handle("GET /debug/metrics", obs.MetricsHandler(reg))
 		mux.Handle("GET /debug/fetches", obs.FetchesHandler(reg))
 		mux.Handle("GET /debug/vars", expvar.Handler())
-		mln, err := net.Listen("tcp", *metricsAddr)
+		mln, err := net.Listen("tcp", o.metricsAddr)
 		if err != nil {
 			return err
 		}
@@ -210,11 +257,11 @@ func run(args []string) error {
 		fmt.Printf("metrics on %s (/debug/metrics, /debug/fetches, /debug/vars)\n", mln.Addr())
 		defer msrv.Close()
 	}
-	if *statsEvery > 0 {
+	if o.statsEvery > 0 {
 		done := make(chan struct{})
 		defer close(done)
 		go func() {
-			t := time.NewTicker(*statsEvery)
+			t := time.NewTicker(o.statsEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -227,40 +274,27 @@ func run(args []string) error {
 		}()
 	}
 
-	if *docVia != "" && *httpAddr == "" {
-		return fmt.Errorf("-doc-via requires -http")
-	}
-	var httpSrv *http.Server
-	if *httpAddr != "" {
-		gw, err := gateway.NewWithPlanner(engine, pl)
+	if p.gw != nil {
+		httpLn, err := net.Listen("tcp", o.httpAddr)
 		if err != nil {
 			return err
 		}
-		gw.SetMetrics(reg)
-		if *docVia != "" {
-			gw.SetFetcher(dialFetcher{addr: *docVia})
-			fmt.Printf("gateway /doc via packet transport at %s\n", *docVia)
-		}
-		httpLn, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			return err
-		}
-		httpSrv = &http.Server{Handler: gw}
+		httpSrv := &http.Server{Handler: p.gw}
 		go func() {
 			if err := httpSrv.Serve(httpLn); err != nil && err != http.ErrServerClosed {
 				fmt.Printf("http gateway stopped: %v\n", err)
 			}
 		}()
-		fmt.Printf("http gateway on %s (/search, /sc/{name}, /doc/{name})\n", httpLn.Addr())
+		fmt.Printf("http gateway on %s (/search, /sc/{name}, /layout/{name}, /doc/{name})\n", httpLn.Addr())
 		defer httpSrv.Close()
 	}
 	fmt.Printf("serving %d documents on %s (alpha=%.2f, gamma=%.2f, delay=%v, plancache=%dMiB, framecache=%dMiB)\n",
-		engine.Len(), ln.Addr(), *alpha, *gamma, *delay, *cacheMB, *frameMB)
+		p.engine.Len(), ln.Addr(), o.alpha, o.gamma, o.delay, o.cacheMB, o.frameMB)
 	start := time.Now()
-	err = srv.Serve(ln)
+	err = p.srv.Serve(ln)
 	fmt.Printf("server stopped after %v: %v\n", time.Since(start).Round(time.Second), err)
-	fmt.Println(pl.Stats())
-	fmt.Println(pl.FrameStats())
+	fmt.Println(p.pl.Stats())
+	fmt.Println(p.pl.FrameStats())
 	return nil
 }
 

@@ -1,15 +1,24 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mobweb/internal/core"
+	"mobweb/internal/corpus"
+	"mobweb/internal/erasure"
 	"mobweb/internal/framecache"
 	"mobweb/internal/obs"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
+	"mobweb/internal/transport"
 )
 
 func TestIndexDir(t *testing.T) {
@@ -99,5 +108,64 @@ func TestStatsLineFountainDigest(t *testing.T) {
 func TestRunBadAlpha(t *testing.T) {
 	if err := run([]string{"-alpha", "1.5", "-addr", "127.0.0.1:0"}); err == nil {
 		t.Error("alpha > 1 accepted")
+	}
+}
+
+// startProcess builds what mrtserver serves for args, without listeners.
+func startProcess(t *testing.T, args ...string) *process {
+	t.Helper()
+	o, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := newProcess(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.srv.Close() })
+	return p
+}
+
+func TestProcessDocRefusedBySearchOnlyTier(t *testing.T) {
+	p := startProcess(t, "-capability", "search-only", "-http", "127.0.0.1:0")
+	rec := httptest.NewRecorder()
+	p.gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/doc/"+corpus.DraftName+"?q=mobile", nil))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Errorf("/doc under -capability search-only: status %d, Retry-After %q; want the tier's 503",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+}
+
+func TestProcessLayoutSeedIsTheStreams(t *testing.T) {
+	p := startProcess(t, "-codec", "fountain", "-fountain-salt", "7", "-http", "127.0.0.1:0")
+
+	// The TCP fetch header, over a pipe into the process's server: the
+	// request /doc's fetch makes for the same URL.
+	near, far := net.Pipe()
+	defer near.Close()
+	if err := p.srv.ServeConn(far); err != nil {
+		t.Fatal(err)
+	}
+	req := transport.Request{Op: "fetch", Doc: corpus.DraftName, Query: "mobile", LOD: "paragraph", Notion: "QIC"}
+	if err := transport.WriteJSONLine(near, req); err != nil {
+		t.Fatal(err)
+	}
+	line, err := bufio.NewReader(near).ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr transport.Response
+	if err := json.Unmarshal(line, &hdr); err != nil || !hdr.OK {
+		t.Fatalf("fetch header %s: %v", line, err)
+	}
+
+	rec := httptest.NewRecorder()
+	p.gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/layout/"+corpus.DraftName+"?q=mobile", nil))
+	var layout core.Layout
+	if err := json.Unmarshal(rec.Body.Bytes(), &layout); err != nil {
+		t.Fatalf("/layout status %d: %v", rec.Code, err)
+	}
+	if layout.Codec != erasure.CodecFountain || layout.Seed != hdr.Layout.Seed {
+		t.Errorf("/layout %v seed %#x, the TCP stream %v seed %#x", layout.Codec, layout.Seed, hdr.Layout.Codec, hdr.Layout.Seed)
 	}
 }

@@ -12,16 +12,20 @@
 //	                                 block per unit, cut off at the
 //	                                 requested information content
 //
-// /doc is a rendering of the packet transport: each request is one fetch
-// through the handler's Fetcher, and the body is the receiver's unit
-// stream (transport.Progress.NewUnits) written as it decodes; the
-// receiver's accrued information content is the only cut-off rule, and
-// reaching ic makes the client send stop. The default Fetcher reaches an
-// in-process transport.Server over a net.Pipe per request, through the
-// handler's planner and so its plan and frame caches; SetFetcher swaps in
-// one that crosses the wireless hop. Nothing else differs between the two:
-// the same parameters refused, the same bytes for the same URL (curl -N
-// shows the most relevant paragraphs arriving first).
+// The gateway is a front end of the process's one transport.Server, the
+// TCP transmitter's peer rather than a second transmitter. /doc is a
+// rendering of the packet transport: each request is one fetch through
+// the handler's Fetcher, and the body is the receiver's unit stream
+// (transport.Progress.NewUnits) written as it decodes; the receiver's
+// accrued information content is the only cut-off rule, and reaching ic
+// makes the client send stop. The default Fetcher pipes into the server,
+// so a /doc fetch meets the same capability tier, admission budget,
+// channel, pacing, caches and metrics as a TCP one; SetFetcher swaps in
+// one that crosses to another replica or a shard front. Nothing else
+// differs between the two: the same parameters refused, the same bytes
+// for the same URL (curl -N shows the most relevant paragraphs arriving
+// first). /layout is the server's own answer to the same request
+// (transport.Server.Layout), the geometry its fetch header carries.
 package gateway
 
 import (
@@ -55,8 +59,8 @@ type Fetcher interface {
 }
 
 // pipeFetcher is the default Fetcher: the packet transport with no hop to
-// cross, a fresh net.Pipe per fetch between a client and a server that
-// plans through the handler's planner.
+// cross, a fresh net.Pipe per fetch between a client and the process's
+// server.
 type pipeFetcher struct{ srv *transport.Server }
 
 func (p pipeFetcher) FetchContext(ctx context.Context, opts transport.FetchOptions) (*transport.FetchResult, error) {
@@ -69,12 +73,11 @@ func (p pipeFetcher) FetchContext(ctx context.Context, opts transport.FetchOptio
 	return c.FetchContext(ctx, opts)
 }
 
-// Handler serves the gateway endpoints. Construct with New or
-// NewWithPlanner.
+// Handler serves the gateway endpoints. Construct with New.
 type Handler struct {
-	engine  *search.Engine
-	planner *planner.Planner
-	mux     *http.ServeMux
+	engine *search.Engine
+	srv    *transport.Server
+	mux    *http.ServeMux
 	// fetcher runs every GET /doc: in process until SetFetcher.
 	fetcher Fetcher
 	// requests counts gateway requests when a metrics registry is
@@ -89,29 +92,14 @@ type Handler struct {
 
 var _ http.Handler = (*Handler)(nil)
 
-// New wraps a search engine as an HTTP gateway with its own
-// default-configured planning service.
-func New(engine *search.Engine) (*Handler, error) {
-	pl, err := planner.New(engine, planner.Options{
-		Defaults: core.Config{LOD: document.LODParagraph, Notion: content.NotionQIC},
-	})
-	if err != nil {
-		return nil, err
+// New serves srv's document collection over HTTP: srv is the process's
+// transmitter, built by transport.NewServer, and the gateway resolves and
+// fetches through it.
+func New(srv *transport.Server) (*Handler, error) {
+	if srv == nil || srv.Engine() == nil {
+		return nil, fmt.Errorf("gateway: need a transport.NewServer server")
 	}
-	return NewWithPlanner(engine, pl)
-}
-
-// NewWithPlanner wraps a search engine as an HTTP gateway sharing a
-// planning service (and hence its plan cache) with other front ends.
-func NewWithPlanner(engine *search.Engine, pl *planner.Planner) (*Handler, error) {
-	if pl == nil {
-		return nil, fmt.Errorf("gateway: nil planner")
-	}
-	srv, err := transport.NewServer(engine, transport.ServerOptions{Planner: pl})
-	if err != nil {
-		return nil, err
-	}
-	h := &Handler{engine: engine, planner: pl, mux: http.NewServeMux(), fetcher: pipeFetcher{srv}}
+	h := &Handler{engine: srv.Engine(), srv: srv, mux: http.NewServeMux(), fetcher: pipeFetcher{srv}}
 	h.mux.HandleFunc("GET /search", h.handleSearch)
 	h.mux.HandleFunc("GET /sc/{name}", h.handleSC)
 	h.mux.HandleFunc("GET /doc/{name}", h.handleDoc)
@@ -120,17 +108,16 @@ func NewWithPlanner(engine *search.Engine, pl *planner.Planner) (*Handler, error
 }
 
 // SetMetrics attaches a metrics registry to the gateway: every request is
-// counted, the shared planner's cache counters are exposed as a
-// scrape-time probe, and two debug endpoints are mounted on the gateway
-// mux:
+// counted and two debug endpoints are mounted on the gateway mux:
 //
 //	GET /debug/metrics      → point-in-time registry snapshot (counters,
 //	                          gauges, histograms, probe output) as JSON
 //	GET /debug/fetches?n=K  → recent fetch records, newest first
 //
 // Call it once, before serving; a nil registry is a no-op. The registry is
-// typically the same one wired into the transmission server and clients,
-// so one scrape shows both HTTP and packet-transport activity.
+// typically the server's own (ServerOptions.Metrics), which carries the
+// planner and frame-cache probes, so one scrape shows both HTTP and
+// packet-transport activity.
 func (h *Handler) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -138,14 +125,12 @@ func (h *Handler) SetMetrics(reg *obs.Registry) {
 	h.requests = reg.Counter("gateway.requests")
 	h.unavailable = reg.Counter("gateway.unavailable")
 	h.fetchLog = reg.FetchLog()
-	reg.RegisterProbe("planner", func() any { return h.planner.Stats() })
-	reg.RegisterProbe("framecache", func() any { return h.planner.FrameStats() })
 	h.mux.Handle("GET /debug/metrics", obs.MetricsHandler(reg))
 	h.mux.Handle("GET /debug/fetches", obs.FetchesHandler(reg))
 }
 
 // SetFetcher makes GET /doc fetch through f — a client dialled at a
-// replica or shard front — instead of the in-process server. Call it
+// replica or shard front — instead of the process's server. Call it
 // once, before serving; a nil fetcher is a no-op.
 func (h *Handler) SetFetcher(f Fetcher) {
 	if f != nil {
@@ -225,10 +210,13 @@ func (h *Handler) handleSC(w http.ResponseWriter, r *http.Request) {
 // fetchOptions is the one parser of the parameters that shape a document
 // request — q, lod, notion, codec, gamma and ic — into the fetch that
 // carries them, so every endpoint and both fetchers refuse the same inputs
-// with the same 400. Empty means the serving tier's default.
+// with the same 400. An empty lod or notion is the gateway's own default,
+// paragraph and QIC, whatever the tier's: a q= must order the units. The
+// others' empty means the serving tier's default.
 func fetchOptions(r *http.Request) (transport.FetchOptions, error) {
 	query := r.URL.Query()
-	opts := transport.FetchOptions{Doc: r.PathValue("name"), Query: query.Get("q"), Caching: true}
+	opts := transport.FetchOptions{Doc: r.PathValue("name"), Query: query.Get("q"), Caching: true,
+		LOD: document.LODParagraph, Notion: content.NotionQIC}
 	var err error
 	if s := query.Get("lod"); s != "" {
 		if opts.LOD, err = planner.ParseLOD(s); err != nil {
@@ -267,55 +255,26 @@ func fetchOptions(r *http.Request) (transport.FetchOptions, error) {
 // string, the base64 of core.Layout's binary encoding (DESIGN.md §19), so
 // json.Unmarshal into a core.Layout — or base64 -d and UnmarshalBinary —
 // reads it, and Validate judges it. Query parameters are /doc's, plus seed
-// for a fountain layout; resolution goes through the shared planner.
+// for a fountain layout; the server decides the layout as it decides a
+// fetch's, and refuses what it would refuse the fetch with /doc's status.
 func (h *Handler) handleLayout(w http.ResponseWriter, r *http.Request) {
 	opts, err := fetchOptions(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	req := planner.Request{Doc: opts.Doc, Query: opts.Query, Gamma: opts.Gamma}
-	if opts.LOD != 0 {
-		req.LOD = opts.LOD.String()
-	}
-	if opts.Notion != 0 {
-		req.Notion = opts.Notion.String()
-	}
-	resolved, err := h.planner.ResolveFrames(req)
-	if err != nil {
-		writePlanError(w, err)
-		return
-	}
-	if opts.Codec != erasure.CodecFountain {
-		writeJSON(w, resolved.Plan.Layout())
-		return
-	}
-	// The fountain layout carries the stream seed: explicit via ?seed=,
-	// otherwise derived from the canonical plan key so every gateway
-	// replica hands out the same geometry.
-	seed := resolved.FountainSeed(0)
 	if s := r.URL.Query().Get("seed"); s != "" {
-		if seed, err = strconv.ParseUint(s, 10, 64); err != nil || seed == 0 {
+		if opts.FountainSeed, err = strconv.ParseUint(s, 10, 64); err != nil || opts.FountainSeed == 0 {
 			http.Error(w, "seed must be a positive integer", http.StatusBadRequest)
 			return
 		}
 	}
-	writeJSON(w, resolved.Plan.FountainLayout(seed))
-}
-
-// writePlanError maps planner errors onto HTTP statuses: unknown document
-// → 404, bad parameter → 400, build failure → 500.
-func writePlanError(w http.ResponseWriter, err error) {
-	var reqErr *planner.RequestError
-	if errors.As(err, &reqErr) {
-		status := http.StatusBadRequest
-		if reqErr.NotFound {
-			status = http.StatusNotFound
-		}
-		http.Error(w, reqErr.Msg, status)
+	layout, err := h.srv.Layout(opts)
+	if err != nil {
+		h.writeFetchError(w, err)
 		return
 	}
-	http.Error(w, err.Error(), http.StatusInternalServerError)
+	writeJSON(w, layout)
 }
 
 // writeUnit is the one rendering of a unit: a rule naming it, its text
@@ -340,13 +299,6 @@ func (h *Handler) handleDoc(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	// /doc's own defaults, whatever the tier's: a q= must order the units.
-	if opts.LOD == 0 {
-		opts.LOD = document.LODParagraph
-	}
-	if opts.Notion == 0 {
-		opts.Notion = content.NotionQIC
 	}
 	// Best effort: this engine need not index what the fetch tier serves.
 	if sc, ok := h.engine.SC(opts.Doc); ok {
@@ -402,8 +354,8 @@ func (h *Handler) handleDoc(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeFetchError maps a fetch that failed before its first unit onto an
-// HTTP status. Shed and degraded refusals are the fleet protecting itself:
+// writeFetchError maps a fetch that failed before its first unit, or a
+// layout the server would not serve, onto an HTTP status. Shed and degraded refusals are the fleet protecting itself:
 // 503 with a Retry-After, so stock HTTP clients back off without knowing
 // the packet protocol. A plain refusal is 404: with the parameters vetted
 // by fetchOptions, the document name is what is left to turn down.

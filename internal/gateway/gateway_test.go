@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
@@ -16,6 +17,7 @@ import (
 	"mobweb/internal/erasure"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
+	"mobweb/internal/transport"
 )
 
 func corpusEngine(t *testing.T) *search.Engine {
@@ -33,9 +35,21 @@ func corpusEngine(t *testing.T) *search.Engine {
 	return engine
 }
 
+// newGateway fronts a fresh server over the corpus, one that listens
+// nowhere: the gateway pipes into it.
 func newGateway(t *testing.T) *Handler {
 	t.Helper()
-	h, err := New(corpusEngine(t))
+	return newGatewayWith(t, transport.ServerOptions{})
+}
+
+// newGatewayWith is newGateway with the server built from opts.
+func newGatewayWith(t *testing.T, opts transport.ServerOptions) *Handler {
+	t.Helper()
+	srv, err := transport.NewServer(corpusEngine(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +64,15 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// TestNewNilEngine: the gateway fronts a server with a document
+// collection of its own, not a relay such as the shard front.
 func TestNewNilEngine(t *testing.T) {
 	if _, err := New(nil); err == nil {
-		t.Error("nil engine accepted")
+		t.Error("nil server accepted")
+	}
+	relay := transport.NewBackendServer(nil, transport.ServerOptions{}, time.Second)
+	if _, err := New(relay); err == nil {
+		t.Error("server without an engine accepted")
 	}
 }
 

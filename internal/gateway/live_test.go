@@ -28,6 +28,7 @@ import (
 // tier is a transmission server on a loopback listener with a metrics
 // registry of its own.
 type tier struct {
+	srv  *transport.Server
 	addr string
 	reg  *obs.Registry
 }
@@ -59,7 +60,7 @@ func startTier(t *testing.T, opts transport.ServerOptions, wrap func(net.Listene
 		srv.Close()
 		<-serveDone
 	})
-	return tier{addr: addr, reg: reg}
+	return tier{srv: srv, addr: addr, reg: reg}
 }
 
 // dialFetcher is cmd/mrtserver's: one transport connection per request.
@@ -124,6 +125,11 @@ func (g *gate) Inject(frame []byte, seq int) ([]byte, bool) {
 		<-g.release
 	}
 	return g.inner.Inject(frame, seq)
+}
+
+// oneChannel puts every connection on inj's one channel realisation.
+func oneChannel(inj transport.FaultInjector) func() transport.FaultInjector {
+	return func() transport.FaultInjector { return inj }
 }
 
 // lossy is the seeded Bernoulli α = 0.3 channel.
@@ -196,7 +202,7 @@ func TestDocRequestsRefusedAlike(t *testing.T) {
 func TestDocSameBytesEitherFetcher(t *testing.T) {
 	local := newGateway(t)
 	clean, _ := dialledGateway(t, startTier(t, transport.ServerOptions{}, nil))
-	weak, _ := dialledGateway(t, startTier(t, transport.ServerOptions{Injector: lossy(t, 7)}, nil))
+	weak, _ := dialledGateway(t, startTier(t, transport.ServerOptions{InjectorFactory: oneChannel(lossy(t, 7))}, nil))
 	for _, lod := range []string{"section", "paragraph"} {
 		for _, notion := range []string{"IC", "QIC"} {
 			for _, codec := range bothCodecs {
@@ -232,7 +238,7 @@ func TestDocProgressive(t *testing.T) {
 		t.Run(codec, func(t *testing.T) {
 			g := newGate(lossy(t, 7), 40)
 			defer g.open()
-			h, _ := dialledGateway(t, startTier(t, transport.ServerOptions{Injector: g}, nil))
+			h, _ := dialledGateway(t, startTier(t, transport.ServerOptions{InjectorFactory: oneChannel(g)}, nil))
 			ts := httptest.NewServer(h)
 			defer ts.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -352,17 +358,17 @@ func TestDocOneGatewayRecordNoGoroutineLeft(t *testing.T) {
 		get(t, local, "/doc/"+corpus.DraftName+q)
 	}
 	get(t, local, "/doc/ghost.xml")
-	logged := localReg.FetchLog().Recent(0)
-	if len(logged) != 4 { // the bad lod never fetched
-		t.Errorf("%d records in process, want 4: %+v", len(logged), logged)
+	// The registry is the server's too: each stream the fetches opened
+	// logs a server-origin record beside the gateway's; a refusal does not.
+	byOrigin := map[string][]obs.FetchRecord{}
+	for _, rec := range localReg.FetchLog().Recent(0) {
+		byOrigin[rec.Origin] = append(byOrigin[rec.Origin], rec)
 	}
-	for _, rec := range logged {
-		if rec.Origin != "gateway" {
-			t.Errorf("in-process record %+v, want origin gateway only", rec)
-		}
-	}
-	if logged[0].Err != "refused" || logged[1].Err != "" {
-		t.Errorf("newest records %+v, want a refusal then a clean fetch", logged[:2])
+	gw := byOrigin["gateway"]
+	if len(gw) != 4 || len(byOrigin["server"]) != 3 || len(byOrigin) != 2 { // the bad lod never fetched
+		t.Errorf("in-process records %+v, want 4 from the gateway and 3 from the server", byOrigin)
+	} else if gw[0].Err != "refused" || gw[1].Err != "" {
+		t.Errorf("newest gateway records %+v, want a refusal then a clean fetch", gw[:2])
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
@@ -405,7 +411,7 @@ func TestDocCancelReleasesTheTier(t *testing.T) {
 	g := newGate(transport.NopInjector{}, 20)
 	defer g.open()
 	adm := slot{released: make(chan struct{})}
-	tr := startTier(t, transport.ServerOptions{Injector: g, Admission: adm}, nil)
+	tr := startTier(t, transport.ServerOptions{InjectorFactory: oneChannel(g), Admission: adm}, nil)
 	errs := make(chan error, 1)
 	h, _ := newRemoteGateway(t, dialFetcher{addr: tr.addr, errs: errs})
 

@@ -9,15 +9,15 @@ import (
 
 	"mobweb/internal/corpus"
 	"mobweb/internal/obs"
-	"mobweb/internal/planner"
+	"mobweb/internal/transport"
 )
 
-// newObservedGateway wires a fresh registry into a gateway, mirroring what
-// cmd/mrtserver does with -metrics-addr.
+// newObservedGateway wires one fresh registry into a server and the
+// gateway over it, mirroring what cmd/mrtserver does with -metrics-addr.
 func newObservedGateway(t *testing.T) (*Handler, *obs.Registry) {
 	t.Helper()
-	h := newGateway(t)
 	reg := obs.NewRegistry()
+	h := newGatewayWith(t, transport.ServerOptions{Metrics: reg})
 	h.SetMetrics(reg)
 	return h, reg
 }
@@ -47,7 +47,7 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 	if got := snap.Counters["gateway.requests"]; got < 3 {
 		t.Errorf("gateway.requests = %d, want >= 3", got)
 	}
-	// SetMetrics registered the planner probe; the /doc request above must
+	// The server registered the planner probe; the /doc request above must
 	// have populated the plan cache behind it.
 	probe, ok := snap.Probes["planner"]
 	if !ok {
@@ -115,14 +115,12 @@ func TestDebugFetchesEndpoint(t *testing.T) {
 	}
 }
 
-// TestFrameCacheProbeUnderConcurrentLoad exercises satellite 6's gateway
-// half: while several goroutines stream cooked frames through the shared
-// planner (the same planner the HTTP endpoints use), concurrent scrapes
-// of /debug/metrics must keep returning a well-formed framecache probe,
-// and the final snapshot must show real hit traffic.
+// TestFrameCacheProbeUnderConcurrentLoad: while several goroutines
+// stream cooked frames through /doc (the server's frame cache),
+// concurrent scrapes of /debug/metrics must keep returning a well-formed
+// framecache probe, and the final snapshot must show real hit traffic.
 func TestFrameCacheProbeUnderConcurrentLoad(t *testing.T) {
 	h, _ := newObservedGateway(t)
-	req := planner.Request{Doc: corpus.DraftName, Query: "mobile web"}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -130,16 +128,9 @@ func TestFrameCacheProbeUnderConcurrentLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				res, err := h.planner.ResolveFrames(req)
-				if err != nil {
-					t.Error(err)
+				if rec := get(t, h, "/doc/"+corpus.DraftName+"?q=mobile+web"); rec.Code != http.StatusOK {
+					t.Errorf("/doc status %d", rec.Code)
 					return
-				}
-				for seq := 0; seq < res.Plan.N(); seq++ {
-					if _, err := res.Frame(seq); err != nil {
-						t.Errorf("frame %d: %v", seq, err)
-						return
-					}
 				}
 			}
 		}()
@@ -179,7 +170,7 @@ func TestFrameCacheProbeUnderConcurrentLoad(t *testing.T) {
 	if cooks == 0 {
 		t.Errorf("framecache probe shows no cooks: %v", probe)
 	}
-	// 80 resolutions of one request over a handful of frames: all but the
+	// 40 fetches of one request over a handful of frames: all but the
 	// first sweep must hit.
 	if hits == 0 {
 		t.Errorf("framecache probe shows no hits: %v", probe)

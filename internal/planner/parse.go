@@ -9,10 +9,10 @@ import (
 	"mobweb/internal/document"
 )
 
-// This file owns the wire-spelling parsing that was previously duplicated
-// between transport.buildPlan and the HTTP gateway. Both front ends now
-// accept the same spellings, case-insensitively, and reject the same
-// garbage with the same client-facing messages.
+// This file owns the wire-spelling parsing of the planner's requests and
+// the HTTP gateway's parameters: both accept the same spellings,
+// case-insensitively, and reject the same garbage with the same
+// client-facing messages.
 
 // ParseNotion maps a wire spelling ("IC", "qic", "MQIC", …) to its
 // content notion, case-insensitively. The empty string is rejected;

@@ -33,7 +33,8 @@ func startClient(t *testing.T, alpha float64) *transport.Client {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Injector = transport.NewModelInjector(model)
+		injector := transport.NewModelInjector(model)
+		opts.InjectorFactory = func() transport.FaultInjector { return injector }
 	}
 	srv, err := transport.NewServer(engine, opts)
 	if err != nil {

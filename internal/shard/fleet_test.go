@@ -203,7 +203,7 @@ func (fl *testFleet) client(t *testing.T) *transport.Client {
 }
 
 // home returns the index of the replica owning doc on the ring.
-func (fl *testFleet) home(doc string) int { return fl.ring.Pick(doc) }
+func (fl *testFleet) home(doc string) int { return home(fl.ring, doc) }
 
 // counter reads a front counter by name.
 func (fl *testFleet) counter(name string) int64 {

@@ -428,7 +428,7 @@ func TestPrefetchFallsBackToFullReplica(t *testing.T) {
 }
 
 func TestDegradedGammaClampThroughFront(t *testing.T) {
-	fl := startFleet(t, 1, transport.ServerOptions{DegradedGammaMax: 1.25}, Options{})
+	fl := startFleet(t, 1, transport.ServerOptions{}, Options{})
 	fl.replicas[0].capability.Set(transport.CapFetchDegraded)
 	client := fl.client(t)
 	// Ask for far more redundancy than the degraded tier serves.

@@ -32,8 +32,8 @@ type ringPoint struct {
 }
 
 // Ring is an immutable consistent-hash ring mapping canonical document
-// IDs onto replica indices. Build it once with NewRing; Pick and
-// Successors are then safe for concurrent use and allocation-free.
+// IDs onto replica indices. Build it once with NewRing; Successors is
+// then safe for concurrent use and, with a reused buffer, allocation-free.
 type Ring struct {
 	points   []ringPoint
 	replicas int
@@ -83,14 +83,8 @@ func NewRing(names []string, vnodes int) (*Ring, error) {
 // Replicas returns the replica count the ring was built over.
 func (r *Ring) Replicas() int { return r.replicas }
 
-// Pick returns the home replica for a canonical document ID: the owner
-// of the first ring point at or after the document's hash, wrapping.
-func (r *Ring) Pick(doc string) int {
-	return r.points[r.search(fnv1a(doc))].replica
-}
-
 // search returns the index of the first point with hash >= h, wrapping
-// to 0 past the end. Open-coded binary search keeps Pick allocation-free
+// to 0 past the end. Open-coded binary search keeps Successors allocation-free
 // (sort.Search would force the closure to escape).
 func (r *Ring) search(h uint64) int {
 	lo, hi := 0, len(r.points)

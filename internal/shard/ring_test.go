@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// home is the document's home replica: the first of its Successors.
+func home(r *Ring, doc string) int { return r.Successors(doc, nil)[0] }
+
 func TestRingPickDeterministic(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	r1, err := NewRing(names, 0)
@@ -17,14 +20,16 @@ func TestRingPickDeterministic(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		doc := fmt.Sprintf("doc-%d.xml", i)
-		if r1.Pick(doc) != r2.Pick(doc) {
-			t.Fatalf("Pick(%q) differs across identically built rings", doc)
+		if home(r1, doc) != home(r2, doc) {
+			t.Fatalf("Successors(%q)[0] differs across identically built rings", doc)
 		}
 	}
-	// Pick is on every fetch's routing path through the front; it
-	// hashes the name in place and searches without a closure.
-	if allocs := testing.AllocsPerRun(100, func() { r1.Pick("doc-7.xml") }); allocs != 0 {
-		t.Errorf("Pick allocates %.0f times per call, want 0", allocs)
+	// Successors is on every fetch's routing path through the front; with
+	// a reused buffer it hashes the name in place and searches without a
+	// closure.
+	buf := make([]int, 0, len(names))
+	if allocs := testing.AllocsPerRun(100, func() { buf = r1.Successors("doc-7.xml", buf) }); allocs != 0 {
+		t.Errorf("Successors allocates %.0f times per call, want 0", allocs)
 	}
 }
 
@@ -42,10 +47,10 @@ func TestRingPickStableUnderExtension(t *testing.T) {
 	moved := 0
 	for i := 0; i < 500; i++ {
 		doc := fmt.Sprintf("doc-%d.xml", i)
-		was, now := small.Pick(doc), big.Pick(doc)
+		was, now := home(small, doc), home(big, doc)
 		if was != now {
 			if now != 3 {
-				t.Fatalf("Pick(%q) moved from replica %d to %d, not to the new replica", doc, was, now)
+				t.Fatalf("Successors(%q)[0] moved from replica %d to %d, not to the new replica", doc, was, now)
 			}
 			moved++
 		}
@@ -67,7 +72,7 @@ func TestRingBalance(t *testing.T) {
 	counts := make([]int, len(names))
 	const docs = 3000
 	for i := 0; i < docs; i++ {
-		counts[r.Pick(fmt.Sprintf("doc-%d.xml", i))]++
+		counts[home(r, fmt.Sprintf("doc-%d.xml", i))]++
 	}
 	for i, c := range counts {
 		if c < docs/len(names)/3 {
@@ -88,9 +93,6 @@ func TestRingSuccessorsCoverFleetHomeFirst(t *testing.T) {
 		buf = r.Successors(doc, buf)
 		if len(buf) != len(names) {
 			t.Fatalf("Successors(%q) returned %d replicas, want %d", doc, len(buf), len(names))
-		}
-		if buf[0] != r.Pick(doc) {
-			t.Fatalf("Successors(%q)[0] = %d, Pick = %d", doc, buf[0], r.Pick(doc))
 		}
 		seen := make(map[int]bool)
 		for _, idx := range buf {
@@ -121,7 +123,7 @@ func TestRingRejectsBadFleets(t *testing.T) {
 	}
 }
 
-func BenchmarkRingPick(b *testing.B) {
+func BenchmarkRingSuccessors(b *testing.B) {
 	names := make([]string, 8)
 	for i := range names {
 		names[i] = fmt.Sprintf("replica-%d", i)
@@ -130,8 +132,9 @@ func BenchmarkRingPick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	buf := make([]int, 0, len(names))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Pick("the-draft-document.xml")
+		buf = r.Successors("the-draft-document.xml", buf)
 	}
 }

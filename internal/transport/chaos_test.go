@@ -9,6 +9,7 @@ import (
 
 	"mobweb/internal/channel"
 	"mobweb/internal/corpus"
+	"mobweb/internal/planner"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
 )
@@ -27,6 +28,22 @@ func corpusEngine(t *testing.T) *search.Engine {
 		}
 	}
 	return engine
+}
+
+// corpusPlanner plans over an index of its own of the corpus, for a
+// server that needs a planner configured apart from its defaults.
+func corpusPlanner(t *testing.T, opts planner.Options) *planner.Planner {
+	t.Helper()
+	pl, err := planner.New(corpusEngine(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// oneChannel puts every connection on inj's one channel realisation.
+func oneChannel(inj FaultInjector) func() FaultInjector {
+	return func() FaultInjector { return inj }
 }
 
 // startChaosServer launches a server behind a chaos-wrapped listener and
@@ -186,7 +203,7 @@ func TestChaosSoakByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		policy := ChaosPolicy{Seed: seed, KillAfterMin: 3000, KillAfterMax: 9000, MaxKills: 2}
-		client, chaos := startChaosServer(t, ServerOptions{Injector: NewModelInjector(model)}, policy)
+		client, chaos := startChaosServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))}, policy)
 		res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Caching: true, MaxRounds: 40})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

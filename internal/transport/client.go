@@ -770,6 +770,22 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 	return fail(fmt.Errorf("transport: fetch %s: %w", opts.Doc, ErrRoundsExhausted))
 }
 
+// request is the fetch request opts put on the wire, before a round adds
+// its γ and what the receiver already holds.
+func (opts FetchOptions) request() Request {
+	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: opts.Gamma, Seed: opts.FountainSeed, Broadcast: opts.Broadcast}
+	if opts.LOD != 0 {
+		req.LOD = opts.LOD.String()
+	}
+	if opts.Notion != 0 {
+		req.Notion = opts.Notion.String()
+	}
+	if opts.Codec != 0 {
+		req.Codec = opts.Codec.String()
+	}
+	return req
+}
+
 // runRound performs one request/stream cycle: send the fetch request
 // (with the Have list when caching), read the layout header, and consume
 // the packet stream until termination or end-of-stream. It returns the
@@ -783,18 +799,8 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 	if budget > 0 {
 		op = "prefetch"
 	}
-	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: gamma, Prefetch: budget > 0}
-	if opts.LOD != 0 {
-		req.LOD = opts.LOD.String()
-	}
-	if opts.Notion != 0 {
-		req.Notion = opts.Notion.String()
-	}
-	if opts.Codec != 0 {
-		req.Codec = opts.Codec.String()
-	}
-	req.Seed = opts.FountainSeed
-	req.Broadcast = opts.Broadcast
+	req := opts.request()
+	req.Gamma, req.Prefetch = gamma, budget > 0
 	if rcv != nil && opts.Caching {
 		// Have lists wire sequence numbers under either codec — the same
 		// identifiers AddFrame keyed the packets by. DoneGens covers what

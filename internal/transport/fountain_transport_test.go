@@ -71,7 +71,7 @@ func TestFountainSingleRoundUnderLoss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+			client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 			res, err := client.Fetch(FetchOptions{
 				Doc:       corpus.DraftName,
 				Codec:     erasure.CodecFountain,
@@ -384,7 +384,7 @@ func TestChaosFountainSoakByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		policy := ChaosPolicy{Seed: seed, KillAfterMin: 3000, KillAfterMax: 9000, MaxKills: 2}
-		client, chaos := startChaosServer(t, ServerOptions{Injector: NewModelInjector(model)}, policy)
+		client, chaos := startChaosServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))}, policy)
 		res, err := client.Fetch(FetchOptions{
 			Doc:       corpus.DraftName,
 			Codec:     erasure.CodecFountain,

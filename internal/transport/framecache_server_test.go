@@ -82,7 +82,7 @@ func TestConcurrentClientsShareCachedFrames(t *testing.T) {
 func TestCachedFetchByteIdenticalToUncached(t *testing.T) {
 	cached, cachedSrv := startServerHandle(t, ServerOptions{})
 	plain, plainSrv := startServerHandle(t, ServerOptions{
-		PlannerOptions: planner.Options{FrameCacheBytes: -1},
+		Planner: corpusPlanner(t, planner.Options{FrameCacheBytes: -1}),
 	})
 
 	resC, err := cached.Fetch(FetchOptions{Doc: corpus.DraftName})
@@ -116,7 +116,7 @@ func TestGammaChangeMidSessionKeysSeparateFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, srv := startServerHandle(t, ServerOptions{Injector: NewModelInjector(model)})
+	client, srv := startServerHandle(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 	res, err := client.Fetch(FetchOptions{
 		Doc:        corpus.DraftName,
 		Caching:    true,
@@ -253,9 +253,9 @@ func TestChaosSoakCachedByteIdentical(t *testing.T) {
 		}
 		policy := ChaosPolicy{Seed: seed, KillAfterMin: 3000, KillAfterMax: 9000, MaxKills: 2}
 		client, chaos := startChaosServer(t, ServerOptions{
-			Injector: NewModelInjector(model),
+			InjectorFactory: oneChannel(NewModelInjector(model)),
 			// ~16 frames resident: constant eviction pressure.
-			PlannerOptions: planner.Options{FrameCacheBytes: 16 * 512},
+			Planner: corpusPlanner(t, planner.Options{FrameCacheBytes: 16 * 512}),
 		}, policy)
 		res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Caching: true, AdaptGamma: true, MaxRounds: 40})
 		if err != nil {

@@ -65,12 +65,12 @@ func FuzzRequestDecode(f *testing.F) {
 		}
 		switch req.Op {
 		case "fetch":
-			plan, msg := srv.local.buildPlan(req)
-			if plan == nil && msg == "" {
-				t.Fatalf("buildPlan returned neither plan nor message for %q", line)
+			r, refusal := srv.local.resolve(req)
+			if r.resolved == nil && refusal.Error == "" {
+				t.Fatalf("resolve returned neither plan nor refusal for %q", line)
 			}
-			if plan != nil && !utf8.ValidString(msg) {
-				t.Fatalf("invalid message %q", msg)
+			if !utf8.ValidString(refusal.Error) {
+				t.Fatalf("invalid message %q", refusal.Error)
 			}
 		case "search":
 			srv.local.Search(req)

@@ -241,7 +241,7 @@ func TestGilbertElliottInjectorLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+	client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 	res, err := client.Fetch(FetchOptions{
 		Doc:       corpus.DraftName,
 		Caching:   true,

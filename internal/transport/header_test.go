@@ -72,7 +72,7 @@ func TestHeaderBytesCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		client := startServer(t, ServerOptions{Injector: NewModelInjector(model), Metrics: reg})
+		client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model)), Metrics: reg})
 		res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Caching: true, Gamma: 1.1, MaxRounds: 30})
 		if err != nil || res.Body == nil {
 			t.Fatalf("fetch: %v", err)

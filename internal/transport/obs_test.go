@@ -25,7 +25,7 @@ func TestFetchObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := startServer(t, ServerOptions{Injector: NewModelInjector(model), Metrics: reg})
+	client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model)), Metrics: reg})
 	client.Metrics = reg
 	tr := obs.NewTrace(0)
 	res, err := client.Fetch(FetchOptions{

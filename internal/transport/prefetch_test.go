@@ -193,9 +193,11 @@ func TestPrefetchManyDocumentsStaysInBudget(t *testing.T) {
 		}
 	}
 	// No server-side caches: the heap measured is the client's.
-	addr := serveEngine(t, engine, ServerOptions{
-		PlannerOptions: planner.Options{CacheBytes: -1, FrameCacheBytes: -1},
-	})
+	pl, err := planner.New(engine, planner.Options{CacheBytes: -1, FrameCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := serveEngine(t, engine, ServerOptions{Planner: pl})
 	sopts := store.Options{MaxBytes: 256 << 10, SegmentBytes: 32 << 10}
 	for _, tier := range []struct{ name, dir string }{{"memory", ""}, {"disk", t.TempDir()}} {
 		t.Run(tier.name, func(t *testing.T) {
@@ -261,7 +263,7 @@ func TestPrefetchOverLossyChannelStillHelps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+	client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 	opts := FetchOptions{Doc: corpus.DraftName, Caching: true, MaxRounds: 30}
 	got, err := client.Prefetch(opts, 20)
 	if err != nil {

@@ -21,7 +21,7 @@ func TestNewUnitsExactlyOncePerFetch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ServerOptions{Injector: NewModelInjector(model)}
+		return ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))}
 	}
 	for _, tc := range []struct {
 		name   string

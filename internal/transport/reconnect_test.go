@@ -120,7 +120,7 @@ func TestAdaptiveGammaConvergesTowardAlpha(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+	client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 	// γ=1.0 sends no redundancy, so round one always stalls on a lossy
 	// channel; adaptation must raise γ from the observed corruption.
 	res, err := client.Fetch(FetchOptions{
@@ -164,7 +164,7 @@ func TestAdaptiveGammaKeepsCachedPacketsAcrossRebase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+	client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 	res, err := client.Fetch(FetchOptions{
 		Doc:        corpus.DraftName,
 		Gamma:      1.0,
@@ -225,7 +225,7 @@ func TestDisconnectingModelCachingBeatsNoCaching(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+		client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 		return client.Fetch(FetchOptions{Doc: corpus.DraftName, Caching: caching, MaxRounds: 30})
 	}
 	cached, err := run(true)
@@ -255,7 +255,7 @@ func TestFetchRoundsExhaustedReturnsPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+	client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 	res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Caching: false, MaxRounds: 2})
 	if !errors.Is(err, ErrRoundsExhausted) {
 		t.Fatalf("error %v, want ErrRoundsExhausted", err)

@@ -21,22 +21,18 @@ import (
 // ServerOptions tunes the document transmitter.
 type ServerOptions struct {
 	// Defaults are the plan parameters applied when a fetch request
-	// leaves them unset.
+	// leaves them unset, by the planner NewServer builds when Planner is
+	// nil.
 	Defaults core.Config
-	// PlannerOptions tunes the shared planning service (plan- and frame-
-	// cache byte budgets). Its Defaults field is overridden by the
-	// Defaults above so the two cannot disagree.
-	PlannerOptions planner.Options
-	// Planner, when non-nil, is a pre-built planning service shared with
-	// other front ends (e.g. the HTTP gateway); it overrides
-	// PlannerOptions and Defaults.
+	// Planner, when non-nil, is a pre-built planning service (with its
+	// own defaults and cache budgets); it overrides Defaults.
 	Planner *planner.Planner
-	// Injector emulates the wireless hop; nil means a clean channel.
-	Injector FaultInjector
-	// InjectorFactory, when set, builds a fresh injector per accepted
-	// connection, overriding Injector. Load generators use it to give
-	// every simulated client its own channel model (α drawn from a
-	// mixture) without sharing mutable injector state across goroutines.
+	// InjectorFactory, when set, emulates the wireless hop: it builds the
+	// fault injector of each accepted connection. Returning one shared
+	// injector puts every connection on one channel realisation; load
+	// generators return a fresh one per connection, so every simulated
+	// client has its own channel model without sharing mutable state
+	// across goroutines. Nil means a clean channel.
 	InjectorFactory func() FaultInjector
 	// PacketDelay paces the stream (per frame), letting demos visualize
 	// progressive rendering; zero sends at full speed.
@@ -54,10 +50,6 @@ type ServerOptions struct {
 	// Capability, when set, is the replica's live degraded-operation
 	// tier; nil means CapFull. See Capability for what each tier serves.
 	Capability *CapabilityState
-	// DegradedGammaMax is the redundancy-ratio clamp applied to fetches
-	// while the capability tier is fetch-degraded or below; zero means
-	// 1.25.
-	DegradedGammaMax float64
 	// Metrics, when set, receives the transmitter's connection, request
 	// and frame counters, logs each served stream into the fetch log
 	// behind /debug/fetches, and registers the planner/erasure/core
@@ -104,7 +96,7 @@ const writeTimeout = 30 * time.Second
 type Server struct {
 	backend Backend
 	// local is the planner-backed backend NewServer built (nil under
-	// NewBackendServer); PlannerStats and FrameStats read it.
+	// NewBackendServer); Engine, Layout and FrameStats read it.
 	local        *transmitter
 	opts         ServerOptions
 	writeTimeout time.Duration
@@ -125,15 +117,10 @@ func NewServer(engine *search.Engine, opts ServerOptions) (*Server, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("transport: nil engine")
 	}
-	if opts.DegradedGammaMax == 0 {
-		opts.DegradedGammaMax = 1.25
-	}
 	pl := opts.Planner
 	if pl == nil {
-		po := opts.PlannerOptions
-		po.Defaults = opts.Defaults
 		var err error
-		pl, err = planner.New(engine, po)
+		pl, err = planner.New(engine, planner.Options{Defaults: opts.Defaults})
 		if err != nil {
 			return nil, err
 		}
@@ -167,13 +154,10 @@ func NewServer(engine *search.Engine, opts ServerOptions) (*Server, error) {
 }
 
 // NewBackendServer serves the wire protocol over b. Of opts it reads what
-// belongs to the wire — Injector, InjectorFactory, PacketDelay,
-// IdleTimeout, Admission, Metrics; the rest configures NewServer's own
-// backend. ioTimeout bounds each write to a client connection.
+// belongs to the wire — InjectorFactory, PacketDelay, IdleTimeout,
+// Admission, Metrics; the rest configures NewServer's own backend.
+// ioTimeout bounds each write to a client connection.
 func NewBackendServer(b Backend, opts ServerOptions, ioTimeout time.Duration) *Server {
-	if opts.Injector == nil {
-		opts.Injector = NopInjector{}
-	}
 	if opts.IdleTimeout == 0 {
 		opts.IdleTimeout = 2 * time.Minute
 	}
@@ -186,8 +170,27 @@ func NewBackendServer(b Backend, opts ServerOptions, ioTimeout time.Duration) *S
 	}
 }
 
-// PlannerStats snapshots the planning service's cache counters.
-func (s *Server) PlannerStats() planner.Stats { return s.local.planner.Stats() }
+// Engine is the document collection NewServer serves; nil under
+// NewBackendServer.
+func (s *Server) Engine() *search.Engine {
+	if s.local == nil {
+		return nil
+	}
+	return s.local.engine
+}
+
+// Layout is the geometry a fetch with opts gets from this server, decided
+// as the fetch decides it — capability tier, default codec, plan and
+// fountain seed — without opening a stream, so admission does not gate
+// it. A fetch the server would refuse fails with the error the client's
+// fetch returns. It needs NewServer's planner-backed server.
+func (s *Server) Layout(opts FetchOptions) (core.Layout, error) {
+	r, refusal := s.local.resolve(opts.request())
+	if refusal.Error != "" {
+		return core.Layout{}, respRefusal(refusal, "fetch")
+	}
+	return r.layout, nil
+}
 
 // FrameStats snapshots the shared cooked-frame cache's counters.
 func (s *Server) FrameStats() framecache.Stats { return s.local.planner.FrameStats() }
@@ -342,7 +345,7 @@ func (c TimeoutConn) Write(p []byte) (int, error) {
 
 // handle runs one connection's request loop.
 func (s *Server) handle(conn net.Conn) {
-	injector := s.opts.Injector
+	var injector FaultInjector = NopInjector{}
 	if s.opts.InjectorFactory != nil {
 		injector = s.opts.InjectorFactory()
 	}

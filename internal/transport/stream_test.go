@@ -90,7 +90,7 @@ func (c streamCase) serverOptions(t *testing.T) (ServerOptions, *recorder) {
 	t.Helper()
 	opts := ServerOptions{Defaults: core.Config{MaxGeneration: 8}}
 	if !c.cached {
-		opts.PlannerOptions = planner.Options{FrameCacheBytes: -1}
+		opts.Planner = corpusPlanner(t, planner.Options{Defaults: opts.Defaults, FrameCacheBytes: -1})
 	}
 	if c.source != "vandermonde" {
 		opts.DefaultCodec = erasure.CodecFountain
@@ -107,7 +107,7 @@ func (c streamCase) serverOptions(t *testing.T) (ServerOptions, *recorder) {
 		rec = &recorder{drop: rand.New(rand.NewSource(5))}
 	}
 	if rec != nil {
-		opts.Injector = rec
+		opts.InjectorFactory = oneChannel(rec)
 	}
 	return opts, rec
 }

@@ -35,7 +35,7 @@ func TestGoldenChaosTrace(t *testing.T) {
 		// KillAfterMin == KillAfterMax pins the kill to an exact byte
 		// offset; Stall stays zero so no timing enters the schedule.
 		policy := ChaosPolicy{Seed: 21, KillAfterMin: 4096, KillAfterMax: 4096, MaxKills: 1}
-		client, chaos := startChaosServer(t, ServerOptions{Injector: NewModelInjector(model)}, policy)
+		client, chaos := startChaosServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))}, policy)
 		tr := obs.NewTrace(0)
 		res, err := client.Fetch(FetchOptions{
 			Doc:        corpus.DraftName,

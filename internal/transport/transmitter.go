@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mobweb/internal/core"
 	"mobweb/internal/erasure"
 	"mobweb/internal/obs"
 	"mobweb/internal/planner"
@@ -55,72 +56,98 @@ func (t *transmitter) refuse(resp Response) (Response, FrameSource, func(int, er
 }
 
 // degraded is the refusal of a request the capability tier does not serve.
-func (t *transmitter) degraded(mode Capability, what string) (Response, FrameSource, func(int, error)) {
-	t.tm.degraded.Inc()
-	return t.refuse(Response{
-		Error:      fmt.Sprintf("capability %s: %s refused", mode, what),
-		Degraded:   true,
-		Capability: mode.String(),
-	})
+func degraded(mode Capability, what string) Response {
+	return Response{Error: fmt.Sprintf("capability %s: %s refused", mode, what), Degraded: true, Capability: mode.String()}
 }
 
-// Fetch implements Backend: capability tier, codec, plan, then the frame
-// source that is everything codec- and mode-specific about the stream.
-func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error)) {
+// degradedGammaMax is the redundancy ratio a fetch-degraded or
+// clear-prefix-only tier clamps every fetch to.
+const degradedGammaMax = 1.25
+
+// resolution is a fetch request decided: what its response header
+// carries and its stream follows.
+type resolution struct {
+	req      Request // γ as the tier clamped it
+	mode     Capability
+	codec    erasure.CodecID
+	resolved *planner.Resolved
+	layout   core.Layout // a fountain layout carries the stream seed
+}
+
+// resolve decides a fetch request without sending anything: capability
+// tier, codec, plan, then the fountain seed. Fetch streams what it
+// decides and Server.Layout reports it, so the two cannot disagree. A
+// request it turns down comes back as the refusal header (Error set).
+func (t *transmitter) resolve(req Request) (resolution, Response) {
 	// Capability tiers degrade the fetch path along the fallback tree
 	// instead of failing it outright: search-only refuses streams,
 	// degraded tiers clamp γ and refuse prefetch, clear-prefix-only
-	// additionally skips parity rows below.
-	mode := t.opts.Capability.Mode()
-	if !mode.AllowsFetch() {
-		return t.degraded(mode, "fetch")
+	// additionally skips parity rows (newRowSource).
+	r := resolution{req: req, mode: t.opts.Capability.Mode(), codec: t.opts.DefaultCodec}
+	if !r.mode.AllowsFetch() {
+		return r, degraded(r.mode, "fetch")
 	}
-	if req.Prefetch && !mode.AllowsPrefetch() {
-		return t.degraded(mode, "prefetch")
+	if req.Prefetch && !r.mode.AllowsPrefetch() {
+		return r, degraded(r.mode, "prefetch")
 	}
-	if mode.ClampsGamma() {
-		max := t.opts.DegradedGammaMax
-		if req.Gamma == 0 || req.Gamma > max {
-			// The unset default could exceed the clamp too, so pin the
-			// effective γ explicitly rather than trusting the default.
-			req.Gamma = max
-		}
+	if r.mode.ClampsGamma() && (req.Gamma == 0 || req.Gamma > degradedGammaMax) {
+		// The unset default could exceed the clamp too, so pin the
+		// effective γ explicitly rather than trusting the default.
+		r.req.Gamma = degradedGammaMax
 	}
-
-	codec := t.opts.DefaultCodec
 	if req.Codec != "" {
-		parsed, perr := erasure.ParseCodec(req.Codec)
-		if perr != nil {
-			t.tm.fetchErrors.Inc()
-			return t.refuse(Response{Error: perr.Error()})
+		parsed, err := erasure.ParseCodec(req.Codec)
+		if err != nil {
+			return r, Response{Error: err.Error()}
 		}
-		codec = parsed
+		r.codec = parsed
 	}
 	// Clear-prefix-only tiers have no rateless mode: every fountain
 	// packet is coded, so the tier serves the fixed-rate codec whose
 	// systematic prefix streams without any parity encoding. The layout
 	// in the response tells the client which codec it actually got.
-	if mode.ClearPrefixOnly() {
-		codec = erasure.CodecVandermonde
+	if r.mode.ClearPrefixOnly() {
+		r.codec = erasure.CodecVandermonde
 	}
+	// Planner errors are safe to forward: request problems carry curated
+	// messages, and a build failure is the server's to report.
+	var err error
+	r.resolved, err = t.planner.ResolveFrames(planner.Request{Doc: req.Doc, Query: req.Query, LOD: req.LOD, Notion: req.Notion, Gamma: r.req.Gamma})
+	if err != nil {
+		return r, Response{Error: err.Error()}
+	}
+	if r.codec != erasure.CodecFountain {
+		r.layout = r.resolved.Plan.Layout()
+		return r, Response{}
+	}
+	seed := req.Seed
+	if seed == 0 {
+		seed = r.resolved.FountainSeed(t.opts.FountainSalt)
+	}
+	r.layout = r.resolved.Plan.FountainLayout(seed)
+	return r, Response{}
+}
 
-	resolved, errMsg := t.buildPlan(req)
-	if errMsg != "" {
+// Fetch implements Backend: the resolution, then the frame source that
+// is everything codec- and mode-specific about the stream.
+func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error)) {
+	r, refusal := t.resolve(req)
+	switch {
+	case refusal.Degraded:
+		t.tm.degraded.Inc()
+		return t.refuse(refusal)
+	case refusal.Error != "":
 		t.tm.fetchErrors.Inc()
-		return t.refuse(Response{Error: errMsg})
+		return t.refuse(refusal)
 	}
+	req, codec, resolved, layout := r.req, r.codec, r.resolved, r.layout
 
 	var src FrameSource
 	var leave func() // releases a broadcast subscription
-	layout := resolved.Plan.Layout()
-	sending := 0 // an open-loop stream has no predetermined frame count
+	sending := 0     // an open-loop stream has no predetermined frame count
 	if codec == erasure.CodecFountain {
 		t.tm.fountainFetches.Inc()
-		seed := req.Seed
-		if seed == 0 {
-			seed = resolved.FountainSeed(t.opts.FountainSalt)
-		}
-		layout = resolved.Plan.FountainLayout(seed)
+		seed := layout.Seed
 		if req.Broadcast {
 			sub := t.subscribeBroadcast(resolved, seed, len(layout.Shapes))
 			leave = func() { t.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub) }
@@ -133,12 +160,12 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 		// parity row is skipped, so no parity is ever encoded. A clean
 		// channel still reconstructs (M intact rows per generation); a
 		// lossy one pays extra retransmission rounds instead of failing.
-		rows := newRowSource(resolved, layout, req, mode.ClearPrefixOnly())
+		rows := newRowSource(resolved, layout, req, r.mode.ClearPrefixOnly())
 		src, sending = rows, rows.sending
 	}
 	hdr := Response{OK: true, Layout: &layout, Sending: sending, Replica: t.opts.Name}
-	if mode != CapFull {
-		hdr.Capability = mode.String()
+	if r.mode != CapFull {
+		hdr.Capability = r.mode.String()
 	}
 	// The hook keeps what the fetch-log record needs, not the request.
 	rec := obs.FetchRecord{Doc: req.Doc, Origin: "server", Replica: t.opts.Name, Have: len(req.Have), Gamma: req.Gamma}
@@ -155,23 +182,4 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 		rec.Sent = sent
 		t.tm.fetchLog.Record(rec)
 	}
-}
-
-// buildPlan resolves a fetch request through the shared planner into a
-// frame-serving handle; it returns a client-facing error message rather
-// than an error for request-level problems. Planner errors are safe to
-// forward: request problems carry curated messages and build failures
-// match what this layer historically surfaced.
-func (t *transmitter) buildPlan(req Request) (*planner.Resolved, string) {
-	resolved, err := t.planner.ResolveFrames(planner.Request{
-		Doc:    req.Doc,
-		Query:  req.Query,
-		LOD:    req.LOD,
-		Notion: req.Notion,
-		Gamma:  req.Gamma,
-	})
-	if err != nil {
-		return nil, err.Error()
-	}
-	return resolved, ""
 }

@@ -118,7 +118,7 @@ func TestFetchWithCorruptionAndCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+	client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 	res, err := client.Fetch(FetchOptions{
 		Doc:       corpus.DraftName,
 		Caching:   true,
@@ -150,7 +150,7 @@ func TestFetchSelectiveRetransmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+	client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 	res, err := client.Fetch(FetchOptions{
 		Doc:       corpus.DraftName,
 		Caching:   true,
@@ -300,7 +300,7 @@ func TestDropInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := startServer(t, ServerOptions{Injector: NewModelInjector(model)})
+	client := startServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))})
 	res, err := client.Fetch(FetchOptions{
 		Doc:       corpus.DraftName,
 		Caching:   true,

@@ -94,7 +94,7 @@ type (
 	Hit = search.Hit
 	// Server streams documents with FT-MRT over TCP.
 	Server = transport.Server
-	// ServerOptions tunes the server, including its PlannerOptions.
+	// ServerOptions tunes the server.
 	ServerOptions = transport.ServerOptions
 	// Planner is the shared planning service: canonical plan keys, a
 	// byte-budgeted LRU plan cache, and singleflight build deduplication.
@@ -259,8 +259,8 @@ func NewServer(engine *Engine, opts ServerOptions) (*Server, error) {
 	return transport.NewServer(engine, opts)
 }
 
-// NewPlanner wraps an engine as a planning service, for sharing one plan
-// cache between the TCP server and the HTTP gateway.
+// NewPlanner wraps an engine as a planning service, for a server whose
+// plan and frame caches need budgets of their own (ServerOptions.Planner).
 func NewPlanner(engine *Engine, opts PlannerOptions) (*Planner, error) {
 	return planner.New(engine, opts)
 }
@@ -304,16 +304,11 @@ func BernoulliInjector(alpha float64, seed int64) (FaultInjector, error) {
 	return transport.NewModelInjector(model), nil
 }
 
-// NewGateway wraps an engine as the HTTP front end of Figure 1's WWW
-// server: /search, /sc/{name} and /doc/{name} endpoints that expose
-// multi-resolution content to conventional browsers.
-func NewGateway(engine *Engine) (*Gateway, error) { return gateway.New(engine) }
-
-// NewGatewayWithPlanner is NewGateway sharing an existing planning
-// service (and hence its plan cache) with other front ends.
-func NewGatewayWithPlanner(engine *Engine, pl *Planner) (*Gateway, error) {
-	return gateway.NewWithPlanner(engine, pl)
-}
+// NewGateway wraps a transmission server as the HTTP front end of
+// Figure 1's WWW server: /search, /sc/{name}, /layout/{name} and
+// /doc/{name} endpoints that expose multi-resolution content to
+// conventional browsers, fetching and planning through srv.
+func NewGateway(srv *Server) (*Gateway, error) { return gateway.New(srv) }
 
 // NewMetrics returns an empty observability registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }

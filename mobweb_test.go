@@ -116,7 +116,7 @@ func TestEndToEndServerClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(engine, ServerOptions{Injector: injector})
+	srv, err := NewServer(engine, ServerOptions{InjectorFactory: func() FaultInjector { return injector }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,11 @@ func TestGatewayFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gw, err := NewGateway(engine)
+	tx, err := NewServer(engine, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := NewGateway(tx)
 	if err != nil {
 		t.Fatal(err)
 	}
