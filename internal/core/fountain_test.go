@@ -373,3 +373,46 @@ func TestFountainEncoderStateBoundedBySeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestReceiverNeeded pins the count a fountain client sizes its grants
+// by: M less what each undecoded generation holds, nothing for a decoded
+// one, and Plan.Shape agrees with the layout it is read beside.
+func TestReceiverNeeded(t *testing.T) {
+	doc, scores := paperShapedDoc(t)
+	plan, err := NewPlanWithScores(doc, scores, Config{LOD: 4, MaxGeneration: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, shape := range plan.Layout().Shapes {
+		if plan.Shape(g) != shape {
+			t.Fatalf("Shape(%d) = %+v, layout says %+v", g, plan.Shape(g), shape)
+		}
+	}
+	const seed = 3
+	rcv, err := NewReceiverFromLayout(plan.FountainLayout(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rcv.Needed(); got != plan.M() {
+		t.Fatalf("empty receiver needs %d, want M = %d", got, plan.M())
+	}
+	m0 := plan.Shape(0).M
+	for seq := 0; seq < m0; seq++ {
+		for range 2 { // a duplicate changes nothing
+			frame, err := plan.FountainFrame(seed, 0, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := rcv.AddFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := rcv.Needed(), plan.M()-seq-1; got != want {
+			t.Fatalf("after %d sources of generation 0: needs %d, want %d", seq+1, got, want)
+		}
+	}
+	fountainFetch(t, plan, rcv, seed, rand.New(rand.NewSource(2)), 0.3)
+	if got := rcv.Needed(); got != 0 {
+		t.Fatalf("reconstructible receiver needs %d", got)
+	}
+}

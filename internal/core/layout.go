@@ -72,8 +72,8 @@ func (p *Plan) Layout() Layout {
 		Ranked:     make([]SegmentMeta, len(p.segments)),
 		Accrual:    make([]SegmentMeta, len(p.accrual)),
 	}
-	for i, g := range p.gens {
-		l.Shapes[i] = GenerationShape{M: g.coder.M(), N: g.coder.N()}
+	for i := range p.gens {
+		l.Shapes[i] = p.Shape(i)
 	}
 	for i, s := range p.segments {
 		l.Ranked[i] = segmentMeta(s)
@@ -82,6 +82,12 @@ func (p *Plan) Layout() Layout {
 		l.Accrual[i] = segmentMeta(s)
 	}
 	return l
+}
+
+// Shape returns generation g's dispersal shape, the Layout's Shapes[g]
+// without copying the layout.
+func (p *Plan) Shape(g int) GenerationShape {
+	return GenerationShape{M: p.gens[g].coder.M(), N: p.gens[g].coder.N()}
 }
 
 func segmentMeta(s UnitSegment) SegmentMeta {

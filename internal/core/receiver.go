@@ -240,6 +240,20 @@ func (r *Receiver) GenerationReconstructible(g int) bool {
 	return g >= 0 && g < len(r.gens) && r.gens[g].Complete()
 }
 
+// Needed reports how many more intact packets the receiver lacks: for
+// each generation not yet reconstructible, its M less the packets it
+// holds, and at least one (M held packets that do not span the generation
+// lack one more).
+func (r *Receiver) Needed() int {
+	n := 0
+	for g, d := range r.gens {
+		if !d.Complete() {
+			n += max(r.layout.Shapes[g].M-d.Received(), 1)
+		}
+	}
+	return n
+}
+
 // Reconstructible reports whether every generation can be decoded — the
 // first termination condition of §4.2.
 func (r *Receiver) Reconstructible() bool {

@@ -15,8 +15,8 @@ const (
 	// cooked packets are fixed per round, any M of them reconstruct.
 	CodecVandermonde CodecID = 0
 	// CodecFountain is the systematic rateless code (internal/fountain):
-	// the server streams cooked packets open-loop until the client has
-	// decoded and says stop. Id 1 named the rateless stream before it was
+	// the server streams cooked packets, as many as the client's credit
+	// allows, until the client has decoded and says stop. Id 1 named the rateless stream before it was
 	// systematic and is retired: under it the same (seed, gen, seq) names
 	// another combination, so a layout, frame or stored packet carrying
 	// id 1 is refused, never decoded under this generator.

@@ -2,11 +2,12 @@
 // instead of fixing N = ⌈γM⌉ cooked packets per generation up front the
 // way the Vandermonde coder does, a fountain encoder can produce an
 // endless stream of cooked packets, any sufficiently large subset of
-// which reconstructs the source. The server streams open-loop and the
-// client says stop when it has decoded — the γ mis-estimation cost of the
-// fixed-rate code (wasted bytes on overshoot, a full extra round-trip on
-// undershoot) disappears, and one encoded stream can serve many clients
-// with heterogeneous channel quality (broadcast).
+// which reconstructs the source. The server streams as long as the
+// client grants and the client says stop when it has decoded — the γ
+// mis-estimation cost of the fixed-rate code (wasted bytes on overshoot,
+// a full extra round-trip on undershoot) disappears, and one encoded
+// stream can serve many clients with heterogeneous channel quality
+// (broadcast).
 //
 // Construction. Each generation's k raw packets are the source symbols,
 // and the stream is systematic, like the paper's own code: cooked packet

@@ -340,8 +340,13 @@ type relay struct {
 	// carries, since the client will not repeat itself.
 	held, doneGens map[int]bool
 
-	rc       *replicaConn // live leg; nil before the first header and after a failed re-route
-	layout   core.Layout  // the first header's, which every later leg must match
+	rc     *replicaConn // live leg; nil before the first header and after a failed re-route
+	layout core.Layout  // the first header's, which every later leg must match
+	// owed is what the client is still owed on a metered stream: the first
+	// header's window and every grant, less the frames relayed. The stream
+	// loop above meters the client's side; a re-routed leg is topped up to
+	// this.
+	owed     int
 	servedBy string
 	reroutes int
 	ended    bool   // the serving replica's own end marker arrived
@@ -391,7 +396,7 @@ func (s *relay) open() (transport.Response, error) {
 		switch {
 		case resp.OK && resp.Layout != nil:
 			if !started {
-				s.layout = *resp.Layout
+				s.layout, s.owed = *resp.Layout, resp.Window()
 				if resp.Replica == "" {
 					resp.Replica = name
 				}
@@ -401,6 +406,13 @@ func (s *relay) open() (transport.Response, error) {
 				// stream cannot be mixed.
 				rc.close()
 				return transport.Response{}, fmt.Errorf("shard: layout changed across re-route for %s: %w", s.req.Doc, transport.ErrReroute)
+			}
+			if w := resp.Window(); started && w > 0 && w < s.owed {
+				// The new leg's window is its own plan's; the client is
+				// owed what the old leg still owed it. Best effort, like
+				// all leg feedback: a leg that cannot take it fails its
+				// next read.
+				_ = rc.send(transport.Request{Op: "more", Frames: s.owed - w})
 			}
 			s.rc, s.servedBy, s.attempt = rc, name, 0
 			s.try++
@@ -462,6 +474,7 @@ func (s *relay) Next(ctl <-chan transport.Request) (transport.Frame, transport.R
 			return transport.Frame{}, transport.Request{}, nil
 		}
 		s.buf = frame
+		s.owed--
 		// Only frames that pass their CRC here count as held by the
 		// client: a frame corrupted on the replica's (emulated) weak link
 		// must stay eligible for retransmission after a re-route.
@@ -473,13 +486,20 @@ func (s *relay) Next(ctl <-chan transport.Request) (transport.Frame, transport.R
 	}
 }
 
-// StopGen implements transport.FrameSource: the replica decides what a
-// stopgen means for this stream's codec.
-func (s *relay) StopGen(g int) error {
-	s.doneGens[g] = true
+// Feedback implements transport.FrameSource: the replica decides what a
+// stopgen means for this stream's codec, and a grant extends the leg's
+// window as the loop above extended the client's.
+func (s *relay) Feedback(creq transport.Request) error {
+	fwd := transport.Request{Op: creq.Op, Gen: creq.Gen, Frames: creq.Frames}
+	if creq.Op == "stopgen" {
+		s.doneGens[creq.Gen] = true
+	} else {
+		s.owed += creq.Frames
+	}
 	// Best effort: a leg that cannot take the feedback is about to fail
-	// its next read, and the re-route replays it as DoneGens.
-	_ = s.rc.send(transport.Request{Op: "stopgen", Gen: g})
+	// its next read, and the re-route replays it — DoneGens, and the
+	// top-up to what the client is owed.
+	_ = s.rc.send(fwd)
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mobweb/internal/channel"
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
 	"mobweb/internal/erasure"
@@ -645,23 +646,50 @@ func TestFrontMetricsProbes(t *testing.T) {
 // multi-generation fetch was cut at the first decoded generation), a
 // stale stopgen between streams drew an "unknown op" line that desynced
 // the next response, and relayed frames were parsed as fixed-rate ones,
-// so a re-route replayed an empty Have list.
+// so a re-route replayed an empty Have list. The lossy case needs grants
+// beyond the first window, and loses its replica where that window ends:
+// the front must pass the grants on, and top the re-routed leg up to what
+// the client is still owed, or the client waits on frames nobody sends.
 func TestFountainThroughFront(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		killAt int // kill the home replica after this many frames; 0 = never
+		alpha  float64
+		killAt int // kill the home replica after this many frames; 0 = never; -1 = at the window's end
 	}{
 		{name: "paced multi-generation", killAt: 0},
 		{name: "replica kill mid-stream", killAt: 12},
+		{name: "lossy, replica kill at the window's end", alpha: 0.4, killAt: -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fl := startFleet(t, 3, transport.ServerOptions{
+			sopts := transport.ServerOptions{
 				Defaults:    core.Config{MaxGeneration: 8},
 				PacketDelay: time.Millisecond,
-			}, Options{Retry: transport.RetryPolicy{Seed: 7, BaseDelay: 10 * time.Millisecond}})
+			}
+			if tc.alpha > 0 {
+				sopts.InjectorFactory = func() transport.FaultInjector {
+					model, err := channel.NewBernoulli(tc.alpha, 7)
+					if err != nil {
+						t.Error(err)
+					}
+					return transport.NewModelInjector(model)
+				}
+			}
+			fl := startFleet(t, 3, sopts, Options{Retry: transport.RetryPolicy{Seed: 7, BaseDelay: 10 * time.Millisecond}})
 			doc := corpus.DraftName
 			home := fl.home(doc)
-			want := singleServerBody(t, fl.replicas[(home+1)%3], doc)
+			source, err := corpus.Load(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := source.Body()
+			if tc.killAt < 0 {
+				// The first window is a fixed-rate round's frames.
+				lo, err := fl.replicas[home].srv.Layout(transport.FetchOptions{Doc: doc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.killAt = lo.N()
+			}
 
 			client := fl.client(t)
 			client.Retry = transport.NoRetry
@@ -689,6 +717,9 @@ func TestFountainThroughFront(t *testing.T) {
 			// feedback was answered with a stray response line.
 			if _, err := client.Fetch(opts); err != nil {
 				t.Fatalf("second fetch on the same connection: %v", err)
+			}
+			if grants := fl.counter("serve.requests_more"); (tc.alpha > 0) != (grants > 0) {
+				t.Errorf("the front relayed %d grants at α=%.1f", grants, tc.alpha)
 			}
 			if tc.killAt == 0 {
 				return
@@ -806,11 +837,14 @@ func TestFrontControlOps(t *testing.T) {
 		{"stop during fixed-rate", "vandermonde", true, transport.Request{Op: "stop"}, "ends"},
 		{"stop during fountain", "fountain", true, transport.Request{Op: "stop"}, "ends"},
 		{"stopgen during fountain", "fountain", true, transport.Request{Op: "stopgen", Gen: 0}, "continues"},
+		{"more during fountain", "fountain", true, transport.Request{Op: "more", Frames: 5}, "continues"},
+		{"more during fixed-rate", "vandermonde", true, transport.Request{Op: "more", Frames: 5}, "closed"},
 		{"search during fountain", "fountain", true, transport.Request{Op: "search", Query: "x"}, "closed"},
 		{"unknown op during fixed-rate", "vandermonde", true, transport.Request{Op: "bogus"}, "closed"},
 		{"close during fountain", "fountain", true, transport.Request{}, "closed"},
 		{"stop between", "vandermonde", false, transport.Request{Op: "stop"}, "ignored"},
 		{"stopgen between", "fountain", false, transport.Request{Op: "stopgen", Gen: 1}, "ignored"},
+		{"more between", "fountain", false, transport.Request{Op: "more", Frames: 5}, "ignored"},
 		{"unknown op between", "vandermonde", false, transport.Request{Op: "bogus"}, "refused"},
 	} {
 		tc := tc

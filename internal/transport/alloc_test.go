@@ -21,9 +21,10 @@ import (
 // the heap allocations of one whole dial-fetch-close cycle of the draft
 // document — server and client together, as the benchmark counts them —
 // and the frames the server put on the wire for it, both averaged over
-// runs. Warm-up fetches first cook every frame a fetch can reach (an
-// open-loop fountain stream runs ahead of the client's stop by a varying
-// number of repairs), so no cook lands inside the measurement.
+// runs. Warm-up fetches first cook every frame a fetch can reach (a
+// lossy fountain fetch draws as many repairs as its grants ask for, and
+// the client's stop can land anywhere in the window), so no cook lands
+// inside the measurement.
 func fetchAllocs(t *testing.T, size int, opts FetchOptions, alpha float64) (allocs, frames float64) {
 	t.Helper()
 	reg := obs.NewRegistry()

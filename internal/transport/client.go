@@ -479,7 +479,7 @@ type FetchOptions struct {
 	TargetSuccess float64
 	// Codec selects the erasure codec. The zero value asks for the
 	// server's default; name fountain explicitly (erasure.CodecFountain)
-	// for a rateless open-loop fetch. The layout the server answers with
+	// for a rateless fetch. The layout the server answers with
 	// is authoritative — a degraded replica may serve fixed-rate anyway.
 	Codec erasure.CodecID
 	// FountainSeed pins the fountain stream seed; zero lets the server
@@ -862,7 +862,7 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 	} else if noCaching {
 		rcv.Reset()
 	}
-	done, err := c.consumeStream(ctx, rcv, opts, result, seen, budget)
+	done, err := c.consumeStream(ctx, rcv, opts, result, seen, budget, resp.Window())
 	return rcv, done, err
 }
 
@@ -999,8 +999,10 @@ func (c *Client) Held(opts FetchOptions) int {
 
 // consumeStream reads frames until termination or end-of-stream. It
 // returns done=true when a §4.2 termination condition fired, or the
-// prefetch budget (when positive) was spent.
-func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts FetchOptions, result *FetchResult, seen map[int]bool, budget int) (bool, error) {
+// prefetch budget (when positive) was spent. A positive window is the
+// header's credit (Response.Window): the server sends that many frames
+// and then only what the client grants.
+func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts FetchOptions, result *FetchResult, seen map[int]bool, budget, window int) (bool, error) {
 	terminatedEarly := false
 	cm := c.metrics()
 	framesIn, framesCorrupt := cm.packetsIn, cm.packetsCorrupt
@@ -1009,13 +1011,17 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 		framesIn, framesCorrupt = cm.prefetchFrames, nil
 	}
 	// On a fountain stream the client closes the loop per generation: the
-	// moment one decodes, a stopgen tells the open-loop transmitter to
-	// spend no more air time on it.
+	// moment one decodes, a stopgen tells the transmitter to spend no more
+	// air time on it.
 	fountainMode := rcv.Layout().Codec == erasure.CodecFountain
 	var genStopped map[int]bool
 	if fountainMode {
 		genStopped = make(map[int]bool)
 	}
+	// On a metered stream owed is what the server still owes — the window
+	// and every grant, less the frames read — and streamed and corrupt
+	// count this stream's frames and the corrupt ones among them.
+	owed, streamed, corrupt := window, 0, 0
 	// Refetch accounting: an intact frame the receiver already held, or
 	// one for a generation reconstructible before this round started, is
 	// air time the Have/DoneGens feedback should have saved.
@@ -1048,7 +1054,10 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 		if err != nil {
 			return false, err
 		}
+		owed--
+		streamed++
 		if !intact {
+			corrupt++
 			result.PacketsCorrupted++
 			framesCorrupt.Inc()
 		} else if rcv.IntactCount() == heldBefore {
@@ -1092,7 +1101,9 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 			}
 			terminatedEarly = true
 			opts.Trace.Record(obs.Event{Type: obs.EventStop, Round: result.Rounds, Seq: seq})
-		} else if intact && fountainMode {
+			continue
+		}
+		if intact && fountainMode {
 			if g, _, _ := lo.SplitSeq(seq); !genStopped[g] && rcv.GenerationReconstructible(g) {
 				if err := c.send(ctx, Request{Op: "stopgen", Gen: g}); err != nil {
 					return false, err
@@ -1100,7 +1111,41 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 				genStopped[g] = true
 			}
 		}
+		if window > 0 {
+			needed := rcv.Needed()
+			if budget > 0 {
+				needed = min(needed, budget-result.PacketsReceived)
+			}
+			if n := grant(owed, needed, streamed, corrupt); n > 0 {
+				if err := c.send(ctx, Request{Op: "more", Frames: n}); err != nil {
+					return false, err
+				}
+				owed += n
+			}
+		}
 	}
+}
+
+// grant is the client's credit rule on a metered stream, asked after every
+// frame: how many more frames to ask for, given the frames the server
+// still owes, the intact packets still needed, and this stream's frames
+// and the corrupt ones among them. The owed frames must cover the need at
+// the corruption rate seen — though a rate read off fewer frames than are
+// still needed is noise, and until then they need only cover it on a clean
+// channel. When they fall short, the grant tops them up to that cover and
+// a quarter again, so the rate's wobble over the frames still to come does
+// not draw a grant per corrupt frame. It goes out while frames are still
+// owed, so it overlaps their arrival.
+func grant(owed, needed, streamed, corrupt int) int {
+	want := needed
+	if streamed >= needed {
+		good := max(streamed-corrupt, 1)
+		want = (needed*streamed + good - 1) / good
+	}
+	if owed >= want {
+		return 0
+	}
+	return want + (want+3)/4 - owed
 }
 
 func (c *Client) terminated(rcv *core.Receiver, opts FetchOptions) bool {

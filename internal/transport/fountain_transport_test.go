@@ -1,9 +1,14 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,9 +62,9 @@ func TestFountainFetchCleanChannel(t *testing.T) {
 
 // TestFountainSingleRoundUnderLoss is the rateless payoff over the real
 // transport: where the fixed-rate codec stalls into retransmission
-// rounds under loss, the open-loop fountain stream completes in ONE
-// round at every corruption rate of the grid — the server simply keeps
-// sending until the client's stopgens land.
+// rounds under loss, the fountain stream completes in ONE round at every
+// corruption rate of the grid — the client grants past the first window
+// until its stopgens land.
 func TestFountainSingleRoundUnderLoss(t *testing.T) {
 	doc, err := corpus.Load(corpus.DraftName)
 	if err != nil {
@@ -85,7 +90,7 @@ func TestFountainSingleRoundUnderLoss(t *testing.T) {
 				t.Fatalf("fountain fetch over α=%.2f failed to reconstruct", alpha)
 			}
 			if res.Rounds != 1 {
-				t.Errorf("fountain fetch used %d rounds at α=%.2f, want 1 (open-loop)", res.Rounds, alpha)
+				t.Errorf("fountain fetch used %d rounds at α=%.2f, want 1 (rateless)", res.Rounds, alpha)
 			}
 			if res.PacketsCorrupted == 0 {
 				t.Errorf("injector corrupted nothing at α=%.2f", alpha)
@@ -430,5 +435,145 @@ func TestPackedSeqsSurviveWire(t *testing.T) {
 	}
 	if g, s := packet.UnpackSeq(got.Have[1]); g != 2 || s != 7 {
 		t.Errorf("unpacked (%d,%d), want (2,7)", g, s)
+	}
+}
+
+// replay reads back one fetch's traffic: the headers' Sending summed over
+// rounds, the frames and frame bytes the socket delivered, and the frames
+// the client granted.
+func (c *countingConn) replay(t *testing.T) (sending, frames, frameBytes, granted int) {
+	t.Helper()
+	r := bufio.NewReader(bytes.NewReader(c.in.Bytes()))
+	for {
+		resp, err := ReadResponse(r)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil || !resp.OK {
+			t.Fatalf("header: %+v, %v", resp, err)
+		}
+		sending += resp.Sending
+		for {
+			frame, err := ReadFrame(r)
+			if err != nil {
+				t.Fatalf("frame %d: %v", frames, err)
+			}
+			if frame == nil {
+				break
+			}
+			frames++
+			frameBytes += len(frame)
+		}
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(c.out.Bytes()), []byte("\n")) {
+		req, err := DecodeRequest(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.Op == "more" {
+			granted += req.Frames
+		}
+	}
+	return sending, frames, frameBytes, granted
+}
+
+// TestFountainDrainBoundedByCredit pins what a fetch puts on the wire
+// after the client has what it needs. A private fountain stream sends its
+// window — the frames a fixed-rate round of the same γ sends — and then
+// only what the client grants, so the server's frames per fetch are at
+// most the header's Sending plus the grants. On a clean channel the window
+// covers the document and the client grants nothing; the stream is then
+// Sending frames long, or shorter when the client's stop lands before the
+// server has written the whole window. A fixed-rate round sends at most
+// its Sending and is never granted anything.
+func TestFountainDrainBoundedByCredit(t *testing.T) {
+	doc, err := corpus.Load(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fetches = 10
+	for _, codec := range []erasure.CodecID{erasure.CodecFountain, erasure.CodecVandermonde} {
+		for _, alpha := range []float64{0, 0.2, 0.4} {
+			t.Run(fmt.Sprintf("%s/alpha=%.1f", codec, alpha), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				opts := ServerOptions{Metrics: reg}
+				var conns atomic.Int64
+				if alpha > 0 {
+					// A channel realisation of its own per connection, the
+					// same ones every run.
+					opts.InjectorFactory = func() FaultInjector {
+						model, err := channel.NewBernoulli(alpha, conns.Add(1))
+						if err != nil {
+							t.Error(err)
+						}
+						return NewModelInjector(model)
+					}
+				}
+				addr := startServerAddr(t, opts)
+				framesOut := reg.Counter("serve.frames_out")
+				var read, used int
+				for i := 0; i < fetches; i++ {
+					raw, err := net.Dial("tcp", addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wire := &countingConn{Conn: raw}
+					client := NewClient(wire)
+					client.Timeout = 10 * time.Second
+					before := framesOut.Value()
+					res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Codec: codec, Caching: true, MaxRounds: 10})
+					client.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(res.Body, doc.Body()) {
+						t.Fatal("body differs from the source document")
+					}
+					out := int(framesOut.Value() - before)
+					sending, frames, frameBytes, granted := wire.replay(t)
+					if frames != out {
+						t.Fatalf("the server counted %d frames out, the socket delivered %d", out, frames)
+					}
+					switch {
+					case codec == erasure.CodecVandermonde && (out > sending || granted != 0):
+						t.Fatalf("fixed-rate fetch: %d frames out against Sending %d, %d granted", out, sending, granted)
+					case out > sending+granted:
+						t.Fatalf("fetch %d: %d frames out, past Sending %d + %d granted", i, out, sending, granted)
+					case alpha == 0 && granted != 0:
+						t.Fatalf("clean fetch %d: %d frames granted on top of Sending %d", i, granted, sending)
+					case codec == erasure.CodecFountain && res.Rounds != 1:
+						t.Fatalf("fountain fetch %d took %d rounds", i, res.Rounds)
+					}
+					read += frameBytes
+					used += res.BytesReceived
+				}
+				if more := reg.Counter("serve.requests_more").Value(); codec == erasure.CodecVandermonde && more != 0 {
+					t.Errorf("fixed-rate fetches drew %d grants", more)
+				}
+				t.Logf("%d fetches: %.1f KB of frames read, %.1f KB used (%.0f %% drained)",
+					fetches, float64(read)/1e3/fetches, float64(used)/1e3/fetches, 100*float64(read-used)/float64(read))
+			})
+		}
+	}
+}
+
+// TestGrantRule pins the client's credit rule on a metered stream.
+func TestGrantRule(t *testing.T) {
+	for _, tc := range []struct {
+		name                            string
+		owed, needed, streamed, corrupt int
+		want                            int
+	}{
+		{"window covers a clean fetch", 68, 45, 0, 0, 0},
+		{"nothing needed", 0, 0, 60, 30, 0},
+		{"early corruption is noise", 66, 44, 2, 2, 0},
+		{"short on a clean channel before the rate counts", 10, 20, 5, 2, 15},
+		{"owed covers the need at the rate seen", 20, 12, 55, 22, 0},
+		{"short at the rate seen: the shortfall and a quarter again", 12, 12, 55, 22, 13},
+		{"every frame corrupt so far", 3, 2, 4, 4, 7},
+	} {
+		if got := grant(tc.owed, tc.needed, tc.streamed, tc.corrupt); got != tc.want {
+			t.Errorf("%s: grant(%d, %d, %d, %d) = %d, want %d", tc.name, tc.owed, tc.needed, tc.streamed, tc.corrupt, got, tc.want)
+		}
 	}
 }

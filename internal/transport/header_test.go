@@ -15,15 +15,23 @@ import (
 	"mobweb/internal/obs"
 )
 
-// countingConn counts the bytes read off the connection.
+// countingConn keeps a copy of every byte read off and written to the
+// connection, so a test can count them and replay both directions of the
+// protocol afterwards. It serves one goroutine.
 type countingConn struct {
 	net.Conn
-	read int
+	in, out bytes.Buffer
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.read += n
+	c.in.Write(p[:n])
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.out.Write(p[:n])
 	return n, err
 }
 
@@ -51,7 +59,7 @@ func TestHeaderBytesCounted(t *testing.T) {
 		}
 		// What the reader pulled off the conn and has not handed out yet is
 		// frames; the rest is the line.
-		if onWire := conn.read - r.Buffered(); n != onWire {
+		if onWire := conn.in.Len() - r.Buffered(); n != onWire {
 			t.Errorf("readResponse reports %d bytes, the conn delivered %d", n, onWire)
 		}
 		if got := reg.Snapshot().Counters["serve.header_bytes"]; got != int64(n) {

@@ -56,6 +56,7 @@ type serverMetrics struct {
 	connsActive   *obs.Gauge
 	reqSearch     *obs.Counter
 	reqFetch      *obs.Counter
+	reqMore       *obs.Counter // grants, mid-stream or stale
 	reqBad        *obs.Counter
 	headerBytes   *obs.Counter // control-line bytes written: fetch headers, search replies, refusals
 	framesOut     *obs.Counter
@@ -71,6 +72,7 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		connsActive:   r.Gauge("serve.conns_active"),
 		reqSearch:     r.Counter("serve.requests_search"),
 		reqFetch:      r.Counter("serve.requests_fetch"),
+		reqMore:       r.Counter("serve.requests_more"),
 		reqBad:        r.Counter("serve.requests_bad"),
 		headerBytes:   r.Counter("serve.header_bytes"),
 		framesOut:     r.Counter("serve.frames_out"),

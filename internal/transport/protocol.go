@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"mobweb/internal/core"
+	"mobweb/internal/erasure"
 )
 
 // Protocol limits.
@@ -87,10 +88,12 @@ func (e *ShedError) Unwrap() error { return ErrShed }
 
 // Request is a client→server control message.
 type Request struct {
-	// Op is "search", "fetch", "stop" or "stopgen". A stopgen arrives
-	// mid-stream on a fountain fetch and tells the transmitter to stop
-	// sending packets of generation Gen — the client decoded it; the
-	// open-loop stream keeps flowing for the rest.
+	// Op is "search", "fetch", "stop", "stopgen" or "more". A stopgen
+	// arrives mid-stream on a fountain fetch and tells the transmitter to
+	// stop sending packets of generation Gen — the client decoded it; the
+	// stream keeps flowing for the rest. A more arrives mid-stream on a
+	// metered fountain stream (Response.Window) and grants the transmitter
+	// Frames more frames on the wire.
 	Op string `json:"op"`
 	// Query is the keyword query (search: the search string; fetch: the
 	// query whose QIC orders units).
@@ -131,6 +134,8 @@ type Request struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Gen is the generation a stopgen refers to.
 	Gen int `json:"gen,omitempty"`
+	// Frames is the credit a more grants, at least one frame.
+	Frames int `json:"frames,omitempty"`
 	// Broadcast asks to join the server's shared fan-out stream for this
 	// plan instead of a private one: one cooked fountain stream serves
 	// every subscriber, and a slow subscriber sees drops, not backpressure.
@@ -154,7 +159,11 @@ type Response struct {
 	// base64 string of core.Layout's binary encoding (the type marshals
 	// itself as text), not a JSON object.
 	Layout *core.Layout `json:"layout,omitempty"`
-	// Sending is the number of frames that will follow.
+	// Sending is the number of frames that will follow a fixed-rate
+	// header. On a fountain header it is the stream's first credit window
+	// (Window): the frames a fixed-rate round of the same γ would send,
+	// after which the transmitter sends only what the client grants. Zero
+	// leaves a fountain stream unmetered, as a broadcast subscription is.
 	Sending int `json:"sending,omitempty"`
 	// Shed marks an admission-control refusal (OK is false); RetryAfterMS
 	// hints when the client should try again.
@@ -168,6 +177,16 @@ type Response struct {
 	// at what degradation level. Empty means "unnamed" / "full".
 	Replica    string `json:"replica,omitempty"`
 	Capability string `json:"capability,omitempty"`
+}
+
+// Window is the credit window the header opens: Sending on a fountain
+// header, zero — unmetered — on any other. Both ends of a stream, and a
+// front relaying it, read it from the header the same way.
+func (r Response) Window() int {
+	if r.Layout == nil || r.Layout.Codec != erasure.CodecFountain {
+		return 0
+	}
+	return r.Sending
 }
 
 // frameHeader is the length prefix ahead of every frame: a big-endian

@@ -368,10 +368,13 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		var err error
 		switch req.Op {
-		case "stop", "stopgen":
+		case "stop", "stopgen", "more":
 			// Stale feedback from a stream that already ended (it raced the
 			// end-of-stream marker): dropped without a response, since the
 			// client is not waiting for one.
+			if req.Op == "more" {
+				s.sm.reqMore.Inc()
+			}
 		case "search":
 			s.sm.reqSearch.Inc()
 			err = s.reply(w, s.backend.Search(req))
@@ -382,7 +385,7 @@ func (s *Server) handle(conn net.Conn) {
 			// deadline left armed would close the control channel, and
 			// with it the stream, once the stream outlasts IdleTimeout.
 			if err = conn.SetReadDeadline(time.Time{}); err == nil {
-				err = s.fetch(w, req, requests, injector)
+				err = s.fetch(w, conn, req, requests, injector)
 			}
 		default:
 			s.sm.reqBad.Inc()
@@ -406,7 +409,7 @@ func (s *Server) reply(w *bufio.Writer, resp Response) error {
 
 // fetch serves one fetch request: admission, the backend's header, the
 // stream behind it.
-func (s *Server) fetch(w *bufio.Writer, req Request, requests <-chan Request, injector FaultInjector) error {
+func (s *Server) fetch(w *bufio.Writer, conn net.Conn, req Request, requests <-chan Request, injector FaultInjector) error {
 	// Admission control runs before any planning work: a shed request
 	// must cost the server close to nothing. A non-empty Have list marks
 	// a retransmission/resume round of an already-admitted fetch, which
@@ -424,7 +427,7 @@ func (s *Server) fetch(w *bufio.Writer, req Request, requests <-chan Request, in
 	}
 	sent, err := 0, s.reply(w, hdr)
 	if err == nil {
-		sent, err = s.pump(w, src, requests, injector)
+		sent, err = s.pump(w, src, requests, injector, hdr.Window(), conn)
 	}
 	end(sent, err)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"time"
 
 	"mobweb/internal/core"
@@ -16,10 +18,10 @@ import (
 // that drive it. A source alone knows which frame comes next, how it waits
 // for control requests, what a stopgen means to it and on whose clock its
 // frames arrive; the loop alone decides what a mid-stream request is,
-// injects channel faults, writes, flushes, paces and counts. A
-// retransmission round, a rateless open-loop stream, a broadcast
-// subscription and a front's relayed stream (shard.relay) are the same
-// loop over different sources.
+// meters a credit-windowed stream, injects channel faults, writes,
+// flushes, paces and counts. A retransmission round, a private rateless
+// stream, a broadcast subscription and a front's relayed stream
+// (shard.relay) are the same loop over different sources.
 
 // Frame is one frame handed from a source to the stream loop. The bytes
 // stay the source's — frame-cache and broadcast slices are shared with
@@ -40,8 +42,10 @@ type FrameSource interface {
 	// — and hands back a request it received (Op non-empty) instead of a
 	// frame. A closed channel means the connection is gone: io.EOF.
 	Next(ctl <-chan Request) (Frame, Request, error)
-	// StopGen applies a client's stopgen for generation g.
-	StopGen(g int) error
+	// Feedback applies a client's mid-stream stopgen or more. The loop has
+	// already charged a more to the stream's window; a source that relays
+	// the stream passes both on.
+	Feedback(creq Request) error
 	// SelfPaced reports that the source's frames arrive on a clock of
 	// their own (a broadcast carousel, a relayed stream): the loop must not
 	// pace them a second time, and since Next may block until the next one
@@ -53,7 +57,14 @@ type FrameSource interface {
 
 // pump is the stream loop: it moves frames from src to w until the source
 // ends or the client says stop, and reports how many went on the air.
-func (s *Server) pump(w *bufio.Writer, src FrameSource, requests <-chan Request, injector FaultInjector) (int, error) {
+//
+// A positive window meters the stream (Response.Window): the loop puts
+// that many frames on the wire, then waits until the client grants more.
+// Credit counts frames on the wire, so a frame the injector drops is not
+// charged, and client and server count the same frames. conn, when
+// non-nil, is the client connection, whose read deadline bounds that
+// wait.
+func (s *Server) pump(w *bufio.Writer, src FrameSource, requests <-chan Request, injector FaultInjector, window int, conn net.Conn) (int, error) {
 	_, cleanChannel := injector.(NopInjector)
 	selfPaced := src.SelfPaced()
 	delay := s.opts.PacketDelay
@@ -61,21 +72,39 @@ func (s *Server) pump(w *bufio.Writer, src FrameSource, requests <-chan Request,
 		delay = 0
 	}
 	var scratch []byte // the injector's private copy of the current frame
-	sent := 0
+	sent, credit := 0, window
 	for {
-		fr, creq, err := src.Next(requests)
+		var fr Frame
+		var creq Request
+		var err error
+		if window > 0 && credit == 0 {
+			creq, err = s.awaitGrant(w, requests, conn)
+		} else {
+			fr, creq, err = src.Next(requests)
+		}
 		if err != nil {
 			return sent, err
 		}
 		// Stream feedback is "stop" (the client reached a §4.2 termination
-		// condition) and "stopgen" (it decoded one generation); any other
-		// request during a stream is a protocol violation.
+		// condition), "stopgen" (it decoded one generation) and, on a
+		// metered stream, "more" (it grants frames); any other request
+		// during a stream is a protocol violation.
 		switch creq.Op {
 		case "":
 		case "stop":
 			return sent, nil
-		case "stopgen":
-			if err := src.StopGen(creq.Gen); err != nil {
+		case "more", "stopgen":
+			if creq.Op == "more" {
+				s.sm.reqMore.Inc()
+				if window == 0 || creq.Frames <= 0 {
+					return sent, fmt.Errorf("transport: more of %d frames on a stream metered by a window of %d", creq.Frames, window)
+				}
+				// One grant counts for at most 2³¹ frames, so the credit
+				// cannot overflow; the overshoot cap ends the stream long
+				// before it runs out.
+				credit += min(creq.Frames, math.MaxInt32)
+			}
+			if err := src.Feedback(creq); err != nil {
 				return sent, err
 			}
 			continue
@@ -98,6 +127,7 @@ func (s *Server) pump(w *bufio.Writer, src FrameSource, requests <-chan Request,
 			return sent, err
 		}
 		sent++
+		credit--
 		s.sm.framesOut.Inc()
 		if selfPaced || delay > 0 {
 			if err := w.Flush(); err != nil {
@@ -108,6 +138,29 @@ func (s *Server) pump(w *bufio.Writer, src FrameSource, requests <-chan Request,
 			time.Sleep(delay)
 		}
 	}
+}
+
+// awaitGrant is a metered stream's pause once its window is spent. It
+// flushes first: a frame left in the buffer is one the client counts as
+// owed and waits for, and then neither side would move. A client that
+// neither grants nor stops for IdleTimeout is idle, and its connection
+// goes the way of any idle one.
+func (s *Server) awaitGrant(w *bufio.Writer, requests <-chan Request, conn net.Conn) (Request, error) {
+	if err := w.Flush(); err != nil {
+		return Request{}, err
+	}
+	if conn != nil {
+		//mobweb:nondet-ok idle-timeout deadline, wall-clock by nature
+		if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
+			return Request{}, err
+		}
+		defer conn.SetReadDeadline(time.Time{})
+	}
+	creq, ok := <-requests
+	if !ok {
+		return Request{}, io.EOF
+	}
+	return creq, nil
 }
 
 // PollControl is a private source's look at the control channel: whatever
@@ -179,17 +232,17 @@ func (r *rowSource) Next(ctl <-chan Request) (Frame, Request, error) {
 	return Frame{Bytes: frame, Seq: seq}, Request{}, err
 }
 
-func (r *rowSource) StopGen(int) error {
-	return fmt.Errorf("transport: %q request during a fixed-rate stream", "stopgen")
+func (r *rowSource) Feedback(creq Request) error {
+	return fmt.Errorf("transport: %q request during a fixed-rate stream", creq.Op)
 }
 
 func (r *rowSource) SelfPaced() bool { return false }
 
 // fountainOvershootCap bounds the packets a fountain stream sends for
-// one generation of M source symbols before giving up on feedback:
-// enough for decode at severe loss (4M covers α beyond 0.7), with a
-// floor for tiny generations, where a short run of losses is a large
-// share of the generation.
+// one generation of M source symbols, whatever the client grants: enough
+// for decode at severe loss (4M covers α beyond 0.7), with a floor for
+// tiny generations, where a short run of losses is a large share of the
+// generation.
 func fountainOvershootCap(m int) int {
 	if c := 4 * m; c > m+64 {
 		return c
@@ -223,23 +276,31 @@ func newGenStops(req Request, layout core.Layout) *genStops {
 	// Generations the client reports done are stopped before the first
 	// frame — a stopgen that arrived with the request itself.
 	for _, g := range req.DoneGens {
-		st.StopGen(g)
+		st.stop(g)
 	}
 	return st
 }
 
-func (st *genStops) StopGen(g int) error {
+// Feedback implements FrameSource's half of a stopgen; a more is the
+// loop's business alone.
+func (st *genStops) Feedback(creq Request) error {
+	if creq.Op == "stopgen" {
+		st.stop(creq.Gen)
+	}
+	return nil
+}
+
+func (st *genStops) stop(g int) {
 	if g >= 0 && g < len(st.left) && st.left[g] > 0 {
 		st.left[g] = 0
 		st.active--
 	}
-	return nil
 }
 
 // admit decides whether packet (g, seq) goes on the air and charges it to
 // the generation's overshoot cap. The charge is per frame handed to the
 // loop, so a frame the injector then drops still counts: the cap bounds
-// air time spent without feedback, delivered or not.
+// air time, delivered or not.
 func (st *genStops) admit(g, seq int) bool {
 	if st.left[g] == 0 || st.have[packet.PackSeq(g, seq)] {
 		return false
@@ -250,24 +311,40 @@ func (st *genStops) admit(g, seq int) bool {
 	return true
 }
 
-// fountainSource is a private open-loop fountain stream: round-robin over
-// the generations the client has not yet decoded, each generation's
-// symbols in seq order.
+// fountainSource is a private fountain stream: round-robin over the
+// generations the client has not yet decoded, each generation's symbols
+// in seq order, metered by the client's credit.
 type fountainSource struct {
 	*genStops
 	resolved *planner.Resolved
 	seed     uint64
 	cursor   []int
 	g        int // round-robin position
+	// window is the stream's first credit: the frames a fixed-rate round
+	// of the plan's γ would send — each live generation's N, less the
+	// packets below N the client holds.
+	window int
 }
 
 func newFountainSource(resolved *planner.Resolved, seed uint64, req Request, layout core.Layout) *fountainSource {
-	return &fountainSource{
+	f := &fountainSource{
 		genStops: newGenStops(req, layout),
 		resolved: resolved,
 		seed:     seed,
 		cursor:   make([]int, len(layout.Shapes)),
 	}
+	for g, left := range f.left {
+		if left > 0 {
+			f.window += resolved.Plan.Shape(g).N
+		}
+	}
+	for packed := range f.have { //mobweb:nondet-ok a count; order is immaterial
+		g, seq := packet.UnpackSeq(packed)
+		if g >= 0 && g < len(f.left) && f.left[g] > 0 && seq < resolved.Plan.Shape(g).N {
+			f.window--
+		}
+	}
+	return f
 }
 
 func (f *fountainSource) SelfPaced() bool { return false }

@@ -112,11 +112,69 @@ func (c streamCase) serverOptions(t *testing.T) (ServerOptions, *recorder) {
 	return opts, rec
 }
 
-// TestStreamEmitsReferenceSequence drives the stream loop directly, with
-// no client feedback, and checks the frames on the wire against the
-// plan's own Frame / FountainFrame: the right frames, in the source's
-// order, minus what the request's Have and DoneGens exclude, each byte
-// for byte (or detectably corrupted, where the channel corrupts).
+// flushSink is the far end of a wire the test drives the loop into: the
+// bytes written so far, and a signal per write. Behind a write buffer
+// larger than the whole stream, a write is the loop's own flush.
+type flushSink struct {
+	mu      sync.Mutex
+	buf     bytes.Buffer
+	flushed chan struct{}
+}
+
+func newFlushSink() *flushSink { return &flushSink{flushed: make(chan struct{}, 64)} }
+
+func (s *flushSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	n, err := s.buf.Write(p)
+	s.mu.Unlock()
+	select {
+	case s.flushed <- struct{}{}:
+	default: // a self-paced source flushes every frame, and nobody is counting
+	}
+	return n, err
+}
+
+// frames counts the whole frames written so far.
+func (s *flushSink) frames(t *testing.T) int {
+	t.Helper()
+	s.mu.Lock()
+	r := bufio.NewReader(bytes.NewReader(s.buf.Bytes()))
+	s.mu.Unlock()
+	n := 0
+	for {
+		frame, err := ReadFrame(r)
+		if errors.Is(err, io.EOF) {
+			return n
+		}
+		if err != nil || frame == nil {
+			t.Fatalf("the loop wrote something other than frames: %v", err)
+		}
+		n++
+	}
+}
+
+// onAir counts the frames a recorder let through and the ones it dropped.
+func (r *recorder) onAir() (sent, dropped int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ok := range r.sent {
+		if ok {
+			sent++
+		} else {
+			dropped++
+		}
+	}
+	return sent, dropped
+}
+
+// TestStreamEmitsReferenceSequence drives the stream loop directly and
+// checks the frames on the wire against the plan's own Frame /
+// FountainFrame: the right frames, in the source's order, minus what the
+// request's Have and DoneGens exclude, each byte for byte (or detectably
+// corrupted, where the channel corrupts). The private fountain stream is
+// metered: it pauses after exactly its window, whatever the injector
+// dropped, and resumes on each grant; the other sources run without
+// feedback to their end.
 func TestStreamEmitsReferenceSequence(t *testing.T) {
 	for _, tc := range streamCases() {
 		tc := tc
@@ -139,6 +197,7 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 
 			layout := plan.Layout()
 			var src FrameSource
+			window := 0 // unmetered
 			ref := plan.Frame
 			var want []int // exact attempted sequence; nil for broadcast
 			if tc.source == "vandermonde" {
@@ -159,7 +218,19 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 					defer srv.local.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub)
 					src = &broadcastSource{genStops: newGenStops(req, layout), sub: sub}
 				} else {
-					src = newFountainSource(resolved, seed, req, layout)
+					fs := newFountainSource(resolved, seed, req, layout)
+					src, window = fs, fs.window
+					// The window is a fixed-rate round's: every live
+					// generation's N, less the two held packets.
+					round := -2
+					for g, shape := range plan.Layout().Shapes {
+						if g != 1 {
+							round += shape.N
+						}
+					}
+					if window != round {
+						t.Fatalf("window %d frames, want %d", window, round)
+					}
 					sent := make([]int, len(layout.Shapes))
 					for k, active := 0, true; active; k++ {
 						active = false
@@ -177,16 +248,54 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 				}
 			}
 
-			var wire bytes.Buffer
-			w := bufio.NewWriter(&wire)
+			sink := newFlushSink()
+			w := bufio.NewWriterSize(sink, 1<<20)
 			injector := FaultInjector(NopInjector{})
 			if rec != nil {
 				injector = rec
 			}
-			sent, err := srv.pump(w, src, make(chan Request), injector)
+			requests := make(chan Request)
+			type pumped struct {
+				sent int
+				err  error
+			}
+			done := make(chan pumped, 1)
+			go func() {
+				sent, err := srv.pump(w, src, requests, injector, window, nil)
+				done <- pumped{sent, err}
+			}()
+			if window > 0 {
+				// Each pause flushes exactly the credit granted so far:
+				// the window, then the window and a small grant. A frame
+				// the injector dropped is not charged.
+				const small = 5
+				for _, credit := range []int{window, window + small} {
+					<-sink.flushed
+					if n := sink.frames(t); n != credit {
+						t.Fatalf("paused after %d frames on the wire, want %d", n, credit)
+					}
+					if rec != nil {
+						if onAir, dropped := rec.onAir(); onAir != credit || (tc.channel == "drop" && dropped == 0) {
+							t.Fatalf("injector passed %d frames and dropped %d by the pause, want %d passed", onAir, dropped, credit)
+						}
+					}
+					grant := small
+					if credit > window {
+						grant = 1 << 20 // the rest: the source runs to its caps
+					}
+					select {
+					case requests <- Request{Op: "more", Frames: grant}:
+					case p := <-done:
+						t.Fatalf("the loop ended (%d frames, %v) instead of waiting for a grant", p.sent, p.err)
+					}
+				}
+			}
+			p := <-done
+			sent, err := p.sent, p.err
 			if err != nil || w.Flush() != nil {
 				t.Fatal(err)
 			}
+			wire := &sink.buf
 			if retains := srv.FrameStats().Entries > 0; retains != tc.cached {
 				t.Fatalf("frame cache retains frames = %v, want %v", retains, tc.cached)
 			}
@@ -194,7 +303,7 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 			// attempted: every frame the source handed to the loop; onAir
 			// marks the ones that were written.
 			var frames [][]byte
-			for r := bufio.NewReader(&wire); ; {
+			for r := bufio.NewReader(wire); ; {
 				frame, err := ReadFrame(r)
 				if errors.Is(err, io.EOF) {
 					break
@@ -403,11 +512,15 @@ func TestControlOps(t *testing.T) {
 		{"stop during fountain", "fountain", true, Request{Op: "stop"}, "ends"},
 		{"stopgen during fountain", "fountain", true, Request{Op: "stopgen", Gen: 0}, "continues"},
 		{"stopgen during fixed-rate", "vandermonde", true, Request{Op: "stopgen", Gen: 0}, "closed"},
+		{"more during fountain", "fountain", true, Request{Op: "more", Frames: 5}, "continues"},
+		{"more during fixed-rate", "vandermonde", true, Request{Op: "more", Frames: 5}, "closed"},
+		{"empty more during fountain", "fountain", true, Request{Op: "more"}, "closed"},
 		{"search during fixed-rate", "vandermonde", true, Request{Op: "search", Query: "x"}, "closed"},
 		{"fetch during fountain", "fountain", true, Request{Op: "fetch", Doc: corpus.DraftName}, "closed"},
 		{"close during fountain", "fountain", true, Request{}, "closed"},
 		{"stop between", "vandermonde", false, Request{Op: "stop"}, "ignored"},
 		{"stopgen between", "fountain", false, Request{Op: "stopgen", Gen: 1}, "ignored"},
+		{"more between", "fountain", false, Request{Op: "more", Frames: 5}, "ignored"},
 		{"unknown op between", "vandermonde", false, Request{Op: "bogus"}, "refused"},
 		{"close between", "vandermonde", false, Request{}, "closed"},
 	} {

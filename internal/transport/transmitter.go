@@ -144,7 +144,7 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 
 	var src FrameSource
 	var leave func() // releases a broadcast subscription
-	sending := 0     // an open-loop stream has no predetermined frame count
+	sending := 0     // a broadcast subscription is unmetered
 	if codec == erasure.CodecFountain {
 		t.tm.fountainFetches.Inc()
 		seed := layout.Seed
@@ -153,7 +153,8 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 			leave = func() { t.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub) }
 			src = &broadcastSource{genStops: newGenStops(req, layout), sub: sub}
 		} else {
-			src = newFountainSource(resolved, seed, req, layout)
+			fs := newFountainSource(resolved, seed, req, layout)
+			src, sending = fs, fs.window
 		}
 	} else {
 		// Clear-prefix-only tiers stream just the systematic rows: every
