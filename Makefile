@@ -37,8 +37,8 @@ fmt-check:
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # The CI gate: static checks plus the full suite under the race detector
-# (the planner's concurrent plan cache and core's lazy parity encoding
-# are exercised by dedicated -race stress tests).
+# (the planner's concurrent plan and frame caches, and lock-free shared
+# plans, are exercised by dedicated -race stress tests).
 verify: fmt-check lint vulncheck
 	go vet ./...
 	go test -race ./...

@@ -451,11 +451,12 @@ func BenchmarkExtBurst(b *testing.B) {
 
 // BenchmarkFetchCachedVsUncached measures the server-side cost of a
 // second-round retransmission fetch — resolve the (doc, query, LOD,
-// notion, γ) tuple again and frame the packets the client is missing —
-// with and without the planner's plan cache. Uncached, every round pays
-// for ranking, permutation and packetization again; cached, the round is
-// a map lookup plus framing, and (with lazy parity already materialized
-// by round one) zero GF(2^8) work.
+// notion, γ) tuple again and take the frames the client is missing
+// through the frame cache, the path the server streams from — with and
+// without the planner's two caches. Uncached, every round pays for
+// ranking, permutation, packetization and parity encoding again; cached,
+// the round is a plan lookup plus one frame-cache hit per packet, with
+// zero GF(2^8) work.
 func BenchmarkFetchCachedVsUncached(b *testing.B) {
 	doc, err := corpus.Load(corpus.DraftName)
 	if err != nil {
@@ -474,18 +475,18 @@ func BenchmarkFetchCachedVsUncached(b *testing.B) {
 	// The retransmission round resends every third packet (the client
 	// reports the rest as held), mixing clear-text and parity frames.
 	round := func(b *testing.B, pl *planner.Planner) {
-		plan, err := pl.Resolve(req)
+		r, err := pl.ResolveFrames(req)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for seq := 0; seq < plan.N(); seq += 3 {
-			if _, err := plan.Frame(seq); err != nil {
+		for seq := 0; seq < r.Plan.N(); seq += 3 {
+			if _, err := r.Frame(seq); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.Run("uncached", func(b *testing.B) {
-		pl, err := planner.New(engine, planner.Options{CacheBytes: -1})
+		pl, err := planner.New(engine, planner.Options{CacheBytes: -1, FrameCacheBytes: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -501,6 +502,7 @@ func BenchmarkFetchCachedVsUncached(b *testing.B) {
 			b.Fatal(err)
 		}
 		round(b, pl)
+		cooks := pl.FrameStats().Cooks
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			round(b, pl)
@@ -508,6 +510,9 @@ func BenchmarkFetchCachedVsUncached(b *testing.B) {
 		b.StopTimer()
 		if st := pl.Stats(); st.Builds != 1 {
 			b.Fatalf("cached rounds rebuilt the plan: %+v", st)
+		}
+		if st := pl.FrameStats(); st.Cooks != cooks {
+			b.Fatalf("cached rounds cooked %d frames", st.Cooks-cooks)
 		}
 	})
 }

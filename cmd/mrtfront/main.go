@@ -20,11 +20,9 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -54,7 +52,7 @@ func run(args []string) error {
 	upAfter := fs.Int("health-up-after", 0, "consecutive probe successes that recover a down replica (0 means 2)")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 means 64)")
 	seed := fs.Int64("seed", 0, "failover backoff jitter seed (0 means time-based)")
-	metricsAddr := fs.String("metrics-addr", "", "serve /debug/metrics, /debug/fetches and /debug/vars on this address")
+	metricsAddr := fs.String("metrics-addr", "", "serve /debug/metrics, /debug/fetches, /debug/vars and /debug/pprof/ on this address")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -86,24 +84,10 @@ func run(args []string) error {
 	}
 
 	if *metricsAddr != "" {
-		if err := reg.PublishExpvar("mobweb"); err != nil {
-			return err
-		}
-		mux := http.NewServeMux()
-		mux.Handle("GET /debug/metrics", obs.MetricsHandler(reg))
-		mux.Handle("GET /debug/fetches", obs.FetchesHandler(reg))
-		mux.Handle("GET /debug/vars", expvar.Handler())
-		mln, err := net.Listen("tcp", *metricsAddr)
+		msrv, err := obs.ServeDebug(*metricsAddr, reg)
 		if err != nil {
 			return err
 		}
-		msrv := &http.Server{Handler: mux}
-		go func() {
-			if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
-				fmt.Printf("metrics listener stopped: %v\n", err)
-			}
-		}()
-		fmt.Printf("metrics on %s (/debug/metrics, /debug/fetches, /debug/vars)\n", mln.Addr())
 		defer msrv.Close()
 	}
 

@@ -10,7 +10,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -70,7 +69,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.chaosMin, "chaos-min", 0, "min bytes a connection may write before a chaos kill (0 = 2048)")
 	fs.IntVar(&o.chaosMax, "chaos-max", 0, "max bytes before a chaos kill (0 = 4x min)")
 	fs.DurationVar(&o.chaosStall, "chaos-stall", 0, "stall a connection this long before severing it")
-	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /debug/metrics, /debug/fetches and /debug/vars on this address (e.g. 127.0.0.1:8049)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /debug/metrics, /debug/fetches, /debug/vars and /debug/pprof/ on this address (e.g. 127.0.0.1:8049)")
 	fs.DurationVar(&o.statsEvery, "stats-every", 0, "log a one-line metrics summary at this interval (0 disables)")
 	fs.StringVar(&o.replicaName, "replica-name", "", "replica identity reported in fetch responses and scraped by a shard front")
 	fs.StringVar(&o.capability, "capability", "", "serve at a reduced tier: full, fetch-degraded, clear-prefix or search-only")
@@ -237,24 +236,10 @@ func run(args []string) error {
 	}
 
 	if o.metricsAddr != "" {
-		if err := reg.PublishExpvar("mobweb"); err != nil {
-			return err
-		}
-		mux := http.NewServeMux()
-		mux.Handle("GET /debug/metrics", obs.MetricsHandler(reg))
-		mux.Handle("GET /debug/fetches", obs.FetchesHandler(reg))
-		mux.Handle("GET /debug/vars", expvar.Handler())
-		mln, err := net.Listen("tcp", o.metricsAddr)
+		msrv, err := obs.ServeDebug(o.metricsAddr, reg)
 		if err != nil {
 			return err
 		}
-		msrv := &http.Server{Handler: mux}
-		go func() {
-			if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
-				fmt.Printf("metrics listener stopped: %v\n", err)
-			}
-		}()
-		fmt.Printf("metrics on %s (/debug/metrics, /debug/fetches, /debug/vars)\n", mln.Addr())
 		defer msrv.Close()
 	}
 	if o.statsEvery > 0 {

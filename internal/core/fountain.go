@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"mobweb/internal/erasure"
-	"mobweb/internal/fountain"
 	"mobweb/internal/packet"
 )
 
-// This file is the plan-side fountain glue: per-generation encoders
-// built lazily against the plan's raw packets, the per-packet IC
-// weights, and the fountain frame marshaling path mirroring Plan.Frame.
+// This file is the plan-side fountain glue: the per-packet IC weights and
+// the fountain frame marshaling path mirroring Plan.Frame, over the
+// per-generation encoders newPlan builds against the plan's raw packets.
 
 // FountainWeights computes the per-raw-packet IC weights of dispersal
 // group g: each accrual segment spreads its score uniformly over the
@@ -80,38 +79,13 @@ func (p *Plan) FountainLayout(seed uint64) Layout {
 	return l
 }
 
-// fountainEncoder returns the plan's encoder for generation gen keyed to
-// the stream seed. One encoder per generation is built on first use and
-// kept — nothing in it depends on the seed, which only keys the
-// per-packet RNG — so what a plan retains is bounded by its generation
-// count however many seeds its clients choose. Encoders reference the
-// plan's raw packets without copying.
-func (p *Plan) fountainEncoder(gen int, seed uint64) (fountain.Encoder, error) {
-	if gen < 0 || gen >= len(p.gens) {
-		return fountain.Encoder{}, fmt.Errorf("core: fountain generation %d of %d", gen, len(p.gens))
-	}
-	p.fmu.Lock()
-	defer p.fmu.Unlock()
-	if p.fenc == nil {
-		p.fenc = make([]*fountain.Encoder, len(p.gens))
-	}
-	if p.fenc[gen] == nil {
-		enc, err := fountain.NewEncoder(gen, 0, p.gens[gen].raw, nil)
-		if err != nil {
-			return fountain.Encoder{}, fmt.Errorf("core: fountain generation %d: %w", gen, err)
-		}
-		p.fenc[gen] = enc
-	}
-	return p.fenc[gen].WithSeed(seed), nil
-}
-
 // FountainFrame marshals rateless packet (gen, seq) into its wire
 // frame (codec id + seed + gen + seq + CRC + payload).
 func (p *Plan) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
-	enc, err := p.fountainEncoder(gen, seed)
-	if err != nil {
-		return nil, err
+	if gen < 0 || gen >= len(p.gens) {
+		return nil, fmt.Errorf("core: fountain generation %d of %d", gen, len(p.gens))
 	}
+	enc := p.gens[gen].fenc.WithSeed(seed)
 	// One allocation per frame: the header room (FinishFountainFrame fills
 	// it) plus capacity for the payload AppendPayload cooks into.
 	frame := make([]byte, packet.FountainOverhead, packet.FountainOverhead+p.cfg.PacketSize)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mobweb/internal/erasure"
+	"mobweb/internal/fountain"
 	"mobweb/internal/packet"
 )
 
@@ -346,6 +347,10 @@ func TestFountainEncoderStateBoundedBySeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	built := make([]*fountain.Encoder, plan.Generations())
+	for g, gen := range plan.gens {
+		built[g] = gen.fenc
+	}
 	for fetch := 0; fetch < 1000; fetch++ {
 		seed := uint64(fetch)*0x9e3779b97f4a7c15 + 1
 		for g := 0; g < plan.Generations(); g++ {
@@ -354,8 +359,10 @@ func TestFountainEncoderStateBoundedBySeeds(t *testing.T) {
 			}
 		}
 	}
-	if got := len(plan.fenc); got != plan.Generations() {
-		t.Fatalf("plan retains %d fountain encoders after 1000 seeds, want %d (one per generation)", got, plan.Generations())
+	for g, gen := range plan.gens {
+		if gen.fenc != built[g] {
+			t.Fatalf("gen %d: the plan's fountain encoder changed after 1000 seeds; newPlan's one per generation must serve them all", g)
+		}
 	}
 	for _, seed := range []uint64{1, 0x0dd5eed} {
 		for g := 0; g < plan.Generations(); g++ {

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mobweb/internal/content"
 	"mobweb/internal/document"
@@ -31,54 +29,24 @@ type UnitSegment struct {
 
 // generation is one independently-encoded dispersal group. The first M
 // cooked packets are byte-identical to the raw packets (systematic
-// property), so only the parity tail needs GF(2^8) work — and that work
-// is deferred row by row to the first access past M. A client that
-// terminates early on relevance judgment (the paper's headline scenario)
-// therefore never triggers encoding at all, and a fetch that consumes
-// only part of the tail pays for exactly the rows it was sent — the
-// granularity the shared cooked-frame cache works at.
+// property), so only the parity tail needs GF(2^8) work, one row per
+// CookedPayload call past M. A client that terminates early on relevance
+// judgment (the paper's headline scenario) therefore never triggers
+// encoding at all. The plan keeps no cooked bytes: the planner's shared
+// frame cache is the one place they are held.
 type generation struct {
 	coder     *erasure.Coder
-	rawOff    int      // first raw packet index (global)
-	cookedOff int      // first cooked sequence number (global)
-	raw       [][]byte // this group's raw packets (clear-text prefix)
-
-	mu          sync.Mutex
-	parity      [][]byte // cooked[M:], rows encoded lazily (nil until asked)
-	encodedRows int      // parity rows materialized so far
-}
-
-// ensureParityRow encodes one redundancy row on first use and memoizes
-// it. encodes counts generations with any materialized parity plan-wide,
-// for observability (the planner's zero-encode acceptance assertion).
-// The GF(2^8) work runs under the generation mutex; concurrent senders
-// of one hot row are already deduplicated by the frame cache above, so
-// the lock guards only the callers with no cache in front (sim, baseline).
-func (g *generation) ensureParityRow(row int, encodes *atomic.Int64) ([]byte, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.parity == nil {
-		g.parity = make([][]byte, g.coder.N()-g.coder.M())
-	}
-	if g.parity[row] == nil {
-		b, err := g.coder.EncodeParityRow(g.raw, row)
-		if err != nil {
-			return nil, err
-		}
-		if g.encodedRows == 0 {
-			encodes.Add(1)
-		}
-		g.encodedRows++
-		g.parity[row] = b
-	}
-	return g.parity[row], nil
+	fenc      *fountain.Encoder // this group's rateless stream, seed-free (see FountainFrame)
+	rawOff    int               // first raw packet index (global)
+	cookedOff int               // first cooked sequence number (global)
+	raw       [][]byte          // this group's raw packets (clear-text prefix)
 }
 
 // Plan is an immutable transmission plan for one document: the ranked
-// unit permutation, the packetized permuted stream, and the cooked
-// packets of every generation. Plans are safe for concurrent use; parity
-// packets are encoded lazily (once, guarded) on first access past each
-// generation's clear-text prefix.
+// unit permutation, the packetized permuted stream, and each
+// generation's coders, which cook its packets on demand. No field
+// changes once newPlan returns, so plans are safe for concurrent use
+// without locks.
 type Plan struct {
 	doc      *document.Document
 	cfg      Config
@@ -89,16 +57,6 @@ type Plan struct {
 	m        int           // total raw packets
 	n        int           // total cooked packets
 	gens     []*generation
-
-	// parityEncodes counts generations whose parity has been encoded.
-	parityEncodes atomic.Int64
-
-	// fmu guards fenc, the lazily-built per-generation fountain encoders
-	// (seed-independent; see fountainEncoder). A plan is codec-neutral:
-	// the fixed-rate path uses the generations' coders, the rateless path
-	// attaches encoders here on first use.
-	fmu  sync.Mutex
-	fenc []*fountain.Encoder
 }
 
 // NewPlan ranks the document's units by the SC's scores for the query and
@@ -231,8 +189,16 @@ func newPlan(doc *document.Document, ranked []*document.Unit, scores map[int]flo
 		if err != nil {
 			return nil, fmt.Errorf("generation at raw %d: %w", rawOff, err)
 		}
+		// A fountain encoder does not depend on the seed, which only keys
+		// the per-packet RNG (Encoder.WithSeed), so one per generation
+		// serves every stream of the plan.
+		fenc, err := fountain.NewEncoder(len(p.gens), 0, raw[rawOff:end], nil)
+		if err != nil {
+			return nil, fmt.Errorf("core: fountain generation %d: %w", len(p.gens), err)
+		}
 		p.gens = append(p.gens, &generation{
 			coder:     coder,
+			fenc:      fenc,
 			rawOff:    rawOff,
 			cookedOff: cookedSeq,
 			raw:       raw[rawOff:end],
@@ -279,10 +245,11 @@ func (p *Plan) segmentContaining(leaf *document.Unit) (UnitSegment, bool) {
 }
 
 // CookedPayload returns the cooked packet payload for a global sequence
-// number. The returned slice is shared with the plan; callers must not
-// modify it. A seq inside a generation's clear-text prefix is served
-// straight from the raw packets; a seq past a prefix triggers a one-time
-// encode of exactly that parity row.
+// number. A seq inside a generation's clear-text prefix is served
+// straight from the raw packets, and that slice is shared with the plan:
+// callers must not modify it. A seq past a prefix is one parity row,
+// encoded afresh on every call; a caller that asks for the same row more
+// than once keeps the bytes itself (the planner's frame cache does).
 func (p *Plan) CookedPayload(seq int) ([]byte, error) {
 	g, idx, err := p.locate(seq)
 	if err != nil {
@@ -292,13 +259,8 @@ func (p *Plan) CookedPayload(seq int) ([]byte, error) {
 	if idx < gen.coder.M() {
 		return gen.raw[idx], nil
 	}
-	return gen.ensureParityRow(idx-gen.coder.M(), &p.parityEncodes)
+	return gen.coder.EncodeParityRow(gen.raw, idx-gen.coder.M())
 }
-
-// ParityEncodes returns how many generations have had their parity
-// packets encoded so far. It is zero until some caller asks for a cooked
-// packet past a clear-text prefix — the lazy-parity invariant.
-func (p *Plan) ParityEncodes() int64 { return p.parityEncodes.Load() }
 
 // Frame marshals the cooked packet at seq into its wire frame
 // (sequence number + CRC + payload).

@@ -134,10 +134,10 @@ func (c *Coder) Encode(raw [][]byte) ([][]byte, error) {
 
 // EncodeParityRow computes a single redundancy packet — cooked index
 // m+row — without touching the rest of the parity tail. It backs
-// row-granular lazy plan encoding: with the cooked-frame cache in front,
-// serving one redundancy frame costs exactly one row of GF(2^8) work
-// instead of materializing the whole generation, and a row evicted from
-// the frame cache re-cooks alone.
+// core.Plan.CookedPayload: with the cooked-frame cache in front, serving
+// one redundancy frame costs exactly one row of GF(2^8) work instead of
+// materializing the whole generation, and a row evicted from the frame
+// cache re-cooks alone.
 func (c *Coder) EncodeParityRow(raw [][]byte, row int) ([]byte, error) {
 	size, err := c.checkRaw(raw)
 	if err != nil {

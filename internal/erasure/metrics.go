@@ -10,7 +10,9 @@ import "mobweb/internal/obs"
 // annotates. A front end that owns an obs.Registry exposes them by
 // registering MetricsProbe under a name like "erasure".
 var codecMetrics struct {
-	// parityRows counts lazily materialized parity rows.
+	// parityRows counts parity rows encoded by EncodeParityRow, one per
+	// call: a plan keeps none, so on the server each is a frame-cache
+	// miss past a clear-text prefix.
 	parityRows obs.Counter
 	// packetsConsumed counts distinct packets fed to decoders of either
 	// codec; packetsNeeded accumulates M per completed generation, so

@@ -32,11 +32,9 @@ const DefaultCacheBytes = 32 << 20
 
 // Key identifies one cooked wire frame. Plan is the planner's versioned
 // plan key (document-version token, document, LOD, notion, γ, packet
-// geometry, query-vector hash), Gamma repeats the redundancy ratio
-// explicitly so operators can reason about the γ dimension, and Gen/Row
-// locate the frame inside the plan's dispersal groups (Row is the global
-// cooked sequence number's index within its generation, or the stream
-// seq for rateless codecs).
+// geometry, query-vector hash), and Gen/Row locate the frame inside the
+// plan's dispersal groups (Row is the global cooked sequence number's
+// index within its generation, or the stream seq for rateless codecs).
 //
 // Codec and Seed complete the identity for multi-codec plans: a
 // fixed-rate Vandermonde frame and a fountain frame of the same plan
@@ -44,7 +42,6 @@ const DefaultCacheBytes = 32 << 20
 // seeds. Both are zero for the fixed-rate codec.
 type Key struct {
 	Plan  string
-	Gamma float64
 	Gen   int
 	Row   int
 	Codec uint8

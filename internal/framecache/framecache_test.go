@@ -12,7 +12,7 @@ import (
 )
 
 func key(plan string, gen, row int) Key {
-	return Key{Plan: plan, Gamma: 1.5, Gen: gen, Row: row}
+	return Key{Plan: plan, Gen: gen, Row: row}
 }
 
 // entryOverhead is the planner's per-frame bookkeeping charge.
@@ -283,7 +283,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				plan := fmt.Sprintf("plan-%d", i%3)
-				k := Key{Plan: plan, Gamma: 1.5, Gen: i % 2, Row: i % 17}
+				k := Key{Plan: plan, Gen: i % 2, Row: i % 17}
 				switch i % 5 {
 				case 4:
 					c.Invalidate(plan)

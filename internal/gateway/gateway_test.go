@@ -64,6 +64,15 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// Profiles belong on the private debug listener (obs.DebugHandler), not
+// on the gateway's public mux.
+func TestGatewayServesNoPprof(t *testing.T) {
+	h := newGateway(t)
+	if rec := get(t, h, "/debug/pprof/"); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /debug/pprof/ on the gateway = %d, want 404", rec.Code)
+	}
+}
+
 // TestNewNilEngine: the gateway fronts a server with a document
 // collection of its own, not a relay such as the shard front.
 func TestNewNilEngine(t *testing.T) {

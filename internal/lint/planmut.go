@@ -17,11 +17,6 @@ var (
 	// construction. generation is unexported but lives behind every
 	// cached plan, so it is covered too.
 	planOwnerTypes = map[string]bool{"Plan": true, "generation": true}
-	// planLazyWriters are the owner-package functions besides New*/new*
-	// constructors that may write plan fields: the mutex-guarded lazy
-	// parity row encode and the equally mutex-guarded lazy fountain
-	// encoder memoization (the sanctioned post-construction writes).
-	planLazyWriters = map[string]bool{"ensureParityRow": true, "fountainEncoder": true}
 	// SharedPlanAccessors return slices that alias cache-owned plan
 	// state. Their results must be treated as read-only; writing through
 	// them corrupts the plan for every goroutine sharing it.
@@ -40,8 +35,7 @@ var (
 // Two rules:
 //
 //  1. Inside the owner package, fields of Plan/generation may only be
-//     assigned in constructor-shaped functions (New*, new*) and in the
-//     lazy writers (ensureParityRow, fountainEncoder).
+//     assigned in constructor-shaped functions (New*, new*).
 //  2. Everywhere, slices obtained from the shared accessors (Segments,
 //     AccrualSegments, CookedPayload) must not be written through:
 //     element/field stores, append with such a slice as destination,
@@ -72,7 +66,7 @@ func runPlanMut(pass *Pass) error {
 // declaration's name via forEachFunc, so a literal inside a constructor
 // stays allowed.
 func checkOwnerWrites(pass *Pass, info *types.Info, funcName string, body *ast.BlockStmt) {
-	if strings.HasPrefix(funcName, "New") || strings.HasPrefix(funcName, "new") || planLazyWriters[funcName] {
+	if strings.HasPrefix(funcName, "New") || strings.HasPrefix(funcName, "new") {
 		return
 	}
 	ast.Inspect(body, func(n ast.Node) bool {

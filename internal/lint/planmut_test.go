@@ -17,8 +17,7 @@ func TestPlanMutOwnerPackage(t *testing.T) {
 }
 
 // The real owner package must satisfy its own analyzer: every
-// Plan/generation field write in core sits in a constructor or in a
-// lazy writer (ensureParityRow, fountainEncoder).
+// Plan/generation field write in core sits in a constructor.
 func TestPlanMutCleanOnCore(t *testing.T) {
 	diags, err := lint.Run(".", []string{"mobweb/internal/core"}, []*lint.Analyzer{lint.PlanMut})
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 // Every name an analyzer's tables target must exist in the tree: an
-// accessor, blocker or lazy writer that was renamed or deleted leaves
+// accessor or blocker that was renamed or deleted leaves
 // its rule guarding nothing, silently.
 func TestAnalyzerTargetsExist(t *testing.T) {
 	pkgs, err := Load(".", "mobweb/...")
@@ -15,10 +15,8 @@ func TestAnalyzerTargetsExist(t *testing.T) {
 	}
 	loaded := make(map[string]bool)
 	funcs := make(map[string]bool) // FullName of every function and method
-	names := make(map[string]bool) // "pkgpath.Name" of the same
 	add := func(fn *types.Func) {
 		funcs[fn.FullName()] = true
-		names[fn.Pkg().Path()+"."+fn.Name()] = true
 	}
 	for _, pkg := range pkgs {
 		loaded[pkg.PkgPath] = true
@@ -51,11 +49,6 @@ func TestAnalyzerTargetsExist(t *testing.T) {
 	for name := range lockBlockers {
 		if !funcs[name] {
 			t.Errorf("lockBlockers names %s, which the tree does not have", name)
-		}
-	}
-	for name := range planLazyWriters {
-		if !names[PlanOwnerPackage+"."+name] {
-			t.Errorf("planLazyWriters names %s, which %s does not have", name, PlanOwnerPackage)
 		}
 	}
 	for _, path := range NondetPackages {

@@ -23,10 +23,10 @@ func NewPlan() *Plan {
 	return p
 }
 
-// ensureParityRow is a sanctioned post-construction write (the
-// mutex-guarded lazy row encode in the real package).
+// ensureParityRow writes a plan field after construction; no function
+// besides a constructor may, however it guards the write.
 func (g *generation) ensureParityRow() {
-	g.parity = [][]byte{{1}}
+	g.parity = [][]byte{{1}} // want "write to generation.parity outside a constructor"
 }
 
 // newDerived exercises the closure rule: a literal inside a constructor
@@ -52,8 +52,7 @@ func Mutate(p *Plan, g *generation) {
 // Read-only access is always fine.
 func (p *Plan) Read() int { return p.m }
 
-// fountainEncoder is the other sanctioned lazy writer (the mutex-guarded
-// encoder memoization in the real package).
+// fountainEncoder's memoizing write is flagged the same way.
 func (p *Plan) fountainEncoder() {
-	p.gens = append(p.gens[:0], &generation{})
+	p.gens = append(p.gens[:0], &generation{}) // want "write to Plan.gens outside a constructor"
 }

@@ -16,8 +16,9 @@
 //     malformed requests fail fast with a safe message instead of a deep
 //     core/erasure error string.
 //
-// Together with core's lazy parity encoding, a repeat fetch of a cached
-// plan performs zero ranking work and zero GF(2^8) encodes — the
+// Plans hold no cooked bytes; the frame cache is the one store of them.
+// A repeat fetch of a cached plan therefore performs zero ranking work,
+// and a repeat of frames still cached zero GF(2^8) encodes — the
 // retransmission hot path of the paper's Caching strategy becomes a map
 // lookup.
 package planner
@@ -271,7 +272,7 @@ func (r *Resolved) Frame(seq int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.frame(framecache.Key{Plan: r.Key, Gamma: r.Plan.Config().Gamma, Gen: gen, Row: row}, seq)
+	return r.frame(framecache.Key{Plan: r.Key, Gen: gen, Row: row}, seq)
 }
 
 // FountainFrame returns the cooked fountain wire frame for (seed, gen,
@@ -283,7 +284,6 @@ func (r *Resolved) Frame(seq int) ([]byte, error) {
 func (r *Resolved) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
 	return r.frame(framecache.Key{
 		Plan:  r.Key,
-		Gamma: r.Plan.Config().Gamma,
 		Gen:   gen,
 		Row:   seq,
 		Codec: uint8(erasure.CodecFountain),
@@ -417,13 +417,10 @@ func cacheKey(version, doc string, cfg core.Config, queryVec map[string]int) str
 		strconv.FormatUint(h.Sum64(), 16)
 }
 
-// planCost estimates a plan's resident bytes once its parity is encoded:
-// body + permuted copies, the eventual cooked packets, and per-segment
-// bookkeeping. Charging the full post-encode size up front keeps the
-// budget stable as lazy parity materializes.
+// planCost estimates a plan's resident bytes: the body and permuted
+// copies and per-segment bookkeeping. Cooked parity is not the plan's to
+// charge; the frame cache charges each frame it keeps.
 func planCost(plan *core.Plan) int64 {
 	segs := len(plan.Segments()) + len(plan.AccrualSegments())
-	return int64(2*plan.BodySize()) +
-		int64(plan.N()*plan.Config().PacketSize) +
-		int64(128*segs) + 512
+	return int64(2*plan.BodySize()) + int64(128*segs) + 512
 }

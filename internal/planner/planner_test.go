@@ -11,6 +11,7 @@ import (
 
 	"mobweb/internal/core"
 	"mobweb/internal/document"
+	"mobweb/internal/erasure"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
 )
@@ -66,68 +67,81 @@ func clearSeqs(plan *core.Plan) []int {
 
 var baseReq = Request{Doc: "a.xml", Query: "mobile web browsing", LOD: "paragraph", Notion: "QIC"}
 
+// parityRows reads the erasure probe's process-wide count of encoded
+// parity rows, the one place a GF(2^8) encode shows.
+func parityRows() int64 {
+	return erasure.MetricsProbe().(map[string]int64)["parity_rows"]
+}
+
 // TestRepeatFetchZeroBuildsZeroEncodes is the acceptance criterion: a
 // repeat fetch of the same (doc, query, LOD, notion, γ) performs zero
-// core.NewPlan calls, and as long as no one asks past a clear-text
-// prefix, zero GF(2^8) parity encodes.
+// core.NewPlan calls; a round that stays inside the clear-text prefixes
+// encodes zero parity rows; and a repeated full round through the frame
+// cache, the path the server streams from, cooks zero frames.
 func TestRepeatFetchZeroBuildsZeroEncodes(t *testing.T) {
 	p, _ := newTestPlanner(t, Options{}, "a.xml")
 
 	// Round 1: resolve and stream only the clear prefix (the paper's
 	// early-abort scenario).
-	plan, err := p.Resolve(baseReq)
+	r, err := p.ResolveFrames(baseReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seq := range clearSeqs(plan) {
-		if _, err := plan.Frame(seq); err != nil {
+	rows := parityRows()
+	for _, seq := range clearSeqs(r.Plan) {
+		if _, err := r.Frame(seq); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := plan.ParityEncodes(); got != 0 {
-		t.Fatalf("clear-prefix fetch triggered %d parity encodes, want 0", got)
+	if got := parityRows() - rows; got != 0 {
+		t.Fatalf("clear-prefix fetch encoded %d parity rows, want 0", got)
 	}
 
 	// Round 2: the retransmission round — same tuple, zero builds.
-	again, err := p.Resolve(baseReq)
+	again, err := p.ResolveFrames(baseReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != plan {
+	if again.Plan != r.Plan {
 		t.Fatal("repeat resolve returned a different plan instance")
 	}
 	if st := p.Stats(); st.Builds != 1 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("after repeat resolve: %+v, want 1 build / 1 hit / 1 miss", st)
 	}
-	if got := plan.ParityEncodes(); got != 0 {
-		t.Fatalf("repeat resolve triggered %d parity encodes, want 0", got)
-	}
 
-	// A full fetch encodes each generation exactly once...
+	// A full round cooks each frame once, encoding each parity row once...
+	plan := r.Plan
 	for seq := 0; seq < plan.N(); seq++ {
-		if _, err := plan.Frame(seq); err != nil {
+		if _, err := again.Frame(seq); err != nil {
 			t.Fatal(err)
 		}
 	}
-	gens := int64(plan.Generations())
-	if got := plan.ParityEncodes(); got != gens {
-		t.Fatalf("full fetch encoded %d generations, want %d", got, gens)
+	if got, want := parityRows()-rows, int64(plan.N()-plan.M()); got != want {
+		t.Fatalf("full round encoded %d parity rows, want %d", got, want)
+	}
+	if st := p.FrameStats(); st.Cooks != int64(plan.N()) {
+		t.Fatalf("full round cooked %d frames, want %d", st.Cooks, plan.N())
 	}
 
-	// ...and a second full fetch encodes nothing new and builds nothing.
-	if _, err := p.Resolve(baseReq); err != nil {
+	// ...and a repeated full round cooks nothing and builds nothing.
+	cooks, rows := p.FrameStats().Cooks, parityRows()
+	r3, err := p.ResolveFrames(baseReq)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for seq := 0; seq < plan.N(); seq++ {
-		if _, err := plan.Frame(seq); err != nil {
+		if _, err := r3.Frame(seq); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := plan.ParityEncodes(); got != gens {
-		t.Fatalf("repeat full fetch encoded %d generations, want %d", got, gens)
+	if got := p.FrameStats().Cooks - cooks; got != 0 {
+		t.Fatalf("repeat full round cooked %d frames, want 0", got)
+	}
+	if got := parityRows() - rows; got != 0 {
+		t.Fatalf("repeat full round encoded %d parity rows, want 0", got)
 	}
 	if st := p.Stats(); st.Builds != 1 {
-		t.Fatalf("repeat full fetch rebuilt the plan: %+v", st)
+		t.Fatalf("repeat full round rebuilt the plan: %+v", st)
 	}
 }
 
@@ -360,9 +374,9 @@ func TestReindexInvalidates(t *testing.T) {
 }
 
 // TestCachedPlanFrameStress hammers one cached plan's Frame from many
-// goroutines across the full cooked range, so the race detector gets a
-// clean shot at the lazy parity encoding, and every frame must match the
-// frames of an independently built plan.
+// goroutines across the full cooked range, so the race detector sees one
+// plan shared by every connection, and every frame must match the frames
+// of an independently built plan.
 func TestCachedPlanFrameStress(t *testing.T) {
 	p, _ := newTestPlanner(t, Options{}, "a.xml")
 	plan, err := p.Resolve(baseReq)
@@ -411,9 +425,6 @@ func TestCachedPlanFrameStress(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	if got, gens := plan.ParityEncodes(), int64(plan.Generations()); got != gens {
-		t.Fatalf("stress encoded %d generations, want exactly %d", got, gens)
 	}
 }
 

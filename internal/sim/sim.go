@@ -259,6 +259,9 @@ func visitDocument(ch *channel.Channel, plan *core.Plan, irrelevant bool, p Para
 		return out, err
 	}
 	frameSize := packet.FrameSize(p.PacketSize)
+	// Every round re-sends the same rows and a plan keeps no parity, so
+	// the visit keeps each payload it has cooked.
+	cooked := make([][]byte, plan.N())
 
 	for round := 0; round < p.MaxRounds; round++ {
 		out.rounds++
@@ -271,11 +274,12 @@ func visitDocument(ch *channel.Channel, plan *core.Plan, irrelevant bool, p Para
 			if delivery.Outcome != channel.Intact {
 				continue
 			}
-			payload, err := plan.CookedPayload(seq)
-			if err != nil {
-				return out, err
+			if cooked[seq] == nil {
+				if cooked[seq], err = plan.CookedPayload(seq); err != nil {
+					return out, err
+				}
 			}
-			if err := rcv.Add(seq, payload); err != nil {
+			if err := rcv.Add(seq, cooked[seq]); err != nil {
 				return out, err
 			}
 			if terminated(rcv, irrelevant, p.Threshold) {
