@@ -313,8 +313,7 @@ func statsLine(reg *obs.Registry) string {
 			100*fc.HitRate(), fc.Cooks, fc.Entries, float64(fc.Bytes)/(1<<20))
 	}
 	if v := s.Counters["serve.fountain_fetches"]; v > 0 {
-		line += fmt.Sprintf(" fountain=%d bcast_subs=%d bcast_drops=%d",
-			v, s.Gauges["serve.broadcast_subscribers"], s.Counters["serve.broadcast_drops"])
+		line += fmt.Sprintf(" fountain=%d", v)
 		if fm, ok := s.Probes["fountain"].(map[string]int64); ok {
 			line += fmt.Sprintf(" ft_generated=%d", fm["packets_generated"])
 		}

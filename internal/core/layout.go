@@ -53,9 +53,8 @@ type Layout struct {
 	Accrual []SegmentMeta
 	// Codec names the cooked-packet codec; the zero value is the legacy
 	// fixed-rate Vandermonde code, so layouts serialized before codecs
-	// existed keep their meaning. The server's layout is authoritative —
-	// a replica may serve a different codec than the client asked for
-	// (e.g. a clear-prefix-only capability tier cannot stream fountain).
+	// existed keep their meaning. The server's layout is authoritative:
+	// a client that names no codec gets the server's default.
 	Codec erasure.CodecID
 	// Seed identifies the fountain stream when Codec is CodecFountain:
 	// both sides derive identical packet combinations from it. Zero and

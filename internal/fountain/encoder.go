@@ -10,8 +10,8 @@ import (
 // Encoder produces the rateless cooked-packet stream for one generation.
 // It is immutable after construction and safe for concurrent Payload
 // calls: every packet is a pure function of (seed, gen, seq) and the
-// source symbols, which is what makes frames cacheable and lets one
-// stream serve many broadcast subscribers.
+// source symbols, which is what makes frames cacheable and lets
+// concurrent streams share them.
 type Encoder struct {
 	spec *spec
 	seed uint64

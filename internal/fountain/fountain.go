@@ -5,9 +5,9 @@
 // which reconstructs the source. The server streams as long as the
 // client grants and the client says stop when it has decoded — the γ
 // mis-estimation cost of the fixed-rate code (wasted bytes on overshoot,
-// a full extra round-trip on undershoot) disappears, and one encoded
-// stream can serve many clients with heterogeneous channel quality
-// (broadcast).
+// a full extra round-trip on undershoot) disappears, and clients with
+// heterogeneous channel quality each stop at their own point of one
+// seeded stream.
 //
 // Construction. Each generation's k raw packets are the source symbols,
 // and the stream is systematic, like the paper's own code: cooked packet

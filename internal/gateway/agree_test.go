@@ -118,7 +118,7 @@ func TestFrontEndsAgree(t *testing.T) {
 		{"fountain seed under a salt", transport.ServerOptions{FountainSalt: 7}, "q=mobile+web&codec=fountain", ""},
 		{"default codec", transport.ServerOptions{DefaultCodec: erasure.CodecFountain}, "q=mobile+web", ""},
 		{"degraded gamma clamp", transport.ServerOptions{Capability: tier(transport.CapFetchDegraded)}, "q=mobile+web", ""},
-		{"clear prefix forces vandermonde", transport.ServerOptions{Capability: tier(transport.CapClearPrefixOnly)}, "q=mobile+web&codec=fountain", ""},
+		{"clear prefix keeps the requested codec", transport.ServerOptions{Capability: tier(transport.CapClearPrefixOnly)}, "q=mobile+web&codec=fountain", ""},
 		{"search only", transport.ServerOptions{Capability: tier(transport.CapSearchOnly)}, "q=mobile+web", "degraded"},
 		{"admission budget full", transport.ServerOptions{Admission: full}, "q=mobile+web", "shed"},
 	}

@@ -314,7 +314,7 @@ func (r *Resolved) frame(k framecache.Key, seq int) ([]byte, error) {
 // server-wide salt. It is a pure function of (canonical plan key, salt)
 // — the key without its version token, which is local to one planner —
 // so every replica configured with the same salt streams byte-identical
-// fountain packets for the same request — the property broadcast fan-out
+// fountain packets for the same request — the property frame sharing
 // and mid-fetch re-routing rely on. The result is never zero (zero means
 // "derive for me" in the transport request).
 func (r *Resolved) FountainSeed(salt uint64) uint64 {

@@ -79,7 +79,8 @@ func (c Capability) AllowsFetch() bool { return c <= CapClearPrefixOnly }
 // idle-time traffic is the first load a degrading replica sheds.
 func (c Capability) AllowsPrefetch() bool { return c == CapFull }
 
-// ClearPrefixOnly reports whether fetch streams must skip parity rows.
+// ClearPrefixOnly reports whether fetch streams send only each
+// generation's source packets, under either codec.
 func (c Capability) ClearPrefixOnly() bool { return c == CapClearPrefixOnly }
 
 // ClampsGamma reports whether fetch requests get their redundancy ratio

@@ -479,17 +479,13 @@ type FetchOptions struct {
 	TargetSuccess float64
 	// Codec selects the erasure codec. The zero value asks for the
 	// server's default; name fountain explicitly (erasure.CodecFountain)
-	// for a rateless fetch. The layout the server answers with
-	// is authoritative — a degraded replica may serve fixed-rate anyway.
+	// for a rateless fetch. The layout the server answers with names the
+	// codec served, which FetchResult.Codec reports.
 	Codec erasure.CodecID
 	// FountainSeed pins the fountain stream seed; zero lets the server
 	// derive it from the canonical plan key, which every replica sharing
 	// a salt derives identically (resume-on-reroute).
 	FountainSeed uint64
-	// Broadcast joins the server's shared fan-out stream for this plan
-	// instead of a private one (fountain only). Frames a slow link
-	// misses are ordinary loss to the rateless decoder.
-	Broadcast bool
 	// RoundTimeout bounds one whole transmission round (Request,
 	// response, packet stream). A round that overruns is aborted and
 	// treated as a connection failure: the client reconnects and
@@ -548,7 +544,7 @@ type FetchResult struct {
 	// HeaderBytes sums the control-line bytes received ahead of the frames
 	// — the response header with its layout, or a refusal — over every
 	// round and resume. It is counted beside BytesReceived, not in it:
-	// folding the header into the wire-byte metrics is ROADMAP item 1(a),
+	// folding the header into the wire-byte metrics is ROADMAP item 2,
 	// a benchmark change of its own.
 	HeaderBytes int
 	// HeldPackets is the number of intact packets held at the end.
@@ -571,8 +567,8 @@ type FetchResult struct {
 	// empty means full capability.
 	Capability string
 	// Codec names the erasure codec of the final round's layout — what
-	// the server actually served, which may differ from the request on a
-	// degraded replica. Empty until a layout was received.
+	// the server served: the requested one, or its default when the
+	// request named none. Empty until a layout was received.
 	Codec string
 	// Trace is the event timeline supplied in FetchOptions.Trace, echoed
 	// back so callers hold result and timeline together; nil when the
@@ -773,7 +769,7 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 // request is the fetch request opts put on the wire, before a round adds
 // its γ and what the receiver already holds.
 func (opts FetchOptions) request() Request {
-	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: opts.Gamma, Seed: opts.FountainSeed, Broadcast: opts.Broadcast}
+	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: opts.Gamma, Seed: opts.FountainSeed}
 	if opts.LOD != 0 {
 		req.LOD = opts.LOD.String()
 	}

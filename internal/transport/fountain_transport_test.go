@@ -16,9 +16,9 @@ import (
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
 	"mobweb/internal/erasure"
-	"mobweb/internal/fountain"
 	"mobweb/internal/obs"
 	"mobweb/internal/packet"
+	"mobweb/internal/planner"
 )
 
 func TestFountainFetchCleanChannel(t *testing.T) {
@@ -189,46 +189,30 @@ func TestFountainPrefetchPrimesFetch(t *testing.T) {
 	}
 }
 
-// TestFountainBroadcastFanout serves one cooked fountain stream to many
-// subscribers: every subscriber reconstructs the document, and the
-// server's encode+marshal work for 8 subscribers stays under twice the
-// work for one — the fan-out amortizes instead of cooking per socket.
-func TestFountainBroadcastFanout(t *testing.T) {
-	const subscribers = 8
+// TestConcurrentFetchesCookOnce is the fan-out through the frame cache:
+// concurrent private fountain fetches of one plan, on a cold cache, cook
+// each frame once between them. Every stream sends its own frames, yet
+// the server cooks no more than one credit window — the frames a single
+// fetch may be sent without asking — however many clients share it.
+func TestConcurrentFetchesCookOnce(t *testing.T) {
+	const fetches = 8
 	reg := obs.NewRegistry()
-	many := broadcastWork(t, subscribers, reg)
-	snap := reg.Snapshot()
-	if subs := snap.Gauges["serve.broadcast_subscribers"]; subs != 0 {
-		t.Errorf("broadcast subscriber gauge %d after all streams ended, want 0", subs)
-	}
-	if frames := snap.Counters["serve.broadcast_frames"]; frames == 0 {
-		t.Error("no frames delivered through the broadcast hub")
-	}
-	one := broadcastWork(t, 1, obs.NewRegistry())
-	t.Logf("broadcast work: %d for %d subscribers, %d for one", many, subscribers, one)
-	if one == 0 || many >= 2*one {
-		t.Errorf("broadcast work %d for %d subscribers, %d for one: want under 2×", many, subscribers, one)
-	}
-}
-
-// broadcastWork fans the draft document's fountain stream out to subs
-// concurrent broadcast subscribers of a fresh server — a cold frame
-// cache, so each pass pays for its own cooking — and returns the work
-// the server spent: fountain symbols generated plus frames marshalled.
-// The carousel is paced to an emulated link rate: subscribers join a
-// stream the air interface feeds, not one racing at CPU speed. Every
-// subscriber is dialed before the counters are read, and the counters
-// are read again only after the producer has exited, so the difference
-// is the whole stream and nothing else.
-func broadcastWork(t *testing.T, subs int, reg *obs.Registry) int64 {
-	t.Helper()
-	opts := ServerOptions{Metrics: reg, PacketDelay: 500 * time.Microsecond}
-	addr := startServer(t, opts).conn.RemoteAddr().String()
+	client, srv := startServerHandle(t, ServerOptions{Metrics: reg})
+	addr := client.conn.RemoteAddr().String()
 	doc, err := corpus.Load(corpus.DraftName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients := make([]*Client, subs)
+	resolved, err := srv.local.planner.ResolveFrames(planner.Request{Doc: corpus.DraftName})
+	if err != nil {
+		t.Fatal(err)
+	}
+	window, sources := 0, 0
+	for g := range resolved.Plan.Layout().Shapes {
+		window += resolved.Plan.Shape(g).N
+		sources += resolved.Plan.Shape(g).M
+	}
+	clients := make([]*Client, fetches)
 	for i := range clients {
 		c, err := Dial(addr)
 		if err != nil {
@@ -238,48 +222,70 @@ func broadcastWork(t *testing.T, subs int, reg *obs.Registry) int64 {
 		t.Cleanup(func() { c.Close() })
 		clients[i] = c
 	}
-	before := fountainWork()
 	var wg sync.WaitGroup
-	errs := make(chan error, subs)
+	received := make([]int, fetches)
+	errs := make(chan error, fetches)
 	for i, c := range clients {
 		wg.Add(1)
 		go func(i int, c *Client) {
 			defer wg.Done()
-			res, err := c.Fetch(FetchOptions{
-				Doc:       corpus.DraftName,
-				Codec:     erasure.CodecFountain,
-				Broadcast: true,
-				Caching:   true,
-				MaxRounds: 20,
-			})
+			res, err := c.Fetch(FetchOptions{Doc: corpus.DraftName, Codec: erasure.CodecFountain, Caching: true})
 			if err != nil {
-				errs <- fmt.Errorf("subscriber %d: %w", i, err)
+				errs <- fmt.Errorf("fetch %d: %w", i, err)
 				return
 			}
-			if !bytes.Equal(res.Body, doc.Body()) {
-				errs <- fmt.Errorf("subscriber %d: body differs", i)
+			if !bytes.Equal(res.Body, doc.Body()) || res.Rounds != 1 {
+				errs <- fmt.Errorf("fetch %d: %d rounds, body equal %v", i, res.Rounds, bytes.Equal(res.Body, doc.Body()))
 			}
+			received[i] = res.PacketsReceived
 		}(i, c)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Error(err)
+		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return reg.Snapshot().Gauges["serve.broadcast_streams"] == 0 })
-	return fountainWork() - before
+	total := 0
+	for _, n := range received {
+		total += n
+	}
+	out := reg.Snapshot().Counters["serve.frames_out"]
+	cooks := srv.FrameStats().Cooks
+	t.Logf("%d fetches: %d frames out, %d cooked, window %d", fetches, out, cooks, window)
+	if out < int64(total) || total < fetches*sources {
+		t.Errorf("serve.frames_out %d, clients read %d: want every stream's frames, at least %d", out, total, fetches*sources)
+	}
+	if cooks == 0 || cooks > int64(window) {
+		t.Errorf("%d frames cooked for %d fetches, want at most one window of %d", cooks, fetches, window)
+	}
 }
 
-// fountainWork reads the process-wide encode and marshal counters.
-func fountainWork() int64 {
-	f := fountain.MetricsProbe().(map[string]int64)
-	c := core.MetricsProbe().(map[string]int64)
-	return f["packets_generated"] + c["frame_marshals"]
+// TestBroadcastFieldIgnored: a request that still asks for the deleted
+// shared fan-out ("broadcast":true) gets the private, credit-windowed
+// stream, since unknown request fields are ignored.
+func TestBroadcastFieldIgnored(t *testing.T) {
+	client := startServer(t, ServerOptions{})
+	raw := dialRaw(t, client.conn.RemoteAddr().String())
+	if _, err := raw.conn.Write([]byte(`{"op":"fetch","doc":"` + corpus.DraftName + `","codec":"fountain","broadcast":true}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := raw.response()
+	if err != nil || !hdr.OK || hdr.Window() == 0 {
+		t.Fatalf("header %+v, window %d, %v: want a metered private stream", hdr, hdr.Window(), err)
+	}
+	if n, _, err := raw.frames(hdr.Window()); err != nil || n != hdr.Window() {
+		t.Fatalf("read %d of the %d-frame window: %v", n, hdr.Window(), err)
+	}
+	raw.send(Request{Op: "stop"})
+	if _, ended, err := raw.frames(-1); err != nil || !ended {
+		t.Fatalf("no end marker after stop: %v", err)
+	}
 }
 
-// TestFountainBroadcastChurn is the -race stress: subscribers join and
-// leave mid-stream (early StopAtIC leavers, late joiners) while the
-// single producer fans out shared frames. Run with -race.
+// TestFountainBroadcastChurn is the -race stress of a fan-out served by
+// private streams: fetches of one plan join mid-stream and leave early
+// (StopAtIC), while every stream reads the frames the others cooked into
+// the shared frame cache.
 func TestFountainBroadcastChurn(t *testing.T) {
 	client := startServer(t, ServerOptions{})
 	addr := client.conn.RemoteAddr().String()
@@ -296,7 +302,7 @@ func TestFountainBroadcastChurn(t *testing.T) {
 			wg.Add(1)
 			go func(wave, i int) {
 				defer wg.Done()
-				// Stagger joins so later waves subscribe mid-stream.
+				// Stagger joins so later waves start mid-stream.
 				time.Sleep(time.Duration(wave*15+i) * time.Millisecond) //mobweb:nondet-ok join-time stagger in a stress test
 				c, err := Dial(addr)
 				if err != nil {
@@ -308,12 +314,11 @@ func TestFountainBroadcastChurn(t *testing.T) {
 				opts := FetchOptions{
 					Doc:       corpus.DraftName,
 					Codec:     erasure.CodecFountain,
-					Broadcast: true,
 					Caching:   true,
 					MaxRounds: 20,
 				}
 				if i%3 == 0 {
-					opts.StopAtIC = 0.2 // early leaver: unsubscribes mid-stream
+					opts.StopAtIC = 0.2 // early leaver: stops mid-stream
 				}
 				res, err := c.Fetch(opts)
 				if err != nil {

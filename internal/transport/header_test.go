@@ -38,7 +38,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // TestHeaderBytesCounted: the control-line bytes the client reports
 // (FetchResult.HeaderBytes) and the server reports (serve.header_bytes)
 // are the bytes that crossed the connection ahead of the frames — counted,
-// and not yet part of BytesReceived (ROADMAP item 1(a)).
+// and not yet part of BytesReceived (ROADMAP item 2).
 func TestHeaderBytesCounted(t *testing.T) {
 	t.Run("one line against the conn", func(t *testing.T) {
 		reg := obs.NewRegistry()

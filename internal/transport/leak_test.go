@@ -118,7 +118,6 @@ func TestNoGoroutinesAfterClose(t *testing.T) {
 		for _, opts := range []FetchOptions{
 			{Doc: corpus.DraftName, Caching: true},
 			{Doc: corpus.DraftName, Caching: true, Codec: erasure.CodecFountain},
-			{Doc: corpus.DraftName, Caching: true, Codec: erasure.CodecFountain, Broadcast: true},
 		} {
 			if _, err := client.Fetch(opts); err != nil {
 				t.Fatal(err)

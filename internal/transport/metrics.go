@@ -88,15 +88,10 @@ type transmitterMetrics struct {
 	degraded    *obs.Counter
 	fetchLog    *obs.FetchLog
 
-	// Rateless-mode counters: fountain fetches served, fountain frames
-	// written (added when a stream ends), and the broadcast fan-out's
-	// stream/subscriber gauges plus delivered/dropped queue offers.
-	fountainFetches  *obs.Counter
-	fountainFrames   *obs.Counter
-	broadcastStreams *obs.Gauge
-	broadcastSubs    *obs.Gauge
-	broadcastFrames  *obs.Counter
-	broadcastDrops   *obs.Counter
+	// Rateless-mode counters: fountain fetches served and fountain frames
+	// written (added when a stream ends).
+	fountainFetches *obs.Counter
+	fountainFrames  *obs.Counter
 }
 
 func newTransmitterMetrics(r *obs.Registry) transmitterMetrics {
@@ -109,12 +104,8 @@ func newTransmitterMetrics(r *obs.Registry) transmitterMetrics {
 		degraded:    r.Counter("serve.degraded_refusals"),
 		fetchLog:    r.FetchLog(),
 
-		fountainFetches:  r.Counter("serve.fountain_fetches"),
-		fountainFrames:   r.Counter("serve.fountain_frames_out"),
-		broadcastStreams: r.Gauge("serve.broadcast_streams"),
-		broadcastSubs:    r.Gauge("serve.broadcast_subscribers"),
-		broadcastFrames:  r.Counter("serve.broadcast_frames"),
-		broadcastDrops:   r.Counter("serve.broadcast_drops"),
+		fountainFetches: r.Counter("serve.fountain_fetches"),
+		fountainFrames:  r.Counter("serve.fountain_frames_out"),
 	}
 }
 

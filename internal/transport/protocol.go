@@ -124,9 +124,8 @@ type Request struct {
 	// else.
 	Prefetch bool `json:"prefetch,omitempty"`
 	// Codec selects the erasure codec ("vandermonde" or "fountain");
-	// empty uses the server default. The layout in the response is
-	// authoritative — a degraded replica may serve fixed-rate even when
-	// fountain was asked for.
+	// empty uses the server default, and the layout in the response names
+	// the codec served.
 	Codec string `json:"codec,omitempty"`
 	// Seed pins the fountain stream seed; zero lets the server derive it
 	// from the canonical plan key (identical across replicas sharing a
@@ -136,10 +135,6 @@ type Request struct {
 	Gen int `json:"gen,omitempty"`
 	// Frames is the credit a more grants, at least one frame.
 	Frames int `json:"frames,omitempty"`
-	// Broadcast asks to join the server's shared fan-out stream for this
-	// plan instead of a private one: one cooked fountain stream serves
-	// every subscriber, and a slow subscriber sees drops, not backpressure.
-	Broadcast bool `json:"broadcast,omitempty"`
 }
 
 // HitSummary is one search result on the wire.
@@ -162,8 +157,9 @@ type Response struct {
 	// Sending is the number of frames that will follow a fixed-rate
 	// header. On a fountain header it is the stream's first credit window
 	// (Window): the frames a fixed-rate round of the same γ would send,
-	// after which the transmitter sends only what the client grants. Zero
-	// leaves a fountain stream unmetered, as a broadcast subscription is.
+	// after which the transmitter sends only what the client grants; on a
+	// clear-prefix tier it is every frame the stream sends. Zero leaves a
+	// fountain stream unmetered.
 	Sending int `json:"sending,omitempty"`
 	// Shed marks an admission-control refusal (OK is false); RetryAfterMS
 	// hints when the client should try again.

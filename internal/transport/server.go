@@ -146,7 +146,6 @@ func NewServer(engine *search.Engine, opts ServerOptions) (*Server, error) {
 		planner: pl,
 		opts:    opts,
 		tm:      newTransmitterMetrics(opts.Metrics),
-		bcast:   broadcastHub{streams: make(map[broadcastKey]*broadcastStream)},
 	}
 	s := NewBackendServer(local, opts, writeTimeout)
 	s.local = local

@@ -19,13 +19,13 @@ import (
 // for control requests, what a stopgen means to it and on whose clock its
 // frames arrive; the loop alone decides what a mid-stream request is,
 // meters a credit-windowed stream, injects channel faults, writes,
-// flushes, paces and counts. A retransmission round, a private rateless
-// stream, a broadcast subscription and a front's relayed stream
-// (shard.relay) are the same loop over different sources.
+// flushes, paces and counts. A retransmission round, a rateless stream
+// and a front's relayed stream (shard.relay) are the same loop over
+// different sources.
 
 // Frame is one frame handed from a source to the stream loop. The bytes
-// stay the source's — frame-cache and broadcast slices are shared with
-// other connections — and are good until the next call to Next: the loop
+// stay the source's — frame-cache slices are shared with other
+// connections — and are good until the next call to Next: the loop
 // only reads them, and copies before a mutating injector sees them.
 type Frame struct {
 	// Bytes is the wire frame; nil marks the end of the source.
@@ -36,22 +36,20 @@ type Frame struct {
 
 // FrameSource decides what a fetch stream sends.
 type FrameSource interface {
-	// Next returns the next frame. It looks at the control channel first,
-	// the way the source must — private sources poll it without blocking,
-	// a broadcast subscription blocks on it together with its frame queue
-	// — and hands back a request it received (Op non-empty) instead of a
-	// frame. A closed channel means the connection is gone: io.EOF.
+	// Next returns the next frame. It polls the control channel first and
+	// hands back a request it received (Op non-empty) instead of a frame.
+	// A closed channel means the connection is gone: io.EOF.
 	Next(ctl <-chan Request) (Frame, Request, error)
 	// Feedback applies a client's mid-stream stopgen or more. The loop has
 	// already charged a more to the stream's window; a source that relays
 	// the stream passes both on.
 	Feedback(creq Request) error
 	// SelfPaced reports that the source's frames arrive on a clock of
-	// their own (a broadcast carousel, a relayed stream): the loop must not
-	// pace them a second time, and since Next may block until the next one
-	// comes, it flushes each frame before asking. A source whose Next never
-	// blocks leaves flushing to the write buffer, which flushes when full
-	// and when the stream ends.
+	// their own (a relayed stream): the loop must not pace them a second
+	// time, and since Next may block until the next one comes, it flushes
+	// each frame before asking. A source whose Next never blocks leaves
+	// flushing to the write buffer, which flushes when full and when the
+	// stream ends.
 	SelfPaced() bool
 }
 
@@ -250,101 +248,93 @@ func fountainOvershootCap(m int) int {
 	return m + 64
 }
 
-// genStops is a rateless stream's per-generation bookkeeping, shared by
-// the private and the broadcast source: which generations are still on
-// the air, and how far each is from its overshoot cap.
-type genStops struct {
-	have map[int]bool // packed (gen, seq) the client already holds
+// fountainSource is a private fountain stream: round-robin over the
+// generations the client has not yet decoded, each generation's symbols
+// in seq order, metered by the client's credit. On a clear-prefix tier it
+// sends each live generation's unheld source symbols (seq < M) and ends:
+// the stream is systematic, so those are the raw packets, and no repair is
+// ever cooked.
+type fountainSource struct {
+	resolved *planner.Resolved
+	seed     uint64
+	have     map[int]bool // packed (gen, seq) the client already holds
 	// left is how many more packets each generation may put on the air;
 	// zero takes it off — the client decoded it, or the cap is spent.
 	left   []int
 	active int // generations with left > 0
+	cursor []int
+	g      int // round-robin position
+	// window is the stream's first credit: the frames a fixed-rate round
+	// of the plan's γ would send — each live generation's N, less the
+	// packets below N the client holds. On a clear-prefix tier it is M in
+	// place of N, which is every frame the stream sends.
+	window int
 }
 
-func newGenStops(req Request, layout core.Layout) *genStops {
-	st := &genStops{
-		have:   make(map[int]bool, len(req.Have)),
-		left:   make([]int, len(layout.Shapes)),
-		active: len(layout.Shapes),
+func newFountainSource(resolved *planner.Resolved, seed uint64, req Request, layout core.Layout, clearOnly bool) *fountainSource {
+	gens := len(layout.Shapes)
+	f := &fountainSource{
+		resolved: resolved,
+		seed:     seed,
+		have:     make(map[int]bool, len(req.Have)),
+		left:     make([]int, gens),
+		cursor:   make([]int, gens),
 	}
 	for _, packed := range req.Have {
-		st.have[packed] = true
+		f.have[packed] = true
+	}
+	// round(g) is generation g's share of the first window: its N, or its
+	// M on a clear-prefix tier.
+	round := func(g int) int {
+		if clearOnly {
+			return layout.Shapes[g].M
+		}
+		return resolved.Plan.Shape(g).N
 	}
 	for g, shape := range layout.Shapes {
-		st.left[g] = fountainOvershootCap(shape.M)
+		f.left[g] = fountainOvershootCap(shape.M)
+		if clearOnly {
+			f.left[g] = shape.M
+		}
 	}
 	// Generations the client reports done are stopped before the first
 	// frame — a stopgen that arrived with the request itself.
 	for _, g := range req.DoneGens {
-		st.stop(g)
-	}
-	return st
-}
-
-// Feedback implements FrameSource's half of a stopgen; a more is the
-// loop's business alone.
-func (st *genStops) Feedback(creq Request) error {
-	if creq.Op == "stopgen" {
-		st.stop(creq.Gen)
-	}
-	return nil
-}
-
-func (st *genStops) stop(g int) {
-	if g >= 0 && g < len(st.left) && st.left[g] > 0 {
-		st.left[g] = 0
-		st.active--
-	}
-}
-
-// admit decides whether packet (g, seq) goes on the air and charges it to
-// the generation's overshoot cap. The charge is per frame handed to the
-// loop, so a frame the injector then drops still counts: the cap bounds
-// air time, delivered or not.
-func (st *genStops) admit(g, seq int) bool {
-	if st.left[g] == 0 || st.have[packet.PackSeq(g, seq)] {
-		return false
-	}
-	if st.left[g]--; st.left[g] == 0 {
-		st.active--
-	}
-	return true
-}
-
-// fountainSource is a private fountain stream: round-robin over the
-// generations the client has not yet decoded, each generation's symbols
-// in seq order, metered by the client's credit.
-type fountainSource struct {
-	*genStops
-	resolved *planner.Resolved
-	seed     uint64
-	cursor   []int
-	g        int // round-robin position
-	// window is the stream's first credit: the frames a fixed-rate round
-	// of the plan's γ would send — each live generation's N, less the
-	// packets below N the client holds.
-	window int
-}
-
-func newFountainSource(resolved *planner.Resolved, seed uint64, req Request, layout core.Layout) *fountainSource {
-	f := &fountainSource{
-		genStops: newGenStops(req, layout),
-		resolved: resolved,
-		seed:     seed,
-		cursor:   make([]int, len(layout.Shapes)),
+		if g >= 0 && g < gens {
+			f.left[g] = 0
+		}
 	}
 	for g, left := range f.left {
 		if left > 0 {
-			f.window += resolved.Plan.Shape(g).N
+			f.window += round(g)
 		}
 	}
 	for packed := range f.have { //mobweb:nondet-ok a count; order is immaterial
 		g, seq := packet.UnpackSeq(packed)
-		if g >= 0 && g < len(f.left) && f.left[g] > 0 && seq < resolved.Plan.Shape(g).N {
+		if g >= 0 && g < gens && f.left[g] > 0 && seq < round(g) {
 			f.window--
+			if clearOnly {
+				// A held source is skipped, not sent: it costs no air time.
+				f.left[g]--
+			}
+		}
+	}
+	for _, left := range f.left {
+		if left > 0 {
+			f.active++
 		}
 	}
 	return f
+}
+
+// Feedback implements FrameSource's half of a stopgen; a more is the
+// loop's business alone.
+func (f *fountainSource) Feedback(creq Request) error {
+	if g := creq.Gen; creq.Op == "stopgen" && g >= 0 && g < len(f.left) && f.left[g] > 0 {
+		f.left[g] = 0
+		f.active--
+	}
+	return nil
 }
 
 func (f *fountainSource) SelfPaced() bool { return false }
@@ -362,8 +352,14 @@ func (f *fountainSource) Next(ctl <-chan Request) (Frame, Request, error) {
 		f.g = (g + 1) % len(f.cursor)
 		seq := f.cursor[g]
 		f.cursor[g]++
-		if !f.admit(g, seq) {
+		// The charge is per frame handed to the loop, so a frame the
+		// injector then drops still counts: the cap bounds air time,
+		// delivered or not.
+		if f.left[g] == 0 || f.have[packet.PackSeq(g, seq)] {
 			continue
+		}
+		if f.left[g]--; f.left[g] == 0 {
+			f.active--
 		}
 		frame, err := f.resolved.FountainFrame(f.seed, g, seq)
 		return Frame{Bytes: frame, Seq: packet.PackSeq(g, seq)}, Request{}, err

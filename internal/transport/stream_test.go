@@ -57,7 +57,7 @@ func (r *recorder) Inject(frame []byte, seq int) ([]byte, bool) {
 // streamCases is the source × frame cache × channel grid both stream
 // tables walk.
 type streamCase struct {
-	source  string // vandermonde, fountain, broadcast
+	source  string // vandermonde, fountain
 	cached  bool
 	channel string // clean, bernoulli, drop
 }
@@ -72,7 +72,7 @@ func (c streamCase) String() string {
 
 func streamCases() []streamCase {
 	var out []streamCase
-	for _, source := range []string{"vandermonde", "fountain", "broadcast"} {
+	for _, source := range []string{"vandermonde", "fountain"} {
 		for _, cached := range []bool{true, false} {
 			for _, ch := range []string{"clean", "bernoulli", "drop"} {
 				out = append(out, streamCase{source, cached, ch})
@@ -199,7 +199,7 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 			var src FrameSource
 			window := 0 // unmetered
 			ref := plan.Frame
-			var want []int // exact attempted sequence; nil for broadcast
+			var want []int // the exact attempted sequence
 			if tc.source == "vandermonde" {
 				src = newRowSource(resolved, layout, req, false)
 				for seq := 0; seq < plan.N(); seq++ {
@@ -213,36 +213,30 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 					g, s := packet.UnpackSeq(packed)
 					return plan.FountainFrame(seed, g, s)
 				}
-				if tc.source == "broadcast" {
-					sub := srv.local.subscribeBroadcast(resolved, seed, len(layout.Shapes))
-					defer srv.local.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub)
-					src = &broadcastSource{genStops: newGenStops(req, layout), sub: sub}
-				} else {
-					fs := newFountainSource(resolved, seed, req, layout)
-					src, window = fs, fs.window
-					// The window is a fixed-rate round's: every live
-					// generation's N, less the two held packets.
-					round := -2
-					for g, shape := range plan.Layout().Shapes {
-						if g != 1 {
-							round += shape.N
+				fs := newFountainSource(resolved, seed, req, layout, false)
+				src, window = fs, fs.window
+				// The window is a fixed-rate round's: every live
+				// generation's N, less the two held packets.
+				round := -2
+				for g, shape := range plan.Layout().Shapes {
+					if g != 1 {
+						round += shape.N
+					}
+				}
+				if window != round {
+					t.Fatalf("window %d frames, want %d", window, round)
+				}
+				sent := make([]int, len(layout.Shapes))
+				for k, active := 0, true; active; k++ {
+					active = false
+					for g, shape := range layout.Shapes {
+						if g == 1 || sent[g] >= fountainOvershootCap(shape.M) {
+							continue
 						}
-					}
-					if window != round {
-						t.Fatalf("window %d frames, want %d", window, round)
-					}
-					sent := make([]int, len(layout.Shapes))
-					for k, active := 0, true; active; k++ {
-						active = false
-						for g, shape := range layout.Shapes {
-							if g == 1 || sent[g] >= fountainOvershootCap(shape.M) {
-								continue
-							}
-							active = true
-							if packed := packet.PackSeq(g, k); !have[packed] {
-								sent[g]++
-								want = append(want, packed)
-							}
+						active = true
+						if packed := packet.PackSeq(g, k); !have[packed] {
+							sent[g]++
+							want = append(want, packed)
 						}
 					}
 				}
@@ -327,33 +321,8 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 				}
 			}
 
-			if want != nil {
-				if fmt.Sprint(attempted) != fmt.Sprint(want) {
-					t.Fatalf("attempted sequence\n got %v\nwant %v", attempted, want)
-				}
-			} else {
-				// The carousel may skip symbols for a slow subscriber, so
-				// a subscription is pinned by its invariants: generations
-				// in seq order, nothing excluded on the air, and every
-				// live generation run exactly to its overshoot cap.
-				last := map[int]int{}
-				count := map[int]int{}
-				for _, packed := range attempted {
-					g, s := packet.UnpackSeq(packed)
-					if prev, ok := last[g]; ok && s <= prev {
-						t.Fatalf("generation %d went %d → %d", g, prev, s)
-					}
-					if g == 1 || have[packed] {
-						t.Fatalf("excluded symbol (%d, %d) attempted", g, s)
-					}
-					last[g] = s
-					count[g]++
-				}
-				for g, shape := range layout.Shapes {
-					if g != 1 && count[g] != fountainOvershootCap(shape.M) {
-						t.Fatalf("generation %d attempted %d symbols, want the cap %d", g, count[g], fountainOvershootCap(shape.M))
-					}
-				}
+			if fmt.Sprint(attempted) != fmt.Sprint(want) {
+				t.Fatalf("attempted sequence\n got %v\nwant %v", attempted, want)
 			}
 
 			next := 0
@@ -411,7 +380,7 @@ func TestFetchMatrixByteIdentical(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				sopts, _ := tc.serverOptions(t)
 				client := startServer(t, sopts)
-				opts := FetchOptions{Doc: corpus.DraftName, Caching: true, MaxRounds: 40, Broadcast: tc.source == "broadcast"}
+				opts := FetchOptions{Doc: corpus.DraftName, Caching: true, MaxRounds: 40}
 				var pre PrefetchResult
 				if prefetch {
 					pre, err = client.Prefetch(opts, budget)
@@ -590,5 +559,95 @@ func checkControlOp(t *testing.T, addr, codec string, during bool, op Request, w
 	c.send(Request{Op: "search", Query: "mobile web"})
 	if resp, err := c.response(); err != nil || !resp.OK || len(resp.Hits) == 0 {
 		t.Fatalf("search after %q: %+v, %v", op.Op, resp, err)
+	}
+}
+
+// TestClearPrefixServesEitherCodec: a clear-prefix tier streams only each
+// generation's first M packets, which under both codecs are its raw
+// packets, and serves the codec the client asked for. The header's Sending
+// is every frame of the round — the unheld source packets — no frame past
+// a generation's sources reaches the wire, and the body comes back byte
+// for byte: in one round on a clean channel, in more on a lossy one.
+func TestClearPrefixServesEitherCodec(t *testing.T) {
+	doc, err := corpus.Load(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
+		for _, alpha := range []float64{0, 0.2} {
+			t.Run(fmt.Sprintf("%v/alpha=%g", codec, alpha), func(t *testing.T) {
+				model, err := channel.NewBernoulli(alpha, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := &recorder{inner: NewModelInjector(model)}
+				client, srv := startServerHandle(t, ServerOptions{
+					Capability:      NewCapabilityState(CapClearPrefixOnly),
+					InjectorFactory: oneChannel(rec),
+				})
+				opts := FetchOptions{Doc: corpus.DraftName, Codec: codec, Caching: true, MaxRounds: 20}
+				layout, err := srv.Layout(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if layout.Codec != codec {
+					t.Fatalf("clear-prefix layout names %v, asked for %v", layout.Codec, codec)
+				}
+				sources := 0
+				for _, shape := range layout.Shapes {
+					sources += shape.M
+				}
+
+				// One round by hand, holding one source packet.
+				held, _ := layout.WireSeq(0, 1)
+				raw := dialRaw(t, client.conn.RemoteAddr().String())
+				req := opts.request()
+				req.Have = []int{held}
+				raw.send(req)
+				hdr, err := raw.response()
+				if err != nil || !hdr.OK {
+					t.Fatalf("fetch header: %+v, %v", hdr, err)
+				}
+				if hdr.Sending != sources-1 {
+					t.Fatalf("header sends %d frames, want the %d unheld source packets", hdr.Sending, sources-1)
+				}
+				if n, _, err := raw.frames(hdr.Sending); err != nil || n != hdr.Sending {
+					t.Fatalf("read %d of %d frames: %v", n, hdr.Sending, err)
+				}
+				if codec == erasure.CodecFountain {
+					raw.send(Request{Op: "more", Frames: 1 << 20})
+				}
+				if n, ended, err := raw.frames(-1); err != nil || n != 0 || !ended {
+					t.Fatalf("%d frames past Sending, end marker %v: %v", n, ended, err)
+				}
+				rec.mu.Lock()
+				for _, seq := range rec.seqs {
+					if seq == held {
+						t.Errorf("held packet %d sent", held)
+					}
+				}
+				rec.mu.Unlock()
+
+				res, err := client.Fetch(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Codec != codec.String() || !bytes.Equal(res.Body, doc.Body()) {
+					t.Fatalf("fetch under %q: body equal %v", res.Codec, bytes.Equal(res.Body, doc.Body()))
+				}
+				if alpha == 0 && (res.Rounds != 1 || res.PacketsReceived != sources) {
+					t.Errorf("clean channel: %d rounds, %d frames; want 1 round of the %d source packets", res.Rounds, res.PacketsReceived, sources)
+				}
+				rec.mu.Lock()
+				defer rec.mu.Unlock()
+				for _, seq := range rec.seqs {
+					if !layout.IsClear(seq) {
+						g, local, _ := layout.SplitSeq(seq)
+						t.Fatalf("frame (gen %d, local seq %d) past the clear prefix reached the wire", g, local)
+					}
+				}
+				t.Logf("%d rounds, %d frames", res.Rounds, res.PacketsReceived)
+			})
+		}
 	}
 }

@@ -21,7 +21,6 @@ type transmitter struct {
 	planner *planner.Planner
 	opts    ServerOptions
 	tm      transmitterMetrics
-	bcast   broadcastHub
 }
 
 // Search implements Backend.
@@ -82,7 +81,7 @@ func (t *transmitter) resolve(req Request) (resolution, Response) {
 	// Capability tiers degrade the fetch path along the fallback tree
 	// instead of failing it outright: search-only refuses streams,
 	// degraded tiers clamp γ and refuse prefetch, clear-prefix-only
-	// additionally skips parity rows (newRowSource).
+	// additionally sends only each generation's source packets.
 	r := resolution{req: req, mode: t.opts.Capability.Mode(), codec: t.opts.DefaultCodec}
 	if !r.mode.AllowsFetch() {
 		return r, degraded(r.mode, "fetch")
@@ -101,13 +100,6 @@ func (t *transmitter) resolve(req Request) (resolution, Response) {
 			return r, Response{Error: err.Error()}
 		}
 		r.codec = parsed
-	}
-	// Clear-prefix-only tiers have no rateless mode: every fountain
-	// packet is coded, so the tier serves the fixed-rate codec whose
-	// systematic prefix streams without any parity encoding. The layout
-	// in the response tells the client which codec it actually got.
-	if r.mode.ClearPrefixOnly() {
-		r.codec = erasure.CodecVandermonde
 	}
 	// Planner errors are safe to forward: request problems carry curated
 	// messages, and a build failure is the server's to report.
@@ -142,26 +134,19 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 	}
 	req, codec, resolved, layout := r.req, r.codec, r.resolved, r.layout
 
+	// Clear-prefix-only tiers stream just each generation's first M
+	// packets, which under both codecs are its raw packets, so no parity
+	// or repair is ever encoded. A clean channel still reconstructs; a
+	// lossy one pays extra retransmission rounds instead of failing.
+	clearOnly := r.mode.ClearPrefixOnly()
 	var src FrameSource
-	var leave func() // releases a broadcast subscription
-	sending := 0     // a broadcast subscription is unmetered
+	var sending int
 	if codec == erasure.CodecFountain {
 		t.tm.fountainFetches.Inc()
-		seed := layout.Seed
-		if req.Broadcast {
-			sub := t.subscribeBroadcast(resolved, seed, len(layout.Shapes))
-			leave = func() { t.unsubscribeBroadcast(broadcastKey{plan: resolved.Key, seed: seed}, sub) }
-			src = &broadcastSource{genStops: newGenStops(req, layout), sub: sub}
-		} else {
-			fs := newFountainSource(resolved, seed, req, layout)
-			src, sending = fs, fs.window
-		}
+		fs := newFountainSource(resolved, layout.Seed, req, layout, clearOnly)
+		src, sending = fs, fs.window
 	} else {
-		// Clear-prefix-only tiers stream just the systematic rows: every
-		// parity row is skipped, so no parity is ever encoded. A clean
-		// channel still reconstructs (M intact rows per generation); a
-		// lossy one pays extra retransmission rounds instead of failing.
-		rows := newRowSource(resolved, layout, req, r.mode.ClearPrefixOnly())
+		rows := newRowSource(resolved, layout, req, clearOnly)
 		src, sending = rows, rows.sending
 	}
 	hdr := Response{OK: true, Layout: &layout, Sending: sending, Replica: t.opts.Name}
@@ -171,9 +156,6 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 	// The hook keeps what the fetch-log record needs, not the request.
 	rec := obs.FetchRecord{Doc: req.Doc, Origin: "server", Replica: t.opts.Name, Have: len(req.Have), Gamma: req.Gamma}
 	return hdr, src, func(sent int, err error) {
-		if leave != nil {
-			leave()
-		}
 		if err != nil {
 			return
 		}
