@@ -48,7 +48,6 @@ type options struct {
 	delay, chaosStall, statsEvery, shedRetryAfter                            time.Duration
 	chaosKills, chaosMin, chaosMax, shedMax                                  int
 	noCorpus                                                                 bool
-	fountainSalt                                                             uint64
 }
 
 func parseFlags(args []string) (options, error) {
@@ -76,7 +75,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.shedMax, "shed-max-inflight", 0, "admission budget: max concurrent fetch streams before shedding (0 disables)")
 	fs.DurationVar(&o.shedRetryAfter, "shed-retry-after", 0, "retry-after hint attached to shed refusals (0 means 250ms)")
 	fs.StringVar(&o.codec, "codec", "", "default erasure codec for fetches that don't name one: vandermonde or fountain")
-	fs.Uint64Var(&o.fountainSalt, "fountain-salt", 0, "salt mixed into derived fountain seeds; replicas sharing a salt emit identical streams")
 	return o, fs.Parse(args)
 }
 
@@ -150,7 +148,6 @@ func newProcess(o options) (*process, error) {
 		PacketDelay:  o.delay,
 		Metrics:      p.reg,
 		DefaultCodec: defaultCodec,
-		FountainSalt: o.fountainSalt,
 	}
 	if defaultCodec != erasure.CodecVandermonde {
 		fmt.Printf("default codec: %s\n", defaultCodec)

@@ -16,6 +16,7 @@ import (
 	"mobweb/internal/erasure"
 	"mobweb/internal/framecache"
 	"mobweb/internal/obs"
+	"mobweb/internal/planner"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
 	"mobweb/internal/transport"
@@ -134,7 +135,7 @@ func TestProcessDocRefusedBySearchOnlyTier(t *testing.T) {
 }
 
 func TestProcessLayoutSeedIsTheStreams(t *testing.T) {
-	p := startProcess(t, "-codec", "fountain", "-fountain-salt", "7", "-http", "127.0.0.1:0")
+	p := startProcess(t, "-codec", "fountain", "-http", "127.0.0.1:0")
 
 	// The TCP fetch header, over a pipe into the process's server: the
 	// request /doc's fetch makes for the same URL.
@@ -164,5 +165,13 @@ func TestProcessLayoutSeedIsTheStreams(t *testing.T) {
 	}
 	if layout.Codec != erasure.CodecFountain || layout.Seed != hdr.Layout.Seed {
 		t.Errorf("/layout %v seed %#x, the TCP stream %v seed %#x", layout.Codec, layout.Seed, hdr.Layout.Codec, hdr.Layout.Seed)
+	}
+	// Both are the plan's content digest.
+	resolved, err := p.pl.ResolveFrames(planner.Request{Doc: req.Doc, Query: req.Query, LOD: req.LOD, Notion: req.Notion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := resolved.Plan.Digest(); hdr.Layout.Seed != want {
+		t.Errorf("stream seed %#x, want the plan digest %#x", hdr.Layout.Seed, want)
 	}
 }

@@ -66,9 +66,10 @@ func overlap(aLo, aHi, bLo, bHi int) int {
 }
 
 // FountainLayout returns the plan's transmission geometry for the
-// rateless codec under the given stream seed. Shapes carry N = M: a
-// fountain stream has no fixed cooked count, and the receiver tracks
-// packets by packed (gen, seq) instead of the cooked seq space.
+// rateless codec under the given stream seed, which a server passes as
+// Plan.Digest. Shapes carry N = M: a fountain stream has no fixed cooked
+// count, and the receiver tracks packets by packed (gen, seq) instead of
+// the cooked seq space.
 func (p *Plan) FountainLayout(seed uint64) Layout {
 	l := p.Layout()
 	l.Codec = erasure.CodecFountain

@@ -56,9 +56,12 @@ type Layout struct {
 	// existed keep their meaning. The server's layout is authoritative:
 	// a client that names no codec gets the server's default.
 	Codec erasure.CodecID
-	// Seed identifies the fountain stream when Codec is CodecFountain:
-	// both sides derive identical packet combinations from it. Zero and
-	// unused for the fixed-rate codec.
+	// Seed names the cooked stream: the plan's content digest
+	// (Plan.Digest), under both codecs. Two servers holding the same
+	// document hand out the same seed for the same request, and an edit
+	// changes it, so stored or relayed packets are only reused against
+	// the content they were cooked from. The fountain also keys its
+	// repair combinations with it.
 	Seed uint64
 }
 
@@ -70,6 +73,7 @@ func (p *Plan) Layout() Layout {
 		Shapes:     make([]GenerationShape, len(p.gens)),
 		Ranked:     make([]SegmentMeta, len(p.segments)),
 		Accrual:    make([]SegmentMeta, len(p.accrual)),
+		Seed:       p.digest,
 	}
 	for i := range p.gens {
 		l.Shapes[i] = p.Shape(i)
@@ -133,9 +137,6 @@ func (l Layout) Validate() error {
 	}
 	if !l.Codec.Valid() {
 		return fmt.Errorf("core: layout codec %d: %w", uint8(l.Codec), erasure.ErrUnknownCodec)
-	}
-	if l.Codec != erasure.CodecFountain && l.Seed != 0 {
-		return fmt.Errorf("core: layout seed set for codec %s", l.Codec)
 	}
 	m := 0
 	for i, s := range l.Shapes {
@@ -248,10 +249,10 @@ func (l Layout) CookedOffset(g int) (int, error) {
 // SameStream reports (as a nil error) that every packet held or stored
 // under l keeps its meaning under o: the two differ at most in
 // per-generation N. A γ-only change is exactly that — cooked rows are
-// independent of N — while a different body, packet size, generation
-// split or raw count means the document itself changed, a different
-// codec means payloads of another kind, and a different seed another
-// fountain stream whose combinations would decode under the wrong spec.
+// independent of N — while a different packet size, generation split or
+// raw count means another packetization, a different codec payloads of
+// another kind, and a different seed other content: the document was
+// edited, even to the same length, or ranked into another order.
 func (l Layout) SameStream(o Layout) error {
 	if l.PacketSize != o.PacketSize || l.BodySize != o.BodySize || len(l.Shapes) != len(o.Shapes) {
 		return fmt.Errorf("geometry mismatch: %d×%dB/%d gens vs %d×%dB/%d gens",
@@ -261,7 +262,7 @@ func (l Layout) SameStream(o Layout) error {
 		return fmt.Errorf("codec mismatch: %s vs %s", l.Codec, o.Codec)
 	}
 	if l.Seed != o.Seed {
-		return fmt.Errorf("fountain seed %#x != %#x", l.Seed, o.Seed)
+		return fmt.Errorf("stream seed %#x != %#x", l.Seed, o.Seed)
 	}
 	for g := range l.Shapes {
 		if l.Shapes[g].M != o.Shapes[g].M {

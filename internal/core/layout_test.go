@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"hash/crc64"
 	"math"
+	"strings"
 	"testing"
 
 	"mobweb/internal/document"
@@ -180,6 +182,41 @@ func TestLayoutValidate(t *testing.T) {
 	retired.Codec = 1
 	if err := retired.Validate(); !errors.Is(err, erasure.ErrUnknownCodec) {
 		t.Errorf("codec-1 layout: Validate = %v, want ErrUnknownCodec", err)
+	}
+}
+
+// TestPlanDigestIsTheLayoutSeed: under both codecs the layout's seed is
+// the plan's digest, the CRC-64 (ECMA) of the permuted stream, and a
+// Vandermonde layout carrying it validates. The same paragraphs ranked
+// into the other order are another stream: same geometry, other digest.
+func TestPlanDigestIsTheLayoutSeed(t *testing.T) {
+	doc, err := document.NewBuilder().
+		Paragraph(strings.Repeat("alpha ", 60)).
+		Paragraph(strings.Repeat("omega ", 60)).
+		Build("two", "Two")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paras := doc.Paragraphs()
+	plan := func(first int) *Plan {
+		scores := map[int]float64{paras[first].ID: 2, paras[1-first].ID: 1}
+		p, err := NewPlanWithScores(doc, scores, Config{LOD: document.LODParagraph, PacketSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a, b := plan(0), plan(1)
+	want := crc64.Checksum(a.permuted, crc64.MakeTable(crc64.ECMA))
+	vand, fount := a.Layout(), a.FountainLayout(a.Digest())
+	if a.Digest() != want || vand.Seed != want || fount.Seed != want {
+		t.Fatalf("digest %#x, layout seeds %#x and %#x, want %#x", a.Digest(), vand.Seed, fount.Seed, want)
+	}
+	if err := vand.Validate(); err != nil {
+		t.Fatalf("a Vandermonde layout carrying its digest: %v", err)
+	}
+	if b.Digest() == a.Digest() || vand.SameStream(b.Layout()) == nil {
+		t.Errorf("the other ranking (digest %#x) passes as the same stream as %#x", b.Digest(), a.Digest())
 	}
 }
 

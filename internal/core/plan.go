@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/crc64"
 	"sort"
 
 	"mobweb/internal/content"
@@ -56,8 +57,12 @@ type Plan struct {
 	permuted []byte        // ranked concatenation of unit extents
 	m        int           // total raw packets
 	n        int           // total cooked packets
+	digest   uint64        // CRC-64 of permuted: the stream's identity (Layout.Seed)
 	gens     []*generation
 }
+
+// digestTable is the ECMA CRC-64 table behind every plan's digest.
+var digestTable = crc64.MakeTable(crc64.ECMA)
 
 // NewPlan ranks the document's units by the SC's scores for the query and
 // builds the transmission plan.
@@ -136,6 +141,7 @@ func newPlan(doc *document.Document, ranked []*document.Unit, scores map[int]flo
 	if len(p.permuted) != len(body) {
 		return nil, fmt.Errorf("core: ranked units cover %d of %d body bytes; not a partition", len(p.permuted), len(body))
 	}
+	p.digest = crc64.Checksum(p.permuted, digestTable)
 
 	// Information content accrues at paragraph granularity regardless of
 	// the ranked LOD: §5's model discards a document once the received
@@ -217,6 +223,11 @@ func (p *Plan) M() int { return p.m }
 
 // N returns the total number of cooked packets.
 func (p *Plan) N() int { return p.n }
+
+// Digest returns the CRC-64 (ECMA) of the permuted stream: every raw
+// packet, and so every cooked one, is a function of it and the layout's
+// geometry. Plan.Layout carries it as Layout.Seed.
+func (p *Plan) Digest() uint64 { return p.digest }
 
 // Generations returns the number of dispersal groups.
 func (p *Plan) Generations() int { return len(p.gens) }

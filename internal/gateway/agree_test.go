@@ -72,7 +72,7 @@ func fetchRequest(doc string, q url.Values) transport.Request {
 }
 
 // geometry is what a receiver has to agree on with the stream: the codec,
-// each generation's M and N, and the fountain seed.
+// each generation's M and N, and the seed (the content digest).
 func geometry(l core.Layout) string {
 	s := fmt.Sprintf("%v seed %#x", l.Codec, l.Seed)
 	for _, g := range l.Shapes {
@@ -115,7 +115,7 @@ func TestFrontEndsAgree(t *testing.T) {
 	}{
 		{"lod and notion defaults", transport.ServerOptions{}, "q=mobile+web", ""},
 		{"explicit parameters", transport.ServerOptions{}, "q=mobile+web&lod=section&notion=IC&gamma=1.5", ""},
-		{"fountain seed under a salt", transport.ServerOptions{FountainSalt: 7}, "q=mobile+web&codec=fountain", ""},
+		{"fountain seed is the content digest", transport.ServerOptions{}, "q=mobile+web&codec=fountain", ""},
 		{"default codec", transport.ServerOptions{DefaultCodec: erasure.CodecFountain}, "q=mobile+web", ""},
 		{"degraded gamma clamp", transport.ServerOptions{Capability: tier(transport.CapFetchDegraded)}, "q=mobile+web", ""},
 		{"clear prefix keeps the requested codec", transport.ServerOptions{Capability: tier(transport.CapClearPrefixOnly)}, "q=mobile+web&codec=fountain", ""},

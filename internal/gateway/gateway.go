@@ -254,20 +254,15 @@ func fetchOptions(r *http.Request) (transport.FetchOptions, error) {
 // packet transport's response line carries in its layout member: one JSON
 // string, the base64 of core.Layout's binary encoding (DESIGN.md §19), so
 // json.Unmarshal into a core.Layout — or base64 -d and UnmarshalBinary —
-// reads it, and Validate judges it. Query parameters are /doc's, plus seed
-// for a fountain layout; the server decides the layout as it decides a
-// fetch's, and refuses what it would refuse the fetch with /doc's status.
+// reads it, and Validate judges it. Query parameters are /doc's; the
+// server decides the layout as it decides a fetch's, seed included (the
+// plan's content digest), and refuses what it would refuse the fetch
+// with /doc's status.
 func (h *Handler) handleLayout(w http.ResponseWriter, r *http.Request) {
 	opts, err := fetchOptions(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	if s := r.URL.Query().Get("seed"); s != "" {
-		if opts.FountainSeed, err = strconv.ParseUint(s, 10, 64); err != nil || opts.FountainSeed == 0 {
-			http.Error(w, "seed must be a positive integer", http.StatusBadRequest)
-			return
-		}
 	}
 	layout, err := h.srv.Layout(opts)
 	if err != nil {

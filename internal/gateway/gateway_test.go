@@ -325,26 +325,17 @@ func TestLayoutEndpointFountain(t *testing.T) {
 	if layout.Seed == 0 {
 		t.Error("fountain layout has zero seed")
 	}
-	// Same plan, same derived seed: replicas agree without coordination.
-	rec2 := get(t, h, "/layout/"+corpus.DraftName+"?q=mobile&codec=fountain")
-	var layout2 core.Layout
-	if err := json.NewDecoder(rec2.Body).Decode(&layout2); err != nil {
-		t.Fatal(err)
-	}
-	if layout2.Seed != layout.Seed {
-		t.Errorf("derived seed unstable across requests: %d vs %d", layout.Seed, layout2.Seed)
-	}
-	// An explicit seed overrides the derived one.
-	rec3 := get(t, h, "/layout/"+corpus.DraftName+"?q=mobile&codec=fountain&seed=42")
-	var layout3 core.Layout
-	if err := json.NewDecoder(rec3.Body).Decode(&layout3); err != nil {
-		t.Fatal(err)
-	}
-	if layout3.Seed != 42 {
-		t.Errorf("explicit seed = %d, want 42", layout3.Seed)
-	}
-	if rec4 := get(t, h, "/layout/"+corpus.DraftName+"?codec=fountain&seed=0"); rec4.Code != http.StatusBadRequest {
-		t.Errorf("seed=0 status %d, want 400", rec4.Code)
+	// The seed is the content digest: a client cannot choose it, so a
+	// seed parameter is ignored like any unknown one.
+	for _, seed := range []string{"42", "0"} {
+		rec2 := get(t, h, "/layout/"+corpus.DraftName+"?q=mobile&codec=fountain&seed="+seed)
+		var layout2 core.Layout
+		if err := json.NewDecoder(rec2.Body).Decode(&layout2); err != nil {
+			t.Fatalf("seed=%s: status %d: %v", seed, rec2.Code, err)
+		}
+		if layout2.Seed != layout.Seed {
+			t.Errorf("seed=%s served seed %#x, want the digest %#x", seed, layout2.Seed, layout.Seed)
+		}
 	}
 	if rec5 := get(t, h, "/layout/"+corpus.DraftName+"?codec=bogus"); rec5.Code != http.StatusBadRequest {
 		t.Errorf("bad codec status %d, want 400", rec5.Code)

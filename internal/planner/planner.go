@@ -310,26 +310,10 @@ func (r *Resolved) frame(k framecache.Key, seq int) ([]byte, error) {
 	})
 }
 
-// FountainSeed derives the fountain stream seed for this plan under a
-// server-wide salt. It is a pure function of (canonical plan key, salt)
-// — the key without its version token, which is local to one planner —
-// so every replica configured with the same salt streams byte-identical
-// fountain packets for the same request — the property frame sharing
-// and mid-fetch re-routing rely on. The result is never zero (zero means
-// "derive for me" in the transport request).
-func (r *Resolved) FountainSeed(salt uint64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(r.Key[len(r.version)+1:]))
-	s := h.Sum64() ^ salt
-	// splitmix64 finalizer: smear the salt across all bits.
-	s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9
-	s = (s ^ (s >> 27)) * 0x94d049bb133111eb
-	s ^= s >> 31
-	if s == 0 {
-		s = 1
-	}
-	return s
-}
+// FountainSeed is the plan's content digest mixed with a salt. A served
+// layout's seed is Plan.Digest itself; only the benchmark's replay calls
+// this, with the zero salt.
+func (r *Resolved) FountainSeed(salt uint64) uint64 { return r.Plan.Digest() ^ salt }
 
 // FrameStats returns a snapshot of the frame cache's counters.
 func (p *Planner) FrameStats() framecache.Stats { return p.frames.Stats() }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"mobweb/internal/corpus"
+	"mobweb/internal/markup"
 	"mobweb/internal/obs"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
@@ -32,6 +34,7 @@ type testReplica struct {
 	metricsSrv  *httptest.Server
 	metricsAddr string
 	sopts       transport.ServerOptions
+	engine      func(*testing.T) *search.Engine // what each life indexes
 }
 
 // newEngine indexes the embedded corpus; every replica gets its own
@@ -51,11 +54,47 @@ func newEngine(t *testing.T) *search.Engine {
 	return engine
 }
 
+// editedEngine indexes the corpus with the draft's first "mobile"
+// changed to "nobile": a replica whose corpus drifted by an edit that
+// keeps the document's length and units.
+func editedEngine(t *testing.T) *search.Engine {
+	t.Helper()
+	engine := search.NewEngine(textproc.Options{})
+	docs, err := corpus.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := corpus.Raw(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited, err := markup.ParseXML(bytes.NewReader(bytes.Replace(raw, []byte("mobile"), []byte("nobile"), 1)),
+		corpus.DraftName, markup.DefaultTagMap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		if d.Name == corpus.DraftName {
+			d = edited
+		}
+		if err := engine.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return engine
+}
+
 // startReplica boots one replica on a fresh loopback port with its own
 // metrics endpoint and capability state.
 func startReplica(t *testing.T, name string, sopts transport.ServerOptions) *testReplica {
 	t.Helper()
-	r := &testReplica{t: t, name: name, capability: transport.NewCapabilityState(transport.CapFull), reg: obs.NewRegistry()}
+	return startReplicaOver(t, name, sopts, newEngine)
+}
+
+// startReplicaOver is startReplica over the documents engine indexes.
+func startReplicaOver(t *testing.T, name string, sopts transport.ServerOptions, engine func(*testing.T) *search.Engine) *testReplica {
+	t.Helper()
+	r := &testReplica{t: t, name: name, capability: transport.NewCapabilityState(transport.CapFull), reg: obs.NewRegistry(), engine: engine}
 	sopts.Name = name
 	sopts.Capability = r.capability
 	sopts.Metrics = r.reg
@@ -77,7 +116,7 @@ func startReplica(t *testing.T, name string, sopts transport.ServerOptions) *tes
 // serve boots a fresh server on the given listener.
 func (r *testReplica) serve(ln net.Listener) {
 	r.t.Helper()
-	srv, err := transport.NewServer(newEngine(r.t), r.sopts)
+	srv, err := transport.NewServer(r.engine(r.t), r.sopts)
 	if err != nil {
 		r.t.Fatal(err)
 	}

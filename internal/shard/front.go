@@ -381,11 +381,6 @@ func (s *relay) open() (transport.Response, error) {
 		rreq := s.req
 		rreq.Have = sortedKeys(s.held)
 		rreq.DoneGens = sortedKeys(s.doneGens)
-		if started && rreq.Seed == 0 {
-			// Pin the re-routed stream to the fountain seed the client is
-			// already decoding against (zero under the fixed-rate codec).
-			rreq.Seed = s.layout.Seed
-		}
 		rc, resp, err := f.openStream(idx, rreq)
 		if err != nil {
 			f.mon.ReportFailure(idx)
@@ -401,9 +396,9 @@ func (s *relay) open() (transport.Response, error) {
 					resp.Replica = name
 				}
 			} else if resp.Layout.N() != s.layout.N() || s.layout.SameStream(*resp.Layout) != nil {
-				// The replicas disagree on geometry (corpus drift, another
-				// γ or generation split): the relayed prefix and this
-				// stream cannot be mixed.
+				// The replicas disagree on the stream (corpus drift, which
+				// changes the seed, another γ or generation split): the
+				// relayed prefix and this stream cannot be mixed.
 				rc.close()
 				return transport.Response{}, fmt.Errorf("shard: layout changed across re-route for %s: %w", s.req.Doc, transport.ErrReroute)
 			}

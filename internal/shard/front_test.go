@@ -579,6 +579,68 @@ func TestRerouteRefusesAnotherGenerationSplit(t *testing.T) {
 	}
 }
 
+// TestChaosReplicaDriftMidStream: the two replicas differ by a one-word
+// edit of the draft that keeps its length and units, and the home
+// replica dies mid-stream. Only the layout's seed, the content digest,
+// tells the two streams apart; the front must refuse to splice them, and
+// the fetch must end with the survivor's exact body, never the relayed
+// prefix decoded into a wrong body with a nil error. The Chaos name
+// routes it into the CI chaos-soak step.
+func TestChaosReplicaDriftMidStream(t *testing.T) {
+	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
+		t.Run(codec.String(), func(t *testing.T) {
+			sopts := transport.ServerOptions{PacketDelay: 2 * time.Millisecond, DefaultCodec: codec}
+			a := startReplica(t, "a-replica", sopts)
+			b := startReplicaOver(t, "b-replica", sopts, editedEngine)
+			fl := startFrontOver(t, []*testReplica{a, b}, Options{
+				Retry: transport.RetryPolicy{Seed: 13, BaseDelay: 10 * time.Millisecond},
+			})
+			doc := corpus.DraftName
+			home := fl.home(doc)
+			want := singleServerBody(t, fl.replicas[1-home], doc)
+
+			client := fl.client(t)
+			var progress int
+			var killed sync.WaitGroup
+			res, err := client.Fetch(transport.FetchOptions{
+				Doc:        doc,
+				Caching:    true,
+				OnProgress: killAt(5, fl.replicas[home], &progress, &killed),
+			})
+			killed.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.Body, want) {
+				t.Fatal("fetch across a drifted replica returned a body that is not the survivor's document")
+			}
+			if res.Reconnects < 1 {
+				t.Errorf("reconnects = %d; the front should have cut the client loose", res.Reconnects)
+			}
+		})
+	}
+}
+
+// TestSearchAllReplicasDownIsDegraded: with every replica marked down,
+// the front's search answer is the degraded refusal, and the client
+// reports it as ErrDegraded, classed "degraded", as it does a fetch's.
+func TestSearchAllReplicasDownIsDegraded(t *testing.T) {
+	fl := startFleet(t, 2, transport.ServerOptions{}, Options{})
+	for _, r := range fl.replicas {
+		r.Kill()
+	}
+	waitFor(t, 5*time.Second, func() bool { return fl.counter("front.markdowns") >= 2 },
+		"the killed replicas were never marked down")
+	client := fl.client(t)
+	_, err := client.Search("mobile web browsing", 3)
+	if !errors.Is(err, transport.ErrDegraded) {
+		t.Fatalf("search against a fleet that is all down returned %v, want ErrDegraded", err)
+	}
+	if got := transport.ErrorClass(err); got != "degraded" {
+		t.Errorf("ErrorClass = %q, want degraded", got)
+	}
+}
+
 // TestFrontRedialJitterDeterministic pins the satellite fix: the
 // front's failover backoff honours RetryPolicy.Seed, so two fronts
 // configured identically replay identical re-dial schedules — the

@@ -22,7 +22,7 @@
 //
 // Records are keyed by (plan key, codec, generation, sequence). The
 // plan key is the client's canonical fetch shape (document, query, LOD,
-// notion, γ, codec, seed); the sequence is generation-local so cooked
+// notion, γ, codec); the sequence is generation-local so cooked
 // packets stored under one γ remain addressable after an adaptive-γ
 // layout change, mirroring Receiver.Rebase's row-identity rules.
 //

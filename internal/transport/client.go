@@ -415,7 +415,7 @@ func (c *Client) SearchContext(ctx context.Context, query string, limit int) ([]
 		return nil, ctxErr(ctx, err)
 	}
 	if !resp.OK {
-		return nil, fmt.Errorf("transport: search: %s", resp.Error)
+		return nil, respRefusal(resp, "search")
 	}
 	hits := make([]HitInfo, len(resp.Hits))
 	for i, h := range resp.Hits {
@@ -482,10 +482,6 @@ type FetchOptions struct {
 	// for a rateless fetch. The layout the server answers with names the
 	// codec served, which FetchResult.Codec reports.
 	Codec erasure.CodecID
-	// FountainSeed pins the fountain stream seed; zero lets the server
-	// derive it from the canonical plan key, which every replica sharing
-	// a salt derives identically (resume-on-reroute).
-	FountainSeed uint64
 	// RoundTimeout bounds one whole transmission round (Request,
 	// response, packet stream). A round that overruns is aborted and
 	// treated as a connection failure: the client reconnects and
@@ -504,7 +500,7 @@ type FetchOptions struct {
 // fetchShape fingerprints the plan-affecting fetch options: the store's
 // plan key, under which packets are only reusable by the same shape.
 func fetchShape(opts FetchOptions) string {
-	return fmt.Sprintf("%s|%s|%d|%d|%g|%d|%d", opts.Doc, opts.Query, opts.LOD, opts.Notion, opts.Gamma, opts.Codec, opts.FountainSeed)
+	return fmt.Sprintf("%s|%s|%d|%d|%g|%d", opts.Doc, opts.Query, opts.LOD, opts.Notion, opts.Gamma, opts.Codec)
 }
 
 // FetchResult summarizes a download. On a terminal error (disconnect,
@@ -769,7 +765,7 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 // request is the fetch request opts put on the wire, before a round adds
 // its γ and what the receiver already holds.
 func (opts FetchOptions) request() Request {
-	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: opts.Gamma, Seed: opts.FountainSeed}
+	req := Request{Op: "fetch", Doc: opts.Doc, Query: opts.Query, Gamma: opts.Gamma}
 	if opts.LOD != 0 {
 		req.LOD = opts.LOD.String()
 	}
@@ -803,13 +799,6 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 		// Have cannot: a reconstructed generation's unheld repair rows.
 		req.Have = rcv.HaveList()
 		req.DoneGens = rcv.DoneGenerations()
-		if req.Seed == 0 {
-			// Pin the resumed stream to the fountain seed already decoded
-			// against (zero under the fixed-rate codec), so held packets
-			// stay valid across the resume even if the serving replica's
-			// salt would derive differently.
-			req.Seed = rcv.Layout().Seed
-		}
 	}
 	result.GammaRequests = append(result.GammaRequests, gamma)
 	opts.Trace.Record(obs.Event{Type: obs.EventRoundStart, Round: result.Rounds, Value: gamma})
@@ -838,9 +827,9 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 		// The geometry changed. A pure γ change (adaptive redundancy)
 		// keeps every held cooked packet valid — systematic dispersal
 		// rows are independent of N — so rebase onto the new layout;
-		// anything else (document changed server-side, codec switched,
-		// fountain seed changed) makes Rebase refuse and the cache is
-		// useless.
+		// anything else (the document edited server-side, which changes
+		// the seed even at the same length, or the codec switched) makes
+		// Rebase refuse and the cache is useless.
 		rebased, rerr := rcv.Rebase(*resp.Layout)
 		if rerr != nil {
 			rcv = nil
@@ -926,10 +915,10 @@ type PrefetchResult struct {
 // transmissions, not intact packets — corrupted frames burn budget
 // because they burn the idle window's air time — and the result reports
 // both counts. Any later Fetch with the same plan-affecting options (Doc,
-// Query, LOD, Notion, Gamma, Codec, FountainSeed) starts from the
-// prefetched packets and reports them in StoredPackets; so does a second
-// client sharing the store. Prefetching the same document again tops it
-// up. On error, frames received before the failure are still stored.
+// Query, LOD, Notion, Gamma, Codec) starts from the prefetched packets
+// and reports them in StoredPackets; so does a second client sharing the
+// store. Prefetching the same document again tops it up. On error, frames
+// received before the failure are still stored.
 func (c *Client) Prefetch(opts FetchOptions, budgetPackets int) (PrefetchResult, error) {
 	return c.PrefetchContext(context.Background(), opts, budgetPackets)
 }

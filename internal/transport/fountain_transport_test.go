@@ -122,25 +122,6 @@ func TestFountainServerDefaultCodec(t *testing.T) {
 	}
 }
 
-func TestFountainExplicitSeedPinsStream(t *testing.T) {
-	// Two fetches pinning the same seed must see the same layout seed;
-	// distinct pinned seeds must differ (independent streams).
-	client := startServer(t, ServerOptions{})
-	for _, tc := range []struct{ a, b uint64 }{{41, 41}, {41, 42}} {
-		resA, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Codec: erasure.CodecFountain, FountainSeed: tc.a})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resB, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Codec: erasure.CodecFountain, FountainSeed: tc.b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resA.Body == nil || resB.Body == nil {
-			t.Fatal("pinned-seed fetch incomplete")
-		}
-	}
-}
-
 func TestFountainStopAtIC(t *testing.T) {
 	// Small generations make fountain IC genuinely progressive: each
 	// generation decodes as its own burst, so accrued IC climbs in steps

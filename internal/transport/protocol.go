@@ -108,9 +108,11 @@ type Request struct {
 	Notion string `json:"notion,omitempty"`
 	// Gamma is the redundancy ratio; zero uses the server default.
 	Gamma float64 `json:"gamma,omitempty"`
-	// Have lists cooked sequence numbers the client already holds
-	// intact, so the server transmits only the rest (retransmission
-	// rounds with caching).
+	// Have lists the wire sequence numbers the client already holds
+	// intact — cooked offsets under the fixed-rate codec, packed
+	// (gen, seq) pairs under fountain (core.Layout.WireSeq) — so the
+	// server transmits only the rest (retransmission rounds with
+	// caching).
 	Have []int `json:"have,omitempty"`
 	// DoneGens lists generations the client can already reconstruct
 	// (decoded in a previous round, or restored from a persistent store
@@ -127,10 +129,6 @@ type Request struct {
 	// empty uses the server default, and the layout in the response names
 	// the codec served.
 	Codec string `json:"codec,omitempty"`
-	// Seed pins the fountain stream seed; zero lets the server derive it
-	// from the canonical plan key (identical across replicas sharing a
-	// salt, which is what resume-on-another-replica needs).
-	Seed uint64 `json:"seed,omitempty"`
 	// Gen is the generation a stopgen refers to.
 	Gen int `json:"gen,omitempty"`
 	// Frames is the credit a more grants, at least one frame.

@@ -58,11 +58,6 @@ type ServerOptions struct {
 	// DefaultCodec is the erasure codec applied when a fetch request does
 	// not name one; the zero value is the fixed-rate Vandermonde codec.
 	DefaultCodec erasure.CodecID
-	// FountainSalt perturbs the fountain seeds derived from canonical
-	// plan keys. Replicas configured with the same salt derive the same
-	// seed for the same request, so a mid-fetch re-route continues the
-	// identical stream; distinct salts make independent streams.
-	FountainSalt uint64
 }
 
 // Backend is what a Server transmits. The server owns the wire: the accept
@@ -179,10 +174,11 @@ func (s *Server) Engine() *search.Engine {
 }
 
 // Layout is the geometry a fetch with opts gets from this server, decided
-// as the fetch decides it — capability tier, default codec, plan and
-// fountain seed — without opening a stream, so admission does not gate
-// it. A fetch the server would refuse fails with the error the client's
-// fetch returns. It needs NewServer's planner-backed server.
+// as the fetch decides it — capability tier, default codec and plan,
+// whose digest is the layout's seed — without opening a stream, so
+// admission does not gate it. A fetch the server would refuse fails with
+// the error the client's fetch returns. It needs NewServer's
+// planner-backed server.
 func (s *Server) Layout(opts FetchOptions) (core.Layout, error) {
 	r, refusal := s.local.resolve(opts.request())
 	if refusal.Error != "" {

@@ -70,13 +70,14 @@ type resolution struct {
 	mode     Capability
 	codec    erasure.CodecID
 	resolved *planner.Resolved
-	layout   core.Layout // a fountain layout carries the stream seed
+	layout   core.Layout // its seed is the plan's digest
 }
 
 // resolve decides a fetch request without sending anything: capability
-// tier, codec, plan, then the fountain seed. Fetch streams what it
-// decides and Server.Layout reports it, so the two cannot disagree. A
-// request it turns down comes back as the refusal header (Error set).
+// tier, codec, then the plan, whose digest is the layout's seed. Fetch
+// streams what it decides and Server.Layout reports it, so the two cannot
+// disagree. A request it turns down comes back as the refusal header
+// (Error set).
 func (t *transmitter) resolve(req Request) (resolution, Response) {
 	// Capability tiers degrade the fetch path along the fallback tree
 	// instead of failing it outright: search-only refuses streams,
@@ -108,15 +109,11 @@ func (t *transmitter) resolve(req Request) (resolution, Response) {
 	if err != nil {
 		return r, Response{Error: err.Error()}
 	}
-	if r.codec != erasure.CodecFountain {
+	if r.codec == erasure.CodecFountain {
+		r.layout = r.resolved.Plan.FountainLayout(r.resolved.Plan.Digest())
+	} else {
 		r.layout = r.resolved.Plan.Layout()
-		return r, Response{}
 	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = r.resolved.FountainSeed(t.opts.FountainSalt)
-	}
-	r.layout = r.resolved.Plan.FountainLayout(seed)
 	return r, Response{}
 }
 
