@@ -59,10 +59,12 @@ type SC struct {
 	index   *textproc.Index
 	weights map[string]float64 // ω_a per keyword
 	denomIC float64            // Σ_d |d_D|·ω_d
-	ic      map[int]float64    // cached static IC per unit
+	icNum   []float64          // Σ_a |a_ni|·ω_a per unit ID: IC's numerator
 }
 
-// Build derives the SC from a document and its keyword index.
+// Build derives the SC from a document and its keyword index. Every sum
+// runs over the keywords in sorted order, so one document scores the
+// same to the bit on every build.
 func Build(doc *document.Document, index *textproc.Index) (*SC, error) {
 	if doc == nil || index == nil {
 		return nil, fmt.Errorf("content: nil document or index")
@@ -71,17 +73,14 @@ func Build(doc *document.Document, index *textproc.Index) (*SC, error) {
 		doc:     doc,
 		index:   index,
 		weights: Weights(index.Doc),
+		icNum:   make([]float64, len(doc.Units())),
 	}
-	for w, c := range index.Doc {
-		sc.denomIC += float64(c) * sc.weights[w]
-	}
-	sc.ic = make(map[int]float64, len(index.Units))
-	for unitID, counts := range index.Units {
-		num := 0.0
-		for w, c := range counts {
-			num += float64(c) * sc.weights[w]
+	for _, w := range index.Keywords() {
+		weight := sc.weights[w]
+		sc.denomIC += float64(index.Doc[w]) * weight
+		for _, p := range index.Postings[w] {
+			sc.icNum[p.Unit] += float64(p.Count) * weight
 		}
-		sc.ic[unitID] = safeDiv(num, sc.denomIC)
 	}
 	return sc, nil
 }
@@ -147,112 +146,102 @@ func (sc *SC) Index() *textproc.Index { return sc.index }
 // Weight returns ω_a for a keyword (zero when absent).
 func (sc *SC) Weight(keyword string) float64 { return sc.weights[keyword] }
 
-// IC returns the static information content p_i of a unit.
-func (sc *SC) IC(unitID int) float64 { return sc.ic[unitID] }
+// IC returns the static information content p_i of a unit (zero for an
+// ID outside the document).
+func (sc *SC) IC(unitID int) float64 { return safeDiv(at(sc.icNum, unitID), sc.denomIC) }
 
 // Scores holds all three notions evaluated per unit for one query.
 type Scores struct {
-	// IC, QIC and MQIC map unit ID → score.
-	IC, QIC, MQIC map[int]float64
+	// IC, QIC and MQIC are indexed by unit ID. They belong to the caller.
+	IC, QIC, MQIC []float64
 }
 
-// Get returns the score for the requested notion.
-func (s *Scores) Get(n Notion, unitID int) float64 {
+// For returns the scores under the requested notion, indexed by unit ID,
+// or nil for an unknown notion.
+func (s *Scores) For(n Notion) []float64 {
 	switch n {
 	case NotionIC:
-		return s.IC[unitID]
+		return s.IC
 	case NotionQIC:
-		return s.QIC[unitID]
+		return s.QIC
 	case NotionMQIC:
-		return s.MQIC[unitID]
+		return s.MQIC
 	default:
-		return 0
+		return nil
 	}
 }
 
+// Get returns the score for the requested notion (zero for an unknown
+// notion or an ID outside the document).
+func (s *Scores) Get(n Notion, unitID int) float64 { return at(s.For(n), unitID) }
+
 // Evaluate computes IC, QIC and MQIC for every unit against a query
-// occurrence vector V_Q (from textproc.QueryVector). A nil or empty query
-// yields QIC = MQIC = 0 everywhere except MQIC degenerates to IC scaled
-// weights with λ undefined; we define the empty-query MQIC as IC itself,
-// the natural limit as the query vanishes.
+// occurrence vector V_Q (from textproc.QueryVector). Only the query
+// keywords' postings are read: with ω_a^Q the query weights and
+// λ = Σ|a_D| / Σ|a_Q| the MQIC scaling factor,
+//
+//	QIC_i  = Σ_{a∈Q} |a_ni|·ω_a·ω_a^Q / Σ_{a∈Q} |a_D|·ω_a·ω_a^Q
+//	MQIC_i = (Σ_a |a_ni|·ω_a + λ·Σ_{a∈Q} |a_ni|·ω_a^Q) / (Σ_a |a_D|·ω_a + λ·Σ_{a∈Q} |a_D|·ω_a^Q)
+//
+// where the static sums come precomputed from Build. The query keywords
+// are summed in sorted order. A nil or empty query yields QIC = 0
+// everywhere and MQIC = IC, the natural limit as the query vanishes.
 func (sc *SC) Evaluate(queryVec map[string]int) *Scores {
-	s := &Scores{
-		IC:   make(map[int]float64, len(sc.ic)),
-		QIC:  make(map[int]float64, len(sc.ic)),
-		MQIC: make(map[int]float64, len(sc.ic)),
-	}
-	for id, v := range sc.ic {
-		s.IC[id] = v
+	n := len(sc.icNum)
+	all := make([]float64, 3*n)
+	s := &Scores{IC: all[:n:n], QIC: all[n : 2*n : 2*n], MQIC: all[2*n:]}
+	for id, num := range sc.icNum {
+		s.IC[id] = safeDiv(num, sc.denomIC)
 	}
 	if len(queryVec) == 0 {
-		for id, v := range sc.ic {
-			s.QIC[id] = 0
-			s.MQIC[id] = v
-		}
+		copy(s.MQIC, s.IC)
 		return s
 	}
 
 	qWeights := Weights(queryVec) // ω_a^Q, zero when |a_Q| = 0 by absence
-
-	// QIC denominator: Σ_{d ∈ D∩Q} |d_D|·ω_d·ω_d^Q.
-	var denomQ float64
-	for w, c := range sc.index.Doc {
-		if qw, ok := qWeights[w]; ok {
-			denomQ += float64(c) * sc.weights[w] * qw
-		}
+	terms := make([]string, 0, len(queryVec))
+	totalQ := 0
+	for a, c := range queryVec {
+		terms = append(terms, a)
+		totalQ += c
 	}
-
-	// MQIC scaling factor λ = Σ|a_D| / Σ|a_Q| and denominator
-	// Σ_d |d_D|·(ω_d + λ·ω_d^Q).
-	var totalQ float64
-	for _, c := range queryVec {
-		totalQ += float64(c)
-	}
+	sort.Strings(terms)
 	lambda := 0.0
 	if totalQ > 0 {
-		lambda = float64(sc.index.TotalDoc) / totalQ
-	}
-	var denomM float64
-	for w, c := range sc.index.Doc {
-		denomM += float64(c) * (sc.weights[w] + lambda*qWeights[w])
+		lambda = float64(sc.index.TotalDoc) / float64(totalQ)
 	}
 
-	for unitID, counts := range sc.index.Units {
-		var numQ, numM float64
-		for w, c := range counts {
-			qw := qWeights[w]
-			numM += float64(c) * (sc.weights[w] + lambda*qw)
-			if qw != 0 {
-				numQ += float64(c) * sc.weights[w] * qw
-			}
+	// s.QIC and s.MQIC first accumulate the query sums of the numerators:
+	// Σ|a_ni|·ω_a·ω_a^Q and Σ|a_ni|·ω_a^Q.
+	var denomQ, denomMQ float64
+	for _, a := range terms {
+		qw, dc := qWeights[a], sc.index.Doc[a]
+		if qw == 0 || dc == 0 {
+			continue
 		}
-		s.QIC[unitID] = safeDiv(numQ, denomQ)
-		s.MQIC[unitID] = safeDiv(numM, denomM)
+		w := sc.weights[a]
+		denomQ += float64(dc) * w * qw
+		denomMQ += float64(dc) * qw
+		for _, p := range sc.index.Postings[a] {
+			c := float64(p.Count)
+			s.QIC[p.Unit] += c * w * qw
+			s.MQIC[p.Unit] += c * qw
+		}
+	}
+	denomM := sc.denomIC + lambda*denomMQ
+	for id := range s.QIC {
+		s.QIC[id] = safeDiv(s.QIC[id], denomQ)
+		s.MQIC[id] = safeDiv(sc.icNum[id]+lambda*s.MQIC[id], denomM)
 	}
 	return s
 }
 
-// Ranked pairs a unit with its score for ordering.
-type Ranked struct {
-	Unit  *document.Unit
-	Score float64
-}
-
-// RankUnits orders the document's units at the given LOD by descending
-// score under the chosen notion, breaking ties by document order (stable),
-// which is the transmission order ⟨n_j1, …, n_jm⟩ of §4.2.
-func (sc *SC) RankUnits(lod document.LOD, notion Notion, queryVec map[string]int) ([]Ranked, error) {
-	units, err := sc.doc.UnitsAt(lod)
-	if err != nil {
-		return nil, err
+// at reads a per-unit score, zero outside [0, len(scores)).
+func at(scores []float64, unitID int) float64 {
+	if unitID < 0 || unitID >= len(scores) {
+		return 0
 	}
-	scores := sc.Evaluate(queryVec)
-	out := make([]Ranked, len(units))
-	for i, u := range units {
-		out[i] = Ranked{Unit: u, Score: scores.Get(notion, u.ID)}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
-	return out, nil
+	return scores[unitID]
 }
 
 func safeDiv(num, denom float64) float64 {

@@ -30,9 +30,11 @@ import (
 // Both lists of a plan tile the permuted stream in order, so every
 // PermutedOff distance is 0, and OrigOff distances are 0 wherever
 // transmission order follows document order: one byte where a decimal
-// offset cost five. Scores stay eight bytes: the receiver sums them,
-// InfoContent sequences are pinned to the bit by golden traces, and
-// float32 or rank-derived scores would move every one of them.
+// offset cost five. Scores stay eight bytes: the receiver sums them into
+// InfoContent, and float32 or rank-derived scores would move every sum.
+// Content scores are bit-reproducible per document and query, so two
+// replicas of one corpus send the same bytes; no golden file carries
+// these scores, TestPlanLayoutsReproducibleAcrossEngines pins them.
 //
 // The codec is a faithful carrier, not a judge: every int field
 // round-trips, including the negative and wrapping values only a hostile

@@ -74,26 +74,13 @@ func NewPlan(sc *content.SC, queryVec map[string]int, cfg Config) (*Plan, error)
 	if err != nil {
 		return nil, err
 	}
-	evaluated := sc.Evaluate(queryVec)
-	scores := make(map[int]float64, len(sc.Doc().Units()))
-	for _, u := range sc.Doc().Units() {
-		scores[u.ID] = evaluated.Get(full.Notion, u.ID)
-	}
-	ranked, err := sc.RankUnits(full.LOD, full.Notion, queryVec)
-	if err != nil {
-		return nil, err
-	}
-	units := make([]*document.Unit, len(ranked))
-	for i, r := range ranked {
-		units[i] = r.Unit
-	}
-	return newPlan(sc.Doc(), units, scores, full)
+	return newPlan(sc.Doc(), sc.Evaluate(queryVec).For(full.Notion), full)
 }
 
 // NewPlanWithScores builds a plan from explicit per-unit scores (unit ID →
-// score), ranking the units at cfg.LOD by descending score. It serves the
-// simulator, whose synthetic documents carry modeled information content
-// rather than keyword-derived scores.
+// score; an absent unit scores 0), ranking the units at cfg.LOD by
+// descending score. It serves the simulator, whose synthetic documents
+// carry modeled information content rather than keyword-derived scores.
 func NewPlanWithScores(doc *document.Document, scores map[int]float64, cfg Config) (*Plan, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("core: nil document")
@@ -102,19 +89,32 @@ func NewPlanWithScores(doc *document.Document, scores map[int]float64, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	units, err := doc.UnitsAt(full.LOD)
+	dense := make([]float64, len(doc.Units()))
+	for id, score := range scores {
+		if id >= 0 && id < len(dense) {
+			dense[id] = score
+		}
+	}
+	return newPlan(doc, dense, full)
+}
+
+// newPlan ranks the units at cfg.LOD by descending score, ties in
+// document order (the transmission order ⟨n_j1, …, n_jm⟩ of §4.2), and
+// packetizes the permuted stream. scores is indexed by unit ID; a unit
+// past its end scores 0.
+func newPlan(doc *document.Document, scores []float64, cfg Config) (*Plan, error) {
+	ranked, err := doc.UnitsAt(cfg.LOD)
 	if err != nil {
 		return nil, err
 	}
-	ordered := make([]*document.Unit, len(units))
-	copy(ordered, units)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return scores[ordered[i].ID] > scores[ordered[j].ID]
-	})
-	return newPlan(doc, ordered, scores, full)
-}
+	score := func(u *document.Unit) float64 {
+		if u.ID < len(scores) {
+			return scores[u.ID]
+		}
+		return 0
+	}
+	sort.SliceStable(ranked, func(i, j int) bool { return score(ranked[i]) > score(ranked[j]) })
 
-func newPlan(doc *document.Document, ranked []*document.Unit, scores map[int]float64, cfg Config) (*Plan, error) {
 	body := doc.Body()
 	p := &Plan{doc: doc, cfg: cfg, body: body}
 
@@ -122,16 +122,16 @@ func newPlan(doc *document.Document, ranked []*document.Unit, scores map[int]flo
 	p.permuted = make([]byte, 0, len(body))
 	total := 0.0
 	for _, u := range ranked {
-		total += scores[u.ID]
+		total += score(u)
 	}
 	for _, u := range ranked {
-		score := scores[u.ID]
+		s := score(u)
 		if total > 0 {
-			score /= total
+			s /= total
 		}
 		p.segments = append(p.segments, UnitSegment{
 			Unit:        u,
-			Score:       score,
+			Score:       s,
 			PermutedOff: len(p.permuted),
 			OrigOff:     u.Start,
 			Length:      u.Span(),
@@ -150,24 +150,24 @@ func newPlan(doc *document.Document, ranked []*document.Unit, scores map[int]flo
 	paragraphs := doc.Paragraphs()
 	accrualTotal := 0.0
 	for _, leaf := range paragraphs {
-		accrualTotal += scores[leaf.ID]
+		accrualTotal += score(leaf)
 	}
 	for _, leaf := range paragraphs {
 		seg, ok := p.segmentContaining(leaf)
 		if !ok {
 			return nil, fmt.Errorf("core: paragraph %q outside every ranked unit", leaf.Label)
 		}
-		score := scores[leaf.ID]
+		s := score(leaf)
 		if accrualTotal > 0 {
-			score /= accrualTotal
+			s /= accrualTotal
 		} else if len(paragraphs) > 0 {
 			// Uniform fallback so a document with no scored keywords
 			// still reaches IC = 1 when complete.
-			score = 1 / float64(len(paragraphs))
+			s = 1 / float64(len(paragraphs))
 		}
 		p.accrual = append(p.accrual, UnitSegment{
 			Unit:        leaf,
-			Score:       score,
+			Score:       s,
 			PermutedOff: seg.PermutedOff + (leaf.Start - seg.Unit.Start),
 			OrigOff:     leaf.Start,
 			Length:      leaf.Span(),

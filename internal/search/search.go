@@ -64,8 +64,8 @@ func (e *Engine) Add(doc *document.Document) error {
 		return err
 	}
 	var norm float64
-	for w, c := range idx.Doc {
-		v := float64(c) * sc.Weight(w)
+	for _, w := range idx.Keywords() {
+		v := float64(idx.Doc[w]) * sc.Weight(w)
 		norm += v * v
 	}
 	ent := &entry{doc: doc, idx: idx, sc: sc, norm: math.Sqrt(norm)}
@@ -154,17 +154,24 @@ type Hit struct {
 }
 
 // Search runs a keyword query and returns up to limit hits ordered by
-// descending score (ties broken by name for determinism). A query with no
-// indexable words returns no hits.
+// descending score (ties broken by name for determinism). Every sum runs
+// in sorted-term order, so documents with equal term vectors score equal
+// to the bit and the name decides. A query with no indexable words
+// returns no hits.
 func (e *Engine) Search(query string, limit int) []Hit {
 	qv := textproc.QueryVector(query)
 	if len(qv) == 0 || limit == 0 {
 		return nil
 	}
+	terms := make([]string, 0, len(qv))
+	for a := range qv {
+		terms = append(terms, a)
+	}
+	sort.Strings(terms)
 	qWeights := content.Weights(qv)
 	var qNorm float64
-	for a, c := range qv {
-		v := float64(c) * qWeights[a]
+	for _, a := range terms {
+		v := float64(qv[a]) * qWeights[a]
 		qNorm += v * v
 	}
 	qNorm = math.Sqrt(qNorm)
@@ -174,7 +181,7 @@ func (e *Engine) Search(query string, limit int) []Hit {
 
 	// Gather candidates from the postings of each query term.
 	candidates := make(map[string]bool)
-	for a := range qv {
+	for _, a := range terms {
 		for name := range e.posting[a] {
 			candidates[name] = true
 		}
@@ -183,12 +190,12 @@ func (e *Engine) Search(query string, limit int) []Hit {
 	for name := range candidates {
 		ent := e.entries[name]
 		var dot float64
-		for a, qc := range qv {
+		for _, a := range terms {
 			dc := ent.idx.Doc[a]
 			if dc == 0 {
 				continue
 			}
-			dot += float64(qc) * qWeights[a] * float64(dc) * ent.sc.Weight(a)
+			dot += float64(qv[a]) * qWeights[a] * float64(dc) * ent.sc.Weight(a)
 		}
 		if dot == 0 || ent.norm == 0 || qNorm == 0 {
 			continue

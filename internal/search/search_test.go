@@ -1,9 +1,11 @@
 package search
 
 import (
+	"math"
 	"sync"
 	"testing"
 
+	"mobweb/internal/corpus"
 	"mobweb/internal/document"
 	"mobweb/internal/textproc"
 )
@@ -206,4 +208,33 @@ func TestConcurrentSearchAndAdd(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSearchTiesBreakByName adds three byte-identical documents to fresh
+// engines, in an order that is not their names' order: they score equal,
+// so every search must list them by name.
+func TestSearchTiesBreakByName(t *testing.T) {
+	data, err := corpus.Raw(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 100; trial++ {
+		e := NewEngine(textproc.Options{})
+		for _, name := range []string{"b.xml", "a.xml", "c.xml"} {
+			if err := e.AddXML(name, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits := e.Search("mobile web browsing", -1)
+		if len(hits) != 3 {
+			t.Fatalf("trial %d: %d hits, want 3", trial, len(hits))
+		}
+		for i, want := range []string{"a.xml", "b.xml", "c.xml"} {
+			if hits[i].Name != want {
+				t.Fatalf("trial %d: hit %d is %s (score %x), want %s; scores %x %x %x", trial, i, hits[i].Name,
+					math.Float64bits(hits[i].Score), want,
+					math.Float64bits(hits[0].Score), math.Float64bits(hits[1].Score), math.Float64bits(hits[2].Score))
+			}
+		}
+	}
 }

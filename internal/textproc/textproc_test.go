@@ -2,8 +2,10 @@ package textproc
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
+	"mobweb/internal/corpus"
 	"mobweb/internal/document"
 )
 
@@ -155,6 +157,91 @@ func TestBuildIndexAggregationAdditive(t *testing.T) {
 	}
 }
 
+// unitRecount counts each keyword of idx in every unit's subtree afresh,
+// one unit at a time: the per-unit maps the postings replace.
+func unitRecount(d *document.Document, idx *Index) map[int]map[string]int {
+	out := make(map[int]map[string]int)
+	for _, u := range d.Units() {
+		counts := make(map[string]int)
+		u.Walk(func(v *document.Unit) bool {
+			for _, source := range []string{v.Title, v.Text} {
+				for _, w := range Tokenize(source) {
+					lemma := Lemmatize(w)
+					if IsStopWord(w) || IsStopWord(lemma) || idx.Doc[lemma] == 0 {
+						continue
+					}
+					counts[lemma]++
+				}
+			}
+			return true
+		})
+		out[u.ID] = counts
+	}
+	return out
+}
+
+func TestPostingsMatchUnitRecount(t *testing.T) {
+	docs, err := corpus.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, buildTestDoc(t))
+	for _, d := range docs {
+		for _, minFreq := range []int{0, 3} {
+			idx, err := BuildIndex(d, Options{MinFrequency: minFreq})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := unitRecount(d, idx)
+			for w, ps := range idx.Postings {
+				if idx.Doc[w] == 0 {
+					t.Errorf("%s: postings for %q, which is no keyword", d.Name, w)
+				}
+				for i, p := range ps {
+					if i > 0 && p.Unit <= ps[i-1].Unit {
+						t.Fatalf("%s %q: postings out of unit order at %d: %v", d.Name, w, i, ps)
+					}
+					if int(p.Count) != want[int(p.Unit)][w] || p.Count == 0 {
+						t.Errorf("%s %q unit %d: posting count %d, recount %d", d.Name, w, p.Unit, p.Count, want[int(p.Unit)][w])
+					}
+				}
+			}
+			total := 0
+			for id, counts := range want {
+				for w, c := range counts {
+					if got := idx.UnitCount(id, w); got != c {
+						t.Errorf("%s: UnitCount(%d, %q) = %d, recount %d", d.Name, id, w, got, c)
+					}
+				}
+				total += len(counts)
+			}
+			posted := 0
+			for _, ps := range idx.Postings {
+				posted += len(ps)
+			}
+			if posted != total || len(idx.Postings) != len(idx.Doc) {
+				t.Errorf("%s: %d postings over %d keywords, recount has %d over %d", d.Name, posted, len(idx.Postings), total, len(idx.Doc))
+			}
+		}
+	}
+}
+
+func TestUnitCountOutsideDocument(t *testing.T) {
+	d := buildTestDoc(t)
+	idx, err := BuildIndex(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, len(d.Units()), 1 << 40} {
+		if got := idx.UnitCount(id, "mobile"); got != 0 {
+			t.Errorf("UnitCount(%d, mobile) = %d, want 0", id, got)
+		}
+	}
+	if got := idx.UnitCount(d.Root.ID, "no-such-keyword"); got != 0 {
+		t.Errorf("UnitCount of an absent keyword = %d, want 0", got)
+	}
+}
+
 func TestBuildIndexTitlesCount(t *testing.T) {
 	d := buildTestDoc(t)
 	idx, err := BuildIndex(d, Options{})
@@ -248,6 +335,9 @@ func TestKeywordsList(t *testing.T) {
 	ks := idx.Keywords()
 	if len(ks) != len(idx.Doc) {
 		t.Errorf("Keywords() returned %d entries, want %d", len(ks), len(idx.Doc))
+	}
+	if !sort.StringsAreSorted(ks) {
+		t.Errorf("Keywords() not sorted: %v", ks)
 	}
 }
 
