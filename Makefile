@@ -14,9 +14,9 @@ test:
 race:
 	go test -race ./...
 
-# The repo's four invariant analyzers (planmut, framemut, locks, nondet)
-# over the whole tree; see DESIGN.md §8. The vet passes run in `build`
-# and `verify` as plain `go vet ./...`.
+# The repo's one invariant analyzer (locks) over the whole tree; see
+# DESIGN.md §8. The vet passes run in `build` and `verify` as plain
+# `go vet ./...`.
 lint:
 	go test -run TestTreeLintsClean ./internal/lint
 
@@ -30,10 +30,9 @@ vulncheck:
 		echo "warning: govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# gofmt gate. The analyzer fixtures under internal/lint/testdata are
-# exempt: their `// want` expectations are laid out by hand.
+# gofmt gate.
 fmt-check:
-	@unformatted=$$(gofmt -l . | grep -v '^internal/lint/testdata/' || true); \
+	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # The CI gate: static checks plus the full suite under the race detector

@@ -142,8 +142,17 @@ func (c *Cluster) Scores(queryVec map[string]int) ([]PageScore, error) {
 	weights := content.Weights(total)
 	qWeights := content.Weights(queryVec)
 
+	// Every sum runs over the keywords in sorted order: float addition is
+	// not associative, so map order would let byte-identical pages score
+	// apart at the last bit and break the name tie-break below.
+	terms := make([]string, 0, len(total))
+	for w := range total {
+		terms = append(terms, w)
+	}
+	sort.Strings(terms)
 	var denomIC, denomQIC float64
-	for w, n := range total {
+	for _, w := range terms {
+		n := total[w]
 		denomIC += float64(n) * weights[w]
 		if qw, ok := qWeights[w]; ok {
 			denomQIC += float64(n) * weights[w] * qw
@@ -152,7 +161,8 @@ func (c *Cluster) Scores(queryVec map[string]int) ([]PageScore, error) {
 	out := make([]PageScore, 0, len(c.pages))
 	for name, p := range c.pages {
 		var numIC, numQIC float64
-		for w, n := range p.Index.Doc {
+		for _, w := range p.Index.Keywords() {
+			n := p.Index.Doc[w]
 			numIC += float64(n) * weights[w]
 			if qw, ok := qWeights[w]; ok {
 				numQIC += float64(n) * weights[w] * qw

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
+	"mobweb/internal/corpus"
 	"mobweb/internal/document"
+	"mobweb/internal/markup"
 )
 
 func makeDoc(t *testing.T, name string, paragraphs ...string) *document.Document {
@@ -127,6 +130,48 @@ func TestScoresSumToOne(t *testing.T) {
 	}
 	if math.Abs(sumIC-1) > 1e-9 {
 		t.Errorf("cluster IC sums to %v, want 1", sumIC)
+	}
+}
+
+// Byte-identical pages score equal to the bit, so the name decides their
+// order in every fresh cluster: a sum in map order differs at the last bit
+// from one build to the next and shuffles them.
+func TestScoresTiesBreakByName(t *testing.T) {
+	data, err := corpus.Raw(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := map[string]int{"mobile": 1, "web": 1, "browse": 1}
+	for trial := 0; trial < 100; trial++ {
+		c, err := New("copies", "b.xml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"b.xml", "a.xml", "c.xml"} {
+			doc, err := markup.ParseXML(bytes.NewReader(data), name, markup.DefaultTagMap())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var links []string
+			if name == "b.xml" {
+				links = []string{"a.xml", "c.xml"}
+			}
+			if err := c.AddPage(doc, links); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, query := range []map[string]int{nil, q} {
+			scores, err := c.Scores(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range []string{"a.xml", "b.xml", "c.xml"} {
+				if scores[i].Name != want {
+					t.Fatalf("trial %d, query %v: page %d is %s, want %s; IC bits %x %x %x", trial, query, i, scores[i].Name, want,
+						math.Float64bits(scores[0].IC), math.Float64bits(scores[1].IC), math.Float64bits(scores[2].IC))
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 
 	"mobweb/internal/packet"
@@ -152,5 +153,36 @@ func TestReceiverBothCodecs(t *testing.T) {
 				t.Fatalf("refetched generation 0 gives IC %v, want %v", fresh.InfoContent(), ic)
 			}
 		})
+	}
+}
+
+// TestHaveListAscending: the Have list goes on the wire, so it must not
+// carry the held set's map order. Packets arrive last seq first, and the
+// list must come back ascending all the same.
+func TestHaveListAscending(t *testing.T) {
+	doc, scores := paperShapedDoc(t)
+	plan, err := NewPlanWithScores(doc, scores, Config{MaxGeneration: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcv, err := NewReceiverFromLayout(plan.Layout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := plan.N() - 1; seq >= 0; seq -= 2 {
+		frame, err := plan.Frame(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, intact, err := rcv.AddFrame(frame); err != nil || !intact {
+			t.Fatalf("seq %d: intact=%v, %v", seq, intact, err)
+		}
+	}
+	have := rcv.HaveList()
+	if len(have) != rcv.IntactCount() || len(have) < 16 {
+		t.Fatalf("HaveList has %d entries, %d packets held", len(have), rcv.IntactCount())
+	}
+	if !sort.IntsAreSorted(have) {
+		t.Fatalf("HaveList is not ascending: %v", have)
 	}
 }

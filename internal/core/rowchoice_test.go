@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Regression for a defect the nondet analyzer surfaced: the rows handed
+// Regression: the rows handed
 // to erasure.Decode once came from ranging over the intact map, so with
 // more packets on hand than the generation needs, WHICH redundant rows
 // fed the decoder depended on map iteration order — varying the decode

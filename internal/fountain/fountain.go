@@ -49,8 +49,8 @@ const MaxSourceSymbols = 255
 
 // splitmix64 advances a splitmix64 state and returns the next output.
 // It is the only randomness in the package: seeded, allocation-free and
-// bit-stable across platforms, as the nondet analyzer requires of the
-// deterministic package set.
+// bit-stable across platforms, so an encoder and a decoder anywhere draw
+// the same repair rows for one seed.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state

@@ -8,7 +8,8 @@
 // Values are SHARED AND IMMUTABLE. The frame instance stores fully
 // framed wire bytes (seq + CRC + payload), directly writable to a socket;
 // a caller that writes into one corrupts the stream of every connection
-// sharing the entry (the framemut analyzer machine-checks call sites).
+// sharing the entry (TestFramePurityConcurrent in transport holds every
+// frame a fetch was handed to a fresh cook).
 // Callers that must mutate a frame — e.g. a fault injector flipping bits
 // — copy it into private scratch first.
 //
@@ -179,9 +180,9 @@ func (c *Cache[K, V]) GetOrLoad(key K, group string, load func() (V, int64, erro
 	c.flights[key] = fl
 	c.mu.Unlock()
 
-	start := time.Now() //mobweb:nondet-ok load-time stats, never part of values or keys
+	start := time.Now() // load-time stats, never part of values or keys
 	val, cost, err := load()
-	elapsed := time.Since(start) //mobweb:nondet-ok load-time stats
+	elapsed := time.Since(start)
 
 	c.mu.Lock()
 	delete(c.flights, key)
@@ -205,14 +206,12 @@ func (c *Cache[K, V]) GetOrLoad(key K, group string, load func() (V, int64, erro
 func (c *Cache[K, V]) Invalidate(group string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	//mobweb:nondet-ok every in-flight load of the group is marked; order is immaterial
 	for _, fl := range c.flights {
 		if fl.group == group {
 			fl.stale = true
 		}
 	}
 	n := len(c.groups[group])
-	//mobweb:nondet-ok the whole group goes; order is immaterial
 	for key := range c.groups[group] {
 		c.removeLocked(c.entries[key])
 	}

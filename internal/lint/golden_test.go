@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"mobweb/internal/lint"
-	"mobweb/internal/lint/linttest"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fixtures.golden from the current findings")
@@ -21,10 +20,6 @@ var update = flag.Bool("update", false, "rewrite testdata/fixtures.golden from t
 //
 //	go test ./internal/lint -run TestFixtureDiagnosticsGolden -update
 func TestFixtureDiagnosticsGolden(t *testing.T) {
-	const src = "mobweb/internal/lint/testdata/src/"
-	defer linttest.Override(&lint.PlanOwnerPackage, src+"planmutowner")()
-	defer linttest.Override(&lint.NondetPackages, []string{src + "nondet"})()
-
 	diags, err := lint.Run(".", []string{"./testdata/src/..."}, lint.Analyzers())
 	if err != nil {
 		t.Fatal(err)

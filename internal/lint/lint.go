@@ -1,27 +1,18 @@
 // Package lint is a self-contained static-analysis framework plus the
-// four analyzers that machine-check the invariants of this repository
-// that no runtime test can pin down:
+// one analyzer that machine-checks an invariant of this repository no
+// runtime test pins down:
 //
-//   - planmut: cached *core.Plan values are immutable after construction,
-//     and the slices its accessors share must never be written through
-//     (the planner LRU hands one plan to many goroutines; §4's "any M
-//     intact cooked packets reconstruct the document" dies silently if a
-//     cached plan is mutated).
-//   - framemut: the same contract for cooked wire frames handed out by
-//     the frame cache and planner.Resolved.
 //   - locks: mutexes must not be held across channel operations, network
 //     I/O, plan builds, waits or sleeps, and the global mutex
 //     acquisition-order graph (built over the cross-package call graph)
 //     must be acyclic — planner.mu strictly outside the cache mutex, and
-//     the cache never calls back.
-//   - nondet: the packages feeding golden traces, seeded chaos and
-//     cache keys must not read wall clocks, draw unseeded randomness,
-//     or leak map iteration order into output (//mobweb:nondet-ok opts
-//     genuinely wall-clock lines out).
+//     the cache never calls back. A lock held across a plan build only
+//     convoys the resolutions behind it, and no test fails on that
+//     (DESIGN.md §8).
 //
-// GF(2^8) arithmetic, %w error chains, goroutine exits and the
-// allocation-free hot paths are pinned by runtime tests instead
-// (DESIGN.md §8).
+// Plan and frame immutability, reproducibility, GF(2^8) arithmetic, %w
+// error chains, goroutine exits and the allocation-free hot paths are
+// pinned by runtime tests instead (DESIGN.md §8).
 //
 // The framework mirrors the golang.org/x/tools go/analysis API surface
 // (Analyzer, Pass, Reportf, analysistest-style fixtures with // want
@@ -29,9 +20,8 @@
 // keeps zero dependencies. Packages are loaded offline via
 // `go list -deps -export -json` and the compiler's export data
 // (load.go). Every analyzer sees the whole load through one Pass: the
-// packages, the static call graph (callgraph.go) and the index of
-// //mobweb: directives (program.go). TestTreeLintsClean runs the suite
-// over the tree; `make lint` runs that test.
+// packages and the static call graph (callgraph.go). TestTreeLintsClean
+// runs the suite over the tree; `make lint` runs that test.
 package lint
 
 import (
@@ -82,7 +72,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns every registered analyzer, the suite TestTreeLintsClean
 // runs over the tree.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{PlanMut, FrameMut, Locks, NonDet}
+	return []*Analyzer{Locks}
 }
 
 // calleeFunc resolves a call expression to the static *types.Func it
@@ -126,22 +116,6 @@ func namedOrPointee(t types.Type) *types.Named {
 	}
 	n, _ := t.(*types.Named)
 	return n
-}
-
-// forEachFunc invokes fn for every function body in the files, named
-// after the enclosing declaration. Function literals inherit the nearest
-// named function's name (a closure inside newPlan is still constructor
-// code), which the callers use for allowlist decisions.
-func forEachFunc(files []*ast.File, fn func(name string, body *ast.BlockStmt)) {
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn(fd.Name.Name, fd.Body)
-		}
-	}
 }
 
 // inspectSkippingFuncLits is ast.Inspect minus function-literal bodies;

@@ -5,7 +5,7 @@
 // (invisible to ./... but loadable as an explicit pattern). Lines where
 // an analyzer must report carry analysistest-style want comments:
 //
-//	segs[0].Score = 2 // want "store through a slice shared"
+//	s.ch <- v // want "held across a channel send"
 //
 // Each quoted string is a regexp matched against the diagnostic message;
 // several strings on one line expect several diagnostics. The harness
@@ -24,17 +24,6 @@ import (
 
 	"mobweb/internal/lint"
 )
-
-// Override swaps *p to v and returns a func restoring the old value;
-// used by fixture tests to retarget analyzer configuration (e.g.
-// lint.PlanOwnerPackage) at a testdata package.
-//
-//	defer linttest.Override(&lint.PlanOwnerPackage, "mobweb/internal/lint/testdata/src/planmutowner")()
-func Override[T any](p *T, v T) func() {
-	old := *p
-	*p = v
-	return func() { *p = old }
-}
 
 // Run loads the fixture package at pattern (relative to the calling
 // test's working directory), applies exactly one analyzer, and checks

@@ -48,7 +48,7 @@ type listPackage struct {
 // LoadSyntax mode, minus the dependency on x/tools (unavailable here:
 // the build environment has no module proxy access).
 //
-// Explicit testdata paths (e.g. "./testdata/src/planmut") are legal
+// Explicit testdata paths (e.g. "./testdata/src/lockorder") are legal
 // patterns even though "./..." never matches them — exactly how the
 // analyzer fixtures stay out of the production lint run.
 func Load(dir string, patterns ...string) ([]*Package, error) {

@@ -12,8 +12,8 @@ import (
 )
 
 var (
-	muA sync.Mutex
-	muB sync.Mutex
+	muA    sync.Mutex
+	muB    sync.Mutex
 	muLone sync.Mutex
 )
 

@@ -20,10 +20,10 @@ func TestTreeLintsClean(t *testing.T) {
 	}
 }
 
-// The suite is exactly the four analyzers, each with a Run over the
+// The suite is exactly the locks analyzer, with a Run over the
 // whole-load Pass.
 func TestAnalyzersRegistered(t *testing.T) {
-	want := map[string]bool{"planmut": true, "framemut": true, "locks": true, "nondet": true}
+	want := map[string]bool{"locks": true}
 	as := lint.Analyzers()
 	if len(as) != len(want) {
 		t.Errorf("got %d analyzers, want %d", len(as), len(want))

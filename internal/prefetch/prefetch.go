@@ -47,13 +47,13 @@ type Allocation struct {
 // Plan splits an idle-window budget (in packets) across candidates.
 //
 // The policy is expected-utility greedy: candidates are served in
-// descending Score order, each up to its remaining useful packets,
-// until the budget runs out. Proportional splitting would dilute the
-// budget across documents that each end up unusable; front-loading the
-// most likely document maximizes the probability that the user's actual
-// next request is already cached — the same "most content-bearing first"
-// principle the paper applies within a document, lifted to the
-// collection level.
+// descending Score order (ties in the order given), each up to its
+// remaining useful packets, until the budget runs out. Proportional
+// splitting would dilute the budget across documents that each end up
+// unusable; front-loading the most likely document maximizes the
+// probability that the user's actual next request is already cached —
+// the same "most content-bearing first" principle the paper applies
+// within a document, lifted to the collection level.
 func Plan(candidates []Candidate, budgetPackets int) ([]Allocation, error) {
 	if budgetPackets < 0 {
 		return nil, fmt.Errorf("prefetch: negative budget %d", budgetPackets)

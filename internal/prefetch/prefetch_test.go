@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -23,6 +24,28 @@ func TestPlanGreedyByScore(t *testing.T) {
 	}
 	if allocs[1].Name != "mid" || allocs[1].Packets != 40 {
 		t.Errorf("second allocation %+v, want mid:40", allocs[1])
+	}
+}
+
+// Equal scores keep the order the candidates were given in, so one set of
+// candidates always gets one allocation.
+func TestPlanTiesKeepCandidateOrder(t *testing.T) {
+	var cands []Candidate
+	for _, name := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
+		cands = append(cands, Candidate{Name: name, Score: 0.5, TotalPackets: 10})
+	}
+	for run := 0; run < 3; run++ {
+		allocs, err := Plan(cands, 35)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, a := range allocs {
+			got = append(got, a.Name)
+		}
+		if fmt.Sprint(got) != "[a b c d]" || allocs[3].Packets != 5 {
+			t.Fatalf("run %d: allocated %v, want [a b c d] with 5 packets to d", run, allocs)
+		}
 	}
 }
 

@@ -144,8 +144,7 @@ func (p *Profile) ObserveText(text, query string, relevant bool, fractionRead fl
 // accumulation in this package iterates sorted keys: float addition is
 // not associative, so summing in map order would make scores (and the
 // top-k prediction ranking built on them) vary run to run at the ULP
-// level — the nondeterminism the lint analyzer holds this package
-// against.
+// level (TestProfileScoresAreReproducible).
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -232,7 +231,7 @@ func (p *Profile) ScoreText(text string) float64 {
 // the surviving vocabulary (and every prediction built from it) is a
 // pure function of the feedback history.
 func (p *Profile) evictLocked() {
-	for w, v := range p.weights { //mobweb:nondet-ok delete-by-predicate; surviving set is order-independent
+	for w, v := range p.weights {
 		if math.Abs(v) < 1e-9 {
 			delete(p.weights, w)
 		}
@@ -245,7 +244,7 @@ func (p *Profile) evictLocked() {
 		v float64
 	}
 	all := make([]term, 0, len(p.weights))
-	for w, v := range p.weights { //mobweb:nondet-ok sorted below with a total order
+	for w, v := range p.weights {
 		all = append(all, term{w, math.Abs(v)})
 	}
 	sort.Slice(all, func(i, j int) bool {

@@ -392,6 +392,14 @@ func (s *relay) open() (transport.Response, error) {
 		case resp.OK && resp.Layout != nil:
 			if !started {
 				s.layout, s.owed = *resp.Layout, resp.Window()
+				if s.req.Seed != s.layout.Seed {
+					// The client's Have and DoneGens name another stream,
+					// which the replica ignored; a re-routed leg must not
+					// replay them against this one.
+					clear(s.held)
+					clear(s.doneGens)
+				}
+				s.req.Seed = s.layout.Seed
 				if resp.Replica == "" {
 					resp.Replica = name
 				}

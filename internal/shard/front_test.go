@@ -17,6 +17,7 @@ import (
 	"mobweb/internal/corpus"
 	"mobweb/internal/erasure"
 	"mobweb/internal/obs"
+	"mobweb/internal/store"
 	"mobweb/internal/transport"
 )
 
@@ -621,6 +622,91 @@ func TestChaosReplicaDriftMidStream(t *testing.T) {
 	}
 }
 
+// TestChaosStaleStoreThroughReroute: a client whose store holds packets
+// of the original draft fetches it through a front whose replicas both
+// hold the edited draft, and the home replica dies mid-stream. The
+// request's Have list names the original's packets; the replica ignores
+// it, and the re-routed leg must not replay it either: every source
+// packet of the edited body comes over the wire, and none of the
+// original's counts as stored.
+func TestChaosStaleStoreThroughReroute(t *testing.T) {
+	doc := corpus.DraftName
+	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
+		t.Run(codec.String(), func(t *testing.T) {
+			opts := transport.FetchOptions{Doc: doc, Caching: true, Codec: codec}
+			st, err := store.Open("", store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			orig := startReplica(t, "original", transport.ServerOptions{})
+			pre, err := transport.Dial(orig.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pre.Store = st
+			if _, err := pre.Prefetch(opts, 10); err != nil {
+				t.Fatal(err)
+			}
+			pre.Close()
+
+			sopts := transport.ServerOptions{PacketDelay: 2 * time.Millisecond}
+			a := startReplicaOver(t, "a-replica", sopts, editedEngine)
+			b := startReplicaOver(t, "b-replica", sopts, editedEngine)
+			fl := startFrontOver(t, []*testReplica{a, b}, Options{
+				Retry: transport.RetryPolicy{Seed: 13, BaseDelay: 10 * time.Millisecond},
+			})
+			home := fl.home(doc)
+			want := singleServerBody(t, fl.replicas[1-home], doc)
+			edited, err := transport.NewServer(editedEngine(t), transport.ServerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			layout, err := edited.Layout(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			client := fl.client(t)
+			client.Store = st
+			tr := obs.NewTrace(0)
+			traced := opts
+			traced.Trace = tr
+			var progress int
+			var killed sync.WaitGroup
+			traced.OnProgress = killAt(5, fl.replicas[home], &progress, &killed)
+			res, err := client.Fetch(traced)
+			killed.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.Body, want) {
+				t.Fatal("fetch with a stale store returned a body that is not the fleet's document")
+			}
+			if res.StoredPackets != 0 {
+				t.Errorf("the fetch counts %d packets of the original document as stored", res.StoredPackets)
+			}
+			onWire := make(map[int]bool)
+			for _, ev := range tr.Events() {
+				if ev.Type == obs.EventPacket {
+					onWire[ev.Seq] = true
+				}
+			}
+			missing := 0
+			for g, shape := range layout.Shapes {
+				for i := 0; i < shape.M; i++ {
+					if seq, _ := layout.WireSeq(g, i); !onWire[seq] {
+						missing++
+					}
+				}
+			}
+			if missing > 0 {
+				t.Errorf("%d of the edited body's %d source packets never came over the wire", missing, layout.M())
+			}
+		})
+	}
+}
+
 // TestSearchAllReplicasDownIsDegraded: with every replica marked down,
 // the front's search answer is the degraded refusal, and the client
 // reports it as ErrDegraded, classed "degraded", as it does a fetch's.
@@ -655,10 +741,15 @@ func TestFrontRedialJitterDeterministic(t *testing.T) {
 		}
 		return out
 	}
-	a, b := schedule(42), schedule(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("attempt %d: seeded front backoff diverged: %v vs %v", i, a[i], b[i])
+	// Many fronts, not two: a leak of one random bit into the seed leaves
+	// two schedules equal half the time.
+	a := schedule(42)
+	for run := 1; run < 16; run++ {
+		b := schedule(42)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("front %d, attempt %d: seeded front backoff diverged: %v vs %v", run, i, a[i], b[i])
+			}
 		}
 	}
 	c := schedule(43)

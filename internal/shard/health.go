@@ -129,7 +129,6 @@ func NewMonitor(replicas []Replica, opts MonitorOptions) *Monitor {
 
 // Run probes the fleet every opts.Every until the context ends.
 func (m *Monitor) Run(ctx context.Context) {
-	//mobweb:nondet-ok health probing is wall-clock by nature
 	ticker := time.NewTicker(m.opts.Every)
 	defer ticker.Stop()
 	m.CheckOnce(ctx)

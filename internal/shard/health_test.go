@@ -2,9 +2,13 @@ package shard
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"mobweb/internal/obs"
 	"mobweb/internal/transport"
@@ -167,5 +171,40 @@ func TestMonitorTCPFallback(t *testing.T) {
 	}
 	if got != transport.CapFull {
 		t.Fatalf("TCP-probed capability = %v, want full (unknowable without a scrape)", got)
+	}
+}
+
+// TestMonitorProbesConcurrently: each replica's metrics endpoint answers
+// only once the other's has been asked, so the two probes of one check
+// must be in flight together. A monitor that serialized them — a lock
+// held across the scrape, say — would leave the first one waiting until
+// its timeout and mark that replica suspect.
+func TestMonitorProbesConcurrently(t *testing.T) {
+	cap := transport.NewCapabilityState(transport.CapFull)
+	reg := obs.NewRegistry()
+	reg.RegisterProbe("capability", cap.Probe)
+	metrics := obs.MetricsHandler(reg)
+	asked := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var once [2]sync.Once
+	var replicas []Replica
+	for i := range asked {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			once[i].Do(func() { close(asked[i]) })
+			select {
+			case <-asked[1-i]:
+				metrics.ServeHTTP(w, r)
+			case <-r.Context().Done():
+			}
+		}))
+		t.Cleanup(srv.Close)
+		addr := strings.TrimPrefix(srv.URL, "http://")
+		replicas = append(replicas, Replica{Name: fmt.Sprintf("r%d", i), Addr: addr, MetricsAddr: addr})
+	}
+	m := NewMonitor(replicas, MonitorOptions{Timeout: 10 * time.Second})
+	m.CheckOnce(context.Background())
+	for i := range replicas {
+		if st, _ := m.Status(i); st != StateHealthy {
+			t.Errorf("replica %d is %v after one check; its probe waited for the other's", i, st)
+		}
 	}
 }

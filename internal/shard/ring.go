@@ -7,11 +7,11 @@
 // resume path — so replica death mid-fetch costs rounds, not bytes.
 //
 // Plans are deterministic per (corpus, doc, query, LOD, notion, γ) —
-// the nondet analyzer holds the planning packages to that — so every
-// replica serving the same corpus produces byte-identical frames for a
-// given cooked sequence number. Re-routing therefore preserves
-// byte-identity: the next replica resumes the same stream the dead one
-// was sending.
+// TestPlanLayoutsReproducibleAcrossEngines holds the planning packages
+// to that — so every replica serving the same corpus produces
+// byte-identical frames for a given cooked sequence number. Re-routing
+// therefore preserves byte-identity: the next replica resumes the same
+// stream the dead one was sending.
 package shard
 
 import (

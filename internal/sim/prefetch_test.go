@@ -97,12 +97,14 @@ func TestPrefetchDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPrefetch(p, pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("same seed gave %+v vs %+v", a, b)
+	for i := 1; i < seededRuns; i++ {
+		b, err := RunPrefetch(p, pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("run %d of one seed gave %+v, run 0 %+v", i, b, a)
+		}
 	}
 }
 

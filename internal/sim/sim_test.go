@@ -78,19 +78,33 @@ func TestPerfectChannelResponseTime(t *testing.T) {
 	}
 }
 
+// seededRuns is how often a seeded run repeats in one process before its
+// result counts as reproducible: two runs alone can miss a map-order
+// leak, because a small map's two iteration orders agree by chance.
+const seededRuns = 3
+
+// TestDeterministicBySeed repeats seeded runs with and without the
+// retransmission cache, and fails unless every repeat equals the first.
 func TestDeterministicBySeed(t *testing.T) {
 	p := fastParams()
 	p.Alpha = 0.3
-	a, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("same seed gave %+v vs %+v", a, b)
+	var a Result
+	for _, caching := range []bool{true, false} {
+		p.Caching = caching
+		first, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < seededRuns; i++ {
+			again, err := Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != first {
+				t.Errorf("caching %v: run %d of one seed gave %+v, run 0 %+v", caching, i, again, first)
+			}
+		}
+		a = first
 	}
 	p.Seed = 999
 	c, err := Run(p)

@@ -297,7 +297,7 @@ func (s *Store) recoverSegment(id int) error {
 		if rec.kind == recDrop {
 			// A tombstone erases every earlier record of the plan key;
 			// the tombstone itself holds no data worth indexing.
-			for ik := range s.index { //mobweb:nondet-ok map deletion by predicate; order is immaterial
+			for ik := range s.index {
 				if ik.plan == k.plan {
 					delete(s.index, ik)
 				}
@@ -449,7 +449,7 @@ func (s *Store) evictLocked() {
 		s.segs = s.segs[1:]
 		// The victim's layout records by plan.
 		layouts := make(map[string][]byte)
-		for k, r := range s.index { //mobweb:nondet-ok map deletion by predicate; order is immaterial
+		for k, r := range s.index {
 			if r.seg != victim {
 				continue
 			}
@@ -471,7 +471,7 @@ func (s *Store) evictLocked() {
 		}
 
 		var carry []string
-		for k := range s.index { //mobweb:nondet-ok membership test; carry is sorted below
+		for k := range s.index {
 			if _, ok := layouts[k.plan]; ok && !slices.Contains(carry, k.plan) {
 				carry = append(carry, k.plan)
 			}
@@ -681,7 +681,7 @@ func (s *Store) Generations(plan string, codec erasure.CodecID) []Generation {
 func (s *Store) Drop(plan string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k := range s.index { //mobweb:nondet-ok map deletion by predicate; order is immaterial
+	for k := range s.index {
 		if k.plan == plan {
 			delete(s.index, k)
 		}

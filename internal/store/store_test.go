@@ -384,3 +384,59 @@ func TestStoreMetricsProbe(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreEvictionIsReproducible: one sequence of puts leaves the same
+// segment bytes on every run. Eviction re-writes the layouts it carries
+// in plan order; in the index's map order the files would differ from
+// run to run.
+func TestStoreEvictionIsReproducible(t *testing.T) {
+	opts := Options{MaxBytes: 8 << 10, SegmentBytes: 4 << 10}
+	lo := testLayout(t)
+	run := func() map[string][]byte {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, opts)
+		evicted := storeMetrics.evictions.Value()
+		plans := []string{"P0", "P1", "P2", "P3", "P4", "P5", "P6", "P7"}
+		for _, plan := range plans {
+			if err := s.PutLayout(plan, lo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for seq := 0; seq < 12; seq++ {
+			for _, plan := range plans {
+				if err := s.PutPacket(plan, 0, 0, seq, payload(byte(seq), 100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if storeMetrics.evictions.Value() == evicted {
+			t.Fatal("no segment was evicted")
+		}
+		s.Close()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string][]byte)
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = data
+		}
+		return files
+	}
+	first := run()
+	for i := 1; i < 3; i++ {
+		again := run()
+		if len(again) != len(first) {
+			t.Fatalf("run %d left %d files, run 0 %d", i, len(again), len(first))
+		}
+		for name, data := range first {
+			if !bytes.Equal(again[name], data) {
+				t.Fatalf("run %d: %s differs from run 0's", i, name)
+			}
+		}
+	}
+}

@@ -87,7 +87,6 @@ func (p RetryPolicy) Backoff(attempt int, rng *rand.Rand) time.Duration {
 // the herd-avoidance spread.
 func JitterSource(seed int64) *rand.Rand {
 	if seed == 0 {
-		//mobweb:nondet-ok fresh per-caller seed when none was given
 		seed = time.Now().UnixNano()
 	}
 	return rand.New(rand.NewSource(seed))
@@ -132,7 +131,7 @@ type Client struct {
 	// jitter is the client's own backoff randomness, seeded from
 	// Retry.Seed (lazily, on first reconnect). The global math/rand
 	// source is never used: reconnect timing must be replayable under a
-	// seed, and the nondet analyzer holds this package to that.
+	// seed (TestBackoffSeedDeterministic).
 	jitter *rand.Rand
 	// Alpha estimates the channel corruption probability from observed
 	// corrupted/received windows (§4.4). It is created lazily on the
@@ -200,8 +199,6 @@ func (c *Client) jitterSource() *rand.Rand {
 
 // deadline computes the per-operation I/O deadline: the read/write
 // timeout, tightened by the context's own deadline when that is sooner.
-//
-//mobweb:nondet-ok I/O deadlines are wall-clock by nature
 func (c *Client) deadline(ctx context.Context) time.Time {
 	t := c.Timeout
 	if t == 0 {
@@ -241,7 +238,6 @@ func ctxErr(ctx context.Context, err error) error {
 	if err == nil {
 		return nil
 	}
-	//mobweb:nondet-ok compares against the context's wall-clock deadline
 	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
 		<-ctx.Done()
 	}
@@ -342,7 +338,7 @@ func (c *Client) reconnect(ctx context.Context) error {
 	p := c.Retry.withDefaults()
 	var lastErr error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		//mobweb:nondet-ok backoff timer sleeps wall-clock time; duration is seed-driven
+		// The backoff timer sleeps wall-clock time; its duration is seed-driven.
 		timer := time.NewTimer(p.Backoff(attempt, c.jitterSource()))
 		select {
 		case <-ctx.Done():
@@ -511,7 +507,9 @@ type FetchResult struct {
 	// StoredPackets counts the packets the fetch held after seeding from
 	// the client's store and before its first round — prefetched, kept by
 	// an earlier fetch, or left by a previous process life. A decoded
-	// generation counts as its M packets.
+	// generation counts as its M packets. Packets of another stream (the
+	// document changed since they were stored) are dropped at the first
+	// layout check and count nothing.
 	StoredPackets int
 	// RefetchedPackets counts intact frames that contributed nothing:
 	// packets already held, or belonging to a generation that was
@@ -799,6 +797,7 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 		// Have cannot: a reconstructed generation's unheld repair rows.
 		req.Have = rcv.HaveList()
 		req.DoneGens = rcv.DoneGenerations()
+		req.Seed = rcv.Layout().Seed
 	}
 	result.GammaRequests = append(result.GammaRequests, gamma)
 	opts.Trace.Record(obs.Event{Type: obs.EventRoundStart, Round: result.Rounds, Value: gamma})
@@ -832,7 +831,10 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 		// Rebase refuse and the cache is useless.
 		rebased, rerr := rcv.Rebase(*resp.Layout)
 		if rerr != nil {
+			// The packets held, stored ones included, are another
+			// stream's: none of them counts toward this fetch.
 			rcv = nil
+			result.StoredPackets = 0
 		} else {
 			rcv = rebased
 			opts.Trace.Record(obs.Event{Type: obs.EventRebase, Round: result.Rounds, N: rcv.IntactCount()})

@@ -8,6 +8,7 @@ import (
 	"mobweb/internal/document"
 	"mobweb/internal/erasure"
 	"mobweb/internal/markup"
+	"mobweb/internal/obs"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
 )
@@ -59,7 +60,9 @@ func editedCorpusEngine(t *testing.T) (*search.Engine, *document.Document) {
 // The stored packets are A's content, so the layout's seed (the content
 // digest) differs, the store seed is dropped, and the fetch returns B's
 // exact body — never A's packets decoded into a wrong body with a nil
-// error.
+// error. The request names the seed its Have list belongs to, so B
+// ignores that list and sends every source packet of its own body, and
+// the result counts none of A's packets as stored.
 func TestStoreDriftRefetchesEditedDocument(t *testing.T) {
 	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -77,12 +80,43 @@ func TestStoreDriftRefetchesEditedDocument(t *testing.T) {
 			c1.Store.Close()
 
 			c2 := dialWithStore(t, addrB, dir)
-			res, err := c2.Fetch(opts)
+			tr := obs.NewTrace(0)
+			traced := opts
+			traced.Trace = tr
+			res, err := c2.Fetch(traced)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(res.Body, docB.Body()) {
 				t.Fatalf("fetch from the edited server returned a body that is not its document (stored %d packets of the original)", res.StoredPackets)
+			}
+			if res.StoredPackets != 0 {
+				t.Errorf("the fetch counts %d packets of the original document as stored", res.StoredPackets)
+			}
+			srvB, err := NewServer(engineB, ServerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			layout, err := srvB.Layout(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onWire := make(map[int]bool)
+			for _, ev := range tr.Events() {
+				if ev.Type == obs.EventPacket {
+					onWire[ev.Seq] = true
+				}
+			}
+			missing := 0
+			for g, shape := range layout.Shapes {
+				for i := 0; i < shape.M; i++ {
+					if seq, _ := layout.WireSeq(g, i); !onWire[seq] {
+						missing++
+					}
+				}
+			}
+			if missing > 0 {
+				t.Errorf("%d of the edited body's %d source packets never came over the wire: the server skipped them for the original's Have list", missing, layout.M())
 			}
 		})
 	}

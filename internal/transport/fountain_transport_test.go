@@ -284,7 +284,7 @@ func TestFountainBroadcastChurn(t *testing.T) {
 			go func(wave, i int) {
 				defer wg.Done()
 				// Stagger joins so later waves start mid-stream.
-				time.Sleep(time.Duration(wave*15+i) * time.Millisecond) //mobweb:nondet-ok join-time stagger in a stress test
+				time.Sleep(time.Duration(wave*15+i) * time.Millisecond) // join-time stagger
 				c, err := Dial(addr)
 				if err != nil {
 					errs <- err

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Regression for a defect the nondet analyzer surfaced: reconnect jitter
+// Regression: reconnect jitter
 // used the global math/rand source, so two runs with identical seeds
 // produced different backoff timing — unreproducible chaos soaks. The
 // backoff source now belongs to the client and honours RetryPolicy.Seed,

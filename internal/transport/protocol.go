@@ -121,6 +121,12 @@ type Request struct {
 	// cover. On a fountain stream each listed generation is stopped
 	// before the first frame, exactly as if a stopgen had arrived.
 	DoneGens []int `json:"done_gens,omitempty"`
+	// Seed is the seed (Layout.Seed, the content digest) of the layout
+	// whose packets Have and DoneGens name. The server honours both only
+	// when it equals its own plan's digest, and otherwise streams as for
+	// a cold fetch: a document edited since the client stored its packets
+	// owes the client every packet.
+	Seed uint64 `json:"seed,omitempty"`
 	// Prefetch marks the stream as idle-time prefetch traffic, which a
 	// capability-degraded replica refuses before it refuses anything
 	// else.

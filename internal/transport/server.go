@@ -261,7 +261,7 @@ func (s *Server) Close() error {
 	s.closed = true
 	ln := s.ln
 	conns := make([]net.Conn, 0, len(s.conns))
-	//mobweb:nondet-ok shutdown closes every conn; close order is immaterial
+	// Shutdown closes every conn; close order is immaterial.
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
@@ -322,7 +322,7 @@ type TimeoutConn struct {
 	Timeout time.Duration
 }
 
-//mobweb:nondet-ok I/O deadlines are wall-clock by nature
+// Read implements net.Conn, arming a read deadline Timeout from now first.
 func (c TimeoutConn) Read(p []byte) (int, error) {
 	if err := c.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
 		return 0, err
@@ -330,7 +330,7 @@ func (c TimeoutConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-//mobweb:nondet-ok I/O deadlines are wall-clock by nature
+// Write implements net.Conn, arming a write deadline Timeout from now first.
 func (c TimeoutConn) Write(p []byte) (int, error) {
 	if err := c.SetWriteDeadline(time.Now().Add(c.Timeout)); err != nil {
 		return 0, err
@@ -353,7 +353,6 @@ func (s *Server) handle(conn net.Conn) {
 	w := getWriter(TimeoutConn{Conn: conn, Timeout: s.writeTimeout})
 	defer putWriter(w)
 	for {
-		//mobweb:nondet-ok idle-timeout deadline, wall-clock by nature
 		if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
 			return
 		}

@@ -193,16 +193,17 @@ func TestStoreResumePartialRefetchesNothing(t *testing.T) {
 // TestDoneGensKeepsGenerationsOffTheAir checks the server side of the
 // resume protocol directly: a fetch reporting generation 0 done must be
 // promised fewer frames than a cold fetch — all of that generation's
-// rows, parity included, stay off the air.
+// rows, parity included, stay off the air. DoneGens counts only for the
+// stream its seed names: under another seed the fetch is a cold one.
 func TestDoneGensKeepsGenerationsOffTheAir(t *testing.T) {
 	client := startServer(t, ServerOptions{})
 
 	// Speak the protocol by hand to control DoneGens exactly; drain each
 	// stream fully so the connection stays usable.
 	ctx := context.Background()
-	fetchSending := func(done []int) (int, *core.Layout) {
+	fetchSending := func(done []int, seed uint64) (int, *core.Layout) {
 		t.Helper()
-		if err := client.send(ctx, Request{Op: "fetch", Doc: corpus.DraftName, DoneGens: done}); err != nil {
+		if err := client.send(ctx, Request{Op: "fetch", Doc: corpus.DraftName, DoneGens: done, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		resp, _, err := client.readResponse(ctx)
@@ -229,14 +230,17 @@ func TestDoneGensKeepsGenerationsOffTheAir(t *testing.T) {
 		return resp.Sending, resp.Layout
 	}
 
-	cold, layout := fetchSending(nil)
+	cold, layout := fetchSending(nil, 0)
 	if cold != layout.N() {
 		t.Fatalf("cold fetch promises %d frames, layout has %d", cold, layout.N())
 	}
-	resumed, _ := fetchSending([]int{0})
+	resumed, _ := fetchSending([]int{0}, layout.Seed)
 	if want := cold - layout.Shapes[0].N; resumed != want {
 		t.Fatalf("DoneGens=[0] promises %d frames, want %d (cold %d minus gen0's %d rows)",
 			resumed, want, cold, layout.Shapes[0].N)
+	}
+	if stale, _ := fetchSending([]int{0}, layout.Seed+1); stale != cold {
+		t.Fatalf("DoneGens=[0] of another stream promises %d frames, want the cold %d", stale, cold)
 	}
 }
 

@@ -148,7 +148,6 @@ func (s *Server) awaitGrant(w *bufio.Writer, requests <-chan Request, conn net.C
 		return Request{}, err
 	}
 	if conn != nil {
-		//mobweb:nondet-ok idle-timeout deadline, wall-clock by nature
 		if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
 			return Request{}, err
 		}
@@ -309,7 +308,7 @@ func newFountainSource(resolved *planner.Resolved, seed uint64, req Request, lay
 			f.window += round(g)
 		}
 	}
-	for packed := range f.have { //mobweb:nondet-ok a count; order is immaterial
+	for packed := range f.have {
 		g, seq := packet.UnpackSeq(packed)
 		if g >= 0 && g < gens && f.left[g] > 0 && seq < round(g) {
 			f.window--

@@ -602,7 +602,7 @@ func TestClearPrefixServesEitherCodec(t *testing.T) {
 				held, _ := layout.WireSeq(0, 1)
 				raw := dialRaw(t, client.conn.RemoteAddr().String())
 				req := opts.request()
-				req.Have = []int{held}
+				req.Have, req.Seed = []int{held}, layout.Seed
 				raw.send(req)
 				hdr, err := raw.response()
 				if err != nil || !hdr.OK {

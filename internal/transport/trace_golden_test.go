@@ -9,6 +9,7 @@ import (
 
 	"mobweb/internal/channel"
 	"mobweb/internal/corpus"
+	"mobweb/internal/erasure"
 	"mobweb/internal/obs"
 )
 
@@ -26,45 +27,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 //
 //	go test ./internal/transport/ -run GoldenChaosTrace -update
 func TestGoldenChaosTrace(t *testing.T) {
-	run := func() []byte {
-		t.Helper()
-		model, err := channel.NewBernoulli(0.25, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// KillAfterMin == KillAfterMax pins the kill to an exact byte
-		// offset; Stall stays zero so no timing enters the schedule.
-		policy := ChaosPolicy{Seed: 21, KillAfterMin: 4096, KillAfterMax: 4096, MaxKills: 1}
-		client, chaos := startChaosServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))}, policy)
-		tr := obs.NewTrace(0)
-		res, err := client.Fetch(FetchOptions{
-			Doc:        corpus.DraftName,
-			Caching:    true,
-			MaxRounds:  30,
-			AdaptGamma: true,
-			Trace:      tr,
-		})
-		if err != nil {
-			t.Fatalf("seeded chaos fetch: %v", err)
-		}
-		if res.Body == nil {
-			t.Fatal("seeded chaos fetch incomplete")
-		}
-		if chaos.Kills() != 1 {
-			t.Fatalf("kill schedule delivered %d kills, want exactly 1", chaos.Kills())
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	first := run()
-	second := run()
-	if !bytes.Equal(first, second) {
-		t.Fatal("timeline differs between two identically seeded runs")
-	}
+	first := seededChaosTimeline(t, 21, erasure.CodecVandermonde, 4096, 4096)
 
 	golden := filepath.Join("testdata", "chaos_trace.golden.json")
 	if *updateGolden {
@@ -82,5 +45,73 @@ func TestGoldenChaosTrace(t *testing.T) {
 	if !bytes.Equal(first, want) {
 		t.Errorf("timeline deviates from golden file (%d vs %d bytes); regenerate with -update if the change is intentional",
 			len(first), len(want))
+	}
+}
+
+// seededChaosTimeline runs one fully seeded weakly-connected fetch —
+// per-frame Bernoulli corruption, one connection kill at a seeded byte
+// offset in [killMin, killMax] of the first round, adaptive γ —
+// timelineRuns times in this process, fails unless every run's timeline
+// JSON is byte-identical, and returns it. Two runs alone can miss a
+// map-order leak: a small map's two iteration orders agree by chance
+// often enough.
+func seededChaosTimeline(t *testing.T, seed int64, codec erasure.CodecID, killMin, killMax int) []byte {
+	t.Helper()
+	run := func() []byte {
+		t.Helper()
+		model, err := channel.NewBernoulli(0.25, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The kill falls at a byte offset the seed alone decides, inside
+		// the first round's stream; Stall stays zero so no timing enters
+		// the schedule.
+		policy := ChaosPolicy{Seed: seed, KillAfterMin: killMin, KillAfterMax: killMax, MaxKills: 1}
+		client, chaos := startChaosServer(t, ServerOptions{InjectorFactory: oneChannel(NewModelInjector(model))}, policy)
+		tr := obs.NewTrace(0)
+		res, err := client.Fetch(FetchOptions{
+			Doc:        corpus.DraftName,
+			Caching:    true,
+			MaxRounds:  30,
+			AdaptGamma: true,
+			Codec:      codec,
+			Trace:      tr,
+		})
+		if err != nil {
+			t.Fatalf("seeded chaos fetch: %v", err)
+		}
+		if res.Body == nil {
+			t.Fatal("seeded chaos fetch incomplete")
+		}
+		if chaos.Kills() != 1 {
+			t.Fatalf("kill schedule delivered %d kills, want exactly 1", chaos.Kills())
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := run()
+	for i := 1; i < timelineRuns; i++ {
+		if again := run(); !bytes.Equal(first, again) {
+			t.Fatalf("seed %d, %v: run %d's timeline differs from run 0's", seed, codec, i)
+		}
+	}
+	return first
+}
+
+// timelineRuns is how often a seeded run repeats in one process before
+// its output counts as reproducible.
+const timelineRuns = 3
+
+// TestSeededChaosRepeats holds more seeds, seeded kill offsets and the
+// fountain codec to seededChaosTimeline's reproducibility, without a
+// golden file each.
+func TestSeededChaosRepeats(t *testing.T) {
+	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
+		for _, seed := range []int64{3, 7, 42} {
+			seededChaosTimeline(t, seed, codec, 3000, 9000)
+		}
 	}
 }

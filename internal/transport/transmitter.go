@@ -130,6 +130,12 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 		return t.refuse(refusal)
 	}
 	req, codec, resolved, layout := r.req, r.codec, r.resolved, r.layout
+	if req.Seed != layout.Seed {
+		// Have and DoneGens name packets of another stream (or of none):
+		// the document changed since the client stored them, so it is
+		// owed every packet of this one.
+		req.Have, req.DoneGens = nil, nil
+	}
 
 	// Clear-prefix-only tiers stream just each generation's first M
 	// packets, which under both codecs are its raw packets, so no parity
