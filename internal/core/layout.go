@@ -123,8 +123,14 @@ func (seg SegmentMeta) scoreOK() bool {
 	return seg.Score >= 0 && !math.IsInf(seg.Score, 1)
 }
 
+// MaxRawBytes bounds a layout's raw capacity, M × sp. A receiver sizes
+// its body buffer from the header alone, before any packet proves the
+// geometry real, so a header may not name more than this.
+const MaxRawBytes = 64 << 20
+
 // Validate checks internal consistency: positive packet size, feasible
-// shapes, segments within the body, scores finite and non-negative.
+// shapes within MaxRawBytes, segments within the body, scores finite and
+// non-negative.
 func (l Layout) Validate() error {
 	if l.PacketSize < 1 {
 		return fmt.Errorf("core: layout packet size %d", l.PacketSize)
@@ -144,6 +150,9 @@ func (l Layout) Validate() error {
 			return fmt.Errorf("core: layout shape %d = (%d, %d) infeasible", i, s.M, s.N)
 		}
 		m += s.M
+	}
+	if l.PacketSize > MaxRawBytes/m {
+		return fmt.Errorf("core: layout of %d packets of %d bytes exceeds %d raw bytes", m, l.PacketSize, MaxRawBytes)
 	}
 	if m*l.PacketSize < l.BodySize {
 		return fmt.Errorf("core: layout raw capacity %d below body size %d", m*l.PacketSize, l.BodySize)

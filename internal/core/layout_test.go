@@ -116,6 +116,7 @@ func TestLayoutValidate(t *testing.T) {
 		{"no shapes", func(l *Layout) { l.Shapes = nil }},
 		{"bad shape", func(l *Layout) { l.Shapes = []GenerationShape{{M: 5, N: 3}} }},
 		{"capacity too small", func(l *Layout) { l.Shapes = []GenerationShape{{M: 1, N: 2}} }},
+		{"capacity too large", func(l *Layout) { l.PacketSize = MaxRawBytes/l.M() + 1 }},
 		{"segment out of bounds", func(l *Layout) {
 			l.Ranked = append([]SegmentMeta(nil), l.Ranked...)
 			l.Ranked[0].Length = l.BodySize + 1

@@ -87,14 +87,31 @@ func (r *Receiver) oracleUnitText(seg SegmentMeta) (string, bool) {
 		if chunk > seg.Length-off {
 			chunk = seg.Length - off
 		}
-		data, ok := r.rawBytes(rawIdx)
-		if !ok {
+		data := r.oracleRawBytes(rawIdx)
+		if data == nil {
 			return "", false
 		}
 		copy(buf[off:off+chunk], data[within:within+chunk])
 		off += chunk
 	}
 	return string(buf), true
+}
+
+// oracleRawBytes reads raw packet rawIdx through its generation's
+// decoder, as the receiver's text path did before texts became views of
+// its body buffer; nil while the packet is unreadable.
+func (r *Receiver) oracleRawBytes(rawIdx int) []byte {
+	for g, shape := range r.layout.Shapes {
+		if rawIdx >= shape.M {
+			rawIdx -= shape.M
+			continue
+		}
+		was := r.gens[g].Decoded()
+		sym := r.gens[g].Symbol(rawIdx)
+		r.noteDecode(g, was)
+		return sym
+	}
+	return nil
 }
 
 func (r *Receiver) oracleRender() []RenderedUnit {
@@ -146,8 +163,35 @@ func withEmptyUnit(l Layout) Layout {
 	return l
 }
 
-// checkAgainstOracle compares every progress accessor with the scans.
-func checkAgainstOracle(t *testing.T, r *Receiver, when string) {
+// handedOut keeps every text a receiver handed out, with a copy of what
+// it read then.
+type handedOut []struct {
+	unit RenderedUnit
+	read string
+}
+
+func (h *handedOut) add(units ...RenderedUnit) {
+	for _, u := range units {
+		*h = append(*h, struct {
+			unit RenderedUnit
+			read string
+		}{u, strings.Clone(u.Text)})
+	}
+}
+
+// check fails when a text handed out no longer reads what it read then.
+func (h handedOut) check(t *testing.T, when string) {
+	t.Helper()
+	for _, k := range h {
+		if k.unit.Text != k.read {
+			t.Fatalf("%s: unit %s handed out as %q now reads %q", when, k.unit.Segment.Label, k.read, k.unit.Text)
+		}
+	}
+}
+
+// checkAgainstOracle compares every progress accessor with the scans,
+// and keeps every text Render and UnitText handed out.
+func checkAgainstOracle(t *testing.T, r *Receiver, when string, kept *handedOut) {
 	t.Helper()
 	if got, want := r.InfoContent(), r.oracleInfoContent(); got != want {
 		t.Fatalf("%s: InfoContent = %v, the scan says %v (diff %g)", when, got, want, got-want)
@@ -155,14 +199,19 @@ func checkAgainstOracle(t *testing.T, r *Receiver, when string) {
 	if got, want := r.AvailableUnits(), r.oracleAvailableUnits(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: AvailableUnits has %d units, the scan %d", when, len(got), len(want))
 	}
-	if got, want := r.Render(), r.oracleRender(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Render has %d units, the scan %d", when, len(got), len(want))
+	rendered := r.Render()
+	if want := r.oracleRender(); !reflect.DeepEqual(rendered, want) {
+		t.Fatalf("%s: Render has %d units, the scan %d", when, len(rendered), len(want))
 	}
+	kept.add(rendered...)
 	for _, seg := range r.layout.Accrual {
 		got, gotOK := r.UnitText(seg)
 		want, wantOK := r.oracleUnitText(seg)
 		if got != want || gotOK != wantOK {
 			t.Fatalf("%s: UnitText(%s) = (%d bytes, %v), the scan (%d bytes, %v)", when, seg.Label, len(got), gotOK, len(want), wantOK)
+		}
+		if gotOK {
+			kept.add(RenderedUnit{Segment: seg, Text: got})
 		}
 	}
 }
@@ -172,6 +221,13 @@ func checkAgainstOracle(t *testing.T, r *Receiver, when string) {
 // and each event that rebuilds or replaces the index, the index-backed
 // accessors equal the per-call scans — InfoContent bit for bit — and the
 // NewUnits drains add up to the final Render with every unit once.
+//
+// Texts are views of the receiver's body buffer, so every text handed out
+// along the way — by Render, NewUnits and UnitText, before a Reset, a
+// Rebase or a seeded generation, and before the late sources of decoded
+// generations and the late duplicates that close the stream — is kept:
+// right after the event and at the end each must still read what it read
+// when handed out, and at the end that is the scan's text.
 func TestAvailabilityIndexMatchesScan(t *testing.T) {
 	const sp, seed = 96, 41
 	doc, scores := oracleDoc(t)
@@ -245,9 +301,14 @@ func TestAvailabilityIndexMatchesScan(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkAgainstOracle(t, rcv, "empty")
+						var kept handedOut
+						checkAgainstOracle(t, rcv, "empty", &kept)
 						var drained []RenderedUnit
-						drain := func() { drained = append(drained, rcv.NewUnits()...) }
+						drain := func() {
+							units := rcv.NewUnits()
+							drained = append(drained, units...)
+							kept.add(units...)
+						}
 						drain()
 						if len(drained) != 1 || drained[0].Segment.Label != "empty" {
 							t.Fatalf("before any packet NewUnits = %v, want the zero-length unit", drained)
@@ -258,7 +319,7 @@ func TestAvailabilityIndexMatchesScan(t *testing.T) {
 							if _, intact, err := rcv.AddFrame(frame(cur, at)); err != nil || !intact {
 								t.Fatalf("%s: intact=%v, %v", when, intact, err)
 							}
-							checkAgainstOracle(t, rcv, when)
+							checkAgainstOracle(t, rcv, when, &kept)
 							drain()
 						}
 						eventAt := len(order) / 3
@@ -294,7 +355,8 @@ func TestAvailabilityIndexMatchesScan(t *testing.T) {
 										t.Fatal(err)
 									}
 								}
-								checkAgainstOracle(t, rcv, "after "+event)
+								kept.check(t, "after "+event)
+								checkAgainstOracle(t, rcv, "after "+event, &kept)
 								drain()
 							}
 							feed(at, fmt.Sprintf("packet %d (gen %d row %d)", i, at.g, at.k))
@@ -304,6 +366,11 @@ func TestAvailabilityIndexMatchesScan(t *testing.T) {
 							for i, at := range order[:eventAt] {
 								feed(at, fmt.Sprintf("refetched packet %d", i))
 							}
+						}
+						// Late duplicates: every third packet once more, sources of
+						// generations decoded long since among them.
+						for i := 0; i < len(order); i += 3 {
+							feed(order[i], fmt.Sprintf("late duplicate %d", i))
 						}
 
 						if !rcv.Reconstructible() || rcv.InfoContent() < 1-1e-9 {
@@ -331,6 +398,12 @@ func TestAvailabilityIndexMatchesScan(t *testing.T) {
 						}
 						if more := rcv.NewUnits(); more != nil {
 							t.Fatalf("NewUnits after the last drain = %d units", len(more))
+						}
+						kept.check(t, "at the end")
+						for _, k := range kept {
+							if want, _ := rcv.oracleUnitText(k.unit.Segment); k.read != want {
+								t.Fatalf("unit %s was handed out as %q, the scan's text is %q", k.unit.Segment.Label, k.read, want)
+							}
 						}
 					})
 				}
@@ -369,9 +442,10 @@ func TestNewUnitsTransmissionOrder(t *testing.T) {
 // nothing, whether corrupt or intact. An intact frame that completes no
 // unit — a clear row, a parity row and a fountain repair alike, the last
 // two while their generation is still short of rank — copies its payload
-// into the receiver's current block and takes a slot in the pre-sized
-// held-packet map; the blocks and the decoder's list of held repairs are
-// allocated once for many frames, below one allocation a frame.
+// into its slot of the body buffer (a clear row) or the current repair
+// block, and sets a held flag or joins the held repairs; the repair blocks
+// and the lists of held repairs are allocated once for many frames, below
+// one allocation a frame.
 func TestProgressAllocations(t *testing.T) {
 	doc, scores := paperShapedDoc(t)
 	// 64-byte packets under 512-byte paragraphs: seven clear rows in eight

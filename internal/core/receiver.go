@@ -3,8 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"unsafe"
 
 	"mobweb/internal/erasure"
 	"mobweb/internal/fountain"
@@ -31,11 +31,18 @@ type Receiver struct {
 	// gens holds each generation's decoder; only their repair rows depend
 	// on the layout's codec, and everything below is codec-agnostic.
 	gens []*erasure.Decoder
-	// intact maps wire sequence number (Layout.WireSeq) → payload, so Have
-	// lists, persistence and resume address packets the same way under
-	// every codec. The decoders hold these payloads by reference.
-	intact map[int][]byte
-	// slab is the unused tail of the block Add copies payloads into.
+	// buf is the permuted body, M·sp bytes: raw packet p at buf[p·sp:].
+	// Add copies a source straight into its slot, and the decoders hold
+	// that slot and solve the missing ones into theirs, so it is the only
+	// copy of a source the receiver keeps. Texts are views of it (view).
+	buf []byte
+	// held records the intact packets per generation, in the order of
+	// their wire sequence numbers (Layout.WireSeq), so Have lists,
+	// persistence and resume address packets the same way under every
+	// codec; intact counts them.
+	held   []heldGen
+	intact int
+	// slab is the unused tail of the block Add copies repair payloads into.
 	slab []byte
 	// avail indexes what is usable so far; Add notes the generation it
 	// touched and the progress accessors fold that in before they answer.
@@ -59,16 +66,55 @@ func NewReceiverFromLayout(layout Layout) (*Receiver, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
-	gens, err := newDecoders(layout)
-	if err != nil {
+	r := &Receiver{layout: layout, avail: newAvailIndex(layout)}
+	if err := r.clear(); err != nil {
 		return nil, err
 	}
-	return &Receiver{
-		layout: layout,
-		gens:   gens,
-		intact: make(map[int][]byte, layout.M()),
-		avail:  newAvailIndex(layout),
-	}, nil
+	return r, nil
+}
+
+// heldGen is one generation's record of the intact packets held.
+type heldGen struct {
+	// src[i]: source i arrived; its bytes are raw packet rawOff+i's slot.
+	src []bool
+	// repairs are the held repair rows in ascending index, each with its
+	// payload in a repair block.
+	repairs []erasure.Received
+	// rawOff is the generation's first raw packet, seqOff the wire
+	// sequence number of its packet 0: packet i is seqOff+i on the wire.
+	rawOff, seqOff int
+}
+
+// repair returns the position of repair index among the held repairs,
+// and whether it is held there.
+func (h *heldGen) repair(index int) (int, bool) {
+	return slices.BinarySearchFunc(h.repairs, index, func(rep erasure.Received, i int) int { return rep.Index - i })
+}
+
+// clear gives the receiver a fresh body buffer, fresh decoders that solve
+// into it and an empty held record: the nothing-received state. The old
+// buffer is left as it was, for the texts cut from it.
+func (r *Receiver) clear() error {
+	l := r.layout
+	sp := l.PacketSize
+	r.buf = make([]byte, l.M()*sp)
+	gens, err := newDecoders(l)
+	if err != nil {
+		return err
+	}
+	r.gens = gens
+	flags := make([]bool, l.M())
+	r.held = make([]heldGen, len(l.Shapes))
+	rawOff := 0
+	for g, shape := range l.Shapes {
+		end := rawOff + shape.M
+		gens[g].SolveInto(r.buf[rawOff*sp : end*sp : end*sp])
+		seqOff, _ := l.WireSeq(g, 0) // every generation has packet 0
+		r.held[g] = heldGen{src: flags[rawOff:end:end], rawOff: rawOff, seqOff: seqOff}
+		rawOff = end
+	}
+	r.intact, r.slab = 0, nil
+	return nil
 }
 
 // newDecoders builds one decoder per generation, and is the one place the
@@ -98,8 +144,10 @@ func (r *Receiver) Layout() Layout { return r.layout }
 
 // Add records an intact cooked packet by wire sequence number
 // (Layout.WireSeq) and feeds it to its generation's decoder. Duplicates
-// are ignored. The payload is copied into the receiver's payload blocks,
-// which the held packets share, so a packet costs no allocation of its own.
+// are ignored. A source is copied into its slot of the body buffer —
+// unless the slot was already written, by this source or by a solve — and
+// a repair into the receiver's repair block, so a packet costs no
+// allocation of its own.
 func (r *Receiver) Add(seq int, payload []byte) error {
 	if len(payload) != r.layout.PacketSize {
 		return fmt.Errorf("core: payload %d bytes, want %d", len(payload), r.layout.PacketSize)
@@ -108,32 +156,67 @@ func (r *Receiver) Add(seq int, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("core: seq %d outside the layout", seq)
 	}
-	if _, dup := r.intact[seq]; dup {
-		return nil
+	h, d := &r.held[g], r.gens[g]
+	var own []byte
+	if local < len(h.src) {
+		if h.src[local] {
+			return nil
+		}
+		h.src[local] = true
+		r.intact++
+		if d.Decoded() {
+			return nil // the solve wrote this slot, with these bytes
+		}
+		own = r.slot(h.rawOff + local)
+		copy(own, payload)
+	} else {
+		pos, dup := h.repair(local)
+		if dup {
+			return nil
+		}
+		own = r.keep(g, payload)
+		if h.repairs == nil {
+			// Room for the repairs the generation still misses, in one
+			// allocation.
+			h.repairs = slices.Grow(h.repairs, max(r.lacking(g), 1))
+		}
+		h.repairs = slices.Insert(h.repairs, pos, erasure.Received{Index: local, Data: own})
+		r.intact++
 	}
-	if len(r.slab) < len(payload) {
-		r.slab = r.newSlab()
-	}
-	own := r.slab[:len(payload):len(payload)]
-	r.slab = r.slab[len(payload):]
-	copy(own, payload)
-	r.intact[seq] = own
-	_, err := r.gens[g].Add(local, own)
+	_, err := d.Add(local, own)
 	r.avail.touch(g)
 	return err
 }
 
-// maxSlab bounds one payload block in bytes.
-const maxSlab = 64 << 10
-
-// newSlab returns a block for the next payloads. Its size is the packets
-// the layout still lacks — M less those held, at least one packet, at most
-// maxSlab bytes — so a whole fetch holds its payloads in one or two
-// allocations, and a fetch that stops early leaves one block partly used.
-func (r *Receiver) newSlab() []byte {
+// slot returns raw packet p's slot of the body buffer.
+func (r *Receiver) slot(p int) []byte {
 	sp := r.layout.PacketSize
-	n := min(max(r.layout.M()-len(r.intact), 1), max(maxSlab/sp, 1))
-	return make([]byte, n*sp)
+	return r.buf[p*sp : (p+1)*sp : (p+1)*sp]
+}
+
+// lacking returns how many more intact packets generation g needs: its M
+// less the packets its decoder consumed, and at least one (M held packets
+// that do not span the generation lack one more); none once complete.
+func (r *Receiver) lacking(g int) int {
+	if d := r.gens[g]; !d.Complete() {
+		return max(r.layout.Shapes[g].M-d.Received(), 1)
+	}
+	return 0
+}
+
+// keep copies a repair payload of generation g into the repair block.
+// A block holds what the generation still lacks (one packet once it is
+// complete), so the repairs that complete a generation share one
+// allocation, and a fetch whose sources all arrive keeps none.
+func (r *Receiver) keep(g int, payload []byte) []byte {
+	sp := len(payload)
+	if len(r.slab) < sp {
+		r.slab = make([]byte, max(r.lacking(g), 1)*sp)
+	}
+	own := r.slab[:sp:sp]
+	r.slab = r.slab[sp:]
+	copy(own, payload)
+	return own
 }
 
 // AddFrame parses a wire frame in the layout's codec, verifies its CRC,
@@ -153,12 +236,12 @@ func (r *Receiver) AddFrame(frame []byte) (seq int, intact bool, err error) {
 }
 
 // IntactCount returns the number of distinct intact packets held.
-func (r *Receiver) IntactCount() int { return len(r.intact) }
+func (r *Receiver) IntactCount() int { return r.intact }
 
 // Held reports whether the packet with the given sequence number is held
 // intact; the transport uses it to request selective retransmission.
 func (r *Receiver) Held(seq int) bool {
-	_, ok := r.intact[seq]
+	_, ok := r.Packet(seq)
 	return ok
 }
 
@@ -191,7 +274,8 @@ func (r *Receiver) Rebase(newLayout Layout) (*Receiver, error) {
 		if !ok {
 			continue // beyond the new generation's N
 		}
-		if err := nr.Add(nseq, r.intact[seq]); err != nil {
+		payload, _ := r.Packet(seq)
+		if err := nr.Add(nseq, payload); err != nil {
 			return nil, err
 		}
 	}
@@ -199,32 +283,29 @@ func (r *Receiver) Rebase(newLayout Layout) (*Receiver, error) {
 }
 
 // Reset discards all cached packets — the NoCaching behaviour between
-// retransmission rounds (stock HTTP reload).
+// retransmission rounds (stock HTTP reload). The receiver moves on to a
+// fresh body buffer; texts already handed out keep the old one.
 func (r *Receiver) Reset() {
-	r.intact = make(map[int][]byte, r.layout.M())
-	r.slab = nil
 	// Decoders accumulate state monotonically; a reset means fresh ones.
 	// The layout was validated at construction, so rebuilding cannot fail.
-	gens, err := newDecoders(r.layout)
-	if err != nil {
+	if err := r.clear(); err != nil {
 		panic(fmt.Sprintf("core: reset rebuilt invalid decoders: %v", err))
 	}
-	r.gens = gens
 	r.avail.reset()
 }
 
-// rawSymbols returns generation g's raw packets, which the first call
-// assembles — solving for any that did not arrive — once the generation
-// is complete.
-func (r *Receiver) rawSymbols(g int) ([][]byte, error) {
+// decode makes every raw packet of a complete generation g readable: the
+// first call solves for those that did not arrive, and is counted and
+// traced as the generation's decode.
+func (r *Receiver) decode(g int) error {
 	was := r.gens[g].Decoded()
-	raw, err := r.gens[g].Raw()
+	err := r.gens[g].Solve()
 	r.noteDecode(g, was)
-	return raw, err
+	return err
 }
 
 // noteDecode counts and traces generation g's decode — the read that
-// first assembled its raw symbols — given whether they were assembled
+// first made its raw symbols readable — given whether they were readable
 // before that read.
 func (r *Receiver) noteDecode(g int, was bool) {
 	if !was && r.gens[g].Decoded() {
@@ -246,10 +327,8 @@ func (r *Receiver) GenerationReconstructible(g int) bool {
 // lack one more).
 func (r *Receiver) Needed() int {
 	n := 0
-	for g, d := range r.gens {
-		if !d.Complete() {
-			n += max(r.layout.Shapes[g].M-d.Received(), 1)
-		}
+	for g := range r.gens {
+		n += r.lacking(g)
 	}
 	return n
 }
@@ -272,24 +351,16 @@ func (r *Receiver) Reconstruct() ([]byte, error) {
 	if !r.Reconstructible() {
 		return nil, ErrNotReconstructible
 	}
-	// The body is copied straight out of the raw packets, which are the
-	// held payloads themselves wherever they arrived.
-	raws := make([][]byte, 0, r.layout.M())
-	for g := range r.layout.Shapes {
-		raw, err := r.rawSymbols(g)
-		if err != nil {
+	for g := range r.gens {
+		if err := r.decode(g); err != nil {
 			return nil, fmt.Errorf("generation %d: %w", g, err)
 		}
-		raws = append(raws, raw...)
 	}
-	sp := r.layout.PacketSize
+	// Each ranked segment is one run of the permuted body buffer. The
+	// body is the caller's: no text aliases it.
 	out := make([]byte, r.layout.BodySize)
 	for _, seg := range r.layout.Ranked {
-		dst := out[seg.OrigOff : seg.OrigOff+seg.Length]
-		for off := seg.PermutedOff; len(dst) > 0; {
-			n := copy(dst, raws[off/sp][off%sp:])
-			dst, off = dst[n:], off+n
-		}
+		copy(out[seg.OrigOff:seg.OrigOff+seg.Length], r.buf[seg.PermutedOff:])
 	}
 	return out, nil
 }
@@ -348,50 +419,50 @@ func (r *Receiver) UnitText(seg SegmentMeta) (string, bool) {
 			return "", false
 		}
 	}
-	var text strings.Builder
-	text.Grow(seg.Length)
-	if !r.writeUnit(&text, seg) {
-		return "", false
-	}
-	return text.String(), true
+	return r.text(seg)
 }
 
-// writeUnit writes out a segment every raw packet of which is available;
-// on false it has written the packets before the first unreadable one.
-func (r *Receiver) writeUnit(text *strings.Builder, seg SegmentMeta) bool {
-	sp := r.layout.PacketSize
-	for off := 0; off < seg.Length; {
-		pos := seg.PermutedOff + off
-		within := pos % sp
-		chunk := sp - within
-		if chunk > seg.Length-off {
-			chunk = seg.Length - off
-		}
-		data, ok := r.rawBytes(pos / sp)
-		if !ok {
-			return false
-		}
-		text.Write(data[within : within+chunk])
-		off += chunk
+// text returns an available segment's text as a view of the body buffer,
+// after running the decodes its raw packets wait on. ok=false means a
+// decode failed.
+func (r *Receiver) text(seg SegmentMeta) (string, bool) {
+	if seg.Length == 0 {
+		return "", true
 	}
-	return true
+	first, last := packetSpan(seg, r.layout.PacketSize)
+	for p := first; p <= last; p++ {
+		if !r.readable(p) {
+			return "", false
+		}
+	}
+	return view(r.buf[seg.PermutedOff : seg.PermutedOff+seg.Length]), true
 }
 
-// rawBytes returns raw packet rawIdx's bytes once they are readable: a
-// held clear row at once, any other once its generation is complete, the
-// first such read running the generation's decode.
-func (r *Receiver) rawBytes(rawIdx int) ([]byte, bool) {
+// view returns b as a string without a copy. It is sound because of the
+// body buffer's write-once rule: a raw slot is written exactly once — by
+// Add when its source arrives, or by its generation's solve — before a
+// read cuts a view of it, and never again, and Reset and Rebase move on
+// to a fresh buffer instead of clearing the old one. So the bytes a text
+// covers never change while it lives, and another goroutine may read it
+// while packets keep arriving. availIndex flags a complete generation's
+// raw packets usable before their solve; a read (readable) runs it first.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// readable reports whether raw packet rawIdx's bytes can be read: a held
+// source at once, any other once its generation is complete, the first
+// such read running the generation's decode.
+func (r *Receiver) readable(rawIdx int) bool {
 	for g, shape := range r.layout.Shapes {
 		if rawIdx >= shape.M {
 			rawIdx -= shape.M
 			continue
 		}
 		was := r.gens[g].Decoded()
-		sym := r.gens[g].Symbol(rawIdx)
+		ok := r.gens[g].Symbol(rawIdx) != nil
 		r.noteDecode(g, was)
-		return sym, sym != nil
+		return ok
 	}
-	return nil, false
+	return false
 }
 
 // RenderedUnit pairs an available unit with its text, for progressive
@@ -400,7 +471,9 @@ func (r *Receiver) rawBytes(rawIdx int) ([]byte, bool) {
 type RenderedUnit struct {
 	// Segment is the unit's layout segment.
 	Segment SegmentMeta
-	// Text is the unit's body text.
+	// Text is the unit's body text: a view of the receiver's body buffer,
+	// never written again once cut, so keeping a text keeps that buffer
+	// alive.
 	Text string
 }
 
@@ -431,33 +504,27 @@ func (r *Receiver) NewUnits() []RenderedUnit {
 }
 
 // render pairs the available accrual units — all of them, or only those
-// NewUnits has not handed out — with their text. The texts are substrings
-// of one string, built in one allocation.
+// NewUnits has not handed out — with their text, a view of the body
+// buffer.
 func (r *Receiver) render(undrainedOnly bool) []RenderedUnit {
 	ix := &r.avail
 	picked := func(s int) bool { return ix.missing[s] == 0 && !(undrainedOnly && ix.drained[s]) }
-	n, size := 0, 0
-	for s, seg := range r.layout.Accrual {
+	n := 0
+	for s := range r.layout.Accrual {
 		if picked(s) {
 			n++
-			size += seg.Length
 		}
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]RenderedUnit, 0, n)
-	var text strings.Builder
-	text.Grow(size)
 	for s, seg := range r.layout.Accrual {
 		if !picked(s) {
 			continue
 		}
-		// A builder's string is never written again, only extended, so a
-		// unit's text can be cut from it before the next unit is added.
-		start := text.Len()
-		if r.writeUnit(&text, seg) {
-			out = append(out, RenderedUnit{Segment: seg, Text: text.String()[start:]})
+		if text, ok := r.text(seg); ok {
+			out = append(out, RenderedUnit{Segment: seg, Text: text})
 		}
 	}
 	return out
@@ -465,12 +532,20 @@ func (r *Receiver) render(undrainedOnly bool) []RenderedUnit {
 
 // HaveList returns every held sequence number in ascending order — the
 // resume/retransmission Have list, in the layout's wire sequence space.
+// The held record keeps that order: generations, then sources before
+// repairs, each ascending.
 func (r *Receiver) HaveList() []int {
-	out := make([]int, 0, len(r.intact))
-	for seq := range r.intact {
-		out = append(out, seq)
+	out := make([]int, 0, r.intact)
+	for _, h := range r.held {
+		for i, ok := range h.src {
+			if ok {
+				out = append(out, h.seqOff+i)
+			}
+		}
+		for _, rep := range h.repairs {
+			out = append(out, h.seqOff+rep.Index)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 

@@ -9,22 +9,39 @@ import "fmt"
 // instead of refetching bytes the radio already delivered.
 
 // Packet returns the held intact cooked payload for a wire sequence
-// number. The returned slice is the receiver's own storage and must not
-// be modified.
+// number: a source's slot of the body buffer, or a repair's copy. The
+// returned slice is the receiver's own storage and must not be modified.
 func (r *Receiver) Packet(seq int) ([]byte, bool) {
-	payload, ok := r.intact[seq]
-	return payload, ok
+	g, local, ok := r.layout.SplitSeq(seq)
+	if !ok {
+		return nil, false
+	}
+	h := &r.held[g]
+	if local < len(h.src) {
+		if !h.src[local] {
+			return nil, false
+		}
+		return r.slot(h.rawOff + local), true
+	}
+	pos, ok := h.repair(local)
+	if !ok {
+		return nil, false
+	}
+	return h.repairs[pos].Data, true
 }
 
 // DecodedGeneration returns generation g's raw packets, decoding on
 // first use. It errors while the generation is not reconstructible, and
 // for a generation the layout does not have. The returned slices are
-// shared with the decoder and must not be modified.
+// views of the body buffer and must not be modified.
 func (r *Receiver) DecodedGeneration(g int) ([][]byte, error) {
 	if !r.GenerationReconstructible(g) {
 		return nil, ErrNotReconstructible
 	}
-	return r.rawSymbols(g)
+	if err := r.decode(g); err != nil {
+		return nil, err
+	}
+	return r.gens[g].Raw()
 }
 
 // DoneGenerations lists the reconstructible generations in ascending

@@ -25,8 +25,10 @@ type RowFunc func(index int, coeffs []byte)
 // completion is decided on coefficients alone: the generation is complete
 // once the held repairs, restricted to the columns of the missing
 // sources, have full rank. The payload work runs once, on the first read
-// that needs a missing symbol (Symbol or Raw): syndromes against the held
-// sources, then one u×u inverse for the u missing symbols.
+// that needs a missing symbol (Solve, Symbol or Raw): syndromes against
+// the held sources, then one u×u inverse for the u missing symbols, each
+// written into its row of the slots SolveInto named, or of a block of the
+// decoder's own.
 type Decoder struct {
 	m, size int
 	rows    RowFunc
@@ -34,9 +36,12 @@ type Decoder struct {
 	held    int        // non-nil entries of src
 	repairs []Received // held repairs in ascending index order
 	picked  []int      // positions in repairs of the rows the solve uses
+	slots   []byte     // where the solve writes symbol i, at i·size; nil: a block of its own
 
+	received int // distinct packets consumed before completion
 	complete bool
-	raw      [][]byte // every source symbol, once a read assembled them
+	solved   bool     // every source symbol is readable
+	raw      [][]byte // every source symbol, once a solve or Raw assembled them
 }
 
 // NewDecoder returns an empty decoder for m >= 1 source symbols of size
@@ -54,20 +59,33 @@ func (c *Coder) NewDecoder(size int) *Decoder {
 // row is the Coder's RowFunc: cooked packet index's dispersal row.
 func (c *Coder) row(index int, coeffs []byte) { copy(coeffs, c.dispersal.Row(index)) }
 
+// SolveInto has the solve write missing source symbol i into
+// slots[i·size:(i+1)·size], M·size bytes whose rows are zero until their
+// symbol is added or solved, instead of into a block of its own. A caller
+// that Adds each source as its own row of slots ends up with every symbol
+// in order in one buffer. Call it before the first read.
+func (d *Decoder) SolveInto(slots []byte) {
+	if len(slots) != d.m*d.size {
+		panic(fmt.Sprintf("erasure: %d slot bytes for %d symbols of %d bytes", len(slots), d.m, d.size))
+	}
+	d.slots = slots
+}
+
 // Complete reports whether every source symbol can be read.
 func (d *Decoder) Complete() bool { return d.complete }
 
-// Decoded reports whether a read has assembled the source symbols.
-func (d *Decoder) Decoded() bool { return d.raw != nil }
+// Decoded reports whether a read has made every source symbol readable.
+func (d *Decoder) Decoded() bool { return d.solved }
 
 // Received returns how many distinct packets were consumed before
 // completion; Received − M is the reception overhead.
-func (d *Decoder) Received() int { return d.held + len(d.repairs) }
+func (d *Decoder) Received() int { return d.received }
 
 // Add holds packet index and returns how many source symbols it made
-// readable. Duplicates and packets arriving after completion are no-ops.
-// The payload is held by reference: the caller must not modify it while
-// the decoder lives.
+// readable. Duplicates and packets arriving after completion are no-ops,
+// but for a source the solve has yet to write: it is held, so the solve
+// leaves that row alone. The payload is held by reference: the caller
+// must not modify it while the decoder lives.
 func (d *Decoder) Add(index int, payload []byte) (int, error) {
 	if len(payload) != d.size {
 		return 0, fmt.Errorf("erasure: packet %d has %d bytes, want %d", index, len(payload), d.size)
@@ -76,6 +94,10 @@ func (d *Decoder) Add(index int, payload []byte) (int, error) {
 		return 0, fmt.Errorf("erasure: packet index %d negative", index)
 	}
 	if d.complete {
+		if index < d.m && d.src[index] == nil && !d.solved {
+			d.src[index] = payload
+			d.held++
+		}
 		return 0, nil
 	}
 	before := d.held
@@ -97,8 +119,9 @@ func (d *Decoder) Add(index int, payload []byte) (int, error) {
 		}
 		d.repairs = slices.Insert(d.repairs, pos, Received{Index: index, Data: payload})
 	}
+	d.received++
 	codecMetrics.packetsConsumed.Inc()
-	if d.Received() >= d.m && d.spans() {
+	if d.received >= d.m && d.spans() {
 		d.finish()
 		return d.m - before, nil
 	}
@@ -185,42 +208,74 @@ func (d *Decoder) Symbol(i int) []byte {
 	if s := d.src[i]; s != nil || !d.complete {
 		return s
 	}
-	raw, err := d.Raw()
-	if err != nil {
+	if d.Solve() != nil {
 		return nil
 	}
-	return raw[i]
+	return d.raw[i]
+}
+
+// Solve makes every source symbol of a complete generation readable,
+// solving for the missing ones on the first call; later calls do nothing.
+// With every source held there is nothing to solve and nothing allocated.
+func (d *Decoder) Solve() error {
+	if d.solved {
+		return nil
+	}
+	if !d.complete {
+		return fmt.Errorf("%w: %d packets held do not span %d symbols", ErrShortSet, d.Received(), d.m)
+	}
+	if u := d.m - d.held; u > 0 {
+		// Sources held since completion shrink the system the rows were
+		// picked for; the spans then pick afresh.
+		if len(d.picked) != u && !d.spans() {
+			return fmt.Errorf("%w: held repairs no longer span %d symbols", ErrShortSet, u)
+		}
+		// Missing symbol i goes to row i of the slots, or to the next row
+		// of a block of the decoder's own.
+		rows, next := d.slots, 0
+		if rows == nil {
+			rows = make([]byte, u*d.size)
+		}
+		raw := make([][]byte, d.m)
+		for i, s := range d.src {
+			if s == nil {
+				at := next
+				if d.slots != nil {
+					at = i
+				}
+				s = rows[at*d.size : (at+1)*d.size : (at+1)*d.size]
+				next++
+			}
+			raw[i] = s
+		}
+		if err := d.solve(raw); err != nil {
+			return err
+		}
+		d.raw = raw
+	}
+	d.solved = true
+	return nil
 }
 
 // Raw returns all M source symbols of a complete generation, solving for
 // the missing ones on the first call; later calls return the same slices.
-// A held source is its payload as Add received it, not a copy; the solved
-// ones share one block of capacity-capped views. None may be modified.
+// A held source is its payload as Add received it, not a copy; a solved
+// one is its row of the SolveInto slots, or of the decoder's own block.
+// None may be modified.
 func (d *Decoder) Raw() ([][]byte, error) {
-	if d.raw != nil {
-		return d.raw, nil
-	}
-	if !d.complete {
-		return nil, fmt.Errorf("%w: %d packets held do not span %d symbols", ErrShortSet, d.Received(), d.m)
-	}
-	raw := make([][]byte, d.m)
-	solved := allocPackets(d.m-d.held, d.size)
-	for i, s := range d.src {
-		if s == nil {
-			s, solved = solved[0], solved[1:]
-		}
-		raw[i] = s
-	}
-	if err := d.solve(raw); err != nil {
+	if err := d.Solve(); err != nil {
 		return nil, err
 	}
-	d.raw = raw
-	return raw, nil
+	if d.raw == nil {
+		d.raw = d.src // every source held: nothing was solved
+	}
+	return d.raw, nil
 }
 
 // solve fills the missing rows of raw, which hold zeros on entry, and
-// only reads the others. Picked repair k carries Σ_j C[k][j]·raw[j];
-// adding the held sources' terms to it leaves the syndrome
+// only reads the others; the syndromes are scratch of its own. Picked
+// repair k carries Σ_j C[k][j]·raw[j]; adding the held sources' terms to
+// it leaves the syndrome
 // Σ_i C[k][missing i]·raw[missing i], u equations in the u missing
 // symbols, solved by one u×u inverse.
 func (d *Decoder) solve(raw [][]byte) error {

@@ -263,3 +263,57 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 		t.Fatal("decoded packet aliases the received data")
 	}
 }
+
+// TestSolveIntoWritesOnlyMissingRows: a decoder handed a slot buffer
+// solves each missing symbol into its own row of it and writes no other
+// row, and a source added after completion but before the solve is held
+// as it arrived: the solve picks its rows again for the smaller system
+// and leaves that symbol's slot untouched.
+func TestSolveIntoWritesOnlyMissingRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const m, n, size = 6, 10, 32
+	c, err := NewCoder(m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := randomPackets(rng, m, size)
+	cooked, err := c.Encode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, late := range []bool{false, true} {
+		slots := make([]byte, m*size)
+		d := c.NewDecoder(size)
+		d.SolveInto(slots)
+		// Sources 0 and 3 are lost; four repairs complete the generation.
+		for _, i := range []int{1, 2, 4, 5, 6, 7, 8, 9} {
+			if _, err := d.Add(i, cooked[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !d.Complete() || d.Decoded() {
+			t.Fatalf("late=%v: complete %v, decoded %v after the repairs", late, d.Complete(), d.Decoded())
+		}
+		if late {
+			if _, err := d.Add(3, cooked[3]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := d.Raw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range raw {
+			if !bytes.Equal(got[i], raw[i]) {
+				t.Fatalf("late=%v: symbol %d mismatch", late, i)
+			}
+			row := slots[i*size : (i+1)*size]
+			if solved := i == 0 || (i == 3 && !late); solved != bytes.Equal(row, raw[i]) || !solved && !bytes.Equal(row, make([]byte, size)) {
+				t.Fatalf("late=%v: slot %d reads %x, solved %v", late, i, row, solved)
+			}
+		}
+		if late && &got[3][0] != &cooked[3][0] {
+			t.Error("the late source is not held as it arrived")
+		}
+	}
+}

@@ -21,8 +21,8 @@ const (
 	EventPacket = "packet"
 	// EventCorrupt is one CRC-failed frame claiming sequence number Seq.
 	EventCorrupt = "corrupt"
-	// EventDecode is generation Gen's decode: the first read that
-	// assembled its raw packets, solving for any that did not arrive.
+	// EventDecode is generation Gen's decode: the first read that made
+	// its raw packets readable, solving for any that did not arrive.
 	EventDecode = "decode"
 	// EventGamma is an adaptive-γ change: the next round will request
 	// redundancy Value.
@@ -36,7 +36,9 @@ const (
 	EventRebase = "rebase"
 	// EventStoreSeed seeds the fetch with N packets from the client's
 	// store — prefetched, kept by an earlier fetch, or left by a previous
-	// process life.
+	// process life. One with N = 0 in round Round is the drop of those
+	// packets as another stream's, so the last one's N is always the
+	// fetch's StoredPackets.
 	EventStoreSeed = "store-seed"
 	// EventStop is the client telling the transmitter to stop early
 	// (relevance threshold reached).

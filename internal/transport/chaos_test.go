@@ -9,6 +9,7 @@ import (
 
 	"mobweb/internal/channel"
 	"mobweb/internal/corpus"
+	"mobweb/internal/erasure"
 	"mobweb/internal/planner"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
@@ -92,11 +93,13 @@ func cleanBody(t *testing.T, doc string) []byte {
 	return res.Body
 }
 
-// chaosAcceptancePolicy kills three connections mid-stream: the draft
-// document streams ~18 KB (68 × 264 B frames behind a ~2.3 KB layout
-// header), so a 4–7 KB write budget dies well inside the packet stream.
+// chaosAcceptancePolicy kills three connections mid-stream, all before
+// the document completes: the draft's M = 45 source frames take 264 B
+// each on the wire behind a ~0.7 KB layout header, so a 2–4 KB write
+// budget dies after 4 to 12 frames, three connections deliver at most 36
+// packets, and the fetch needs a fourth whatever the seed.
 func chaosAcceptancePolicy() ChaosPolicy {
-	return ChaosPolicy{Seed: 7, KillAfterMin: 4000, KillAfterMax: 7000, MaxKills: 3}
+	return ChaosPolicy{Seed: 7, KillAfterMin: 2000, KillAfterMax: 4000, MaxKills: 3}
 }
 
 func TestChaosFetchReconnectsAndResumes(t *testing.T) {
@@ -122,6 +125,50 @@ func TestChaosFetchReconnectsAndResumes(t *testing.T) {
 	// well under a from-scratch retransmission per connection.
 	if res.PacketsReceived >= 4*len(want)/256 {
 		t.Errorf("resume received %d packets, looks like from-scratch per round", res.PacketsReceived)
+	}
+}
+
+// TestChaosKillAfterCompletionIsDone: a connection that dies after the
+// receiver completed — here in the drain after "stop", two bytes past the
+// last source frame — ends the fetch, which redials for nothing: no
+// reconnect, one round, one header.
+func TestChaosKillAfterCompletionIsDone(t *testing.T) {
+	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
+		t.Run(codec.String(), func(t *testing.T) {
+			opts := FetchOptions{Doc: corpus.DraftName, Caching: true, Codec: codec}
+			srv, err := NewServer(corpusEngine(t), ServerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			layout, err := srv.Layout(opts)
+			srv.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean, err := startServer(t, ServerOptions{}).Fetch(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A clean stream's first M frames are the sources, which
+			// complete the receiver; the kill lands in what follows them.
+			frame := clean.BytesReceived / clean.PacketsReceived
+			budget := clean.HeaderBytes + layout.M()*(frameHeader+frame) + 2
+			client, chaos := startChaosServer(t, ServerOptions{}, ChaosPolicy{KillAfterMin: budget, KillAfterMax: budget, MaxKills: 1})
+			res, err := client.Fetch(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chaos.Kills() != 1 {
+				t.Fatalf("chaos delivered %d kills, want the one after completion", chaos.Kills())
+			}
+			if res.Reconnects != 0 || res.Rounds != 1 || res.HeaderBytes != clean.HeaderBytes {
+				t.Errorf("a kill after completion cost %d reconnects, %d rounds and %d header bytes, want 0, 1 and %d",
+					res.Reconnects, res.Rounds, res.HeaderBytes, clean.HeaderBytes)
+			}
+			if !bytes.Equal(res.Body, clean.Body) {
+				t.Error("body differs from the clean fetch's")
+			}
+		})
 	}
 }
 

@@ -429,7 +429,9 @@ type Progress struct {
 	// InfoContent is the accrued information content after this frame.
 	InfoContent float64
 	// NewUnits lists units that became fully available with this frame,
-	// ready to render at their proper position.
+	// ready to render at their proper position. Their texts are views of
+	// the receiver's body buffer that never change, so a renderer may keep
+	// them, and read them on another goroutine, while the fetch goes on.
 	NewUnits []core.RenderedUnit
 	// Replica, Capability and Codec are the round's response header, as
 	// FetchResult reports them at the end: who serves the stream, at what
@@ -521,7 +523,9 @@ type FetchResult struct {
 	Body []byte
 	// InfoContent is the accrued information content at termination.
 	InfoContent float64
-	// Rendered lists every available unit in transmission order.
+	// Rendered lists every available unit in transmission order. Each
+	// text is a view of the receiver's body buffer, which is never written
+	// again where a text covers it: keeping one keeps that buffer alive.
 	Rendered []core.RenderedUnit
 	// Rounds is the number of transmission rounds used (every Request
 	// sent, including resumes after a reconnect).
@@ -742,6 +746,12 @@ func (c *Client) fetchContext(ctx context.Context, opts FetchOptions) (*FetchRes
 		if !isConnError(err) {
 			return fail(err)
 		}
+		if rcv != nil && c.terminated(rcv, opts) {
+			// The connection died after the stop condition held — in the
+			// drain after "stop", say. Done is done: nothing is owed, so
+			// there is nothing to redial for.
+			return c.finish(rcv, opts, result)
+		}
 		if cerr := ctx.Err(); cerr != nil {
 			// The context interrupted the round; report the cause, not
 			// the induced I/O timeout.
@@ -832,9 +842,13 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 		rebased, rerr := rcv.Rebase(*resp.Layout)
 		if rerr != nil {
 			// The packets held, stored ones included, are another
-			// stream's: none of them counts toward this fetch.
+			// stream's: none of them counts toward this fetch, and the
+			// timeline says so.
 			rcv = nil
-			result.StoredPackets = 0
+			if result.StoredPackets > 0 {
+				result.StoredPackets = 0
+				opts.Trace.Record(obs.Event{Type: obs.EventStoreSeed, Round: result.Rounds})
+			}
 		} else {
 			rcv = rebased
 			opts.Trace.Record(obs.Event{Type: obs.EventRebase, Round: result.Rounds, N: rcv.IntactCount()})

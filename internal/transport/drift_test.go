@@ -62,7 +62,8 @@ func editedCorpusEngine(t *testing.T) (*search.Engine, *document.Document) {
 // exact body — never A's packets decoded into a wrong body with a nil
 // error. The request names the seed its Have list belongs to, so B
 // ignores that list and sends every source packet of its own body, and
-// the result counts none of A's packets as stored.
+// the result — and the timeline with it — counts none of A's packets as
+// stored.
 func TestStoreDriftRefetchesEditedDocument(t *testing.T) {
 	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -92,6 +93,17 @@ func TestStoreDriftRefetchesEditedDocument(t *testing.T) {
 			}
 			if res.StoredPackets != 0 {
 				t.Errorf("the fetch counts %d packets of the original document as stored", res.StoredPackets)
+			}
+			// The timeline agrees: its last store-seed event (none reads
+			// as zero) carries the packets the fetch counts as stored.
+			seeded := 0
+			for _, ev := range tr.Events() {
+				if ev.Type == obs.EventStoreSeed {
+					seeded = ev.N
+				}
+			}
+			if seeded != res.StoredPackets {
+				t.Errorf("the timeline's store seed reads %d packets, the result %d", seeded, res.StoredPackets)
 			}
 			srvB, err := NewServer(engineB, ServerOptions{})
 			if err != nil {

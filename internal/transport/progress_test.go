@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"mobweb/internal/channel"
@@ -105,6 +107,130 @@ func TestNewUnitsExactlyOncePerFetch(t *testing.T) {
 			for _, u := range res.Rendered {
 				if got, ok := delivered[u.Segment.PermutedOff]; !ok || got != u {
 					t.Errorf("unit %s: delivered %v, rendered differently", u.Segment.Label, ok)
+				}
+			}
+		})
+	}
+}
+
+// lateSourceInjector corrupts frames by a channel model and holds back
+// source 1 of every generation, putting it on the air in place of the
+// first frame after M more of its generation's went by. The generation
+// has usually decoded by then, so the source arrives late, for a slot the
+// solve already wrote and a text may already show.
+type lateSourceInjector struct {
+	layout core.Layout
+	inner  FaultInjector
+
+	mu       sync.Mutex
+	held     [][]byte // by generation
+	since    []int    // frames of the generation since its hold
+	released int
+}
+
+func newLateSourceInjector(layout core.Layout, inner FaultInjector) *lateSourceInjector {
+	n := len(layout.Shapes)
+	return &lateSourceInjector{layout: layout, inner: inner, held: make([][]byte, n), since: make([]int, n)}
+}
+
+// Inject implements FaultInjector.
+func (l *lateSourceInjector) Inject(frame []byte, seq int) ([]byte, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	g, local, _ := l.layout.SplitSeq(seq)
+	if local == 1 && l.since[g] == 0 && l.held[g] == nil {
+		l.held[g] = append([]byte(nil), frame...)
+		return nil, false
+	}
+	if l.held[g] != nil {
+		l.since[g]++
+	}
+	for h, late := range l.held {
+		if late != nil && l.since[h] >= l.layout.Shapes[h].M {
+			l.held[h] = nil
+			l.released++
+			return late, true // in place of this frame, which is lost
+		}
+	}
+	return l.inner.Inject(frame, seq)
+}
+
+// TestProgressTextsReadConcurrently: OnProgress hands every unit text to
+// a reader goroutine, which keeps reading them all while the lossy fetch
+// goes on and sources of decoded generations arrive late. A text is a
+// view of the receiver's body buffer, whose slots are written once, so
+// the race detector reports nothing, and every text still matches the
+// body afterwards.
+func TestProgressTextsReadConcurrently(t *testing.T) {
+	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
+		t.Run(codec.String(), func(t *testing.T) {
+			defaults := core.Config{MaxGeneration: 8}
+			opts := FetchOptions{Doc: corpus.DraftName, LOD: document.LODParagraph, Codec: codec, Caching: true, MaxRounds: 20}
+			srv, err := NewServer(corpusEngine(t), ServerOptions{Defaults: defaults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			layout, err := srv.Layout(opts)
+			srv.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			model, err := channel.NewBernoulli(0.1, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj := newLateSourceInjector(layout, NewModelInjector(model))
+			client := startServer(t, ServerOptions{Defaults: defaults, InjectorFactory: oneChannel(inj)})
+
+			// Room for every unit the draft has, so OnProgress never waits
+			// on the reader.
+			texts := make(chan string, 1024)
+			readerDone := make(chan int)
+			go func() {
+				// The reader copies each text out, as a renderer drawing it
+				// would: the race detector sees a copy's reads, not those
+				// of string indexing, which it takes for immutable data.
+				var kept []string
+				var screen []byte
+				for open := true; open; {
+					select {
+					case s, ok := <-texts:
+						open = ok
+						kept = append(kept, s)
+					default:
+					}
+					for _, s := range kept {
+						screen = append(screen[:0], s...)
+					}
+				}
+				readerDone <- len(screen)
+			}()
+			var handed []core.RenderedUnit
+			opts.OnProgress = func(p Progress) {
+				for _, u := range p.NewUnits {
+					handed = append(handed, u)
+					texts <- u.Text
+				}
+			}
+			res, err := client.Fetch(opts)
+			close(texts)
+			<-readerDone
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Body == nil {
+				t.Fatal("fetch incomplete")
+			}
+			inj.mu.Lock()
+			released := inj.released
+			inj.mu.Unlock()
+			if released == 0 {
+				t.Fatal("no source arrived late; the test exercises nothing")
+			}
+			for _, u := range handed {
+				seg := u.Segment
+				if want := res.Body[seg.OrigOff : seg.OrigOff+seg.Length]; !bytes.Equal([]byte(u.Text), want) {
+					t.Errorf("unit %s: the text handed out no longer matches the body", seg.Label)
 				}
 			}
 		})
