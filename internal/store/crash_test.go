@@ -85,6 +85,82 @@ func TestStoreKillDuringAppendTornWrite(t *testing.T) {
 	}
 }
 
+// TestStoreKillDuringBatchTornWrite is the same contract for a batch:
+// one PutPackets writes a round of records in one write, and a crash can
+// tear it anywhere. Cut at every byte of the batch, recovery keeps the
+// record written before it and every batch record wholly before the
+// cut, and surfaces nothing torn: a crash costs at most the batch's
+// records from the tear on.
+func TestStoreKillDuringBatchTornWrite(t *testing.T) {
+	base := t.TempDir()
+	s := mustOpen(t, base, Options{})
+	first := payload(7, 40)
+	if err := s.PutPacket("p", 0, 0, 0, first); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Bytes
+	var round []Packet
+	for i := 1; i <= 5; i++ {
+		round = append(round, Packet{Gen: 0, Seq: i, Payload: payload(byte(10*i), 30+4*i)})
+	}
+	if err := s.PutPackets("p", 0, round); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	seg, err := os.ReadFile(filepath.Join(base, "seg-00000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []int64{before} // segment size after each record
+	for _, p := range round {
+		bounds = append(bounds, bounds[len(bounds)-1]+int64(recHeaderLen+len("p")+len(p.Payload)+recTrailerLen))
+	}
+	if bounds[len(bounds)-1] != int64(len(seg)) {
+		t.Fatalf("segment is %d bytes, records add up to %d", len(seg), bounds[len(bounds)-1])
+	}
+	want := append([]Packet{{Gen: 0, Seq: 0, Payload: first}}, round...)
+
+	for cut := before; cut <= int64(len(seg)); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-00000000.log"), seg[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("cut %d: open: %v", cut, err)
+		}
+		complete, clean := 0, false
+		for _, b := range bounds {
+			if cut >= b {
+				complete++
+			}
+			clean = clean || cut == b
+		}
+		pkts := s2.Packets("p", 0)
+		if len(pkts) != complete {
+			t.Fatalf("cut %d: recovered %d records, want %d", cut, len(pkts), complete)
+		}
+		for i, p := range pkts {
+			if p.Seq != want[i].Seq || !bytes.Equal(p.Payload, want[i].Payload) {
+				t.Fatalf("cut %d: record %d corrupted after recovery", cut, i)
+			}
+		}
+		if tails := s2.Stats().TornTails; (tails == 0) != clean {
+			t.Fatalf("cut %d: torn tails = %d, clean cut %v", cut, tails, clean)
+		}
+		// The lost records can be stored again, and survive a reopen.
+		if err := s2.PutPackets("p", 0, round); err != nil {
+			t.Fatalf("cut %d: batch after recovery: %v", cut, err)
+		}
+		s2.Close()
+		s3 := mustOpen(t, dir, Options{})
+		if pkts := s3.Packets("p", 0); len(pkts) != len(want) {
+			t.Fatalf("cut %d: %d records after re-storing the batch, want %d", cut, len(pkts), len(want))
+		}
+		s3.Close()
+	}
+}
+
 // boundsAt returns the exact byte bound after n complete records (0 for
 // none), so the torn-tail assertion can exempt clean cuts.
 func boundsAt(bounds []int64, n int) int64 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"mobweb/internal/core"
@@ -439,4 +440,106 @@ func TestStoreEvictionIsReproducible(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStoreConcurrentPlansKeepTheirBytes: two goroutines persist rounds
+// and read back their own plans on one store, so each one's reads run
+// between the other's writes and reads. Every payload and raw packet a
+// read returned must hold the bytes stored under its coordinates until
+// the end — a read handing out views of a buffer the store reuses fails
+// here, and under -race.
+func TestStoreConcurrentPlansKeepTheirBytes(t *testing.T) {
+	forTiers(t, func(t *testing.T, dir string) {
+		s := mustOpen(t, dir, Options{MaxBytes: -1, SegmentBytes: 8 << 10})
+		defer s.Close()
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				plan := fmt.Sprintf("plan-%d", w)
+				want := func(gen, seq int) []byte { return payload(byte(64*w+8*gen+seq), 48) }
+				var got [][]byte // every slice a read returned
+				var exp [][]byte // the bytes each must hold
+				for r := 0; r < 24; r++ {
+					round := make([]Packet, 6)
+					for i := range round {
+						round[i] = Packet{Gen: r, Seq: i, Payload: want(r, i)}
+					}
+					if err := s.PutPackets(plan, 0, round); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := s.PutGeneration(plan, 0, 100+r, [][]byte{want(100+r, 0), want(100+r, 1)}); err != nil {
+						t.Error(err)
+						return
+					}
+					for _, p := range s.Packets(plan, 0) {
+						got, exp = append(got, p.Payload), append(exp, want(p.Gen, p.Seq))
+					}
+					for _, g := range s.Generations(plan, 0) {
+						for i, raw := range g.Raw {
+							got, exp = append(got, raw), append(exp, want(g.Gen, i))
+						}
+					}
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], exp[i]) {
+						t.Errorf("%s: returned slice %d changed after later calls", plan, i)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	})
+}
+
+// TestStoreReplaceLayoutDropsOnlyAnotherStream: a drain's layout that
+// differs from the stored one only in per-generation N (a γ change)
+// shadows it and keeps the plan's packets; one of another stream (here
+// another content digest) drops them first, across reopen too.
+func TestStoreReplaceLayoutDropsOnlyAnotherStream(t *testing.T) {
+	forTiers(t, func(t *testing.T, dir string) {
+		s := mustOpen(t, dir, Options{})
+		lo := pinLayout(1, 300)
+		if err := s.ReplaceLayout("p", lo); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutPacket("p", lo.Codec, 0, 0, payload(1, 100)); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats().Bytes
+		if err := s.ReplaceLayout("p", lo); err != nil || s.Stats().Bytes != before {
+			t.Fatalf("identical layout: err %v, %d bytes appended", err, s.Stats().Bytes-before)
+		}
+		wider := pinLayout(1, 300)
+		wider.Shapes = append([]core.GenerationShape(nil), wider.Shapes...)
+		wider.Shapes[0].N++
+		if err := s.ReplaceLayout("p", wider); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Layout("p"); !ok || got.Shapes[0].N != wider.Shapes[0].N || len(s.Packets("p", lo.Codec)) != 1 {
+			t.Fatal("a γ-only layout change lost the layout or the packets")
+		}
+		if err := s.ReplaceLayout("p", pinLayout(2, 300)); err != nil {
+			t.Fatal(err)
+		}
+		check := func(s *Store) {
+			t.Helper()
+			if got, ok := s.Layout("p"); !ok || got.Seed != 2 {
+				t.Fatalf("layout after another stream: ok %v seed %d", ok, got.Seed)
+			}
+			if n := len(s.Packets("p", lo.Codec)); n != 0 {
+				t.Fatalf("%d packets of the old stream survived", n)
+			}
+		}
+		check(s)
+		s.Close()
+		if dir != "" {
+			s2 := mustOpen(t, dir, Options{})
+			defer s2.Close()
+			check(s2)
+		}
+	})
 }

@@ -1,6 +1,9 @@
 package transport
 
-import "mobweb/internal/core"
+import (
+	"mobweb/internal/core"
+	"mobweb/internal/store"
+)
 
 // This file glues the client to its packet store (Client.Store): seeding
 // a fresh receiver from stored state before touching the wire, and
@@ -63,54 +66,38 @@ func (c *Client) storeSeed(plan string) (*core.Receiver, int) {
 
 // persistReceiver drains a receiver's state to the store under one plan
 // key: the layout, each reconstructible generation's decoded raw
-// packets, and the loose held packets of generations still in flight.
-// Duplicate records are skipped by the store, so calling this after
-// every round costs only the round's new packets. An incompatible
-// layout change drops the plan's stale records first. It returns the
-// records newly written; write errors are swallowed — the store is a
-// cache, and a fetch must not fail because the disk did.
-func (c *Client) persistReceiver(plan string, rcv *core.Receiver) int {
+// packets, and, in one batch, the loose held packets of generations
+// still in flight. Duplicate records are skipped by the store, so
+// calling this after every round costs only the round's new packets. An
+// incompatible layout change drops the plan's stale records first.
+// Write errors are swallowed — the store is a cache, and a fetch must
+// not fail because the disk did.
+func (c *Client) persistReceiver(plan string, rcv *core.Receiver) {
 	if c.Store == nil || rcv == nil {
-		return 0
+		return
 	}
 	lo := rcv.Layout()
-	if stored, ok := c.Store.Layout(plan); ok && stored.SameStream(lo) != nil {
-		c.Store.Drop(plan)
+	if c.Store.ReplaceLayout(plan, lo) != nil {
+		return
 	}
-	if err := c.Store.PutLayout(plan, lo); err != nil {
-		return 0
-	}
-	wrote := 0
 	for g := range lo.Shapes {
-		if !rcv.GenerationReconstructible(g) {
+		if !rcv.GenerationReconstructible(g) || c.Store.HasGeneration(plan, lo.Codec, g) {
 			continue
 		}
-		if c.Store.HasGeneration(plan, lo.Codec, g) {
-			continue
-		}
-		raw, err := rcv.DecodedGeneration(g)
-		if err != nil {
-			continue
-		}
-		if c.Store.PutGeneration(plan, lo.Codec, g, raw) == nil {
-			wrote++
+		if raw, err := rcv.DecodedGeneration(g); err == nil {
+			c.Store.PutGeneration(plan, lo.Codec, g, raw)
 		}
 	}
-	for _, seq := range rcv.HaveList() {
+	have := rcv.HaveList()
+	loose := make([]store.Packet, 0, len(have))
+	for _, seq := range have {
 		gen, local, ok := lo.SplitSeq(seq)
 		if !ok || rcv.GenerationReconstructible(gen) {
 			continue
 		}
-		if c.Store.HasPacket(plan, lo.Codec, gen, local) {
-			continue
-		}
-		payload, ok := rcv.Packet(seq)
-		if !ok {
-			continue
-		}
-		if c.Store.PutPacket(plan, lo.Codec, gen, local, payload) == nil {
-			wrote++
+		if payload, ok := rcv.Packet(seq); ok {
+			loose = append(loose, store.Packet{Gen: gen, Seq: local, Payload: payload})
 		}
 	}
-	return wrote
+	c.Store.PutPackets(plan, lo.Codec, loose)
 }
