@@ -145,16 +145,16 @@ func TestProcessLayoutSeedIsTheStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := transport.Request{Op: "fetch", Doc: corpus.DraftName, Query: "mobile", LOD: "paragraph", Notion: "QIC"}
-	if err := transport.WriteJSONLine(near, req); err != nil {
+	w := bufio.NewWriter(near)
+	if err := transport.WriteRequest(w, req); err != nil {
 		t.Fatal(err)
 	}
-	line, err := bufio.NewReader(near).ReadBytes('\n')
-	if err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var hdr transport.Response
-	if err := json.Unmarshal(line, &hdr); err != nil || !hdr.OK {
-		t.Fatalf("fetch header %s: %v", line, err)
+	hdr, err := transport.ReadResponse(bufio.NewReader(near))
+	if err != nil || !hdr.OK {
+		t.Fatalf("fetch header %+v: %v", hdr, err)
 	}
 
 	rec := httptest.NewRecorder()

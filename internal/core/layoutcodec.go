@@ -12,7 +12,7 @@ import (
 )
 
 // The binary layout encoding — the one serialized form of a Layout, on the
-// wire (base64 inside the response line), in the packet store (raw) and
+// wire (raw inside the response record), in the packet store (raw) and
 // through the front (decoded and re-encoded). DESIGN.md §19 has the table:
 //
 //	version byte (layoutVersion)
@@ -109,7 +109,14 @@ func (l Layout) MarshalBinary() ([]byte, error) {
 func (l *Layout) UnmarshalBinary(data []byte) error {
 	// One copy of the input backs every label and title, so a layout
 	// decodes in four allocations however many segments it lists.
-	d := layoutDecoder{data: data, text: string(data)}
+	return l.UnmarshalBinaryString(string(data))
+}
+
+// UnmarshalBinaryString is UnmarshalBinary over an encoding already held
+// as a string: every label and title is a substring of s, so the decode
+// costs the shape and segment slices and nothing else.
+func (l *Layout) UnmarshalBinaryString(s string) error {
+	d := layoutDecoder{text: s}
 	if v := d.byte(); d.err == nil && v != layoutVersion {
 		return fmt.Errorf("core: layout encoding version %d, want %d", v, layoutVersion)
 	}
@@ -126,8 +133,8 @@ func (l *Layout) UnmarshalBinary(data []byte) error {
 	}
 	out.Ranked = d.segments()
 	out.Accrual = d.segments()
-	if d.err == nil && d.off != len(d.data) {
-		d.err = fmt.Errorf("core: layout encoding has %d trailing bytes", len(d.data)-d.off)
+	if d.err == nil && d.off != len(d.text) {
+		d.err = fmt.Errorf("core: layout encoding has %d trailing bytes", len(d.text)-d.off)
 	}
 	if d.err != nil {
 		return d.err
@@ -161,12 +168,12 @@ func (l *Layout) UnmarshalText(text []byte) error {
 
 var errLayoutTruncated = errors.New("core: layout encoding truncated")
 
-// layoutDecoder reads the binary encoding front to back. The first
-// failure sticks and every later read returns zero, so UnmarshalBinary
+// layoutDecoder reads the binary encoding front to back, out of a string
+// so that labels and titles are substrings of it. The first failure
+// sticks and every later read returns zero, so UnmarshalBinaryString
 // checks err once at the end.
 type layoutDecoder struct {
-	data []byte
-	text string // data as a string: labels and titles are substrings of it
+	text string
 	off  int
 	err  error
 }
@@ -175,46 +182,56 @@ func (d *layoutDecoder) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
-	d.off = len(d.data)
+	d.off = len(d.text)
 }
 
 func (d *layoutDecoder) byte() byte {
-	if d.off >= len(d.data) {
+	if d.off >= len(d.text) {
 		d.fail(errLayoutTruncated)
 		return 0
 	}
-	v := d.data[d.off]
+	v := d.text[d.off]
 	d.off++
 	return v
 }
 
 func (d *layoutDecoder) fixed64() uint64 {
-	if len(d.data)-d.off < 8 {
+	if len(d.text)-d.off < 8 {
 		d.fail(errLayoutTruncated)
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(d.data[d.off:])
+	s := d.text[d.off : d.off+8]
 	d.off += 8
-	return v
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
+// uvarint is binary.Uvarint over the string: a truncated or overlong
+// value fails.
 func (d *layoutDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		d.fail(errLayoutTruncated)
-		return 0
+	var v uint64
+	for i, shift := 0, uint(0); d.off+i < len(d.text) && i < binary.MaxVarintLen64; i, shift = i+1, shift+7 {
+		b := d.text[d.off+i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			d.off += i + 1
+			return v | uint64(b)<<shift
+		}
+		v |= uint64(b&0x7f) << shift
 	}
-	d.off += n
-	return v
+	d.fail(errLayoutTruncated)
+	return 0
 }
 
+// varint is binary.Varint over the string.
 func (d *layoutDecoder) varint() int64 {
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		d.fail(errLayoutTruncated)
-		return 0
+	u := d.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	d.off += n
 	return v
 }
 
@@ -235,8 +252,8 @@ func (d *layoutDecoder) int() int { return d.narrow(int64(d.uvarint())) }
 // input cannot hold at minBytes apiece, before anything is allocated.
 func (d *layoutDecoder) count(minBytes int) int {
 	v := d.uvarint()
-	if v > uint64((len(d.data)-d.off)/minBytes) {
-		d.fail(fmt.Errorf("core: layout encoding count %d exceeds the %d bytes left", v, len(d.data)-d.off))
+	if v > uint64((len(d.text)-d.off)/minBytes) {
+		d.fail(fmt.Errorf("core: layout encoding count %d exceeds the %d bytes left", v, len(d.text)-d.off))
 		return 0
 	}
 	return int(v)

@@ -43,15 +43,15 @@ func wireHeader(t *testing.T, addr string, req transport.Request) transport.Resp
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := transport.WriteJSONLine(conn, req); err != nil {
+	w := bufio.NewWriter(conn)
+	if err := transport.WriteRequest(w, req); err != nil {
 		t.Fatal(err)
 	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := transport.ReadResponse(bufio.NewReader(conn))
 	if err != nil {
-		t.Fatal(err)
-	}
-	var resp transport.Response
-	if err := json.Unmarshal(line, &resp); err != nil {
 		t.Fatal(err)
 	}
 	return resp

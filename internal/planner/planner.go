@@ -25,9 +25,8 @@ package planner
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -81,6 +80,10 @@ type Request struct {
 	Notion string
 	// Gamma is the redundancy ratio; zero uses the default.
 	Gamma float64
+	// Codec is the codec the plan is served under, which picks the
+	// layout the Resolved handle carries. It is not part of the plan's
+	// key: both codecs' layouts come from the one plan.
+	Codec erasure.CodecID
 }
 
 // RequestError is a client-caused resolution failure carrying a message
@@ -142,7 +145,7 @@ type docVersion struct {
 type Planner struct {
 	engine   *search.Engine
 	defaults core.Config
-	plans    *framecache.Cache[string, *core.Plan]
+	plans    *framecache.Cache[string, *planEntry]
 	frames   *framecache.Cache[framecache.Key, []byte]
 
 	// mu guards the version table. It is held across Engine.SC and the
@@ -164,7 +167,7 @@ func New(engine *search.Engine, opts Options) (*Planner, error) {
 	return &Planner{
 		engine:   engine,
 		defaults: opts.Defaults,
-		plans:    framecache.New[string, *core.Plan](opts.CacheBytes),
+		plans:    framecache.New[string, *planEntry](opts.CacheBytes),
 		frames:   framecache.New[framecache.Key, []byte](opts.FrameCacheBytes),
 		versions: make(map[string]docVersion),
 	}, nil
@@ -182,8 +185,11 @@ func (p *Planner) Resolve(req Request) (*core.Plan, error) {
 }
 
 // Resolved couples a plan with the identity the shared frame cache keys
-// by. Frame results are SHARED AND IMMUTABLE slices; callers that must
-// mutate one (e.g. fault injection) copy it first.
+// by, and with the layout its codec serves. It is built once per cached
+// plan and codec and shared by every resolution of them, so it is
+// immutable: Layout and LayoutBinary are read, never written. Frame
+// results are SHARED AND IMMUTABLE slices too; callers that must mutate
+// one (e.g. fault injection) copy it first.
 type Resolved struct {
 	// Plan is the resolved transmission plan.
 	Plan *core.Plan
@@ -191,10 +197,44 @@ type Resolved struct {
 	// canonical plan key, so frames of a re-indexed document never
 	// collide with frames of its replacement.
 	Key string
+	// Layout is the geometry a fetch header carries under the codec the
+	// request named (Layout.Codec); its seed is the plan's digest.
+	// LayoutBinary is its binary encoding (core.Layout.AppendBinary), the
+	// bytes the header sends.
+	Layout       core.Layout
+	LayoutBinary []byte
 	// version is the token Key starts with and the invalidation group of
 	// everything cached for this handle.
 	version string
 	planner *Planner
+}
+
+// planEntry is one cached plan with its Resolved handle per codec, each
+// built on the first resolution that asks for it: a plan's layout is
+// computed and encoded once per codec, not once per fetch.
+type planEntry struct {
+	plan     *core.Plan
+	byCodec  [2]sync.Once
+	resolved [2]*Resolved
+}
+
+// handle returns the entry's Resolved for codec, building it once.
+func (e *planEntry) handle(p *Planner, key, version string, codec erasure.CodecID) *Resolved {
+	i := 0
+	if codec == erasure.CodecFountain {
+		i = 1
+	}
+	e.byCodec[i].Do(func() {
+		r := &Resolved{Plan: e.plan, Key: key, version: version, planner: p}
+		if codec == erasure.CodecFountain {
+			r.Layout = e.plan.FountainLayout(e.plan.Digest())
+		} else {
+			r.Layout = e.plan.Layout()
+		}
+		r.LayoutBinary, _ = r.Layout.MarshalBinary() // never fails
+		e.resolved[i] = r
+	})
+	return e.resolved[i]
 }
 
 // ResolveFrames resolves a request into a frame-serving handle. Errors
@@ -209,17 +249,17 @@ func (p *Planner) ResolveFrames(req Request) (*Resolved, error) {
 		return nil, err
 	}
 	key := cacheKey(version, req.Doc, cfg, queryVec)
-	plan, err := p.plans.GetOrLoad(key, version, func() (*core.Plan, int64, error) {
+	entry, err := p.plans.GetOrLoad(key, version, func() (*planEntry, int64, error) {
 		plan, err := core.NewPlan(sc, queryVec, cfg)
 		if err != nil {
 			return nil, 0, err
 		}
-		return plan, p.charge(req.Doc, version, planCost(plan)), nil
+		return &planEntry{plan: plan}, p.charge(req.Doc, version, planCost(plan)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Resolved{Plan: plan, Key: key, version: version, planner: p}, nil
+	return entry.handle(p, key, version, req.Codec), nil
 }
 
 // current returns the document's SC and its version token. The first
@@ -362,6 +402,9 @@ func (p *Planner) resolveParams(req Request) (core.Config, map[string]int, error
 	if err := ValidateGamma(req.Gamma); err != nil {
 		return core.Config{}, nil, badRequest("%s", err)
 	}
+	if !req.Codec.Valid() {
+		return core.Config{}, nil, badRequest("unknown codec %d", req.Codec)
+	}
 	if req.Gamma != 0 {
 		cfg.Gamma = req.Gamma
 	}
@@ -380,31 +423,52 @@ func (p *Planner) resolveParams(req Request) (core.Config, map[string]int, error
 
 // cacheKey canonicalizes a resolved request behind its document-version
 // token. Everything that changes the resulting plan participates; the
-// query enters as a hash of its sorted occurrence vector, so queries that
-// stem to the same vector share a key.
+// query enters as the FNV-64a hash of its sorted occurrence vector, each
+// term written "term=count;", so queries that stem to the same vector
+// share a key. The key is built in one stack buffer, which also holds
+// each count's digits on their way into the hash: the key string is the
+// one allocation of a query-free resolve.
 func cacheKey(version, doc string, cfg core.Config, queryVec map[string]int) string {
-	h := fnv.New64a()
-	terms := make([]string, 0, len(queryVec))
-	for t := range queryVec {
-		terms = append(terms, t)
+	var terms []string
+	if len(queryVec) > 0 {
+		terms = make([]string, 0, len(queryVec))
+		for t := range queryVec {
+			terms = append(terms, t)
+		}
+		slices.Sort(terms)
 	}
-	sort.Strings(terms)
+	var buf [160]byte
+	h := uint64(fnvOffset64)
 	for _, t := range terms {
-		fmt.Fprintf(h, "%s=%d;", t, queryVec[t])
+		b := append(append(buf[:0], t...), '=')
+		b = append(strconv.AppendInt(b, int64(queryVec[t]), 10), ';')
+		for _, c := range b {
+			h = (h ^ uint64(c)) * fnvPrime64
+		}
 	}
-	return version + "\x00" + doc + "\x00" +
-		strconv.Itoa(int(cfg.LOD)) + "\x00" +
-		strconv.Itoa(int(cfg.Notion)) + "\x00" +
-		strconv.FormatUint(math.Float64bits(cfg.Gamma), 16) + "\x00" +
-		strconv.Itoa(cfg.PacketSize) + "\x00" +
-		strconv.Itoa(cfg.MaxGeneration) + "\x00" +
-		strconv.FormatUint(h.Sum64(), 16)
+	b := append(buf[:0], version...)
+	b = append(append(b, 0), doc...)
+	b = strconv.AppendInt(append(b, 0), int64(cfg.LOD), 10)
+	b = strconv.AppendInt(append(b, 0), int64(cfg.Notion), 10)
+	b = strconv.AppendUint(append(b, 0), math.Float64bits(cfg.Gamma), 16)
+	b = strconv.AppendInt(append(b, 0), int64(cfg.PacketSize), 10)
+	b = strconv.AppendInt(append(b, 0), int64(cfg.MaxGeneration), 10)
+	b = strconv.AppendUint(append(b, 0), h, 16)
+	return string(b)
 }
 
+// FNV-64a's parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // planCost estimates a plan's resident bytes: the body and permuted
-// copies and per-segment bookkeeping. Cooked parity is not the plan's to
-// charge; the frame cache charges each frame it keeps.
+// copies, per-segment bookkeeping, and the layout of the one codec a
+// server usually serves it under (a SegmentMeta and about 24 encoded
+// bytes a segment). Cooked parity is not the plan's to charge; the frame
+// cache charges each frame it keeps.
 func planCost(plan *core.Plan) int64 {
 	segs := len(plan.Segments()) + len(plan.AccrualSegments())
-	return int64(2*plan.BodySize()) + int64(128*segs) + 512
+	return int64(2*plan.BodySize()) + int64((128+96)*segs) + 512
 }

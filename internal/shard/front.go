@@ -201,9 +201,9 @@ func (rc *replicaConn) close() {
 	}
 }
 
-// send writes one control message to the replica and flushes it.
+// send writes one control record to the replica and flushes it.
 func (rc *replicaConn) send(req transport.Request) error {
-	if err := transport.WriteJSONLine(rc.w, req); err != nil {
+	if err := transport.WriteRequest(rc.w, req); err != nil {
 		return err
 	}
 	return rc.w.Flush()

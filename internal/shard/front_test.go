@@ -3,8 +3,10 @@ package shard
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
@@ -902,9 +904,9 @@ type wireTarget struct {
 }
 
 // wireTranscript is what a raw client saw of one control-op case up to
-// the point where timing decides what follows: the fetch header line, the
-// frames read before the op went out, the line that answered the op (if
-// the case expects one) and how the case ended.
+// the point where timing decides what follows: the fetch header record,
+// the frames read before the op went out, the record that answered the op
+// (if the case expects one) and how the case ended.
 type wireTranscript struct {
 	header  string
 	frames  [][]byte
@@ -935,20 +937,33 @@ func dialRawWire(t *testing.T, addr string) *rawWire {
 
 func (c *rawWire) send(req transport.Request) {
 	c.t.Helper()
-	if err := transport.WriteJSONLine(c.conn, req); err != nil {
+	w := bufio.NewWriter(c.conn)
+	err := transport.WriteRequest(w, req)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
 		c.t.Fatal(err)
 	}
 }
 
-// line reads one control line, raw and decoded.
+// line reads one control record, raw and decoded.
 func (c *rawWire) line() (string, transport.Response, error) {
-	line, err := c.r.ReadBytes('\n')
+	size, err := binary.ReadUvarint(c.r)
 	if err != nil {
 		return "", transport.Response{}, err
 	}
-	var resp transport.Response
-	err = json.Unmarshal(line, &resp)
-	return string(line), resp, err
+	if size > transport.MaxControlLine {
+		return "", transport.Response{}, fmt.Errorf("control record of %d bytes", size)
+	}
+	raw := binary.AppendUvarint(nil, size)
+	body := make([]byte, size)
+	if _, err := io.ReadFull(c.r, body); err != nil {
+		return "", transport.Response{}, err
+	}
+	raw = append(raw, body...)
+	resp, err := transport.ReadResponse(bufio.NewReader(bytes.NewReader(raw)))
+	return string(raw), resp, err
 }
 
 // frames reads up to n frames (n < 0: to the end marker).
@@ -1265,7 +1280,11 @@ func TestWriteDeadlineReleasesFrontHandler(t *testing.T) {
 		clientEnd, serverEnd := net.Pipe()
 		defer clientEnd.Close()
 		ln.conns <- serverEnd
-		if err := transport.WriteJSONLine(clientEnd, transport.Request{Op: "fetch", Doc: corpus.DraftName}); err != nil {
+		w := bufio.NewWriter(clientEnd)
+		if err := transport.WriteRequest(w, transport.Request{Op: "fetch", Doc: corpus.DraftName}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		r := bufio.NewReader(clientEnd)

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -146,8 +147,16 @@ type seg struct {
 	size int64
 }
 
-// memSeg is a segment held in RAM. It only ever grows at its end.
-type memSeg struct{ b []byte }
+// memSeg is a segment held in RAM. It only ever grows at its end, through
+// the capacities max, max/2, max/4, …, so a full segment has cost about
+// 2·max bytes of allocation, where append's 1.25× steps for large slices
+// cost about five bytes per byte stored. max is the rotation size and a
+// sixteenth: a segment rotates once it has reached the rotation size, so
+// the record that crosses it still fits.
+type memSeg struct {
+	b   []byte
+	max int
+}
 
 func (m *memSeg) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 || off > int64(len(m.b)) {
@@ -163,6 +172,17 @@ func (m *memSeg) ReadAt(p []byte, off int64) (int, error) {
 func (m *memSeg) WriteAt(p []byte, off int64) (int, error) {
 	if off != int64(len(m.b)) {
 		return 0, fmt.Errorf("store: write at %d, segment ends at %d", off, len(m.b))
+	}
+	if need := len(m.b) + len(p); need > cap(m.b) {
+		// The smallest halving of max that holds need; need itself for a
+		// record past the rotation size.
+		c := m.max
+		for c/2 >= need {
+			c /= 2
+		}
+		grown := make([]byte, len(m.b), max(c, need))
+		copy(grown, m.b)
+		m.b = grown
 	}
 	m.b = append(m.b, p...)
 	return len(p), nil
@@ -620,7 +640,7 @@ func (s *Store) rotate() error {
 	if len(s.segs) > 0 {
 		next = s.segs[len(s.segs)-1].id + 1
 	}
-	var f segment = &memSeg{}
+	var f segment = &memSeg{max: int(min(s.opts.SegmentBytes+s.opts.SegmentBytes/16, math.MaxInt))}
 	if s.dir != "" {
 		file, err := os.OpenFile(s.segPath(next), os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {

@@ -241,13 +241,14 @@ func TestClientHandsBuffersBack(t *testing.T) {
 		t.Error("client kept its buffers after a search")
 	}
 
-	// A peer whose reply runs past the response line: the surplus is the
-	// next read's, so the reader must survive the operation with it.
+	// A peer whose reply runs past the response record: the surplus is
+	// the next read's, so the reader must survive the operation with it.
 	cliEnd, srvEnd := net.Pipe()
 	defer srvEnd.Close()
+	reply := append(record(t, Response{OK: true}), record(t, Response{OK: true, Hits: []HitSummary{{Name: "x"}}})...)
 	go func() {
-		if _, err := bufio.NewReader(srvEnd).ReadBytes('\n'); err == nil {
-			srvEnd.Write([]byte("{\"ok\":true}\n{\"ok\":true,\"hits\":[{\"name\":\"x\"}]}\n"))
+		if _, err := readReq(bufio.NewReader(srvEnd)); err == nil {
+			srvEnd.Write(reply)
 		}
 	}()
 	peer := NewClient(cliEnd)
@@ -264,19 +265,22 @@ func TestClientHandsBuffersBack(t *testing.T) {
 	}
 }
 
-// TestRequestReaderLines: the server's control reader delivers each line,
-// a last one cut short by the end of the connection included, and stops
-// at a line that does not parse or outgrows MaxControlLine.
+// TestRequestReaderLines: the server's control reader delivers each
+// record, the last one before the connection ends included, and stops at
+// a record that does not parse or is sized past MaxControlLine.
 func TestRequestReaderLines(t *testing.T) {
+	fetch, stop := string(record(t, Request{Op: "fetch"})), string(record(t, Request{Op: "stop"}))
+	oversized := string(binary.AppendUvarint(nil, MaxControlLine+1))
 	for _, tc := range []struct {
 		name string
 		in   string
 		want []string // ops delivered, in order
 	}{
-		{"lines", "{\"op\":\"fetch\"}\n{\"op\":\"stop\"}\n", []string{"fetch", "stop"}},
-		{"last line without newline", "{\"op\":\"fetch\"}\n{\"op\":\"stop\"}", []string{"fetch", "stop"}},
-		{"garbage ends the stream", "{\"op\":\"fetch\"}\nnot json\n{\"op\":\"stop\"}\n", []string{"fetch"}},
-		{"line over the bound", "{\"op\":\"fetch\"}\n" + strings.Repeat(" ", MaxControlLine) + "{\"op\":\"stop\"}\n", []string{"fetch"}},
+		{"lines", fetch + stop + fetch, []string{"fetch", "stop", "fetch"}},
+		{"last line without newline", fetch + stop, []string{"fetch", "stop"}},
+		{"garbage ends the stream", fetch + "not a record\n" + stop, []string{"fetch"}},
+		{"line over the bound", fetch + oversized + strings.Repeat(" ", 64) + stop, []string{"fetch"}},
+		{"a record cut short", fetch + stop[:2], []string{"fetch"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cliEnd, srvEnd := net.Pipe()
@@ -287,7 +291,7 @@ func TestRequestReaderLines(t *testing.T) {
 			done := make(chan struct{})
 			defer close(done)
 			var got []string
-			for req := range ReadRequests(srvEnd, done) {
+			for req := range readRequests(srvEnd, done, nil) {
 				got = append(got, req.Op)
 			}
 			srvEnd.Close()

@@ -267,17 +267,19 @@ func (c *Client) release() {
 	c.r, c.w = nil, nil
 }
 
-// send writes one control message under a write deadline, so a wedged
-// peer (or dead link with full TCP buffers) cannot block forever.
-func (c *Client) send(ctx context.Context, req Request) error {
+// send writes one control record under a write deadline, so a wedged
+// peer (or dead link with full TCP buffers) cannot block forever, and
+// returns its bytes on the wire.
+func (c *Client) send(ctx context.Context, req Request) (int, error) {
 	c.buffers()
 	if err := c.conn.SetWriteDeadline(c.deadline(ctx)); err != nil {
-		return err
+		return 0, err
 	}
-	if err := WriteJSONLine(c.w, req); err != nil {
-		return err
+	n, err := writeRequest(c.w, &req)
+	if err != nil {
+		return 0, err
 	}
-	return c.w.Flush()
+	return n, c.w.Flush()
 }
 
 // armRead sets the next read's deadline, then looks at ctx: a cancellation
@@ -403,7 +405,7 @@ func (c *Client) SearchContext(ctx context.Context, query string, limit int) ([]
 	}
 	defer c.release()
 	defer c.armInterrupt(ctx)()
-	if err := c.send(ctx, Request{Op: "search", Query: query, Limit: limit}); err != nil {
+	if _, err := c.send(ctx, Request{Op: "search", Query: query, Limit: limit}); err != nil {
 		return nil, ctxErr(ctx, err)
 	}
 	resp, _, err := c.readResponse(ctx)
@@ -539,12 +541,16 @@ type FetchResult struct {
 	// (corrupt frames included — the radio spent the air time either
 	// way), so codecs with different framing compare on equal terms.
 	BytesReceived int
-	// HeaderBytes sums the control-line bytes received ahead of the frames
-	// — the response header with its layout, or a refusal — over every
-	// round and resume. It is counted beside BytesReceived, not in it:
-	// folding the header into the wire-byte metrics is ROADMAP item 2,
+	// HeaderBytes sums the control-record bytes received ahead of the
+	// frames — the response header with its layout, or a refusal — over
+	// every round and resume. It is counted beside BytesReceived, not in
+	// it: folding the header into the wire-byte metrics is ROADMAP item 2,
 	// a benchmark change of its own.
 	HeaderBytes int
+	// UplinkBytes sums the control-record bytes the client wrote: each
+	// round's request and every stop, stopgen and more grant. The server
+	// counts the same bytes as serve.uplink_bytes.
+	UplinkBytes int
 	// HeldPackets is the number of intact packets held at the end.
 	HeldPackets int
 	// Stalled reports whether any round ended without termination.
@@ -811,7 +817,9 @@ func (c *Client) runRound(ctx context.Context, opts FetchOptions, gamma float64,
 	}
 	result.GammaRequests = append(result.GammaRequests, gamma)
 	opts.Trace.Record(obs.Event{Type: obs.EventRoundStart, Round: result.Rounds, Value: gamma})
-	if err := c.send(ctx, req); err != nil {
+	n, err := c.send(ctx, req)
+	result.UplinkBytes += n
+	if err != nil {
 		return rcv, false, err
 	}
 	resp, n, err := c.readResponse(ctx)
@@ -1097,7 +1105,9 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 			// marker so the connection stays usable. The budget is
 			// charged per frame seen, corrupt ones included: they cost
 			// the idle window's air time either way.
-			if err := c.send(ctx, Request{Op: "stop"}); err != nil {
+			n, err := c.send(ctx, Request{Op: "stop"})
+			result.UplinkBytes += n
+			if err != nil {
 				return false, err
 			}
 			terminatedEarly = true
@@ -1106,7 +1116,9 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 		}
 		if intact && fountainMode {
 			if g, _, _ := lo.SplitSeq(seq); !genStopped[g] && rcv.GenerationReconstructible(g) {
-				if err := c.send(ctx, Request{Op: "stopgen", Gen: g}); err != nil {
+				n, err := c.send(ctx, Request{Op: "stopgen", Gen: g})
+				result.UplinkBytes += n
+				if err != nil {
 					return false, err
 				}
 				genStopped[g] = true
@@ -1118,7 +1130,9 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 				needed = min(needed, budget-result.PacketsReceived)
 			}
 			if n := grant(owed, needed, streamed, corrupt); n > 0 {
-				if err := c.send(ctx, Request{Op: "more", Frames: n}); err != nil {
+				sent, err := c.send(ctx, Request{Op: "more", Frames: n})
+				result.UplinkBytes += sent
+				if err != nil {
 					return false, err
 				}
 				owed += n

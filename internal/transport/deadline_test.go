@@ -47,11 +47,15 @@ func TestStreamOutlastsIdleTimeout(t *testing.T) {
 	}
 }
 
-// countingAdmitter admits everything and counts the slots it has out.
-type countingAdmitter struct{ held atomic.Int32 }
+// countingAdmitter admits everything and counts the slots it has out and
+// the resumed streams (a request with a Have list) it has admitted.
+type countingAdmitter struct{ held, resumes atomic.Int32 }
 
-func (a *countingAdmitter) Admit(bool) (func(), time.Duration, bool) {
+func (a *countingAdmitter) Admit(resume bool) (func(), time.Duration, bool) {
 	a.held.Add(1)
+	if resume {
+		a.resumes.Add(1)
+	}
 	return func() { a.held.Add(-1) }, 0, true
 }
 
@@ -77,7 +81,7 @@ func TestWriteDeadlineReleasesHandler(t *testing.T) {
 		defer serverEnd.Close()
 		srv.handle(serverEnd)
 	}()
-	if err := WriteJSONLine(clientEnd, Request{Op: "fetch", Doc: corpus.DraftName}); err != nil {
+	if err := writeRecordTo(clientEnd, Request{Op: "fetch", Doc: corpus.DraftName}); err != nil {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(clientEnd)

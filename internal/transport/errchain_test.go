@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -35,7 +36,7 @@ func droppingPeer(t *testing.T) *Client {
 			return
 		}
 		defer conn.Close()
-		bufio.NewReader(conn).ReadBytes('\n')
+		readReq(bufio.NewReader(conn))
 	}()
 	c, err := Dial(ln.Addr().String())
 	if err != nil {
@@ -47,13 +48,13 @@ func droppingPeer(t *testing.T) *Client {
 }
 
 // pipePeer returns a client whose server is script, run on the other end
-// of a net.Pipe once the client's first request line has arrived.
+// of a net.Pipe once the client's first request record has arrived.
 func pipePeer(t *testing.T, script func(peer net.Conn)) *Client {
 	t.Helper()
 	end, peer := net.Pipe()
 	go func() {
 		defer peer.Close()
-		if _, err := bufio.NewReader(peer).ReadBytes('\n'); err != nil {
+		if _, err := readReq(bufio.NewReader(peer)); err != nil {
 			return
 		}
 		script(peer)
@@ -197,7 +198,7 @@ func TestClientErrorChains(t *testing.T) {
 		{
 			name: "response without a layout",
 			run: func(t *testing.T) error {
-				_, err := pipePeer(t, reply([]byte("{\"ok\":true}\n"))).Fetch(fetch)
+				_, err := pipePeer(t, reply(record(t, Response{OK: true}))).Fetch(fetch)
 				return err
 			},
 			is: []error{ErrBadResponse},
@@ -205,7 +206,8 @@ func TestClientErrorChains(t *testing.T) {
 		{
 			name: "response that does not parse",
 			run: func(t *testing.T) error {
-				_, err := pipePeer(t, reply([]byte("not json\n"))).Fetch(fetch)
+				// A response record whose field bits are cut short.
+				_, err := pipePeer(t, reply([]byte{2, kindResponse, 0x80})).Fetch(fetch)
 				return err
 			},
 			is: []error{ErrBadResponse},
@@ -213,7 +215,8 @@ func TestClientErrorChains(t *testing.T) {
 		{
 			name: "response line too long",
 			run: func(t *testing.T) error {
-				_, err := pipePeer(t, reply(bytes.Repeat([]byte("x"), MaxControlLine+1))).Fetch(fetch)
+				oversized := binary.AppendUvarint(nil, MaxControlLine+1)
+				_, err := pipePeer(t, reply(append(oversized, bytes.Repeat([]byte{kindResponse}, 4096)...))).Fetch(fetch)
 				return err
 			},
 			is: []error{ErrBadResponse},

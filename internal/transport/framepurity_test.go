@@ -167,8 +167,8 @@ func TestFramePurityConcurrent(t *testing.T) {
 		}
 		var want []byte
 		if r.codec == erasure.CodecFountain {
-			gen, local, _ := r.layout.SplitSeq(k.seq)
-			want, err = r.resolved.FountainFrame(r.layout.Seed, gen, local)
+			gen, local, _ := r.resolved.Layout.SplitSeq(k.seq)
+			want, err = r.resolved.FountainFrame(r.resolved.Layout.Seed, gen, local)
 		} else {
 			want, err = r.resolved.Frame(k.seq)
 		}

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"testing"
 	"unicode/utf8"
@@ -15,33 +17,41 @@ import (
 )
 
 // FuzzRequestDecode feeds arbitrary bytes through the same path the
-// connection handler runs on every control line — JSON decoding followed
-// by plan resolution for fetch ops — and demands that nothing panics.
-// Malformed frames must come back as errors or client-facing messages,
-// never as a downed handler.
+// connection handler runs on every control record — the request decoder
+// followed by plan resolution for fetch ops — and demands that nothing
+// panics. Malformed records must come back as errors or client-facing
+// messages, never as a downed handler. A record that decodes re-encodes to
+// a fixpoint: written again and read back, it writes the same bytes.
 func FuzzRequestDecode(f *testing.F) {
 	// Seed corpus: the documented ops, boundary parameter values, and a
-	// few deliberately broken lines.
-	seeds := []string{
-		`{"op":"search","query":"mobile web","limit":5}`,
-		`{"op":"fetch","doc":"draft.xml","query":"mobile web browsing","lod":"paragraph","notion":"QIC","gamma":1.5}`,
-		`{"op":"fetch","doc":"draft.xml","lod":"section","notion":"mqic"}`,
-		`{"op":"fetch","doc":"draft.xml","gamma":-1}`,
-		`{"op":"fetch","doc":"draft.xml","gamma":0.5}`,
-		`{"op":"fetch","doc":"draft.xml","gamma":1e308}`,
-		`{"op":"fetch","doc":"","lod":"chapter","notion":"ZIC"}`,
-		`{"op":"fetch","doc":"ghost.xml","have":[0,1,2,-7,99999]}`,
-		`{"op":"stop"}`,
-		`{"op":"noop"}`,
-		`{}`,
-		`{"op":`,
-		`[]`,
-		`null`,
-		`{"op":"fetch","doc":"draft.xml","gamma":"NaN"}`,
-		"\x00\x01\x02",
-		`{"op":"fetch","doc":"draft.xml","lod":"PARAGRAPH","notion":"qic","gamma":255}`,
+	// few deliberately broken records.
+	for _, req := range []Request{
+		{Op: "search", Query: "mobile web", Limit: 5},
+		{Op: "fetch", Doc: "draft.xml", Query: "mobile web browsing", LOD: "paragraph", Notion: "QIC", Gamma: 1.5},
+		{Op: "fetch", Doc: "draft.xml", LOD: "section", Notion: "mqic"},
+		{Op: "fetch", Doc: "draft.xml", Gamma: -1},
+		{Op: "fetch", Doc: "draft.xml", Gamma: 0.5},
+		{Op: "fetch", Doc: "draft.xml", Gamma: 1e308},
+		{Op: "fetch", Doc: "draft.xml", Gamma: math.NaN()},
+		{Op: "fetch", Doc: "", LOD: "chapter", Notion: "ZIC"},
+		{Op: "fetch", Doc: "ghost.xml", Have: []int{-7, 0, 1, 2, 99999}, DoneGens: []int{0, 3}, Seed: 1 << 63},
+		{Op: "fetch", Doc: "draft.xml", Codec: "fountain", Prefetch: true},
+		{Op: "fetch", Doc: "draft.xml", LOD: "PARAGRAPH", Notion: "qic", Gamma: 255},
+		{Op: "stop"},
+		{Op: "stopgen", Gen: 3},
+		{Op: "more", Frames: -1},
+		{Op: "noop"},
+		{},
+	} {
+		f.Add(record(f, req))
 	}
-	for _, s := range seeds {
+	for _, s := range []string{
+		`{"op":"fetch","doc":"draft.xml"}` + "\n",
+		"\x00\x01\x02",
+		"\x02\x03",
+		"\x03\x02\x80\x40",
+		"\xff\xff\xff\x01",
+	} {
 		f.Add([]byte(s))
 	}
 
@@ -58,16 +68,24 @@ func FuzzRequestDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Fuzz(func(t *testing.T, line []byte) {
-		req, err := DecodeRequest(line)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := readReq(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return // handler drops the connection; nothing else runs
+		}
+		again := record(t, req)
+		back, err := readReq(bufio.NewReader(bytes.NewReader(again)))
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not read back: %v", req, err)
+		}
+		if twice := record(t, back); !bytes.Equal(twice, again) {
+			t.Fatalf("re-encoding is not a fixpoint: %x then %x", again, twice)
 		}
 		switch req.Op {
 		case "fetch":
 			r, refusal := srv.local.resolve(req)
 			if r.resolved == nil && refusal.Error == "" {
-				t.Fatalf("resolve returned neither plan nor refusal for %q", line)
+				t.Fatalf("resolve returned neither plan nor refusal for %x", data)
 			}
 			if !utf8.ValidString(refusal.Error) {
 				t.Fatalf("invalid message %q", refusal.Error)
@@ -78,9 +96,53 @@ func FuzzRequestDecode(f *testing.F) {
 	})
 }
 
+// FuzzResponseDecode feeds arbitrary bytes through the client's response
+// reader: it must refuse or decode, never panic or allocate past what the
+// bytes can hold, and what it decodes re-encodes to a fixpoint. Seeds are
+// the records a server writes — a fetch header, a search reply, a shed
+// and a degraded refusal — and broken ones.
+func FuzzResponseDecode(f *testing.F) {
+	lo := core.Layout{PacketSize: 8, BodySize: 8, Shapes: []core.GenerationShape{{M: 1, N: 2}},
+		Accrual: []core.SegmentMeta{{Label: "1", Title: "t", Score: 1, Length: 8}}}
+	for _, resp := range []Response{
+		{OK: true, Layout: &lo, Sending: 2, Replica: "r1", Capability: "clear-prefix-only"},
+		{OK: true, Hits: []HitSummary{{Name: "draft.xml", Title: "Draft", Score: 0.5}, {Name: "b", Score: math.NaN()}}},
+		{Error: "load shed", Shed: true, RetryAfterMS: 250, Replica: "front"},
+		{Error: "capability search-only: fetch refused", Degraded: true, Capability: "search-only"},
+		{},
+	} {
+		f.Add(record(f, resp))
+	}
+	for _, s := range []string{
+		`{"ok":true}` + "\n",
+		"\x02\x10\x80",
+		"\x03\x10\x02\x01",
+		"\x05\x10\x80\x02\xff\xff",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			if !errors.Is(err, ErrBadResponse) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("error %v is neither ErrBadResponse nor an end of input", err)
+			}
+			return
+		}
+		again := record(t, resp)
+		back, err := ReadResponse(bufio.NewReader(bytes.NewReader(again)))
+		if err != nil {
+			t.Fatalf("re-encoded response does not read back: %v", err)
+		}
+		if twice := record(t, back); !bytes.Equal(twice, again) {
+			t.Fatalf("re-encoding is not a fixpoint: %x then %x", again, twice)
+		}
+	})
+}
+
 // FuzzResponseLayout feeds arbitrary bytes through what the client does
-// with a fetch response header — JSON decode (the layout member is base64
-// of core.Layout's binary encoding), layout validation, receiver
+// with a fetch response header — the record decode (the layout is
+// core.Layout's binary encoding, raw), layout validation, receiver
 // construction — and then drives the receiver the way a fetch would:
 // packets in, progress questions after each, reconstruction at the end.
 // A hostile or buggy server may get an error back; it must never get a
@@ -117,16 +179,12 @@ func FuzzResponseLayout(f *testing.F) {
 		{},
 		{PacketSize: -1, BodySize: -1, Shapes: []core.GenerationShape{{M: -1, N: 300}}},
 	} {
-		var line bytes.Buffer
-		if err := WriteJSONLine(&line, Response{OK: true, Layout: lo}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(line.Bytes())
+		f.Add(record(f, Response{OK: true, Layout: lo}))
 	}
 
-	f.Fuzz(func(t *testing.T, line []byte) {
-		var resp Response
-		if json.Unmarshal(line, &resp) != nil || resp.Layout == nil {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
+		if err != nil || resp.Layout == nil {
 			return
 		}
 		lo := *resp.Layout

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -104,11 +105,12 @@ func TestClientTimesOutOnSilentServer(t *testing.T) {
 	}
 }
 
-// TestClientBoundsResponseLine: a peer that answers a fetch with
-// 2 × MaxControlLine bytes and no newline (a misbehaving replica, or
-// packet bytes where the header should be after framing was lost) gets
-// ErrBadResponse — a protocol error, so no redial — and the client stops
-// reading at the bound instead of buffering whatever arrives.
+// TestClientBoundsResponseLine: a peer that answers a fetch with a
+// record sized 2 × MaxControlLine and streams its bytes (a misbehaving
+// replica, or packet bytes where the header should be after framing was
+// lost) gets ErrBadResponse — a protocol error, so no redial — and the
+// client refuses it at its size prefix instead of buffering whatever
+// arrives.
 func TestClientBoundsResponseLine(t *testing.T) {
 	cliEnd, srvEnd := net.Pipe()
 	client := NewClient(cliEnd)
@@ -124,11 +126,12 @@ func TestClientBoundsResponseLine(t *testing.T) {
 	taken := make(chan int, 1)
 	go func() {
 		defer srvEnd.Close()
-		if _, err := bufio.NewReader(srvEnd).ReadBytes('\n'); err != nil {
+		if _, err := readReq(bufio.NewReader(srvEnd)); err != nil {
 			taken <- 0
 			return
 		}
-		chunk := bytes.Repeat([]byte{'x'}, 4096)
+		chunk := bytes.Repeat([]byte{kindResponse}, 4096)
+		copy(chunk, binary.AppendUvarint(nil, 2*MaxControlLine))
 		total := 0
 		for total < 2*MaxControlLine {
 			n, err := srvEnd.Write(chunk)
@@ -143,27 +146,41 @@ func TestClientBoundsResponseLine(t *testing.T) {
 	_, err := client.Fetch(FetchOptions{Doc: corpus.DraftName})
 	cliEnd.Close()
 	if !errors.Is(err, ErrBadResponse) {
-		t.Fatalf("fetch against a newline-less peer: %v, want ErrBadResponse", err)
+		t.Fatalf("fetch against an oversized record: %v, want ErrBadResponse", err)
 	}
 	if redials != 0 {
 		t.Errorf("%d redials after a malformed response, want 0", redials)
 	}
-	if got := <-taken; got > MaxControlLine+2*4096 {
-		t.Errorf("client read %d bytes of one control line, bound is %d", got, MaxControlLine)
+	if got := <-taken; got > 2*4096 {
+		t.Errorf("client took %d bytes of a record it refuses at its size", got)
 	}
 }
 
+// TestReadResponse holds the response reader to its refusals: a record
+// longer than the reader's buffer reads whole, one over the bound, one of
+// another kind (a JSON line, garbage), one whose fields do not parse and
+// one with bytes over are ErrBadResponse, and a connection that ends
+// inside a record is io.ErrUnexpectedEOF.
 func TestReadResponse(t *testing.T) {
-	long := `{"error":"` + strings.Repeat("e", 3*4096) + `"}` // spans several reader buffers
+	short := record(t, Response{Error: "x"})
+	long := record(t, Response{Error: strings.Repeat("e", 3*4096)}) // spans several reader buffers
+	oversized := binary.AppendUvarint(nil, MaxControlLine+1)
+	trailing := append([]byte{4, kindResponse, respOK}, 0, 0)
 	for _, tc := range []struct {
 		name, in string
 		want     error
 	}{
-		{"short line", `{"error":"x"}` + "\nrest", nil},
-		{"line longer than the reader's buffer", long + "\n", nil},
+		{"short line", string(short) + "rest", nil},
+		{"line longer than the reader's buffer", string(long), nil},
 		{"not JSON", "garbage\n", ErrBadResponse},
-		{"closed mid-line", `{"error":`, io.EOF},
-		{"over the bound", strings.Repeat("x", MaxControlLine+1) + "\n", ErrBadResponse},
+		{"a JSON line", `{"ok":true,"sending":3}` + "\n", ErrBadResponse},
+		{"a request record", string(record(t, Request{Op: "stop"})), ErrBadResponse},
+		{"fields that do not parse", string([]byte{2, kindResponse, 0x80}), ErrBadResponse},
+		{"an unknown field", string([]byte{3, kindResponse, 0x80, 0x40}), ErrBadResponse},
+		{"trailing bytes", string(trailing), ErrBadResponse},
+		{"closed mid-line", string(long[:100]), io.ErrUnexpectedEOF},
+		{"closed mid-prefix", string(long[:1]), io.ErrUnexpectedEOF},
+		{"over the bound", string(oversized) + strings.Repeat("x", 64), ErrBadResponse},
 	} {
 		resp, err := ReadResponse(bufio.NewReader(strings.NewReader(tc.in)))
 		if !errors.Is(err, tc.want) {
@@ -295,12 +312,12 @@ func TestServerRejectsMidStreamRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteJSONLine(conn, Request{Op: "fetch", Doc: corpus.DraftName}); err != nil {
+	if err := writeRecordTo(conn, Request{Op: "fetch", Doc: corpus.DraftName}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
 	// Violate the protocol mid-stream.
-	if err := WriteJSONLine(conn, Request{Op: "search", Query: "x"}); err != nil {
+	if err := writeRecordTo(conn, Request{Op: "search", Query: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	// The server must close the connection: reads eventually fail.
@@ -312,5 +329,35 @@ func TestServerRejectsMidStreamRequests(t *testing.T) {
 		if _, err := conn.Read(buf); err != nil {
 			return // connection torn down as expected
 		}
+	}
+}
+
+// TestServerDropsJSONRequest: a peer still speaking JSON control lines is
+// refused at its first record — its '{' reads as a size, its '"' as a kind
+// no request has — and the connection is dropped without a reply, while
+// the server goes on serving everyone else.
+func TestServerDropsJSONRequest(t *testing.T) {
+	addr := startServerAddr(t, ServerOptions{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, `{"op":"fetch","doc":"`+corpus.DraftName+`"}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read %d bytes, %v: want the connection dropped", n, err)
+	}
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName}); err != nil || res.Body == nil {
+		t.Fatalf("fetch after a JSON peer: %v", err)
 	}
 }

@@ -7,11 +7,13 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"mobweb/internal/channel"
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
 	"mobweb/internal/document"
+	"mobweb/internal/erasure"
 	"mobweb/internal/obs"
 )
 
@@ -35,10 +37,11 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestHeaderBytesCounted: the control-line bytes the client reports
-// (FetchResult.HeaderBytes) and the server reports (serve.header_bytes)
-// are the bytes that crossed the connection ahead of the frames — counted,
-// and not yet part of BytesReceived (ROADMAP item 2).
+// TestHeaderBytesCounted: the control-record bytes the client reports
+// (FetchResult.HeaderBytes down, UplinkBytes up) and the server reports
+// (serve.header_bytes, serve.uplink_bytes) are the bytes that crossed the
+// connection ahead of and beside the frames — counted, and not yet part
+// of BytesReceived (ROADMAP item 2).
 func TestHeaderBytesCounted(t *testing.T) {
 	t.Run("one line against the conn", func(t *testing.T) {
 		reg := obs.NewRegistry()
@@ -49,7 +52,7 @@ func TestHeaderBytesCounted(t *testing.T) {
 		}
 		defer raw.Close()
 		conn := &countingConn{Conn: raw}
-		if err := WriteJSONLine(conn, Request{Op: "fetch", Doc: corpus.DraftName, LOD: "paragraph"}); err != nil {
+		if err := writeRecordTo(conn, Request{Op: "fetch", Doc: corpus.DraftName, LOD: "paragraph"}); err != nil {
 			t.Fatal(err)
 		}
 		r := bufio.NewReader(conn)
@@ -58,21 +61,41 @@ func TestHeaderBytesCounted(t *testing.T) {
 			t.Fatalf("header: %+v, %v", resp, err)
 		}
 		// What the reader pulled off the conn and has not handed out yet is
-		// frames; the rest is the line.
+		// frames; the rest is the record.
 		if onWire := conn.in.Len() - r.Buffered(); n != onWire {
 			t.Errorf("readResponse reports %d bytes, the conn delivered %d", n, onWire)
 		}
-		if got := reg.Snapshot().Counters["serve.header_bytes"]; got != int64(n) {
+		counters := reg.Snapshot().Counters
+		if got := counters["serve.header_bytes"]; got != int64(n) {
 			t.Errorf("serve.header_bytes = %d, the client read %d", got, n)
 		}
-		text, err := resp.Layout.MarshalText()
+		if got := counters["serve.uplink_bytes"]; got != int64(conn.out.Len()) {
+			t.Errorf("serve.uplink_bytes = %d, the client wrote %d", got, conn.out.Len())
+		}
+		bin, err := resp.Layout.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n < len(text) || n > len(text)+100 {
-			t.Errorf("header line is %d bytes around a %d-byte layout", n, len(text))
+		if n < len(bin) || n > len(bin)+16 {
+			t.Errorf("header record is %d bytes around a %d-byte layout", n, len(bin))
 		}
 	})
+
+	// agree waits for the server to have read what the client wrote: a
+	// stopgen or grant sent as the stream ended may still be in flight
+	// when the fetch returns.
+	agree := func(t *testing.T, reg *obs.Registry, res *FetchResult) {
+		t.Helper()
+		var got int64
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if got = reg.Snapshot().Counters["serve.uplink_bytes"]; got == int64(res.UplinkBytes) {
+				break
+			}
+		}
+		if got != int64(res.UplinkBytes) || got == 0 {
+			t.Errorf("UplinkBytes = %d over %d rounds, serve.uplink_bytes = %d", res.UplinkBytes, res.Rounds, got)
+		}
+	}
 
 	t.Run("summed over rounds", func(t *testing.T) {
 		reg := obs.NewRegistry()
@@ -91,10 +114,35 @@ func TestHeaderBytesCounted(t *testing.T) {
 		if got := reg.Snapshot().Counters["serve.header_bytes"]; int64(res.HeaderBytes) != got || got == 0 {
 			t.Errorf("HeaderBytes = %d over %d rounds, serve.header_bytes = %d", res.HeaderBytes, res.Rounds, got)
 		}
+		agree(t, reg, res)
 		// Every frame on the wire is one packet.Marshal of the same size, so
 		// BytesReceived holding frames only is checkable exactly.
 		if res.BytesReceived%res.PacketsReceived != 0 {
 			t.Errorf("BytesReceived = %d is not %d whole frames: header bytes leaked in", res.BytesReceived, res.PacketsReceived)
+		}
+	})
+
+	t.Run("uplink feedback", func(t *testing.T) {
+		// A lossy fountain fetch at γ = 1 sends every kind of feedback:
+		// grants past its window of M frames, stopgens as generations
+		// decode, and a stop once the whole document does.
+		reg := obs.NewRegistry()
+		model, err := channel.NewBernoulli(0.3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := startServer(t, ServerOptions{
+			Defaults:        core.Config{MaxGeneration: 8},
+			InjectorFactory: oneChannel(NewModelInjector(model)),
+			Metrics:         reg,
+		})
+		res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Codec: erasure.CodecFountain, Gamma: 1})
+		if err != nil || res.Body == nil {
+			t.Fatalf("fetch: %v", err)
+		}
+		agree(t, reg, res)
+		if reg.Snapshot().Counters["serve.requests_more"] == 0 {
+			t.Error("the skim granted nothing; the feedback path went unexercised")
 		}
 	})
 }
@@ -135,30 +183,55 @@ func benchLayout(tb testing.TB, docBytes int) core.Layout {
 }
 
 // BenchmarkHeaderRoundTrip times what every round pays before its first
-// frame: the response line with the layout written (server) and read back
-// (client). results/header-bench.txt holds parent against change.
+// frame: the fetch request written (client) and read (server), then the
+// response record with the layout written (server) and read back
+// (client), each through the connection buffers as the live path runs
+// them. The server writes the layout bytes its planner holds.
+// results/header-bench.txt holds parent against change.
 func BenchmarkHeaderRoundTrip(b *testing.B) {
 	for _, docBytes := range []int{10240, 32768} {
 		b.Run(fmt.Sprintf("doc=%d", docBytes), func(b *testing.B) {
 			layout := benchLayout(b, docBytes)
+			bin, err := layout.MarshalBinary()
+			if err != nil {
+				b.Fatal(err)
+			}
+			req := Request{Op: "fetch", Doc: "bench-doc", Query: "mobile web", LOD: "paragraph", Notion: "QIC", Codec: "vandermonde"}
 			var buf bytes.Buffer
-			r := bufio.NewReader(&buf)
-			line := 0
+			w := bufio.NewWriterSize(&buf, 64<<10)
+			r := bufio.NewReaderSize(&buf, 64<<10)
+			up, down := 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				buf.Reset()
-				if err := WriteJSONLine(&buf, Response{OK: true, Layout: &layout, Sending: layout.N()}); err != nil {
+				r.Reset(&buf)
+				n, err := writeRequest(w, &req)
+				if err == nil {
+					err = w.Flush()
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
-				line = buf.Len()
-				r.Reset(&buf)
+				up = n
+				if got, err := readReq(r); err != nil || got.Doc != req.Doc {
+					b.Fatalf("request read back %+v, %v", got, err)
+				}
+				n, err = writeResponse(w, &Response{OK: true, Layout: &layout, layoutBin: bin, Sending: layout.N()})
+				if err == nil {
+					err = w.Flush()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				down = n
 				resp, err := ReadResponse(r)
 				if err != nil || resp.Layout == nil || resp.Layout.BodySize != docBytes {
 					b.Fatalf("read back %+v, %v", resp, err)
 				}
 			}
-			b.ReportMetric(float64(line), "line-B")
+			b.ReportMetric(float64(up), "request-B")
+			b.ReportMetric(float64(down), "line-B")
 		})
 	}
 }

@@ -52,9 +52,9 @@ func TestNoReaderGoroutineLeak(t *testing.T) {
 		// A fetch that starts a stream, then a mid-stream protocol
 		// violation plus one more queued request, then a hard close:
 		// the handler aborts with the third request possibly parsed.
-		WriteJSONLine(conn, Request{Op: "fetch", Doc: corpus.DraftName})
-		WriteJSONLine(conn, Request{Op: "search", Query: "x"})
-		WriteJSONLine(conn, Request{Op: "search", Query: "y"})
+		writeRecordTo(conn, Request{Op: "fetch", Doc: corpus.DraftName})
+		writeRecordTo(conn, Request{Op: "search", Query: "x"})
+		writeRecordTo(conn, Request{Op: "search", Query: "y"})
 		conn.Close()
 	}
 

@@ -58,7 +58,8 @@ type serverMetrics struct {
 	reqFetch      *obs.Counter
 	reqMore       *obs.Counter // grants, mid-stream or stale
 	reqBad        *obs.Counter
-	headerBytes   *obs.Counter // control-line bytes written: fetch headers, search replies, refusals
+	headerBytes   *obs.Counter // control-record bytes written: fetch headers, search replies, refusals
+	uplinkBytes   *obs.Counter // control-record bytes read: requests, stop, stopgen and more
 	framesOut     *obs.Counter
 	framesDropped *obs.Counter
 }
@@ -75,6 +76,7 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		reqMore:       r.Counter("serve.requests_more"),
 		reqBad:        r.Counter("serve.requests_bad"),
 		headerBytes:   r.Counter("serve.header_bytes"),
+		uplinkBytes:   r.Counter("serve.uplink_bytes"),
 		framesOut:     r.Counter("serve.frames_out"),
 		framesDropped: r.Counter("serve.frames_dropped"),
 	}

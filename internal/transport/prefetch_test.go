@@ -338,16 +338,15 @@ func TestFountainPrefetchSendsStopgen(t *testing.T) {
 	first := make(chan Request, 1)
 	go func() {
 		r := bufio.NewReader(srvEnd)
-		if _, err := r.ReadBytes('\n'); err != nil { // the fetch request
+		if _, err := readReq(r); err != nil { // the fetch request
 			return
 		}
-		if WriteJSONLine(srvEnd, Response{OK: true, Layout: &layout}) != nil {
+		if writeRecordTo(srvEnd, Response{OK: true, Layout: &layout}) != nil {
 			return
 		}
 		control := make(chan Request, 1)
 		go func() {
-			if line, err := r.ReadBytes('\n'); err == nil {
-				req, _ := DecodeRequest(line)
+			if req, err := readReq(r); err == nil {
 				control <- req
 			}
 		}()

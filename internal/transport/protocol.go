@@ -4,11 +4,12 @@
 // the document transmitter, and a client combining the sequence manager
 // (packet bookkeeping, CRC verification, reconstruction) and the
 // rendering manager (progressive unit display). The CORBA object request
-// broker of the original prototype is replaced by a newline-delimited
-// JSON control channel plus length-prefixed binary packet frames. The one
-// large control message, the fetch response's layout, rides its JSON line
-// as a base64 string of core.Layout's versioned varint encoding (DESIGN.md
-// §19) rather than as a JSON object per segment.
+// broker of the original prototype is replaced by binary control records
+// (control.go) plus length-prefixed binary packet frames on one
+// connection. A request, the stop, stopgen and more feedback, and the
+// response header are each one varint record; the one large control
+// message, the fetch response's layout, rides its record raw, as
+// core.Layout's versioned varint encoding (DESIGN.md §19).
 //
 // The protocol supports the paper's full §4.2 loop: QIC-ordered
 // fault-tolerant streaming, client stop ("the user has determined that
@@ -19,7 +20,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,7 +35,8 @@ const (
 	// MaxFrameSize bounds a single packet frame on the wire, guarding
 	// the length-prefixed reader against corrupt prefixes.
 	MaxFrameSize = 1 << 16
-	// MaxControlLine bounds one JSON control message.
+	// MaxControlLine bounds one control record, its size prefix not
+	// counted.
 	MaxControlLine = 1 << 20
 )
 
@@ -154,9 +155,9 @@ type Response struct {
 	OK    bool         `json:"ok"`
 	Error string       `json:"error,omitempty"`
 	Hits  []HitSummary `json:"hits,omitempty"`
-	// Layout carries the transmission geometry for fetch responses: one
-	// base64 string of core.Layout's binary encoding (the type marshals
-	// itself as text), not a JSON object.
+	// Layout carries the transmission geometry for fetch responses: its
+	// binary encoding, raw, at the end of the response record (as JSON, a
+	// base64 string: the type marshals itself as text).
 	Layout *core.Layout `json:"layout,omitempty"`
 	// Sending is the number of frames that will follow a fixed-rate
 	// header. On a fountain header it is the stream's first credit window
@@ -177,6 +178,9 @@ type Response struct {
 	// at what degradation level. Empty means "unnamed" / "full".
 	Replica    string `json:"replica,omitempty"`
 	Capability string `json:"capability,omitempty"`
+	// layoutBin is Layout's encoding when the server holds it already
+	// (planner.Resolved.LayoutBinary); nil encodes Layout on the write.
+	layoutBin []byte
 }
 
 // Window is the credit window the header opens: Sending on a fountain
@@ -256,73 +260,4 @@ func ReadFrameInto(r *bufio.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return frame, nil
-}
-
-// WriteJSONLine writes one newline-delimited control message.
-func WriteJSONLine(w io.Writer, v any) error {
-	_, err := writeJSONLine(w, v)
-	return err
-}
-
-// writeJSONLine is WriteJSONLine returning the line's length, newline
-// included, for the header-byte accounting on both ends.
-func writeJSONLine(w io.Writer, v any) (int, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return 0, err
-	}
-	data = append(data, '\n')
-	return w.Write(data)
-}
-
-// ReadResponse reads one newline-delimited Response from r. Like every
-// control line the server reads, the line is bounded by MaxControlLine: a
-// peer that sends more without a newline (or a stream that lost framing
-// and presents packet bytes where the header should be) gets
-// ErrBadResponse once the bound is crossed, and nothing past it is
-// buffered.
-func ReadResponse(r *bufio.Reader) (Response, error) {
-	resp, _, err := readResponse(r)
-	return resp, err
-}
-
-// readResponse is ReadResponse returning the line's length as well,
-// newline included.
-func readResponse(r *bufio.Reader) (Response, int, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return Response{}, 0, err
-	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return Response{}, len(line), fmt.Errorf("%w: %v", ErrBadResponse, err)
-	}
-	return resp, len(line), nil
-}
-
-// readLine reads one control line, newline included. A line that sat
-// whole in the reader's buffer is returned in place, valid until the next
-// read; a longer one is copied. A line longer than MaxControlLine is an
-// ErrBadResponse and nothing past the bound is buffered. On any other
-// error readLine returns what it read of the line with the error.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		frag, err := r.ReadSlice('\n')
-		if len(line)+len(frag) > MaxControlLine {
-			return nil, fmt.Errorf("%w: control line exceeds %d bytes", ErrBadResponse, MaxControlLine)
-		}
-		if line == nil && !errors.Is(err, bufio.ErrBufferFull) {
-			return frag, err // the whole line sat in the reader's buffer: no copy
-		}
-		if line == nil {
-			// A layout header is rarely more than two reader buffers
-			// long; start at four so it is one allocation, not a ladder.
-			line = make([]byte, 0, 4*len(frag))
-		}
-		line = append(line, frag...)
-		if !errors.Is(err, bufio.ErrBufferFull) {
-			return line, err
-		}
-	}
 }

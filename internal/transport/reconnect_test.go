@@ -53,7 +53,7 @@ func TestSendSetsWriteDeadline(t *testing.T) {
 	client.Timeout = 100 * time.Millisecond
 
 	start := time.Now()
-	err := client.send(context.Background(), Request{Op: "search", Query: "x"})
+	_, err := client.send(context.Background(), Request{Op: "search", Query: "x"})
 	if err == nil {
 		t.Fatal("send to a non-reading peer succeeded")
 	}

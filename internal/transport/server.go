@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -178,13 +177,14 @@ func (s *Server) Engine() *search.Engine {
 // whose digest is the layout's seed — without opening a stream, so
 // admission does not gate it. A fetch the server would refuse fails with
 // the error the client's fetch returns. It needs NewServer's
-// planner-backed server.
+// planner-backed server. The layout's slices are the planner's cached
+// copy, shared with every fetch of the plan: read them, never write them.
 func (s *Server) Layout(opts FetchOptions) (core.Layout, error) {
 	r, refusal := s.local.resolve(opts.request())
 	if refusal.Error != "" {
 		return core.Layout{}, respRefusal(refusal, "fetch")
 	}
-	return r.layout, nil
+	return r.resolved.Layout, nil
 }
 
 // FrameStats snapshots the shared cooked-frame cache's counters.
@@ -277,35 +277,30 @@ func (s *Server) Close() error {
 	return err
 }
 
-// ReadRequests decodes a connection's control lines into a channel from a
-// dedicated goroutine, so that feedback arriving mid-stream can steer the
-// stream promptly. The channel closes when the connection fails, a line
-// does not parse or is longer than MaxControlLine; a last line cut short by
-// the end of the connection still counts. done must be closed when the
-// handler returns: it keeps the reader from blocking forever on a send
-// nobody will receive (a write error mid-stream with a Request already
-// parsed), which would otherwise leak one goroutine per failed connection.
-func ReadRequests(conn net.Conn, done <-chan struct{}) <-chan Request {
+// readRequests decodes a connection's request records into a channel
+// from a dedicated goroutine, so that feedback arriving mid-stream can
+// steer the stream promptly, and adds each record's bytes to uplink. The
+// channel closes when the connection fails or ends — inside a record or
+// between two — or a record does not parse or is larger than
+// MaxControlLine. done must be closed when the handler returns: it keeps
+// the reader from blocking forever on a send nobody will receive (a write
+// error mid-stream with a Request already parsed), which would otherwise
+// leak one goroutine per failed connection.
+func readRequests(conn net.Conn, done <-chan struct{}, uplink *obs.Counter) <-chan Request {
 	requests := make(chan Request)
 	go func() {
 		defer close(requests)
 		r := getReader(conn)
 		defer putReader(r)
 		for {
-			line, err := readLine(r)
-			if len(line) == 0 {
+			req, n, err := readRequest(r)
+			if err != nil {
 				return
 			}
-			req, derr := DecodeRequest(line)
-			if derr != nil {
-				return
-			}
+			uplink.Add(int64(n))
 			select {
 			case requests <- req:
 			case <-done:
-				return
-			}
-			if err != nil {
 				return
 			}
 		}
@@ -346,7 +341,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	handlerDone := make(chan struct{})
 	defer close(handlerDone)
-	requests := ReadRequests(conn, handlerDone)
+	requests := readRequests(conn, handlerDone, s.sm.uplinkBytes)
 
 	// Only the write side goes through the timeout: reads belong to the
 	// reader goroutine, under the idle deadline armed below.
@@ -393,7 +388,7 @@ func (s *Server) handle(conn net.Conn) {
 
 // reply writes one control response and flushes it.
 func (s *Server) reply(w *bufio.Writer, resp Response) error {
-	n, err := writeJSONLine(w, resp)
+	n, err := writeResponse(w, &resp)
 	s.sm.headerBytes.Add(int64(n))
 	if err != nil {
 		return err
@@ -431,16 +426,6 @@ func (s *Server) fetch(w *bufio.Writer, conn net.Conn, req Request, requests <-c
 		return err
 	}
 	return w.Flush()
-}
-
-// DecodeRequest parses one JSON control line. It is the single entry
-// point for untrusted control data (see FuzzRequestDecode).
-func DecodeRequest(line []byte) (Request, error) {
-	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		return Request{}, err
-	}
-	return req, nil
 }
 
 var _ io.Closer = (*Server)(nil)

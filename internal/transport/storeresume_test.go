@@ -203,7 +203,7 @@ func TestDoneGensKeepsGenerationsOffTheAir(t *testing.T) {
 	ctx := context.Background()
 	fetchSending := func(done []int, seed uint64) (int, *core.Layout) {
 		t.Helper()
-		if err := client.send(ctx, Request{Op: "fetch", Doc: corpus.DraftName, DoneGens: done, Seed: seed}); err != nil {
+		if _, err := client.send(ctx, Request{Op: "fetch", Doc: corpus.DraftName, DoneGens: done, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		resp, _, err := client.readResponse(ctx)

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -435,19 +434,13 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 
 func (c *rawClient) send(req Request) {
 	c.t.Helper()
-	if err := WriteJSONLine(c.conn, req); err != nil {
+	if err := writeRecordTo(c.conn, req); err != nil {
 		c.t.Fatal(err)
 	}
 }
 
 func (c *rawClient) response() (Response, error) {
-	line, err := c.r.ReadBytes('\n')
-	if err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	err = json.Unmarshal(line, &resp)
-	return resp, err
+	return ReadResponse(c.r)
 }
 
 // frames reads up to n frames (n < 0: to the end-of-stream marker) and

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mobweb/internal/core"
 	"mobweb/internal/erasure"
 	"mobweb/internal/obs"
 	"mobweb/internal/planner"
@@ -64,13 +63,14 @@ func degraded(mode Capability, what string) Response {
 const degradedGammaMax = 1.25
 
 // resolution is a fetch request decided: what its response header
-// carries and its stream follows.
+// carries and its stream follows. The layout and its encoding are the
+// resolved plan's own (resolved.Layout, resolved.LayoutBinary), built
+// once per plan and codec; its seed is the plan's digest.
 type resolution struct {
 	req      Request // γ as the tier clamped it
 	mode     Capability
 	codec    erasure.CodecID
 	resolved *planner.Resolved
-	layout   core.Layout // its seed is the plan's digest
 }
 
 // resolve decides a fetch request without sending anything: capability
@@ -105,14 +105,9 @@ func (t *transmitter) resolve(req Request) (resolution, Response) {
 	// Planner errors are safe to forward: request problems carry curated
 	// messages, and a build failure is the server's to report.
 	var err error
-	r.resolved, err = t.planner.ResolveFrames(planner.Request{Doc: req.Doc, Query: req.Query, LOD: req.LOD, Notion: req.Notion, Gamma: r.req.Gamma})
+	r.resolved, err = t.planner.ResolveFrames(planner.Request{Doc: req.Doc, Query: req.Query, LOD: req.LOD, Notion: req.Notion, Gamma: r.req.Gamma, Codec: r.codec})
 	if err != nil {
 		return r, Response{Error: err.Error()}
-	}
-	if r.codec == erasure.CodecFountain {
-		r.layout = r.resolved.Plan.FountainLayout(r.resolved.Plan.Digest())
-	} else {
-		r.layout = r.resolved.Plan.Layout()
 	}
 	return r, Response{}
 }
@@ -129,7 +124,8 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 		t.tm.fetchErrors.Inc()
 		return t.refuse(refusal)
 	}
-	req, codec, resolved, layout := r.req, r.codec, r.resolved, r.layout
+	req, codec, resolved := r.req, r.codec, r.resolved
+	layout := &resolved.Layout
 	if req.Seed != layout.Seed {
 		// Have and DoneGens name packets of another stream (or of none):
 		// the document changed since the client stored them, so it is
@@ -146,13 +142,13 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 	var sending int
 	if codec == erasure.CodecFountain {
 		t.tm.fountainFetches.Inc()
-		fs := newFountainSource(resolved, layout.Seed, req, layout, clearOnly)
+		fs := newFountainSource(resolved, layout.Seed, req, *layout, clearOnly)
 		src, sending = fs, fs.window
 	} else {
-		rows := newRowSource(resolved, layout, req, clearOnly)
+		rows := newRowSource(resolved, *layout, req, clearOnly)
 		src, sending = rows, rows.sending
 	}
-	hdr := Response{OK: true, Layout: &layout, Sending: sending, Replica: t.opts.Name}
+	hdr := Response{OK: true, Layout: layout, layoutBin: resolved.LayoutBinary, Sending: sending, Replica: t.opts.Name}
 	if r.mode != CapFull {
 		hdr.Capability = r.mode.String()
 	}

@@ -316,7 +316,7 @@ func TestDropInjector(t *testing.T) {
 
 func TestUnknownOp(t *testing.T) {
 	client := startServer(t, ServerOptions{})
-	if err := client.send(context.Background(), Request{Op: "bogus"}); err != nil {
+	if _, err := client.send(context.Background(), Request{Op: "bogus"}); err != nil {
 		t.Fatal(err)
 	}
 	resp, _, err := client.readResponse(context.Background())
