@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-fetch loc cover figures paperscale fuzz fmt-check lint vulncheck verify clean
+.PHONY: all build test race bench bench-fetch loc cover figures paperscale fuzz fmt-check vulncheck verify clean
 
 all: build test
 
@@ -13,12 +13,6 @@ test:
 
 race:
 	go test -race ./...
-
-# The repo's one invariant analyzer (locks) over the whole tree; see
-# DESIGN.md §8. The vet passes run in `build` and `verify` as plain
-# `go vet ./...`.
-lint:
-	go test -run TestTreeLintsClean ./internal/lint
 
 # Known-vulnerability scan. Best effort: govulncheck is an external tool
 # and needs network access for its database, so its absence (or an
@@ -35,10 +29,10 @@ fmt-check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
-# The CI gate: static checks plus the full suite under the race detector
+# The CI gate: gofmt and vet plus the full suite under the race detector
 # (the planner's concurrent plan and frame caches, and lock-free shared
 # plans, are exercised by dedicated -race stress tests).
-verify: fmt-check lint vulncheck
+verify: fmt-check vulncheck
 	go vet ./...
 	go test -race ./...
 

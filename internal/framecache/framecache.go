@@ -1,9 +1,11 @@
 // Package framecache is the one cache behind the send path: a generic,
-// byte-budgeted LRU with singleflight load deduplication and grouped
-// invalidation. The planner holds two instances — built plans keyed by
-// the versioned plan key, and cooked wire frames keyed by Key — so a
-// retransmission round of the paper's Caching strategy costs the server
-// two map lookups instead of a ranking pass and a parity encode.
+// byte-budgeted LRU with singleflight load deduplication. The planner
+// holds two instances — built plans keyed by the versioned plan key, and
+// cooked wire frames keyed by Key — so a retransmission round of the
+// paper's Caching strategy costs the server two map lookups instead of a
+// ranking pass and a parity encode. Nothing is ever invalidated: a
+// re-indexed document gets a new version, so its old entries are never
+// asked for again and age out of the LRU.
 //
 // Values are SHARED AND IMMUTABLE. The frame instance stores fully
 // framed wire bytes (seq + CRC + payload), directly writable to a socket;
@@ -14,7 +16,7 @@
 // — copy it into private scratch first.
 //
 // The package depends only on the standard library: the owner supplies
-// keys, groups and costs, so the cache never needs to know what a plan
+// keys and costs, so the cache never needs to know what a plan
 // or a frame is, and it never calls back into its owner except through
 // the load function, which runs outside the cache lock.
 package framecache
@@ -32,7 +34,7 @@ import (
 const DefaultCacheBytes = 32 << 20
 
 // Key identifies one cooked wire frame. Plan is the planner's versioned
-// plan key (document-version token, document, LOD, notion, γ, packet
+// plan key (document version, document, LOD, notion, γ, packet
 // geometry, query-vector hash), and Gen/Row locate the frame inside the
 // plan's dispersal groups (Row is the global cooked sequence number's
 // index within its generation, or the stream seq for rateless codecs).
@@ -65,8 +67,6 @@ type Stats struct {
 	CookTime time.Duration
 	// Evictions counts entries dropped to respect the budget.
 	Evictions int64
-	// Invalidations counts entries dropped by Invalidate.
-	Invalidations int64
 	// Entries and Bytes describe current occupancy.
 	Entries int
 	Bytes   int64
@@ -83,29 +83,23 @@ func (s Stats) HitRate() float64 {
 
 // String formats the snapshot for logs.
 func (s Stats) String() string {
-	return fmt.Sprintf("framecache{hits %d, misses %d (%.1f%%), coalesced %d, cooks %d (%v), evictions %d, invalidations %d, entries %d, %d bytes}",
-		s.Hits, s.Misses, 100*s.HitRate(), s.Coalesced, s.Cooks, s.CookTime.Round(time.Microsecond), s.Evictions, s.Invalidations, s.Entries, s.Bytes)
+	return fmt.Sprintf("framecache{hits %d, misses %d (%.1f%%), coalesced %d, cooks %d (%v), evictions %d, entries %d, %d bytes}",
+		s.Hits, s.Misses, 100*s.HitRate(), s.Coalesced, s.Cooks, s.CookTime.Round(time.Microsecond), s.Evictions, s.Entries, s.Bytes)
 }
 
 // entry is one cached value.
 type entry[K comparable, V any] struct {
-	key   K
-	group string
-	val   V
-	cost  int64
+	key  K
+	val  V
+	cost int64
 }
 
 // flight is one in-progress load that concurrent lookups of the same
 // key wait on.
 type flight[V any] struct {
-	wg    sync.WaitGroup
-	group string
-	val   V
-	err   error
-	// stale is set (under the cache lock) when the group was invalidated
-	// while the load ran: the value is served to its waiters but not
-	// inserted.
-	stale bool
+	wg  sync.WaitGroup
+	val V
+	err error
 }
 
 // Cache is a byte-budgeted LRU of immutable values, safe for concurrent
@@ -114,10 +108,9 @@ type Cache[K comparable, V any] struct {
 	budget int64
 
 	mu      sync.Mutex
-	stats   Stats                     // Entries and Bytes are live occupancy
-	ll      *list.List                // front = most recently used
-	entries map[K]*list.Element       // key → element (value *entry[K, V])
-	groups  map[string]map[K]struct{} // invalidation group → its resident keys
+	stats   Stats               // Entries and Bytes are live occupancy
+	ll      *list.List          // front = most recently used
+	entries map[K]*list.Element // key → element (value *entry[K, V])
 	flights map[K]*flight[V]
 }
 
@@ -132,7 +125,6 @@ func New[K comparable, V any](budget int64) *Cache[K, V] {
 		budget:  budget,
 		ll:      list.New(),
 		entries: make(map[K]*list.Element),
-		groups:  make(map[string]map[K]struct{}),
 		flights: make(map[K]*flight[V]),
 	}
 }
@@ -153,13 +145,13 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 }
 
 // GetOrLoad returns the cached value for key, calling load on a miss and
-// caching its result under the invalidation group at the cost it
-// reports. Concurrent misses of one key share a single load; each joiner
-// counts as a miss and a coalesce. The returned value is shared and
-// immutable; load must return one the cache may retain (no aliasing of
-// caller-owned buffers). A value costing more than the whole budget is
-// served but not cached, and so is an error.
-func (c *Cache[K, V]) GetOrLoad(key K, group string, load func() (V, int64, error)) (V, error) {
+// caching its result at the cost it reports. Concurrent misses of one
+// key share a single load; each joiner counts as a miss and a coalesce.
+// The returned value is shared and immutable; load must return one the
+// cache may retain (no aliasing of caller-owned buffers). A value costing
+// more than the whole budget is served but not cached, and so is an
+// error.
+func (c *Cache[K, V]) GetOrLoad(key K, load func() (V, int64, error)) (V, error) {
 	c.mu.Lock()
 	if elem, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(elem)
@@ -175,7 +167,7 @@ func (c *Cache[K, V]) GetOrLoad(key K, group string, load func() (V, int64, erro
 		fl.wg.Wait()
 		return fl.val, fl.err
 	}
-	fl := &flight[V]{group: group}
+	fl := &flight[V]{}
 	fl.wg.Add(1)
 	c.flights[key] = fl
 	c.mu.Unlock()
@@ -188,35 +180,14 @@ func (c *Cache[K, V]) GetOrLoad(key K, group string, load func() (V, int64, erro
 	delete(c.flights, key)
 	c.stats.Cooks++
 	c.stats.CookTime += elapsed
-	// Insert only when the group was not invalidated while we loaded: a
-	// re-indexed document must not resurrect through a racing load.
-	if err == nil && !fl.stale && cost <= c.budget {
-		c.insertLocked(&entry[K, V]{key: key, group: group, val: val, cost: cost})
+	if err == nil && cost <= c.budget {
+		c.insertLocked(&entry[K, V]{key: key, val: val, cost: cost})
 	}
 	c.mu.Unlock()
 
 	fl.val, fl.err = val, err
 	fl.wg.Done()
 	return val, err
-}
-
-// Invalidate drops every cached entry of one group and poisons the
-// in-flight loads for it, returning the number of entries dropped. The
-// planner calls it when a document is re-indexed.
-func (c *Cache[K, V]) Invalidate(group string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, fl := range c.flights {
-		if fl.group == group {
-			fl.stale = true
-		}
-	}
-	n := len(c.groups[group])
-	for key := range c.groups[group] {
-		c.removeLocked(c.entries[key])
-	}
-	c.stats.Invalidations += int64(n)
-	return n
 }
 
 // Stats returns a snapshot of the cache's counters.
@@ -231,26 +202,13 @@ func (c *Cache[K, V]) Stats() Stats {
 // fits; no entry of the key is resident, because its flight was.
 func (c *Cache[K, V]) insertLocked(ent *entry[K, V]) {
 	c.entries[ent.key] = c.ll.PushFront(ent)
-	if c.groups[ent.group] == nil {
-		c.groups[ent.group] = make(map[K]struct{})
-	}
-	c.groups[ent.group][ent.key] = struct{}{}
 	c.stats.Entries++
 	c.stats.Bytes += ent.cost
 	for c.stats.Bytes > c.budget {
-		c.removeLocked(c.ll.Back())
+		old := c.ll.Remove(c.ll.Back()).(*entry[K, V])
+		delete(c.entries, old.key)
+		c.stats.Entries--
+		c.stats.Bytes -= old.cost
 		c.stats.Evictions++
 	}
-}
-
-// removeLocked drops one cache element. Callers hold c.mu.
-func (c *Cache[K, V]) removeLocked(elem *list.Element) {
-	ent := c.ll.Remove(elem).(*entry[K, V])
-	delete(c.entries, ent.key)
-	keys := c.groups[ent.group]
-	if delete(keys, ent.key); len(keys) == 0 {
-		delete(c.groups, ent.group)
-	}
-	c.stats.Entries--
-	c.stats.Bytes -= ent.cost
 }

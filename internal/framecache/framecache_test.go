@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,11 +20,10 @@ const entryOverhead = 160
 // newFrames builds the frame instance of the cache.
 func newFrames(budget int64) *Cache[Key, []byte] { return New[Key, []byte](budget) }
 
-// getOrCook is GetOrLoad the way the planner drives the frame instance: the
-// plan key is the invalidation group, and a frame is charged its bytes,
-// its plan key and entryOverhead.
+// getOrCook is GetOrLoad the way the planner drives the frame instance: a
+// frame is charged its bytes, its plan key and entryOverhead.
 func getOrCook(c *Cache[Key, []byte], k Key, f func() ([]byte, error)) ([]byte, error) {
-	return c.GetOrLoad(k, k.Plan, func() ([]byte, int64, error) {
+	return c.GetOrLoad(k, func() ([]byte, int64, error) {
 		frame, err := f()
 		return frame, int64(len(frame)+len(k.Plan)) + entryOverhead, err
 	})
@@ -144,80 +142,54 @@ func TestNegativeBudgetDisables(t *testing.T) {
 	}
 }
 
-func TestInvalidatePlanDropsOnlyThatPlan(t *testing.T) {
+// TestLoadsRunOutsideTheLock: loads of two keys run at once, each
+// waiting until both have started. A cache that held its mutex across a
+// load would serialise them, and the first would never see the second
+// start.
+func TestLoadsRunOutsideTheLock(t *testing.T) {
 	c := newFrames(0)
-	for row := 0; row < 3; row++ {
-		getOrCook(c, key("a", 0, row), func() ([]byte, error) { return []byte("a"), nil })
-		getOrCook(c, key("b", 0, row), func() ([]byte, error) { return []byte("b"), nil })
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var wg sync.WaitGroup
+	for i := range started {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			frame, err := getOrCook(c, key(fmt.Sprint("p", i), 0, 0), func() ([]byte, error) {
+				close(started[i])
+				select {
+				case <-started[1-i]:
+					return []byte("both"), nil
+				case <-time.After(10 * time.Second):
+					return nil, errors.New("the other load never started")
+				}
+			})
+			if err != nil || string(frame) != "both" {
+				t.Errorf("load %d: %q, %v; loads of different keys ran one at a time", i, frame, err)
+			}
+		}(i)
 	}
-	if n := c.Invalidate("a"); n != 3 {
-		t.Fatalf("invalidated %d, want 3", n)
-	}
-	if _, ok := c.Get(key("a", 0, 0)); ok {
-		t.Fatal("plan a still resident")
-	}
-	if _, ok := c.Get(key("b", 0, 0)); !ok {
-		t.Fatal("plan b should be untouched")
-	}
-	if s := c.Stats(); s.Invalidations != 3 {
-		t.Fatalf("stats = %+v", s)
-	}
+	wg.Wait()
 }
 
-// TestInvalidationPoisonsInFlightCook pins the eviction-vs-cook race: a
-// cook that was already running when its plan was invalidated must not
-// insert a stale frame afterwards.
-func TestInvalidationPoisonsInFlightCook(t *testing.T) {
-	c := newFrames(0)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		getOrCook(c, key("p", 0, 0), func() ([]byte, error) {
-			close(started)
-			<-release
-			return []byte("stale"), nil
-		})
-	}()
-	<-started
-	c.Invalidate("p")
-	close(release)
-	<-done
-	if _, ok := c.Get(key("p", 0, 0)); ok {
-		t.Fatal("stale frame inserted by a cook racing Invalidate")
-	}
-}
-
-// TestInvalidationLeavesNoResidue is the regression for the per-plan
-// epoch counter that Invalidate bumped and nothing ever dropped:
-// every re-index mints a new plan key, so a long-lived server grew one
-// map entry per document version it had ever invalidated. Ten thousand
-// distinct plans cooked, served and invalidated — one of them with a cook
-// still in flight — must leave every map in the cache empty.
-func TestInvalidationLeavesNoResidue(t *testing.T) {
-	c := newFrames(0)
+// TestRetiredKeysAgeOut: a key that is never asked for again — a plan of
+// a re-indexed document's old version — leaves the cache through the LRU.
+// Ten thousand distinct plans cooked once each leave the cache within its
+// budget, its index the size of what is resident, and no load in flight.
+func TestRetiredKeysAgeOut(t *testing.T) {
+	const budget = 4 * (64 + 16 + entryOverhead)
+	c := newFrames(budget)
 	for i := 0; i < 10000; i++ {
-		plan := fmt.Sprintf("doc\x00%x", i)
-		if _, err := getOrCook(c, key(plan, 0, 0), func() ([]byte, error) { return []byte("frame"), nil }); err != nil {
+		plan := fmt.Sprintf("%016x", i)
+		if _, err := getOrCook(c, key(plan, 0, 0), func() ([]byte, error) { return make([]byte, 64), nil }); err != nil {
 			t.Fatal(err)
 		}
-		if n := c.Invalidate(plan); n != 1 {
-			t.Fatalf("plan %d: invalidated %d entries, want 1", i, n)
-		}
 	}
-	getOrCook(c, key("racing", 0, 0), func() ([]byte, error) {
-		c.Invalidate("racing")
-		return []byte("stale"), nil
-	})
-	cache := reflect.ValueOf(c).Elem()
-	for i := 0; i < cache.NumField(); i++ {
-		if f := cache.Field(i); f.Kind() == reflect.Map && f.Len() != 0 {
-			t.Errorf("Cache.%s holds %d entries after every plan was invalidated", cache.Type().Field(i).Name, f.Len())
-		}
+	s := c.Stats()
+	if s.Bytes > budget || s.Entries != 4 || s.Evictions != 10000-4 {
+		t.Errorf("stats = %+v, want 4 entries within %d bytes", s, budget)
 	}
-	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 {
-		t.Errorf("stats = %+v, want an empty cache", s)
+	if len(c.entries) != s.Entries || c.ll.Len() != s.Entries || len(c.flights) != 0 {
+		t.Errorf("index %d, list %d, flights %d for %d resident entries", len(c.entries), c.ll.Len(), len(c.flights), s.Entries)
 	}
 }
 
@@ -286,7 +258,9 @@ func TestConcurrentMixedOperations(t *testing.T) {
 				k := Key{Plan: plan, Gen: i % 2, Row: i % 17}
 				switch i % 5 {
 				case 4:
-					c.Invalidate(plan)
+					if frame, ok := c.Get(k); ok && len(frame) != 64 {
+						t.Errorf("Get: %d bytes", len(frame))
+					}
 				default:
 					frame, err := getOrCook(c, k, func() ([]byte, error) { return make([]byte, 64), nil })
 					if err != nil || len(frame) != 64 {

@@ -127,42 +127,44 @@ func TestResolveFramesGammaKeysSeparately(t *testing.T) {
 }
 
 // TestReindexInvalidatesFrames rebuilds a document and requires the old
-// frames to be unreachable: the new resolution must serve frames cooked
-// from the new content.
+// frames to be unreachable: after the re-index every frame served must
+// equal the frame of a planner that only ever saw the new content.
 func TestReindexInvalidatesFrames(t *testing.T) {
 	p, engine := newTestPlanner(t, Options{}, "a.xml")
 	r1, err := p.ResolveFrames(baseReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.Frame(0); err != nil {
-		t.Fatal(err)
+	for seq := 0; seq < r1.Plan.N(); seq++ {
+		if _, err := r1.Frame(seq); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Re-index with different content (more paragraphs → different body).
-	if err := engine.Add(synthDoc(t, "a.xml", 13)); err != nil {
+	doc := synthDoc(t, "a.xml", 13)
+	if err := engine.Add(doc); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := p.ResolveFrames(baseReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Key == r1.Key {
-		t.Fatal("re-index did not change the frame key")
+	if r2.Key == r1.Key || r2.Plan.BodySize() == r1.Plan.BodySize() {
+		t.Fatal("re-index did not change the frame key and the body")
 	}
-	new0, err := r2.Frame(0)
+	want, err := freshPlanner(t, doc).ResolveFrames(baseReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r2.Plan.Frame(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(new0, want) {
-		t.Fatal("post-reindex frame does not match the new plan")
-	}
-	if s := p.FrameStats(); s.Invalidations == 0 {
-		t.Fatalf("re-index dropped no frames: %+v", s)
+	for seq := 0; seq < want.Plan.N(); seq++ {
+		got, err := r2.Frame(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := want.Frame(seq); !bytes.Equal(got, w) {
+			t.Fatalf("seq %d: post-reindex frame does not match the new document", seq)
+		}
 	}
 }
 

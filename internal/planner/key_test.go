@@ -20,7 +20,7 @@ import (
 
 // cacheKeyOracle is the plan key as it was first written, with
 // hash/fnv and fmt: cacheKey must build the same bytes without them.
-func cacheKeyOracle(version, doc string, cfg core.Config, queryVec map[string]int) string {
+func cacheKeyOracle(version uint64, doc string, cfg core.Config, queryVec map[string]int) string {
 	h := fnv.New64a()
 	terms := make([]string, 0, len(queryVec))
 	for t := range queryVec {
@@ -30,7 +30,7 @@ func cacheKeyOracle(version, doc string, cfg core.Config, queryVec map[string]in
 	for _, t := range terms {
 		fmt.Fprintf(h, "%s=%d;", t, queryVec[t])
 	}
-	return version + "\x00" + doc + "\x00" +
+	return strconv.FormatUint(version, 16) + "\x00" + doc + "\x00" +
 		strconv.Itoa(int(cfg.LOD)) + "\x00" +
 		strconv.Itoa(int(cfg.Notion)) + "\x00" +
 		strconv.FormatUint(math.Float64bits(cfg.Gamma), 16) + "\x00" +
@@ -58,13 +58,13 @@ func TestCacheKeyMatchesOracle(t *testing.T) {
 		{"a": 1, "b": 0, "c": -12, "ü": math.MaxInt, "": 3},
 		{long: 2, "short": 1},
 	}
-	for _, version := range []string{"1", "ff0a"} {
+	for _, version := range []uint64{1, 0xff0a, math.MaxUint64} {
 		for _, doc := range []string{"draft.xml", "", "a\x00b.html"} {
 			for ci, cfg := range configs {
 				for qi, qv := range queries {
 					got, want := cacheKey(version, doc, cfg, qv), cacheKeyOracle(version, doc, cfg, qv)
 					if got != want {
-						t.Errorf("version %q doc %q config %d query %d: key %q, oracle %q", version, doc, ci, qi, got, want)
+						t.Errorf("version %x doc %q config %d query %d: key %q, oracle %q", version, doc, ci, qi, got, want)
 					}
 				}
 			}
@@ -75,7 +75,7 @@ func TestCacheKeyMatchesOracle(t *testing.T) {
 // TestCacheKeyAllocations: a query-free key costs only its string.
 func TestCacheKeyAllocations(t *testing.T) {
 	cfg := core.Config{LOD: document.LODParagraph, Gamma: 1.5, PacketSize: 256}
-	if n := testing.AllocsPerRun(100, func() { cacheKey("1", "draft.xml", cfg, nil) }); n > 1 {
+	if n := testing.AllocsPerRun(100, func() { cacheKey(1, "draft.xml", cfg, nil) }); n > 1 {
 		t.Errorf("query-free cacheKey allocates %v times, want 1", n)
 	}
 }

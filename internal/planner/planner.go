@@ -9,9 +9,10 @@
 //     (framecache.Cache): immutable *core.Plan values, so N concurrent
 //     fetches of one key trigger exactly one core.NewPlan build, and the
 //     cooked wire frames those plans produce;
-//   - one version token per document, which prefixes both caches' keys
-//     and names their invalidation group: the first resolution to see a
-//     re-indexed document retires everything built from the old one;
+//   - the document's version, which the search engine mints on every
+//     Add and which prefixes both caches' keys: a re-indexed document's
+//     plans and frames are never asked for again, and age out of the
+//     LRU;
 //   - client-facing parameter validation (LOD/notion spellings, γ), so
 //     malformed requests fail fast with a safe message instead of a deep
 //     core/erasure error string.
@@ -31,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"mobweb/internal/content"
 	"mobweb/internal/core"
 	"mobweb/internal/erasure"
 	"mobweb/internal/framecache"
@@ -117,11 +117,9 @@ type Stats struct {
 	Builds int64
 	// BuildTime is the cumulative wall time spent inside core.NewPlan.
 	BuildTime time.Duration
-	// Evictions counts cache entries dropped to respect the budget.
+	// Evictions counts cache entries dropped to respect the budget;
+	// plans of a re-indexed document's old version leave this way too.
 	Evictions int64
-	// Invalidations counts cached plans dropped because their document
-	// was re-indexed since the plan was built.
-	Invalidations int64
 	// Entries and Bytes describe the cache's current occupancy.
 	Entries int
 	Bytes   int64
@@ -131,29 +129,15 @@ type Stats struct {
 	GFKernel string
 }
 
-// docVersion is the planner's view of one document name: the SC its
-// current plans are ranked against and the token that stands for it in
-// cache keys. Holding the SC pins it, so a later SC can never reuse the
-// pointer while the comparison in current still matters.
-type docVersion struct {
-	sc    *content.SC
-	token string
-}
-
 // Planner resolves fetch requests into immutable transmission plans,
-// caching and deduplicating builds. It is safe for concurrent use.
+// caching and deduplicating builds. It is safe for concurrent use, and
+// holds no lock of its own: the engine and the two caches lock
+// themselves, and none of them calls another.
 type Planner struct {
 	engine   *search.Engine
 	defaults core.Config
 	plans    *framecache.Cache[string, *planEntry]
 	frames   *framecache.Cache[framecache.Key, []byte]
-
-	// mu guards the version table. It is held across Engine.SC and the
-	// two Invalidate calls, so it sits strictly outside the engine's and
-	// the caches' mutexes; none of them ever calls back into the planner.
-	mu       sync.Mutex
-	versions map[string]docVersion // document name → current version
-	seq      uint64                // last token minted
 }
 
 // New wraps a search engine as a planning service.
@@ -169,7 +153,6 @@ func New(engine *search.Engine, opts Options) (*Planner, error) {
 		defaults: opts.Defaults,
 		plans:    framecache.New[string, *planEntry](opts.CacheBytes),
 		frames:   framecache.New[framecache.Key, []byte](opts.FrameCacheBytes),
-		versions: make(map[string]docVersion),
 	}, nil
 }
 
@@ -193,7 +176,7 @@ func (p *Planner) Resolve(req Request) (*core.Plan, error) {
 type Resolved struct {
 	// Plan is the resolved transmission plan.
 	Plan *core.Plan
-	// Key is the versioned plan key: the document-version token, then the
+	// Key is the versioned plan key: the document's version, then the
 	// canonical plan key, so frames of a re-indexed document never
 	// collide with frames of its replacement.
 	Key string
@@ -203,10 +186,7 @@ type Resolved struct {
 	// bytes the header sends.
 	Layout       core.Layout
 	LayoutBinary []byte
-	// version is the token Key starts with and the invalidation group of
-	// everything cached for this handle.
-	version string
-	planner *Planner
+	planner      *Planner
 }
 
 // planEntry is one cached plan with its Resolved handle per codec, each
@@ -219,13 +199,13 @@ type planEntry struct {
 }
 
 // handle returns the entry's Resolved for codec, building it once.
-func (e *planEntry) handle(p *Planner, key, version string, codec erasure.CodecID) *Resolved {
+func (e *planEntry) handle(p *Planner, key string, codec erasure.CodecID) *Resolved {
 	i := 0
 	if codec == erasure.CodecFountain {
 		i = 1
 	}
 	e.byCodec[i].Do(func() {
-		r := &Resolved{Plan: e.plan, Key: key, version: version, planner: p}
+		r := &Resolved{Plan: e.plan, Key: key, planner: p}
 		if codec == erasure.CodecFountain {
 			r.Layout = e.plan.FountainLayout(e.plan.Digest())
 		} else {
@@ -238,9 +218,12 @@ func (e *planEntry) handle(p *Planner, key, version string, codec erasure.CodecI
 }
 
 // ResolveFrames resolves a request into a frame-serving handle. Errors
-// are as for Resolve.
+// are as for Resolve. The SC and its version are read together, so a
+// plan is always keyed by the version of the document it was ranked
+// against; a build racing a re-index caches its plan under the retired
+// version, where no later resolution looks.
 func (p *Planner) ResolveFrames(req Request) (*Resolved, error) {
-	sc, version, ok := p.current(req.Doc)
+	sc, version, ok := p.engine.Current(req.Doc)
 	if !ok {
 		return nil, &RequestError{NotFound: true, Msg: fmt.Sprintf("unknown document %q", req.Doc)}
 	}
@@ -249,58 +232,17 @@ func (p *Planner) ResolveFrames(req Request) (*Resolved, error) {
 		return nil, err
 	}
 	key := cacheKey(version, req.Doc, cfg, queryVec)
-	entry, err := p.plans.GetOrLoad(key, version, func() (*planEntry, int64, error) {
+	entry, err := p.plans.GetOrLoad(key, func() (*planEntry, int64, error) {
 		plan, err := core.NewPlan(sc, queryVec, cfg)
 		if err != nil {
 			return nil, 0, err
 		}
-		return &planEntry{plan: plan}, p.charge(req.Doc, version, planCost(plan)), nil
+		return &planEntry{plan: plan}, planCost(plan), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return entry.handle(p, key, version, req.Codec), nil
-}
-
-// current returns the document's SC and its version token. The first
-// call to see a new SC for a name mints the next token and retires the
-// old one in both caches: every plan and frame built from the previous
-// document goes at once, whatever key it sat under, and loads in flight
-// for it are served to their waiters but not cached. Reading the SC
-// under p.mu makes a name's versions follow the engine's order, so a
-// resolution that raced a re-index cannot bring a retired version back.
-func (p *Planner) current(doc string) (*content.SC, string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sc, ok := p.engine.SC(doc)
-	if !ok {
-		return nil, "", false
-	}
-	v := p.versions[doc]
-	if v.sc != sc {
-		if v.sc != nil {
-			p.plans.Invalidate(v.token)
-			p.frames.Invalidate(v.token)
-		}
-		p.seq++
-		v = docVersion{sc: sc, token: strconv.FormatUint(p.seq, 16)}
-		p.versions[doc] = v
-	}
-	return sc, v.token, true
-}
-
-// charge is what a load reports as its cost: cost while version is still
-// the document's current one, and more than any budget admits once it
-// has been retired. It runs inside the load, while the cache holds the
-// flight: a retirement that came first is seen here, one that comes later
-// finds the flight and poisons it, so no entry outlives its version.
-func (p *Planner) charge(doc, version string, cost int64) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.versions[doc].token != version {
-		return math.MaxInt64
-	}
-	return cost
+	return entry.handle(p, key, req.Codec), nil
 }
 
 // Frame returns the cooked wire frame for a global sequence number,
@@ -340,13 +282,13 @@ func (r *Resolved) frame(k framecache.Key, seq int) ([]byte, error) {
 	if frame, ok := p.frames.Get(k); ok {
 		return frame, nil
 	}
-	return p.frames.GetOrLoad(k, r.version, func() (frame []byte, cost int64, err error) {
+	return p.frames.GetOrLoad(k, func() (frame []byte, cost int64, err error) {
 		if k.Codec == uint8(erasure.CodecFountain) {
 			frame, err = r.Plan.FountainFrame(k.Seed, k.Gen, k.Row)
 		} else {
 			frame, err = r.Plan.Frame(seq)
 		}
-		return frame, p.charge(r.Plan.Doc().Name, r.version, int64(len(frame)+len(k.Plan))+frameOverhead), err
+		return frame, int64(len(frame)+len(k.Plan)) + frameOverhead, err
 	})
 }
 
@@ -362,23 +304,22 @@ func (p *Planner) FrameStats() framecache.Stats { return p.frames.Stats() }
 func (p *Planner) Stats() Stats {
 	s := p.plans.Stats()
 	return Stats{
-		Hits:          s.Hits,
-		Misses:        s.Misses,
-		Coalesced:     s.Coalesced,
-		Builds:        s.Cooks,
-		BuildTime:     s.CookTime,
-		Evictions:     s.Evictions,
-		Invalidations: s.Invalidations,
-		Entries:       s.Entries,
-		Bytes:         s.Bytes,
-		GFKernel:      gf256.KernelName(),
+		Hits:      s.Hits,
+		Misses:    s.Misses,
+		Coalesced: s.Coalesced,
+		Builds:    s.Cooks,
+		BuildTime: s.CookTime,
+		Evictions: s.Evictions,
+		Entries:   s.Entries,
+		Bytes:     s.Bytes,
+		GFKernel:  gf256.KernelName(),
 	}
 }
 
 // String formats the snapshot for logs.
 func (s Stats) String() string {
-	return fmt.Sprintf("planner{hits %d, misses %d, coalesced %d, builds %d (%v), evictions %d, invalidations %d, entries %d, %d bytes, gf %s}",
-		s.Hits, s.Misses, s.Coalesced, s.Builds, s.BuildTime.Round(time.Microsecond), s.Evictions, s.Invalidations, s.Entries, s.Bytes, s.GFKernel)
+	return fmt.Sprintf("planner{hits %d, misses %d, coalesced %d, builds %d (%v), evictions %d, entries %d, %d bytes, gf %s}",
+		s.Hits, s.Misses, s.Coalesced, s.Builds, s.BuildTime.Round(time.Microsecond), s.Evictions, s.Entries, s.Bytes, s.GFKernel)
 }
 
 // resolveParams validates the request against the defaults, returning
@@ -421,14 +362,14 @@ func (p *Planner) resolveParams(req Request) (core.Config, map[string]int, error
 	return canonical, queryVec, nil
 }
 
-// cacheKey canonicalizes a resolved request behind its document-version
-// token. Everything that changes the resulting plan participates; the
+// cacheKey canonicalizes a resolved request behind its document's
+// version, in hex. Everything that changes the resulting plan participates; the
 // query enters as the FNV-64a hash of its sorted occurrence vector, each
 // term written "term=count;", so queries that stem to the same vector
 // share a key. The key is built in one stack buffer, which also holds
 // each count's digits on their way into the hash: the key string is the
 // one allocation of a query-free resolve.
-func cacheKey(version, doc string, cfg core.Config, queryVec map[string]int) string {
+func cacheKey(version uint64, doc string, cfg core.Config, queryVec map[string]int) string {
 	var terms []string
 	if len(queryVec) > 0 {
 		terms = make([]string, 0, len(queryVec))
@@ -446,7 +387,7 @@ func cacheKey(version, doc string, cfg core.Config, queryVec map[string]int) str
 			h = (h ^ uint64(c)) * fnvPrime64
 		}
 	}
-	b := append(buf[:0], version...)
+	b := strconv.AppendUint(buf[:0], version, 16)
 	b = append(append(b, 0), doc...)
 	b = strconv.AppendInt(append(b, 0), int64(cfg.LOD), 10)
 	b = strconv.AppendInt(append(b, 0), int64(cfg.Notion), 10)
@@ -466,8 +407,8 @@ const (
 // planCost estimates a plan's resident bytes: the body and permuted
 // copies, per-segment bookkeeping, and the layout of the one codec a
 // server usually serves it under (a SegmentMeta and about 24 encoded
-// bytes a segment). Cooked parity is not the plan's to charge; the frame
-// cache charges each frame it keeps.
+// bytes a segment). Cooked parity is not part of a plan's cost; the
+// frame cache counts each frame it keeps against its own budget.
 func planCost(plan *core.Plan) int64 {
 	segs := len(plan.Segments()) + len(plan.AccrualSegments())
 	return int64(2*plan.BodySize()) + int64((128+96)*segs) + 512

@@ -18,7 +18,7 @@ func TestResolvedPlansMatchFreshBuilds(t *testing.T) {
 		for _, lod := range []string{"section", "paragraph"} {
 			for _, notion := range []string{"IC", "QIC", "MQIC"} {
 				req := Request{Doc: doc, Query: "mobile web browsing", LOD: lod, Notion: notion}
-				sc, _, ok := p.current(doc)
+				sc, ok := p.engine.SC(doc)
 				if !ok {
 					t.Fatalf("%s unknown", doc)
 				}

@@ -25,8 +25,11 @@ import (
 type Engine struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
-	// posting maps keyword → document names containing it.
+	// posting maps keyword → document names containing it; a keyword no
+	// current document contains has no set.
 	posting map[string]map[string]bool
+	// version is the last version minted by Add.
+	version uint64
 	opts    textproc.Options
 }
 
@@ -34,6 +37,8 @@ type entry struct {
 	doc *document.Document
 	idx *textproc.Index
 	sc  *content.SC
+	// version is unique to this Add: a re-added name gets a higher one.
+	version uint64
 	// norm is the Euclidean norm of the document's weighted term vector,
 	// precomputed for cosine scoring.
 	norm float64
@@ -50,7 +55,7 @@ func NewEngine(opts textproc.Options) *Engine {
 }
 
 // Add indexes a parsed document. Re-adding a name replaces the previous
-// version.
+// version, and every Add mints a new version number (see Current).
 func (e *Engine) Add(doc *document.Document) error {
 	if doc == nil {
 		return fmt.Errorf("search: nil document")
@@ -74,9 +79,14 @@ func (e *Engine) Add(doc *document.Document) error {
 	defer e.mu.Unlock()
 	if old, ok := e.entries[doc.Name]; ok {
 		for w := range old.idx.Doc {
-			delete(e.posting[w], doc.Name)
+			set := e.posting[w]
+			if delete(set, doc.Name); len(set) == 0 {
+				delete(e.posting, w)
+			}
 		}
 	}
+	e.version++
+	ent.version = e.version
 	e.entries[doc.Name] = ent
 	for w := range idx.Doc {
 		set := e.posting[w]
@@ -128,13 +138,22 @@ func (e *Engine) Names() []string {
 
 // SC returns the structural characteristic for a document name.
 func (e *Engine) SC(name string) (*content.SC, bool) {
+	sc, _, ok := e.Current(name)
+	return sc, ok
+}
+
+// Current returns a document's structural characteristic and the version
+// the Add that indexed it minted, read together: a version names exactly
+// one SC, so a cache keyed by it never serves a re-indexed document's
+// old content.
+func (e *Engine) Current(name string) (*content.SC, uint64, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	ent, ok := e.entries[name]
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
-	return ent.sc, true
+	return ent.sc, ent.version, true
 }
 
 // Hit is one search result: the matched document with its

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -154,6 +155,70 @@ func TestReAddReplaces(t *testing.T) {
 	hits := e.Search("gardening", 5)
 	if len(hits) != 1 || hits[0].Name != "mobile.xml" {
 		t.Errorf("replacement not searchable: %v", hits)
+	}
+}
+
+// TestReAddLeavesNoEmptyPostings: re-indexing a name under fresh
+// vocabulary retires the old words from the postings index entirely, so
+// the index holds exactly the current documents' keywords however many
+// versions came before, and a retired word finds nothing.
+func TestReAddLeavesNoEmptyPostings(t *testing.T) {
+	e := populated(t)
+	word := func(i int) string { return fmt.Sprintf("zq%c%cvoc", 'a'+i/26, 'a'+i%26) }
+	for i := 0; i < 100; i++ {
+		d := buildDoc(t, "mobile.xml", "Rewritten", "Vocabulary "+word(i)+" replaces the last one.")
+		if err := e.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keywords := make(map[string]bool)
+	for _, ent := range e.entries {
+		for w := range ent.idx.Doc {
+			keywords[w] = true
+		}
+	}
+	if len(e.posting) != len(keywords) {
+		t.Errorf("postings hold %d keywords, the current documents %d", len(e.posting), len(keywords))
+	}
+	if hits := e.Search(word(0), 5); len(hits) != 0 {
+		t.Errorf("retired word %q still finds %v", word(0), hits)
+	}
+	if hits := e.Search(word(99), 5); len(hits) != 1 || hits[0].Name != "mobile.xml" {
+		t.Errorf("current word %q finds %v, want mobile.xml", word(99), hits)
+	}
+}
+
+// TestReAddMintsHigherVersion: every Add mints a version above all
+// before it, Current reads it together with the SC the same Add built,
+// and SC agrees with Current.
+func TestReAddMintsHigherVersion(t *testing.T) {
+	e := populated(t)
+	_, last, ok := e.Current("mobile.xml")
+	if !ok || last == 0 {
+		t.Fatalf("Current(mobile.xml) = version %d, %v", last, ok)
+	}
+	if _, v, _ := e.Current("coding.xml"); v == last {
+		t.Fatal("two documents share a version")
+	}
+	for i := 0; i < 3; i++ {
+		d := buildDoc(t, "mobile.xml", "Replaced", "Gardening and botany, take "+string(rune('a'+i))+".")
+		if err := e.Add(d); err != nil {
+			t.Fatal(err)
+		}
+		sc, v, ok := e.Current("mobile.xml")
+		if !ok || v <= last {
+			t.Fatalf("re-add %d: version %d after %d", i, v, last)
+		}
+		if sc.Doc() != d {
+			t.Fatalf("re-add %d: version %d names the SC of another document", i, v)
+		}
+		if old, _ := e.SC("mobile.xml"); old != sc {
+			t.Fatal("SC and Current disagree")
+		}
+		last = v
+	}
+	if _, v, ok := e.Current("missing.xml"); ok || v != 0 {
+		t.Errorf("Current(missing.xml) = %d, %v", v, ok)
 	}
 }
 

@@ -305,8 +305,9 @@ func TestFountainBroadcastChurn(t *testing.T) {
 func TestChaosFountainResumeCarriesSeqs(t *testing.T) {
 	want := cleanBody(t, corpus.DraftName)
 	admitter := &countingAdmitter{}
+	reg := obs.NewRegistry()
 	policy := ChaosPolicy{Seed: 9, KillAfterMin: 5000, KillAfterMax: 8000, MaxKills: 2}
-	client, chaos := startChaosServer(t, ServerOptions{Admission: admitter}, policy)
+	client, chaos := startChaosServer(t, ServerOptions{Admission: admitter, Metrics: reg}, policy)
 	res, err := client.Fetch(FetchOptions{
 		Doc:       corpus.DraftName,
 		Codec:     erasure.CodecFountain,
@@ -333,6 +334,34 @@ func TestChaosFountainResumeCarriesSeqs(t *testing.T) {
 	}
 	if res.RefetchedPackets != 0 {
 		t.Errorf("%d packets refetched after the resume", res.RefetchedPackets)
+	}
+	// The server's fetch log holds both ends of it: the killed stream,
+	// with its error class and the frames it sent, and the resumed one.
+	// A handler records its stream before it releases its admission slot,
+	// which can be after the client is done, so wait for every slot.
+	for deadline := time.Now().Add(5 * time.Second); admitter.held.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	var killed, resumed bool
+	var sent int64
+	for _, rec := range reg.FetchLog().Recent(50) {
+		if rec.Origin != "server" {
+			continue
+		}
+		killed = killed || (rec.Err != "" && rec.Sent > 0)
+		resumed = resumed || rec.Have > 0
+		sent += int64(rec.Sent)
+	}
+	if !killed {
+		t.Error("no server record of a killed stream")
+	}
+	if !resumed {
+		t.Error("no server record of a resumed stream")
+	}
+	// Every frame a record counts, the killed stream's included, is a
+	// fountain frame out.
+	if n := reg.Counter("serve.fountain_frames_out").Value(); n != sent {
+		t.Errorf("serve.fountain_frames_out = %d, the server records sent %d", n, sent)
 	}
 }
 

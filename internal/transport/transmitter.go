@@ -152,16 +152,15 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 	if r.mode != CapFull {
 		hdr.Capability = r.mode.String()
 	}
-	// The hook keeps what the fetch-log record needs, not the request.
+	// The hook keeps what the fetch-log record needs, not the request. A
+	// stream that ended in error is recorded too, with the frames that
+	// went out before it.
 	rec := obs.FetchRecord{Doc: req.Doc, Origin: "server", Replica: t.opts.Name, Have: len(req.Have), Gamma: req.Gamma}
 	return hdr, src, func(sent int, err error) {
-		if err != nil {
-			return
-		}
 		if codec == erasure.CodecFountain {
 			t.tm.fountainFrames.Add(int64(sent))
 		}
-		rec.Sent = sent
+		rec.Sent, rec.Err = sent, errClass(err)
 		t.tm.fetchLog.Record(rec)
 	}
 }
