@@ -3,9 +3,10 @@ package core
 // availIndex is the receiver's running answer to "which bytes are usable
 // now": one flag per raw packet, and per accrual unit the number of raw
 // packets under it that are still missing. It is built once from the
-// layout and folded forward as packets arrive, so a progress question
-// costs what the last packets changed instead of a walk over every unit
-// and every packet.
+// layout and kept current as packets arrive — a source is flagged when
+// it lands, a generation's other raw packets once, when it completes —
+// so a frame costs what it changed instead of a walk over every unit and
+// every packet.
 //
 // Availability only grows until Reset — a held row stays held, a complete
 // generation stays complete — so the index never retracts a flag.
@@ -23,10 +24,10 @@ type availIndex struct {
 	// available units it has not.
 	drained   []bool
 	undrained int
-	// touched[g]: generation g gained a packet since the last fold.
-	// settled[g]: all of g's raw packets are flagged, so a fold skips it.
-	touched, settled []bool
-	dirty            bool
+	// touched[g]: generation g completed since the last fold, which flags
+	// the raw packets its sources did not.
+	touched []bool
+	dirty   bool
 	// ic is the accrued information content as of the last unit that
 	// completed; icStale asks InfoContent to sum it again.
 	ic      float64
@@ -44,15 +45,14 @@ func packetSpan(seg SegmentMeta, sp int) (first, last int) {
 func newAvailIndex(l Layout) availIndex {
 	m, units, sp := l.M(), len(l.Accrual), l.PacketSize
 	ints := make([]int, 2*units+m+1)
-	flags := make([]bool, m+units+2*len(l.Shapes))
+	flags := make([]bool, m+units+len(l.Shapes))
 	ix := availIndex{
 		span:     ints[:units],
 		missing:  ints[units : 2*units],
 		coverOff: ints[2*units:],
 		raw:      flags[:m],
 		drained:  flags[m : m+units],
-		touched:  flags[m+units : m+units+len(l.Shapes)],
-		settled:  flags[m+units+len(l.Shapes):],
+		touched:  flags[m+units:],
 	}
 	// Counting sort of (packet, unit) pairs by packet: count, prefix-sum,
 	// then place with coverOff[p] as packet p's cursor, which leaves every
@@ -86,7 +86,7 @@ func newAvailIndex(l Layout) availIndex {
 // reset returns the index to the nothing-received state; what depends on
 // the layout alone (span, the cover table) stays.
 func (ix *availIndex) reset() {
-	for _, flags := range [][]bool{ix.raw, ix.drained, ix.touched, ix.settled} {
+	for _, flags := range [][]bool{ix.raw, ix.drained, ix.touched} {
 		for i := range flags {
 			flags[i] = false
 		}
@@ -102,17 +102,16 @@ func (ix *availIndex) reset() {
 	ix.ic, ix.icStale = 0, true
 }
 
-// touch notes that generation g gained a packet (or was seeded whole).
-// The fold itself waits until someone asks a progress question: a fetch
-// that never asks — no OnProgress, no StopAtIC — pays two stores a frame.
+// touch notes that generation g completed, once per completion. The
+// fold itself waits until someone asks a progress question: a fetch that
+// never asks — no OnProgress, no StopAtIC — pays two stores a generation.
 func (ix *availIndex) touch(g int) {
-	if !ix.settled[g] {
-		ix.touched[g] = true
-		ix.dirty = true
-	}
+	ix.touched[g] = true
+	ix.dirty = true
 }
 
-// markRaw flags raw packet p usable and credits the units it lies under.
+// markRaw flags raw packet p usable and credits the units it lies under;
+// p is not flagged yet.
 func (ix *availIndex) markRaw(p int) {
 	ix.raw[p] = true
 	for _, s := range ix.cover[ix.coverOff[p]:ix.coverOff[p+1]] {
@@ -124,10 +123,11 @@ func (ix *availIndex) markRaw(p int) {
 	}
 }
 
-// fold brings the index up to date with the decoders: it rescans only the
-// generations touched since the last fold. A symbol is usable once its
-// source packet is held or its generation is complete; an incomplete
-// generation's Symbol never solves.
+// fold brings the index up to date with the decoders: it flags the raw
+// packets of each generation that completed since the last fold, once.
+// A symbol is usable once its source packet is held — Add flags those as
+// they land — or its generation is complete; an incomplete generation's
+// Symbol never solves.
 func (r *Receiver) fold() {
 	ix := &r.avail
 	if !ix.dirty {
@@ -138,13 +138,11 @@ func (r *Receiver) fold() {
 	for g, shape := range r.layout.Shapes {
 		if ix.touched[g] {
 			ix.touched[g] = false
-			all := r.GenerationReconstructible(g)
-			for i := 0; i < shape.M; i++ {
-				if p := rawOff + i; !ix.raw[p] && (all || r.gens[g].Symbol(i) != nil) {
+			for p := rawOff; p < rawOff+shape.M; p++ {
+				if !ix.raw[p] {
 					ix.markRaw(p)
 				}
 			}
-			ix.settled[g] = all
 		}
 		rawOff += shape.M
 	}

@@ -4,12 +4,12 @@ import (
 	"fmt"
 
 	"mobweb/internal/erasure"
-	"mobweb/internal/packet"
 )
 
-// This file is the plan-side fountain glue: the per-packet IC weights and
-// the fountain frame marshaling path mirroring Plan.Frame, over the
-// per-generation encoders newPlan builds against the plan's raw packets.
+// This file is the plan-side fountain glue: the per-packet IC weights,
+// the fountain layout and the one-frame cook mirroring Plan.Frame, over
+// the per-generation encoders newPlan builds against the plan's raw
+// packets.
 
 // FountainWeights computes the per-raw-packet IC weights of dispersal
 // group g: each accrual segment spreads its score uniformly over the
@@ -81,19 +81,7 @@ func (p *Plan) FountainLayout(seed uint64) Layout {
 }
 
 // FountainFrame marshals rateless packet (gen, seq) into its wire
-// frame (codec id + seed + gen + seq + CRC + payload).
+// frame (codec id + seed + gen + seq + CRC + payload): a one-row block.
 func (p *Plan) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
-	if gen < 0 || gen >= len(p.gens) {
-		return nil, fmt.Errorf("core: fountain generation %d of %d", gen, len(p.gens))
-	}
-	enc := p.gens[gen].fenc.WithSeed(seed)
-	// One allocation per frame: the header room (FinishFountainFrame fills
-	// it) plus capacity for the payload AppendPayload cooks into.
-	frame := make([]byte, packet.FountainOverhead, packet.FountainOverhead+p.cfg.PacketSize)
-	frame = enc.AppendPayload(frame, seq)
-	if err := packet.FinishFountainFrame(frame, seed, gen, seq); err != nil {
-		return nil, err
-	}
-	coreMetrics.frameMarshals.Add(1)
-	return frame, nil
+	return p.CookBlock(erasure.CodecFountain, seed, gen, seq, seq+1)
 }

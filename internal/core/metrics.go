@@ -10,9 +10,10 @@ var coreMetrics struct {
 	// decodes counts generations whose raw packets a receiver assembled,
 	// once each: a solve for any that did not arrive, a copy otherwise.
 	decodes obs.Counter
-	// frameMarshals counts wire-frame marshals (Plan.Frame, Plan.FountainFrame). The
-	// frame cache exists to flatten this curve: under load the counter
-	// should track distinct frames, not frames sent.
+	// frameMarshals counts wire frames marshalled, one per row of every
+	// block Plan.CookBlock cooks. The frame cache exists to flatten this
+	// curve: under load the counter should track distinct frames, not
+	// frames sent.
 	frameMarshals obs.Counter
 }
 

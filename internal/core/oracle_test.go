@@ -412,6 +412,86 @@ func TestAvailabilityIndexMatchesScan(t *testing.T) {
 	}
 }
 
+// TestSourcesAfterCompletion: Add flags a source as it lands and a
+// generation's other raw packets once it completes, so the sources that
+// arrive after their generation completed must neither be missed nor
+// credit their units twice. Each generation completes from repairs alone;
+// its sources follow, after a progress question that decoded it, after
+// one that only folded it, or with no question between.
+func TestSourcesAfterCompletion(t *testing.T) {
+	const sp, seed = 96, 41
+	doc, scores := oracleDoc(t)
+	for _, codec := range []string{"vandermonde", "fountain"} {
+		for _, between := range []string{"render", "infocontent", "silent"} {
+			t.Run(codec+"/"+between, func(t *testing.T) {
+				// γ = 2: a fixed-rate generation has M repairs, enough to
+				// complete it without a source.
+				plan, err := NewPlanWithScores(doc, scores, Config{PacketSize: sp, LOD: document.LODParagraph, Gamma: 2, MaxGeneration: 12})
+				if err != nil {
+					t.Fatal(err)
+				}
+				layout := plan.Layout()
+				frame := func(g, k int) []byte {
+					var f []byte
+					var err error
+					if codec == "fountain" {
+						f, err = plan.FountainFrame(seed, g, k)
+					} else {
+						wire, _ := layout.WireSeq(g, k)
+						f, err = plan.Frame(wire)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					return f
+				}
+				if codec == "fountain" {
+					layout = plan.FountainLayout(seed)
+				}
+				rcv, err := NewReceiverFromLayout(layout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var kept handedOut
+				for g, shape := range layout.Shapes {
+					for k := shape.M; !rcv.GenerationReconstructible(g); k++ {
+						if k == shape.M+4*shape.M {
+							t.Fatalf("generation %d did not complete from %d repairs", g, 4*shape.M)
+						}
+						if _, _, err := rcv.AddFrame(frame(g, k)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					switch between {
+					case "render":
+						kept.add(rcv.Render()...)
+					case "infocontent":
+						rcv.InfoContent()
+					}
+					for k := 0; k < shape.M; k++ {
+						if _, intact, err := rcv.AddFrame(frame(g, k)); err != nil || !intact {
+							t.Fatalf("source %d of generation %d: intact=%v, %v", k, g, intact, err)
+						}
+						if between != "silent" {
+							checkAgainstOracle(t, rcv, fmt.Sprintf("source %d of completed generation %d", k, g), &kept)
+						}
+					}
+					checkAgainstOracle(t, rcv, fmt.Sprintf("generation %d and its sources", g), &kept)
+				}
+				if !rcv.Reconstructible() || rcv.InfoContent() != rcv.oracleInfoContent() || rcv.InfoContent() < 1-1e-9 {
+					t.Fatalf("stream did not complete the document: %v", rcv)
+				}
+				for s, n := range rcv.avail.missing {
+					if n != 0 {
+						t.Fatalf("unit %d still misses %d raw packets in a complete document", s, n)
+					}
+				}
+				kept.check(t, "at the end")
+			})
+		}
+	}
+}
+
 // TestNewUnitsTransmissionOrder: within one drain, units come in Accrual
 // order whatever order their packets completed them in.
 func TestNewUnitsTransmissionOrder(t *testing.T) {

@@ -31,10 +31,11 @@ type UnitSegment struct {
 // generation is one independently-encoded dispersal group. The first M
 // cooked packets are byte-identical to the raw packets (systematic
 // property), so only the parity tail needs GF(2^8) work, one row per
-// CookedPayload call past M. A client that terminates early on relevance
-// judgment (the paper's headline scenario) therefore never triggers
-// encoding at all. The plan keeps no cooked bytes: the planner's shared
-// frame cache is the one place they are held.
+// repair row of a block CookBlock cooks past M. A client that terminates
+// early on relevance judgment (the paper's headline scenario) therefore
+// never triggers encoding at all: the clear-text prefix is a block of
+// its own. The plan keeps no cooked bytes: the planner's shared frame
+// cache is the one place they are held.
 type generation struct {
 	coder     *erasure.Coder
 	fenc      *fountain.Encoder // this group's rateless stream, seed-free (see FountainFrame)
@@ -259,8 +260,8 @@ func (p *Plan) segmentContaining(leaf *document.Unit) (UnitSegment, bool) {
 // number. A seq inside a generation's clear-text prefix is served
 // straight from the raw packets, and that slice is shared with the plan:
 // callers must not modify it. A seq past a prefix is one parity row,
-// encoded afresh on every call; a caller that asks for the same row more
-// than once keeps the bytes itself (the planner's frame cache does).
+// encoded afresh into a slice of its own on every call. The server does
+// not cook through it: CookBlock encodes a run of rows into their frames.
 func (p *Plan) CookedPayload(seq int) ([]byte, error) {
 	g, idx, err := p.locate(seq)
 	if err != nil {
@@ -274,14 +275,88 @@ func (p *Plan) CookedPayload(seq int) ([]byte, error) {
 }
 
 // Frame marshals the cooked packet at seq into its wire frame
-// (sequence number + CRC + payload).
+// (sequence number + CRC + payload): a one-row block.
 func (p *Plan) Frame(seq int) ([]byte, error) {
-	payload, err := p.CookedPayload(seq)
+	g, row, err := p.locate(seq)
 	if err != nil {
 		return nil, err
 	}
-	coreMetrics.frameMarshals.Add(1)
-	return packet.Packet{Seq: seq, Payload: payload}.AppendMarshal(nil)
+	return p.CookBlock(erasure.CodecVandermonde, 0, g, row, row+1)
+}
+
+// repairBlockRows is the length of a run of repair rows cooked and cached
+// as one frame block.
+const repairBlockRows = 32
+
+// BlockSpan returns the frame block that row of generation gen belongs
+// to under codec, as rows [lo, hi). A generation's clear-text prefix
+// [0, M) is one block; repairs from M on come in runs of
+// repairBlockRows, a fixed-rate run clipped at N. A block never
+// straddles the source/repair boundary, so a tier that serves only clear
+// text never cooks a repair. Under the fixed-rate codec row must be
+// below N; a fountain row is any seq of the unbounded stream.
+func (p *Plan) BlockSpan(codec erasure.CodecID, gen, row int) (lo, hi int, err error) {
+	if gen < 0 || gen >= len(p.gens) {
+		return 0, 0, fmt.Errorf("core: generation %d of %d", gen, len(p.gens))
+	}
+	m, n := p.gens[gen].coder.M(), p.gens[gen].coder.N()
+	if codec == erasure.CodecFountain {
+		n = packet.MaxFountainSeq + 1
+	}
+	if row < 0 || row >= n {
+		return 0, 0, fmt.Errorf("core: row %d of generation %d outside [0, %d)", row, gen, n)
+	}
+	if row < m {
+		return 0, m, nil
+	}
+	lo = m + (row-m)/repairBlockRows*repairBlockRows
+	return lo, min(lo+repairBlockRows, n), nil
+}
+
+// CookBlock marshals rows [lo, hi) of generation gen under codec (and,
+// for the fountain, the stream seed) into consecutive wire frames of one
+// allocation. Clear-text rows are copied in, and each repair is encoded
+// straight into its frame's payload before the header and CRC are
+// written over it. Every frame of a codec has one length, so frame i of
+// the block starts at i times that length.
+func (p *Plan) CookBlock(codec erasure.CodecID, seed uint64, gen, lo, hi int) ([]byte, error) {
+	if gen < 0 || gen >= len(p.gens) || lo < 0 || hi <= lo {
+		return nil, fmt.Errorf("core: block [%d, %d) of generation %d of %d", lo, hi, gen, len(p.gens))
+	}
+	g := p.gens[gen]
+	var block []byte
+	if codec == erasure.CodecFountain {
+		enc := g.fenc.WithSeed(seed)
+		fl := packet.FountainFrameSize(p.cfg.PacketSize)
+		block = make([]byte, 0, (hi-lo)*fl)
+		for seq := lo; seq < hi; seq++ {
+			base := len(block)
+			block = enc.AppendPayload(block[:base+packet.FountainOverhead], seq)
+			if err := packet.FinishFountainFrame(block[base:], seed, gen, seq); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		m := g.coder.M()
+		if hi > g.coder.N() {
+			return nil, fmt.Errorf("core: block [%d, %d) of generation %d past its %d rows", lo, hi, gen, g.coder.N())
+		}
+		fl := packet.FrameSize(p.cfg.PacketSize)
+		block = make([]byte, (hi-lo)*fl)
+		for row := lo; row < hi; row++ {
+			frame := block[(row-lo)*fl : (row-lo+1)*fl]
+			if row < m {
+				copy(frame[packet.Overhead:], g.raw[row])
+			} else if err := g.coder.EncodeParityRowInto(frame[packet.Overhead:], g.raw, row-m); err != nil {
+				return nil, err
+			}
+			if err := packet.FinishFrame(frame, g.cookedOff+row); err != nil {
+				return nil, err
+			}
+		}
+	}
+	coreMetrics.frameMarshals.Add(int64(hi - lo))
+	return block, nil
 }
 
 // Locate maps a global cooked sequence number to its dispersal group and

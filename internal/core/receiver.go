@@ -44,8 +44,9 @@ type Receiver struct {
 	intact int
 	// slab is the unused tail of the block Add copies repair payloads into.
 	slab []byte
-	// avail indexes what is usable so far; Add notes the generation it
-	// touched and the progress accessors fold that in before they answer.
+	// avail indexes what is usable so far; Add flags a source as it lands
+	// and notes a generation that completes, and the progress accessors
+	// fold that in before they answer.
 	avail availIndex
 	// trace, when attached via SetTrace, records decode events into the
 	// owning fetch's timeline.
@@ -164,6 +165,9 @@ func (r *Receiver) Add(seq int, payload []byte) error {
 		}
 		h.src[local] = true
 		r.intact++
+		if p := h.rawOff + local; !r.avail.raw[p] {
+			r.avail.markRaw(p)
+		}
 		if d.Decoded() {
 			return nil // the solve wrote this slot, with these bytes
 		}
@@ -183,8 +187,11 @@ func (r *Receiver) Add(seq int, payload []byte) error {
 		h.repairs = slices.Insert(h.repairs, pos, erasure.Received{Index: local, Data: own})
 		r.intact++
 	}
+	complete := d.Complete()
 	_, err := d.Add(local, own)
-	r.avail.touch(g)
+	if !complete && d.Complete() {
+		r.avail.touch(g)
+	}
 	return err
 }
 

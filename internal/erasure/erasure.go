@@ -15,9 +15,10 @@
 //     with the Vandermonde modification the paper describes).
 //
 // The byte work is gf256.MulAddRows, one call per output row, rows in
-// order on the calling goroutine: the server cooks one parity row per
-// frame-cache miss (EncodeParityRow) and the client's Decoder solves only
-// for the raw packets that did not arrive in clear text. The Decoder
+// order on the calling goroutine: the server cooks the parity rows of a
+// frame block on a frame-cache miss (EncodeParityRowInto) and the
+// client's Decoder solves only for the raw packets that did not arrive
+// in clear text. The Decoder
 // takes its repair rows from a function, so the rateless code
 // (internal/fountain) decodes through it too.
 package erasure
@@ -113,7 +114,7 @@ func (c *Coder) checkRaw(raw [][]byte) (int, error) {
 // Encode expands raw into cooked packets. Every raw packet must have the
 // same length. The returned packets share one backing arena; the first m
 // are copies of the raw packets (systematic property). Production cooks
-// row by row (EncodeParityRow); Encode is the whole-generation reference
+// row by row (EncodeParityRowInto); Encode is the whole-generation reference
 // the tests and drivers cook with.
 func (c *Coder) Encode(raw [][]byte) ([][]byte, error) {
 	size, err := c.checkRaw(raw)
@@ -133,23 +134,41 @@ func (c *Coder) Encode(raw [][]byte) ([][]byte, error) {
 }
 
 // EncodeParityRow computes a single redundancy packet — cooked index
-// m+row — without touching the rest of the parity tail. It backs
-// core.Plan.CookedPayload: with the cooked-frame cache in front, serving
-// one redundancy frame costs exactly one row of GF(2^8) work instead of
-// materializing the whole generation, and a row evicted from the frame
-// cache re-cooks alone.
+// m+row — into a fresh slice, without touching the rest of the parity
+// tail. It is EncodeParityRowInto for callers without a buffer of their
+// own; the server cooks into its frame blocks instead.
 func (c *Coder) EncodeParityRow(raw [][]byte, row int) ([]byte, error) {
 	size, err := c.checkRaw(raw)
 	if err != nil {
 		return nil, err
 	}
-	if row < 0 || row >= c.n-c.m {
-		return nil, fmt.Errorf("erasure: parity row %d outside [0, %d)", row, c.n-c.m)
-	}
 	out := make([]byte, size)
-	gf256.MulAddRows(c.dispersal.Row(c.m+row), out, raw)
-	codecMetrics.parityRows.Add(1)
+	if err := c.EncodeParityRowInto(out, raw, row); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// EncodeParityRowInto computes redundancy packet m+row over dst, which
+// must be one raw packet long and alias none of raw. It backs
+// core.Plan.CookBlock, which encodes each parity row of a frame block
+// straight into its slot: serving a run of redundancy frames costs one
+// row of GF(2^8) work a frame and no buffer of its own.
+func (c *Coder) EncodeParityRowInto(dst []byte, raw [][]byte, row int) error {
+	size, err := c.checkRaw(raw)
+	if err != nil {
+		return err
+	}
+	if row < 0 || row >= c.n-c.m {
+		return fmt.Errorf("erasure: parity row %d outside [0, %d)", row, c.n-c.m)
+	}
+	if len(dst) != size {
+		return fmt.Errorf("erasure: parity row buffer has %d bytes, want %d", len(dst), size)
+	}
+	clear(dst)
+	gf256.MulAddRows(c.dispersal.Row(c.m+row), dst, raw)
+	codecMetrics.parityRows.Add(1)
+	return nil
 }
 
 // Received is one intact cooked packet tagged with its index in the cooked

@@ -10,9 +10,9 @@ import "mobweb/internal/obs"
 // annotates. A front end that owns an obs.Registry exposes them by
 // registering MetricsProbe under a name like "erasure".
 var codecMetrics struct {
-	// parityRows counts parity rows encoded by EncodeParityRow, one per
-	// call: a plan keeps none, so on the server each is a frame-cache
-	// miss past a clear-text prefix.
+	// parityRows counts parity rows encoded, one per EncodeParityRowInto
+	// call: a plan keeps none, so on the server each is a row of a
+	// frame block cooked on a frame-cache miss past a clear-text prefix.
 	parityRows obs.Counter
 	// packetsConsumed counts distinct packets fed to decoders of either
 	// codec; packetsNeeded accumulates M per completed generation, so

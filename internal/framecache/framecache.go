@@ -1,23 +1,24 @@
 // Package framecache is the one cache behind the send path: a generic,
 // byte-budgeted LRU with singleflight load deduplication. The planner
 // holds two instances — built plans keyed by the versioned plan key, and
-// cooked wire frames keyed by Key — so a retransmission round of the
-// paper's Caching strategy costs the server two map lookups instead of a
-// ranking pass and a parity encode. Nothing is ever invalidated: a
-// re-indexed document gets a new version, so its old entries are never
-// asked for again and age out of the LRU.
+// blocks of cooked wire frames keyed by Key — so a retransmission round
+// of the paper's Caching strategy costs the server a lookup per block
+// instead of a ranking pass and a parity encode per frame. Nothing is
+// ever invalidated: a re-indexed document gets a new version, so its old
+// entries are never asked for again and age out of the LRU.
 //
-// Values are SHARED AND IMMUTABLE. The frame instance stores fully
-// framed wire bytes (seq + CRC + payload), directly writable to a socket;
-// a caller that writes into one corrupts the stream of every connection
-// sharing the entry (TestFramePurityConcurrent in transport holds every
-// frame a fetch was handed to a fresh cook).
+// Values are SHARED AND IMMUTABLE. An entry of the frame instance is a
+// block: consecutive rows of one generation, fully framed (seq + CRC +
+// payload, each directly writable to a socket) in one slab. A caller
+// that writes into one corrupts the stream of every connection sharing
+// the entry (TestFramePurityConcurrent in transport holds every frame a
+// fetch was handed to a fresh cook).
 // Callers that must mutate a frame — e.g. a fault injector flipping bits
 // — copy it into private scratch first.
 //
 // The package depends only on the standard library: the owner supplies
-// keys and costs, so the cache never needs to know what a plan
-// or a frame is, and it never calls back into its owner except through
+// keys and costs, so the cache never needs to know what a plan or a
+// frame block is, and it never calls back into its owner except through
 // the load function, which runs outside the cache lock.
 package framecache
 
@@ -29,15 +30,16 @@ import (
 )
 
 // DefaultCacheBytes is the budget New applies when given zero: enough
-// frames for a handful of hot documents at the paper's 260-byte frames
-// without threatening the plan cache's own budget.
+// frame blocks for a handful of hot documents at the paper's 260-byte
+// frames without threatening the plan cache's own budget.
 const DefaultCacheBytes = 32 << 20
 
-// Key identifies one cooked wire frame. Plan is the planner's versioned
-// plan key (document version, document, LOD, notion, γ, packet
-// geometry, query-vector hash), and Gen/Row locate the frame inside the
-// plan's dispersal groups (Row is the global cooked sequence number's
-// index within its generation, or the stream seq for rateless codecs).
+// Key identifies one cooked block of wire frames. Plan is the planner's
+// versioned plan key (document version, document, LOD, notion, γ,
+// packet geometry, query-vector hash), and Gen/Row locate the block
+// inside the plan's dispersal groups: Row is the block's first row, a
+// cooked index within the generation, or the stream seq for rateless
+// codecs.
 //
 // Codec and Seed complete the identity for multi-codec plans: a
 // fixed-rate Vandermonde frame and a fountain frame of the same plan
@@ -52,7 +54,8 @@ type Key struct {
 }
 
 // Stats is a point-in-time snapshot of a cache's counters. A load is
-// called a cook, after the frame instance the names were coined for.
+// called a cook, after the frame instance the names were coined for,
+// whose loads cook a block of frames each.
 type Stats struct {
 	// Hits counts lookups served from the cache.
 	Hits int64

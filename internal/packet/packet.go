@@ -47,32 +47,37 @@ type Packet struct {
 // covers the sequence number and the payload so that header corruption is
 // also detected.
 func (p Packet) Marshal() ([]byte, error) {
-	if p.Seq < 0 || p.Seq > MaxSeq {
-		return nil, fmt.Errorf("packet: sequence %d outside [0, %d]", p.Seq, MaxSeq)
-	}
-	frame := make([]byte, Overhead+len(p.Payload))
-	binary.BigEndian.PutUint16(frame[0:2], uint16(p.Seq))
-	copy(frame[Overhead:], p.Payload)
-	sum := crc.Update(crc.Update(crc.Init, frame[0:2]), p.Payload)
-	binary.BigEndian.PutUint16(frame[2:4], sum)
-	return frame, nil
+	return p.AppendMarshal(make([]byte, 0, Overhead+len(p.Payload)))
 }
 
 // AppendMarshal appends the framed packet to dst and returns the extended
 // slice, for allocation-free transmit loops: when dst has capacity for the
 // frame, no allocation happens at all.
 func (p Packet) AppendMarshal(dst []byte) ([]byte, error) {
-	if p.Seq < 0 || p.Seq > MaxSeq {
-		return nil, fmt.Errorf("packet: sequence %d outside [0, %d]", p.Seq, MaxSeq)
-	}
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
 	dst = append(dst, p.Payload...)
-	frame := dst[base:]
-	binary.BigEndian.PutUint16(frame[0:2], uint16(p.Seq))
-	sum := crc.Update(crc.Update(crc.Init, frame[0:2]), p.Payload)
-	binary.BigEndian.PutUint16(frame[2:4], sum)
+	if err := FinishFrame(dst[base:], p.Seq); err != nil {
+		return nil, err
+	}
 	return dst, nil
+}
+
+// FinishFrame writes the sequence number and CRC in place over frame,
+// whose payload must already sit at frame[Overhead:]. Cook-in-place
+// loops use it to skip a payload copy: reserve the header, encode the
+// payload straight into the buffer, then finish.
+func FinishFrame(frame []byte, seq int) error {
+	if seq < 0 || seq > MaxSeq {
+		return fmt.Errorf("packet: sequence %d outside [0, %d]", seq, MaxSeq)
+	}
+	if len(frame) < Overhead {
+		return ErrTruncated
+	}
+	binary.BigEndian.PutUint16(frame[0:2], uint16(seq))
+	sum := crc.Update(crc.Update(crc.Init, frame[0:2]), frame[Overhead:])
+	binary.BigEndian.PutUint16(frame[2:4], sum)
+	return nil
 }
 
 // Unmarshal parses a frame. It returns ErrTruncated for impossible sizes

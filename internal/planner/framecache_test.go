@@ -2,15 +2,19 @@ package planner
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
+
+	"mobweb/internal/search"
+	"mobweb/internal/textproc"
 )
 
 // TestResolveFramesByteIdentity is the correctness floor: every frame
 // served through the cache — retaining (the default) or retaining nothing
 // (negative budget) — must be byte-identical to the plan's own Plan.Frame
-// output, across clear-prefix rows, parity rows, and generation
-// boundaries.
+// output, across clear-prefix rows, parity rows, block and generation
+// boundaries, and capped at its own length.
 func TestResolveFramesByteIdentity(t *testing.T) {
 	cached, _ := newTestPlanner(t, Options{}, "a.xml")
 	plain, _ := newTestPlanner(t, Options{FrameCacheBytes: -1}, "a.xml")
@@ -40,15 +44,19 @@ func TestResolveFramesByteIdentity(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("seq %d: %s frame differs from Plan.Frame", seq, name)
 				}
+				if cap(got) != len(got) {
+					t.Fatalf("seq %d: %s frame has cap %d past its %d bytes", seq, name, cap(got), len(got))
+				}
 			}
 		}
 	}
-	n := int64(res.Plan.N())
-	if s := cached.FrameStats(); s.Cooks != n || s.Entries != int(n) || s.Hits != n {
-		t.Fatalf("default budget: %+v, want %d cooks, entries and hits", s, n)
+	// Each block cooks and is cached once; every other lookup hits it.
+	n, blocks := int64(res.Plan.N()), int64(blockCount(res.Plan))
+	if s := cached.FrameStats(); s.Cooks != blocks || s.Entries != int(blocks) || s.Hits != 2*n-blocks {
+		t.Fatalf("default budget: %+v, want %d cooks and entries, %d hits", s, blocks, 2*n-blocks)
 	}
 	// A negative budget keeps its meaning through the one path: every
-	// call cooks, nothing is retained.
+	// call cooks its block, nothing is retained.
 	if s := plain.FrameStats(); s.Cooks != 2*n || s.Entries != 0 || s.Hits != 0 || s.Bytes != 0 {
 		t.Fatalf("negative budget: %+v, want %d cooks and nothing retained", s, 2*n)
 	}
@@ -221,7 +229,7 @@ func TestPlanEvictionKeepsFrameBytesValid(t *testing.T) {
 
 // TestResolveFramesConcurrent exercises the full stack under -race:
 // many goroutines streaming one document must agree byte-for-byte and
-// trigger at most one cook per frame.
+// trigger at most one cook per block.
 func TestResolveFramesConcurrent(t *testing.T) {
 	p, _ := newTestPlanner(t, Options{}, "a.xml")
 	res, err := p.ResolveFrames(baseReq)
@@ -260,7 +268,60 @@ func TestResolveFramesConcurrent(t *testing.T) {
 			}
 		}
 	}
-	if s := p.FrameStats(); s.Cooks > int64(n) {
-		t.Fatalf("cooked %d times for %d frames; dedup failed: %+v", s.Cooks, n, s)
+	if s, blocks := p.FrameStats(), blockCount(res.Plan); s.Cooks > int64(blocks) {
+		t.Fatalf("cooked %d times for %d blocks; dedup failed: %+v", s.Cooks, blocks, s)
+	}
+}
+
+// TestColdRoundAllocatesPerBlock: a cold resolve and a full round through
+// the frame cache allocate in proportion to the blocks cooked, not to the
+// frames served. Past what the resolve alone costs, a round of N frames
+// in B blocks may allocate at most 8 times a block — the block, its cache
+// entry and the cook's bookkeeping — where a cook per frame cost 5 to 6
+// allocations a frame.
+func TestColdRoundAllocatesPerBlock(t *testing.T) {
+	engine := search.NewEngine(textproc.Options{})
+	if err := engine.Add(synthDoc(t, "big.xml", 80)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(engine, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every run resolves a query no run asked before: a plan build and a
+	// cold frame cache for it.
+	const runs = 20
+	reqs := make([]Request, 2*(runs+1))
+	for i := range reqs {
+		reqs[i] = baseReq
+		reqs[i].Doc, reqs[i].Query = "big.xml", fmt.Sprintf("mobile zq%03d", i)
+	}
+	next := 0
+	resolve := func() *Resolved {
+		r, err := p.ResolveFrames(reqs[next])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		return r
+	}
+	alone := testing.AllocsPerRun(runs, func() { resolve() })
+	frames, blocks := 0, 0
+	withRound := testing.AllocsPerRun(runs, func() {
+		r := resolve()
+		for seq := 0; seq < r.Plan.N(); seq++ {
+			if _, err := r.Frame(seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frames, blocks = r.Plan.N(), blockCount(r.Plan)
+	})
+	round := withRound - alone
+	t.Logf("cold resolve %.1f allocations; a round of %d frames in %d blocks %.1f more", alone, frames, blocks, round)
+	if 8*blocks >= frames {
+		t.Fatalf("%d frames in %d blocks: too few frames a block to tell the two apart", frames, blocks)
+	}
+	if round > float64(8*blocks) {
+		t.Errorf("a round of %d frames in %d blocks allocates %.1f times past its resolve, want at most %d", frames, blocks, round, 8*blocks)
 	}
 }

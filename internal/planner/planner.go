@@ -8,7 +8,8 @@
 //   - two instances of the one byte-budgeted singleflight LRU
 //     (framecache.Cache): immutable *core.Plan values, so N concurrent
 //     fetches of one key trigger exactly one core.NewPlan build, and the
-//     cooked wire frames those plans produce;
+//     cooked wire frames those plans produce, a block of consecutive rows
+//     to an entry;
 //   - the document's version, which the search engine mints on every
 //     Add and which prefixes both caches' keys: a re-indexed document's
 //     plans and frames are never asked for again, and age out of the
@@ -45,8 +46,8 @@ import (
 const DefaultCacheBytes = 64 << 20
 
 // frameOverhead approximates the per-entry bookkeeping charged against
-// the frame budget on top of the frame bytes and the plan key: the map
-// cells and the list element.
+// the frame budget on top of a block's bytes and the plan key: the map
+// cells, the list element and the Block header.
 const frameOverhead = 160
 
 // Options tunes a Planner.
@@ -60,10 +61,10 @@ type Options struct {
 	// deduplicated).
 	CacheBytes int64
 	// FrameCacheBytes bounds the shared cooked-frame cache behind
-	// ResolveFrames (encoded wire frames, directly writable to sockets).
-	// Zero selects framecache.DefaultCacheBytes; a negative value
-	// retains nothing, so every Frame call cooks (concurrent cooks of one
-	// frame are still deduplicated).
+	// ResolveFrames (blocks of encoded wire frames, directly writable to
+	// sockets). Zero selects framecache.DefaultCacheBytes; a negative
+	// value retains nothing, so every Block call cooks its whole block
+	// (concurrent cooks of one block are still deduplicated).
 	FrameCacheBytes int64
 }
 
@@ -137,7 +138,7 @@ type Planner struct {
 	engine   *search.Engine
 	defaults core.Config
 	plans    *framecache.Cache[string, *planEntry]
-	frames   *framecache.Cache[framecache.Key, []byte]
+	frames   *framecache.Cache[framecache.Key, *Block]
 }
 
 // New wraps a search engine as a planning service.
@@ -152,7 +153,7 @@ func New(engine *search.Engine, opts Options) (*Planner, error) {
 		engine:   engine,
 		defaults: opts.Defaults,
 		plans:    framecache.New[string, *planEntry](opts.CacheBytes),
-		frames:   framecache.New[framecache.Key, []byte](opts.FrameCacheBytes),
+		frames:   framecache.New[framecache.Key, *Block](opts.FrameCacheBytes),
 	}, nil
 }
 
@@ -245,51 +246,86 @@ func (p *Planner) ResolveFrames(req Request) (*Resolved, error) {
 	return entry.handle(p, key, req.Codec), nil
 }
 
-// Frame returns the cooked wire frame for a global sequence number,
-// serving it from the shared frame cache. The returned slice is shared
-// and immutable; writing through it corrupts every connection streaming
-// the same document.
+// Block is one cooked run of consecutive frames of a generation, rows
+// [Lo, Hi) of generation Gen: one frame-cache entry. A stream that sends
+// a run of rows keeps the block it is sending from and asks the cache
+// again only when it moves past it. Blocks are SHARED AND IMMUTABLE.
+type Block struct {
+	Gen, Lo, Hi int
+	bytes       []byte
+}
+
+// Has reports whether row of generation gen lies in the block; a nil
+// Block has none.
+func (b *Block) Has(gen, row int) bool {
+	return b != nil && gen == b.Gen && row >= b.Lo && row < b.Hi
+}
+
+// Frame returns row's wire frame, a view of the block capped at its own
+// length, so an append to it reallocates instead of writing over the
+// next frame. row must lie in the block.
+func (b *Block) Frame(row int) []byte {
+	fl := len(b.bytes) / (b.Hi - b.Lo)
+	off := (row - b.Lo) * fl
+	return b.bytes[off : off+fl : off+fl]
+}
+
+// Block returns the cooked frame block holding row of generation gen
+// under codec, serving it from the shared frame cache (core.Plan.BlockSpan
+// draws the blocks). A row is the generation's cooked index under the
+// fixed-rate codec, the stream seq under the fountain, whose frames are
+// also keyed by the stream's seed; the fixed-rate codec ignores seed.
+// Both codecs' blocks are pure functions of their key, so one cook serves
+// every connection asking for it. A block is charged its bytes, its plan
+// key and frameOverhead.
+func (r *Resolved) Block(codec erasure.CodecID, seed uint64, gen, row int) (*Block, error) {
+	lo, hi, err := r.Plan.BlockSpan(codec, gen, row)
+	if err != nil {
+		return nil, err
+	}
+	if codec != erasure.CodecFountain {
+		seed = 0
+	}
+	k := framecache.Key{Plan: r.Key, Gen: gen, Row: lo, Codec: uint8(codec), Seed: seed}
+	p := r.planner
+	// Try the closure-free hit path first; build the cook only on miss.
+	if b, ok := p.frames.Get(k); ok {
+		return b, nil
+	}
+	return p.frames.GetOrLoad(k, func() (*Block, int64, error) {
+		b, err := r.Plan.CookBlock(codec, seed, gen, lo, hi)
+		if err != nil {
+			return nil, 0, err
+		}
+		return &Block{Gen: gen, Lo: lo, Hi: hi, bytes: b}, int64(len(b)+len(k.Plan)) + frameOverhead, nil
+	})
+}
+
+// Frame returns the cooked wire frame for a global sequence number, a
+// view of its block in the shared frame cache. The returned slice is
+// shared and immutable; writing through it corrupts every connection
+// streaming the same document.
 func (r *Resolved) Frame(seq int) ([]byte, error) {
 	gen, row, err := r.Plan.Locate(seq)
 	if err != nil {
 		return nil, err
 	}
-	return r.frame(framecache.Key{Plan: r.Key, Gen: gen, Row: row}, seq)
+	b, err := r.Block(erasure.CodecVandermonde, 0, gen, row)
+	if err != nil {
+		return nil, err
+	}
+	return b.Frame(row), nil
 }
 
 // FountainFrame returns the cooked fountain wire frame for (seed, gen,
-// seq), serving it from the shared frame cache. Fountain frames are
-// cacheable for the same reason fixed-rate ones are — the stream is a
-// pure function of (plan, codec, seed, gen, seq) — and the cache key
-// carries codec and seed so the two codecs' frames can never collide on
-// one plan. The returned slice is shared and immutable.
+// seq), a view of its block in the shared frame cache. The returned
+// slice is shared and immutable.
 func (r *Resolved) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
-	return r.frame(framecache.Key{
-		Plan:  r.Key,
-		Gen:   gen,
-		Row:   seq,
-		Codec: uint8(erasure.CodecFountain),
-		Seed:  seed,
-	}, seq)
-}
-
-// frame is the one frame-cache lookup behind Frame and FountainFrame;
-// seq is the plan-global sequence number a fixed-rate cook needs. A
-// frame is charged its bytes, its plan key and frameOverhead.
-func (r *Resolved) frame(k framecache.Key, seq int) ([]byte, error) {
-	p := r.planner
-	// Try the closure-free hit path first; build the cook only on miss.
-	if frame, ok := p.frames.Get(k); ok {
-		return frame, nil
+	b, err := r.Block(erasure.CodecFountain, seed, gen, seq)
+	if err != nil {
+		return nil, err
 	}
-	return p.frames.GetOrLoad(k, func() (frame []byte, cost int64, err error) {
-		if k.Codec == uint8(erasure.CodecFountain) {
-			frame, err = r.Plan.FountainFrame(k.Seed, k.Gen, k.Row)
-		} else {
-			frame, err = r.Plan.Frame(seq)
-		}
-		return frame, int64(len(frame)+len(k.Plan)) + frameOverhead, err
-	})
+	return b.Frame(seq), nil
 }
 
 // FountainSeed is the plan's content digest mixed with a salt. A served
@@ -408,7 +444,7 @@ const (
 // copies, per-segment bookkeeping, and the layout of the one codec a
 // server usually serves it under (a SegmentMeta and about 24 encoded
 // bytes a segment). Cooked parity is not part of a plan's cost; the
-// frame cache counts each frame it keeps against its own budget.
+// frame cache counts each block it keeps against its own budget.
 func planCost(plan *core.Plan) int64 {
 	segs := len(plan.Segments()) + len(plan.AccrualSegments())
 	return int64(2*plan.BodySize()) + int64((128+96)*segs) + 512

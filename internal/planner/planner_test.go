@@ -88,11 +88,33 @@ func parityRows() int64 {
 	return erasure.MetricsProbe().(map[string]int64)["parity_rows"]
 }
 
+// frameMarshals reads the core probe's process-wide count of frames
+// marshalled, whatever block they were cooked in.
+func frameMarshals() int64 {
+	return core.MetricsProbe().(map[string]int64)["frame_marshals"]
+}
+
+// blockCount is the number of frame blocks a full fixed-rate round of
+// plan cooks: one cache entry each.
+func blockCount(plan *core.Plan) int {
+	n := 0
+	for g := 0; g < plan.Generations(); g++ {
+		for row := 0; row < plan.Shape(g).N; n++ {
+			_, hi, err := plan.BlockSpan(erasure.CodecVandermonde, g, row)
+			if err != nil {
+				panic(err)
+			}
+			row = hi
+		}
+	}
+	return n
+}
+
 // TestRepeatFetchZeroBuildsZeroEncodes is the acceptance criterion: a
 // repeat fetch of the same (doc, query, LOD, notion, γ) performs zero
 // core.NewPlan calls; a round that stays inside the clear-text prefixes
 // encodes zero parity rows; and a repeated full round through the frame
-// cache, the path the server streams from, cooks zero frames.
+// cache, the path the server streams from, cooks zero blocks.
 func TestRepeatFetchZeroBuildsZeroEncodes(t *testing.T) {
 	p, _ := newTestPlanner(t, Options{}, "a.xml")
 
@@ -102,7 +124,7 @@ func TestRepeatFetchZeroBuildsZeroEncodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := parityRows()
+	rows, marshals := parityRows(), frameMarshals()
 	for _, seq := range clearSeqs(r.Plan) {
 		if _, err := r.Frame(seq); err != nil {
 			t.Fatal(err)
@@ -110,6 +132,9 @@ func TestRepeatFetchZeroBuildsZeroEncodes(t *testing.T) {
 	}
 	if got := parityRows() - rows; got != 0 {
 		t.Fatalf("clear-prefix fetch encoded %d parity rows, want 0", got)
+	}
+	if got := frameMarshals() - marshals; got != int64(r.Plan.M()) {
+		t.Fatalf("clear-prefix fetch marshalled %d frames, want M = %d", got, r.Plan.M())
 	}
 
 	// Round 2: the retransmission round — same tuple, zero builds.
@@ -124,8 +149,10 @@ func TestRepeatFetchZeroBuildsZeroEncodes(t *testing.T) {
 		t.Fatalf("after repeat resolve: %+v, want 1 build / 1 hit / 1 miss", st)
 	}
 
-	// A full round cooks each frame once, encoding each parity row once...
+	// A full round cooks each block once, marshalling each frame and
+	// encoding each parity row once...
 	plan := r.Plan
+	marshals = frameMarshals()
 	for seq := 0; seq < plan.N(); seq++ {
 		if _, err := again.Frame(seq); err != nil {
 			t.Fatal(err)
@@ -134,12 +161,16 @@ func TestRepeatFetchZeroBuildsZeroEncodes(t *testing.T) {
 	if got, want := parityRows()-rows, int64(plan.N()-plan.M()); got != want {
 		t.Fatalf("full round encoded %d parity rows, want %d", got, want)
 	}
-	if st := p.FrameStats(); st.Cooks != int64(plan.N()) {
-		t.Fatalf("full round cooked %d frames, want %d", st.Cooks, plan.N())
+	// The clear-prefix round cooked every source block already.
+	if got, want := frameMarshals()-marshals, int64(plan.N()-plan.M()); got != want {
+		t.Fatalf("full round marshalled %d frames past the clear-prefix round, want %d", got, want)
+	}
+	if st := p.FrameStats(); st.Cooks != int64(blockCount(plan)) || st.Entries != blockCount(plan) {
+		t.Fatalf("full round: %+v, want %d blocks cooked and cached", st, blockCount(plan))
 	}
 
 	// ...and a repeated full round cooks nothing and builds nothing.
-	cooks, rows := p.FrameStats().Cooks, parityRows()
+	cooks, rows, marshals := p.FrameStats().Cooks, parityRows(), frameMarshals()
 	r3, err := p.ResolveFrames(baseReq)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +181,10 @@ func TestRepeatFetchZeroBuildsZeroEncodes(t *testing.T) {
 		}
 	}
 	if got := p.FrameStats().Cooks - cooks; got != 0 {
-		t.Fatalf("repeat full round cooked %d frames, want 0", got)
+		t.Fatalf("repeat full round cooked %d blocks, want 0", got)
+	}
+	if got := frameMarshals() - marshals; got != 0 {
+		t.Fatalf("repeat full round marshalled %d frames, want 0", got)
 	}
 	if got := parityRows() - rows; got != 0 {
 		t.Fatalf("repeat full round encoded %d parity rows, want 0", got)
@@ -501,9 +535,10 @@ func TestBothCodecsOneDoc(t *testing.T) {
 		t.Fatal("fountain frames under different seeds are identical")
 	}
 
+	// Row 0 lies in each stream's source block.
 	cooked := p.FrameStats().Cooks
 	if cooked != 3 {
-		t.Fatalf("cooked %d frames, want 3 (one per codec/seed identity)", cooked)
+		t.Fatalf("cooked %d blocks, want 3 (one per codec/seed identity)", cooked)
 	}
 	// Repeat fetches of all three must be pure cache hits.
 	for i := 0; i < 2; i++ {
@@ -518,7 +553,7 @@ func TestBothCodecsOneDoc(t *testing.T) {
 		}
 	}
 	if st := p.FrameStats(); st.Cooks != cooked {
-		t.Fatalf("repeat lookups cooked %d extra frames", st.Cooks-cooked)
+		t.Fatalf("repeat lookups cooked %d extra blocks", st.Cooks-cooked)
 	}
 	if st := p.FrameStats(); st.Entries != 3 {
 		t.Fatalf("cache holds %d entries, want 3 distinct", st.Entries)

@@ -1041,7 +1041,14 @@ func (c *Client) consumeStream(ctx context.Context, rcv *core.Receiver, opts Fet
 	}
 	var frameBuf []byte // reused across frames; AddFrame copies what it keeps
 	for {
-		if err := c.armRead(ctx); err != nil {
+		// A read that needs the socket runs under a fresh deadline; a frame
+		// already whole in c.r's buffer needs none, but a cancellation is
+		// still seen before it.
+		if frameBuffered(c.r) {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+		} else if err := c.armRead(ctx); err != nil {
 			return false, err
 		}
 		frame, err := ReadFrameInto(c.r, frameBuf)

@@ -210,3 +210,41 @@ func TestServeConn(t *testing.T) {
 	}
 	settleGoroutines(t, baseline)
 }
+
+// deadlineCounter is a connection that counts the read deadlines armed
+// on it (clearing one is not counted).
+type deadlineCounter struct {
+	net.Conn
+	armed atomic.Int32
+}
+
+func (c *deadlineCounter) SetReadDeadline(d time.Time) error {
+	if !d.IsZero() {
+		c.armed.Add(1)
+	}
+	return c.Conn.SetReadDeadline(d)
+}
+
+// TestReadDeadlinePerSocketRead: the client arms a read deadline for a
+// read that needs the socket, not for every frame — a frame already whole
+// in its read buffer takes none. A clean fetch's frames arrive a buffer
+// at a time, so it arms far fewer deadlines than it reads frames.
+func TestReadDeadlinePerSocketRead(t *testing.T) {
+	client := startServer(t, ServerOptions{})
+	conn, err := net.Dial("tcp", client.conn.RemoteAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &deadlineCounter{Conn: conn}
+	c := NewClient(counted)
+	defer c.Close()
+	res, err := c.Fetch(FetchOptions{Doc: corpus.DraftName, Caching: true})
+	if err != nil || res.Body == nil {
+		t.Fatalf("fetch: %v", err)
+	}
+	armed := int(counted.armed.Load())
+	t.Logf("%d frames read under %d read deadlines", res.PacketsReceived, armed)
+	if res.PacketsReceived < 40 || 4*armed > res.PacketsReceived {
+		t.Errorf("%d frames read under %d read deadlines, want at least 40 frames and a deadline for at most a quarter of them", res.PacketsReceived, armed)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"mobweb/internal/channel"
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
+	"mobweb/internal/erasure"
 	"mobweb/internal/planner"
 )
 
@@ -194,8 +195,98 @@ func TestPerConnectionInjectorFactory(t *testing.T) {
 	}
 }
 
+// blockCount is the number of frame blocks a full fixed-rate round of
+// plan cooks: one cache entry each.
+func blockCount(t *testing.T, plan *core.Plan) int {
+	t.Helper()
+	n := 0
+	for g := 0; g < plan.Generations(); g++ {
+		for row := 0; row < plan.Shape(g).N; n++ {
+			_, hi, err := plan.BlockSpan(erasure.CodecVandermonde, g, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row = hi
+		}
+	}
+	return n
+}
+
+// TestBlockFramesMatchSingleCooks: under both codecs and one and several
+// generations, every row of every block the frame cache serves — up to N,
+// or the fountain's overshoot cap — is byte-identical to a one-row cook
+// of the plan, and every frame served is capped at its own length. The
+// blocks tile each generation: its clear-text prefix is one block, and
+// repair runs of at most 32 rows never straddle the source/repair
+// boundary or, under the fixed-rate code, pass N.
+func TestBlockFramesMatchSingleCooks(t *testing.T) {
+	for _, maxGen := range []int{0, 16} {
+		pl := corpusPlanner(t, planner.Options{Defaults: core.Config{MaxGeneration: maxGen}})
+		for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
+			r, err := pl.ResolveFrames(planner.Request{Doc: corpus.DraftName, Codec: codec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, layout := r.Plan, r.Plan.Layout()
+			seed := uint64(0)
+			if codec == erasure.CodecFountain {
+				seed = r.Layout.Seed
+			}
+			if maxGen != 0 && plan.Generations() < 2 {
+				t.Fatalf("MaxGeneration %d: %d generations, want several", maxGen, plan.Generations())
+			}
+			for g := 0; g < plan.Generations(); g++ {
+				shape := plan.Shape(g)
+				end := shape.N
+				if codec == erasure.CodecFountain {
+					end = fountainOvershootCap(shape.M)
+				}
+				for row := 0; row < end; {
+					blk, err := r.Block(codec, seed, g, row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch {
+					case blk.Lo != row:
+						t.Fatalf("%s gen %d: block [%d, %d) served for row %d, want one starting there", codec, g, blk.Lo, blk.Hi, row)
+					case row < shape.M && blk.Hi != shape.M:
+						t.Fatalf("%s gen %d: source block [%d, %d), want [0, M=%d)", codec, g, blk.Lo, blk.Hi, shape.M)
+					case row >= shape.M && (blk.Hi-blk.Lo > 32 || (codec == erasure.CodecVandermonde && blk.Hi > shape.N)):
+						t.Fatalf("%s gen %d: repair block [%d, %d) with M=%d N=%d", codec, g, blk.Lo, blk.Hi, shape.M, shape.N)
+					}
+					for ; row < blk.Hi && row < end; row++ {
+						var want, served []byte
+						if codec == erasure.CodecFountain {
+							want, err = plan.FountainFrame(seed, g, row)
+							if err == nil {
+								served, err = r.FountainFrame(seed, g, row)
+							}
+						} else {
+							seq, _ := layout.WireSeq(g, row)
+							want, err = plan.Frame(seq)
+							if err == nil {
+								served, err = r.Frame(seq)
+							}
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := blk.Frame(row)
+						if !bytes.Equal(got, want) || !bytes.Equal(served, want) {
+							t.Fatalf("%s gen %d row %d: block frame differs from a one-row cook", codec, g, row)
+						}
+						if cap(got) != len(got) || cap(served) != len(served) {
+							t.Fatalf("%s gen %d row %d: frame capacity %d/%d past its %d bytes", codec, g, row, cap(got), cap(served), len(got))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGenerationBoundaryRowsServeFromCache forces multiple small
-// generations, cooks every row once, and fetches: the fetch must be all
+// generations, cooks every block once, and fetches: the fetch must be all
 // hits, including the first and last row of every generation. The rows
 // are warmed through the server's own planner handle rather than by a
 // first fetch — a fetch stops after M intact frames while the server has
@@ -216,8 +307,8 @@ func TestGenerationBoundaryRowsServeFromCache(t *testing.T) {
 		}
 	}
 	warm := srv.FrameStats()
-	if warm.Cooks != int64(resolved.Plan.N()) {
-		t.Fatalf("warming cooked %d frames, want %d", warm.Cooks, resolved.Plan.N())
+	if blocks := blockCount(t, resolved.Plan); warm.Cooks != int64(blocks) {
+		t.Fatalf("warming cooked %d blocks, want %d", warm.Cooks, blocks)
 	}
 	res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Caching: true})
 	if err != nil {
@@ -228,10 +319,12 @@ func TestGenerationBoundaryRowsServeFromCache(t *testing.T) {
 	}
 	after := srv.FrameStats()
 	if after.Cooks != warm.Cooks {
-		t.Fatalf("fetch cooked %d new frames, want 0 (stats %+v → %+v)", after.Cooks-warm.Cooks, warm, after)
+		t.Fatalf("fetch cooked %d new blocks, want 0 (stats %+v → %+v)", after.Cooks-warm.Cooks, warm, after)
 	}
-	if after.Hits < warm.Hits+int64(resolved.Plan.M()) {
-		t.Fatalf("fetch produced %d hits, want at least M=%d: %+v → %+v", after.Hits-warm.Hits, resolved.Plan.M(), warm, after)
+	// The stream asks once per block it sends from: at least every
+	// generation's clear-text block.
+	if gens := int64(resolved.Plan.Generations()); after.Hits < warm.Hits+gens {
+		t.Fatalf("fetch produced %d hits, want at least one per generation's source block (%d): %+v → %+v", after.Hits-warm.Hits, gens, warm, after)
 	}
 }
 
@@ -254,8 +347,9 @@ func TestChaosSoakCachedByteIdentical(t *testing.T) {
 		policy := ChaosPolicy{Seed: seed, KillAfterMin: 3000, KillAfterMax: 9000, MaxKills: 2}
 		client, chaos := startChaosServer(t, ServerOptions{
 			InjectorFactory: oneChannel(NewModelInjector(model)),
-			// ~16 frames resident: constant eviction pressure.
-			Planner: corpusPlanner(t, planner.Options{FrameCacheBytes: 16 * 512}),
+			// Room for one source block and one repair block of the plan,
+			// not both plus another γ's: constant eviction pressure.
+			Planner: corpusPlanner(t, planner.Options{FrameCacheBytes: 16 << 10}),
 		}, policy)
 		res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Caching: true, AdaptGamma: true, MaxRounds: 40})
 		if err != nil {

@@ -227,6 +227,16 @@ func writeHeader(w *bufio.Writer, n uint32) error {
 	return err
 }
 
+// frameBuffered reports whether r's buffer already holds the whole next
+// frame, or the end-of-stream marker, so reading it touches no socket.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < frameHeader {
+		return false
+	}
+	hdr, _ := r.Peek(frameHeader) // buffered already: cannot fail
+	return r.Buffered()-frameHeader >= int(binary.BigEndian.Uint32(hdr))
+}
+
 // ReadFrame reads one length-prefixed frame; it returns (nil, nil) at the
 // end-of-stream marker.
 func ReadFrame(r *bufio.Reader) ([]byte, error) {

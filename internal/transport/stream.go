@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mobweb/internal/core"
+	"mobweb/internal/erasure"
 	"mobweb/internal/packet"
 	"mobweb/internal/planner"
 )
@@ -182,12 +183,15 @@ type rowSource struct {
 	resolved *planner.Resolved
 	skip     []bool
 	seq      int
-	// sending is the number of rows the round will put on the air.
-	sending int
+	// blk is the frame block the round is sending from: the cache is
+	// asked once per block, not once per frame.
+	blk *planner.Block
 }
 
-func newRowSource(resolved *planner.Resolved, layout core.Layout, req Request, clearOnly bool) *rowSource {
-	r := &rowSource{resolved: resolved, skip: make([]bool, layout.N())}
+// newRowSource returns the round's source and the number of rows it will
+// put on the air.
+func newRowSource(resolved *planner.Resolved, layout core.Layout, req Request, clearOnly bool) (r *rowSource, sending int) {
+	r = &rowSource{resolved: resolved, skip: make([]bool, layout.N())}
 	for _, seq := range req.Have {
 		if seq >= 0 && seq < len(r.skip) {
 			r.skip[seq] = true
@@ -207,10 +211,10 @@ func newRowSource(resolved *planner.Resolved, layout core.Layout, req Request, c
 			r.skip[seq] = true
 		}
 		if !r.skip[seq] {
-			r.sending++
+			sending++
 		}
 	}
-	return r
+	return r, sending
 }
 
 func (r *rowSource) Next(ctl <-chan Request) (Frame, Request, error) {
@@ -225,8 +229,14 @@ func (r *rowSource) Next(ctl <-chan Request) (Frame, Request, error) {
 	}
 	seq := r.seq
 	r.seq++
-	frame, err := r.resolved.Frame(seq)
-	return Frame{Bytes: frame, Seq: seq}, Request{}, err
+	gen, row, err := r.resolved.Plan.Locate(seq)
+	if err == nil && !r.blk.Has(gen, row) {
+		r.blk, err = r.resolved.Block(erasure.CodecVandermonde, 0, gen, row)
+	}
+	if err != nil {
+		return Frame{}, Request{}, err
+	}
+	return Frame{Bytes: r.blk.Frame(row), Seq: seq}, Request{}, nil
 }
 
 func (r *rowSource) Feedback(creq Request) error {
@@ -257,17 +267,26 @@ type fountainSource struct {
 	resolved *planner.Resolved
 	seed     uint64
 	have     map[int]bool // packed (gen, seq) the client already holds
-	// left is how many more packets each generation may put on the air;
-	// zero takes it off — the client decoded it, or the cap is spent.
-	left   []int
-	active int // generations with left > 0
-	cursor []int
-	g      int // round-robin position
+	gens     []fountainGen
+	active   int // generations with left > 0
+	g        int // round-robin position
 	// window is the stream's first credit: the frames a fixed-rate round
 	// of the plan's γ would send — each live generation's N, less the
 	// packets below N the client holds. On a clear-prefix tier it is M in
 	// place of N, which is every frame the stream sends.
 	window int
+}
+
+// fountainGen is one generation's share of a fountain stream.
+type fountainGen struct {
+	// left is how many more packets the generation may put on the air;
+	// zero takes it off — the client decoded it, or the cap is spent.
+	left int
+	// cursor is the next seq of the generation's stream.
+	cursor int
+	// blk is the frame block the generation is sending from: the round
+	// robin moves between generations, each along its own blocks.
+	blk *planner.Block
 }
 
 func newFountainSource(resolved *planner.Resolved, seed uint64, req Request, layout core.Layout, clearOnly bool) *fountainSource {
@@ -276,8 +295,7 @@ func newFountainSource(resolved *planner.Resolved, seed uint64, req Request, lay
 		resolved: resolved,
 		seed:     seed,
 		have:     make(map[int]bool, len(req.Have)),
-		left:     make([]int, gens),
-		cursor:   make([]int, gens),
+		gens:     make([]fountainGen, gens),
 	}
 	for _, packed := range req.Have {
 		f.have[packed] = true
@@ -291,35 +309,35 @@ func newFountainSource(resolved *planner.Resolved, seed uint64, req Request, lay
 		return resolved.Plan.Shape(g).N
 	}
 	for g, shape := range layout.Shapes {
-		f.left[g] = fountainOvershootCap(shape.M)
+		f.gens[g].left = fountainOvershootCap(shape.M)
 		if clearOnly {
-			f.left[g] = shape.M
+			f.gens[g].left = shape.M
 		}
 	}
 	// Generations the client reports done are stopped before the first
 	// frame — a stopgen that arrived with the request itself.
 	for _, g := range req.DoneGens {
 		if g >= 0 && g < gens {
-			f.left[g] = 0
+			f.gens[g].left = 0
 		}
 	}
-	for g, left := range f.left {
-		if left > 0 {
+	for g := range f.gens {
+		if f.gens[g].left > 0 {
 			f.window += round(g)
 		}
 	}
 	for packed := range f.have {
 		g, seq := packet.UnpackSeq(packed)
-		if g >= 0 && g < gens && f.left[g] > 0 && seq < round(g) {
+		if g >= 0 && g < gens && f.gens[g].left > 0 && seq < round(g) {
 			f.window--
 			if clearOnly {
 				// A held source is skipped, not sent: it costs no air time.
-				f.left[g]--
+				f.gens[g].left--
 			}
 		}
 	}
-	for _, left := range f.left {
-		if left > 0 {
+	for g := range f.gens {
+		if f.gens[g].left > 0 {
 			f.active++
 		}
 	}
@@ -329,8 +347,8 @@ func newFountainSource(resolved *planner.Resolved, seed uint64, req Request, lay
 // Feedback implements FrameSource's half of a stopgen; a more is the
 // loop's business alone.
 func (f *fountainSource) Feedback(creq Request) error {
-	if g := creq.Gen; creq.Op == "stopgen" && g >= 0 && g < len(f.left) && f.left[g] > 0 {
-		f.left[g] = 0
+	if g := creq.Gen; creq.Op == "stopgen" && g >= 0 && g < len(f.gens) && f.gens[g].left > 0 {
+		f.gens[g].left = 0
 		f.active--
 	}
 	return nil
@@ -341,27 +359,33 @@ func (f *fountainSource) SelfPaced() bool { return false }
 func (f *fountainSource) Next(ctl <-chan Request) (Frame, Request, error) {
 	for f.active > 0 {
 		g := f.g
-		if f.left[g] > 0 {
+		gen := &f.gens[g]
+		if gen.left > 0 {
 			// Polled before the round-robin position moves, so the frame
 			// a request displaced is the next one out.
 			if creq, err := PollControl(ctl); err != nil || creq.Op != "" {
 				return Frame{}, creq, err
 			}
 		}
-		f.g = (g + 1) % len(f.cursor)
-		seq := f.cursor[g]
-		f.cursor[g]++
+		f.g = (g + 1) % len(f.gens)
+		seq := gen.cursor
+		gen.cursor++
 		// The charge is per frame handed to the loop, so a frame the
 		// injector then drops still counts: the cap bounds air time,
 		// delivered or not.
-		if f.left[g] == 0 || f.have[packet.PackSeq(g, seq)] {
+		if gen.left == 0 || f.have[packet.PackSeq(g, seq)] {
 			continue
 		}
-		if f.left[g]--; f.left[g] == 0 {
+		if gen.left--; gen.left == 0 {
 			f.active--
 		}
-		frame, err := f.resolved.FountainFrame(f.seed, g, seq)
-		return Frame{Bytes: frame, Seq: packet.PackSeq(g, seq)}, Request{}, err
+		if !gen.blk.Has(g, seq) {
+			var err error
+			if gen.blk, err = f.resolved.Block(erasure.CodecFountain, f.seed, g, seq); err != nil {
+				return Frame{}, Request{}, err
+			}
+		}
+		return Frame{Bytes: gen.blk.Frame(seq), Seq: packet.PackSeq(g, seq)}, Request{}, nil
 	}
 	return Frame{}, Request{}, nil
 }

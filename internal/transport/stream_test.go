@@ -200,7 +200,7 @@ func TestStreamEmitsReferenceSequence(t *testing.T) {
 			ref := plan.Frame
 			var want []int // the exact attempted sequence
 			if tc.source == "vandermonde" {
-				src = newRowSource(resolved, layout, req, false)
+				src, _ = newRowSource(resolved, layout, req, false)
 				for seq := 0; seq < plan.N(); seq++ {
 					if g, _, _ := layout.SplitSeq(seq); !have[seq] && g != 1 {
 						want = append(want, seq)

@@ -145,8 +145,7 @@ func (t *transmitter) Fetch(req Request) (Response, FrameSource, func(int, error
 		fs := newFountainSource(resolved, layout.Seed, req, *layout, clearOnly)
 		src, sending = fs, fs.window
 	} else {
-		rows := newRowSource(resolved, *layout, req, clearOnly)
-		src, sending = rows, rows.sending
+		src, sending = newRowSource(resolved, *layout, req, clearOnly)
 	}
 	hdr := Response{OK: true, Layout: layout, layoutBin: resolved.LayoutBinary, Sending: sending, Replica: t.opts.Name}
 	if r.mode != CapFull {
