@@ -451,12 +451,12 @@ func BenchmarkExtBurst(b *testing.B) {
 
 // BenchmarkFetchCachedVsUncached measures the server-side cost of a
 // second-round retransmission fetch — resolve the (doc, query, LOD,
-// notion, γ) tuple again and take the frames the client is missing
-// through the frame cache, the path the server streams from — with and
-// without the planner's two caches. Uncached, every round pays for
-// ranking, permutation, packetization and parity encoding again; cached,
-// the round is a plan lookup plus one frame-cache hit per packet, with
-// zero GF(2^8) work.
+// notion, γ) tuple again and take the frames the client is missing block
+// by block, as the server's fixed-rate stream (transport's rowSource)
+// does — with and without the planner's two caches. Uncached, every round
+// pays for ranking, permutation, packetization and parity encoding again;
+// cached, the round is a plan lookup plus one frame-cache hit per block,
+// with zero GF(2^8) work.
 func BenchmarkFetchCachedVsUncached(b *testing.B) {
 	doc, err := corpus.Load(corpus.DraftName)
 	if err != nil {
@@ -479,10 +479,16 @@ func BenchmarkFetchCachedVsUncached(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		var blk *planner.Block
 		for seq := 0; seq < r.Plan.N(); seq += 3 {
-			if _, err := r.Frame(seq); err != nil {
+			gen, row, err := r.Plan.Locate(seq)
+			if err == nil && !blk.Has(gen, row) {
+				blk, err = r.Block(erasure.CodecVandermonde, 0, gen, row)
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
+			_ = blk.Frame(row)
 		}
 	}
 	b.Run("uncached", func(b *testing.B) {

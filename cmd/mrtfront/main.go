@@ -1,11 +1,12 @@
 // Command mrtfront is the sharded fleet's entry point: it speaks the
 // FT-MRT wire protocol to clients, consistent-hashes each fetch's
 // document name onto a ring of mrtserver replicas, health-checks the
-// fleet by scraping each replica's /debug/metrics, and re-routes
-// in-flight fetches to the next ring replica when the serving one dies
-// mid-stream — byte-identically, because cooked frames are
-// deterministic per (plan, seq) across replicas serving the same
-// corpus.
+// fleet by scraping each replica's /debug/metrics, and relays the
+// serving replica's stream. When that replica dies mid-stream the front
+// ends the client's stream; the client redials, and the front routes its
+// resume to the next ring replica like any new fetch. Cooked frames are
+// deterministic per (plan, seq) across replicas serving the same corpus,
+// so the resumed stream continues the one the dead replica sent.
 //
 // Usage:
 //

@@ -34,12 +34,10 @@ type FetchRecord struct {
 	// which surfaces the degraded-mode clamp.
 	Alpha float64 `json:"alpha,omitempty"`
 	Gamma float64 `json:"gamma,omitempty"`
-	// Replica names the replica that served (server records) or finished
-	// (front-tier records) the stream, in a sharded fleet.
+	// Replica names the replica that served the stream (server records)
+	// or that the front relayed it from (front-tier records), in a
+	// sharded fleet.
 	Replica string `json:"replica,omitempty"`
-	// Reroutes counts mid-stream replica switches the front tier performed
-	// for this fetch (front-tier records).
-	Reroutes int `json:"reroutes,omitempty"`
 	// Events is the fetch's traced timeline, when the fetch carried a
 	// Trace.
 	Events []Event `json:"events,omitempty"`

@@ -7,11 +7,9 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sort"
 	"sync/atomic"
 	"time"
 
-	"mobweb/internal/core"
 	"mobweb/internal/obs"
 	"mobweb/internal/transport"
 )
@@ -63,9 +61,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// frontMetrics holds the front tier's counter pointers; the zero value
-// disables them. Connections, requests and relayed frames are counted by
-// the shared server under its serve.* names.
+// frontMetrics holds the front tier's counter pointers, nil (and so
+// disabled) under a nil registry. Connections, requests and relayed
+// frames are counted by the shared server under its serve.* names.
 type frontMetrics struct {
 	fetches     *obs.Counter
 	fetchErrors *obs.Counter
@@ -76,9 +74,6 @@ type frontMetrics struct {
 }
 
 func newFrontMetrics(r *obs.Registry) frontMetrics {
-	if r == nil {
-		return frontMetrics{}
-	}
 	return frontMetrics{
 		fetches:     r.Counter("front.fetches"),
 		fetchErrors: r.Counter("front.fetch_errors"),
@@ -92,12 +87,11 @@ func newFrontMetrics(r *obs.Registry) frontMetrics {
 // Front is the fleet's entry point: a transport.Server whose backend,
 // instead of planning and cooking, consistent-hashes each fetch's
 // canonical document ID onto the replica ring and relays that replica's
-// stream — and, when the serving replica dies mid-stream, replays the
-// fetch against the next replica on the ring with the client's Have list
-// extended by every frame already relayed intact. Frames are
+// stream. When the serving replica dies mid-stream the front ends the
+// client's stream; the client redials and resumes with its own Have
+// list, and the front routes the resume like any new fetch. Frames are
 // deterministic per (plan, seq) across replicas serving the same corpus,
-// so the re-routed stream is byte-identical to the one the dead replica
-// would have finished.
+// so the resumed stream continues the one the dead replica sent.
 type Front struct {
 	opts Options
 	ring *Ring
@@ -195,11 +189,7 @@ type replicaConn struct {
 	idx  int
 }
 
-func (rc *replicaConn) close() {
-	if rc != nil {
-		rc.conn.Close()
-	}
-}
+func (rc *replicaConn) close() { rc.conn.Close() }
 
 // send writes one control record to the replica and flushes it.
 func (rc *replicaConn) send(req transport.Request) error {
@@ -270,7 +260,7 @@ func (f *Front) Search(req transport.Request) transport.Response {
 func (f *Front) Shed(req transport.Request, retryAfter time.Duration) transport.Response {
 	f.fm.fetches.Inc()
 	f.fm.sheds.Inc()
-	f.logFetch(req, "", 0, 0, transport.ErrShed)
+	f.logFetch(req, "", 0, transport.ErrShed)
 	return transport.Response{
 		Error:        "load shed: front fetch budget exhausted",
 		Shed:         true,
@@ -284,148 +274,58 @@ func (f *Front) Shed(req transport.Request, retryAfter time.Duration) transport.
 // that replica's frames.
 func (f *Front) Fetch(req transport.Request) (transport.Response, transport.FrameSource, func(int, error)) {
 	f.fm.fetches.Inc()
-	s := &relay{
-		f:        f,
-		req:      req,
-		id:       f.fetchSeq.Add(1),
-		order:    f.ring.Successors(req.Doc, nil),
-		held:     intSet(req.Have),
-		doneGens: intSet(req.DoneGens),
-	}
-	hdr, err := s.open()
-	if s.rc == nil {
-		f.logFetch(req, "", 0, 0, err)
+	rc, hdr, err := f.route(req)
+	if rc == nil {
+		f.logFetch(req, "", 0, err)
 		return hdr, nil, nil
 	}
+	s := &relay{f: f, req: req, rc: rc, servedBy: f.opts.Replicas[rc.idx].Name}
 	return hdr, s, s.end
 }
 
-// intSet and sortedKeys move the resume state a re-routed request carries
-// between wire lists and the sets the relay grows: Have is the client's
-// own list plus every sequence number relayed intact, DoneGens the
-// generations it has reported decoded.
-func intSet(vals []int) map[int]bool {
-	set := make(map[int]bool, len(vals))
-	for _, v := range vals {
-		set[v] = true
-	}
-	return set
-}
-
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// relay is one proxied fetch: a frame source that reads from a replica
-// leg and, when the leg dies, re-routes to the next replica on the ring
-// without the stream loop above it noticing.
-type relay struct {
-	f     *Front
-	req   transport.Request
-	id    int64
-	order []int
-	// try is the position in the two-pass walk over order; attempt counts
-	// consecutive failed tries and drives the seeded backoff.
-	try, attempt int
-	rng          *rand.Rand
-
-	// held is the client's own Have list plus every frame that passed its
-	// CRC here, doneGens the generations the client reported decoded (in
-	// the request or by stopgen): the resume state a re-routed request
-	// carries, since the client will not repeat itself.
-	held, doneGens map[int]bool
-
-	rc     *replicaConn // live leg; nil before the first header and after a failed re-route
-	layout core.Layout  // the first header's, which every later leg must match
-	// owed is what the client is still owed on a metered stream: the first
-	// header's window and every grant, less the frames relayed. The stream
-	// loop above meters the client's side; a re-routed leg is topped up to
-	// this.
-	owed     int
-	servedBy string
-	reroutes int
-	ended    bool   // the serving replica's own end marker arrived
-	buf      []byte // the current frame, reused for the next
-}
-
-// open walks the ring from where the last leg left off — two passes, the
-// second retrying replicas that failed on the first (a replica restarting
+// route walks the ring from the document's home — two passes, the second
+// retrying replicas that failed on the first (a replica restarting
 // mid-drill), with the seeded backoff between failed attempts — until a
-// replica accepts the fetch, leaving s.rc behind its header. Before the
-// first header a replica's refusal is the answer, returned with s.rc nil
-// (and, when no replica could even be asked, with the error that classes
-// the fetch-log record). After it only an error ends the walk: the stream
-// cannot be finished on any replica, the client connection is closed on
-// purpose, and the client's own redial/resume path takes over with its
-// Have list intact.
-func (s *relay) open() (transport.Response, error) {
-	f := s.f
-	started := s.servedBy != ""
+// replica accepts the fetch, and returns its leg behind the header. A
+// replica's refusal is the answer, returned with a nil leg (and,
+// when no replica could even be asked, with the error that classes the
+// fetch-log record). A resume is routed like any new fetch: the client's
+// request carries its own Have, DoneGens and Seed.
+func (f *Front) route(req transport.Request) (*replicaConn, transport.Response, error) {
+	id := f.fetchSeq.Add(1)
+	order := f.ring.Successors(req.Doc, nil)
+	var rng *rand.Rand
+	attempt := 0
 	var lastDeg *transport.Response
-	for ; s.try < 2*len(s.order); s.try++ {
-		idx := s.order[s.try%len(s.order)]
-		if !started && !f.mon.Usable(idx) {
+	for try := 0; try < 2*len(order); try++ {
+		idx := order[try%len(order)]
+		if !f.mon.Usable(idx) {
 			continue
 		}
-		if s.attempt > 0 {
-			if s.rng == nil {
-				s.rng = f.jitter(s.id)
+		if attempt > 0 {
+			if rng == nil {
+				rng = f.jitter(id)
 			}
-			time.Sleep(f.opts.Retry.Backoff(s.attempt-1, s.rng))
+			time.Sleep(f.opts.Retry.Backoff(attempt-1, rng))
 		}
-		rreq := s.req
-		rreq.Have = sortedKeys(s.held)
-		rreq.DoneGens = sortedKeys(s.doneGens)
-		rc, resp, err := f.openStream(idx, rreq)
+		rc, resp, err := f.openStream(idx, req)
 		if err != nil {
 			f.mon.ReportFailure(idx)
-			s.attempt++
+			attempt++
 			continue
 		}
 		name := f.opts.Replicas[idx].Name
 		switch {
 		case resp.OK && resp.Layout != nil:
-			if !started {
-				s.layout, s.owed = *resp.Layout, resp.Window()
-				if s.req.Seed != s.layout.Seed {
-					// The client's Have and DoneGens name another stream,
-					// which the replica ignored; a re-routed leg must not
-					// replay them against this one.
-					clear(s.held)
-					clear(s.doneGens)
-				}
-				s.req.Seed = s.layout.Seed
-				if resp.Replica == "" {
-					resp.Replica = name
-				}
-			} else if resp.Layout.N() != s.layout.N() || s.layout.SameStream(*resp.Layout) != nil {
-				// The replicas disagree on the stream (corpus drift, which
-				// changes the seed, another γ or generation split): the
-				// relayed prefix and this stream cannot be mixed.
-				rc.close()
-				return transport.Response{}, fmt.Errorf("shard: layout changed across re-route for %s: %w", s.req.Doc, transport.ErrReroute)
+			if resp.Replica == "" {
+				resp.Replica = name
 			}
-			if w := resp.Window(); started && w > 0 && w < s.owed {
-				// The new leg's window is its own plan's; the client is
-				// owed what the old leg still owed it. Best effort, like
-				// all leg feedback: a leg that cannot take it fails its
-				// next read.
-				_ = rc.send(transport.Request{Op: "more", Frames: s.owed - w})
-			}
-			s.rc, s.servedBy, s.attempt = rc, name, 0
-			s.try++
-			return resp, nil
+			return rc, resp, nil
 		case resp.Degraded:
 			lastDeg = &resp
-		case resp.OK, started:
-			// A header without a layout, or a resume round shed or refused
-			// mid-re-route: treat like a failed leg and walk on.
-			s.attempt++
+		case resp.OK:
+			// A header without a layout: treat like a failed leg and walk on.
+			attempt++
 		default:
 			// The replica's own refusal, relayed verbatim: a shed's
 			// retry-after hint is the overloaded replica's, not the front's.
@@ -433,76 +333,63 @@ func (s *relay) open() (transport.Response, error) {
 			if !resp.Shed && resp.Replica == "" {
 				resp.Replica = name
 			}
-			return resp, nil
+			return nil, resp, nil
 		}
 		rc.close()
 	}
-	switch {
-	case started:
-		return transport.Response{}, fmt.Errorf("shard: every replica failed mid-stream for %s: %w", s.req.Doc, transport.ErrReroute)
-	case lastDeg != nil:
-		return *lastDeg, nil
+	if lastDeg != nil {
+		return nil, *lastDeg, nil
 	}
-	return transport.Response{
-		Error:      fmt.Sprintf("no replica available for %s", s.req.Doc),
+	return nil, transport.Response{
+		Error:      fmt.Sprintf("no replica available for %s", req.Doc),
 		Degraded:   true,
 		Capability: transport.CapDown.String(),
 		Replica:    f.opts.Name,
 	}, transport.ErrDegraded
 }
 
-// Next implements transport.FrameSource.
+// relay is one proxied fetch: a frame source that passes a replica leg's
+// frames on as they come. It keeps no resume state. When the leg dies,
+// the client's stream ends and the client resumes through the front.
+type relay struct {
+	f        *Front
+	req      transport.Request
+	rc       *replicaConn
+	servedBy string
+	ended    bool   // the serving replica's own end marker arrived
+	buf      []byte // the current frame, reused for the next
+}
+
+// Next implements transport.FrameSource. The leg's bytes pass through
+// unparsed: the front's server injects no faults, so it never reads
+// Frame.Seq.
 func (s *relay) Next(ctl <-chan transport.Request) (transport.Frame, transport.Request, error) {
 	if creq, err := transport.PollControl(ctl); err != nil || creq.Op != "" {
 		return transport.Frame{}, creq, err
 	}
-	for {
-		frame, err := transport.ReadFrameInto(s.rc.r, s.buf)
-		if err != nil {
-			// The replica leg died mid-stream: re-route to the next ring
-			// replica, replaying everything held.
-			s.f.mon.ReportFailure(s.rc.idx)
-			s.f.fm.reroutes.Inc()
-			s.reroutes++
-			s.attempt++
-			s.rc.close()
-			s.rc = nil
-			if _, err := s.open(); err != nil {
-				return transport.Frame{}, transport.Request{}, err
-			}
-			continue
-		}
-		if frame == nil {
-			s.ended = true
-			return transport.Frame{}, transport.Request{}, nil
-		}
-		s.buf = frame
-		s.owed--
-		// Only frames that pass their CRC here count as held by the
-		// client: a frame corrupted on the replica's (emulated) weak link
-		// must stay eligible for retransmission after a re-route.
-		seq, _, perr := s.layout.ParseFrame(frame)
-		if perr == nil {
-			s.held[seq] = true
-		}
-		return transport.Frame{Bytes: frame, Seq: seq}, transport.Request{}, nil
+	frame, err := transport.ReadFrameInto(s.rc.r, s.buf)
+	if err != nil {
+		// The replica leg died mid-stream. The error ends the client's
+		// stream and the server closes its connection; the client redials
+		// and its resume, Have list and all, is routed like a new fetch.
+		s.f.mon.ReportFailure(s.rc.idx)
+		s.f.fm.reroutes.Inc()
+		return transport.Frame{}, transport.Request{}, fmt.Errorf("shard: leg to %s for %s: %v: %w", s.servedBy, s.req.Doc, err, transport.ErrReroute)
 	}
+	if frame == nil {
+		s.ended = true
+		return transport.Frame{}, transport.Request{}, nil
+	}
+	s.buf = frame
+	return transport.Frame{Bytes: frame}, transport.Request{}, nil
 }
 
 // Feedback implements transport.FrameSource: the replica decides what a
 // stopgen means for this stream's codec, and a grant extends the leg's
-// window as the loop above extended the client's.
+// window as the loop above extended the client's. Best effort: a leg that
+// cannot take the feedback is about to fail its next read.
 func (s *relay) Feedback(creq transport.Request) error {
-	fwd := transport.Request{Op: creq.Op, Gen: creq.Gen, Frames: creq.Frames}
-	if creq.Op == "stopgen" {
-		s.doneGens[creq.Gen] = true
-	} else {
-		s.owed += creq.Frames
-	}
-	// Best effort: a leg that cannot take the feedback is about to fail
-	// its next read, and the re-route replays it — DoneGens, and the
-	// top-up to what the client is owed.
-	_ = s.rc.send(fwd)
+	_ = s.rc.send(transport.Request{Op: creq.Op, Gen: creq.Gen, Frames: creq.Frames})
 	return nil
 }
 
@@ -526,22 +413,21 @@ func (s *relay) end(sent int, err error) {
 		}
 	}
 	s.rc.close()
-	s.f.logFetch(s.req, s.servedBy, s.reroutes, sent, err)
+	s.f.logFetch(s.req, s.servedBy, sent, err)
 	if err != nil {
 		s.f.fm.fetchErrors.Inc()
 	}
 }
 
 // logFetch records one proxied fetch into the front's fetch log.
-func (f *Front) logFetch(req transport.Request, replica string, reroutes, sent int, err error) {
+func (f *Front) logFetch(req transport.Request, replica string, sent int, err error) {
 	f.fm.fetchLog.Record(obs.FetchRecord{
-		Doc:      req.Doc,
-		Origin:   "front",
-		Err:      transport.ErrorClass(err),
-		Replica:  replica,
-		Reroutes: reroutes,
-		Sent:     sent,
-		Have:     len(req.Have),
+		Doc:     req.Doc,
+		Origin:  "front",
+		Err:     transport.ErrorClass(err),
+		Replica: replica,
+		Sent:    sent,
+		Have:    len(req.Have),
 	})
 }
 

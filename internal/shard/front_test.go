@@ -23,22 +23,68 @@ import (
 	"mobweb/internal/transport"
 )
 
-// frontRecord returns the front's most recent fetch-log record for doc.
-// The front logs a fetch after it has flushed the end-of-stream marker,
-// so the client can be back from Fetch a moment before the record
-// exists: wait until every fetch the front accepted has logged.
-func frontRecord(t *testing.T, fl *testFleet, doc string) obs.FetchRecord {
+// frontRecords returns the front's fetch-log records for doc, most
+// recent first. The front logs a fetch after it has flushed the
+// end-of-stream marker, so the client can be back from Fetch a moment
+// before the record exists: wait until every fetch the front accepted
+// has logged.
+func frontRecords(t *testing.T, fl *testFleet, doc string) []obs.FetchRecord {
 	t.Helper()
 	log := fl.frontReg.FetchLog()
 	waitFor(t, 2*time.Second, func() bool { return log.Total() >= fl.counter("front.fetches") },
 		"front never logged its last fetch")
+	var recs []obs.FetchRecord
 	for _, rec := range log.Recent(0) {
 		if rec.Doc == doc {
-			return rec
+			recs = append(recs, rec)
 		}
 	}
-	t.Fatalf("no front fetch-log record for %s", doc)
-	return obs.FetchRecord{}
+	return recs
+}
+
+// frontRecord returns the front's most recent fetch-log record for doc.
+func frontRecord(t *testing.T, fl *testFleet, doc string) obs.FetchRecord {
+	t.Helper()
+	recs := frontRecords(t, fl, doc)
+	if len(recs) == 0 {
+		t.Fatalf("no front fetch-log record for %s", doc)
+	}
+	return recs[0]
+}
+
+// rerouted returns the front's records for doc that a replica death
+// ended, most recent first.
+func rerouted(t *testing.T, fl *testFleet, doc string) []obs.FetchRecord {
+	t.Helper()
+	var out []obs.FetchRecord
+	for _, rec := range frontRecords(t, fl, doc) {
+		if rec.Err == "rerouted" {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// replicaNamed returns the fleet's replica called name, or nil.
+func (fl *testFleet) replicaNamed(name string) *testReplica {
+	for _, r := range fl.replicas {
+		if r.name == name {
+			return r
+		}
+	}
+	return nil
+}
+
+// serverHaves returns the Have count of every stream replica r served
+// for doc.
+func serverHaves(r *testReplica, doc string) []int {
+	var out []int
+	for _, rec := range r.reg.FetchLog().Recent(0) {
+		if rec.Doc == doc && rec.Origin == "server" {
+			out = append(out, rec.Have)
+		}
+	}
+	return out
 }
 
 func TestFetchThroughFrontCleanFleet(t *testing.T) {
@@ -58,8 +104,8 @@ func TestFetchThroughFrontCleanFleet(t *testing.T) {
 	if rec.Replica != home {
 		t.Errorf("served by %q, want home replica %q", rec.Replica, home)
 	}
-	if rec.Reroutes != 0 {
-		t.Errorf("clean fetch recorded %d reroutes", rec.Reroutes)
+	if rec.Err != "" || fl.counter("front.reroutes") != 0 {
+		t.Errorf("clean fetch logged class %q and %d reroutes", rec.Err, fl.counter("front.reroutes"))
 	}
 	if got := fl.counter("front.fetches"); got != 1 {
 		t.Errorf("front.fetches = %d, want 1", got)
@@ -118,23 +164,32 @@ func TestFetchSurvivesReplicaKillMidStream(t *testing.T) {
 	if !bytes.Equal(res.Body, want) {
 		t.Fatal("re-routed fetch body differs from single-server fetch")
 	}
-	// The replica death was absorbed by the front: the client's own
-	// connection never dropped and no extra round was spent.
-	if res.Reconnects != 0 {
-		t.Errorf("client redialed %d times; the front should absorb the kill", res.Reconnects)
+	// The front ends the client's stream when its replica dies; the
+	// client redials once and resumes in a second round.
+	if res.Reconnects != 1 || res.Rounds != 2 {
+		t.Errorf("fetch took %d reconnects and %d rounds, want 1 and 2", res.Reconnects, res.Rounds)
 	}
-	if res.Rounds != 1 {
-		t.Errorf("fetch used %d rounds, want 1", res.Rounds)
+	if got := fl.counter("front.reroutes"); got != 1 {
+		t.Errorf("front.reroutes = %d, want 1", got)
 	}
-	if got := fl.counter("front.reroutes"); got < 1 {
-		t.Errorf("front.reroutes = %d, want >= 1", got)
+	killedName := fl.replicas[fl.home(doc)].name
+	dead := rerouted(t, fl, doc)
+	if len(dead) != 1 || dead[0].Sent == 0 || dead[0].Replica != killedName {
+		t.Errorf("rerouted front records %+v, want one with frames sent, naming %q", dead, killedName)
 	}
 	rec := frontRecord(t, fl, doc)
-	if rec.Reroutes < 1 {
-		t.Errorf("front fetch log recorded %d reroutes, want >= 1", rec.Reroutes)
+	if rec.Err != "" || rec.Replica == killedName {
+		t.Errorf("resume's front record %+v, want a clean stream from a survivor", rec)
 	}
-	if rec.Replica == fl.replicas[fl.home(doc)].name {
-		t.Errorf("fetch log credits the killed home replica %q", rec.Replica)
+	// The survivor saw the client's own resume: a request with a Have list.
+	resumed := false
+	if survivor := fl.replicaNamed(rec.Replica); survivor != nil {
+		for _, have := range serverHaves(survivor, doc) {
+			resumed = resumed || have > 0
+		}
+	}
+	if !resumed {
+		t.Errorf("survivor %q served no request with a Have list", rec.Replica)
 	}
 	// Resume is strictly cheaper than starting over: the second replica
 	// skipped the frames already relayed, so the client saw fewer
@@ -142,12 +197,20 @@ func TestFetchSurvivesReplicaKillMidStream(t *testing.T) {
 	if layoutN := res.HeldPackets; res.PacketsReceived >= layoutN+progress {
 		t.Errorf("received %d packets with %d relayed before the kill; resume not cheaper than restart", res.PacketsReceived, progress)
 	}
+	// The price of the death in control bytes: the resume's header and
+	// its request, Have list and all.
+	clean, err := fl.client(t).Fetch(transport.FetchOptions{Doc: doc, Caching: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("replica death cost %d header bytes and %d uplink bytes over a clean fetch (%d and %d)",
+		res.HeaderBytes-clean.HeaderBytes, res.UplinkBytes-clean.UplinkBytes, clean.HeaderBytes, clean.UplinkBytes)
 }
 
 // TestChaosTwoReplicaKillsOneFetch is the -race soak: two of three
-// replicas die mid-stream within one fetch, and the fetch still
-// completes byte-identically on the third. The Chaos name routes it into
-// the CI chaos-soak step.
+// replicas die mid-stream within one fetch, and the client's two resumes
+// through the front complete it byte-identically on the third. The Chaos
+// name routes it into the CI chaos-soak step.
 func TestChaosTwoReplicaKillsOneFetch(t *testing.T) {
 	fl := startFleet(t, 3, transport.ServerOptions{PacketDelay: 2 * time.Millisecond}, Options{
 		Retry: transport.RetryPolicy{Seed: 11, BaseDelay: 10 * time.Millisecond},
@@ -184,15 +247,57 @@ func TestChaosTwoReplicaKillsOneFetch(t *testing.T) {
 	if !bytes.Equal(res.Body, want) {
 		t.Fatal("doubly re-routed fetch body differs from single-server fetch")
 	}
-	if res.Reconnects != 0 {
-		t.Errorf("client redialed %d times; the front should absorb both kills", res.Reconnects)
+	if res.Reconnects != 2 {
+		t.Errorf("client redialed %d times, want once per replica death", res.Reconnects)
+	}
+	if dead := rerouted(t, fl, doc); len(dead) != 2 {
+		t.Errorf("front logged %d rerouted records, want 2: %+v", len(dead), dead)
 	}
 	rec := frontRecord(t, fl, doc)
-	if rec.Reroutes != 2 {
-		t.Errorf("front fetch log recorded %d reroutes, want 2", rec.Reroutes)
-	}
 	if rec.Replica != fl.replicas[order[2]].name {
 		t.Errorf("final serving replica %q, want %q", rec.Replica, fl.replicas[order[2]].name)
+	}
+}
+
+// TestNoCachingFetchRestartsAcrossReplicaKill: a fetch that keeps
+// nothing between rounds loses its replica mid-stream. Its resume through
+// the front carries an empty Have list, so the survivor streams the
+// document from the start, and the fetch ends with its exact body.
+func TestNoCachingFetchRestartsAcrossReplicaKill(t *testing.T) {
+	fl := startFleet(t, 3, transport.ServerOptions{PacketDelay: 2 * time.Millisecond}, Options{
+		Retry: transport.RetryPolicy{Seed: 9, BaseDelay: 10 * time.Millisecond},
+	})
+	doc := corpus.DraftName
+	home := fl.home(doc)
+	client := fl.client(t)
+	var progress int
+	var killed sync.WaitGroup
+	res, err := client.Fetch(transport.FetchOptions{
+		Doc:        doc,
+		OnProgress: killAt(5, fl.replicas[home], &progress, &killed),
+	})
+	killed.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := frontRecord(t, fl, doc)
+	survivor := fl.replicaNamed(rec.Replica)
+	if survivor == nil || survivor == fl.replicas[home] {
+		t.Fatalf("resume served by %q, want a survivor of the killed %q", rec.Replica, fl.replicas[home].name)
+	}
+	if !bytes.Equal(res.Body, singleServerBody(t, survivor, doc)) {
+		t.Fatal("fetch across the kill differs from the survivor's body")
+	}
+	if res.Reconnects != 1 {
+		t.Errorf("reconnects = %d, want 1", res.Reconnects)
+	}
+	for _, have := range serverHaves(survivor, doc) {
+		if have != 0 {
+			t.Errorf("the survivor served a request with %d packets held; a NoCaching resume holds none", have)
+		}
+	}
+	if dead := rerouted(t, fl, doc); len(dead) != 1 {
+		t.Errorf("front logged %d rerouted records, want 1", len(dead))
 	}
 }
 
@@ -461,14 +566,12 @@ func TestDegradedGammaClampThroughFront(t *testing.T) {
 	}
 }
 
-// TestRebaseAcrossReplicaSwitch covers the satellite: the serving
-// replica dies mid-stream and its successor builds a *different* layout
-// (different default γ — corpus drift). The front refuses to splice
-// mismatched geometries and cuts the client loose; the client's own
-// redial/resume path re-enters through the front, reaches the
-// survivor, and Receiver.Rebase carries the held packets across the
-// layout change — cheaper than starting over, byte-identical at the
-// end.
+// TestRebaseAcrossReplicaSwitch: the serving replica dies mid-stream and
+// its successor builds a *different* layout (different default γ —
+// corpus drift). The front ends the client's stream; the client's own
+// redial/resume path re-enters through the front, reaches the survivor,
+// and Receiver.Rebase carries the held packets across the layout change
+// — cheaper than starting over, byte-identical at the end.
 func TestRebaseAcrossReplicaSwitch(t *testing.T) {
 	a := startReplica(t, "a-replica", transport.ServerOptions{
 		Defaults:    core.Config{Gamma: 1.5},
@@ -507,7 +610,7 @@ func TestRebaseAcrossReplicaSwitch(t *testing.T) {
 	// and the resume round rebased the held packets instead of starting
 	// over.
 	if res.Reconnects < 1 {
-		t.Errorf("reconnects = %d; the layout mismatch should have cut the client loose", res.Reconnects)
+		t.Errorf("reconnects = %d; the replica death should have cut the client loose", res.Reconnects)
 	}
 	var sawRedial, sawRebase bool
 	for _, ev := range tr.Events() {
@@ -528,9 +631,10 @@ func TestRebaseAcrossReplicaSwitch(t *testing.T) {
 
 // TestRerouteRefusesAnotherGenerationSplit: the survivor splits the
 // document into generations differently while N and the body size agree,
-// so only the shapes tell the two streams apart. The front must refuse
-// to splice them, as the client's own resume round does, rather than
-// relay frames that decode to a wrong body with a nil error.
+// so only the shapes tell the two streams apart. The client's resume
+// round, routed to the survivor, must tell them apart too, rather than
+// decode the two streams' frames together into a wrong body with a nil
+// error.
 func TestRerouteRefusesAnotherGenerationSplit(t *testing.T) {
 	a := startReplica(t, "a-replica", transport.ServerOptions{
 		Defaults:    core.Config{Gamma: 1.5},
@@ -578,17 +682,17 @@ func TestRerouteRefusesAnotherGenerationSplit(t *testing.T) {
 		t.Fatal("fetch across a generation-split change returned a wrong body")
 	}
 	if res.Reconnects < 1 {
-		t.Errorf("reconnects = %d; the front should have cut the client loose", res.Reconnects)
+		t.Errorf("reconnects = %d; the replica death should have cut the client loose", res.Reconnects)
 	}
 }
 
 // TestChaosReplicaDriftMidStream: the two replicas differ by a one-word
 // edit of the draft that keeps its length and units, and the home
 // replica dies mid-stream. Only the layout's seed, the content digest,
-// tells the two streams apart; the front must refuse to splice them, and
-// the fetch must end with the survivor's exact body, never the relayed
-// prefix decoded into a wrong body with a nil error. The Chaos name
-// routes it into the CI chaos-soak step.
+// tells the two streams apart; the client's resume through the front
+// must notice, and the fetch must end with the survivor's exact body,
+// never the relayed prefix decoded into a wrong body with a nil error.
+// The Chaos name routes it into the CI chaos-soak step.
 func TestChaosReplicaDriftMidStream(t *testing.T) {
 	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -618,7 +722,7 @@ func TestChaosReplicaDriftMidStream(t *testing.T) {
 				t.Fatal("fetch across a drifted replica returned a body that is not the survivor's document")
 			}
 			if res.Reconnects < 1 {
-				t.Errorf("reconnects = %d; the front should have cut the client loose", res.Reconnects)
+				t.Errorf("reconnects = %d; the replica death should have cut the client loose", res.Reconnects)
 			}
 		})
 	}
@@ -628,9 +732,9 @@ func TestChaosReplicaDriftMidStream(t *testing.T) {
 // of the original draft fetches it through a front whose replicas both
 // hold the edited draft, and the home replica dies mid-stream. The
 // request's Have list names the original's packets; the replica ignores
-// it, and the re-routed leg must not replay it either: every source
-// packet of the edited body comes over the wire, and none of the
-// original's counts as stored.
+// it, and the client's resume through the front must not replay it
+// either: every source packet of the edited body comes over the wire,
+// and none of the original's counts as stored.
 func TestChaosStaleStoreThroughReroute(t *testing.T) {
 	doc := corpus.DraftName
 	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
@@ -796,15 +900,15 @@ func TestFrontMetricsProbes(t *testing.T) {
 	}
 }
 
-// TestFountainThroughFront is the regression for the front's three
-// fountain defects: stopgen mid-stream was a protocol violation (a paced
+// TestFountainThroughFront is the regression for the front's fountain
+// defects: stopgen mid-stream was a protocol violation (a paced
 // multi-generation fetch was cut at the first decoded generation), a
 // stale stopgen between streams drew an "unknown op" line that desynced
-// the next response, and relayed frames were parsed as fixed-rate ones,
-// so a re-route replayed an empty Have list. The lossy case needs grants
-// beyond the first window, and loses its replica where that window ends:
-// the front must pass the grants on, and top the re-routed leg up to what
-// the client is still owed, or the client waits on frames nobody sends.
+// the next response, and a resume after a replica death carried an empty
+// Have list. The lossy case needs grants beyond the first window, and
+// loses its replica where that window ends: the front must pass the
+// grants on, and the client's resume, routed to a survivor, opens a fresh
+// window rather than waiting on frames nobody sends.
 func TestFountainThroughFront(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -847,7 +951,6 @@ func TestFountainThroughFront(t *testing.T) {
 			}
 
 			client := fl.client(t)
-			client.Retry = transport.NoRetry
 			opts := transport.FetchOptions{Doc: doc, Caching: true, Codec: erasure.CodecFountain}
 			var progress int
 			var killed sync.WaitGroup
@@ -862,13 +965,18 @@ func TestFountainThroughFront(t *testing.T) {
 			if !bytes.Equal(res.Body, want) {
 				t.Fatal("fountain body through the front differs from a single-server fetch")
 			}
-			if res.Rounds != 1 || res.Reconnects != 0 {
-				t.Errorf("rounds %d reconnects %d, want 1 and 0", res.Rounds, res.Reconnects)
+			// A replica death costs the client one redial and one round.
+			reconnects := 0
+			if tc.killAt > 0 {
+				reconnects = 1
+			}
+			if res.Rounds != 1+reconnects || res.Reconnects != reconnects {
+				t.Errorf("rounds %d reconnects %d, want %d and %d", res.Rounds, res.Reconnects, 1+reconnects, reconnects)
 			}
 			if res.Codec != erasure.CodecFountain.String() {
 				t.Fatalf("served codec %q, want fountain", res.Codec)
 			}
-			// A second fetch on the same connection proves no stale
+			// A second fetch on the client's connection proves no stale
 			// feedback was answered with a stray response line.
 			if _, err := client.Fetch(opts); err != nil {
 				t.Fatalf("second fetch on the same connection: %v", err)
@@ -891,7 +999,7 @@ func TestFountainThroughFront(t *testing.T) {
 				}
 			}
 			if resumedHave == 0 {
-				t.Error("re-routed fountain request carried an empty Have list")
+				t.Error("resumed fountain request carried an empty Have list")
 			}
 		})
 	}
@@ -1224,7 +1332,7 @@ func TestStreamOutlastsIdleTimeoutThroughFront(t *testing.T) {
 	if !bytes.Equal(res.Body, doc.Body()) {
 		t.Error("body differs from the source document")
 	}
-	if rec := frontRecord(t, fl, corpus.DraftName); rec.Reroutes != 0 || rec.Err != "" {
+	if rec := frontRecord(t, fl, corpus.DraftName); rec.Err != "" || fl.counter("front.reroutes") != 0 {
 		t.Errorf("front record %+v, want no re-route and no error", rec)
 	}
 }

@@ -155,7 +155,7 @@ func (m *Monitor) CheckOnce(ctx context.Context) {
 			defer wg.Done()
 			cap, err := m.probe(ctx, m.replicas[i])
 			if err != nil {
-				m.observeFailure(i)
+				m.ReportFailure(i)
 			} else {
 				m.observeSuccess(i, cap)
 			}
@@ -211,13 +211,11 @@ func (m *Monitor) probe(ctx context.Context, r Replica) (transport.Capability, e
 	return cap, nil
 }
 
-// ReportFailure records a proxy-observed failure (dial refused, stream
-// died) against a replica, feeding the same hysteresis as a failed
-// probe — so traffic marks a dead replica down without waiting for the
-// next probe tick.
-func (m *Monitor) ReportFailure(i int) { m.observeFailure(i) }
-
-func (m *Monitor) observeFailure(i int) {
+// ReportFailure records a failed probe or a proxy-observed failure (dial
+// refused, stream died) against a replica. Both feed one hysteresis, so
+// traffic marks a dead replica down without waiting for the next probe
+// tick.
+func (m *Monitor) ReportFailure(i int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := &m.st[i]
@@ -258,7 +256,8 @@ func (m *Monitor) Status(i int) (State, transport.Capability) {
 
 // Usable reports whether the proxy may route a fetch to the replica:
 // anything not marked down. Suspect replicas still serve — the stream
-// itself is the cheapest probe — and a failed stream re-routes anyway.
+// itself is the cheapest probe — and a failed stream ends in a resume
+// that the ring walk routes on.
 func (m *Monitor) Usable(i int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -2,15 +2,16 @@
 // a consistent-hash ring of mrtserver replicas behind a front tier
 // (cmd/mrtfront) that health-checks them, admits and sheds load before
 // starving in-flight retransmission rounds, aggregates per-replica
-// capability tiers, and re-routes an in-flight fetch to the next replica
-// on the ring by replaying the client's Have list through the transport
-// resume path — so replica death mid-fetch costs rounds, not bytes.
+// capability tiers, and routes each fetch to the first usable replica on
+// the ring. A replica death mid-fetch ends the client's stream; the
+// client's own resume, with its Have list, is routed to the next replica
+// — so the death costs a redial and a round, not the packets held.
 //
 // Plans are deterministic per (corpus, doc, query, LOD, notion, γ) —
 // TestPlanLayoutsReproducibleAcrossEngines holds the planning packages
 // to that — so every replica serving the same corpus produces
-// byte-identical frames for a given cooked sequence number. Re-routing
-// therefore preserves byte-identity: the next replica resumes the same
+// byte-identical frames for a given cooked sequence number. A resume
+// therefore preserves byte-identity: the next replica continues the same
 // stream the dead one was sending.
 package shard
 
@@ -79,9 +80,6 @@ func NewRing(names []string, vnodes int) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// Replicas returns the replica count the ring was built over.
-func (r *Ring) Replicas() int { return r.replicas }
 
 // search returns the index of the first point with hash >= h, wrapping
 // to 0 past the end. Open-coded binary search keeps Successors allocation-free

@@ -564,8 +564,9 @@ type FetchResult struct {
 	GammaRequests []float64
 	// Replica names the replica identified in the final round's
 	// response header (sharded fleets); empty when the server did not
-	// identify itself. A front-tier mid-stream re-route is invisible
-	// here — the front's own fetch log records the final server.
+	// identify itself. When a front's replica dies mid-stream the client
+	// resumes through the front, so this names the replica that served
+	// the resume.
 	Replica string
 	// Capability is the serving tier's advertised capability mode;
 	// empty means full capability.

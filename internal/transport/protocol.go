@@ -63,10 +63,11 @@ var (
 	// or any fetch against a search-only one). The fallback tree, not a
 	// retry, is the recovery path.
 	ErrDegraded = errors.New("transport: capability degraded")
-	// ErrReroute marks a proxied stream the front tier could not finish on
-	// any replica despite re-routing; the client's own redial/resume path
-	// takes over from here.
-	ErrReroute = errors.New("transport: reroute failed")
+	// ErrReroute marks a proxied stream that the front tier ended because
+	// its serving replica died mid-stream. It classes the front's fetch
+	// record; the front then closes the client's connection, and the
+	// client's own redial/resume path takes over.
+	ErrReroute = errors.New("transport: replica died mid-stream")
 )
 
 // ShedError is the typed admission-control refusal: the peer is over its
