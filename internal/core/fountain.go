@@ -80,8 +80,8 @@ func (p *Plan) FountainLayout(seed uint64) Layout {
 	return l
 }
 
-// FountainFrame marshals rateless packet (gen, seq) into its wire
-// frame (codec id + seed + gen + seq + CRC + payload): a one-row block.
+// FountainFrame marshals rateless packet (gen, seq) of the stream seed
+// into its wire frame (gen + seq + CRC + payload): a one-row block.
 func (p *Plan) FountainFrame(seed uint64, gen, seq int) ([]byte, error) {
 	return p.CookBlock(erasure.CodecFountain, seed, gen, seq, seq+1)
 }

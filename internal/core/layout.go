@@ -144,6 +144,9 @@ func (l Layout) Validate() error {
 	if !l.Codec.Valid() {
 		return fmt.Errorf("core: layout codec %d: %w", uint8(l.Codec), erasure.ErrUnknownCodec)
 	}
+	if l.Codec == erasure.CodecFountain && len(l.Shapes) > packet.MaxFountainGen+1 {
+		return fmt.Errorf("core: fountain layout of %d generations, at most %d", len(l.Shapes), packet.MaxFountainGen+1)
+	}
 	m := 0
 	for i, s := range l.Shapes {
 		if s.M < 1 || s.N < s.M || s.N > erasure.MaxCooked {
@@ -313,17 +316,11 @@ func (l Layout) SplitSeq(seq int) (gen, local int, ok bool) {
 // ParseFrame parses one wire frame in the layout's frame format without
 // copying: the payload aliases frame. It returns the frame's wire
 // sequence number alongside packet.ErrCorrupt when the CRC fails (the
-// claimed seq, for accounting), and an error for truncated frames or a
-// fountain frame of a different stream seed — sender and receiver then
-// disagree about the fetch, which is not channel noise.
+// claimed seq, for accounting), and an error for truncated frames.
 func (l Layout) ParseFrame(frame []byte) (seq int, payload []byte, err error) {
 	if l.Codec == erasure.CodecFountain {
 		p, err := packet.ParseFountain(frame)
-		seq = packet.PackSeq(p.Gen, p.Seq)
-		if err == nil && p.Seed != l.Seed {
-			err = fmt.Errorf("core: fountain seed %#x, layout has %#x", p.Seed, l.Seed)
-		}
-		return seq, p.Payload, err
+		return packet.PackSeq(p.Gen, p.Seq), p.Payload, err
 	}
 	p, err := packet.Parse(frame)
 	return p.Seq, p.Payload, err

@@ -186,6 +186,42 @@ func TestLayoutValidate(t *testing.T) {
 	}
 }
 
+// TestFountainLayoutGenerationBound: a fountain wire seq packs (gen,
+// seq) as gen<<16 | seq, so a layout past MaxFountainGen+1 generations
+// would name seqs beyond int32. Validate refuses such a header, and a
+// plan that large cooks no fountain frame for its excess generations.
+func TestFountainLayoutGenerationBound(t *testing.T) {
+	doc, err := document.NewBuilder().
+		Paragraph(strings.Repeat("x", packet.MaxFountainGen+2)).
+		Build("wide", "Wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlanWithScores(doc, nil, Config{PacketSize: 1, MaxGeneration: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := plan.FountainLayout(plan.Digest())
+	if len(l.Shapes) <= packet.MaxFountainGen+1 {
+		t.Fatalf("plan has %d generations, want more than %d", len(l.Shapes), packet.MaxFountainGen+1)
+	}
+	if err := l.Validate(); err == nil {
+		t.Errorf("fountain layout of %d generations validated", len(l.Shapes))
+	}
+	if err := plan.Layout().Validate(); err != nil {
+		t.Errorf("the fixed-rate layout of the same plan: %v", err)
+	}
+	if _, err := plan.FountainFrame(plan.Digest(), packet.MaxFountainGen+1, 0); err == nil {
+		t.Error("cooked a fountain frame of generation MaxFountainGen+1")
+	}
+	l.Shapes = l.Shapes[:packet.MaxFountainGen+1]
+	l.BodySize = len(l.Shapes)
+	l.Ranked, l.Accrual = nil, nil
+	if err := l.Validate(); err != nil {
+		t.Errorf("fountain layout of exactly %d generations: %v", len(l.Shapes), err)
+	}
+}
+
 // TestPlanDigestIsTheLayoutSeed: under both codecs the layout's seed is
 // the plan's digest, the CRC-64 (ECMA) of the permuted stream, and a
 // Vandermonde layout carrying it validates. The same paragraphs ranked

@@ -332,7 +332,7 @@ func (p *Plan) CookBlock(codec erasure.CodecID, seed uint64, gen, lo, hi int) ([
 		for seq := lo; seq < hi; seq++ {
 			base := len(block)
 			block = enc.AppendPayload(block[:base+packet.FountainOverhead], seq)
-			if err := packet.FinishFountainFrame(block[base:], seed, gen, seq); err != nil {
+			if err := packet.FinishFountainFrame(block[base:], gen, seq); err != nil {
 				return nil, err
 			}
 		}

@@ -46,7 +46,7 @@ func newPurityReference(t *testing.T, plan *Plan) purityReference {
 				t.Fatal(err)
 			}
 			for seq := 0; seq < ref.fseqs; seq++ {
-				frame, err := packet.FountainPacket{Seed: seed, Gen: g, Seq: seq, Payload: enc.Payload(seq)}.Marshal()
+				frame, err := packet.FountainPacket{Gen: g, Seq: seq, Payload: enc.Payload(seq)}.Marshal()
 				if err != nil {
 					t.Fatal(err)
 				}

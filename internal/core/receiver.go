@@ -228,9 +228,9 @@ func (r *Receiver) keep(g int, payload []byte) []byte {
 
 // AddFrame parses a wire frame in the layout's codec, verifies its CRC,
 // and records it when intact. It returns the wire sequence number and
-// whether the packet was intact. Truncated frames, and fountain frames of
-// another stream, return an error. The frame buffer may be reused by the
-// caller: ParseFrame only borrows it, and Add copies the payload.
+// whether the packet was intact. Truncated frames return an error. The
+// frame buffer may be reused by the caller: ParseFrame only borrows it,
+// and Add copies the payload.
 func (r *Receiver) AddFrame(frame []byte) (seq int, intact bool, err error) {
 	seq, payload, err := r.layout.ParseFrame(frame)
 	if errors.Is(err, packet.ErrCorrupt) {

@@ -126,7 +126,9 @@ func CorruptFrame(frame []byte, salt uint32) {
 	// Flip one payload byte (or a header byte on tiny frames). Flipping a
 	// single bit is always detected by CRC-16, keeping the "detectable
 	// error" contract exact.
-	pos := int(salt) % len(frame)
+	// The modulus is taken in uint32: int(salt) is negative on 32-bit
+	// platforms once salt ≥ 2³¹.
+	pos := int(salt % uint32(len(frame)))
 	bit := byte(1) << (salt % 8)
 	frame[pos] ^= bit
 }

@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -104,6 +105,40 @@ func TestCorruptFrameAlwaysDetectable(t *testing.T) {
 		CorruptFrame(frame, rng.Uint32())
 		if _, err := Unmarshal(frame); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("trial %d: CorruptFrame produced an undetected corruption", trial)
+		}
+	}
+}
+
+// CorruptFrame's flip position must not depend on the platform's int
+// width: salts at and past 2³¹ once indexed out of range on 32-bit
+// targets.
+func TestCorruptFrameSaltsAnyWidth(t *testing.T) {
+	fixed, _ := Packet{Seq: 7, Payload: make([]byte, 256)}.Marshal()
+	fountain, _ := FountainPacket{Gen: 3, Seq: 7, Payload: make([]byte, 256)}.Marshal()
+	frames := []struct {
+		frame []byte
+		parse func([]byte) error // nil: too short for a header
+	}{
+		{[]byte{0}, nil},
+		{fixed, func(f []byte) error { _, err := Parse(f); return err }},
+		{fountain, func(f []byte) error { _, err := ParseFountain(f); return err }},
+	}
+	for _, salt := range []uint32{0, 1 << 31, 1<<32 - 1} {
+		for _, c := range frames {
+			frame := append([]byte(nil), c.frame...)
+			CorruptFrame(frame, salt)
+			flipped := 0
+			for i := range frame {
+				flipped += bits.OnesCount8(frame[i] ^ c.frame[i])
+			}
+			if flipped != 1 {
+				t.Errorf("salt %#x, %d-byte frame: %d bits flipped, want 1", salt, len(frame), flipped)
+			}
+			if c.parse != nil {
+				if err := c.parse(frame); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("salt %#x, %d-byte frame: parse gave %v, want ErrCorrupt", salt, len(frame), err)
+				}
+			}
 		}
 	}
 }

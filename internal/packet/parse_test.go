@@ -96,7 +96,7 @@ func TestAppendMarshalMatchesMarshal(t *testing.T) {
 // under them runs allocation-free once the caller's buffer has room.
 func TestAppendMarshalAllocFree(t *testing.T) {
 	p := Packet{Seq: 9, Payload: make([]byte, 256)}
-	fp := FountainPacket{Seed: 7, Gen: 1, Seq: 300, Payload: make([]byte, 256)}
+	fp := FountainPacket{Gen: 1, Seq: 300, Payload: make([]byte, 256)}
 	buf := make([]byte, 0, 300)
 	frame, err := p.Marshal()
 	if err != nil {

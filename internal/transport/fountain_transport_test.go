@@ -374,6 +374,28 @@ func TestChaosFountainResumeCarriesSeqs(t *testing.T) {
 	}
 }
 
+// TestFountainResumeUplinkBytes: a multi-generation fountain fetch cut
+// mid-stream resumes with a Have list of packed (gen, seq) pairs, whose
+// varint distances grow with the packing's generation stride. It logs
+// what the fetch sent upstream.
+func TestFountainResumeUplinkBytes(t *testing.T) {
+	want := cleanBody(t, corpus.DraftName)
+	policy := ChaosPolicy{Seed: 9, KillAfterMin: 5000, KillAfterMax: 8000, MaxKills: 1}
+	client, _ := startChaosServer(t, ServerOptions{Defaults: core.Config{MaxGeneration: 8}}, policy)
+	res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Codec: erasure.CodecFountain, Caching: true, MaxRounds: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Body, want) {
+		t.Fatal("resumed multi-generation fountain fetch is not byte-identical")
+	}
+	if res.Reconnects != 1 {
+		t.Fatalf("%d reconnects, want the one kill's", res.Reconnects)
+	}
+	t.Logf("resumed fountain fetch of %s over %d rounds: %d uplink bytes, %d header bytes, %d packets held at the end",
+		corpus.DraftName, res.Rounds, res.UplinkBytes, res.HeaderBytes, res.HeldPackets)
+}
+
 // TestChaosFountainSoakByteIdentical runs the fountain codec through
 // seeded kill schedules on top of per-frame corruption — the full
 // weakly-connected condition, rateless edition.
@@ -418,7 +440,7 @@ func TestFountainOvershootCap(t *testing.T) {
 
 func TestPackedSeqsSurviveWire(t *testing.T) {
 	// Fountain Have lists hold packed (gen, seq) pairs; gen>0 packs above
-	// 2^32 and must round-trip the control channel exactly.
+	// 2^16 and must round-trip the control channel exactly.
 	req := Request{Op: "fetch", Have: []int{packet.PackSeq(0, 3), packet.PackSeq(2, 7)}}
 	got, err := readReq(bufio.NewReader(bytes.NewReader(record(t, req))))
 	if err != nil {
