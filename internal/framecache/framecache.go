@@ -43,8 +43,9 @@ const DefaultCacheBytes = 32 << 20
 //
 // Codec and Seed complete the identity for multi-codec plans: a
 // fixed-rate Vandermonde frame and a fountain frame of the same plan
-// must never collide, nor may two fountain streams under different
-// seeds. Both are zero for the fixed-rate codec.
+// must never collide, nor may two fountain streams' repair blocks under
+// different seeds. Seed is zero for the fixed-rate codec and for a
+// fountain source block, which no seed changes.
 type Key struct {
 	Plan  string
 	Gen   int

@@ -273,8 +273,9 @@ func (b *Block) Frame(row int) []byte {
 // Block returns the cooked frame block holding row of generation gen
 // under codec, serving it from the shared frame cache (core.Plan.BlockSpan
 // draws the blocks). A row is the generation's cooked index under the
-// fixed-rate codec, the stream seq under the fountain, whose frames are
-// also keyed by the stream's seed; the fixed-rate codec ignores seed.
+// fixed-rate codec, the stream seq under the fountain, whose repair
+// blocks are also keyed by the stream's seed. Source blocks carry no seed
+// under either codec, so every seed of a plan shares one.
 // Both codecs' blocks are pure functions of their key, so one cook serves
 // every connection asking for it. A block is charged its bytes, its plan
 // key and frameOverhead.
@@ -283,7 +284,7 @@ func (r *Resolved) Block(codec erasure.CodecID, seed uint64, gen, row int) (*Blo
 	if err != nil {
 		return nil, err
 	}
-	if codec != erasure.CodecFountain {
+	if codec != erasure.CodecFountain || lo == 0 {
 		seed = 0
 	}
 	k := framecache.Key{Plan: r.Key, Gen: gen, Row: lo, Codec: uint8(codec), Seed: seed}
