@@ -277,6 +277,10 @@ func BenchmarkAblationNorm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	occ := make(map[string]int, len(idx.Keywords()))
+	for k, w := range idx.Keywords() {
+		occ[w] = idx.Count(k)
+	}
 	minWeight := func(w map[string]float64) float64 {
 		first := true
 		m := 0.0
@@ -291,14 +295,14 @@ func BenchmarkAblationNorm(b *testing.B) {
 	b.Run("infinity", func(b *testing.B) {
 		var w map[string]float64
 		for i := 0; i < b.N; i++ {
-			w = content.Weights(idx.Doc)
+			w = content.Weights(occ)
 		}
 		b.ReportMetric(minWeight(w), "minWeight")
 	})
 	b.Run("l2", func(b *testing.B) {
 		var w map[string]float64
 		for i := 0; i < b.N; i++ {
-			w = content.WeightsL2(idx.Doc)
+			w = content.WeightsL2(occ)
 		}
 		b.ReportMetric(minWeight(w), "minWeight")
 	})

@@ -75,7 +75,7 @@ func run(w io.Writer, args []string) error {
 	if err := figures.WriteTable(w, t); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\n%d keywords, %d units, %d bytes\n", len(idx.Doc), len(doc.Units()), doc.Size())
+	fmt.Fprintf(w, "\n%d keywords, %d units, %d bytes\n", len(idx.Keywords()), len(doc.Units()), doc.Size())
 	return nil
 }
 

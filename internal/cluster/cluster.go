@@ -135,8 +135,8 @@ func (c *Cluster) Scores(queryVec map[string]int) ([]PageScore, error) {
 	// Cluster-wide occurrence vector.
 	total := make(map[string]int)
 	for _, p := range c.pages {
-		for w, n := range p.Index.Doc {
-			total[w] += n
+		for t, w := range p.Index.Keywords() {
+			total[w] += p.Index.Count(t)
 		}
 	}
 	weights := content.Weights(total)
@@ -161,8 +161,8 @@ func (c *Cluster) Scores(queryVec map[string]int) ([]PageScore, error) {
 	out := make([]PageScore, 0, len(c.pages))
 	for name, p := range c.pages {
 		var numIC, numQIC float64
-		for _, w := range p.Index.Keywords() {
-			n := p.Index.Doc[w]
+		for t, w := range p.Index.Keywords() {
+			n := p.Index.Count(t)
 			numIC += float64(n) * weights[w]
 			if qw, ok := qWeights[w]; ok {
 				numQIC += float64(n) * weights[w] * qw

@@ -57,9 +57,9 @@ func (n Notion) String() string {
 type SC struct {
 	doc     *document.Document
 	index   *textproc.Index
-	weights map[string]float64 // ω_a per keyword
-	denomIC float64            // Σ_d |d_D|·ω_d
-	icNum   []float64          // Σ_a |a_ni|·ω_a per unit ID: IC's numerator
+	weights []float64 // ω_a per term of the index's table
+	denomIC float64   // Σ_d |d_D|·ω_d
+	icNum   []float64 // Σ_a |a_ni|·ω_a per unit ID: IC's numerator
 }
 
 // Build derives the SC from a document and its keyword index. Every sum
@@ -69,16 +69,22 @@ func Build(doc *document.Document, index *textproc.Index) (*SC, error) {
 	if doc == nil || index == nil {
 		return nil, fmt.Errorf("content: nil document or index")
 	}
+	n := len(index.Keywords())
 	sc := &SC{
 		doc:     doc,
 		index:   index,
-		weights: Weights(index.Doc),
+		weights: make([]float64, n),
 		icNum:   make([]float64, len(doc.Units())),
 	}
-	for _, w := range index.Keywords() {
-		weight := sc.weights[w]
-		sc.denomIC += float64(index.Doc[w]) * weight
-		for _, p := range index.Postings[w] {
+	norm := 0
+	for t := range n {
+		norm = max(norm, index.Count(t))
+	}
+	for t := range n {
+		weight := logWeight(index.Count(t), float64(norm))
+		sc.weights[t] = weight
+		sc.denomIC += float64(index.Count(t)) * weight
+		for _, p := range index.Postings(t) {
 			sc.icNum[p.Unit] += float64(p.Count) * weight
 		}
 	}
@@ -98,10 +104,13 @@ func Weights(occurrences map[string]int) map[string]float64 {
 		if c <= 0 {
 			continue
 		}
-		w[a] = 1 - math.Log2(float64(c)/float64(norm))
+		w[a] = logWeight(c, float64(norm))
 	}
 	return w
 }
+
+// logWeight is ω = 1 − log₂(c / norm).
+func logWeight(c int, norm float64) float64 { return 1 - math.Log2(float64(c)/norm) }
 
 // WeightsL2 is the alternative using the Euclidean norm, kept for the
 // norm-choice ablation (DESIGN.md §5). The paper chooses the infinity
@@ -121,7 +130,7 @@ func WeightsL2(occurrences map[string]int) map[string]float64 {
 		if c <= 0 {
 			continue
 		}
-		w[a] = 1 - math.Log2(float64(c)/norm)
+		w[a] = logWeight(c, norm)
 	}
 	return w
 }
@@ -144,7 +153,16 @@ func (sc *SC) Doc() *document.Document { return sc.doc }
 func (sc *SC) Index() *textproc.Index { return sc.index }
 
 // Weight returns ω_a for a keyword (zero when absent).
-func (sc *SC) Weight(keyword string) float64 { return sc.weights[keyword] }
+func (sc *SC) Weight(keyword string) float64 {
+	if t, ok := sc.index.Term(keyword); ok {
+		return sc.weights[t]
+	}
+	return 0
+}
+
+// TermWeights returns ω per term, parallel to Index().Keywords(). The
+// slice is shared; callers must not modify it.
+func (sc *SC) TermWeights() []float64 { return sc.weights }
 
 // IC returns the static information content p_i of a unit (zero for an
 // ID outside the document).
@@ -215,14 +233,15 @@ func (sc *SC) Evaluate(queryVec map[string]int) *Scores {
 	// Σ|a_ni|·ω_a·ω_a^Q and Σ|a_ni|·ω_a^Q.
 	var denomQ, denomMQ float64
 	for _, a := range terms {
-		qw, dc := qWeights[a], sc.index.Doc[a]
-		if qw == 0 || dc == 0 {
+		t, ok := sc.index.Term(a)
+		qw := qWeights[a]
+		if qw == 0 || !ok {
 			continue
 		}
-		w := sc.weights[a]
+		dc, w := sc.index.Count(t), sc.weights[t]
 		denomQ += float64(dc) * w * qw
 		denomMQ += float64(dc) * qw
-		for _, p := range sc.index.Postings[a] {
+		for _, p := range sc.index.Postings(t) {
 			c := float64(p.Count)
 			s.QIC[p.Unit] += c * w * qw
 			s.MQIC[p.Unit] += c * qw

@@ -345,7 +345,7 @@ func TestScoresBitReproducible(t *testing.T) {
 
 func TestWeightAccessor(t *testing.T) {
 	_, idx, sc := paperDoc(t)
-	for w := range idx.Doc {
+	for _, w := range idx.Keywords() {
 		if sc.Weight(w) < 1 {
 			t.Errorf("keyword %q weight %v below 1; infinity norm guarantees >= 1", w, sc.Weight(w))
 		}

@@ -20,15 +20,17 @@ import (
 func denseScores(sc *content.SC, queryVec map[string]int) (ic, qic, mqic map[int]float64) {
 	idx := sc.Index()
 	units := make(map[int]map[string]int)
-	for w, ps := range idx.Postings {
-		for _, p := range ps {
+	occ := make(map[string]int)
+	for k, w := range idx.Keywords() {
+		occ[w] = idx.Count(k)
+		for _, p := range idx.Postings(k) {
 			if units[int(p.Unit)] == nil {
 				units[int(p.Unit)] = make(map[string]int)
 			}
 			units[int(p.Unit)][w] = int(p.Count)
 		}
 	}
-	weights := content.Weights(idx.Doc)
+	weights := content.Weights(occ)
 	qWeights := content.Weights(queryVec)
 	var totalQ float64
 	for _, c := range queryVec {
@@ -39,8 +41,8 @@ func denseScores(sc *content.SC, queryVec map[string]int) (ic, qic, mqic map[int
 		lambda = float64(idx.TotalDoc) / totalQ
 	}
 	var denomIC, denomQ, denomM float64
-	for _, w := range sortedKeys(idx.Doc) {
-		c := float64(idx.Doc[w])
+	for _, w := range sortedKeys(occ) {
+		c := float64(occ[w])
 		denomIC += c * weights[w]
 		if qw, ok := qWeights[w]; ok {
 			denomQ += c * weights[w] * qw

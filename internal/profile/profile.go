@@ -107,11 +107,11 @@ func (p *Profile) Observe(fb Feedback) error {
 	if fb.SC == nil {
 		return fmt.Errorf("profile: feedback without SC")
 	}
-	idx := fb.SC.Index()
+	idx, weights := fb.SC.Index(), fb.SC.TermWeights()
 	// Document term weights: occurrence × keyword weight.
-	terms := make(map[string]float64, len(idx.Doc))
-	for w, c := range idx.Doc {
-		terms[w] = float64(c) * fb.SC.Weight(w)
+	terms := make(map[string]float64, len(weights))
+	for t, w := range idx.Keywords() {
+		terms[w] = float64(idx.Count(t)) * weights[t]
 	}
 	p.apply(terms, fb.Query, fb.Relevant, fb.FractionRead)
 	return nil
@@ -301,10 +301,10 @@ func (p *Profile) Score(sc *content.SC) float64 {
 	if len(p.weights) == 0 {
 		return 0
 	}
-	idx := sc.Index()
+	idx, weights := sc.Index(), sc.TermWeights()
 	var dot, docNorm, profNorm float64
-	for _, w := range sortedKeys(idx.Doc) {
-		v := float64(idx.Doc[w]) * sc.Weight(w)
+	for t, w := range idx.Keywords() {
+		v := float64(idx.Count(t)) * weights[t]
 		docNorm += v * v
 		if pw, ok := p.weights[w]; ok {
 			dot += pw * v

@@ -10,7 +10,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"mobweb/internal/content"
@@ -25,18 +27,22 @@ import (
 type Engine struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
-	// posting maps keyword → document names containing it; a keyword no
-	// current document contains has no set.
-	posting map[string]map[string]bool
+	// slots holds every indexed document under its slot, the number its
+	// first Add gave its name; a re-added name keeps its slot.
+	slots []*entry
+	// posting maps keyword → the ascending slots of the documents
+	// containing it; a keyword no current document contains has no list.
+	posting map[string][]int32
 	// version is the last version minted by Add.
 	version uint64
 	opts    textproc.Options
 }
 
 type entry struct {
-	doc *document.Document
-	idx *textproc.Index
-	sc  *content.SC
+	doc  *document.Document
+	idx  *textproc.Index
+	sc   *content.SC
+	slot int32
 	// version is unique to this Add: a re-added name gets a higher one.
 	version uint64
 	// norm is the Euclidean norm of the document's weighted term vector,
@@ -49,7 +55,7 @@ type entry struct {
 func NewEngine(opts textproc.Options) *Engine {
 	return &Engine{
 		entries: make(map[string]*entry),
-		posting: make(map[string]map[string]bool),
+		posting: make(map[string][]int32),
 		opts:    opts,
 	}
 }
@@ -69,8 +75,8 @@ func (e *Engine) Add(doc *document.Document) error {
 		return err
 	}
 	var norm float64
-	for _, w := range idx.Keywords() {
-		v := float64(idx.Doc[w]) * sc.Weight(w)
+	for t, w := range sc.TermWeights() {
+		v := float64(idx.Count(t)) * w
 		norm += v * v
 	}
 	ent := &entry{doc: doc, idx: idx, sc: sc, norm: math.Sqrt(norm)}
@@ -78,23 +84,31 @@ func (e *Engine) Add(doc *document.Document) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if old, ok := e.entries[doc.Name]; ok {
-		for w := range old.idx.Doc {
-			set := e.posting[w]
-			if delete(set, doc.Name); len(set) == 0 {
+		ent.slot = old.slot
+		for _, w := range old.idx.Keywords() {
+			list := e.posting[w]
+			i, _ := slices.BinarySearch(list, ent.slot)
+			if list = slices.Delete(list, i, i+1); len(list) == 0 {
 				delete(e.posting, w)
+			} else {
+				e.posting[w] = list
 			}
 		}
+	} else {
+		ent.slot = int32(len(e.slots))
+		e.slots = append(e.slots, nil)
 	}
 	e.version++
 	ent.version = e.version
 	e.entries[doc.Name] = ent
-	for w := range idx.Doc {
-		set := e.posting[w]
-		if set == nil {
-			set = make(map[string]bool)
-			e.posting[w] = set
+	e.slots[ent.slot] = ent
+	for _, w := range idx.Keywords() {
+		list, ok := e.posting[w]
+		if !ok {
+			w = strings.Clone(w) // the key outlives this index's term bytes
 		}
-		set[doc.Name] = true
+		i, _ := slices.BinarySearch(list, ent.slot)
+		e.posting[w] = slices.Insert(list, i, ent.slot)
 	}
 	return nil
 }
@@ -199,28 +213,35 @@ func (e *Engine) Search(query string, limit int) []Hit {
 	defer e.mu.RUnlock()
 
 	// Gather candidates from the postings of each query term.
-	candidates := make(map[string]bool)
+	candidate := make([]bool, len(e.slots))
+	found := 0
 	for _, a := range terms {
-		for name := range e.posting[a] {
-			candidates[name] = true
+		for _, slot := range e.posting[a] {
+			if !candidate[slot] {
+				candidate[slot] = true
+				found++
+			}
 		}
 	}
-	hits := make([]Hit, 0, len(candidates))
-	for name := range candidates {
-		ent := e.entries[name]
+	hits := make([]Hit, 0, found)
+	for slot, ok := range candidate {
+		if !ok {
+			continue
+		}
+		ent := e.slots[slot]
 		var dot float64
 		for _, a := range terms {
-			dc := ent.idx.Doc[a]
-			if dc == 0 {
+			t, ok := ent.idx.Term(a)
+			if !ok {
 				continue
 			}
-			dot += float64(qv[a]) * qWeights[a] * float64(dc) * ent.sc.Weight(a)
+			dot += float64(qv[a]) * qWeights[a] * float64(ent.idx.Count(t)) * ent.sc.TermWeights()[t]
 		}
 		if dot == 0 || ent.norm == 0 || qNorm == 0 {
 			continue
 		}
 		hits = append(hits, Hit{
-			Name:     name,
+			Name:     ent.doc.Name,
 			Title:    ent.doc.Title,
 			Score:    dot / (ent.norm * qNorm),
 			SC:       ent.sc,

@@ -3,7 +3,6 @@ package textproc
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"mobweb/internal/document"
@@ -24,12 +23,19 @@ type Options struct {
 // unit tree (internal units count their descendants, which is what makes
 // the additive rule of §3.1 hold exactly). A query touches only its own
 // keywords' postings.
+//
+// The index is one term table: the keywords in ascending order, each
+// with its |a_D| and its run of postings in a single slab, found by
+// binary search. Term t is Keywords()[t]; Count(t) and Postings(t) read
+// its row. An Index is immutable and safe for concurrent use.
 type Index struct {
-	// Doc maps keyword → |a_D|.
-	Doc map[string]int
-	// Postings maps keyword → the units with |a_ni| > 0, in ascending
-	// unit ID. The slices are shared; callers must not modify them.
-	Postings map[string][]Posting
+	// words are the keywords, sorted; their bytes share one string.
+	words []string
+	// counts[t] is |a_D| of words[t].
+	counts []int32
+	// off[t]:off[t+1] is words[t]'s run of slab; len(off) = len(words)+1.
+	off  []int32
+	slab []Posting
 	// TotalDoc is Σ_a |a_D|, cached for normalization denominators.
 	TotalDoc int
 }
@@ -107,19 +113,40 @@ func BuildIndex(doc *document.Document, opts Options) (*Index, error) {
 	// Stage 4 — keyword extractor: frequency threshold plus the
 	// specially-formatted override. Stage 5 — structural characteristic
 	// generator: each qualified keyword's occurrences counted into their
-	// unit and every ancestor, then read out in ascending unit ID.
+	// unit and every ancestor, then read out in ascending unit ID, one
+	// keyword after another in sorted order.
 	minFreq := opts.MinFrequency
 	if minFreq < 1 {
 		minFreq = 1
 	}
-	idx := &Index{Doc: make(map[string]int, len(lemmas)), Postings: make(map[string][]Posting, len(lemmas))}
+	var qualified []int
+	arena := 0
+	for t, ids := range occ {
+		if len(ids) >= minFreq || emphasized[t] {
+			qualified = append(qualified, t)
+			arena += len(lemmas[t])
+		}
+	}
+	slices.SortFunc(qualified, func(a, b int) int { return strings.Compare(lemmas[a], lemmas[b]) })
+	var text strings.Builder
+	text.Grow(arena)
+	for _, t := range qualified {
+		text.WriteString(lemmas[t])
+	}
+	all := text.String()
+
+	idx := &Index{
+		words:  make([]string, len(qualified)),
+		counts: make([]int32, len(qualified)),
+		off:    make([]int32, len(qualified)+1),
+	}
 	acc := make([]int32, len(units))
 	var touched []int32
-	for t, ids := range occ {
-		if len(ids) < minFreq && !emphasized[t] {
-			continue
-		}
-		idx.Doc[lemmas[t]] = len(ids)
+	var slab []Posting
+	for i, t := range qualified {
+		ids := occ[t]
+		idx.words[i], all = all[:len(lemmas[t])], all[len(lemmas[t]):]
+		idx.counts[i] = int32(len(ids))
 		idx.TotalDoc += len(ids)
 		for len(ids) > 0 {
 			run := 1 // a unit's occurrences are adjacent
@@ -135,20 +162,43 @@ func BuildIndex(doc *document.Document, opts Options) (*Index, error) {
 			ids = ids[run:]
 		}
 		slices.Sort(touched)
-		ps := make([]Posting, len(touched))
-		for i, u := range touched {
-			ps[i] = Posting{Unit: u, Count: acc[u]}
+		for _, u := range touched {
+			slab = append(slab, Posting{Unit: u, Count: acc[u]})
 			acc[u] = 0
 		}
-		idx.Postings[lemmas[t]] = ps
 		touched = touched[:0]
+		idx.off[i+1] = int32(len(slab))
 	}
+	idx.slab = slices.Clone(slab) // leaves the grown slab's spare capacity behind
 	return idx, nil
 }
 
+// Keywords returns the qualified keyword set, sorted: the term table's
+// first column, shared by every caller, who must not modify it. Term t
+// of Count, Postings and the parallel slices of other packages is
+// Keywords()[t].
+func (x *Index) Keywords() []string { return x.words }
+
+// Term returns the position of a keyword in Keywords, and whether the
+// document has it.
+func (x *Index) Term(keyword string) (int, bool) {
+	return slices.BinarySearch(x.words, keyword)
+}
+
+// Count returns |a_D| of term t.
+func (x *Index) Count(t int) int { return int(x.counts[t]) }
+
+// Postings returns term t's postings: the units with |a_ni| > 0, in
+// ascending unit ID. The slice is shared; callers must not modify it.
+func (x *Index) Postings(t int) []Posting { return x.slab[x.off[t]:x.off[t+1]:x.off[t+1]] }
+
 // UnitCount returns |a_ni| for the unit and keyword.
 func (x *Index) UnitCount(unitID int, keyword string) int {
-	ps := x.Postings[keyword]
+	t, ok := x.Term(keyword)
+	if !ok {
+		return 0
+	}
+	ps := x.Postings(t)
 	i, ok := slices.BinarySearchFunc(ps, unitID, func(p Posting, id int) int { return int(p.Unit) - id })
 	if !ok {
 		return 0
@@ -157,16 +207,11 @@ func (x *Index) UnitCount(unitID int, keyword string) int {
 }
 
 // DocCount returns |a_D| for the keyword.
-func (x *Index) DocCount(keyword string) int { return x.Doc[keyword] }
-
-// Keywords returns the qualified keyword set, sorted.
-func (x *Index) Keywords() []string {
-	out := make([]string, 0, len(x.Doc))
-	for w := range x.Doc {
-		out = append(out, w)
+func (x *Index) DocCount(keyword string) int {
+	if t, ok := x.Term(keyword); ok {
+		return x.Count(t)
 	}
-	sort.Strings(out)
-	return out
+	return 0
 }
 
 // QueryVector converts a free-text query into its occurrence vector V_Q:

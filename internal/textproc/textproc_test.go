@@ -135,8 +135,8 @@ func TestBuildIndexAggregationAdditive(t *testing.T) {
 	}
 	// Root counts must equal document counts for every keyword.
 	rootID := d.Root.ID
-	for w, c := range idx.Doc {
-		if got := idx.UnitCount(rootID, w); got != c {
+	for k, w := range idx.Keywords() {
+		if c, got := idx.Count(k), idx.UnitCount(rootID, w); got != c {
 			t.Errorf("root count of %q = %d, want %d", w, got, c)
 		}
 	}
@@ -146,7 +146,7 @@ func TestBuildIndexAggregationAdditive(t *testing.T) {
 		if u.IsLeaf() {
 			continue
 		}
-		for w := range idx.Doc {
+		for _, w := range idx.Keywords() {
 			sum := 0
 			for _, c := range u.Children {
 				sum += idx.UnitCount(c.ID, w)
@@ -169,7 +169,7 @@ func unitRecount(d *document.Document, idx *Index) map[int]map[string]int {
 			for _, source := range []string{v.Title, v.Text} {
 				for _, w := range Tokenize(source) {
 					lemma := Lemmatize(w)
-					if IsStopWord(w) || IsStopWord(lemma) || idx.Doc[lemma] == 0 {
+					if IsStopWord(w) || IsStopWord(lemma) || idx.DocCount(lemma) == 0 {
 						continue
 					}
 					counts[lemma]++
@@ -195,8 +195,9 @@ func TestPostingsMatchUnitRecount(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := unitRecount(d, idx)
-			for w, ps := range idx.Postings {
-				if idx.Doc[w] == 0 {
+			for k, w := range idx.Keywords() {
+				ps := idx.Postings(k)
+				if idx.Count(k) == 0 {
 					t.Errorf("%s: postings for %q, which is no keyword", d.Name, w)
 				}
 				for i, p := range ps {
@@ -217,12 +218,12 @@ func TestPostingsMatchUnitRecount(t *testing.T) {
 				}
 				total += len(counts)
 			}
-			posted := 0
-			for _, ps := range idx.Postings {
-				posted += len(ps)
+			posted, keywords := 0, len(idx.Keywords())
+			for k := range keywords {
+				posted += len(idx.Postings(k))
 			}
-			if posted != total || len(idx.Postings) != len(idx.Doc) {
-				t.Errorf("%s: %d postings over %d keywords, recount has %d over %d", d.Name, posted, len(idx.Postings), total, len(idx.Doc))
+			if posted != total || keywords != len(want[d.Root.ID]) {
+				t.Errorf("%s: %d postings over %d keywords, recount has %d over %d", d.Name, posted, keywords, total, len(want[d.Root.ID]))
 			}
 		}
 	}
@@ -340,9 +341,9 @@ func TestKeywordsList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks := idx.Keywords()
-	if len(ks) != len(idx.Doc) {
-		t.Errorf("Keywords() returned %d entries, want %d", len(ks), len(idx.Doc))
+	ks, want := idx.Keywords(), len(unitRecount(d, idx)[d.Root.ID])
+	if len(ks) != want {
+		t.Errorf("Keywords() returned %d entries, want %d", len(ks), want)
 	}
 	if !sort.StringsAreSorted(ks) {
 		t.Errorf("Keywords() not sorted: %v", ks)
