@@ -157,6 +157,12 @@ func (r *Receiver) Add(seq int, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("core: seq %d outside the layout", seq)
 	}
+	return r.add(g, local, payload)
+}
+
+// add is Add for a packet payload of the layout's size at local index
+// local of generation g.
+func (r *Receiver) add(g, local int, payload []byte) error {
 	h, d := &r.held[g], r.gens[g]
 	var own []byte
 	if local < len(h.src) {
@@ -228,17 +234,25 @@ func (r *Receiver) keep(g int, payload []byte) []byte {
 
 // AddFrame parses a wire frame in the layout's codec, verifies its CRC,
 // and records it when intact. It returns the wire sequence number and
-// whether the packet was intact. Truncated frames return an error. The
-// frame buffer may be reused by the caller: ParseFrame only borrows it,
-// and Add copies the payload.
+// whether the packet was intact. A frame whose CRC passes but whose seq
+// lies outside the layout or whose payload is not one packet long is not
+// intact either: it is a CRC false accept of a corrupted frame, which
+// Add would refuse. Truncated frames return an error. The frame buffer
+// may be reused by the caller: ParseFrame only borrows it, and Add
+// copies the payload.
 func (r *Receiver) AddFrame(frame []byte) (seq int, intact bool, err error) {
 	seq, payload, err := r.layout.ParseFrame(frame)
 	if errors.Is(err, packet.ErrCorrupt) {
 		return seq, false, nil
 	}
-	if err == nil {
-		err = r.Add(seq, payload)
+	if err != nil {
+		return seq, false, err
 	}
+	g, local, ok := r.layout.SplitSeq(seq)
+	if !ok || len(payload) != r.layout.PacketSize {
+		return seq, false, nil
+	}
+	err = r.add(g, local, payload)
 	return seq, err == nil, err
 }
 

@@ -9,11 +9,14 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mobweb/internal/channel"
 	"mobweb/internal/corpus"
+	"mobweb/internal/erasure"
+	"mobweb/internal/packet"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
 )
@@ -359,5 +362,72 @@ func TestServerDropsJSONRequest(t *testing.T) {
 	defer client.Close()
 	if res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName}); err != nil || res.Body == nil {
 		t.Fatalf("fetch after a JSON peer: %v", err)
+	}
+}
+
+// falseAcceptInjector swaps two frames of a stream for frames whose CRC
+// passes but that name no packet of the layout — what a CRC-16 false
+// accept of a multi-bit corruption delivers: the third frame for one with
+// a sequence number outside the layout, the fifth for one a payload byte
+// short.
+type falseAcceptInjector struct {
+	fountain bool
+	mu       sync.Mutex
+	frames   int
+}
+
+func (f *falseAcceptInjector) Inject(frame []byte, seq int) ([]byte, bool) {
+	f.mu.Lock()
+	f.frames++
+	n := f.frames
+	f.mu.Unlock()
+	switch n {
+	case 3:
+		seq = packet.MaxSeq
+		if f.fountain {
+			seq = packet.PackSeq(packet.MaxFountainGen, 0)
+		}
+	case 5:
+		frame = frame[:len(frame)-1]
+	default:
+		return frame, true
+	}
+	var err error
+	if f.fountain {
+		gen, local := packet.UnpackSeq(seq)
+		err = packet.FinishFountainFrame(frame, gen, local)
+	} else {
+		err = packet.FinishFrame(frame, seq)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return frame, true
+}
+
+// TestCRCValidFrameNamingNoPacketCountsAsCorrupt: a frame whose CRC
+// passes but whose seq lies outside the layout, or whose payload has the
+// wrong length, is one more corrupt frame to the fetch, not the end of
+// it — under both codecs.
+func TestCRCValidFrameNamingNoPacketCountsAsCorrupt(t *testing.T) {
+	doc, err := corpus.Load(corpus.DraftName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, codec := range []erasure.CodecID{erasure.CodecVandermonde, erasure.CodecFountain} {
+		t.Run(codec.String(), func(t *testing.T) {
+			inj := &falseAcceptInjector{fountain: codec == erasure.CodecFountain}
+			client := startServer(t, ServerOptions{InjectorFactory: oneChannel(inj)})
+			res, err := client.Fetch(FetchOptions{Doc: corpus.DraftName, Codec: codec})
+			if err != nil {
+				t.Fatalf("fetch ended with %v", err)
+			}
+			if !bytes.Equal(res.Body, doc.Body()) {
+				t.Error("body differs from the source document")
+			}
+			if res.PacketsCorrupted != 2 {
+				t.Errorf("PacketsCorrupted = %d, want the 2 swapped frames", res.PacketsCorrupted)
+			}
+		})
 	}
 }
