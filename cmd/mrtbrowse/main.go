@@ -11,14 +11,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+	"time"
 
-	"mobweb/internal/content"
-	"mobweb/internal/document"
+	"mobweb/internal/planner"
+	"mobweb/internal/session"
 	"mobweb/internal/store"
 	"mobweb/internal/transport"
 )
@@ -30,44 +32,78 @@ func main() {
 	}
 }
 
-func run(w io.Writer, args []string, stdin io.Reader) error {
+// options is mrtbrowse's command line.
+type options struct {
+	addr, search, doc, query, lod, notion, storeDir string
+	gamma, stopAt, success, think                   float64
+	storeMB                                         int64
+	caching, adapt, quiet, repl                     bool
+}
+
+// newFlagSet binds mrtbrowse's flags to o; DESIGN.md §22 lists each one.
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("mrtbrowse", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:8047", "server address")
-	searchQuery := fs.String("search", "", "run a keyword search and list hits")
-	doc := fs.String("doc", "", "document to fetch")
-	query := fs.String("query", "", "query whose QIC orders the units")
-	lodName := fs.String("lod", "paragraph", "ranking level of detail")
-	notionName := fs.String("notion", "QIC", "content notion: IC, QIC or MQIC")
-	gamma := fs.Float64("gamma", 0, "redundancy ratio override (0 = server default)")
-	stopAt := fs.Float64("stopat", 0, "stop once this information content arrived (0 = full download)")
-	caching := fs.Bool("caching", true, "cache intact packets across retransmission rounds")
-	maxRounds := fs.Int("rounds", 10, "max retransmission rounds")
-	adapt := fs.Bool("adapt", false, "adapt gamma per round from the observed corruption rate (EWMA)")
-	success := fs.Float64("success", 0, "per-round success probability target for -adapt (0 = 0.95)")
-	retries := fs.Int("retries", 0, "redial attempts after a mid-fetch disconnect (0 = default of 4, -1 disables)")
-	retryBase := fs.Duration("retry-base", 0, "base reconnect backoff delay (0 = 50ms)")
-	roundTimeout := fs.Duration("round-timeout", 0, "deadline per transmission round; overruns reconnect and resume (0 = per-read timeout only)")
-	quiet := fs.Bool("quiet", false, "suppress progressive rendering")
-	repl := fs.Bool("repl", false, "interactive session (search/skim/read/discard with profile feedback)")
-	think := fs.Float64("think", 0, "REPL think-time seconds per interaction, spent prefetching")
-	storeDir := fs.String("store-dir", "", "persistent packet store directory; fetches resume across process lives")
-	storeMB := fs.Int64("store-mb", 64, "packet store byte budget in MiB (with -store-dir)")
-	prefetchTopK := fs.Int("prefetch-topk", 0, "cap REPL think-time prefetching to the top-k predicted hits (0 = all hits)")
-	if err := fs.Parse(args); err != nil {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8047", "server address")
+	fs.StringVar(&o.search, "search", "", "run a keyword search and list hits")
+	fs.StringVar(&o.doc, "doc", "", "document to fetch")
+	fs.StringVar(&o.query, "query", "", "query whose QIC orders the units")
+	fs.StringVar(&o.lod, "lod", "paragraph", "ranking level of detail")
+	fs.StringVar(&o.notion, "notion", "QIC", "content notion: IC, QIC or MQIC")
+	fs.Float64Var(&o.gamma, "gamma", 0, "redundancy ratio override (0 = server default)")
+	fs.Float64Var(&o.stopAt, "stopat", 0, "stop once this information content arrived (0 = full download)")
+	fs.BoolVar(&o.caching, "caching", true, "cache intact packets across retransmission rounds (false is the paper's NoCaching)")
+	fs.BoolVar(&o.adapt, "adapt", false, "adapt gamma per round from the observed corruption rate (EWMA)")
+	fs.Float64Var(&o.success, "success", 0, "per-round success probability target for -adapt (0 = 0.95)")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress progressive rendering")
+	fs.BoolVar(&o.repl, "repl", false, "interactive session (search/skim/read/discard with profile feedback)")
+	fs.Float64Var(&o.think, "think", 0, "REPL think-time seconds per interaction, spent prefetching")
+	fs.StringVar(&o.storeDir, "store-dir", "", "persistent packet store directory; fetches resume across process lives")
+	fs.Int64Var(&o.storeMB, "store-mb", 64, "packet store byte budget in MiB (with -store-dir)")
+	return fs
+}
+
+// fetchOptions is the fetch o asks for, with -lod and -notion parsed as
+// the wire parses them.
+func fetchOptions(o options) (transport.FetchOptions, error) {
+	lod, err := planner.ParseLOD(o.lod)
+	if err != nil {
+		return transport.FetchOptions{}, err
+	}
+	notion, err := planner.ParseNotion(o.notion)
+	if err != nil {
+		return transport.FetchOptions{}, err
+	}
+	return transport.FetchOptions{
+		Doc:           o.doc,
+		Query:         o.query,
+		LOD:           lod,
+		Notion:        notion,
+		Gamma:         o.gamma,
+		StopAtIC:      o.stopAt,
+		Caching:       o.caching,
+		AdaptGamma:    o.adapt,
+		TargetSuccess: o.success,
+	}, nil
+}
+
+func run(w io.Writer, args []string, stdin io.Reader) error {
+	var o options
+	if err := newFlagSet(&o).Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
 		return err
 	}
-	if !*repl && *searchQuery == "" && *doc == "" {
+	if !o.repl && o.search == "" && o.doc == "" {
 		return fmt.Errorf("need -search, -doc, or -repl")
 	}
 
-	client, err := transport.Dial(*addr)
+	client, err := transport.Dial(o.addr)
 	if err != nil {
 		return err
 	}
 	defer client.Close()
-	client.Retry = transport.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{MaxBytes: *storeMB << 20})
+	if o.storeDir != "" {
+		st, err := store.Open(o.storeDir, store.Options{MaxBytes: o.storeMB << 20})
 		if err != nil {
 			return err
 		}
@@ -75,12 +111,16 @@ func run(w io.Writer, args []string, stdin io.Reader) error {
 		client.Store = st
 	}
 
-	if *repl {
-		return runREPL(w, stdin, client, replOptions(*stopAt, *think, *prefetchTopK))
+	if o.repl {
+		return runREPL(w, stdin, client, session.Options{
+			RelevanceThreshold: o.stopAt,
+			ProfileBlend:       0.4,
+			ThinkTime:          time.Duration(o.think * float64(time.Second)),
+		})
 	}
 
-	if *searchQuery != "" {
-		hits, err := client.Search(*searchQuery, 10)
+	if o.search != "" {
+		hits, err := client.Search(o.search, 10)
 		if err != nil {
 			return err
 		}
@@ -91,41 +131,16 @@ func run(w io.Writer, args []string, stdin io.Reader) error {
 		for i, h := range hits {
 			fmt.Fprintf(w, "%2d. %-24s %-48s %.4f\n", i+1, h.Name, h.Title, h.Score)
 		}
-		if *doc == "" {
+		if o.doc == "" {
 			return nil
 		}
 	}
 
-	lod, err := document.ParseLOD(*lodName)
+	opts, err := fetchOptions(o)
 	if err != nil {
 		return err
 	}
-	var notion content.Notion
-	switch strings.ToUpper(*notionName) {
-	case "IC":
-		notion = content.NotionIC
-	case "QIC":
-		notion = content.NotionQIC
-	case "MQIC":
-		notion = content.NotionMQIC
-	default:
-		return fmt.Errorf("unknown notion %q", *notionName)
-	}
-
-	opts := transport.FetchOptions{
-		Doc:           *doc,
-		Query:         *query,
-		LOD:           lod,
-		Notion:        notion,
-		Gamma:         *gamma,
-		StopAtIC:      *stopAt,
-		Caching:       *caching,
-		MaxRounds:     *maxRounds,
-		AdaptGamma:    *adapt,
-		TargetSuccess: *success,
-		RoundTimeout:  *roundTimeout,
-	}
-	if !*quiet {
+	if !o.quiet {
 		opts.OnProgress = func(p transport.Progress) {
 			for _, u := range p.NewUnits {
 				fmt.Fprintf(w, "\n── unit %s (score %.4f, IC now %.3f) ──\n%s\n",

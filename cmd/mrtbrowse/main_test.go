@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"strings"
 	"testing"
 
+	"mobweb/internal/census"
 	"mobweb/internal/corpus"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
@@ -127,6 +129,40 @@ func TestWrap(t *testing.T) {
 	for _, line := range strings.Split(out, "\n") {
 		if len(line) > 16 {
 			t.Errorf("wrapped line too long: %q", line)
+		}
+	}
+}
+
+// TestFlagsMatchCensus holds every flag to its DESIGN.md §22 row.
+func TestFlagsMatchCensus(t *testing.T) {
+	if err := census.CheckFlags("../../DESIGN.md", newFlagSet(new(options))); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestRunHelpSucceeds(t *testing.T) {
+	if err := run(io.Discard, []string{"-h"}, strings.NewReader("")); err != nil {
+		t.Errorf("run -h: %v", err)
+	}
+}
+
+// TestCachingFlagReachesTheFetch: the paper's Caching is the default,
+// and -caching=false fetches as its NoCaching strategy.
+func TestCachingFlagReachesTheFetch(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want bool
+	}{{nil, true}, {[]string{"-caching=false"}, false}} {
+		var o options
+		if err := newFlagSet(&o).Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		opts, err := fetchOptions(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Caching != tc.want {
+			t.Errorf("%v: FetchOptions.Caching %v, want %v", tc.args, opts.Caching, tc.want)
 		}
 	}
 }

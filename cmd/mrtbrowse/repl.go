@@ -6,7 +6,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 
 	"mobweb/internal/profile"
 	"mobweb/internal/session"
@@ -143,16 +142,4 @@ func runREPL(w io.Writer, stdin io.Reader, client *transport.Client, opts sessio
 			fmt.Fprintf(w, "  unknown command %q (try help)\n", cmd)
 		}
 	}
-}
-
-// replOptions derives session options from the browse flags.
-func replOptions(stopAt float64, thinkSeconds float64, prefetchTopK int) session.Options {
-	opts := session.Options{ProfileBlend: 0.4, PrefetchTopK: prefetchTopK}
-	if stopAt > 0 {
-		opts.RelevanceThreshold = stopAt
-	}
-	if thinkSeconds > 0 {
-		opts.ThinkTime = time.Duration(thinkSeconds * float64(time.Second))
-	}
-	return opts
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,16 +27,29 @@ func main() {
 	}
 }
 
-func run(w io.Writer, args []string) error {
+// options is mrtfigures' command line.
+type options struct {
+	exp   string
+	scale figures.SimScale
+}
+
+// newFlagSet binds mrtfigures' flags to o; DESIGN.md §22 lists each one.
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("mrtfigures", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment to regenerate (table1, table2, fig2..fig7, all)")
-	docs := fs.Int("docs", figures.DefaultScale().Documents, "documents per simulated session (paper: 200)")
-	reps := fs.Int("reps", figures.DefaultScale().Repetitions, "session repetitions averaged (paper: 50)")
-	seed := fs.Int64("seed", 1, "random seed")
-	if err := fs.Parse(args); err != nil {
+	fs.StringVar(&o.exp, "exp", "all", "experiment to regenerate (table1, table2, fig2..fig7, all)")
+	fs.IntVar(&o.scale.Documents, "docs", figures.DefaultScale().Documents, "documents per simulated session (paper: 200)")
+	fs.IntVar(&o.scale.Repetitions, "reps", figures.DefaultScale().Repetitions, "session repetitions averaged (paper: 50)")
+	fs.Int64Var(&o.scale.Seed, "seed", 1, "random seed")
+	return fs
+}
+
+func run(w io.Writer, args []string) error {
+	var o options
+	if err := newFlagSet(&o).Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
 		return err
 	}
-	scale := figures.SimScale{Documents: *docs, Repetitions: *reps, Seed: *seed}
 
 	runners := map[string]func(io.Writer, figures.SimScale) error{
 		"table1": func(w io.Writer, _ figures.SimScale) error {
@@ -88,16 +102,16 @@ func run(w io.Writer, args []string) error {
 		"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 		"ext-baseline", "ext-prefetch", "ext-burst", "ext-adaptive",
 	}
-	if *exp != "all" {
-		runner, ok := runners[*exp]
+	if o.exp != "all" {
+		runner, ok := runners[o.exp]
 		if !ok {
-			return fmt.Errorf("unknown experiment %q (want one of %v or all)", *exp, order)
+			return fmt.Errorf("unknown experiment %q (want one of %v or all)", o.exp, order)
 		}
-		return runner(w, scale)
+		return runner(w, o.scale)
 	}
 	for _, name := range order {
 		fmt.Fprintf(w, "==== %s ====\n", name)
-		if err := runners[name](w, scale); err != nil {
+		if err := runners[name](w, o.scale); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)

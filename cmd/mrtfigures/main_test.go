@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+
+	"mobweb/internal/census"
 )
 
 func TestRunTable2(t *testing.T) {
@@ -77,5 +80,37 @@ func TestRunBadFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, []string{"-nonsense"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+}
+
+// TestFlagsMatchCensus holds every flag to its DESIGN.md §22 row.
+func TestFlagsMatchCensus(t *testing.T) {
+	if err := census.CheckFlags("../../DESIGN.md", newFlagSet(new(options))); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestRunHelpSucceeds(t *testing.T) {
+	if err := run(io.Discard, []string{"-h"}); err != nil {
+		t.Errorf("run -h: %v", err)
+	}
+}
+
+// TestSeedReachesTheSimulation: -seed draws another channel and document
+// realisation, so a seeded figure repeats under its seed and moves under
+// another one.
+func TestSeedReachesTheSimulation(t *testing.T) {
+	figure := func(seed string) string {
+		var buf bytes.Buffer
+		if err := run(&buf, []string{"-exp", "fig4", "-docs", "5", "-reps", "1", "-seed", seed}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if figure("2") != figure("2") {
+		t.Error("-seed 2 does not repeat")
+	}
+	if figure("2") == figure("1") {
+		t.Error("-seed 2 and -seed 1 draw the same figure")
 	}
 }

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	mrtfront -addr :8040 -replicas a=host1:8047@host1:8049,b=host2:8047@host2:8049
-//	mrtfront -addr :8040 -replicas 127.0.0.1:8047,127.0.0.1:8057 -shed-max-inflight 64
+//	mrtfront -addr :8040 -replicas 127.0.0.1:8047,127.0.0.1:8057 -shed-max-inflight 128
 //
 // Each -replicas entry is [name=]addr[@metricsAddr]. Names default to
 // r0, r1, ... in listed order; the ring hashes by name, so keep names
@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -30,7 +31,6 @@ import (
 
 	"mobweb/internal/obs"
 	"mobweb/internal/shard"
-	"mobweb/internal/transport"
 )
 
 func main() {
@@ -40,59 +40,63 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options is mrtfront's command line.
+type options struct {
+	addr, replicas, name, metricsAddr string
+	shedMax                           int
+}
+
+// newFlagSet binds mrtfront's flags to o; DESIGN.md §22 lists each one.
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("mrtfront", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:8040", "listen address")
-	replicas := fs.String("replicas", "", "comma-separated replica list, each [name=]addr[@metricsAddr]")
-	name := fs.String("name", "front", "front identity in shed responses and fetch logs")
-	shedMax := fs.Int("shed-max-inflight", 0, "admission budget: max concurrent proxied fetches before shedding (0 means 64, negative disables)")
-	shedHeadroom := fs.Int("shed-resume-headroom", 0, "slots reserved for resume rounds so retransmissions are never starved by new fetches (0 means a quarter of the budget)")
-	shedRetryAfter := fs.Duration("shed-retry-after", 0, "retry-after hint attached to shed refusals (0 means 250ms)")
-	healthEvery := fs.Duration("health-every", 0, "replica health-probe period (0 means 500ms)")
-	downAfter := fs.Int("health-down-after", 0, "consecutive probe failures that mark a replica down (0 means 3)")
-	upAfter := fs.Int("health-up-after", 0, "consecutive probe successes that recover a down replica (0 means 2)")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 means 64)")
-	seed := fs.Int64("seed", 0, "failover backoff jitter seed (0 means time-based)")
-	metricsAddr := fs.String("metrics-addr", "", "serve /debug/metrics, /debug/fetches, /debug/vars and /debug/pprof/ on this address")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	fleet, err := parseReplicas(*replicas)
-	if err != nil {
-		return err
-	}
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8040", "listen address")
+	fs.StringVar(&o.replicas, "replicas", "", "comma-separated replica list, each [name=]addr[@metricsAddr]")
+	fs.StringVar(&o.name, "name", "front", "front identity in shed responses and fetch logs")
+	fs.IntVar(&o.shedMax, "shed-max-inflight", 64, "admission budget: max concurrent proxied fetches before shedding (0 disables)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /debug/metrics, /debug/fetches, /debug/vars and /debug/pprof/ on this address")
+	return fs
+}
 
-	reg := obs.NewRegistry()
-	front, err := shard.NewFront(shard.Options{
-		Name:     *name,
+// newFront builds the front o describes over fleet; it opens no
+// listener.
+func newFront(o options, fleet []shard.Replica, reg *obs.Registry) (*shard.Front, error) {
+	if o.shedMax == 0 {
+		o.shedMax = -1 // shard: a negative budget admits everything
+	}
+	return shard.NewFront(shard.Options{
+		Name:     o.name,
 		Replicas: fleet,
-		VNodes:   *vnodes,
-		Gate: shard.GateOptions{
-			MaxInFlight:    *shedMax,
-			ResumeHeadroom: *shedHeadroom,
-			RetryAfter:     *shedRetryAfter,
-		},
-		Monitor: shard.MonitorOptions{
-			Every:     *healthEvery,
-			DownAfter: *downAfter,
-			UpAfter:   *upAfter,
-		},
-		Retry:   transport.RetryPolicy{Seed: *seed},
-		Metrics: reg,
+		Gate:     shard.GateOptions{MaxInFlight: o.shedMax},
+		Metrics:  reg,
 	})
+}
+
+func run(args []string) error {
+	var o options
+	if err := newFlagSet(&o).Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	fleet, err := parseReplicas(o.replicas)
+	if err != nil {
+		return err
+	}
+	reg := obs.NewRegistry()
+	front, err := newFront(o, fleet, reg)
 	if err != nil {
 		return err
 	}
 
-	if *metricsAddr != "" {
-		msrv, err := obs.ServeDebug(*metricsAddr, reg)
+	if o.metricsAddr != "" {
+		msrv, err := obs.ServeDebug(o.metricsAddr, reg)
 		if err != nil {
 			return err
 		}
 		defer msrv.Close()
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}

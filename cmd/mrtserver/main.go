@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -23,7 +24,6 @@ import (
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
 	"mobweb/internal/erasure"
-	"mobweb/internal/framecache"
 	"mobweb/internal/gateway"
 	"mobweb/internal/obs"
 	"mobweb/internal/planner"
@@ -44,38 +44,37 @@ func main() {
 type options struct {
 	addr, httpAddr, docVia, dir, metricsAddr, replicaName, capability, codec string
 	alpha, gamma                                                             float64
-	seed, cacheMB, frameMB                                                   int64
-	delay, chaosStall, statsEvery, shedRetryAfter                            time.Duration
-	chaosKills, chaosMin, chaosMax, shedMax                                  int
+	cacheMB, frameMB                                                         int64
+	delay                                                                    time.Duration
+	shedMax                                                                  int
 	noCorpus                                                                 bool
 }
 
-func parseFlags(args []string) (options, error) {
-	var o options
+// newFlagSet binds mrtserver's flags to o; DESIGN.md §22 lists each one.
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("mrtserver", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8047", "listen address")
 	fs.StringVar(&o.httpAddr, "http", "", "also serve the HTTP gateway (e.g. 127.0.0.1:8080)")
 	fs.StringVar(&o.docVia, "doc-via", "", "back the gateway's /doc with a packet-transport fetch to this address (a replica or mrtfront); shed/degraded surface as 503 + Retry-After")
 	fs.StringVar(&o.dir, "dir", "", "directory of additional .xml/.html documents")
 	fs.Float64Var(&o.alpha, "alpha", 0, "emulated per-packet corruption probability")
-	fs.Int64Var(&o.seed, "seed", 1, "fault injection seed")
 	fs.Float64Var(&o.gamma, "gamma", core.DefaultGamma, "default redundancy ratio")
 	fs.DurationVar(&o.delay, "delay", 0, "per-packet pacing delay (e.g. 100ms emulates 19.2 kbps feel)")
 	fs.BoolVar(&o.noCorpus, "nocorpus", false, "skip the embedded corpus")
 	fs.Int64Var(&o.cacheMB, "plancache-mb", 64, "plan-cache byte budget in MiB (0 disables caching)")
 	fs.Int64Var(&o.frameMB, "framecache-mb", 32, "cooked-frame cache byte budget in MiB (0 disables caching)")
-	fs.IntVar(&o.chaosKills, "chaos-kills", 0, "sever this many connections mid-stream on a seeded schedule (0 disables, -1 unlimited)")
-	fs.IntVar(&o.chaosMin, "chaos-min", 0, "min bytes a connection may write before a chaos kill (0 = 2048)")
-	fs.IntVar(&o.chaosMax, "chaos-max", 0, "max bytes before a chaos kill (0 = 4x min)")
-	fs.DurationVar(&o.chaosStall, "chaos-stall", 0, "stall a connection this long before severing it")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /debug/metrics, /debug/fetches, /debug/vars and /debug/pprof/ on this address (e.g. 127.0.0.1:8049)")
-	fs.DurationVar(&o.statsEvery, "stats-every", 0, "log a one-line metrics summary at this interval (0 disables)")
 	fs.StringVar(&o.replicaName, "replica-name", "", "replica identity reported in fetch responses and scraped by a shard front")
 	fs.StringVar(&o.capability, "capability", "", "serve at a reduced tier: full, fetch-degraded, clear-prefix or search-only")
 	fs.IntVar(&o.shedMax, "shed-max-inflight", 0, "admission budget: max concurrent fetch streams before shedding (0 disables)")
-	fs.DurationVar(&o.shedRetryAfter, "shed-retry-after", 0, "retry-after hint attached to shed refusals (0 means 250ms)")
 	fs.StringVar(&o.codec, "codec", "", "default erasure codec for fetches that don't name one: vandermonde or fountain")
-	return o, fs.Parse(args)
+	return fs
+}
+
+func parseFlags(args []string) (options, error) {
+	var o options
+	err := newFlagSet(&o).Parse(args)
+	return o, err
 }
 
 // process is what one mrtserver serves: one document collection, one
@@ -85,11 +84,11 @@ type process struct {
 	engine *search.Engine
 	pl     *planner.Planner
 	// reg serves the transmitter, the gateway and the metrics listener;
-	// nil (no -metrics-addr, no -stats-every) keeps all instrumentation
-	// on its no-op path.
-	reg *obs.Registry
-	srv *transport.Server
-	gw  *gateway.Handler // nil without -http
+	// nil (no -metrics-addr) keeps all instrumentation on its no-op path.
+	reg  *obs.Registry
+	srv  *transport.Server
+	gate *shard.Gate      // nil without -shed-max-inflight
+	gw   *gateway.Handler // nil without -http
 }
 
 // newProcess indexes the documents and builds the transmitter and gateway
@@ -139,7 +138,7 @@ func newProcess(o options) (*process, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if o.metricsAddr != "" || o.statsEvery > 0 {
+	if o.metricsAddr != "" {
 		p.reg = obs.NewRegistry()
 	}
 	opts := transport.ServerOptions{
@@ -166,14 +165,12 @@ func newProcess(o options) (*process, error) {
 		}
 	}
 	if o.shedMax > 0 {
-		opts.Admission = shard.NewGate(shard.GateOptions{
-			MaxInFlight: o.shedMax,
-			RetryAfter:  o.shedRetryAfter,
-		})
+		p.gate = shard.NewGate(shard.GateOptions{MaxInFlight: o.shedMax})
+		opts.Admission = p.gate
 		fmt.Printf("admission control: %d in-flight fetch streams\n", o.shedMax)
 	}
 	if o.alpha > 0 {
-		model, err := channel.NewBernoulli(o.alpha, o.seed)
+		model, err := channel.NewBernoulli(o.alpha, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -200,62 +197,26 @@ func newProcess(o options) (*process, error) {
 
 func run(args []string) error {
 	o, err := parseFlags(args)
-	if err != nil {
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
 		return err
 	}
 	p, err := newProcess(o)
 	if err != nil {
 		return err
 	}
-	reg := p.reg
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
-	if o.chaosKills != 0 {
-		maxKills := o.chaosKills
-		if maxKills < 0 {
-			maxKills = 0 // policy: zero means unlimited
-		}
-		chaos := transport.NewChaosListener(ln, transport.ChaosPolicy{
-			Seed:         o.seed,
-			KillAfterMin: o.chaosMin,
-			KillAfterMax: o.chaosMax,
-			MaxKills:     maxKills,
-			Stall:        o.chaosStall,
-		})
-		fmt.Printf("chaos drill armed: up to %d kills (seed %d)\n", o.chaosKills, o.seed)
-		ln = chaos
-		reg.RegisterProbe("chaos", func() any {
-			return map[string]int64{"kills": int64(chaos.Kills())}
-		})
-		defer func() { fmt.Printf("chaos kills delivered: %d\n", chaos.Kills()) }()
-	}
-
 	if o.metricsAddr != "" {
-		msrv, err := obs.ServeDebug(o.metricsAddr, reg)
+		msrv, err := obs.ServeDebug(o.metricsAddr, p.reg)
 		if err != nil {
 			return err
 		}
 		defer msrv.Close()
 	}
-	if o.statsEvery > 0 {
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			t := time.NewTicker(o.statsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-t.C:
-					fmt.Println(statsLine(reg))
-				}
-			}
-		}()
-	}
-
 	if p.gw != nil {
 		httpLn, err := net.Listen("tcp", o.httpAddr)
 		if err != nil {
@@ -293,29 +254,6 @@ func (d dialFetcher) FetchContext(ctx context.Context, opts transport.FetchOptio
 	}
 	defer c.Close()
 	return c.FetchContext(ctx, opts)
-}
-
-// statsLine condenses a registry snapshot into the periodic log line: the
-// counters an operator watches to see whether the transmitter is moving,
-// plus a frame-cache digest when the transport registered its probe.
-func statsLine(reg *obs.Registry) string {
-	s := reg.Snapshot()
-	line := fmt.Sprintf("stats: conns=%d/%d fetches=%d frames_out=%d dropped=%d search=%d bad=%d",
-		s.Gauges["serve.conns_active"], s.Counters["serve.conns_accepted"],
-		s.Counters["serve.requests_fetch"], s.Counters["serve.frames_out"],
-		s.Counters["serve.frames_dropped"], s.Counters["serve.requests_search"],
-		s.Counters["serve.requests_bad"])
-	if fc, ok := s.Probes["framecache"].(framecache.Stats); ok {
-		line += fmt.Sprintf(" fc_hit=%.1f%% fc_cooks=%d fc_entries=%d fc_mb=%.1f",
-			100*fc.HitRate(), fc.Cooks, fc.Entries, float64(fc.Bytes)/(1<<20))
-	}
-	if v := s.Counters["serve.fountain_fetches"]; v > 0 {
-		line += fmt.Sprintf(" fountain=%d", v)
-		if fm, ok := s.Probes["fountain"].(map[string]int64); ok {
-			line += fmt.Sprintf(" ft_generated=%d", fm["packets_generated"])
-		}
-	}
-	return line
 }
 
 func indexDir(engine *search.Engine, dir string) error {

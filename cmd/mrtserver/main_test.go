@@ -8,14 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"mobweb/internal/census"
 	"mobweb/internal/core"
 	"mobweb/internal/corpus"
 	"mobweb/internal/erasure"
-	"mobweb/internal/framecache"
-	"mobweb/internal/obs"
 	"mobweb/internal/planner"
 	"mobweb/internal/search"
 	"mobweb/internal/textproc"
@@ -66,40 +64,33 @@ func TestRunNoDocuments(t *testing.T) {
 	}
 }
 
-// TestStatsLineFrameCacheDigest pins the -stats-every format: the base
-// transmitter counters always appear, and the frame-cache digest joins
-// them only when the transport has registered its probe.
-func TestStatsLineFrameCacheDigest(t *testing.T) {
-	reg := obs.NewRegistry()
-	if line := statsLine(reg); strings.Contains(line, "fc_hit") {
-		t.Errorf("digest without probe: %q", line)
-	}
-	reg.RegisterProbe("framecache", func() any {
-		return framecache.Stats{Hits: 9, Misses: 1, Cooks: 1, Entries: 2, Bytes: 3 << 20}
-	})
-	line := statsLine(reg)
-	for _, want := range []string{"fc_hit=90.0%", "fc_cooks=1", "fc_entries=2", "fc_mb=3.0"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("stats line %q missing %q", line, want)
-		}
+// TestFlagsMatchCensus holds every flag to its DESIGN.md §22 row.
+func TestFlagsMatchCensus(t *testing.T) {
+	if err := census.CheckFlags("../../DESIGN.md", newFlagSet(new(options))); err != nil {
+		t.Error(err)
 	}
 }
 
-// TestStatsLineFountainDigest pins the fountain branch: it appears only
-// once the server has streamed a fountain fetch, and then reports the
-// fountain fetches served and the packets its encoders generated.
-func TestStatsLineFountainDigest(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.RegisterProbe("fountain", func() any { return map[string]int64{"packets_generated": 4242} })
-	if line := statsLine(reg); strings.Contains(line, "fountain=") || strings.Contains(line, "ft_") {
-		t.Errorf("fountain digest before any fountain fetch: %q", line)
+func TestRunHelpSucceeds(t *testing.T) {
+	if err := run([]string{"-h"}); err != nil {
+		t.Errorf("run -h: %v", err)
 	}
-	reg.Counter("serve.fountain_fetches").Add(3)
-	line := statsLine(reg)
-	for _, want := range []string{"fountain=3", "ft_generated=4242"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("stats line %q missing %q", line, want)
+}
+
+// TestShedMaxInflightBuildsTheGate: -shed-max-inflight N admits N fetch
+// streams and sheds the next; without it the process has no gate.
+func TestShedMaxInflightBuildsTheGate(t *testing.T) {
+	if p := startProcess(t); p.gate != nil {
+		t.Error("gate built without -shed-max-inflight")
+	}
+	gate := startProcess(t, "-shed-max-inflight", "2").gate
+	for i := 0; i < 2; i++ {
+		if _, _, ok := gate.Admit(true); !ok {
+			t.Fatalf("stream %d shed under a budget of 2", i+1)
 		}
+	}
+	if _, _, ok := gate.Admit(true); ok {
+		t.Error("third stream admitted under a budget of 2")
 	}
 }
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,20 +30,34 @@ func main() {
 	}
 }
 
-func run(w io.Writer, args []string) error {
+// options is scgen's command line.
+type options struct {
+	file, query string
+	minFreq     int
+}
+
+// newFlagSet binds scgen's flags to o; DESIGN.md §22 lists each one.
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("scgen", flag.ContinueOnError)
-	file := fs.String("file", "", "XML or HTML document (default: the embedded draft manuscript)")
-	query := fs.String("query", "browsing mobile web", "keyword query for QIC/MQIC")
-	minFreq := fs.Int("minfreq", 1, "minimum keyword frequency")
-	if err := fs.Parse(args); err != nil {
+	fs.StringVar(&o.file, "file", "", "XML or HTML document (default: the embedded draft manuscript)")
+	fs.StringVar(&o.query, "query", "browsing mobile web", "keyword query for QIC/MQIC")
+	fs.IntVar(&o.minFreq, "minfreq", 1, "minimum keyword frequency")
+	return fs
+}
+
+func run(w io.Writer, args []string) error {
+	var o options
+	if err := newFlagSet(&o).Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
 		return err
 	}
 
-	doc, err := loadDoc(*file)
+	doc, err := loadDoc(o.file)
 	if err != nil {
 		return err
 	}
-	idx, err := textproc.BuildIndex(doc, textproc.Options{MinFrequency: *minFreq})
+	idx, err := textproc.BuildIndex(doc, textproc.Options{MinFrequency: o.minFreq})
 	if err != nil {
 		return err
 	}
@@ -50,11 +65,11 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	qv := textproc.QueryVector(*query)
+	qv := textproc.QueryVector(o.query)
 	scores := sc.Evaluate(qv)
 
 	t := figures.Table{
-		Title:  fmt.Sprintf("Structural characteristic of %s (Q = {%s})", doc.Name, *query),
+		Title:  fmt.Sprintf("Structural characteristic of %s (Q = {%s})", doc.Name, o.query),
 		Header: []string{"Unit", "Level", "Title", "IC p", "QIC qQ", "MQIC q~Q"},
 	}
 	doc.Root.Walk(func(u *document.Unit) bool {

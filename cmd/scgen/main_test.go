@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mobweb/internal/census"
 )
 
 func TestRunEmbeddedDraft(t *testing.T) {
@@ -71,5 +75,38 @@ func TestTruncate(t *testing.T) {
 	}
 	if got := truncate("a very long title indeed", 10); len(got) > 12 {
 		t.Errorf("truncate returned %q (len %d)", got, len(got))
+	}
+}
+
+// TestFlagsMatchCensus holds every flag to its DESIGN.md §22 row.
+func TestFlagsMatchCensus(t *testing.T) {
+	if err := census.CheckFlags("../../DESIGN.md", newFlagSet(new(options))); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestRunHelpSucceeds(t *testing.T) {
+	if err := run(io.Discard, []string{"-h"}); err != nil {
+		t.Errorf("run -h: %v", err)
+	}
+}
+
+// TestMinFreqDropsRareKeywords: -minfreq reaches the keyword index, whose
+// vocabulary shrinks as the threshold rises (§3.3).
+func TestMinFreqDropsRareKeywords(t *testing.T) {
+	keywords := func(args ...string) int {
+		var buf bytes.Buffer
+		if err := run(&buf, args); err != nil {
+			t.Fatal(err)
+		}
+		var n, units, size int
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		if _, err := fmt.Sscanf(lines[len(lines)-1], "%d keywords, %d units, %d bytes", &n, &units, &size); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if all, frequent := keywords(), keywords("-minfreq", "3"); frequent == 0 || frequent >= all {
+		t.Errorf("-minfreq 3 keeps %d keywords of %d", frequent, all)
 	}
 }

@@ -23,15 +23,15 @@ import (
 	"mobweb/internal/textproc"
 )
 
+// negativeRate scales depression from discarded documents: feedback is
+// asymmetric, a discard being weaker evidence than a full read.
+const negativeRate = 0.1
+
 // Config tunes profile adaptation.
 type Config struct {
 	// PositiveRate scales reinforcement from relevant documents;
 	// defaults to 0.2.
 	PositiveRate float64
-	// NegativeRate scales depression from discarded documents; defaults
-	// to 0.1 (feedback is asymmetric: a discard is weaker evidence than
-	// a full read).
-	NegativeRate float64
 	// Decay multiplies every weight after each feedback event, letting
 	// stale interests fade; defaults to 0.995.
 	Decay float64
@@ -44,9 +44,6 @@ func (c Config) withDefaults() Config {
 	if c.PositiveRate == 0 {
 		c.PositiveRate = 0.2
 	}
-	if c.NegativeRate == 0 {
-		c.NegativeRate = 0.1
-	}
 	if c.Decay == 0 {
 		c.Decay = 0.995
 	}
@@ -57,7 +54,7 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.PositiveRate < 0 || c.NegativeRate < 0 {
+	if c.PositiveRate < 0 {
 		return fmt.Errorf("profile: negative learning rate")
 	}
 	if c.Decay <= 0 || c.Decay > 1 {
@@ -163,7 +160,7 @@ func (p *Profile) apply(terms map[string]float64, query string, relevant bool, f
 	}
 	rate := p.cfg.PositiveRate * strength
 	if !relevant {
-		rate = -p.cfg.NegativeRate * strength
+		rate = -negativeRate * strength
 	}
 	var norm float64
 	for _, w := range sortedKeys(terms) {

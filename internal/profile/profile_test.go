@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 
@@ -282,4 +283,23 @@ func max(a, b float64) float64 {
 		return a
 	}
 	return b
+}
+
+// TestPositiveRateScalesReinforcement: one full read adds PositiveRate
+// times the document's normalised term weight, so doubling the rate
+// doubles what a first read teaches.
+func TestPositiveRateScalesReinforcement(t *testing.T) {
+	learned := func(rate float64) float64 {
+		p, err := New(Config{PositiveRate: rate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Observe(Feedback{SC: wirelessSC(t), Relevant: true}); err != nil {
+			t.Fatal(err)
+		}
+		return p.Weight("wireless")
+	}
+	if slow, fast := learned(0.2), learned(0.4); slow <= 0 || math.Abs(fast-2*slow) > 1e-12 {
+		t.Errorf("wireless weight %v at rate 0.4, %v at 0.2; want twice", fast, slow)
+	}
 }

@@ -15,19 +15,17 @@ import (
 
 	"mobweb/internal/channel"
 	"mobweb/internal/content"
+	"mobweb/internal/core"
 	"mobweb/internal/document"
+	"mobweb/internal/packet"
 	"mobweb/internal/prefetch"
 	"mobweb/internal/profile"
 	"mobweb/internal/transport"
 )
 
-// Options tunes the browsing policy.
+// Options tunes the browsing policy. Fetches rank paragraphs by QIC (the
+// paper's best performer) and cap each fetch at maxRounds rounds.
 type Options struct {
-	// LOD is the ranking level of detail for fetches; zero means
-	// paragraph (the paper's best performer).
-	LOD document.LOD
-	// Notion ranks units; zero means QIC.
-	Notion content.Notion
 	// RelevanceThreshold is F: skims stop once this information content
 	// arrived. Zero means 0.3.
 	RelevanceThreshold float64
@@ -35,40 +33,17 @@ type Options struct {
 	// search hits; zero keeps pure search order.
 	ProfileBlend float64
 	// ThinkTime is the idle window after each interaction in which the
-	// session prefetches; zero disables prefetching.
+	// session prefetches, at the paper's 19.2 kbps and 260-byte frames;
+	// zero disables prefetching.
 	ThinkTime time.Duration
-	// BandwidthBPS converts think time into a packet budget; zero means
-	// the paper's 19.2 kbps.
-	BandwidthBPS float64
-	// FrameBytes is the on-air frame size for budget computation; zero
-	// means 260 (Table 2).
-	FrameBytes int
-	// MaxRounds caps retransmission rounds per fetch; zero means 20.
-	MaxRounds int
-	// PrefetchTopK caps how many ranked hits the think-time window
-	// speculates on (profile.PredictTopK over the blended scores); zero
-	// keeps every hit in the plan.
-	PrefetchTopK int
 }
 
+// maxRounds caps retransmission rounds per fetch.
+const maxRounds = 20
+
 func (o Options) withDefaults() Options {
-	if o.LOD == 0 {
-		o.LOD = document.LODParagraph
-	}
-	if o.Notion == 0 {
-		o.Notion = content.NotionQIC
-	}
 	if o.RelevanceThreshold == 0 {
 		o.RelevanceThreshold = 0.3
-	}
-	if o.BandwidthBPS == 0 {
-		o.BandwidthBPS = channel.DefaultBandwidthBPS
-	}
-	if o.FrameBytes == 0 {
-		o.FrameBytes = 260
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 20
 	}
 	return o
 }
@@ -172,33 +147,12 @@ func (s *Session) prefetchHits(ctx context.Context) error {
 	if s.opts.ThinkTime <= 0 || len(s.hits) == 0 {
 		return nil
 	}
-	budget := prefetch.Budget(s.opts.ThinkTime.Seconds(), s.opts.BandwidthBPS, s.opts.FrameBytes)
+	budget := prefetch.Budget(s.opts.ThinkTime.Seconds(), channel.DefaultBandwidthBPS, packet.FrameSize(core.DefaultPacketSize))
 	if budget == 0 {
 		return nil
 	}
-	hits := s.hits
-	if k := s.opts.PrefetchTopK; k > 0 && len(hits) > k {
-		// Shortlist deterministically by blended score before planning —
-		// the speculative budget goes to the documents the profile says
-		// the user opens next, not to the whole hit list.
-		pc := make([]profile.Candidate, len(hits))
-		for i, h := range hits {
-			pc[i] = profile.Candidate{Name: h.Name, Score: h.Blended + 1e-9}
-		}
-		keep := make(map[string]bool, k)
-		for _, p := range profile.PredictTopK(pc, k) {
-			keep[p.Name] = true
-		}
-		short := make([]RankedHit, 0, k)
-		for _, h := range hits {
-			if keep[h.Name] {
-				short = append(short, h)
-			}
-		}
-		hits = short
-	}
-	cands := make([]prefetch.Candidate, len(hits))
-	for i, h := range hits {
+	cands := make([]prefetch.Candidate, len(s.hits))
+	for i, h := range s.hits {
 		// Packet counts are unknown before the first header exchange;
 		// budget generously and let the server's stream end early. What
 		// the store already holds is netted out.
@@ -229,10 +183,10 @@ func (s *Session) fetchOptions(doc string) transport.FetchOptions {
 	return transport.FetchOptions{
 		Doc:       doc,
 		Query:     s.query,
-		LOD:       s.opts.LOD,
-		Notion:    s.opts.Notion,
+		LOD:       document.LODParagraph,
+		Notion:    content.NotionQIC,
 		Caching:   true,
-		MaxRounds: s.opts.MaxRounds,
+		MaxRounds: maxRounds,
 	}
 }
 

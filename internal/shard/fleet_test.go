@@ -205,7 +205,7 @@ func startFrontOver(t *testing.T, replicas []*testReplica, fopts Options) *testF
 		t.Fatal(err)
 	}
 	fl.front = front
-	ring, err := NewRing(names, fopts.VNodes)
+	ring, err := NewRing(names)
 	if err != nil {
 		t.Fatal(err)
 	}

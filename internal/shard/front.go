@@ -21,9 +21,6 @@ type Options struct {
 	Name string
 	// Replicas is the backend fleet, hashed onto the ring by name.
 	Replicas []Replica
-	// VNodes is the virtual-node count per replica; zero means
-	// DefaultVNodes.
-	VNodes int
 	// Gate is the front tier's admission budget — the fleet-aggregate
 	// guard, on top of each replica's own gate.
 	Gate GateOptions
@@ -33,8 +30,6 @@ type Options struct {
 	// failover path. Retry.Seed makes the jittered schedule reproducible
 	// under the chaos harness, exactly as it does for the client.
 	Retry transport.RetryPolicy
-	// DialTimeout bounds one replica dial; zero means 2 s.
-	DialTimeout time.Duration
 	// IOTimeout bounds each replica read and write and each client write;
 	// zero means 30 s.
 	IOTimeout time.Duration
@@ -48,12 +43,12 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+// dialTimeout bounds one replica dial.
+const dialTimeout = 2 * time.Second
+
 func (o Options) withDefaults() Options {
 	if o.Name == "" {
 		o.Name = "front"
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
 	}
 	if o.IOTimeout <= 0 {
 		o.IOTimeout = 30 * time.Second
@@ -120,7 +115,7 @@ func NewFront(opts Options) (*Front, error) {
 			return nil, fmt.Errorf("shard: replica %q has no address", r.Name)
 		}
 	}
-	ring, err := NewRing(names, opts.VNodes)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +197,7 @@ func (rc *replicaConn) send(req transport.Request) error {
 // openStream dials a replica, sends the fetch request and reads the
 // response header. Any failure closes the leg and returns the error.
 func (f *Front) openStream(idx int, req transport.Request) (*replicaConn, transport.Response, error) {
-	d := net.Dialer{Timeout: f.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	raw, err := d.Dial("tcp", f.opts.Replicas[idx].Addr)
 	if err != nil {
 		return nil, transport.Response{}, err

@@ -120,6 +120,26 @@ func TestMonitorReportFailureFeedsHysteresis(t *testing.T) {
 	}
 }
 
+// TestMonitorUpAfter: a down replica stays down until UpAfter probes in
+// a row succeed.
+func TestMonitorUpAfter(t *testing.T) {
+	cap := transport.NewCapabilityState(transport.CapFull)
+	addr, _ := startMetricsEndpoint(t, cap)
+	m := NewMonitor([]Replica{{Name: "r0", Addr: addr, MetricsAddr: addr}}, MonitorOptions{DownAfter: 2, UpAfter: 3})
+	m.ReportFailure(0)
+	m.ReportFailure(0)
+	for i := 1; i <= 3; i++ {
+		m.CheckOnce(context.Background())
+		want := StateDown
+		if i == 3 {
+			want = StateHealthy
+		}
+		if st, _ := m.Status(0); st != want {
+			t.Fatalf("after %d successes state = %v, want %v", i, st, want)
+		}
+	}
+}
+
 func TestMonitorAggregate(t *testing.T) {
 	capA := transport.NewCapabilityState(transport.CapSearchOnly)
 	capB := transport.NewCapabilityState(transport.CapFetchDegraded)

@@ -20,10 +20,10 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per replica: enough points
-// that removing one replica spreads its keyspace across the survivors
-// in roughly equal slices.
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per replica: enough points that
+// removing one replica spreads its keyspace across the survivors in
+// roughly equal slices.
+const vnodes = 64
 
 // ringPoint is one virtual node: a position on the hash circle owned by
 // a replica.
@@ -43,15 +43,12 @@ type Ring struct {
 // NewRing hashes each replica name onto the circle vnodes times.
 // Hashing by name (not index) keeps a document's home replica stable
 // when the fleet list is reordered or extended.
-func NewRing(names []string, vnodes int) (*Ring, error) {
+func NewRing(names []string) (*Ring, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("shard: ring needs at least one replica")
 	}
 	if len(names) > MaxReplicas {
 		return nil, fmt.Errorf("shard: %d replicas exceeds the %d-replica fleet bound", len(names), MaxReplicas)
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
 	}
 	seen := make(map[string]bool, len(names))
 	r := &Ring{points: make([]ringPoint, 0, len(names)*vnodes), replicas: len(names)}

@@ -10,11 +10,11 @@ func home(r *Ring, doc string) int { return r.Successors(doc, nil)[0] }
 
 func TestRingPickDeterministic(t *testing.T) {
 	names := []string{"a", "b", "c"}
-	r1, err := NewRing(names, 0)
+	r1, err := NewRing(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing(names, 0)
+	r2, err := NewRing(names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestRingPickDeterministic(t *testing.T) {
 func TestRingPickStableUnderExtension(t *testing.T) {
 	// Hashing by name means adding a replica only moves keys onto the
 	// newcomer — a document never moves between surviving replicas.
-	small, err := NewRing([]string{"a", "b", "c"}, 0)
+	small, err := NewRing([]string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := NewRing([]string{"a", "b", "c", "d"}, 0)
+	big, err := NewRing([]string{"a", "b", "c", "d"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRingPickStableUnderExtension(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	names := []string{"a", "b", "c"}
-	r, err := NewRing(names, 0)
+	r, err := NewRing(names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRingBalance(t *testing.T) {
 
 func TestRingSuccessorsCoverFleetHomeFirst(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
-	r, err := NewRing(names, 0)
+	r, err := NewRing(names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,20 +105,20 @@ func TestRingSuccessorsCoverFleetHomeFirst(t *testing.T) {
 }
 
 func TestRingRejectsBadFleets(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty fleet accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Error("duplicate replica name accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty replica name accepted")
 	}
 	big := make([]string, MaxReplicas+1)
 	for i := range big {
 		big[i] = fmt.Sprintf("r%d", i)
 	}
-	if _, err := NewRing(big, 0); err == nil {
+	if _, err := NewRing(big); err == nil {
 		t.Error("oversized fleet accepted")
 	}
 }
@@ -128,7 +128,7 @@ func BenchmarkRingSuccessors(b *testing.B) {
 	for i := range names {
 		names[i] = fmt.Sprintf("replica-%d", i)
 	}
-	r, err := NewRing(names, 0)
+	r, err := NewRing(names)
 	if err != nil {
 		b.Fatal(err)
 	}

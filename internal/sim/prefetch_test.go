@@ -125,3 +125,32 @@ func TestPrefetchWorksAtHighAlpha(t *testing.T) {
 		t.Errorf("α=0.4: prefetch on %.2fs not below off %.2fs", on.MeanResponseTime, off.MeanResponseTime)
 	}
 }
+
+// TestPrefetchThinkTimeAndFanOut: a shorter think time buys fewer packets
+// of the opened document, and a fan-out of one candidate spends the whole
+// window on the document the user opens.
+func TestPrefetchThinkTimeAndFanOut(t *testing.T) {
+	p := prefetchFastParams()
+	base, err := RunPrefetch(p, DefaultPrefetchParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp := DefaultPrefetchParams()
+	pp.ThinkTime = 2 * time.Second
+	short, err := RunPrefetch(p, pp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if short.PrefetchedPerDoc >= base.PrefetchedPerDoc {
+		t.Errorf("2 s think time prefetched %.1f packets per document, 10 s %.1f", short.PrefetchedPerDoc, base.PrefetchedPerDoc)
+	}
+	pp = DefaultPrefetchParams()
+	pp.Candidates = 1
+	one, err := RunPrefetch(p, pp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.HitRate != 1 || one.WastedPerDoc != 0 {
+		t.Errorf("one candidate: hit rate %.2f, %.1f packets wasted per document; want 1 and 0", one.HitRate, one.WastedPerDoc)
+	}
+}

@@ -321,3 +321,30 @@ func BenchmarkSessionDefault(b *testing.B) {
 		}
 	}
 }
+
+// TestBandwidthAndPacketSizeReachTheChannel: B and sp are Table 2
+// parameters. Doubling B halves every transmission on the same channel
+// realisation, and halving sp doubles the packets a document needs.
+func TestBandwidthAndPacketSizeReachTheChannel(t *testing.T) {
+	base, err := Run(fastParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := fastParams()
+	fast.BandwidthBPS *= 2
+	r, err := Run(fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(2*r.MeanResponseTime-base.MeanResponseTime) > 1e-3*base.MeanResponseTime { // nanosecond rounding per frame
+		t.Errorf("response %.4f s at 2B, %.4f s at B; want half", r.MeanResponseTime, base.MeanResponseTime)
+	}
+	small := fastParams()
+	small.PacketSize = 128
+	if r, err = Run(small); err != nil {
+		t.Fatal(err)
+	}
+	if r.PacketsPerDoc < 1.8*base.PacketsPerDoc {
+		t.Errorf("%.1f packets per document at sp 128, %.1f at 256; want about twice", r.PacketsPerDoc, base.PacketsPerDoc)
+	}
+}
