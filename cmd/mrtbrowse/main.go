@@ -86,15 +86,36 @@ func fetchOptions(o options) (transport.FetchOptions, error) {
 	}, nil
 }
 
+// replIgnores names the fetch flags a -repl session does not read.
+var replIgnores = map[string]bool{
+	"caching": true, "lod": true, "notion": true, "gamma": true,
+	"adapt": true, "success": true, "query": true,
+}
+
 func run(w io.Writer, args []string, stdin io.Reader) error {
 	var o options
-	if err := newFlagSet(&o).Parse(args); errors.Is(err, flag.ErrHelp) {
+	fs := newFlagSet(&o)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return nil
 	} else if err != nil {
 		return err
 	}
 	if !o.repl && o.search == "" && o.doc == "" {
 		return fmt.Errorf("need -search, -doc, or -repl")
+	}
+	if o.repl {
+		// A session fetches with its own options (Caching, paragraph LOD,
+		// QIC and its query from the REPL): a fetch flag set beside -repl
+		// would be silently ignored, so it is refused.
+		var ignored error
+		fs.Visit(func(f *flag.Flag) {
+			if replIgnores[f.Name] && ignored == nil {
+				ignored = fmt.Errorf("-%s has no effect with -repl", f.Name)
+			}
+		})
+		if ignored != nil {
+			return ignored
+		}
 	}
 
 	client, err := transport.Dial(o.addr)

@@ -166,3 +166,16 @@ func TestCachingFlagReachesTheFetch(t *testing.T) {
 		}
 	}
 }
+
+// TestREPLRefusesFetchFlags: a -repl session fetches with its own
+// options, so each fetch flag it would ignore is refused by name — and
+// before any dial.
+func TestREPLRefusesFetchFlags(t *testing.T) {
+	for _, flag := range []string{"-caching=false", "-lod=section", "-notion=IC", "-gamma=2", "-adapt", "-success=0.9", "-query=mobile"} {
+		name, _, _ := strings.Cut(flag, "=")
+		err := run(io.Discard, []string{"-addr", "127.0.0.1:1", "-repl", flag}, strings.NewReader(""))
+		if err == nil || !strings.Contains(err.Error(), name+" ") {
+			t.Errorf("-repl %s: error %v, want one naming %s", flag, err, name)
+		}
+	}
+}

@@ -31,6 +31,7 @@ import (
 
 	"mobweb/internal/obs"
 	"mobweb/internal/shard"
+	"mobweb/internal/transport"
 )
 
 func main() {
@@ -96,7 +97,7 @@ func run(args []string) error {
 		defer msrv.Close()
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
+	ln, err := listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
@@ -111,8 +112,15 @@ func run(args []string) error {
 	start := time.Now()
 	err = front.Serve(ln)
 	fmt.Printf("front stopped after %v: %v\n", time.Since(start).Round(time.Second), err)
-	return nil
+	if errors.Is(err, transport.ErrServerClosed) {
+		return nil
+	}
+	return err
 }
+
+// listen opens the serving socket; tests swap it for a listener that
+// fails.
+var listen = net.Listen
 
 // parseReplicas expands the -replicas flag: comma-separated entries of
 // the form [name=]addr[@metricsAddr].

@@ -206,7 +206,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", o.addr)
+	ln, err := listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
@@ -238,8 +238,15 @@ func run(args []string) error {
 	fmt.Printf("server stopped after %v: %v\n", time.Since(start).Round(time.Second), err)
 	fmt.Println(p.pl.Stats())
 	fmt.Println(p.pl.FrameStats())
-	return nil
+	if errors.Is(err, transport.ErrServerClosed) {
+		return nil
+	}
+	return err
 }
+
+// listen opens the serving socket; tests swap it for a listener that
+// fails.
+var listen = net.Listen
 
 // dialFetcher backs the gateway's /doc with a fresh transport connection
 // per request: a shared *transport.Client serializes fetches on one TCP

@@ -15,6 +15,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -24,8 +25,8 @@ import (
 	"mobweb/internal/content"
 	"mobweb/internal/core"
 	"mobweb/internal/document"
-	"mobweb/internal/packet"
 	"mobweb/internal/trace"
+	"mobweb/internal/transport"
 )
 
 // Params bundles the experimental parameters of Table 2.
@@ -244,64 +245,44 @@ type visitOutcome struct {
 // §4.2 fires: the client can reconstruct the whole document; or (for an
 // irrelevant document) accrued information content reaches F and the user
 // hits "stop". A round that ends without termination is a stall and
-// triggers retransmission, with or without the packet cache.
+// triggers retransmission, with or without the packet cache. The client
+// is the transport's fetch machine; the server is the paper's, which
+// re-sends all N rows every round.
 func visitDocument(ch *channel.Channel, plan *core.Plan, irrelevant bool, p Params) (visitOutcome, error) {
-	start := ch.Now()
-	out := visitOutcome{}
-
 	// F = 0 is the artificial point of Figure 5: the document is
 	// discarded without downloading anything.
 	if irrelevant && p.Threshold == 0 {
-		return out, nil
+		return visitOutcome{}, nil
 	}
-	rcv, err := core.NewReceiver(plan)
-	if err != nil {
-		return out, err
+	opts := transport.FetchOptions{Caching: p.Caching, MaxRounds: p.MaxRounds}
+	if irrelevant {
+		opts.StopAtIC = p.Threshold
 	}
-	frameSize := packet.FrameSize(p.PacketSize)
+	n := plan.N()
 	// Every round re-sends the same rows and a plan keeps no parity, so
 	// the visit keeps each payload it has cooked.
-	cooked := make([][]byte, plan.N())
-
-	for round := 0; round < p.MaxRounds; round++ {
-		out.rounds++
-		if round > 0 && !p.Caching {
-			rcv.Reset()
+	cooked := make([][]byte, n)
+	cook := func(seq int) ([]byte, error) {
+		var err error
+		if cooked[seq] == nil {
+			cooked[seq], err = plan.CookedPayload(seq)
 		}
-		for seq := 0; seq < plan.N(); seq++ {
-			delivery := ch.Send(frameSize)
-			out.packetsSent++
-			if delivery.Outcome != channel.Intact {
-				continue
-			}
-			if cooked[seq] == nil {
-				if cooked[seq], err = plan.CookedPayload(seq); err != nil {
-					return out, err
-				}
-			}
-			if err := rcv.Add(seq, cooked[seq]); err != nil {
-				return out, err
-			}
-			if terminated(rcv, irrelevant, p.Threshold) {
-				out.responseTime = ch.Now() - start
-				return out, nil
-			}
+		return cooked[seq], err
+	}
+	allRows := func(_ *transport.Request, send func(int) bool) {
+		for seq := 0; seq < n && send(seq); seq++ {
 		}
-		out.stalled = true
 	}
-	out.capped = true
-	out.responseTime = ch.Now() - start
-	return out, nil
-}
-
-func terminated(rcv *core.Receiver, irrelevant bool, threshold float64) bool {
-	if rcv.Reconstructible() {
-		return true
+	start := ch.Now()
+	res, err := transport.SimulateFetch(ch, plan.Layout(), opts, nil, allRows, cook)
+	out := visitOutcome{responseTime: ch.Now() - start}
+	if res != nil {
+		out.rounds, out.packetsSent, out.stalled = res.Rounds, res.PacketsReceived, res.Stalled
 	}
-	if irrelevant && rcv.InfoContent() >= threshold {
-		return true
+	if errors.Is(err, transport.ErrRoundsExhausted) {
+		out.capped, err = true, nil
 	}
-	return false
+	return out, err
 }
 
 func meanStd(xs []float64) (mean, std float64) {
