@@ -171,6 +171,49 @@ func TestCancelBetweenReadsIsNotOverwritten(t *testing.T) {
 	}
 }
 
+// TestCancelledFetchOpensNoRound: a fetch whose context is done before a
+// round would open opens none — neither the first round of a fetch called
+// with a cancelled context nor the round after a redial the cancellation
+// raced. The round count and the trace show only the rounds that ran.
+func TestCancelledFetchOpensNoRound(t *testing.T) {
+	check := func(t *testing.T, res *FetchResult, err error, tr *obs.Trace, rounds int) {
+		t.Helper()
+		starts, ends := 0, 0
+		for _, e := range tr.Events() {
+			switch e.Type {
+			case obs.EventRoundStart:
+				starts++
+			case obs.EventRoundEnd:
+				ends++
+			}
+		}
+		if !errors.Is(err, context.Canceled) || res == nil || res.Rounds != rounds || starts != rounds || ends != rounds {
+			t.Errorf("fetch returned %v with %+v, %d round starts and %d round ends; want context.Canceled and %d of each",
+				err, res, starts, ends, rounds)
+		}
+	}
+	t.Run("before the first round", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		tr := obs.NewTrace(0)
+		res, err := startServer(t, ServerOptions{}).FetchContext(ctx, FetchOptions{Doc: corpus.DraftName, Caching: true, Trace: tr})
+		check(t, res, err, tr, 0)
+	})
+	t.Run("after a redial", func(t *testing.T) {
+		addr := startServerAddr(t, ServerOptions{})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		client := droppingPeer(t)
+		client.SetRedial(func() (net.Conn, error) {
+			cancel()
+			return net.Dial("tcp", addr)
+		})
+		tr := obs.NewTrace(0)
+		res, err := client.FetchContext(ctx, FetchOptions{Doc: corpus.DraftName, Caching: true, Trace: tr})
+		check(t, res, err, tr, 1)
+	})
+}
+
 // TestServeConn: a connection handed to ServeConn is served like an
 // accepted one, Close reaps it, and after Close it is refused.
 func TestServeConn(t *testing.T) {
