@@ -69,7 +69,7 @@ type Layout struct {
 func (p *Plan) Layout() Layout {
 	l := Layout{
 		PacketSize: p.cfg.PacketSize,
-		BodySize:   len(p.body),
+		BodySize:   p.bodySize,
 		Shapes:     make([]GenerationShape, len(p.gens)),
 		Ranked:     make([]SegmentMeta, len(p.segments)),
 		Accrual:    make([]SegmentMeta, len(p.accrual)),

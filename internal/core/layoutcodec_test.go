@@ -21,7 +21,7 @@ import (
 	"mobweb/internal/textproc"
 )
 
-var updateVector = flag.Bool("update", false, "rewrite the pinned layout vector under testdata/")
+var updateVector = flag.Bool("update", false, "rewrite the pinned layout vector and plan stream digests under testdata/")
 
 // sameLayout is reflect.DeepEqual with scores compared by their bits: a
 // NaN score must survive the codec too, and NaN != NaN.

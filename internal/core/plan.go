@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"hash/crc64"
-	"sort"
+	"slices"
 
 	"mobweb/internal/content"
 	"mobweb/internal/document"
@@ -39,26 +40,24 @@ type UnitSegment struct {
 type generation struct {
 	coder     *erasure.Coder
 	fenc      *fountain.Encoder // this group's rateless stream, seed-free (see FountainFrame)
-	rawOff    int               // first raw packet index (global)
 	cookedOff int               // first cooked sequence number (global)
-	raw       [][]byte          // this group's raw packets (clear-text prefix)
+	raw       [][]byte          // this group's raw packets (clear-text prefix): views of the plan's stream
 }
 
 // Plan is an immutable transmission plan for one document: the ranked
-// unit permutation, the packetized permuted stream, and each
-// generation's coders, which cook its packets on demand. No field
-// changes once newPlan returns, so plans are safe for concurrent use
-// without locks.
+// unit permutation, the packetized permuted stream (the document's bytes,
+// held once), and each generation's coders, which cook its packets on
+// demand. No field changes once newPlan returns, so plans are safe for
+// concurrent use without locks.
 type Plan struct {
 	doc      *document.Document
 	cfg      Config
 	segments []UnitSegment // ranked units at cfg.LOD (transmission order)
 	accrual  []UnitSegment // paragraph-level segments for IC accounting
-	body     []byte        // original document body
-	permuted []byte        // ranked concatenation of unit extents
+	bodySize int           // document body bytes: the stream's permuted body
 	m        int           // total raw packets
 	n        int           // total cooked packets
-	digest   uint64        // CRC-64 of permuted: the stream's identity (Layout.Seed)
+	digest   uint64        // CRC-64 of the permuted body: the stream's identity (Layout.Seed)
 	gens     []*generation
 }
 
@@ -101,12 +100,22 @@ func NewPlanWithScores(doc *document.Document, scores map[int]float64, cfg Confi
 
 // newPlan ranks the units at cfg.LOD by descending score, ties in
 // document order (the transmission order ⟨n_j1, …, n_jm⟩ of §4.2), and
-// packetizes the permuted stream. scores is indexed by unit ID; a unit
-// past its end scores 0.
+// renders each unit's extent, in that order, straight into the plan's one
+// stream of M·sp bytes: the permuted body and a zero tail, of which the
+// raw packets are views. scores is indexed by unit ID; a unit past its end
+// scores 0.
 func newPlan(doc *document.Document, scores []float64, cfg Config) (*Plan, error) {
-	ranked, err := doc.UnitsAt(cfg.LOD)
+	units, err := doc.UnitsAt(cfg.LOD)
 	if err != nil {
 		return nil, err
+	}
+	// Information content accrues at paragraph granularity regardless of
+	// the ranked LOD: §5's model discards a document once the received
+	// content passes F even under conventional document-LOD transmission,
+	// which requires accounting finer than the transmission units.
+	paragraphs := units
+	if cfg.LOD != document.LODParagraph {
+		paragraphs = doc.Paragraphs()
 	}
 	score := func(u *document.Unit) float64 {
 		if u.ID < len(scores) {
@@ -114,18 +123,38 @@ func newPlan(doc *document.Document, scores []float64, cfg Config) (*Plan, error
 		}
 		return 0
 	}
-	sort.SliceStable(ranked, func(i, j int) bool { return score(ranked[i]) > score(ranked[j]) })
-
-	body := doc.Body()
-	p := &Plan{doc: doc, cfg: cfg, body: body}
-
-	// Build the permuted stream and the segment map.
-	p.permuted = make([]byte, 0, len(body))
-	total := 0.0
-	for _, u := range ranked {
-		total += score(u)
+	// order is the ranking, a permutation of units' indices; units[j]'s
+	// paragraphs are paragraphs[first[j]:first[j+1]], found in one merge of
+	// the two document-ordered partitions.
+	idx := make([]int, 2*len(units)+1)
+	order, first := idx[:len(units)], idx[len(units):]
+	k, accrualTotal := 0, 0.0
+	for j, u := range units {
+		first[j] = k
+		for ; k < len(paragraphs) && paragraphs[k].End <= u.End; k++ {
+			accrualTotal += score(paragraphs[k])
+		}
 	}
-	for _, u := range ranked {
+	first[len(units)] = k
+	if k < len(paragraphs) {
+		return nil, fmt.Errorf("core: paragraph %q outside every ranked unit", paragraphs[k].Label)
+	}
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(score(units[b]), score(units[a])) })
+
+	size := doc.Size()
+	p := &Plan{doc: doc, cfg: cfg, bodySize: size, m: erasure.PacketsFor(size, cfg.PacketSize)}
+	segs := make([]UnitSegment, 0, len(units)+len(paragraphs))
+	p.segments, p.accrual = segs[:0:len(units)], segs[len(units):len(units)]
+	stream := make([]byte, 0, p.m*cfg.PacketSize)
+	total := 0.0
+	for _, j := range order {
+		total += score(units[j])
+	}
+	for _, j := range order {
+		u := units[j]
 		s := score(u)
 		if total > 0 {
 			s /= total
@@ -133,63 +162,51 @@ func newPlan(doc *document.Document, scores []float64, cfg Config) (*Plan, error
 		p.segments = append(p.segments, UnitSegment{
 			Unit:        u,
 			Score:       s,
-			PermutedOff: len(p.permuted),
+			PermutedOff: len(stream),
 			OrigOff:     u.Start,
 			Length:      u.Span(),
 		})
-		p.permuted = append(p.permuted, body[u.Start:u.End]...)
+		stream = u.AppendBody(stream)
 	}
-	if len(p.permuted) != len(body) {
-		return nil, fmt.Errorf("core: ranked units cover %d of %d body bytes; not a partition", len(p.permuted), len(body))
+	if len(stream) != p.bodySize {
+		return nil, fmt.Errorf("core: ranked units cover %d of %d body bytes; not a partition", len(stream), p.bodySize)
 	}
-	p.digest = crc64.Checksum(p.permuted, digestTable)
+	p.digest = crc64.Checksum(stream, digestTable)
 
-	// Information content accrues at paragraph granularity regardless of
-	// the ranked LOD: §5's model discards a document once the received
-	// content passes F even under conventional document-LOD transmission,
-	// which requires accounting finer than the transmission units.
-	paragraphs := doc.Paragraphs()
-	accrualTotal := 0.0
-	for _, leaf := range paragraphs {
-		accrualTotal += score(leaf)
-	}
-	for _, leaf := range paragraphs {
-		seg, ok := p.segmentContaining(leaf)
-		if !ok {
-			return nil, fmt.Errorf("core: paragraph %q outside every ranked unit", leaf.Label)
+	// The accrual segments come out in transmission order: the ranked
+	// units in turn, each one's paragraphs in document order.
+	for i, j := range order {
+		u, off := units[j], p.segments[i].PermutedOff
+		for _, leaf := range paragraphs[first[j]:first[j+1]] {
+			s := score(leaf)
+			if accrualTotal > 0 {
+				s /= accrualTotal
+			} else {
+				// Uniform fallback so a document with no scored keywords
+				// still reaches IC = 1 when complete.
+				s = 1 / float64(len(paragraphs))
+			}
+			p.accrual = append(p.accrual, UnitSegment{
+				Unit:        leaf,
+				Score:       s,
+				PermutedOff: off + (leaf.Start - u.Start),
+				OrigOff:     leaf.Start,
+				Length:      leaf.Span(),
+			})
 		}
-		s := score(leaf)
-		if accrualTotal > 0 {
-			s /= accrualTotal
-		} else if len(paragraphs) > 0 {
-			// Uniform fallback so a document with no scored keywords
-			// still reaches IC = 1 when complete.
-			s = 1 / float64(len(paragraphs))
-		}
-		p.accrual = append(p.accrual, UnitSegment{
-			Unit:        leaf,
-			Score:       s,
-			PermutedOff: seg.PermutedOff + (leaf.Start - seg.Unit.Start),
-			OrigOff:     leaf.Start,
-			Length:      leaf.Span(),
-		})
 	}
-	sort.Slice(p.accrual, func(i, j int) bool {
-		return p.accrual[i].PermutedOff < p.accrual[j].PermutedOff
-	})
 
-	// Packetize into generations.
-	p.m = erasure.PacketsFor(len(p.permuted), cfg.PacketSize)
-	raw, err := erasure.Split(p.permuted, p.m, cfg.PacketSize)
-	if err != nil {
-		return nil, err
+	// Packetize into generations: raw packet i is the stream's i-th sp
+	// bytes, a view capped at its end.
+	sp := cfg.PacketSize
+	stream = stream[:p.m*sp]
+	raw := make([][]byte, p.m)
+	for i := range raw {
+		raw[i] = stream[i*sp : (i+1)*sp : (i+1)*sp]
 	}
 	cookedSeq := 0
 	for rawOff := 0; rawOff < p.m; rawOff += cfg.MaxGeneration {
-		end := rawOff + cfg.MaxGeneration
-		if end > p.m {
-			end = p.m
-		}
+		end := min(rawOff+cfg.MaxGeneration, p.m)
 		mb := end - rawOff
 		nb := cfg.cookedFor(mb)
 		coder, err := erasure.Shared(mb, nb)
@@ -206,7 +223,6 @@ func newPlan(doc *document.Document, scores []float64, cfg Config) (*Plan, error
 		p.gens = append(p.gens, &generation{
 			coder:     coder,
 			fenc:      fenc,
-			rawOff:    rawOff,
 			cookedOff: cookedSeq,
 			raw:       raw[rawOff:end],
 		})
@@ -225,7 +241,7 @@ func (p *Plan) M() int { return p.m }
 // N returns the total number of cooked packets.
 func (p *Plan) N() int { return p.n }
 
-// Digest returns the CRC-64 (ECMA) of the permuted stream: every raw
+// Digest returns the CRC-64 (ECMA) of the permuted body: every raw
 // packet, and so every cooked one, is a function of it and the layout's
 // geometry. Plan.Layout carries it as Layout.Seed.
 func (p *Plan) Digest() uint64 { return p.digest }
@@ -245,17 +261,6 @@ func (p *Plan) Segments() []UnitSegment { return p.segments }
 // is shared; callers must not modify it.
 func (p *Plan) AccrualSegments() []UnitSegment { return p.accrual }
 
-// segmentContaining returns the ranked segment whose unit extent covers
-// the leaf.
-func (p *Plan) segmentContaining(leaf *document.Unit) (UnitSegment, bool) {
-	for _, seg := range p.segments {
-		if leaf.Start >= seg.Unit.Start && leaf.End <= seg.Unit.End {
-			return seg, true
-		}
-	}
-	return UnitSegment{}, false
-}
-
 // CookedPayload returns the cooked packet payload for a global sequence
 // number. A seq inside a generation's clear-text prefix is served
 // straight from the raw packets, and that slice is shared with the plan:
@@ -263,7 +268,7 @@ func (p *Plan) segmentContaining(leaf *document.Unit) (UnitSegment, bool) {
 // encoded afresh into a slice of its own on every call. The server does
 // not cook through it: CookBlock encodes a run of rows into their frames.
 func (p *Plan) CookedPayload(seq int) ([]byte, error) {
-	g, idx, err := p.locate(seq)
+	g, idx, err := p.Locate(seq)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +282,7 @@ func (p *Plan) CookedPayload(seq int) ([]byte, error) {
 // Frame marshals the cooked packet at seq into its wire frame
 // (sequence number + CRC + payload): a one-row block.
 func (p *Plan) Frame(seq int) ([]byte, error) {
-	g, row, err := p.locate(seq)
+	g, row, err := p.Locate(seq)
 	if err != nil {
 		return nil, err
 	}
@@ -364,11 +369,6 @@ func (p *Plan) CookBlock(codec erasure.CodecID, seed uint64, gen, lo, hi int) ([
 // entries by (generation, row) so that one cooked frame is shared across
 // every connection asking for it.
 func (p *Plan) Locate(seq int) (gen, row int, err error) {
-	return p.locate(seq)
-}
-
-// locate maps a global cooked sequence number to (generation, index).
-func (p *Plan) locate(seq int) (genIdx, idx int, err error) {
 	if seq < 0 || seq >= p.n {
 		return 0, 0, fmt.Errorf("core: cooked seq %d outside [0, %d)", seq, p.n)
 	}
@@ -382,4 +382,4 @@ func (p *Plan) locate(seq int) (genIdx, idx int, err error) {
 }
 
 // BodySize returns the original document body size in bytes.
-func (p *Plan) BodySize() int { return len(p.body) }
+func (p *Plan) BodySize() int { return p.bodySize }

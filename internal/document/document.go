@@ -305,21 +305,24 @@ func (d *Document) Validate() error {
 }
 
 // Body renders the serialized document body whose byte offsets match the
-// units' extents. The transmitter splits exactly this byte stream into
-// packets, so extent arithmetic and packetization always agree.
+// units' extents: the bytes the transmitter packetizes, extent by extent.
 func (d *Document) Body() []byte {
-	buf := make([]byte, d.Size())
-	for i := range buf {
-		buf[i] = ' '
+	return d.Root.AppendBody(make([]byte, 0, d.Size()))
+}
+
+// AppendBody appends the unit's extent of the serialized body,
+// Body()[u.Start:u.End], to dst: its text and a newline, its children's
+// extents, and a space for a unit with neither (layout's one byte).
+func (u *Unit) AppendBody(dst []byte) []byte {
+	start := len(dst)
+	if u.Text != "" {
+		dst = append(append(dst, u.Text...), '\n')
 	}
-	d.Root.Walk(func(u *Unit) bool {
-		if u.Text != "" {
-			copy(buf[u.Start:], u.Text)
-			if u.Start+len(u.Text) < len(buf) {
-				buf[u.Start+len(u.Text)] = '\n'
-			}
-		}
-		return true
-	})
-	return buf
+	for _, c := range u.Children {
+		dst = c.AppendBody(dst)
+	}
+	if len(dst) == start {
+		dst = append(dst, ' ')
+	}
+	return dst
 }

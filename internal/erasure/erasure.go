@@ -222,46 +222,6 @@ func (c *Coder) Decode(received []Received) ([][]byte, error) {
 	return raw, nil
 }
 
-// Split cuts payload into m packets of packetSize bytes, zero-padding the
-// final packet. It returns an error when the payload does not fit.
-func Split(payload []byte, m, packetSize int) ([][]byte, error) {
-	if m < 1 || packetSize < 1 {
-		return nil, fmt.Errorf("erasure: split needs m >= 1 and packetSize >= 1, got m=%d size=%d", m, packetSize)
-	}
-	if len(payload) > m*packetSize {
-		return nil, fmt.Errorf("erasure: payload %d bytes exceeds %d packets × %d bytes", len(payload), m, packetSize)
-	}
-	raw := allocPackets(m, packetSize)
-	for i := 0; i < m; i++ {
-		lo := i * packetSize
-		if lo < len(payload) {
-			hi := lo + packetSize
-			if hi > len(payload) {
-				hi = len(payload)
-			}
-			copy(raw[i], payload[lo:hi])
-		}
-	}
-	return raw, nil
-}
-
-// Join is the inverse of Split: it concatenates raw packets and trims the
-// result to originalLen bytes.
-func Join(raw [][]byte, originalLen int) ([]byte, error) {
-	total := 0
-	for _, p := range raw {
-		total += len(p)
-	}
-	if originalLen < 0 || originalLen > total {
-		return nil, fmt.Errorf("erasure: original length %d outside [0, %d]", originalLen, total)
-	}
-	out := make([]byte, 0, total)
-	for _, p := range raw {
-		out = append(out, p...)
-	}
-	return out[:originalLen], nil
-}
-
 // PacketsFor returns the number of raw packets M = ceil(docSize/packetSize),
 // the ⌈sD/sp⌉ of §4.2.
 func PacketsFor(docSize, packetSize int) int {

@@ -287,63 +287,6 @@ func TestEncodeValidation(t *testing.T) {
 	}
 }
 
-func TestSplitJoinRoundTrip(t *testing.T) {
-	f := func(payload []byte) bool {
-		if len(payload) == 0 {
-			return true
-		}
-		const sp = 16
-		m := PacketsFor(len(payload), sp)
-		raw, err := Split(payload, m, sp)
-		if err != nil {
-			return false
-		}
-		back, err := Join(raw, len(payload))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(back, payload)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSplitPadsFinalPacket(t *testing.T) {
-	raw, err := Split([]byte("abcde"), 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw[0], []byte("abcd")) {
-		t.Errorf("raw[0] = %q", raw[0])
-	}
-	if !bytes.Equal(raw[1], []byte{'e', 0, 0, 0}) {
-		t.Errorf("raw[1] = %v, want e followed by zero padding", raw[1])
-	}
-}
-
-func TestSplitErrors(t *testing.T) {
-	if _, err := Split([]byte("abcdef"), 1, 4); err == nil {
-		t.Error("oversized payload accepted")
-	}
-	if _, err := Split([]byte("a"), 0, 4); err == nil {
-		t.Error("m = 0 accepted")
-	}
-	if _, err := Split([]byte("a"), 1, 0); err == nil {
-		t.Error("packetSize = 0 accepted")
-	}
-}
-
-func TestJoinErrors(t *testing.T) {
-	raw := [][]byte{{1, 2}, {3, 4}}
-	if _, err := Join(raw, 5); err == nil {
-		t.Error("originalLen beyond total accepted")
-	}
-	if _, err := Join(raw, -1); err == nil {
-		t.Error("negative originalLen accepted")
-	}
-}
-
 func TestPacketsFor(t *testing.T) {
 	tests := []struct {
 		doc, sp, want int
@@ -362,15 +305,12 @@ func TestPacketsFor(t *testing.T) {
 }
 
 func TestEndToEndProperty(t *testing.T) {
-	// Property: for random payloads and random survivor sets of size M,
-	// split→encode→drop→decode→join recovers the payload exactly.
+	// Property: for random raw packets and random survivor sets of size
+	// M, encode→drop→decode recovers the raw packets exactly.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		payloadLen := 1 + rng.Intn(2000)
-		payload := make([]byte, payloadLen)
-		rng.Read(payload)
 		const sp = 64
-		m := PacketsFor(payloadLen, sp)
+		m := PacketsFor(1+rng.Intn(2000), sp)
 		n := m + rng.Intn(m+1) // γ in [1, 2]
 		if n > MaxCooked {
 			n = MaxCooked
@@ -379,10 +319,7 @@ func TestEndToEndProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		raw, err := Split(payload, m, sp)
-		if err != nil {
-			return false
-		}
+		raw := randomPackets(rng, m, sp)
 		cooked, err := c.Encode(raw)
 		if err != nil {
 			return false
@@ -396,11 +333,12 @@ func TestEndToEndProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := Join(dec, payloadLen)
-		if err != nil {
-			return false
+		for i := range raw {
+			if !bytes.Equal(dec[i], raw[i]) {
+				return false
+			}
 		}
-		return bytes.Equal(back, payload)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

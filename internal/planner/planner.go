@@ -441,12 +441,12 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// planCost estimates a plan's resident bytes: the body and permuted
-// copies, per-segment bookkeeping, and the layout of the one codec a
+// planCost estimates a plan's resident bytes: its one stream of M·sp
+// bytes, per-segment bookkeeping, and the layout of the one codec a
 // server usually serves it under (a SegmentMeta and about 24 encoded
 // bytes a segment). Cooked parity is not part of a plan's cost; the
 // frame cache counts each block it keeps against its own budget.
 func planCost(plan *core.Plan) int64 {
 	segs := len(plan.Segments()) + len(plan.AccrualSegments())
-	return int64(2*plan.BodySize()) + int64((128+96)*segs) + 512
+	return int64(plan.M()*plan.Config().PacketSize) + int64((128+96)*segs) + 512
 }

@@ -152,6 +152,9 @@ type Client struct {
 	// nil means reconnection is unavailable (NewClient without
 	// SetRedial).
 	redial func() (net.Conn, error)
+	// dirty marks a connection whose last operation ended before reading
+	// all of its reply: the next operation starts on a fresh one (resync).
+	dirty bool
 	// Store is the client's packet state: every fetch seeds its first
 	// round from it, caching fetches and prefetches drain every round back
 	// to it. A store opened on a directory carries that state across
@@ -347,22 +350,44 @@ func (c *Client) reconnect(ctx context.Context) error {
 			return ctx.Err()
 		case <-timer.C:
 		}
-		conn, err := c.redial()
-		if err != nil {
-			lastErr = err
-			continue
+		if lastErr = c.redialOnce(); lastErr == nil {
+			return nil
 		}
-		c.conn = conn
-		if c.r != nil {
-			c.r.Reset(conn)
-			c.w.Reset(conn)
-		}
-		return nil
 	}
 	if lastErr == nil {
 		lastErr = errors.New("no attempts made")
 	}
 	return fmt.Errorf("transport: redial failed after %d attempts: %w: %w", p.MaxAttempts, ErrDisconnected, lastErr)
+}
+
+// redialOnce makes a fresh connection the client's, with the buffers it
+// holds reset onto it.
+func (c *Client) redialOnce() error {
+	conn, err := c.redial()
+	if err != nil {
+		return err
+	}
+	c.conn, c.dirty = conn, false
+	if c.r != nil {
+		c.r.Reset(conn)
+		c.w.Reset(conn)
+	}
+	return nil
+}
+
+// resync closes a dirty connection and redials once, so the rest of an
+// earlier reply is never read as this one's; it drains nothing, so a done
+// context cannot stall it. Without a redial function it fails with
+// ErrDisconnected; a failed redial returns the dial's error.
+func (c *Client) resync() error {
+	if !c.dirty {
+		return nil
+	}
+	c.conn.Close()
+	if c.redial == nil {
+		return fmt.Errorf("transport: connection left mid-reply: %w", ErrDisconnected)
+	}
+	return c.redialOnce()
 }
 
 // isConnError reports whether err looks like a transport/connection
@@ -403,7 +428,11 @@ func (c *Client) SearchContext(ctx context.Context, query string, limit int) ([]
 		return nil, fmt.Errorf("transport: interrupted: %w", err)
 	}
 	defer c.release()
+	if err := c.resync(); err != nil {
+		return nil, err
+	}
 	defer c.armInterrupt(ctx)()
+	c.dirty = true
 	if _, err := c.send(ctx, Request{Op: "search", Query: query, Limit: limit}); err != nil {
 		return nil, ctxErr(ctx, err)
 	}
@@ -411,6 +440,7 @@ func (c *Client) SearchContext(ctx context.Context, query string, limit int) ([]
 	if err != nil {
 		return nil, ctxErr(ctx, err)
 	}
+	c.dirty = false
 	if !resp.OK {
 		return nil, respRefusal(resp, "search")
 	}
@@ -799,7 +829,8 @@ func (c *Client) Held(opts FetchOptions) int {
 // action — writes, the store drain, redials, progress — and turns what the
 // socket yields next into the machine's next event. Each round runs under
 // rctx: the fetch's context, or one bounded by FetchOptions.RoundTimeout,
-// armed so a cancellation interrupts the round's reads and writes.
+// armed so a cancellation interrupts the round's reads and writes. The
+// connection is dirty from a request until its end marker or refusal.
 func (c *Client) drive(ctx context.Context, m *machine, plan string) error {
 	m.canRedial = c.redial != nil && c.Retry.enabled()
 	rctx, cancel, release := ctx, context.CancelFunc(func() {}), func() {}
@@ -821,8 +852,13 @@ func (c *Client) drive(ctx context.Context, m *machine, plan string) error {
 				if m.opts.RoundTimeout > 0 {
 					rctx, cancel = context.WithTimeout(ctx, m.opts.RoundTimeout)
 				}
+				if err := c.resync(); err != nil {
+					release, ev, next = func() {}, failure(ctx, rctx, err), true
+					break
+				}
 				release = c.armInterrupt(rctx)
 				ev, next = c.roundTrip(ctx, rctx, &m.res, a.req, &m.resp), true
+				c.dirty = ev.kind != evHeader || m.resp.OK
 			case actControl:
 				n, err := c.send(rctx, a.req)
 				m.res.UplinkBytes += n
@@ -847,6 +883,7 @@ func (c *Client) drive(ctx context.Context, m *machine, plan string) error {
 		}
 		if !next {
 			ev = c.readFrame(ctx, rctx, &frameBuf)
+			c.dirty = ev.kind != evEnd
 		}
 		if ev.kind == evEnd || ev.kind == evRedialed {
 			if err := ctx.Err(); err != nil {
